@@ -11,6 +11,8 @@ from .kronalg import (
     kron_power,
     commutation_matrix,
     spectral_radius,
+    mode_product,
+    tensor_fixed_point,
     lyapunov_solve,
     NotSubcriticalError,
 )

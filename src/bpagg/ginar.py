@@ -22,6 +22,7 @@ from .model import (
     Point,
     BranchingModel,
     validate,
+    _REGIME_TOL,
     _law_from_json,
 )
 
@@ -37,8 +38,6 @@ __all__ = [
     "load_ginar",
     "ginar_from_means",
 ]
-
-_REGIME_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -181,9 +180,14 @@ def ginar_from_json(obj):
     for key in ("order", "offspring", "immigration"):
         if key not in obj:
             raise ValueError("ginar JSON missing %r" % key)
+    order = obj["order"]
+    if not isinstance(order, int) or isinstance(order, bool):
+        raise ValueError("ginar JSON \"order\" must be an integer, got %r" % (order,))
+    if not isinstance(obj["offspring"], list):
+        raise ValueError("ginar JSON \"offspring\" must be a list of scalar laws")
     offspring = tuple(_law_from_json(o) for o in obj["offspring"])
     immigration = _law_from_json(obj["immigration"])
-    return GinarSpec(obj["order"], offspring, immigration)
+    return GinarSpec(order, offspring, immigration)
 
 
 def ginar_to_json(spec):

@@ -9,7 +9,7 @@ through Kronecker powers, and exact samplers on a caller-supplied generator.
 
 import hashlib
 import json
-from collections import Counter
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +35,31 @@ __all__ = [
 # draws larger than this are generated in chunks to bound memory
 _CHUNK = 1 << 20
 
+# spectral radius (or GINAR mean total) within this of one counts as critical
 _REGIME_TOL = 1e-9
 _MASS_TOL = 1e-9
+
+
+def _real(name, value):
+    """value as a float; anything that is not a finite number is a ValueError."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ValueError("need a finite number for %s, got %r" % (name, value))
+    return x
+
+
+def _count(name, value):
+    """value as an int; anything but a nonnegative integer is a ValueError."""
+    try:
+        ok = int(value) == value and value >= 0
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError("need integer %s >= 0, got %r" % (name, value))
+    return int(value)
 
 
 class Poisson:
@@ -44,9 +67,10 @@ class Poisson:
     E X^3 = lam + 3 lam^2 + lam^3."""
 
     dist = "poisson"
+    json_params = ("lambda",)
 
     def __init__(self, lam):
-        lam = float(lam)
+        lam = _real("lambda", lam)
         if lam < 0:
             raise ValueError("need lambda >= 0, got %r" % lam)
         self.lam = lam
@@ -83,9 +107,10 @@ class Bernoulli:
     """
 
     dist = "bernoulli"
+    json_params = ("q",)
 
     def __init__(self, q):
-        q = float(q)
+        q = _real("q", q)
         if not 0.0 <= q <= 1.0:
             raise ValueError("need q in [0, 1], got %r" % q)
         self.q = q
@@ -108,14 +133,13 @@ class Binomial:
     E X(X-1) = n(n-1)q^2 and E X(X-1)(X-2) = n(n-1)(n-2)q^3."""
 
     dist = "binomial"
+    json_params = ("n", "q")
 
     def __init__(self, n, q):
-        if int(n) != n or n < 0:
-            raise ValueError("need integer n >= 0, got %r" % (n,))
-        q = float(q)
+        self.n = _count("n", n)
+        q = _real("q", q)
         if not 0.0 <= q <= 1.0:
             raise ValueError("need q in [0, 1], got %r" % q)
-        self.n = int(n)
         self.q = q
 
     def raw_moment(self, k):
@@ -153,9 +177,10 @@ class Geometric:
     """
 
     dist = "geometric"
+    json_params = ("q",)
 
     def __init__(self, q):
-        q = float(q)
+        q = _real("q", q)
         if not 0.0 < q <= 1.0:
             raise ValueError("need q in (0, 1], got %r" % q)
         self.q = q
@@ -187,11 +212,10 @@ class Point:
     """Point mass at a nonnegative integer c. Consumes no randomness."""
 
     dist = "point"
+    json_params = ("c",)
 
     def __init__(self, c):
-        if int(c) != c or c < 0:
-            raise ValueError("need integer c >= 0, got %r" % (c,))
-        self.c = int(c)
+        self.c = _count("c", c)
 
     def raw_moment(self, k):
         return float(self.c) ** k
@@ -220,11 +244,21 @@ class FiniteSupport:
     kind = "finite"
 
     def __init__(self, support, probs):
-        support = np.asarray(support, dtype=np.int64)
+        try:
+            raw = np.asarray(support, dtype=float)
+            probs = np.asarray(probs, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError("support vectors and probabilities must be numbers") from None
+        # float64 holds every integer below 2^53 exactly
+        if not np.all((raw == np.round(raw)) & (np.abs(raw) < 2.0 ** 53)):
+            raise ValueError(
+                "support vectors must be integer points below 2^53, got %r"
+                % (raw.tolist(),)
+            )
+        support = raw.astype(np.int64)
         if support.ndim == 1:
             support = support[:, None]
-        probs = np.asarray(probs, dtype=float)
-        if support.ndim != 2 or support.shape[0] != probs.shape[0]:
+        if support.ndim != 2 or probs.ndim != 1 or support.shape[0] != probs.shape[0]:
             raise ValueError("need one probability per support vector")
         if support.shape[0] == 0:
             raise ValueError("need at least one support vector")
@@ -232,6 +266,8 @@ class FiniteSupport:
             raise ValueError("support vectors must be nonnegative integers")
         if len({tuple(v) for v in support.tolist()}) != support.shape[0]:
             raise ValueError("support vectors must be distinct")
+        if not np.all(np.isfinite(probs)):
+            raise ValueError("probabilities must be finite, got %r" % (probs.tolist(),))
         if np.any(probs < 0):
             raise ValueError("probabilities must be nonnegative")
         total = probs.sum()
@@ -288,7 +324,9 @@ class IndependentMarginals:
     """Product law with independent scalar marginals, one per coordinate.
 
     Mixed moments factor across coordinates, so any Kronecker moment up to
-    order three is a product of closed-form scalar raw moments.
+    order three is a product of closed-form scalar raw moments: an outer
+    product of the means, with the entries that repeat a coordinate set to
+    the raw second or third moment of that coordinate.
     """
 
     kind = "independent"
@@ -308,15 +346,22 @@ class IndependentMarginals:
     def kron_moment(self, alpha):
         if alpha not in (1, 2, 3):
             raise ValueError("moment order must be 1, 2 or 3, got %r" % (alpha,))
-        p = self.dim
-        raws = [[m.raw_moment(k) for k in (1, 2, 3)] for m in self.marginals]
-        out = np.empty(p ** alpha)
-        for flat, idx in enumerate(np.ndindex(*(p,) * alpha)):
-            prod = 1.0
-            for coord, mult in Counter(idx).items():
-                prod *= raws[coord][mult - 1]
-            out[flat] = prod
-        return out
+        raws = np.array([[m.raw_moment(k) for k in (1, 2, 3)] for m in self.marginals])
+        m1, m2 = raws[:, 0], raws[:, 1]
+        if alpha == 1:
+            return m1
+        diag = np.arange(self.dim)
+        if alpha == 2:
+            out = np.outer(m1, m1)
+            out[diag, diag] = m2
+            return out.reshape(-1)
+        out = np.multiply.outer(np.outer(m1, m1), m1)
+        pair = np.outer(m2, m1)  # pair[a, c] = E x_a^2 E x_c
+        out[diag, diag, :] = pair
+        out[diag, :, diag] = pair
+        out[:, diag, diag] = pair.T
+        out[diag, diag, diag] = raws[:, 2]
+        return out.reshape(-1)
 
     def sample(self, rng):
         return np.array([m.sample_one(rng) for m in self.marginals], dtype=np.int64)
@@ -408,22 +453,36 @@ def validate(model):
 
 
 def _law_from_json(obj):
+    """Build a law from its JSON form; a malformed form is a ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError("a law must be a JSON object, got %r" % (obj,))
     kind = obj.get("kind")
     if kind == "finite":
-        atoms = obj["support"]
-        support = [a["v"] for a in atoms]
-        probs = [a["p"] for a in atoms]
-        return FiniteSupport(support, probs)
+        atoms = obj.get("support")
+        if not isinstance(atoms, list) or not all(
+            isinstance(a, dict) and "v" in a and "p" in a for a in atoms
+        ):
+            raise ValueError(
+                'a finite law needs "support": a list of {"v": [...], "p": ...} atoms'
+            )
+        return FiniteSupport([a["v"] for a in atoms], [a["p"] for a in atoms])
     if kind == "independent":
+        specs = obj.get("marginals")
+        if not isinstance(specs, list) or not all(isinstance(s, dict) for s in specs):
+            raise ValueError('an independent law needs "marginals": a list of objects')
         marginals = []
-        for spec in obj["marginals"]:
-            cls = _MARGINALS.get(spec.get("dist"))
+        for spec in specs:
+            dist = spec.get("dist")
+            cls = _MARGINALS.get(dist) if isinstance(dist, str) else None
             if cls is None:
-                raise ValueError("unknown marginal dist %r" % (spec.get("dist"),))
-            kwargs = {k: v for k, v in spec.items() if k != "dist"}
-            if "lambda" in kwargs:
-                kwargs["lam"] = kwargs.pop("lambda")
-            marginals.append(cls(**kwargs))
+                raise ValueError("unknown marginal dist %r" % (dist,))
+            keys = set(spec) - {"dist"}
+            if keys != set(cls.json_params):
+                raise ValueError(
+                    "%s marginal takes parameters %s, got %s"
+                    % (dist, sorted(cls.json_params), sorted(keys))
+                )
+            marginals.append(cls(*(spec[k] for k in cls.json_params)))
         return IndependentMarginals(marginals)
     raise ValueError("unknown law kind %r" % (kind,))
 
@@ -436,6 +495,10 @@ def model_from_json(obj):
         if key not in obj:
             raise ValueError("model JSON missing %r" % key)
     p = obj["p"]
+    if not isinstance(p, int) or isinstance(p, bool):
+        raise ValueError("model JSON \"p\" must be an integer, got %r" % (p,))
+    if not isinstance(obj["offspring"], list):
+        raise ValueError("model JSON \"offspring\" must be a list of laws")
     offspring = tuple(_law_from_json(o) for o in obj["offspring"])
     immigration = _law_from_json(obj["immigration"])
     return BranchingModel(p, offspring, immigration)

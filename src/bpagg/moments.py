@@ -8,17 +8,31 @@ conditional Kronecker moments satisfy a linear recursion
         = A (X_{k-1}; X_{k-1}^(x)2; X_{k-1}^(x)3) + b,
 
 where A is block lower triangular with diagonal blocks M, M^(x)2, M^(x)3.
-Stationary moments are read off by forward substitution block by block:
+Stationary moments follow block by block:
 
     mean  = (I - M)^-1 m_eps
-    kron2 = (I - M^(x)2)^-1 (A21 mean + E eps^(x)2)
-    kron3 = (I - M^(x)3)^-1 (A31 mean + A32 kron2 + E eps^(x)3)
+    kron2 = b2 + M^(x)2 kron2,   b2 = A21 mean + E eps^(x)2
+    kron3 = b3 + M^(x)3 kron3,   b3 = A31 mean + A32 kron2 + E eps^(x)3
 
-so the full (p + p^2 + p^3) system is never inverted at once. Off-diagonal
-blocks collect the exact mixed moments of broods and immigration within one
-generation; mixed terms with a repeated factor in slots one and three reduce
-through the commutation matrix P via u (x) v (x) u = (P (x) I)(v (x) u (x) u)
-for independent u, v.
+The production path keeps kron2 and kron3 as p x p and p x p x p tensors:
+M^(x)k acts as M along every axis, and kronalg.tensor_fixed_point solves
+each fixed point by Smith doubling. The right-hand sides come from the
+conditional moments of one generation. Given X_{k-1} = Y, the offspring sum
+Z has mean M Y, covariance sum_i Y_i Cov(xi^(i)) and third cumulant
+sum_i Y_i K3(xi^(i)), and immigration is independent of Z, so
+
+    b2 = sum_i mean_i Cov(xi^(i)) + mu m_eps^T + m_eps mu^T + E eps^(x)2
+    b3 = sum_i mean_i K3(xi^(i)) + sym(sum_i Cov(xi^(i)) (x) (M kron2)[:, i])
+         + sym(E[Z Z^T] (x) m_eps) + sym(E eps^(x)2 (x) mu) + E eps^(x)3
+
+with mu = M mean, E[Z Z^T] = sum_i mean_i Cov(xi^(i)) + M kron2 M^T and
+sym(T) = T[a,b,c] + T[a,c,b] + T[b,c,a] summing the three slots of the
+single factor. These are einsum/tensordot contractions of the law moment
+tensors at O(p^4).
+
+build_transfer assembles the dense blocks A21, A31, A32 and the full a2/a3
+matrices. Nothing on the production path calls it; it is kept as an
+independent oracle for the tests.
 
 The innovation noise matrix V, the stationary variance, lagged
 autocovariances and the covariance of the aggregation limit all derive from
@@ -35,7 +49,8 @@ from .kronalg import (
     commutation_matrix,
     kron,
     lyapunov_solve,
-    spectral_radius,
+    mode_product,
+    tensor_fixed_point,
 )
 from .model import law_kron_moments, law_mean, mean_matrix, validate
 
@@ -153,33 +168,89 @@ def _require_stationary(model):
     return cls
 
 
+def _check_order(max_order):
+    if max_order not in (1, 2, 3):
+        raise ValueError("moment order must be 1, 2 or 3, got %r" % (max_order,))
+
+
+def _law_cov(law):
+    """Covariance matrix of a law."""
+    m = law_mean(law)
+    return law_kron_moments(law, 2).reshape(law.dim, law.dim) - np.outer(m, m)
+
+
+def _sym3(t):
+    """Sum of t over the three slots of its single factor; t[a, b, c] must be
+    symmetric in (a, b), and the result is symmetric in all three axes."""
+    return t + t.transpose(0, 2, 1) + t.transpose(2, 0, 1)
+
+
+def _law_third_central(law):
+    """Third central moment E (x - m)^(x)3 of a law as a p x p x p tensor."""
+    p = law.dim
+    m = law_mean(law)
+    raw2 = law_kron_moments(law, 2).reshape(p, p)
+    raw3 = law_kron_moments(law, 3).reshape(p, p, p)
+    cube = np.multiply.outer(np.outer(m, m), m)
+    return raw3 - _sym3(np.multiply.outer(raw2, m)) + 2.0 * cube
+
+
+def _stationary_mean(model, M):
+    return np.linalg.solve(np.eye(model.p) - M, law_mean(model.immigration))
+
+
+def _noise(model, mean):
+    """V = Cov(eps) + sum_i mean_i Cov(xi^(i)) at the stationary mean."""
+    covs = np.stack([_law_cov(law) for law in model.offspring])
+    return _law_cov(model.immigration) + np.tensordot(mean, covs, 1)
+
+
+def _limit_cov(M, V):
+    A = np.eye(M.shape[0]) - M
+    return np.linalg.solve(A, np.linalg.solve(A, V).T).T
+
+
+def _moment_tensors(model, M, mean, max_order):
+    """kron2 as a p x p tensor and, for max_order 3, kron3 as a p x p x p
+    tensor together with its right-hand side b3 (None otherwise)."""
+    p = model.p
+    eps = model.immigration
+    m_eps = law_mean(eps)
+    eps2 = law_kron_moments(eps, 2).reshape(p, p)
+    mu = M @ mean
+    covs = np.stack([_law_cov(law) for law in model.offspring])
+    brood_cov = np.tensordot(mean, covs, 1)
+    b2 = brood_cov + np.outer(mu, m_eps) + np.outer(m_eps, mu) + eps2
+    kron2 = tensor_fixed_point(M, b2)
+    if max_order < 3:
+        return kron2, None, None
+    thirds = np.stack([_law_third_central(law) for law in model.offspring])
+    # pair[a, b, c]: the factor in slots (a, b) and the single factor in c
+    pair = np.tensordot(covs, M @ kron2.T, axes=([0], [1]))
+    pair += np.multiply.outer(brood_cov + mode_product(M, kron2), m_eps)
+    pair += np.multiply.outer(eps2, mu)
+    b3 = (
+        np.tensordot(mean, thirds, 1) + _sym3(pair)
+        + law_kron_moments(eps, 3).reshape(p, p, p)
+    )
+    return kron2, tensor_fixed_point(M, b3), b3
+
+
 def stationary_moments(model, max_order=3):
     """Stationary Kronecker moments (mean, kron2, kron3) up to max_order.
 
-    Entries beyond max_order are None. Requires a subcritical model with
-    nontrivial immigration.
+    kron2 and kron3 are flat vectors of length p**2 and p**3. Entries beyond
+    max_order are None. Requires a subcritical model with nontrivial
+    immigration.
     """
-    if max_order not in (1, 2, 3):
-        raise ValueError("moment order must be 1, 2 or 3, got %r" % (max_order,))
+    _check_order(max_order)
     _require_stationary(model)
-    p = model.p
     M = mean_matrix(model)
-    m_eps = law_mean(model.immigration)
-    mean = np.linalg.solve(np.eye(p) - M, m_eps)
+    mean = _stationary_mean(model, M)
     if max_order == 1:
         return mean, None, None
-    tm = build_transfer(model, max_order)
-    eps2 = law_kron_moments(model.immigration, 2)
-    M2 = kron(M, M)
-    kron2 = np.linalg.solve(np.eye(p * p) - M2, tm.a21 @ mean + eps2)
-    if max_order == 2:
-        return mean, kron2, None
-    eps3 = law_kron_moments(model.immigration, 3)
-    M3 = kron(M2, M)
-    kron3 = np.linalg.solve(
-        np.eye(p ** 3) - M3, tm.a31 @ mean + tm.a32 @ kron2 + eps3
-    )
-    return mean, kron2, kron3
+    kron2, kron3, _ = _moment_tensors(model, M, mean, max_order)
+    return mean, kron2.reshape(-1), None if kron3 is None else kron3.reshape(-1)
 
 
 def noise_matrix(model):
@@ -193,18 +264,7 @@ def noise_matrix(model):
     where mean is the stationary mean. V is symmetric positive semidefinite.
     """
     _require_stationary(model)
-    p = model.p
-    M = mean_matrix(model)
-    mean = np.linalg.solve(np.eye(p) - M, law_mean(model.immigration))
-    V = _law_cov(model.immigration)
-    for i, law in enumerate(model.offspring):
-        V = V + mean[i] * _law_cov(law)
-    return V
-
-
-def _law_cov(law):
-    m = law_mean(law)
-    return law_kron_moments(law, 2).reshape(law.dim, law.dim) - np.outer(m, m)
+    return _noise(model, _stationary_mean(model, mean_matrix(model)))
 
 
 def stationary_variance(model):
@@ -223,9 +283,7 @@ def autocovariance(model, lag):
 
 def limit_covariance(model):
     """Covariance (I - M)^-1 V (I - M^T)^-1 of the aggregation limit at t = 1."""
-    V = noise_matrix(model)
-    A = np.eye(model.p) - mean_matrix(model)
-    return np.linalg.solve(A, np.linalg.solve(A, V).T).T
+    return _limit_cov(mean_matrix(model), noise_matrix(model))
 
 
 @dataclass
@@ -234,8 +292,11 @@ class MomentReport:
 
     residuals carries 'lyapunov' (fixed-point defect of var0), 'route_gap'
     (normalized gap between var0 and the second-moment route
-    reshape(kron2) - mean mean^T) and 'limit_identity' (defect of the
-    decomposition M (I-M)^-1 var0 + var0 + var0 (I-M^T)^-1 M^T = sigma).
+    reshape(kron2) - mean mean^T), 'limit_identity' (defect of the
+    decomposition M (I-M)^-1 var0 + var0 + var0 (I-M^T)^-1 M^T = sigma) and
+    'kron3' (fixed-point defect of kron3 = b3 + M^(x)3 kron3, relative to the
+    largest entry of kron3). route_gap is None below order 2 and kron3 is
+    None below order 3.
     """
 
     mean: np.ndarray
@@ -264,25 +325,34 @@ class MomentReport:
 
 
 def moment_report(model, max_order=3):
-    """Compute every stationary quantity and its dual-route residuals."""
+    """Compute every stationary quantity and its dual-route residuals.
+
+    The model is validated once and the mean is solved once; V, var0, sigma
+    and the Kronecker moments all start from that mean.
+    """
+    _check_order(max_order)
     cls = _require_stationary(model)
-    mean, kron2, kron3 = stationary_moments(model, max_order)
     p = model.p
     M = mean_matrix(model)
-    V = noise_matrix(model)
+    mean = _stationary_mean(model, M)
+    V = _noise(model, mean)
     var0 = lyapunov_solve(M, V)
-    A = np.eye(p) - M
-    sigma = np.linalg.solve(A, np.linalg.solve(A, V).T).T
+    sigma = _limit_cov(M, V)
 
     lyap = float(np.max(np.abs(var0 - V - M @ var0 @ M.T)))
+    A = np.eye(p) - M
     lhs = M @ np.linalg.solve(A, var0) + var0 + (M @ np.linalg.solve(A, var0.T)).T
     limit_identity = float(np.max(np.abs(lhs - sigma)))
-    if kron2 is None:
-        route_gap = None
-    else:
-        second_route = kron2.reshape(p, p) - np.outer(mean, mean)
+    kron2 = kron3 = route_gap = kron3_defect = None
+    if max_order >= 2:
+        k2, k3, b3 = _moment_tensors(model, M, mean, max_order)
         scale = max(float(np.max(np.abs(var0))), 1e-30)
-        route_gap = float(np.max(np.abs(second_route - var0)) / scale)
+        route_gap = float(np.max(np.abs(k2 - np.outer(mean, mean) - var0)) / scale)
+        kron2 = k2.reshape(-1)
+        if k3 is not None:
+            defect = np.max(np.abs(k3 - b3 - mode_product(M, k3)))
+            kron3_defect = float(defect / max(float(np.max(np.abs(k3))), 1e-30))
+            kron3 = k3.reshape(-1)
 
     return MomentReport(
         mean=mean,
@@ -296,5 +366,6 @@ def moment_report(model, max_order=3):
             "lyapunov": lyap,
             "route_gap": route_gap,
             "limit_identity": limit_identity,
+            "kron3": kron3_defect,
         },
     )

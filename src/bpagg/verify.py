@@ -20,10 +20,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
-from .model import law_kron_moments, law_mean, mean_matrix, model_digest, validate
+from .model import mean_matrix, model_digest, validate
 from .moments import (
+    _law_cov,
     limit_covariance,
     noise_matrix,
     stationary_moments,
@@ -180,7 +181,7 @@ def _ks_normal(values):
     """Exact Kolmogorov-Smirnov distance of standardized values to N(0,1)."""
     x = np.sort(np.asarray(values, dtype=float))
     m = len(x)
-    c = norm.cdf(x)
+    c = ndtr(x)
     hi = np.arange(1, m + 1) / m - c
     lo = c - np.arange(0, m) / m
     return float(max(hi.max(), lo.max()))
@@ -485,11 +486,6 @@ def autocovariance_check(model, n, lags, seed, se_multiplier=4.0):
         passed=_rows_ok(rows, se_multiplier),
         runtime=time.perf_counter() - t0,
     )
-
-
-def _law_cov(law):
-    m = law_mean(law)
-    return law_kron_moments(law, 2).reshape(law.dim, law.dim) - np.outer(m, m)
 
 
 def innovation_diagnostics(model, path, se_multiplier=4.0):

@@ -249,3 +249,33 @@ def test_console_script_runs(scalar_file):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["mean"] == [2.0]
+
+
+@pytest.mark.parametrize(
+    "offspring",
+    [
+        {"kind": "independent", "marginals": [{"dist": "poisson", "mu": 0.5}]},
+        {"kind": "finite", "support": [{"p": 1.0}]},
+        3,
+    ],
+    ids=["unknown-parameter", "atom-without-v", "law-not-object"],
+)
+def test_malformed_model_json_exits_two(tmp_path, capsys, offspring):
+    f = tmp_path / "bad.json"
+    immigration = {"kind": "independent", "marginals": [{"dist": "poisson", "lambda": 1.0}]}
+    f.write_text(json.dumps({"p": 1, "offspring": [offspring], "immigration": immigration}))
+    assert main(["moments", "--model", str(f)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "order, offspring",
+    [(1, 3), ("1", [{"kind": "independent", "marginals": [{"dist": "bernoulli", "q": 0.5}]}])],
+    ids=["offspring-not-list", "order-not-integer"],
+)
+def test_malformed_ginar_spec_exits_two(tmp_path, capsys, order, offspring):
+    f = tmp_path / "spec.json"
+    immigration = {"kind": "independent", "marginals": [{"dist": "poisson", "lambda": 1.0}]}
+    f.write_text(json.dumps({"order": order, "offspring": offspring, "immigration": immigration}))
+    assert main(["ginar", "--spec", str(f)]) == 2
+    assert capsys.readouterr().err.startswith("error:")

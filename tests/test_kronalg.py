@@ -9,7 +9,9 @@ from bpagg.kronalg import (
     kron,
     kron_power,
     lyapunov_solve,
+    mode_product,
     spectral_radius,
+    tensor_fixed_point,
 )
 
 
@@ -147,3 +149,51 @@ def test_lyapunov_rejects_unit_radius():
 def test_lyapunov_shape_mismatch():
     with pytest.raises(ValueError):
         lyapunov_solve(np.eye(2) * 0.5, np.eye(3))
+
+
+def test_mode_product_is_kronecker_power_action():
+    rng = np.random.default_rng(31)
+    for k in (1, 2, 3):
+        for p in (1, 2, 4):
+            m = rng.normal(size=(p, p))
+            t = rng.normal(size=(p,) * k)
+            dense = kron_power(m, k) @ t.reshape(-1)
+            assert_allclose(mode_product(m, t).reshape(-1), dense, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.9, 0.9995])
+def test_tensor_fixed_point_matches_dense_solve(rho):
+    rng = np.random.default_rng(17)
+    for k in (1, 2, 3):
+        for p in (1, 3, 5):
+            m = _random_subcritical(rng, p, rho)
+            b = rng.normal(size=(p,) * k)
+            dense = np.linalg.solve(np.eye(p ** k) - kron_power(m, k), b.reshape(-1))
+            got = tensor_fixed_point(m, b).reshape(-1)
+            scale = np.max(np.abs(dense))
+            assert np.max(np.abs(got - dense)) <= 1e-10 * scale
+
+
+def test_tensor_fixed_point_zero_and_nilpotent():
+    assert_allclose(tensor_fixed_point(0.5 * np.eye(2), np.zeros((2, 2, 2))), 0.0, atol=0)
+    m = np.array([[0.0, 3.0], [0.0, 0.0]])
+    b = np.array([[1.0, 2.0], [3.0, 4.0]])
+    assert_allclose(tensor_fixed_point(m, b), b + m @ b @ m.T, atol=0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.2])
+def test_tensor_fixed_point_rejects_unit_radius(scale):
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+    for m in (scale * np.eye(2), scale * rot):
+        for shape in ((2, 2), (2, 2, 2)):
+            with pytest.raises(NotSubcriticalError, match="spectral radius"):
+                tensor_fixed_point(m, np.ones(shape))
+
+
+def test_tensor_fixed_point_shape_checks():
+    with pytest.raises(ValueError):
+        tensor_fixed_point(np.ones((2, 3)), np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        tensor_fixed_point(0.5 * np.eye(2), np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        tensor_fixed_point(0.5 * np.eye(2), np.float64(1.0))

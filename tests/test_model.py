@@ -187,6 +187,50 @@ def test_marginal_parameter_validation():
         Point(1.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_marginals_reject_non_finite_parameters(bad):
+    for build in (
+        lambda: Poisson(bad),
+        lambda: Bernoulli(bad),
+        lambda: Binomial(bad, 0.5),
+        lambda: Binomial(2, bad),
+        lambda: Geometric(bad),
+        lambda: Point(bad),
+    ):
+        with pytest.raises(ValueError):
+            build()
+
+
+def test_finite_support_rejects_non_finite_or_fractional_values():
+    with pytest.raises(ValueError, match="finite"):
+        FiniteSupport([[0], [1]], [math.nan, 0.5])
+    with pytest.raises(ValueError, match="finite"):
+        FiniteSupport([[0], [1]], [math.inf, 0.5])
+    with pytest.raises(ValueError):
+        FiniteSupport([[0], [math.inf]], [0.5, 0.5])
+    with pytest.raises(ValueError):
+        FiniteSupport([[0], [math.nan]], [0.5, 0.5])
+    with pytest.raises(ValueError, match="integer"):
+        FiniteSupport([[0], [1.5]], [0.5, 0.5])
+
+
+def test_independent_marginals_tables_match_loop_reference():
+    # entry (i, j, ...) of E x^(x)alpha multiplies E x_c^r over the distinct
+    # coordinates c in order of first appearance, r being how often c
+    # repeats; the broadcast tables do the same products, so bits agree
+    law = IndependentMarginals(
+        [Poisson(0.7), Geometric(0.3), Binomial(3, 0.2), Bernoulli(0.35), Point(2)]
+    )
+    raws = [[m.raw_moment(r) for r in (1, 2, 3)] for m in law.marginals]
+    for alpha in (2, 3):
+        table = law_kron_moments(law, alpha).reshape((5,) * alpha)
+        for idx in itertools.product(range(5), repeat=alpha):
+            want = 1.0
+            for c in dict.fromkeys(idx):
+                want *= raws[c][idx.count(c) - 1]
+            assert table[idx] == want
+
+
 def test_mean_matrix_columns_are_offspring_means():
     model = build_two_type()
     assert_allclose(mean_matrix(model), [[0.3, 0.2], [0.1, 0.4]], atol=0)
@@ -336,6 +380,37 @@ def test_model_json_rejects_bad_input():
                 "immigration": {"kind": "independent", "marginals": [{"dist": "poisson", "lambda": 1.0}]},
             }
         )
+
+
+_POISSON_1 = {"kind": "independent", "marginals": [{"dist": "poisson", "lambda": 1.0}]}
+
+
+@pytest.mark.parametrize(
+    "offspring",
+    [
+        [{"kind": "independent", "marginals": [{"dist": "poisson", "mu": 0.5}]}],
+        [{"kind": "independent", "marginals": [{"dist": "binomial", "n": 2}]}],
+        [{"kind": "independent", "marginals": [{"dist": "point", "c": None}]}],
+        [{"kind": "independent", "marginals": [["poisson", 0.5]]}],
+        [{"kind": "independent", "marginals": [{"dist": ["poisson"], "lambda": 0.5}]}],
+        [{"kind": "independent"}],
+        [{"kind": "finite", "support": [{"p": 1.0}]}],
+        [{"kind": "finite", "support": [{"v": [0]}]}],
+        [{"kind": "finite", "support": {"v": [0], "p": 1.0}}],
+        [3],
+        3,
+    ],
+)
+def test_model_json_malformed_is_value_error(offspring):
+    with pytest.raises(ValueError):
+        model_from_json({"p": 1, "offspring": offspring, "immigration": _POISSON_1})
+
+
+def test_model_json_rejects_non_integer_p():
+    law = {"kind": "independent", "marginals": [{"dist": "bernoulli", "q": 0.5}]}
+    for p in ("1", 1.0, True):
+        with pytest.raises(ValueError):
+            model_from_json({"p": p, "offspring": [law], "immigration": _POISSON_1})
 
 
 def test_model_dimension_checks():

@@ -3,16 +3,21 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import signal, stats
 
+import bpagg.moments
 from bpagg.kronalg import NotSubcriticalError, kron_power, spectral_radius
 from bpagg.model import (
     Bernoulli,
+    Binomial,
     BranchingModel,
+    FiniteSupport,
+    Geometric,
     IndependentMarginals,
     Point,
     Poisson,
     law_kron_moments,
     law_mean,
     mean_matrix,
+    validate,
 )
 from bpagg.moments import (
     autocovariance,
@@ -45,6 +50,154 @@ def _iterate_moments(model, steps=400):
     for _ in range(steps):
         y = tm.a3 @ y + b
     return y[:p], y[p : p + p * p], y[p + p * p :]
+
+
+def _dense_moments(model):
+    """Stationary moments by dense forward block substitution through
+    (I - a3) y = (m_eps; E eps^(x)2; E eps^(x)3).
+
+    One solve of the whole system would measure its error against the
+    largest block (kron3), which swamps the mean near criticality; each
+    diagonal block is solved on its own instead.
+    """
+    a3 = build_transfer(model, 3).a3
+    cuts = np.cumsum([0] + [model.p ** k for k in (1, 2, 3)])
+    y = []
+    for k in range(3):
+        rows = slice(cuts[k], cuts[k + 1])
+        rhs = law_kron_moments(model.immigration, k + 1)
+        for j in range(k):
+            rhs = rhs + a3[rows, cuts[j] : cuts[j + 1]] @ y[j]
+        diag = a3[rows, rows]
+        y.append(np.linalg.solve(np.eye(len(diag)) - diag, rhs))
+    return y
+
+
+def _any_marginal(rng, mean):
+    """One of the five marginal kinds with the given mean (Point rounds it,
+    Bernoulli caps it at one)."""
+    kind = int(rng.integers(0, 5))
+    if kind == 0:
+        return Poisson(mean)
+    if kind == 1:
+        return Bernoulli(min(mean, 1.0))
+    if kind == 2:
+        return Binomial(3, mean / 3.0)
+    if kind == 3:
+        return Geometric(1.0 / (1.0 + mean))
+    return Point(int(rng.random() < mean))
+
+
+def _mixed_model(rng, M, imm_means):
+    """Model with offspring mean matrix close to M: each type is either a
+    product of random marginals or a table on {0, e_j, 2 e_j}."""
+    p = M.shape[0]
+    offspring = []
+    for i in range(p):
+        col = M[:, i]
+        if rng.random() < 0.5:
+            offspring.append(IndependentMarginals([_any_marginal(rng, c) for c in col]))
+            continue
+        steps = 1 + (rng.random(p) < 0.3)
+        atoms = [np.zeros(p, dtype=np.int64)]
+        probs = [1.0 - float(np.sum(col / steps))]
+        for j in range(p):
+            v = np.zeros(p, dtype=np.int64)
+            v[j] = steps[j]
+            atoms.append(v)
+            probs.append(col[j] / steps[j])
+        offspring.append(FiniteSupport(np.stack(atoms), probs))
+    if rng.random() < 0.5:
+        immigration = IndependentMarginals([_any_marginal(rng, c) for c in imm_means])
+        if not np.any(law_mean(immigration) > 0):
+            immigration = IndependentMarginals([Poisson(c) for c in imm_means])
+    else:
+        atoms = [np.zeros(p, dtype=np.int64)] + [
+            np.eye(p, dtype=np.int64)[j] * int(rng.integers(1, 4)) for j in range(p)
+        ]
+        rest = rng.uniform(0.1, 1.0, p)
+        probs = [0.4] + (0.6 * rest / rest.sum()).tolist()
+        immigration = FiniteSupport(np.stack(atoms), probs)
+    return BranchingModel(p, tuple(offspring), immigration)
+
+
+def _assert_close_to_dense(model):
+    structured = stationary_moments(model, 3)
+    for got, want in zip(structured, _dense_moments(model)):
+        scale = np.max(np.abs(want))
+        assert_allclose(got, want, rtol=1e-10, atol=1e-10 * scale)
+
+
+def test_structured_moments_match_dense_block_solve():
+    rng = np.random.default_rng(606)
+    for p in range(1, 7):
+        done = 0
+        while done < 3:
+            M = rng.uniform(0.0, 0.9 / p, size=(p, p))
+            model = _mixed_model(rng, M, rng.uniform(0.3, 2.0, p))
+            # a Point(1) marginal can push rho to one or beyond; draw again
+            if validate(model).rho < 0.95:
+                _assert_close_to_dense(model)
+                done += 1
+
+
+def test_structured_moments_match_dense_near_critical():
+    # every column of M sums to 0.9995, so rho = 0.9995
+    rng = np.random.default_rng(4242)
+    for p in (1, 2, 3, 4):
+        M = rng.uniform(0.1, 1.0, size=(p, p))
+        M *= 0.9995 / M.sum(axis=0)
+        offspring = tuple(
+            IndependentMarginals([Poisson(c) for c in M[:, i]]) if i % 2 == 0
+            else FiniteSupport(
+                np.vstack([np.zeros(p, dtype=np.int64), np.eye(p, dtype=np.int64)]),
+                [1.0 - float(M[:, i].sum())] + M[:, i].tolist(),
+            )
+            for i in range(p)
+        )
+        imm = IndependentMarginals([Geometric(0.6)] + [Binomial(2, 0.3)] * (p - 1))
+        model = BranchingModel(p, offspring, imm)
+        assert 0.999 <= validate(model).rho < 1.0
+        _assert_close_to_dense(model)
+
+
+def test_production_path_never_builds_transfer_blocks(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_transfer called")
+
+    monkeypatch.setattr(bpagg.moments, "build_transfer", refuse)
+    model = build_random_subcritical(np.random.default_rng(9), 3)
+    stationary_moments(model, 3)
+    moment_report(model, 3)
+
+
+def test_moment_report_validates_once(monkeypatch):
+    calls = []
+
+    def counting(model):
+        calls.append(model)
+        return validate(model)
+
+    monkeypatch.setattr(bpagg.moments, "validate", counting)
+    moment_report(build_two_type(), 3)
+    assert len(calls) == 1
+
+
+def test_moment_report_matches_public_functions():
+    model = build_random_subcritical(np.random.default_rng(77), 3)
+    report = moment_report(model, 3)
+    mean, kron2, kron3 = stationary_moments(model, 3)
+    assert_allclose(report.mean, mean, rtol=1e-14)
+    assert_allclose(report.kron2, kron2, rtol=1e-14)
+    assert_allclose(report.kron3, kron3, rtol=1e-14)
+    assert_allclose(report.v, noise_matrix(model), rtol=1e-14)
+    assert_allclose(report.var0, stationary_variance(model), rtol=1e-14)
+    assert_allclose(report.sigma, limit_covariance(model), rtol=1e-14)
+
+
+def test_moment_report_order_validation():
+    with pytest.raises(ValueError):
+        moment_report(build_scalar_inar(), 4)
 
 
 def _chain_stationary(transition):
@@ -305,7 +458,8 @@ def test_moment_report_residuals_and_schema():
         "rho",
         "residuals",
     }
-    assert set(payload["residuals"]) == {"lyapunov", "route_gap", "limit_identity"}
+    assert set(payload["residuals"]) == {"lyapunov", "route_gap", "limit_identity", "kron3"}
+    assert report.residuals["kron3"] <= 1e-12
     assert payload["rho"] == pytest.approx(0.5, abs=1e-12)
 
 
@@ -313,7 +467,9 @@ def test_moment_report_lower_orders():
     report = moment_report(build_scalar_inar(), max_order=1)
     assert report.kron2 is None and report.kron3 is None
     assert report.residuals["route_gap"] is None
+    assert report.residuals["kron3"] is None
     payload = report.to_json_dict()
     assert payload["kron2"] is None and payload["kron3"] is None
     report2 = moment_report(build_scalar_inar(), max_order=2)
     assert report2.kron3 is None and report2.residuals["route_gap"] <= 1e-12
+    assert report2.residuals["kron3"] is None
