@@ -59,7 +59,6 @@ from .simulate import (
     extract_innovations,
     burnin_auto,
     stream_rng,
-    copy_rng,
     derived_seed,
 )
 from .verify import (

@@ -162,27 +162,27 @@ def _run_moments(args):
 
 
 def _run_simulate(args):
+    if args.out is None:
+        raise ValueError("simulate needs --out for the paths CSV")
     model = load_model(args.model)
     ens = simulate_ensemble(
         model, args.copies, args.n, args.seed, burnin=args.burnin,
         threads=_resolve_threads(args),
     )
-    if args.out is None:
-        raise ValueError("simulate needs --out for the paths CSV")
     paths_to_csv(ens, args.out)
     write_metadata(ens, args.out + ".meta.json")
     return 0
 
 
 def _run_aggregate(args):
+    if args.out is None:
+        raise ValueError("aggregate needs --out for the CSV")
     model = load_model(args.model)
     ens = simulate_ensemble(
         model, args.copies, args.n, args.seed, burnin=args.burnin,
         threads=_resolve_threads(args),
     )
     series = aggregate(ens, args.grid, scaled=True)
-    if args.out is None:
-        raise ValueError("aggregate needs --out for the CSV")
     aggregates_to_csv(series, args.out)
     return 0
 

@@ -5,6 +5,12 @@ p-dimensional. Two law representations are supported: an explicit finite
 probability table, and a product of independent scalar marginals with
 closed-form moments. Both expose exact mixed moments up to third order
 through Kronecker powers, and exact samplers on a caller-supplied generator.
+
+Every law draws the sum of c independent broods as one variate of its c-fold
+convolution: poisson(c lam), binomial(c n, q), negative binomial(c, q) for
+the geometric law, c v for a point mass and multinomial(c, probs) @ support
+for a table. The count c may be an int or an int64 array of counts, one per
+copy, so one generator call covers a whole block of copies.
 """
 
 import hashlib
@@ -31,9 +37,6 @@ __all__ = [
     "load_model",
     "model_digest",
 ]
-
-# draws larger than this are generated in chunks to bound memory
-_CHUNK = 1 << 20
 
 # spectral radius (or GINAR mean total) within this of one counts as critical
 _REGIME_TOL = 1e-9
@@ -83,28 +86,19 @@ class Poisson:
             return lam + lam * lam
         return lam + 3.0 * lam * lam + lam ** 3
 
-    def sample_one(self, rng):
-        return int(rng.poisson(self.lam))
+    def sample(self, rng, size=None):
+        return rng.poisson(self.lam, size)
 
     def sample_sum(self, count, rng):
-        total = 0
-        while count > 0:
-            k = min(count, _CHUNK)
-            total += int(rng.poisson(self.lam, k).sum())
-            count -= k
-        return total
+        return rng.poisson(np.multiply(count, self.lam))
 
     def params(self):
         return {"dist": "poisson", "lambda": self.lam}
 
 
 class Bernoulli:
-    """bernoulli(q) on {0,1}: all raw moments equal q.
-
-    A sum of count independent copies is binomial(count, q), drawn as one
-    binomial variate. This is the only marginal with an aggregated draw;
-    it keeps thinning-style models fast without changing the law.
-    """
+    """bernoulli(q) on {0,1}: all raw moments equal q; a sum of c copies is
+    binomial(c, q)."""
 
     dist = "bernoulli"
     json_params = ("q",)
@@ -118,11 +112,11 @@ class Bernoulli:
     def raw_moment(self, k):
         return self.q
 
-    def sample_one(self, rng):
-        return int(rng.binomial(1, self.q))
+    def sample(self, rng, size=None):
+        return rng.binomial(1, self.q, size)
 
     def sample_sum(self, count, rng):
-        return int(rng.binomial(count, self.q))
+        return rng.binomial(count, self.q)
 
     def params(self):
         return {"dist": "bernoulli", "q": self.q}
@@ -130,7 +124,8 @@ class Bernoulli:
 
 class Binomial:
     """binomial(n, q): raw moments from factorial moments
-    E X(X-1) = n(n-1)q^2 and E X(X-1)(X-2) = n(n-1)(n-2)q^3."""
+    E X(X-1) = n(n-1)q^2 and E X(X-1)(X-2) = n(n-1)(n-2)q^3. A sum of c
+    copies is binomial(c n, q)."""
 
     dist = "binomial"
     json_params = ("n", "q")
@@ -153,16 +148,11 @@ class Binomial:
         f3 = n * (n - 1) * (n - 2) * q ** 3
         return f3 + 3.0 * f2 + m1
 
-    def sample_one(self, rng):
-        return int(rng.binomial(self.n, self.q))
+    def sample(self, rng, size=None):
+        return rng.binomial(self.n, self.q, size)
 
     def sample_sum(self, count, rng):
-        total = 0
-        while count > 0:
-            k = min(count, _CHUNK)
-            total += int(rng.binomial(self.n, self.q, k).sum())
-            count -= k
-        return total
+        return rng.binomial(np.multiply(count, self.n), self.q)
 
     def params(self):
         return {"dist": "binomial", "n": self.n, "q": self.q}
@@ -173,7 +163,7 @@ class Geometric:
 
     With b = (1-q)/q the factorial moments are b, 2 b^2, 6 b^3, so
     E X = b, E X^2 = 2 b^2 + b, E X^3 = 6 b^3 + 6 b^2 + b. q = 1 is the
-    point mass at zero.
+    point mass at zero. A sum of c copies is negative binomial(c, q).
     """
 
     dist = "geometric"
@@ -193,23 +183,20 @@ class Geometric:
             return 2.0 * b * b + b
         return 6.0 * b ** 3 + 6.0 * b * b + b
 
-    def sample_one(self, rng):
-        return int(rng.geometric(self.q)) - 1
+    def sample(self, rng, size=None):
+        return rng.geometric(self.q, size) - 1
 
     def sample_sum(self, count, rng):
-        total = 0
-        while count > 0:
-            k = min(count, _CHUNK)
-            total += int(rng.geometric(self.q, k).sum()) - k
-            count -= k
-        return total
+        # numpy needs n >= 1; a sum of no broods is 0
+        return rng.negative_binomial(np.maximum(count, 1), self.q) * np.greater(count, 0)
 
     def params(self):
         return {"dist": "geometric", "q": self.q}
 
 
 class Point:
-    """Point mass at a nonnegative integer c. Consumes no randomness."""
+    """Point mass at a nonnegative integer c; a sum of k copies is k c.
+    Consumes no randomness."""
 
     dist = "point"
     json_params = ("c",)
@@ -220,11 +207,11 @@ class Point:
     def raw_moment(self, k):
         return float(self.c) ** k
 
-    def sample_one(self, rng):
-        return self.c
+    def sample(self, rng, size=None):
+        return self.c if size is None else np.full(size, self.c, dtype=np.int64)
 
     def sample_sum(self, count, rng):
-        return self.c * count
+        return np.multiply(count, self.c)
 
     def params(self):
         return {"dist": "point", "c": self.c}
@@ -294,21 +281,14 @@ class FiniteSupport:
             out += w * kron_power(x, alpha)
         return out
 
-    def sample(self, rng):
-        idx = min(int(np.searchsorted(self._cum, rng.random(), side="right")),
-                  len(self.probs) - 1)
-        return self.support[idx].copy()
+    def sample(self, rng, size=None):
+        """One support vector, or a (size, dim) array of independent ones."""
+        idx = np.searchsorted(self._cum, rng.random(size), side="right")
+        return np.take(self.support, np.minimum(idx, len(self.probs) - 1), axis=0)
 
     def sample_sum(self, count, rng):
-        total = np.zeros(self.dim, dtype=np.int64)
-        natoms = len(self.probs)
-        while count > 0:
-            k = min(count, _CHUNK)
-            idx = np.searchsorted(self._cum, rng.random(k), side="right")
-            np.minimum(idx, natoms - 1, out=idx)
-            total += np.bincount(idx, minlength=natoms) @ self.support
-            count -= k
-        return total
+        """Sum of count draws, shape (dim,), or (len(count), dim) for an array."""
+        return rng.multinomial(count, self.probs) @ self.support
 
     def to_json(self):
         return {
@@ -363,13 +343,16 @@ class IndependentMarginals:
         out[diag, diag, diag] = raws[:, 2]
         return out.reshape(-1)
 
-    def sample(self, rng):
-        return np.array([m.sample_one(rng) for m in self.marginals], dtype=np.int64)
+    def sample(self, rng, size=None):
+        """One draw, shape (dim,), or a (size, dim) array of independent ones."""
+        return np.array([m.sample(rng, size) for m in self.marginals], dtype=np.int64).T
 
     def sample_sum(self, count, rng):
+        """Sum of count draws, shape (dim,), or (len(count), dim) for an array;
+        coordinates are drawn in order."""
         return np.array(
             [m.sample_sum(count, rng) for m in self.marginals], dtype=np.int64
-        )
+        ).T
 
     def to_json(self):
         return {"kind": "independent", "marginals": [m.params() for m in self.marginals]}
@@ -419,9 +402,9 @@ def law_kron_moments(law, alpha):
     return law.kron_moment(alpha)
 
 
-def sample(law, rng):
-    """One exact draw from a law as an int64 vector."""
-    return law.sample(rng)
+def sample(law, rng, size=None):
+    """One exact draw from a law as an int64 vector, or size draws as rows."""
+    return law.sample(rng, size)
 
 
 def mean_matrix(model):

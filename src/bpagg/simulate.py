@@ -1,13 +1,17 @@
 """Exact path simulation, ensembles and centered space-time aggregates.
 
-States are int64 counts. One step draws, for each type i with current count
-c_i > 0, the exact sum of c_i independent brood vectors, then adds one
-immigration draw; types are consumed in index order, immigration last, so a
-path is a pure function of its generator stream.
+States are int64 counts. One step draws, for each type i in index order, the
+exact sum of c_i independent brood vectors as one convolution variate (see
+bpagg.model), then one immigration draw. A single stepper advances a whole
+(B, p) block of copies in lockstep: each of these draws is one generator call
+over all B copies, so a block is a pure function of its generator stream,
+and a path is the block B = 1.
 
-Ensembles give copy j its own counter-based stream derived from
-(master_seed, j), which makes every copy reproducible in isolation and the
-ensemble independent of scheduling and worker count.
+Ensembles split their N copies, in order, into blocks of at most
+_BLOCK_CELLS counts (copies x (n+1) x p) and run block b on the
+counter-based stream (master_seed, b). An ensemble therefore depends on
+(master_seed, N, n, p) and never on scheduling or worker count, and any
+block can be rerun alone on its stream.
 """
 
 import json
@@ -19,14 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kronalg import NotSubcriticalError
-from .model import (
-    FiniteSupport,
-    IndependentMarginals,
-    law_mean,
-    mean_matrix,
-    model_digest,
-    validate,
-)
+from .model import law_mean, mean_matrix, model_digest, validate
 from .moments import stationary_moments
 
 __all__ = [
@@ -36,6 +33,7 @@ __all__ = [
     "step",
     "simulate_path",
     "simulate_ensemble",
+    "block_copies",
     "aggregate",
     "extract_innovations",
     "burnin_auto",
@@ -48,8 +46,15 @@ __all__ = [
 # int64 wraparound or unbounded draw sizes (supercritical runaway)
 _STATE_LIMIT = 1 << 31
 
+# int64 counts in one ensemble block, copies x (n+1) x p: large enough that
+# numpy's per-call cost is shared by hundreds of short copies, small enough
+# that a block's paths stay around half a megabyte
+_BLOCK_CELLS = 1 << 16
+
 _BURNIN_FLOOR = 100
 _BURNIN_DECAY = 1e-6
+# automatic burn-in beyond this many steps is refused, not run
+_BURNIN_CEILING = 10 ** 6
 
 
 class SimulationOverflowError(RuntimeError):
@@ -62,11 +67,6 @@ def stream_rng(master_seed, *key):
     return np.random.Generator(np.random.Philox(ss))
 
 
-def copy_rng(master_seed, copy):
-    """Generator for one ensemble copy, keyed by (master_seed, copy) alone."""
-    return stream_rng(master_seed, copy)
-
-
 def derived_seed(master_seed, *key):
     """Stable 64-bit child seed for a namespaced purpose under master_seed."""
     ss = np.random.SeedSequence(master_seed, spawn_key=tuple(key))
@@ -77,7 +77,8 @@ def burnin_auto(model):
     """Burn-in length max(100, ceil(log(1e-6) / log(rho))).
 
     Initialization bias decays like rho^k, so this many steps shrink it by
-    a factor 1e-6 (with a floor for very small rho). Subcritical only.
+    a factor 1e-6 (with a floor for very small rho). Subcritical only; a
+    length above 10^6 steps raises ValueError instead of running.
     """
     cls = validate(model)
     if cls.regime != "subcritical":
@@ -86,29 +87,41 @@ def burnin_auto(model):
         )
     if cls.rho <= 0.0:
         return _BURNIN_FLOOR
-    return max(_BURNIN_FLOOR, int(math.ceil(math.log(_BURNIN_DECAY) / math.log(cls.rho))))
+    k = max(_BURNIN_FLOOR, int(math.ceil(math.log(_BURNIN_DECAY) / math.log(cls.rho))))
+    if k > _BURNIN_CEILING:
+        raise ValueError(
+            "automatic burn-in needs %d steps at rho = %.12g, above the ceiling of"
+            " %d; choose a burn-in length with --burnin K (burnin=K)"
+            % (k, cls.rho, _BURNIN_CEILING)
+        )
+    return k
 
 
 def _check_state(total):
-    if int(total.max(initial=0)) > _STATE_LIMIT or int(total.min(initial=0)) < 0:
+    # a count wrapped below zero reads as a huge unsigned value
+    if total.view(np.uint64).max() > _STATE_LIMIT:
         raise SimulationOverflowError(
             "component count exceeded 2^31, supercritical runaway?"
         )
     return total
 
 
-def _make_stepper(model):
+def _block_stepper(model):
+    """step_fn(x, rng) advancing a (B, p) int64 block of copies one generation.
+
+    A (p,) state is the block of one copy; its counts reach the laws as
+    scalars, which numpy draws without the fixed cost of its array path.
+    """
     offspring = model.offspring
     imm = model.immigration
     p = model.p
 
-    def step_fn(state, rng):
-        total = np.zeros(p, dtype=np.int64)
-        for i in range(p):
-            c = int(state[i])
-            if c > 0:
-                total += offspring[i].sample_sum(c, rng)
-        total += imm.sample(rng)
+    def step_fn(x, rng):
+        counts = x.T  # counts[i]: the type-i count of every copy
+        total = offspring[0].sample_sum(counts[0], rng)
+        for i in range(1, p):
+            total += offspring[i].sample_sum(counts[i], rng)
+        total += imm.sample(rng, None if x.ndim == 1 else len(x))
         return _check_state(total)
 
     return step_fn
@@ -119,7 +132,7 @@ def step(model, state, rng):
     state = np.asarray(state, dtype=np.int64)
     if state.shape != (model.p,) or int(state.min()) < 0:
         raise ValueError("state must be a nonnegative int vector of length p")
-    return _make_stepper(model)(state, rng)
+    return _block_stepper(model)(state, rng)
 
 
 def _resolve_burnin(model, burnin):
@@ -132,74 +145,43 @@ def _resolve_burnin(model, burnin):
     return int(burnin)
 
 
-def _scalar_samplers(model):
-    # unwrap p = 1 laws to scalar closures; draw order matches the general path
-    off = model.offspring[0]
-    imm = model.immigration
-    if isinstance(off, IndependentMarginals):
-        off_sum = off.marginals[0].sample_sum
-    else:
-        table = off
+def _simulate_block(model, copies, n, rng, burnin):
+    """(copies, n+1, p) paths of one lockstep block; burnin is a step count.
 
-        def off_sum(c, rng, _t=table):
-            return int(_t.sample_sum(c, rng)[0])
+    A block of one copy is stepped on a (p,) state.
+    """
+    step_fn = _block_stepper(model)
+    x = np.zeros(model.p if copies == 1 else (copies, model.p), dtype=np.int64)
+    for _ in range(burnin):
+        x = step_fn(x, rng)
+    paths = np.empty((copies, n + 1, model.p), dtype=np.int64)
+    paths[:, 0] = x
+    for t in range(1, n + 1):
+        x = step_fn(x, rng)
+        paths[:, t] = x
+    return paths
 
-    if isinstance(imm, IndependentMarginals):
-        imm_one = imm.marginals[0].sample_one
-    else:
 
-        def imm_one(rng, _t=imm):
-            return int(_t.sample(rng)[0])
-
-    return off_sum, imm_one
+def _check_steps(n):
+    if int(n) != n or n < 0:
+        raise ValueError("need n >= 0, got %r" % (n,))
+    return int(n)
 
 
 def simulate_path(model, n, rng, burnin=None):
     """Path of n steps as an (n+1, p) int64 array, path[0] the initial state.
 
     burnin None starts from zero; an integer k (or 'auto') first runs k
-    discarded steps from zero so path[0] is approximately stationary.
+    discarded steps from zero so path[0] is approximately stationary. The
+    path is the block of one copy, so it equals repeated step calls on rng.
     """
-    if int(n) != n or n < 0:
-        raise ValueError("need n >= 0, got %r" % (n,))
-    n = int(n)
-    k = _resolve_burnin(model, burnin)
-    p = model.p
-    path = np.zeros((n + 1, p), dtype=np.int64)
-
-    if p == 1:
-        off_sum, imm_one = _scalar_samplers(model)
-        x = 0
-        for _ in range(k):
-            x = (off_sum(x, rng) if x > 0 else 0) + imm_one(rng)
-            if x > _STATE_LIMIT or x < 0:
-                raise SimulationOverflowError(
-                    "component count exceeded 2^31, supercritical runaway?"
-                )
-        path[0, 0] = x
-        for t in range(1, n + 1):
-            x = (off_sum(x, rng) if x > 0 else 0) + imm_one(rng)
-            if x > _STATE_LIMIT or x < 0:
-                raise SimulationOverflowError(
-                    "component count exceeded 2^31, supercritical runaway?"
-                )
-            path[t, 0] = x
-        return path
-
-    step_fn = _make_stepper(model)
-    x = np.zeros(p, dtype=np.int64)
-    for _ in range(k):
-        x = step_fn(x, rng)
-    path[0] = x
-    for t in range(1, n + 1):
-        x = step_fn(x, rng)
-        path[t] = x
-    return path
+    n = _check_steps(n)
+    return _simulate_block(model, 1, n, rng, _resolve_burnin(model, burnin))[0]
 
 
 @dataclass
 class PathEnsemble:
-    """N independent copies of one model, each on its own derived stream."""
+    """N independent copies of one model, stepped in blocks on derived streams."""
 
     model: object
     master_seed: int
@@ -219,34 +201,43 @@ class PathEnsemble:
         return self.paths.shape[2]
 
 
-def _copies_worker(args):
-    model, n, burnin, master_seed, start, stop = args
-    out = np.empty((stop - start, n + 1, model.p), dtype=np.int64)
-    for j in range(start, stop):
-        out[j - start] = simulate_path(model, n, copy_rng(master_seed, j), burnin)
-    return out
+def block_copies(n, p):
+    """Copies per ensemble block for paths of n steps of p types."""
+    return max(1, _BLOCK_CELLS // ((n + 1) * p))
+
+
+def _map_tasks(fn, tasks, threads):
+    """[fn(t) for t in tasks], over a pool of up to threads processes."""
+    workers = min(threads, len(tasks))
+    if workers <= 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
+
+
+def _block_worker(args):
+    model, copies, n, master_seed, b, burnin = args
+    return _simulate_block(model, copies, n, stream_rng(master_seed, b), burnin)
 
 
 def simulate_ensemble(model, N, n, master_seed, burnin="auto", threads=1):
-    """Ensemble of N copies, n steps each. Results do not depend on threads."""
+    """Ensemble of N copies, n steps each. Results do not depend on threads.
+
+    Copies are stepped in blocks of block_copies(n, p); block b runs on the
+    stream (master_seed, b), and threads only spreads blocks over processes.
+    """
     if int(N) != N or N < 1:
         raise ValueError("need N >= 1 copies, got %r" % (N,))
-    N = int(N)
+    N, n = int(N), _check_steps(n)
     k = _resolve_burnin(model, burnin)
-    bounds = _chunk_bounds(N, threads)
-    tasks = [(model, int(n), k, int(master_seed), a, b) for a, b in bounds]
-    if threads <= 1 or len(tasks) == 1:
-        parts = [_copies_worker(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_copies_worker, tasks))
-    return PathEnsemble(model, int(master_seed), k, np.concatenate(parts, axis=0))
-
-
-def _chunk_bounds(N, threads):
-    pieces = 1 if threads <= 1 else min(N, threads * 4)
-    edges = np.linspace(0, N, pieces + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+    size = block_copies(n, model.p)
+    tasks = [
+        (model, min(size, N - a), n, int(master_seed), b, k)
+        for b, a in enumerate(range(0, N, size))
+    ]
+    parts = _map_tasks(_block_worker, tasks, threads)
+    paths = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
+    return PathEnsemble(model, int(master_seed), k, paths)
 
 
 @dataclass
@@ -291,21 +282,22 @@ def aggregate(ensemble, grid, scaled=True):
     return AggregateSeries(tuple(float(t) for t in grid), values, bool(scaled), n, N)
 
 
-def percopy_aggregates(ensemble, grid):
+def percopy_aggregates(ensemble, grid, mean=None):
     """Per-copy scaled aggregates n^(-1/2) sum_{k <= floor(n t)} (X_k - mean).
 
     Copies are independent and identically distributed, so their empirical
     covariance estimates the covariance of the ensemble aggregate: summing
     over N copies and dividing by sqrt(N) changes no second moment.
+    mean is the exact stationary mean, solved here unless passed in.
     Returns an (N, len(grid), p) array.
     """
-    mean = stationary_moments(ensemble.model, 1)[0]
+    if mean is None:
+        mean = stationary_moments(ensemble.model, 1)[0]
     n = ensemble.n
     idx = _grid_indices(grid, n)
-    centered = ensemble.paths[:, 1:, :] - mean  # (N, n, p)
-    csum = np.concatenate(
-        [np.zeros((ensemble.N, 1, ensemble.p)), np.cumsum(centered, axis=1)], axis=1
-    )
+    csum = np.zeros(ensemble.paths.shape)  # csum[:, k]: sum of the first k steps
+    np.subtract(ensemble.paths[:, 1:, :], mean, out=csum[:, 1:, :])
+    np.cumsum(csum, axis=1, out=csum)
     return csum[:, idx, :] / math.sqrt(n)
 
 

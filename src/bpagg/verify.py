@@ -10,13 +10,13 @@ clock time is kept out of the serialized form.
 
 Standard errors come from batch means on single long paths and from a
 percentile-free bootstrap (200 resamples, standard deviation across
-resampled covariance estimates) on replicated aggregates.
+resampled covariance estimates) on replicated aggregates. Every experiment
+warns when its path length is short for the model's mixing time.
 """
 
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,20 +25,21 @@ from scipy.special import ndtr
 from .model import mean_matrix, model_digest, validate
 from .moments import (
     _law_cov,
-    limit_covariance,
+    moment_report,
     noise_matrix,
     stationary_moments,
     stationary_variance,
 )
 from .simulate import (
-    aggregate,
+    _map_tasks,
+    block_copies,
     burnin_auto,
+    derived_seed,
     extract_innovations,
     percopy_aggregates,
     simulate_ensemble,
     simulate_path,
     stream_rng,
-    derived_seed,
 )
 
 __all__ = [
@@ -53,6 +54,8 @@ __all__ = [
 ]
 
 _BOOT = 200
+# floats of resampled data gathered at once by the bootstrap
+_BOOT_CELLS = 1 << 15
 _MIN_BUCKET = 100
 _MAX_BUCKETS = 20
 
@@ -164,17 +167,40 @@ def _sample_cov(sample):
     return xc.T @ xc / (x.shape[0] - 1)
 
 
-def _cov_band_rows(sample, t, target, boot_idx):
-    """Covariance of sample rows vs target with bootstrap standard errors."""
-    emp = _sample_cov(sample)
-    boots = np.stack([_sample_cov(sample[idx]) for idx in boot_idx])
-    se = boots.std(axis=0, ddof=1)
-    p = emp.shape[0]
-    return [
-        _row(t, i, j, emp[i, j], target[i, j], se[i, j])
-        for i in range(p)
-        for j in range(i, p)
-    ]
+def _boot_cov(x, boot_idx):
+    """_sample_cov(x[idx]) for every row idx of boot_idx, as (len(boot_idx), d, d).
+
+    x is (reps, d). Resamples are gathered a few at a time, so the gathered
+    copy of x stays near _BOOT_CELLS floats.
+    """
+    reps, d = x.shape
+    out = np.empty((len(boot_idx), d, d))
+    chunk = max(1, _BOOT_CELLS // (reps * d))
+    for a in range(0, len(boot_idx), chunk):
+        g = x[boot_idx[a : a + chunk]]
+        g -= g.mean(axis=1, keepdims=True)
+        out[a : a + chunk] = np.einsum("bri,brj->bij", g, g) / (reps - 1)
+    return out
+
+
+def _cov_with_se(x, boot_idx):
+    """Covariance of the rows of x (reps, d) and its bootstrap standard errors."""
+    return _sample_cov(x), _boot_cov(x, boot_idx).std(axis=0, ddof=1)
+
+
+def _grid_cov_rows(vals, grid, sigma, boot_idx):
+    """Covariance of vals[:, g, :] (reps, G, p) vs grid[g] * sigma, upper
+    triangle per grid point, with bootstrap standard errors."""
+    p = vals.shape[2]
+    rows = []
+    for g, t in enumerate(grid):
+        emp, se = _cov_with_se(vals[:, g, :], boot_idx)
+        rows.extend(
+            _row(t, i, j, emp[i, j], t * sigma[i, j], se[i, j])
+            for i in range(p)
+            for j in range(i, p)
+        )
+    return rows
 
 
 def _ks_normal(values):
@@ -248,51 +274,57 @@ def ergodic_check(model, n, seed, se_multiplier=4.0):
     )
 
 
-def _clt_rep_worker(args):
-    model, n, N, burn, grid, seed = args
-    ens = simulate_ensemble(model, N, n, seed, burnin=burn, threads=1)
-    return aggregate(ens, grid, scaled=True).values
+def _clt_group_worker(args):
+    """Scaled ensemble aggregates (reps, G, p) of reps consecutive
+    replications, simulated as one ensemble of reps * N copies."""
+    model, n, N, reps, burn, grid, mean, seed = args
+    ens = simulate_ensemble(model, reps * N, n, seed, burnin=burn)
+    per_copy = percopy_aggregates(ens, grid, mean)
+    return per_copy.reshape(reps, N, len(grid), model.p).sum(axis=1) / math.sqrt(N)
 
 
 def clt_covariance_experiment(cfg):
     """Distribution of the scaled aggregate against the Gaussian limit.
 
-    Runs cfg.reps independent ensembles of cfg.N copies over cfg.n steps,
-    each replication on its own derived stream. Per grid point t the
-    empirical covariance of the scaled aggregate across replications is
-    compared entrywise to t * sigma with bootstrap standard errors, each
-    standardized marginal is tested for normality (KS distance against the
-    1.36 / sqrt(reps) threshold), and increments over disjoint grid
-    intervals are checked for vanishing cross covariance.
+    Runs cfg.reps independent ensembles of cfg.N copies over cfg.n steps.
+    Consecutive replications are grouped so that a group of R of them fills
+    one simulation block (R = block_copies(n, p) // N, at least 1): group g
+    is one ensemble of R * N copies on the stream derived from
+    (master_seed, 0, g), and replication r of the group is its copies
+    r * N .. (r + 1) * N - 1. Per grid point t the empirical covariance of
+    the scaled aggregate across replications is compared entrywise to
+    t * sigma with bootstrap standard errors, each standardized marginal is
+    tested for normality (KS distance against the 1.36 / sqrt(reps)
+    threshold), and increments over disjoint grid intervals are checked for
+    vanishing cross covariance.
     """
     t0 = time.perf_counter()
     model = cfg.model
     grid = _check_grid(cfg.grid)
     if cfg.reps < 2:
         raise ValueError("need reps >= 2, got %r" % (cfg.reps,))
-    sigma = limit_covariance(model)
+    if int(cfg.n) != cfg.n or cfg.n < 1 or int(cfg.N) != cfg.N or cfg.N < 1:
+        raise ValueError("need n >= 1 and N >= 1, got %r and %r" % (cfg.n, cfg.N))
+    n, N, p = int(cfg.n), int(cfg.N), model.p
+    exact = moment_report(model, 1)
+    sigma = exact.sigma
     burn = burnin_auto(model) if cfg.burnin == "auto" else int(cfg.burnin)
+    per_group = max(1, block_copies(n, p) // N)
     tasks = [
-        (model, int(cfg.n), int(cfg.N), burn, grid, derived_seed(cfg.master_seed, 0, r))
-        for r in range(cfg.reps)
+        (model, n, N, min(per_group, cfg.reps - a), burn, grid, exact.mean,
+         derived_seed(cfg.master_seed, 0, g))
+        for g, a in enumerate(range(0, cfg.reps, per_group))
     ]
-    if cfg.threads > 1:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            vals = list(pool.map(_clt_rep_worker, tasks, chunksize=max(1, cfg.reps // (cfg.threads * 8))))
-    else:
-        vals = [_clt_rep_worker(t) for t in tasks]
-    vals = np.stack(vals)  # (reps, G, p)
-    p = model.p
+    vals = np.concatenate(_map_tasks(_clt_group_worker, tasks, cfg.threads))  # (reps, G, p)
 
     boot_rng = stream_rng(cfg.master_seed, 1)
     boot_idx = boot_rng.integers(0, cfg.reps, size=(_BOOT, cfg.reps))
 
-    rows = []
+    rows = _grid_cov_rows(vals, grid, sigma, boot_idx)
     ks_entries = []
     ks_threshold = 1.36 / math.sqrt(cfg.reps)
     for g, t in enumerate(grid):
         sample = vals[:, g, :]
-        rows.extend(_cov_band_rows(sample, t, t * sigma, boot_idx))
         for i in range(p):
             sd = sample[:, i].std(ddof=1)
             if sd == 0:
@@ -311,33 +343,23 @@ def clt_covariance_experiment(cfg):
 
     increments = []
     if len(grid) > 1:
-        incs = np.empty_like(vals)
-        incs[:, 0, :] = vals[:, 0, :]
-        incs[:, 1:, :] = vals[:, 1:, :] - vals[:, :-1, :]
+        incs = np.diff(vals, axis=1, prepend=0.0)
+        emp, se = _cov_with_se(incs.reshape(cfg.reps, -1), boot_idx)
         for a in range(len(grid)):
             for b in range(a + 1, len(grid)):
                 for i in range(p):
                     for j in range(p):
-                        xa, xb = incs[:, a, i], incs[:, b, j]
-                        emp = float(
-                            np.mean((xa - xa.mean()) * (xb - xb.mean()))
-                            * cfg.reps
-                            / (cfg.reps - 1)
-                        )
-                        boots = [
-                            float(np.cov(xa[idx], xb[idx], ddof=1)[0, 1])
-                            for idx in boot_idx
-                        ]
-                        se = float(np.std(boots, ddof=1))
+                        k, m = a * p + i, b * p + j
+                        e, s = float(emp[k, m]), float(se[k, m])
                         increments.append(
                             {
                                 "t_a": float(grid[a]),
                                 "t_b": float(grid[b]),
                                 "i": int(i),
                                 "j": int(j),
-                                "empirical": emp,
-                                "se": se,
-                                "z": float(_zval(emp, se)),
+                                "empirical": e,
+                                "se": s,
+                                "z": float(_zval(e, s)),
                             }
                         )
 
@@ -347,6 +369,8 @@ def clt_covariance_experiment(cfg):
         and all(e["passed"] for e in ks_entries)
         and all(abs(e["z"]) <= mult for e in increments)
     )
+    warnings = []
+    _mixing_warning(exact.rho, n, warnings)
     return VerificationReport(
         kind="clt",
         params={
@@ -361,7 +385,7 @@ def clt_covariance_experiment(cfg):
         },
         rows=rows,
         extra={"sigma": sigma.tolist(), "ks": ks_entries, "increments": increments},
-        warnings=[],
+        warnings=warnings,
         passed=passed,
         runtime=time.perf_counter() - t0,
     )
@@ -390,34 +414,30 @@ def iterated_experiment(cfg, order, sweep=None):
     if order not in orders:
         raise ValueError("order must be 'N_first' or 'n_first', got %r" % (order,))
     oid = orders[order]
-    sigma = limit_covariance(model)
+    exact = moment_report(model, 1)
+    sigma = exact.sigma
     burn = burnin_auto(model) if cfg.burnin == "auto" else int(cfg.burnin)
     if sweep is None:
         sweep = _default_sweep(cfg.n if order == "N_first" else cfg.N)
     sweep = [int(s) for s in sweep]
+    points = [(int(cfg.N), v) if order == "N_first" else (v, int(cfg.n)) for v in sweep]
+    if not points or min(N_s for N_s, _ in points) < 2:
+        raise ValueError("need a nonempty sweep with at least 2 copies per sweep point")
 
     trajectory = []
-    rows = []
-    for s, val in enumerate(sweep):
-        if order == "N_first":
-            N_s, n_s = int(cfg.N), val
-        else:
-            N_s, n_s = val, int(cfg.n)
-        if N_s < 2:
-            raise ValueError("need at least 2 copies per sweep point")
+    for s, (val, (N_s, n_s)) in enumerate(zip(sweep, points)):
         seed = derived_seed(cfg.master_seed, 0, oid, s)
         ens = simulate_ensemble(model, N_s, n_s, seed, burnin=burn, threads=cfg.threads)
-        per_copy = percopy_aggregates(ens, grid)  # (N_s, G, p)
+        per_copy = percopy_aggregates(ens, grid, exact.mean)  # (N_s, G, p)
         boot_idx = stream_rng(cfg.master_seed, 1, oid, s).integers(
             0, N_s, size=(_BOOT, N_s)
         )
-        point_rows = []
-        for g, t in enumerate(grid):
-            point_rows.extend(_cov_band_rows(per_copy[:, g, :], t, t * sigma, boot_idx))
-        trajectory.append({"sweep": val, "N": N_s, "n": n_s, "rows": point_rows})
-        rows = point_rows
+        rows = _grid_cov_rows(per_copy, grid, sigma, boot_idx)
+        trajectory.append({"sweep": val, "N": N_s, "n": n_s, "rows": rows})
 
     mult = cfg.se_multiplier
+    warnings = []
+    _mixing_warning(exact.rho, points[-1][1], warnings)
     return VerificationReport(
         kind="iterated",
         params={
@@ -433,7 +453,7 @@ def iterated_experiment(cfg, order, sweep=None):
         },
         rows=rows,
         extra={"sigma": sigma.tolist(), "sweep": trajectory},
-        warnings=[],
+        warnings=warnings,
         passed=_rows_ok(rows, mult),
         runtime=time.perf_counter() - t0,
     )

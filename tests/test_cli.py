@@ -9,7 +9,7 @@ from bpagg.cli import main
 from bpagg.model import model_to_json
 from bpagg.verify import VerificationReport
 from conftest import build_scalar_inar, build_two_type
-from bpagg.model import BranchingModel, IndependentMarginals, Point, Poisson
+from bpagg.model import Bernoulli, BranchingModel, IndependentMarginals, Point, Poisson
 
 
 @pytest.fixture
@@ -89,6 +89,31 @@ def test_simulate_requires_out(scalar_file, capsys):
     )
     assert code == 2
     assert "out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "verb", [["simulate"], ["aggregate", "--grid", "1.0"]], ids=["simulate", "aggregate"]
+)
+def test_missing_out_fails_before_simulating(scalar_file, capsys, monkeypatch, verb):
+    calls = []
+    monkeypatch.setattr(cli, "simulate_ensemble", lambda *a, **k: calls.append(a))
+    code = main(verb + ["--model", scalar_file, "--n", "5", "--copies", "1"])
+    assert code == 2
+    assert "--out" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_auto_burnin_ceiling_exits_two(tmp_path, capsys):
+    near = BranchingModel(
+        1, (IndependentMarginals([Bernoulli(1.0 - 1e-8)]),), IndependentMarginals([Poisson(1.0)])
+    )
+    f = tmp_path / "near.json"
+    f.write_text(json.dumps(model_to_json(near)))
+    code = main(["simulate", "--model", str(f), "--n", "5", "--copies", "1",
+                 "--out", str(tmp_path / "p.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "rho" in err and "--burnin K" in err
 
 
 def test_aggregate_rows(two_type_file, tmp_path):

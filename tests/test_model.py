@@ -306,14 +306,56 @@ def test_sample_sum_empirical_mean_poisson():
     assert total / 1e6 == pytest.approx(2.0, abs=0.005)
 
 
-def test_sample_sum_matches_individual_draws():
-    # chunk accumulation must consume the stream like one-by-one draws
-    for law in (Poisson(1.3), Geometric(0.4), Binomial(3, 0.3)):
-        r1 = np.random.default_rng(9)
-        r2 = np.random.default_rng(9)
-        total = law.sample_sum(5000, r1)
-        singles = sum(law.sample_one(r2) for _ in range(5000))
-        assert total == singles
+# brood counts for the convolution oracles, and draws per count
+_COUNTS = np.array([0, 1, 7, 200], dtype=np.int64)
+_DRAWS = 4000
+# Kolmogorov-Smirnov bound fixed before sampling: the asymptotic 0.1% point
+# 1.95 / sqrt(draws); discrete laws only make the statistic smaller
+_KS_BOUND = 1.95 / math.sqrt(_DRAWS)
+
+
+def _ks_against_pmf(draws, pmf):
+    """sup |F_empirical - F| over integers, F the cdf of a pmf on 0, 1, ..."""
+    top = int(draws.max()) + 1
+    cdf = np.cumsum(np.pad(pmf, (0, max(0, top - len(pmf))))[:top])
+    emp = np.cumsum(np.bincount(draws, minlength=top)) / len(draws)
+    return float(np.max(np.abs(emp - cdf)))
+
+
+def _convolution_power(pmf, c, top):
+    """pmf of the sum of c independent draws, truncated to 0..top-1; entries
+    below top are exact since every term is nonnegative."""
+    out = np.array([1.0])
+    for _ in range(c):
+        out = np.convolve(out, pmf)[:top]
+    return out
+
+
+def _check_sums_against_oracle(draws, pmf, label):
+    draws = draws.reshape(-1, len(_COUNTS))
+    assert np.all(draws[:, _COUNTS == 0] == 0), label
+    for k, c in enumerate(_COUNTS):
+        if c == 0:
+            continue
+        col = draws[:, k]
+        oracle = _convolution_power(pmf, int(c), int(col.max()) + 1)
+        stat = _ks_against_pmf(col, oracle)
+        assert stat <= _KS_BOUND, "%s c = %d: KS %.4f > %.4f" % (label, c, stat, _KS_BOUND)
+
+
+def test_marginal_sample_sum_matches_convolution_oracle():
+    # the sum of c broods is one convolution variate; its law must be the
+    # c-fold convolution of the single-brood pmf built from the parameters
+    counts = np.tile(_COUNTS, _DRAWS)
+    for seed, law in enumerate(
+        (Poisson(1.3), Bernoulli(0.35), Binomial(3, 0.3), Geometric(0.4), Point(2))
+    ):
+        draws = law.sample_sum(counts, np.random.default_rng(100 + seed))
+        assert draws.shape == counts.shape and draws.dtype == np.int64
+        _check_sums_against_oracle(draws, _pmf_table(law), law.dist)
+        # an int count still gives one scalar variate
+        assert np.ndim(law.sample_sum(7, np.random.default_rng(seed))) == 0
+        assert law.sample_sum(0, np.random.default_rng(seed)) == 0
 
 
 def test_bernoulli_sum_uses_binomial_count():
@@ -325,7 +367,7 @@ def test_bernoulli_sum_uses_binomial_count():
 
 def test_point_and_degenerate_samples():
     rng = np.random.default_rng(0)
-    assert Point(3).sample_one(rng) == 3
+    assert Point(3).sample(rng) == 3
     assert Point(2).sample_sum(10, rng) == 20
     assert Geometric(1.0).sample_sum(1000, rng) == 0
 
@@ -340,13 +382,22 @@ def test_finite_support_sampler_frequencies():
     assert_allclose(draws.mean(axis=0), [0.4, 0.4], atol=0.02)
 
 
-def test_finite_support_sum_matches_single_draw_stream():
-    law = FiniteSupport([[0, 1], [2, 0], [1, 1]], [0.3, 0.3, 0.4])
-    r1 = np.random.default_rng(77)
-    r2 = np.random.default_rng(77)
-    total = law.sample_sum(4000, r1)
-    singles = sum(law.sample(r2) for _ in range(4000))
-    assert_allclose(total, singles, atol=0)
+def test_finite_support_sample_sum_matches_convolution_oracle():
+    # w . (sum of c draws) is the sum of c draws of w . v, so every linear
+    # projection has the c-fold convolution of the projected table as law;
+    # the coordinate sum checks the joint law, not just the marginals
+    support = np.array([[0, 1], [2, 0], [1, 1]])
+    probs = np.array([0.3, 0.3, 0.4])
+    law = FiniteSupport(support, probs)
+    counts = np.tile(_COUNTS, _DRAWS)
+    draws = law.sample_sum(counts, np.random.default_rng(77))
+    assert draws.shape == (len(counts), 2) and draws.dtype == np.int64
+    for w in ([1, 0], [0, 1], [1, 1]):
+        values = support @ w
+        pmf = np.bincount(values, weights=probs)
+        _check_sums_against_oracle(draws @ w, pmf, "finite w = %s" % (w,))
+    assert law.sample_sum(7, np.random.default_rng(1)).shape == (2,)
+    assert_allclose(law.sample_sum(0, np.random.default_rng(1)), [0, 0], atol=0)
 
 
 def test_model_json_roundtrip():

@@ -18,8 +18,9 @@ from bpagg.simulate import (
     SimulationOverflowError,
     aggregate,
     aggregates_to_csv,
+    _simulate_block,
+    block_copies,
     burnin_auto,
-    copy_rng,
     default_threads,
     derived_seed,
     ensemble_metadata,
@@ -32,7 +33,7 @@ from bpagg.simulate import (
     write_metadata,
 )
 from bpagg.simulate import percopy_aggregates
-from bpagg.model import Bernoulli
+from bpagg.model import Bernoulli, FiniteSupport
 from conftest import (
     build_deterministic,
     build_deterministic_scalar,
@@ -100,6 +101,22 @@ def test_burnin_values():
         burnin_auto(crit)
 
 
+def test_burnin_auto_ceiling_raises_before_running():
+    # rho = 1 - 1e-8 would need about 1.38e9 burn-in steps
+    near = BranchingModel(
+        1,
+        (IndependentMarginals([Bernoulli(1.0 - 1e-8)]),),
+        IndependentMarginals([Poisson(1.0)]),
+    )
+    with pytest.raises(ValueError, match="rho") as exc:
+        burnin_auto(near)
+    assert "--burnin K" in str(exc.value)
+    with pytest.raises(ValueError, match="--burnin K"):
+        simulate_path(near, 5, stream_rng(0), burnin="auto")
+    # an explicit burn-in still runs
+    assert simulate_path(near, 5, stream_rng(0), burnin=3).shape == (6, 1)
+
+
 def test_burnin_argument_validation():
     model = build_scalar_inar()
     with pytest.raises(ValueError):
@@ -108,18 +125,36 @@ def test_burnin_argument_validation():
         simulate_path(model, 5, np.random.default_rng(0), burnin=2.5)
 
 
-def test_scalar_fast_path_matches_generic_stepper():
-    # the p = 1 path unwraps laws to scalar closures; it must consume the
-    # stream exactly like repeated generic steps
-    model = build_scalar_inar()
-    path = simulate_path(model, 200, stream_rng(7))
+def _table_model():
+    """Two types with a finite-table offspring law and table immigration."""
+    return BranchingModel(
+        2,
+        (
+            FiniteSupport([[0, 0], [1, 0], [0, 2]], [0.5, 0.3, 0.2]),
+            IndependentMarginals([Poisson(0.2), Bernoulli(0.3)]),
+        ),
+        FiniteSupport([[0, 0], [2, 1], [1, 3]], [0.4, 0.3, 0.3]),
+    )
+
+
+@pytest.mark.parametrize(
+    "build", [build_scalar_inar, build_two_type, _table_model], ids=["scalar", "two", "table"]
+)
+def test_path_matches_repeated_steps(build):
+    # a path is the block of one copy: it consumes the stream exactly like
+    # repeated step calls, burn-in included
+    model = build()
+    path = simulate_path(model, 200, stream_rng(7), burnin=15)
     rng = stream_rng(7)
-    x = np.zeros(1, dtype=np.int64)
-    replay = [x.copy()]
+    x = np.zeros(model.p, dtype=np.int64)
+    for _ in range(15):
+        x = step(model, x, rng)
+    replay = [x]
     for _ in range(200):
         x = step(model, x, rng)
-        replay.append(x.copy())
-    assert_allclose(path, np.stack(replay))
+        replay.append(x)
+    assert_allclose(path, np.stack(replay), atol=0)
+    assert path[1:].sum() > 0
 
 
 def test_stream_addressing_is_stable():
@@ -128,9 +163,9 @@ def test_stream_addressing_is_stable():
     assert derived_seed(42, 0, 3) != derived_seed(43, 0, 3)
     a = stream_rng(42, 5).integers(0, 1 << 30, 4)
     b = stream_rng(42, 5).integers(0, 1 << 30, 4)
-    c = copy_rng(42, 5).integers(0, 1 << 30, 4)
+    c = stream_rng(42, 6).integers(0, 1 << 30, 4)
     assert_allclose(a, b)
-    assert_allclose(a, c)
+    assert not np.array_equal(a, c)
 
 
 def test_ensemble_reproducible_and_thread_invariant():
@@ -143,12 +178,42 @@ def test_ensemble_reproducible_and_thread_invariant():
     assert base.N == 6 and base.n == 40 and base.p == 2 and base.burnin == 3
 
 
-def test_ensemble_copy_matches_isolated_path():
+# 16384 counts per copy: blocks of 4 copies, so 10 copies make 3 blocks
+_BLOCKED = {"N": 10, "n": 16383}
+
+
+def test_ensemble_block_matches_block_run_alone():
     model = build_scalar_inar()
-    ens = simulate_ensemble(model, 4, 30, master_seed=5, burnin=10)
-    for j in range(4):
-        solo = simulate_path(model, 30, copy_rng(5, j), burnin=10)
-        assert_allclose(ens.paths[j], solo)
+    N, n = _BLOCKED["N"], _BLOCKED["n"]
+    size = block_copies(n, model.p)
+    assert size == 4
+    ens = simulate_ensemble(model, N, n, master_seed=5, burnin=10)
+    starts = list(range(0, N, size))
+    assert len(starts) == 3
+    for b, a in enumerate(starts):
+        copies = min(size, N - a)
+        alone = _simulate_block(model, copies, n, stream_rng(5, b), 10)
+        assert_allclose(ens.paths[a : a + copies], alone, atol=0)
+    # a block of one copy is a path on the block's stream
+    one = simulate_ensemble(model, 1, n, master_seed=5, burnin=10)
+    assert_allclose(one.paths[0], simulate_path(model, n, stream_rng(5, 0), 10), atol=0)
+
+
+def test_ensemble_blocks_thread_invariant():
+    model = build_scalar_inar()
+    N, n = _BLOCKED["N"], _BLOCKED["n"]
+    base = simulate_ensemble(model, N, n, master_seed=8, burnin=0)
+    for threads in (2, 3):
+        other = simulate_ensemble(model, N, n, master_seed=8, burnin=0, threads=threads)
+        assert np.array_equal(base.paths, other.paths)
+    # blocks are not copies of one another
+    assert not np.array_equal(base.paths[:4], base.paths[4:8])
+
+
+def test_block_size_from_cell_budget():
+    assert block_copies(200, 1) == 326
+    assert block_copies(80, 3) == 269
+    assert block_copies(10 ** 6, 1) == 1
 
 
 def test_ensemble_argument_validation():

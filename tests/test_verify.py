@@ -10,8 +10,17 @@ from bpagg.model import (
     IndependentMarginals,
     Poisson,
 )
+import bpagg.verify as verify
 from bpagg.moments import limit_covariance, noise_matrix, stationary_variance
-from bpagg.simulate import simulate_path, stream_rng
+from bpagg.simulate import (
+    PathEnsemble,
+    aggregate,
+    block_copies,
+    derived_seed,
+    simulate_ensemble,
+    simulate_path,
+    stream_rng,
+)
 from bpagg.verify import (
     ExperimentConfig,
     VerificationReport,
@@ -22,7 +31,7 @@ from bpagg.verify import (
     innovation_diagnostics,
     iterated_experiment,
 )
-from bpagg.verify import _ks_normal
+from bpagg.verify import _boot_cov, _clt_group_worker, _ks_normal
 from conftest import build_deterministic, build_scalar_inar, build_two_type
 
 
@@ -98,6 +107,73 @@ def test_clt_rerun_and_threads_byte_identical():
     text = run(1)
     assert run(1) == text
     assert run(2) == text
+
+
+def test_clt_groups_thread_invariant():
+    # 6 replications of 50 copies fill one block, so 14 make 3 groups
+    model = build_scalar_inar()
+    assert block_copies(200, 1) // 50 == 6
+
+    def run(threads):
+        cfg = ExperimentConfig(
+            model, n=200, N=50, reps=14, grid=(0.5, 1.0), master_seed=13,
+            threads=threads,
+        )
+        return clt_covariance_experiment(cfg).to_json()
+
+    text = run(1)
+    assert run(2) == text
+    assert run(3) == text
+
+
+def test_clt_group_replications_are_ensemble_slices():
+    # replication r of a group is the scaled aggregate of copies
+    # r N .. (r + 1) N - 1 of the group's ensemble
+    model = build_two_type()
+    n, N, reps, burn, grid = 30, 4, 3, 5, (0.5, 1.0)
+    seed = derived_seed(17, 0, 1)
+    got = _clt_group_worker((model, n, N, reps, burn, grid, None, seed))
+    ens = simulate_ensemble(model, reps * N, n, seed, burnin=burn)
+    assert got.shape == (reps, len(grid), 2)
+    for r in range(reps):
+        part = PathEnsemble(model, seed, burn, ens.paths[r * N : (r + 1) * N])
+        assert_allclose(got[r], aggregate(part, grid).values, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("cells", [None, 1000])
+def test_boot_cov_matches_per_resample_np_cov(monkeypatch, cells):
+    # one gather and one einsum per chunk of resamples; the reference is the
+    # per-resample np.cov loop it replaced (cells 1000 forces ragged chunks)
+    if cells is not None:
+        monkeypatch.setattr(verify, "_BOOT_CELLS", cells)
+    rng = np.random.default_rng(2024)
+    x = rng.standard_normal((50, 6)) @ rng.standard_normal((6, 6)) + 3.0
+    boot_idx = rng.integers(0, 50, size=(200, 50))
+    want = np.stack([np.cov(x[idx], rowvar=False, ddof=1) for idx in boot_idx])
+    assert_allclose(_boot_cov(x, boot_idx), want, rtol=1e-12, atol=0)
+
+
+def _bernoulli_model(q):
+    return BranchingModel(
+        1, (IndependentMarginals([Bernoulli(q)]),), IndependentMarginals([Poisson(1.0)])
+    )
+
+
+@pytest.mark.parametrize("q, warned", [(0.9, True), (0.1, False)])
+def test_mixing_warning_in_every_experiment_kind(q, warned):
+    # n = 200 is short for rho = 0.9 (needs 100 / 0.1^2 = 10000) and long
+    # enough for rho = 0.1 (needs 124)
+    model = _bernoulli_model(q)
+    cfg = ExperimentConfig(model, n=200, N=4, reps=10, grid=(1.0,), master_seed=1)
+    reports = [
+        ergodic_check(model, 200, seed=1),
+        autocovariance_check(model, 200, lags=(0, 1), seed=1),
+        clt_covariance_experiment(cfg),
+        iterated_experiment(cfg, "N_first", sweep=[100, 200]),
+    ]
+    for report in reports:
+        hits = [w for w in report.warnings if "insufficient n" in w]
+        assert len(hits) == (1 if warned else 0), report.kind
 
 
 def test_clt_degenerate_model_exact_zero():
