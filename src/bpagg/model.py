@@ -10,7 +10,10 @@ Every law draws the sum of c independent broods as one variate of its c-fold
 convolution: poisson(c lam), binomial(c n, q), negative binomial(c, q) for
 the geometric law, c v for a point mass and multinomial(c, probs) @ support
 for a table. The count c may be an int or an int64 array of counts, one per
-copy, so one generator call covers a whole block of copies.
+copy, so one generator call covers a whole block of copies. A zero count
+draws nothing. sample_sum_ints is the same draw for an int count, returned
+as Python ints: an int count and a one-entry array consume a generator
+alike.
 """
 
 import hashlib
@@ -90,7 +93,7 @@ class Poisson:
         return rng.poisson(self.lam, size)
 
     def sample_sum(self, count, rng):
-        return rng.poisson(np.multiply(count, self.lam))
+        return rng.poisson(count * self.lam)
 
     def params(self):
         return {"dist": "poisson", "lambda": self.lam}
@@ -152,7 +155,7 @@ class Binomial:
         return rng.binomial(self.n, self.q, size)
 
     def sample_sum(self, count, rng):
-        return rng.binomial(np.multiply(count, self.n), self.q)
+        return rng.binomial(count * self.n, self.q)
 
     def params(self):
         return {"dist": "binomial", "n": self.n, "q": self.q}
@@ -187,8 +190,13 @@ class Geometric:
         return rng.geometric(self.q, size) - 1
 
     def sample_sum(self, count, rng):
-        # numpy needs n >= 1; a sum of no broods is 0
-        return rng.negative_binomial(np.maximum(count, 1), self.q) * np.greater(count, 0)
+        # numpy needs n >= 1, so only positive counts draw; a sum of no broods is 0
+        if not isinstance(count, np.ndarray):
+            return rng.negative_binomial(count, self.q) if count > 0 else 0
+        out = np.zeros(count.shape, dtype=np.int64)
+        nz = count > 0
+        out[nz] = rng.negative_binomial(count[nz], self.q)
+        return out
 
     def params(self):
         return {"dist": "geometric", "q": self.q}
@@ -211,7 +219,7 @@ class Point:
         return self.c if size is None else np.full(size, self.c, dtype=np.int64)
 
     def sample_sum(self, count, rng):
-        return np.multiply(count, self.c)
+        return count * self.c
 
     def params(self):
         return {"dist": "point", "c": self.c}
@@ -290,6 +298,10 @@ class FiniteSupport:
         """Sum of count draws, shape (dim,), or (len(count), dim) for an array."""
         return rng.multinomial(count, self.probs) @ self.support
 
+    def sample_sum_ints(self, count, rng):
+        """sample_sum for an int count as a list of dim Python ints."""
+        return (rng.multinomial(count, self.probs) @ self.support).tolist()
+
     def to_json(self):
         return {
             "kind": "finite",
@@ -353,6 +365,10 @@ class IndependentMarginals:
         return np.array(
             [m.sample_sum(count, rng) for m in self.marginals], dtype=np.int64
         ).T
+
+    def sample_sum_ints(self, count, rng):
+        """sample_sum for an int count as a list of dim Python ints."""
+        return [int(m.sample_sum(count, rng)) for m in self.marginals]
 
     def to_json(self):
         return {"kind": "independent", "marginals": [m.params() for m in self.marginals]}

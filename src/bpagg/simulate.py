@@ -1,11 +1,15 @@
 """Exact path simulation, ensembles and centered space-time aggregates.
 
-States are int64 counts. One step draws, for each type i in index order, the
-exact sum of c_i independent brood vectors as one convolution variate (see
-bpagg.model), then one immigration draw. A single stepper advances a whole
-(B, p) block of copies in lockstep: each of these draws is one generator call
-over all B copies, so a block is a pure function of its generator stream,
-and a path is the block B = 1.
+States are int64 counts. A block of B copies is stepped in lockstep, in
+chunks of k = _BLOCK_CELLS // (B p) steps (at least one): a chunk first
+draws the immigration of all its steps and copies in one call, then, step by
+step, each type's offspring in index order, the exact sum of c_i independent
+brood vectors as one convolution variate (see bpagg.model) over all B
+copies. A block is therefore a pure function of its generator stream, and a
+path is the block B = 1, which is stepped on Python ints with scalar draws
+but consumes the stream exactly like a (1, p) array block. Because
+immigration is drawn a chunk ahead, a path does not equal repeated step
+calls; step is a chunk of one step.
 
 Ensembles split their N copies, in order, into blocks of at most
 _BLOCK_CELLS counts (copies x (n+1) x p) and run block b on the
@@ -50,6 +54,9 @@ _STATE_LIMIT = 1 << 31
 # numpy's per-call cost is shared by hundreds of short copies, small enough
 # that a block's paths stay around half a megabyte
 _BLOCK_CELLS = 1 << 16
+
+# rows of one copy formatted per write by paths_to_csv
+_CSV_ROWS = 1 << 14
 
 _BURNIN_FLOOR = 100
 _BURNIN_DECAY = 1e-6
@@ -100,39 +107,106 @@ def burnin_auto(model):
 def _check_state(total):
     # a count wrapped below zero reads as a huge unsigned value
     if total.view(np.uint64).max() > _STATE_LIMIT:
-        raise SimulationOverflowError(
-            "component count exceeded 2^31, supercritical runaway?"
-        )
+        _overflow()
     return total
 
 
-def _block_stepper(model):
-    """step_fn(x, rng) advancing a (B, p) int64 block of copies one generation.
+def _overflow():
+    raise SimulationOverflowError("component count exceeded 2^31, supercritical runaway?")
 
-    A (p,) state is the block of one copy; its counts reach the laws as
-    scalars, which numpy draws without the fixed cost of its array path.
+
+def _block_advance(model):
+    """advance(x, eps, rng) for a (B, p) int64 block of copies.
+
+    eps is an (m, B, p) chunk of immigration; each step adds every type's
+    offspring sums, in type order, to its slice of eps. Returns the final
+    state and the m stepped states, which overwrite eps.
     """
     offspring = model.offspring
-    imm = model.immigration
+
+    def advance(x, eps, rng):
+        for row in eps:
+            counts = x.T  # counts[i]: the type-i count of every copy
+            for i, law in enumerate(offspring):
+                row += law.sample_sum(counts[i], rng)
+            x = _check_state(row)
+        return x, eps
+
+    return advance
+
+
+def _one_advance(model):
+    """advance(x, eps, rng) for one copy whose state is a list of Python ints.
+
+    Draws exactly as _block_advance on a (1, p) block, but every count
+    reaches its law as an int, so each draw is one scalar generator call.
+    Returns the final state and the m stepped states as lists.
+    """
+    offspring = model.offspring
+
+    def advance(x, eps, rng):
+        rows = eps.reshape(len(eps), -1).tolist()
+        for row in rows:
+            for i, law in enumerate(offspring):
+                for j, v in enumerate(law.sample_sum_ints(x[i], rng)):
+                    row[j] += v
+            if max(row) > _STATE_LIMIT:
+                _overflow()
+            x = row
+        return x, rows
+
+    return advance
+
+
+def _run_block(model, advance, copies, n, rng, burnin, x):
+    """(copies, n+1, p) paths stepped from state x by advance; burnin steps first.
+
+    Steps go in chunks of k = _BLOCK_CELLS // (copies p) (at least 1): a
+    chunk draws the immigration of its k steps for every copy in one
+    law.sample call, then steps offspring, and its states are copied into
+    the paths once. Only one chunk of states is held besides the paths.
+    """
     p = model.p
+    imm = model.immigration
+    k = max(1, _BLOCK_CELLS // (copies * p))
+    paths = np.empty((copies, n + 1, p), dtype=np.int64)
+    if burnin == 0:
+        paths[:, 0] = x
+    done, total = 0, burnin + n
+    while done < total:
+        m = min(k, total - done)
+        eps = imm.sample(rng, m * copies).reshape(m, copies, p)
+        x, rows = advance(x, eps, rng)
+        # rows[r] is the state after step done + r + 1, path index a + r
+        a = done + 1 - burnin
+        r0 = max(0, -a)
+        if r0 < m:
+            rows = np.asarray(rows[r0:], dtype=np.int64).reshape(m - r0, copies, p)
+            paths[:, a + r0 : a + m] = rows.swapaxes(0, 1)
+        done += m
+    return paths
 
-    def step_fn(x, rng):
-        counts = x.T  # counts[i]: the type-i count of every copy
-        total = offspring[0].sample_sum(counts[0], rng)
-        for i in range(1, p):
-            total += offspring[i].sample_sum(counts[i], rng)
-        total += imm.sample(rng, None if x.ndim == 1 else len(x))
-        return _check_state(total)
 
-    return step_fn
+def _simulate_block(model, copies, n, rng, burnin):
+    """(copies, n+1, p) paths of one block from zero; burnin is a step count.
+
+    A block of one copy is stepped on Python ints, bit for bit equal to the
+    (1, p) array block on the same stream.
+    """
+    if copies == 1:
+        return _run_block(model, _one_advance(model), 1, n, rng, burnin, [0] * model.p)
+    x = np.zeros((copies, model.p), dtype=np.int64)
+    return _run_block(model, _block_advance(model), copies, n, rng, burnin, x)
 
 
 def step(model, state, rng):
-    """One exact transition from state, consuming rng in a fixed order."""
+    """One exact transition from state: one immigration draw, then the
+    offspring sums of each type in index order."""
     state = np.asarray(state, dtype=np.int64)
     if state.shape != (model.p,) or int(state.min()) < 0:
         raise ValueError("state must be a nonnegative int vector of length p")
-    return _block_stepper(model)(state, rng)
+    path = _run_block(model, _one_advance(model), 1, 1, rng, 0, state.tolist())
+    return path[0, 1]
 
 
 def _resolve_burnin(model, burnin):
@@ -143,23 +217,6 @@ def _resolve_burnin(model, burnin):
     if int(burnin) != burnin or burnin < 0:
         raise ValueError("burnin must be 'auto' or an integer >= 0, got %r" % (burnin,))
     return int(burnin)
-
-
-def _simulate_block(model, copies, n, rng, burnin):
-    """(copies, n+1, p) paths of one lockstep block; burnin is a step count.
-
-    A block of one copy is stepped on a (p,) state.
-    """
-    step_fn = _block_stepper(model)
-    x = np.zeros(model.p if copies == 1 else (copies, model.p), dtype=np.int64)
-    for _ in range(burnin):
-        x = step_fn(x, rng)
-    paths = np.empty((copies, n + 1, model.p), dtype=np.int64)
-    paths[:, 0] = x
-    for t in range(1, n + 1):
-        x = step_fn(x, rng)
-        paths[:, t] = x
-    return paths
 
 
 def _check_steps(n):
@@ -173,7 +230,8 @@ def simulate_path(model, n, rng, burnin=None):
 
     burnin None starts from zero; an integer k (or 'auto') first runs k
     discarded steps from zero so path[0] is approximately stationary. The
-    path is the block of one copy, so it equals repeated step calls on rng.
+    path is the block of one copy (see the module docstring for the order
+    in which it consumes rng).
     """
     n = _check_steps(n)
     return _simulate_block(model, 1, n, rng, _resolve_burnin(model, burnin))[0]
@@ -317,16 +375,21 @@ def extract_innovations(model, path):
 
 
 def paths_to_csv(ensemble, path):
-    """Write paths as rows copy,k,x_1..x_p (k = 0 is the initial state)."""
-    p = ensemble.p
+    """Write paths as rows copy,k,x_1..x_p (k = 0 is the initial state).
+
+    Each copy is formatted in slices of at most _CSV_ROWS rows, each with one
+    % operation on a repeated row template and one write.
+    """
+    N, rows, p = ensemble.paths.shape
+    ks = np.arange(rows)
     with open(path, "w", newline="") as fh:
         fh.write("copy,k," + ",".join("x_%d" % (i + 1) for i in range(p)) + "\n")
-        for j in range(ensemble.N):
-            for k in range(ensemble.n + 1):
-                fh.write(
-                    "%d,%d,%s\n"
-                    % (j, k, ",".join(str(int(v)) for v in ensemble.paths[j, k]))
-                )
+        for j in range(N):
+            row = "%d," % j + ",".join(["%d"] * (p + 1)) + "\n"
+            for a in range(0, rows, _CSV_ROWS):
+                b = min(rows, a + _CSV_ROWS)
+                cells = np.column_stack((ks[a:b], ensemble.paths[j, a:b]))
+                fh.write((row * (b - a)) % tuple(cells.ravel().tolist()))
 
 
 def aggregates_to_csv(series, path):

@@ -20,7 +20,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .model import mean_matrix, model_digest, validate
 from .moments import (
@@ -203,11 +202,17 @@ def _grid_cov_rows(vals, grid, sigma, boot_idx):
     return rows
 
 
+def _normal_cdf(x):
+    """Standard normal CDF 0.5 erfc(-x / sqrt(2)) of each entry of a 1-D array."""
+    r = math.sqrt(0.5)
+    return np.array([0.5 * math.erfc(-v * r) for v in x.tolist()])
+
+
 def _ks_normal(values):
     """Exact Kolmogorov-Smirnov distance of standardized values to N(0,1)."""
     x = np.sort(np.asarray(values, dtype=float))
     m = len(x)
-    c = ndtr(x)
+    c = _normal_cdf(x)
     hi = np.arange(1, m + 1) / m - c
     lo = c - np.arange(0, m) / m
     return float(max(hi.max(), lo.max()))

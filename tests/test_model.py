@@ -358,6 +358,46 @@ def test_marginal_sample_sum_matches_convolution_oracle():
         assert law.sample_sum(0, np.random.default_rng(seed)) == 0
 
 
+_ALL_LAWS = (
+    Poisson(1.3),
+    Bernoulli(0.35),
+    Binomial(3, 0.3),
+    Geometric(0.4),
+    Point(2),
+    FiniteSupport([[0, 1], [2, 0], [1, 1]], [0.3, 0.3, 0.4]),
+    IndependentMarginals([Geometric(0.5), Poisson(0.7)]),
+)
+
+
+@pytest.mark.parametrize("law", _ALL_LAWS, ids=lambda law: type(law).__name__)
+def test_sample_sum_int_and_array_counts_consume_stream_alike(law):
+    # an int count and a one-entry count array draw the same variate from the
+    # same stream position, and a zero count draws nothing
+    counts = [0, 3, 0, 5, 1, 0]
+    rng = np.random.default_rng(9)
+    arr = [law.sample_sum(np.array([c], dtype=np.int64), rng) for c in counts]
+    after_arr = rng.integers(0, 1 << 62)
+    rng = np.random.default_rng(9)
+    one = [law.sample_sum(c, rng) for c in counts]
+    after_one = rng.integers(0, 1 << 62)
+    for a, b in zip(arr, one):
+        assert np.array_equal(np.ravel(a), np.ravel(b))
+    assert after_arr == after_one
+    rng = np.random.default_rng(9)
+    law.sample_sum(0, rng)
+    law.sample_sum(np.zeros(4, dtype=np.int64), rng)
+    assert rng.integers(0, 1 << 62) == np.random.default_rng(9).integers(0, 1 << 62)
+
+
+@pytest.mark.parametrize("law", _ALL_LAWS[-2:], ids=lambda law: type(law).__name__)
+def test_sample_sum_ints_equals_sample_sum(law):
+    for c in (0, 1, 4, 1000):
+        a = law.sample_sum(c, np.random.default_rng(c))
+        b = law.sample_sum_ints(c, np.random.default_rng(c))
+        assert all(type(v) is int for v in b)
+        assert b == a.tolist()
+
+
 def test_bernoulli_sum_uses_binomial_count():
     rng = np.random.default_rng(2)
     law = Bernoulli(1.0)

@@ -1,10 +1,14 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from bpagg import simulate
 from bpagg.kronalg import NotSubcriticalError
 from bpagg.model import (
     BranchingModel,
@@ -18,6 +22,8 @@ from bpagg.simulate import (
     SimulationOverflowError,
     aggregate,
     aggregates_to_csv,
+    _block_advance,
+    _run_block,
     _simulate_block,
     block_copies,
     burnin_auto,
@@ -33,7 +39,7 @@ from bpagg.simulate import (
     write_metadata,
 )
 from bpagg.simulate import percopy_aggregates
-from bpagg.model import Bernoulli, FiniteSupport
+from bpagg.model import Bernoulli, Binomial, FiniteSupport, Geometric
 from conftest import (
     build_deterministic,
     build_deterministic_scalar,
@@ -137,24 +143,136 @@ def _table_model():
     )
 
 
+def _array_block_path(model, n, rng, burnin):
+    """One copy stepped by the (B, p) array stepper on a (1, p) block."""
+    x = np.zeros((1, model.p), dtype=np.int64)
+    return _run_block(model, _block_advance(model), 1, n, rng, burnin, x)[0]
+
+
 @pytest.mark.parametrize(
     "build", [build_scalar_inar, build_two_type, _table_model], ids=["scalar", "two", "table"]
 )
-def test_path_matches_repeated_steps(build):
-    # a path is the block of one copy: it consumes the stream exactly like
-    # repeated step calls, burn-in included
+def test_path_matches_repeated_steps(build, monkeypatch):
+    # a path is stepped on Python ints with scalar draws; it consumes the
+    # stream exactly like the array stepper on a (1, p) block, burn-in
+    # included, across several immigration chunks (40 // p steps each)
+    monkeypatch.setattr(simulate, "_BLOCK_CELLS", 40)
     model = build()
     path = simulate_path(model, 200, stream_rng(7), burnin=15)
-    rng = stream_rng(7)
-    x = np.zeros(model.p, dtype=np.int64)
-    for _ in range(15):
-        x = step(model, x, rng)
-    replay = [x]
-    for _ in range(200):
-        x = step(model, x, rng)
-        replay.append(x)
-    assert_allclose(path, np.stack(replay), atol=0)
+    block = _array_block_path(model, 200, stream_rng(7), 15)
+    assert path.dtype == np.int64
+    assert np.array_equal(path, block)
     assert path[1:].sum() > 0
+
+
+@pytest.mark.parametrize("copies", [1, 3])
+def test_block_follows_documented_stream_order(copies, monkeypatch):
+    # chunks of k = _BLOCK_CELLS // (copies p) steps: the chunk's immigration
+    # for every step and copy in one call, then offspring step by step
+    cells = 12
+    monkeypatch.setattr(simulate, "_BLOCK_CELLS", cells)
+    model, n, burnin = _table_model(), 9, 4
+    k = cells // (copies * model.p)
+    rng = stream_rng(3)
+    x = np.zeros((copies, model.p), dtype=np.int64)
+    states = [x]
+    for done in range(0, burnin + n, k):
+        m = min(k, burnin + n - done)
+        eps = model.immigration.sample(rng, m * copies).reshape(m, copies, model.p)
+        for t in range(m):
+            draws = [law.sample_sum(x[:, i], rng) for i, law in enumerate(model.offspring)]
+            x = eps[t] + sum(draws)
+            states.append(x)
+    expected = np.stack(states[burnin:], axis=1)
+    paths = _simulate_block(model, copies, n, stream_rng(3), burnin)
+    assert np.array_equal(paths, expected)
+
+
+def test_path_holds_one_chunk_of_rows(monkeypatch):
+    # a path keeps Python rows for one chunk only (1024 steps here); keeping
+    # all 40000 rows as lists would take several megabytes
+    monkeypatch.setattr(simulate, "_BLOCK_CELLS", 1024)
+    model, n = build_scalar_inar(), 40000
+    simulate_path(model, 10, stream_rng(1))
+    tracemalloc.start()
+    try:
+        path = simulate_path(model, n, stream_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - path.nbytes < 1_000_000
+
+
+_MARGINAL_KINDS = (
+    lambda u: Poisson(0.6 * u),
+    lambda u: Bernoulli(0.6 * u),
+    lambda u: Binomial(2, 0.3 * u),
+    lambda u: Geometric(1.0 / (1.0 + 0.6 * u)),
+    lambda u: Point(int(u < 0.1)),
+)
+
+
+@st.composite
+def _small_models(draw):
+    """Random models with p <= 3 mixing the five marginal kinds and tables.
+
+    Offspring means stay below 1 / p per entry except for point masses at 1,
+    which can make a model supercritical; immigration means are at least 0.3
+    per coordinate.
+    """
+    p = draw(st.integers(1, 3))
+
+    def law(lo, scale):
+        unit = st.floats(lo, 1.0)
+        if draw(st.booleans()):
+            atoms = [[0] * p] + [[2 * int(j == i) for j in range(p)] for i in range(p)]
+            w = [draw(unit) / (2 * p) for _ in range(p)]
+            return FiniteSupport(atoms, [1.0 - sum(w)] + w)
+        kinds = [draw(st.integers(0, 4)) for _ in range(p)]
+        return IndependentMarginals([_MARGINAL_KINDS[k](draw(unit) * scale) for k in kinds])
+
+    return BranchingModel(p, tuple(law(0.0, 1.0 / p) for _ in range(p)), law(0.5, 1.0))
+
+
+def _path_or_overflow(run):
+    try:
+        return run()
+    except SimulationOverflowError:
+        return "overflow"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    model=_small_models(),
+    n=st.integers(0, 30),
+    burnin=st.integers(0, 12),
+    cells=st.integers(1, 24),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_path_matches_array_block_property(model, n, burnin, cells, seed):
+    # equal paths, or an overflow on both routes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_BLOCK_CELLS", cells)
+        path = _path_or_overflow(
+            lambda: simulate_path(model, n, stream_rng(seed), burnin=burnin)
+        )
+        block = _path_or_overflow(
+            lambda: _array_block_path(model, n, stream_rng(seed), burnin)
+        )
+    assert np.array_equal(path, block)
+
+
+def test_step_is_a_one_step_chunk():
+    # step draws one immigration vector, then each type's offspring sums
+    model = _table_model()
+    state = np.array([3, 4], dtype=np.int64)
+    out = step(model, state, stream_rng(2))
+    assert out.dtype == np.int64 and out.shape == (2,)
+    rng = stream_rng(2)
+    total = np.asarray(model.immigration.sample(rng, 1)[0], dtype=np.int64)
+    for i, law in enumerate(model.offspring):
+        total = total + law.sample_sum(int(state[i]), rng)
+    assert np.array_equal(out, total)
 
 
 def test_stream_addressing_is_stable():
@@ -228,6 +346,8 @@ def test_overflow_guard():
     )
     with pytest.raises(SimulationOverflowError):
         simulate_path(doubling, 40, np.random.default_rng(0))
+    with pytest.raises(SimulationOverflowError):
+        simulate_ensemble(doubling, 3, 40, master_seed=0, burnin=0)
     doubling2 = BranchingModel(
         2,
         (
@@ -238,6 +358,24 @@ def test_overflow_guard():
     )
     with pytest.raises(SimulationOverflowError):
         simulate_path(doubling2, 40, np.random.default_rng(0))
+    with pytest.raises(SimulationOverflowError):
+        simulate_ensemble(doubling2, 2, 40, master_seed=0, burnin=0)
+
+
+@pytest.mark.parametrize("copies", [1, 3])
+def test_overflow_guard_boundary(copies):
+    # the ceiling is 2^31 inclusive, on the one-copy and the array route
+    def flat(c):
+        return BranchingModel(
+            2,
+            (IndependentMarginals([Point(0), Point(0)]),) * 2,
+            IndependentMarginals([Point(5), Point(c)]),
+        )
+
+    ens = simulate_ensemble(flat(2 ** 31), copies, 4, master_seed=0, burnin=2)
+    assert np.all(ens.paths[:, :, 1] == 2 ** 31)
+    with pytest.raises(SimulationOverflowError):
+        simulate_ensemble(flat(2 ** 31 + 1), copies, 4, master_seed=0, burnin=0)
 
 
 def test_innovation_reconstruction_and_example():
@@ -332,6 +470,25 @@ def test_csv_and_metadata_round_trip(tmp_path):
     assert payload == ensemble_metadata(ens)
     assert payload["model"] == model_digest(model)
     assert payload["copies"] == 2 and payload["steps"] == 3 and payload["burnin"] == 0
+
+
+def test_paths_to_csv_matches_per_row_format(tmp_path, monkeypatch):
+    rng = np.random.default_rng(3)
+    paths = rng.integers(0, 5000, size=(3, 11, 3)).astype(np.int64)
+    paths[1, 4, 2] = 2 ** 31
+    ens = _manual_ensemble(None, paths)  # paths_to_csv reads only the paths
+    expected = "copy,k,x_1,x_2,x_3\n" + "".join(
+        "%d,%d,%s\n" % (j, k, ",".join(str(int(v)) for v in paths[j, k]))
+        for j in range(3)
+        for k in range(11)
+    )
+    out = tmp_path / "paths.csv"
+    paths_to_csv(ens, out)
+    assert out.read_bytes() == expected.encode()
+    # rows split over several writes per copy, with a ragged last one
+    monkeypatch.setattr(simulate, "_CSV_ROWS", 4)
+    paths_to_csv(ens, out)
+    assert out.read_bytes() == expected.encode()
 
 
 def test_default_threads_env(monkeypatch):

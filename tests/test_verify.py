@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -31,7 +34,7 @@ from bpagg.verify import (
     innovation_diagnostics,
     iterated_experiment,
 )
-from bpagg.verify import _boot_cov, _clt_group_worker, _ks_normal
+from bpagg.verify import _boot_cov, _clt_group_worker, _ks_normal, _normal_cdf
 from conftest import build_deterministic, build_scalar_inar, build_two_type
 
 
@@ -343,3 +346,21 @@ def test_ks_distance_discriminates():
     flat = rng.uniform(-1, 1, 2000)
     flat = (flat - flat.mean()) / flat.std(ddof=1)
     assert _ks_normal(flat) > 1.36 / np.sqrt(2000)
+
+
+def test_normal_cdf_matches_scipy_ndtr():
+    from scipy.special import ndtr
+
+    x = np.random.default_rng(5).standard_normal(100000) * 3.0
+    x = np.concatenate([x, [0.0, -0.0, 0.7071, -0.7072, 8.5, -8.5, 38.0, -38.0, 40.0]])
+    assert_allclose(_normal_cdf(x), ndtr(x), rtol=0, atol=1e-15)
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, bpagg; print(sorted(k for k in sys.modules if 'scipy' in k))"
+    src = os.path.dirname(os.path.dirname(verify.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
