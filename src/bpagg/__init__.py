@@ -7,7 +7,6 @@ and verifies the limit theorems by reproducible Monte Carlo.
 """
 
 from .kronalg import (
-    kron,
     kron_power,
     commutation_matrix,
     spectral_radius,
@@ -26,11 +25,8 @@ from .model import (
     IndependentMarginals,
     BranchingModel,
     Classification,
-    law_mean,
-    law_kron_moments,
     mean_matrix,
     validate,
-    sample,
     model_from_json,
     model_to_json,
     load_model,

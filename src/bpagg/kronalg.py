@@ -11,10 +11,8 @@ matrix is never formed.
 """
 
 import numpy as np
-from numpy import kron
 
 __all__ = [
-    "kron",
     "kron_power",
     "commutation_matrix",
     "spectral_radius",
@@ -41,14 +39,13 @@ def kron_power(x, alpha):
     degree-alpha monomials: x^{(x)2}[i*p + j] = x_i * x_j, and so on. Works
     for matrices as well (shape grows the same way per axis).
     """
+    x = np.asarray(x)
     if alpha == 1:
-        return np.asarray(x)
+        return x
     if alpha == 2:
-        x = np.asarray(x)
-        return kron(x, x)
+        return np.kron(x, x)
     if alpha == 3:
-        x = np.asarray(x)
-        return kron(kron(x, x), x)
+        return np.kron(np.kron(x, x), x)
     raise ValueError("kron power order must be 1, 2 or 3, got %r" % (alpha,))
 
 

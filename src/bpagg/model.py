@@ -30,11 +30,8 @@ __all__ = [
     "IndependentMarginals",
     "BranchingModel",
     "Classification",
-    "law_mean",
-    "law_kron_moments",
     "mean_matrix",
     "validate",
-    "sample",
     "model_from_json",
     "model_to_json",
     "load_model",
@@ -408,21 +405,6 @@ class Classification:
     immigration_nontrivial: bool
 
 
-def law_mean(law):
-    """Mean vector of a law."""
-    return law.mean()
-
-
-def law_kron_moments(law, alpha):
-    """E[X^{(x)alpha}] as a vector of length dim**alpha, alpha in {1, 2, 3}."""
-    return law.kron_moment(alpha)
-
-
-def sample(law, rng, size=None):
-    """One exact draw from a law as an int64 vector, or size draws as rows."""
-    return law.sample(rng, size)
-
-
 def mean_matrix(model):
     """Offspring mean matrix M with column i the mean brood of type i."""
     return np.column_stack([law.mean() for law in model.offspring])
@@ -447,7 +429,7 @@ def validate(model):
     C = B.copy()
     for _ in range((model.p - 1) ** 2):
         C = np.minimum(C @ B, 1)
-    nontrivial = bool(np.any(law_mean(model.immigration) > 0))
+    nontrivial = bool(np.any(model.immigration.mean() > 0))
     return Classification(rho, regime, bool(C.all()), nontrivial)
 
 

@@ -36,7 +36,10 @@ independent oracle for the tests.
 
 The innovation noise matrix V, the stationary variance, lagged
 autocovariances and the covariance of the aggregation limit all derive from
-these moments.
+these moments. moment_report is the single route to all of them: it alone
+validates the model and solves the mean, and stationary_moments,
+noise_matrix, stationary_variance, autocovariance and limit_covariance are
+views on its report.
 """
 
 import json
@@ -47,12 +50,11 @@ import numpy as np
 from .kronalg import (
     NotSubcriticalError,
     commutation_matrix,
-    kron,
     lyapunov_solve,
     mode_product,
     tensor_fixed_point,
 )
-from .model import law_kron_moments, law_mean, mean_matrix, validate
+from .model import _count, mean_matrix, validate
 
 __all__ = [
     "TransferMatrices",
@@ -84,11 +86,11 @@ class TransferMatrices:
 
 
 def _law_tables(model, max_order):
-    means = [law_mean(law) for law in model.offspring]
-    seconds = [law_kron_moments(law, 2) for law in model.offspring]
+    means = [law.mean() for law in model.offspring]
+    seconds = [law.kron_moment(2) for law in model.offspring]
     thirds = None
     if max_order >= 3:
-        thirds = [law_kron_moments(law, 3) for law in model.offspring]
+        thirds = [law.kron_moment(3) for law in model.offspring]
     return means, seconds, thirds
 
 
@@ -104,49 +106,49 @@ def build_transfer(model, max_order=3):
         raise ValueError("transfer order must be 2 or 3, got %r" % (max_order,))
     p = model.p
     M = mean_matrix(model)
-    m_eps = law_mean(model.immigration)
-    eps2 = law_kron_moments(model.immigration, 2)
+    m_eps = model.immigration.mean()
+    eps2 = model.immigration.kron_moment(2)
     means, seconds, thirds = _law_tables(model, max_order)
 
     a21 = np.zeros((p * p, p))
     for i in range(p):
         mi, si = means[i], seconds[i]
-        a21[:, i] = si - kron(mi, mi) + kron(mi, m_eps) + kron(m_eps, mi)
-    M2 = kron(M, M)
+        a21[:, i] = si - np.kron(mi, mi) + np.kron(mi, m_eps) + np.kron(m_eps, mi)
+    M2 = np.kron(M, M)
     a2 = np.block([[M, np.zeros((p, p * p))], [a21, M2]])
 
     if max_order < 3:
         return TransferMatrices(a21, a2, None, None, None)
 
-    eps3 = law_kron_moments(model.immigration, 3)
-    PI = kron(commutation_matrix(p), np.eye(p))
+    eps3 = model.immigration.kron_moment(3)
+    PI = np.kron(commutation_matrix(p), np.eye(p))
     a31 = np.zeros((p ** 3, p))
     a32 = np.zeros((p ** 3, p * p))
     for i in range(p):
         mi, si, ti = means[i], seconds[i], thirds[i]
-        mimi = kron(mi, mi)
+        mimi = np.kron(mi, mi)
         # two individuals of type i: slots (1,3) from one brood, slot 2 from the other
-        mix_ii = PI @ kron(mi, si)
+        mix_ii = PI @ np.kron(mi, si)
         # brood in slots (1,3), immigration in slot 2, and the reverse nesting
-        mix_ie = PI @ kron(m_eps, si)
-        mix_ei = PI @ kron(mi, eps2)
+        mix_ie = PI @ np.kron(m_eps, si)
+        mix_ei = PI @ np.kron(mi, eps2)
         a31[:, i] = (
-            ti - kron(si, mi) - mix_ii - kron(mi, si) + 2.0 * kron(mimi, mi)
-            + kron(si, m_eps) + mix_ie + kron(m_eps, si)
-            - kron(mimi, m_eps) - kron(kron(mi, m_eps), mi) - kron(m_eps, mimi)
-            + kron(mi, eps2) + mix_ei + kron(eps2, mi)
+            ti - np.kron(si, mi) - mix_ii - np.kron(mi, si) + 2.0 * np.kron(mimi, mi)
+            + np.kron(si, m_eps) + mix_ie + np.kron(m_eps, si)
+            - np.kron(mimi, m_eps) - np.kron(np.kron(mi, m_eps), mi) - np.kron(m_eps, mimi)
+            + np.kron(mi, eps2) + mix_ei + np.kron(eps2, mi)
         )
         for j in range(p):
             mj = means[j]
             # independent broods of types i (slots 1,3) and j (slot 2)
-            mix_ij = PI @ kron(mj, si)
+            mix_ij = PI @ np.kron(mj, si)
             a32[:, i * p + j] = (
-                kron(si, mj) + mix_ij + kron(mj, si)
-                - kron(mimi, mj) - kron(kron(mi, mj), mi) - kron(mj, mimi)
-                + kron(kron(mi, mj), m_eps) + kron(kron(mi, m_eps), mj)
-                + kron(m_eps, kron(mi, mj))
+                np.kron(si, mj) + mix_ij + np.kron(mj, si)
+                - np.kron(mimi, mj) - np.kron(np.kron(mi, mj), mi) - np.kron(mj, mimi)
+                + np.kron(np.kron(mi, mj), m_eps) + np.kron(np.kron(mi, m_eps), mj)
+                + np.kron(m_eps, np.kron(mi, mj))
             )
-    M3 = kron(M2, M)
+    M3 = np.kron(M2, M)
     a3 = np.block(
         [
             [M, np.zeros((p, p * p)), np.zeros((p, p ** 3))],
@@ -157,26 +159,10 @@ def build_transfer(model, max_order=3):
     return TransferMatrices(a21, a2, a31, a32, a3)
 
 
-def _require_stationary(model):
-    cls = validate(model)
-    if cls.regime != "subcritical":
-        raise NotSubcriticalError(
-            "stationary moments need a subcritical model, got rho = %.6g" % cls.rho
-        )
-    if not cls.immigration_nontrivial:
-        raise ValueError("zero immigration mean, stationary law is degenerate at 0")
-    return cls
-
-
-def _check_order(max_order):
-    if max_order not in (1, 2, 3):
-        raise ValueError("moment order must be 1, 2 or 3, got %r" % (max_order,))
-
-
 def _law_cov(law):
     """Covariance matrix of a law."""
-    m = law_mean(law)
-    return law_kron_moments(law, 2).reshape(law.dim, law.dim) - np.outer(m, m)
+    m = law.mean()
+    return law.kron_moment(2).reshape(law.dim, law.dim) - np.outer(m, m)
 
 
 def _sym3(t):
@@ -188,37 +174,22 @@ def _sym3(t):
 def _law_third_central(law):
     """Third central moment E (x - m)^(x)3 of a law as a p x p x p tensor."""
     p = law.dim
-    m = law_mean(law)
-    raw2 = law_kron_moments(law, 2).reshape(p, p)
-    raw3 = law_kron_moments(law, 3).reshape(p, p, p)
+    m = law.mean()
+    raw2 = law.kron_moment(2).reshape(p, p)
+    raw3 = law.kron_moment(3).reshape(p, p, p)
     cube = np.multiply.outer(np.outer(m, m), m)
     return raw3 - _sym3(np.multiply.outer(raw2, m)) + 2.0 * cube
 
 
-def _stationary_mean(model, M):
-    return np.linalg.solve(np.eye(model.p) - M, law_mean(model.immigration))
-
-
-def _noise(model, mean):
-    """V = Cov(eps) + sum_i mean_i Cov(xi^(i)) at the stationary mean."""
-    covs = np.stack([_law_cov(law) for law in model.offspring])
-    return _law_cov(model.immigration) + np.tensordot(mean, covs, 1)
-
-
-def _limit_cov(M, V):
-    A = np.eye(M.shape[0]) - M
-    return np.linalg.solve(A, np.linalg.solve(A, V).T).T
-
-
-def _moment_tensors(model, M, mean, max_order):
+def _moment_tensors(model, M, mean, covs, max_order):
     """kron2 as a p x p tensor and, for max_order 3, kron3 as a p x p x p
-    tensor together with its right-hand side b3 (None otherwise)."""
+    tensor together with its right-hand side b3 (None otherwise); covs
+    stacks the offspring covariance matrices."""
     p = model.p
     eps = model.immigration
-    m_eps = law_mean(eps)
-    eps2 = law_kron_moments(eps, 2).reshape(p, p)
+    m_eps = eps.mean()
+    eps2 = eps.kron_moment(2).reshape(p, p)
     mu = M @ mean
-    covs = np.stack([_law_cov(law) for law in model.offspring])
     brood_cov = np.tensordot(mean, covs, 1)
     b2 = brood_cov + np.outer(mu, m_eps) + np.outer(m_eps, mu) + eps2
     kron2 = tensor_fixed_point(M, b2)
@@ -231,59 +202,9 @@ def _moment_tensors(model, M, mean, max_order):
     pair += np.multiply.outer(eps2, mu)
     b3 = (
         np.tensordot(mean, thirds, 1) + _sym3(pair)
-        + law_kron_moments(eps, 3).reshape(p, p, p)
+        + eps.kron_moment(3).reshape(p, p, p)
     )
     return kron2, tensor_fixed_point(M, b3), b3
-
-
-def stationary_moments(model, max_order=3):
-    """Stationary Kronecker moments (mean, kron2, kron3) up to max_order.
-
-    kron2 and kron3 are flat vectors of length p**2 and p**3. Entries beyond
-    max_order are None. Requires a subcritical model with nontrivial
-    immigration.
-    """
-    _check_order(max_order)
-    _require_stationary(model)
-    M = mean_matrix(model)
-    mean = _stationary_mean(model, M)
-    if max_order == 1:
-        return mean, None, None
-    kron2, kron3, _ = _moment_tensors(model, M, mean, max_order)
-    return mean, kron2.reshape(-1), None if kron3 is None else kron3.reshape(-1)
-
-
-def noise_matrix(model):
-    """Innovation noise matrix V.
-
-    With U_k = X_k - M X_{k-1} - m_eps, conditional innovation covariances
-    are affine in the previous state, and in the stationary regime
-
-        V = E(U_k U_k^T) = sum_i mean_i Cov(xi^(i)) + Cov(eps),
-
-    where mean is the stationary mean. V is symmetric positive semidefinite.
-    """
-    _require_stationary(model)
-    return _noise(model, _stationary_mean(model, mean_matrix(model)))
-
-
-def stationary_variance(model):
-    """var(X_0) under stationarity, the Lyapunov fixed point S = V + M S M^T."""
-    M = mean_matrix(model)
-    return lyapunov_solve(M, noise_matrix(model))
-
-
-def autocovariance(model, lag):
-    """cov(X_0, X_lag) = var(X_0) (M^T)^lag for lag >= 0."""
-    if int(lag) != lag or lag < 0:
-        raise ValueError("need integer lag >= 0, got %r" % (lag,))
-    M = mean_matrix(model)
-    return stationary_variance(model) @ np.linalg.matrix_power(M.T, int(lag))
-
-
-def limit_covariance(model):
-    """Covariance (I - M)^-1 V (I - M^T)^-1 of the aggregation limit at t = 1."""
-    return _limit_cov(mean_matrix(model), noise_matrix(model))
 
 
 @dataclass
@@ -327,25 +248,35 @@ class MomentReport:
 def moment_report(model, max_order=3):
     """Compute every stationary quantity and its dual-route residuals.
 
-    The model is validated once and the mean is solved once; V, var0, sigma
-    and the Kronecker moments all start from that mean.
+    This is the only route to the stationary quantities: it validates the
+    model, solves the mean (I - M) mean = m_eps once, and builds V, var0,
+    sigma and the Kronecker moments from that mean. Requires a subcritical
+    model with nontrivial immigration and max_order in {1, 2, 3}.
     """
-    _check_order(max_order)
-    cls = _require_stationary(model)
+    if max_order not in (1, 2, 3):
+        raise ValueError("moment order must be 1, 2 or 3, got %r" % (max_order,))
+    cls = validate(model)
+    if cls.regime != "subcritical":
+        raise NotSubcriticalError(
+            "stationary moments need a subcritical model, got rho = %.6g" % cls.rho
+        )
+    if not cls.immigration_nontrivial:
+        raise ValueError("zero immigration mean, stationary law is degenerate at 0")
     p = model.p
     M = mean_matrix(model)
-    mean = _stationary_mean(model, M)
-    V = _noise(model, mean)
+    A = np.eye(p) - M
+    mean = np.linalg.solve(A, model.immigration.mean())
+    covs = np.stack([_law_cov(law) for law in model.offspring])
+    V = _law_cov(model.immigration) + np.tensordot(mean, covs, 1)
     var0 = lyapunov_solve(M, V)
-    sigma = _limit_cov(M, V)
+    sigma = np.linalg.solve(A, np.linalg.solve(A, V).T).T
 
     lyap = float(np.max(np.abs(var0 - V - M @ var0 @ M.T)))
-    A = np.eye(p) - M
     lhs = M @ np.linalg.solve(A, var0) + var0 + (M @ np.linalg.solve(A, var0.T)).T
     limit_identity = float(np.max(np.abs(lhs - sigma)))
     kron2 = kron3 = route_gap = kron3_defect = None
     if max_order >= 2:
-        k2, k3, b3 = _moment_tensors(model, M, mean, max_order)
+        k2, k3, b3 = _moment_tensors(model, M, mean, covs, max_order)
         scale = max(float(np.max(np.abs(var0))), 1e-30)
         route_gap = float(np.max(np.abs(k2 - np.outer(mean, mean) - var0)) / scale)
         kron2 = k2.reshape(-1)
@@ -369,3 +300,43 @@ def moment_report(model, max_order=3):
             "kron3": kron3_defect,
         },
     )
+
+
+def stationary_moments(model, max_order=3):
+    """Stationary Kronecker moments (mean, kron2, kron3) up to max_order.
+
+    kron2 and kron3 are flat vectors of length p**2 and p**3; entries beyond
+    max_order are None.
+    """
+    r = moment_report(model, max_order)
+    return r.mean, r.kron2, r.kron3
+
+
+def noise_matrix(model):
+    """Innovation noise matrix V.
+
+    With U_k = X_k - M X_{k-1} - m_eps, conditional innovation covariances
+    are affine in the previous state, and in the stationary regime
+
+        V = E(U_k U_k^T) = sum_i mean_i Cov(xi^(i)) + Cov(eps),
+
+    where mean is the stationary mean. V is symmetric positive semidefinite.
+    """
+    return moment_report(model, 1).v
+
+
+def stationary_variance(model):
+    """var(X_0) under stationarity, the Lyapunov fixed point S = V + M S M^T."""
+    return moment_report(model, 1).var0
+
+
+def autocovariance(model, lag):
+    """cov(X_0, X_lag) = var(X_0) (M^T)^lag for lag >= 0."""
+    lag = _count("lag", lag)
+    M = mean_matrix(model)
+    return moment_report(model, 1).var0 @ np.linalg.matrix_power(M.T, lag)
+
+
+def limit_covariance(model):
+    """Covariance (I - M)^-1 V (I - M^T)^-1 of the aggregation limit at t = 1."""
+    return moment_report(model, 1).sigma

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kronalg import NotSubcriticalError
-from .model import law_mean, mean_matrix, model_digest, validate
+from .model import Binomial, FiniteSupport, Point, _count, mean_matrix, model_digest, validate
 from .moments import stationary_moments
 
 __all__ = [
@@ -49,6 +49,8 @@ __all__ = [
 # per-component count ceiling; beyond this a step raises instead of risking
 # int64 wraparound or unbounded draw sizes (supercritical runaway)
 _STATE_LIMIT = 1 << 31
+# counts times law constants must stay below this to fit int64
+_INT64_WRAP = 1 << 63
 
 # int64 counts in one ensemble block, copies x (n+1) x p: large enough that
 # numpy's per-call cost is shared by hundreds of short copies, small enough
@@ -80,6 +82,20 @@ def derived_seed(master_seed, *key):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _burnin_steps(rho):
+    """The automatic burn-in length at spectral radius rho (see burnin_auto)."""
+    if rho <= 0.0:
+        return _BURNIN_FLOOR
+    k = max(_BURNIN_FLOOR, int(math.ceil(math.log(_BURNIN_DECAY) / math.log(rho))))
+    if k > _BURNIN_CEILING:
+        raise ValueError(
+            "automatic burn-in needs %d steps at rho = %.12g, above the ceiling of"
+            " %d; choose a burn-in length with --burnin K (burnin=K)"
+            % (k, rho, _BURNIN_CEILING)
+        )
+    return k
+
+
 def burnin_auto(model):
     """Burn-in length max(100, ceil(log(1e-6) / log(rho))).
 
@@ -92,16 +108,18 @@ def burnin_auto(model):
         raise NotSubcriticalError(
             "burn-in initialization needs a subcritical model, got rho = %.6g" % cls.rho
         )
-    if cls.rho <= 0.0:
-        return _BURNIN_FLOOR
-    k = max(_BURNIN_FLOOR, int(math.ceil(math.log(_BURNIN_DECAY) / math.log(cls.rho))))
-    if k > _BURNIN_CEILING:
-        raise ValueError(
-            "automatic burn-in needs %d steps at rho = %.12g, above the ceiling of"
-            " %d; choose a burn-in length with --burnin K (burnin=K)"
-            % (k, cls.rho, _BURNIN_CEILING)
-        )
-    return k
+    return _burnin_steps(cls.rho)
+
+
+def _resolve_burnin(model, burnin, rho=None):
+    """Burn-in step count for a burnin argument: None is 0, 'auto' the
+    automatic length (from rho when the caller has it, else from the model),
+    anything else must be an integer >= 0."""
+    if burnin is None:
+        return 0
+    if burnin == "auto":
+        return burnin_auto(model) if rho is None else _burnin_steps(rho)
+    return _count("burnin", burnin)
 
 
 def _check_state(total):
@@ -115,6 +133,54 @@ def _overflow():
     raise SimulationOverflowError("component count exceeded 2^31, supercritical runaway?")
 
 
+class _Guarded:
+    """An offspring law whose count products may pass int64 (see _offspring).
+
+    A draw raises SimulationOverflowError when count * c would reach 2^63, or
+    when its own sum already passes the count ceiling.
+    """
+
+    def __init__(self, law, c):
+        self.law, self.c = law, c
+
+    def _check(self, count):
+        if count * self.c >= _INT64_WRAP:
+            raise SimulationOverflowError(
+                "count %d times law constant %d passes the int64 range" % (count, self.c)
+            )
+
+    def sample_sum(self, count, rng):
+        self._check(int(count.max()))
+        return _check_state(self.law.sample_sum(count, rng))
+
+    def sample_sum_ints(self, count, rng):
+        self._check(count)
+        out = self.law.sample_sum_ints(count, rng)
+        if max(out) > _STATE_LIMIT:
+            _overflow()
+        return out
+
+
+def _offspring(model):
+    """The offspring laws a stepper draws from.
+
+    sample_sum multiplies counts, at most _STATE_LIMIT, by a law constant: a
+    point mass c, a binomial n or a table's largest entry. When these sum
+    below 2^32 no product or row sum of a step can wrap int64, and the laws
+    are used as they are; otherwise every law is _Guarded.
+    """
+    cs = [
+        int(law.support.max()) if isinstance(law, FiniteSupport) else max(
+            m.c if isinstance(m, Point) else m.n if isinstance(m, Binomial) else 0
+            for m in law.marginals
+        )
+        for law in model.offspring
+    ]
+    if _STATE_LIMIT * sum(cs) < _INT64_WRAP:
+        return model.offspring
+    return tuple(_Guarded(law, c) for law, c in zip(model.offspring, cs))
+
+
 def _block_advance(model):
     """advance(x, eps, rng) for a (B, p) int64 block of copies.
 
@@ -122,7 +188,7 @@ def _block_advance(model):
     offspring sums, in type order, to its slice of eps. Returns the final
     state and the m stepped states, which overwrite eps.
     """
-    offspring = model.offspring
+    offspring = _offspring(model)
 
     def advance(x, eps, rng):
         for row in eps:
@@ -142,7 +208,7 @@ def _one_advance(model):
     reaches its law as an int, so each draw is one scalar generator call.
     Returns the final state and the m stepped states as lists.
     """
-    offspring = model.offspring
+    offspring = _offspring(model)
 
     def advance(x, eps, rng):
         rows = eps.reshape(len(eps), -1).tolist()
@@ -209,22 +275,6 @@ def step(model, state, rng):
     return path[0, 1]
 
 
-def _resolve_burnin(model, burnin):
-    if burnin is None:
-        return 0
-    if burnin == "auto":
-        return burnin_auto(model)
-    if int(burnin) != burnin or burnin < 0:
-        raise ValueError("burnin must be 'auto' or an integer >= 0, got %r" % (burnin,))
-    return int(burnin)
-
-
-def _check_steps(n):
-    if int(n) != n or n < 0:
-        raise ValueError("need n >= 0, got %r" % (n,))
-    return int(n)
-
-
 def simulate_path(model, n, rng, burnin=None):
     """Path of n steps as an (n+1, p) int64 array, path[0] the initial state.
 
@@ -233,7 +283,7 @@ def simulate_path(model, n, rng, burnin=None):
     path is the block of one copy (see the module docstring for the order
     in which it consumes rng).
     """
-    n = _check_steps(n)
+    n = _count("n", n)
     return _simulate_block(model, 1, n, rng, _resolve_burnin(model, burnin))[0]
 
 
@@ -286,7 +336,7 @@ def simulate_ensemble(model, N, n, master_seed, burnin="auto", threads=1):
     """
     if int(N) != N or N < 1:
         raise ValueError("need N >= 1 copies, got %r" % (N,))
-    N, n = int(N), _check_steps(n)
+    N, n = int(N), _count("n", n)
     k = _resolve_burnin(model, burnin)
     size = block_copies(n, model.p)
     tasks = [
@@ -369,7 +419,7 @@ def extract_innovations(model, path):
     if path.ndim != 2 or path.shape[1] != model.p or path.shape[0] < 2:
         raise ValueError("need a path of shape (n+1, p) with n >= 1")
     M = mean_matrix(model)
-    m_eps = law_mean(model.immigration)
+    m_eps = model.immigration.mean()
     x = path.astype(float)
     return x[1:] - x[:-1] @ M.T - m_eps
 

@@ -1,12 +1,14 @@
 """Monte Carlo verification of stationary moments and aggregation limits.
 
-Every experiment compares simulation against the exact quantities from the
-moment engine using pre-registered bands: a fixed standard-error multiplier
-(default 4) chosen before sampling, never widened afterwards. Reports carry
-the empirical value, the exact target, the standard error and the z-score
-for every checked entry, and serialize deterministically: a rerun with the
-same master seed produces identical bytes for any worker count, so wall
-clock time is kept out of the serialized form.
+Every experiment takes its exact targets, and the rho behind its automatic
+burn-in and mixing warning, from one moment_report of its model, and
+compares simulation against them with pre-registered bands: 4 standard
+errors (_SE_MULT, a constant, not a parameter), fixed before sampling and
+never widened afterwards. Reports carry the empirical value, the exact
+target, the standard error and the z-score for every checked entry, and
+serialize deterministically: a rerun with the same master seed produces
+identical bytes for any worker count, so wall clock time is kept out of the
+serialized form.
 
 Standard errors come from batch means on single long paths and from a
 percentile-free bootstrap (200 resamples, standard deviation across
@@ -21,18 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import mean_matrix, model_digest, validate
-from .moments import (
-    _law_cov,
-    moment_report,
-    noise_matrix,
-    stationary_moments,
-    stationary_variance,
-)
+from .model import mean_matrix, model_digest
+from .moments import _law_cov, moment_report
 from .simulate import (
     _map_tasks,
+    _resolve_burnin,
     block_copies,
-    burnin_auto,
     derived_seed,
     extract_innovations,
     percopy_aggregates,
@@ -52,6 +48,9 @@ __all__ = [
     "bands_overlap",
 ]
 
+# pre-registered band half-width in standard errors; reports record it as
+# params["se_multiplier"]
+_SE_MULT = 4.0
 _BOOT = 200
 # floats of resampled data gathered at once by the bootstrap
 _BOOT_CELLS = 1 << 15
@@ -69,7 +68,6 @@ class ExperimentConfig:
     reps: int = 200
     grid: tuple = (1.0,)
     master_seed: int = 0
-    se_multiplier: float = 4.0
     burnin: object = "auto"
     threads: int = 1
 
@@ -156,8 +154,8 @@ def _batch_se(series):
     return float(means.std(ddof=1) / math.sqrt(nb))
 
 
-def _rows_ok(rows, mult):
-    return all(abs(r["z"]) <= mult for r in rows)
+def _rows_ok(rows):
+    return all(abs(r["z"]) <= _SE_MULT for r in rows)
 
 
 def _sample_cov(sample):
@@ -237,31 +235,30 @@ def _mixing_warning(rho, n, warnings):
         )
 
 
-def ergodic_check(model, n, seed, se_multiplier=4.0):
+def ergodic_check(model, n, seed):
     """Time averages of X and X (x) X on one long path vs exact moments.
 
     Rows use t = 1 for first moments (i = j = coordinate) and t = 2 for
-    second Kronecker moments (upper triangle). Bands are batch-mean standard
-    errors times the multiplier; too small an n for the model's mixing time
+    second Kronecker moments (upper triangle). Bands are 4 batch-mean
+    standard errors; too small an n for the model's mixing time
     is reported as a warning, not a wider band.
     """
     t0 = time.perf_counter()
-    mean, kron2, _ = stationary_moments(model, 2)
-    cls = validate(model)
-    burn = burnin_auto(model)
+    exact = moment_report(model, 2)
+    burn = _resolve_burnin(model, "auto", exact.rho)
     path = simulate_path(model, n, stream_rng(seed, 0), burnin=burn)
     x = path[1:].astype(float)
     p = model.p
     rows = []
     for i in range(p):
-        rows.append(_row(1.0, i, i, x[:, i].mean(), mean[i], _batch_se(x[:, i])))
-    second = kron2.reshape(p, p)
+        rows.append(_row(1.0, i, i, x[:, i].mean(), exact.mean[i], _batch_se(x[:, i])))
+    second = exact.kron2.reshape(p, p)
     for i in range(p):
         for j in range(i, p):
             prods = x[:, i] * x[:, j]
             rows.append(_row(2.0, i, j, prods.mean(), second[i, j], _batch_se(prods)))
     warnings = []
-    _mixing_warning(cls.rho, n, warnings)
+    _mixing_warning(exact.rho, n, warnings)
     return VerificationReport(
         kind="ergodic",
         params={
@@ -269,12 +266,12 @@ def ergodic_check(model, n, seed, se_multiplier=4.0):
             "n": int(n),
             "seed": int(seed),
             "burnin": int(burn),
-            "se_multiplier": float(se_multiplier),
+            "se_multiplier": _SE_MULT,
         },
         rows=rows,
         extra={},
         warnings=warnings,
-        passed=_rows_ok(rows, se_multiplier),
+        passed=_rows_ok(rows),
         runtime=time.perf_counter() - t0,
     )
 
@@ -313,7 +310,7 @@ def clt_covariance_experiment(cfg):
     n, N, p = int(cfg.n), int(cfg.N), model.p
     exact = moment_report(model, 1)
     sigma = exact.sigma
-    burn = burnin_auto(model) if cfg.burnin == "auto" else int(cfg.burnin)
+    burn = _resolve_burnin(model, cfg.burnin, exact.rho)
     per_group = max(1, block_copies(n, p) // N)
     tasks = [
         (model, n, N, min(per_group, cfg.reps - a), burn, grid, exact.mean,
@@ -368,11 +365,10 @@ def clt_covariance_experiment(cfg):
                             }
                         )
 
-    mult = cfg.se_multiplier
     passed = (
-        _rows_ok(rows, mult)
+        _rows_ok(rows)
         and all(e["passed"] for e in ks_entries)
-        and all(abs(e["z"]) <= mult for e in increments)
+        and all(abs(e["z"]) <= _SE_MULT for e in increments)
     )
     warnings = []
     _mixing_warning(exact.rho, n, warnings)
@@ -386,7 +382,7 @@ def clt_covariance_experiment(cfg):
             "grid": list(grid),
             "master_seed": int(cfg.master_seed),
             "burnin": int(burn),
-            "se_multiplier": float(mult),
+            "se_multiplier": _SE_MULT,
         },
         rows=rows,
         extra={"sigma": sigma.tolist(), "ks": ks_entries, "increments": increments},
@@ -421,7 +417,7 @@ def iterated_experiment(cfg, order, sweep=None):
     oid = orders[order]
     exact = moment_report(model, 1)
     sigma = exact.sigma
-    burn = burnin_auto(model) if cfg.burnin == "auto" else int(cfg.burnin)
+    burn = _resolve_burnin(model, cfg.burnin, exact.rho)
     if sweep is None:
         sweep = _default_sweep(cfg.n if order == "N_first" else cfg.N)
     sweep = [int(s) for s in sweep]
@@ -440,7 +436,6 @@ def iterated_experiment(cfg, order, sweep=None):
         rows = _grid_cov_rows(per_copy, grid, sigma, boot_idx)
         trajectory.append({"sweep": val, "N": N_s, "n": n_s, "rows": rows})
 
-    mult = cfg.se_multiplier
     warnings = []
     _mixing_warning(exact.rho, points[-1][1], warnings)
     return VerificationReport(
@@ -454,17 +449,17 @@ def iterated_experiment(cfg, order, sweep=None):
             "grid": list(grid),
             "master_seed": int(cfg.master_seed),
             "burnin": int(burn),
-            "se_multiplier": float(mult),
+            "se_multiplier": _SE_MULT,
         },
         rows=rows,
         extra={"sigma": sigma.tolist(), "sweep": trajectory},
         warnings=warnings,
-        passed=_rows_ok(rows, mult),
+        passed=_rows_ok(rows),
         runtime=time.perf_counter() - t0,
     )
 
 
-def autocovariance_check(model, n, lags, seed, se_multiplier=4.0):
+def autocovariance_check(model, n, lags, seed):
     """Empirical lagged autocovariances on one long path vs var0 (M^T)^lag.
 
     Rows use t = lag and cover all (i, j) since lagged autocovariance is
@@ -476,17 +471,16 @@ def autocovariance_check(model, n, lags, seed, se_multiplier=4.0):
         raise ValueError("lags must be >= 0")
     if max(lags, default=0) >= n:
         raise ValueError("largest lag must be below n")
-    var0 = stationary_variance(model)
+    exact = moment_report(model, 1)
     M = mean_matrix(model)
-    cls = validate(model)
-    burn = burnin_auto(model)
+    burn = _resolve_burnin(model, "auto", exact.rho)
     path = simulate_path(model, n, stream_rng(seed, 0), burnin=burn)
     x = path[1:].astype(float)
     c = x - x.mean(axis=0)
     p = model.p
     rows = []
     for lag in lags:
-        target = var0 @ np.linalg.matrix_power(M.T, lag)
+        target = exact.var0 @ np.linalg.matrix_power(M.T, lag)
         a = c[: len(c) - lag] if lag else c
         b = c[lag:]
         for i in range(p):
@@ -494,7 +488,7 @@ def autocovariance_check(model, n, lags, seed, se_multiplier=4.0):
                 prods = a[:, i] * b[:, j]
                 rows.append(_row(float(lag), i, j, prods.mean(), target[i, j], _batch_se(prods)))
     warnings = []
-    _mixing_warning(cls.rho, n, warnings)
+    _mixing_warning(exact.rho, n, warnings)
     return VerificationReport(
         kind="autocov",
         params={
@@ -503,17 +497,17 @@ def autocovariance_check(model, n, lags, seed, se_multiplier=4.0):
             "lags": lags,
             "seed": int(seed),
             "burnin": int(burn),
-            "se_multiplier": float(se_multiplier),
+            "se_multiplier": _SE_MULT,
         },
         rows=rows,
         extra={},
         warnings=warnings,
-        passed=_rows_ok(rows, se_multiplier),
+        passed=_rows_ok(rows),
         runtime=time.perf_counter() - t0,
     )
 
 
-def innovation_diagnostics(model, path, se_multiplier=4.0):
+def innovation_diagnostics(model, path):
     """Innovation moment checks on a supplied (approximately stationary) path.
 
     Checks E(U U^T) against V globally (rows, t = 0), the absolute-moment
@@ -524,7 +518,8 @@ def innovation_diagnostics(model, path, se_multiplier=4.0):
     """
     t0 = time.perf_counter()
     U = extract_innovations(model, path)
-    V = noise_matrix(model)
+    exact = moment_report(model, 1)
+    V = exact.v
     p = model.p
     rows = []
     for i in range(p):
@@ -532,7 +527,6 @@ def innovation_diagnostics(model, path, se_multiplier=4.0):
             prods = U[:, i] * U[:, j]
             rows.append(_row(0.0, i, j, prods.mean(), V[i, j], _batch_se(prods)))
 
-    mult = se_multiplier
     abs_entries = []
     abs_ok = True
     for j in range(p):
@@ -540,7 +534,7 @@ def innovation_diagnostics(model, path, se_multiplier=4.0):
         bound = math.sqrt(max(V[j, j], 0.0))
         se = _batch_se(a)
         excess = float(a.mean() - bound)
-        ok = excess <= mult * se
+        ok = excess <= _SE_MULT * se
         abs_ok = abs_ok and ok
         abs_entries.append(
             {
@@ -573,7 +567,7 @@ def innovation_diagnostics(model, path, se_multiplier=4.0):
                 prods = U[mask, i] * U[mask, j]
                 se = float(prods.std(ddof=1) / math.sqrt(len(prods)))
                 z = _zval(float(prods.mean()) - float(target[i, j]), se)
-                buckets_ok = buckets_ok and abs(z) <= mult
+                buckets_ok = buckets_ok and abs(z) <= _SE_MULT
                 entries.append(
                     {
                         "i": int(i),
@@ -592,17 +586,19 @@ def innovation_diagnostics(model, path, se_multiplier=4.0):
             }
         )
 
-    passed = _rows_ok(rows, mult) and abs_ok and buckets_ok
+    passed = _rows_ok(rows) and abs_ok and buckets_ok
+    warnings = []
+    _mixing_warning(exact.rho, U.shape[0], warnings)
     return VerificationReport(
         kind="innovations",
         params={
             "model": model_digest(model),
             "n": int(U.shape[0]),
-            "se_multiplier": float(mult),
+            "se_multiplier": _SE_MULT,
         },
         rows=rows,
         extra={"abs_moment": abs_entries, "buckets": buckets},
-        warnings=[],
+        warnings=warnings,
         passed=passed,
         runtime=time.perf_counter() - t0,
     )
@@ -614,8 +610,8 @@ def bands_overlap(report_a, report_b):
     Bands are empirical +- multiplier * se with each report's own
     multiplier.
     """
-    mult_a = float(report_a.params.get("se_multiplier", 4.0))
-    mult_b = float(report_b.params.get("se_multiplier", 4.0))
+    mult_a = float(report_a.params.get("se_multiplier", _SE_MULT))
+    mult_b = float(report_b.params.get("se_multiplier", _SE_MULT))
     index_b = {(r["t"], r["i"], r["j"]): r for r in report_b.rows}
     shared = 0
     for ra in report_a.rows:

@@ -12,8 +12,7 @@ from numpy.testing import assert_allclose
 
 from bpagg.cli import main
 from bpagg.ginar import GinarSpec, scalar_limit_std
-from bpagg.kronalg import kron
-from bpagg.model import law_kron_moments, law_mean, mean_matrix
+from bpagg.model import mean_matrix
 from bpagg.moments import (
     build_transfer,
     limit_covariance,
@@ -100,9 +99,9 @@ def test_criterion_03_third_moment_iteration_oracle():
         tm = build_transfer(model, 3)
         b = np.concatenate(
             [
-                law_mean(model.immigration),
-                law_kron_moments(model.immigration, 2),
-                law_kron_moments(model.immigration, 3),
+                model.immigration.mean(),
+                model.immigration.kron_moment(2),
+                model.immigration.kron_moment(3),
             ]
         )
         y = np.zeros(p + p * p + p ** 3)

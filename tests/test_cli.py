@@ -9,7 +9,14 @@ from bpagg.cli import main
 from bpagg.model import model_to_json
 from bpagg.verify import VerificationReport
 from conftest import build_scalar_inar, build_two_type
-from bpagg.model import Bernoulli, BranchingModel, IndependentMarginals, Point, Poisson
+from bpagg.model import (
+    Bernoulli,
+    Binomial,
+    BranchingModel,
+    IndependentMarginals,
+    Point,
+    Poisson,
+)
 
 
 @pytest.fixture
@@ -114,6 +121,22 @@ def test_auto_burnin_ceiling_exits_two(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "rho" in err and "--burnin K" in err
+
+
+@pytest.mark.parametrize("copies", ["1", "2"])
+def test_int64_product_overflow_exits_two(tmp_path, capsys, copies):
+    # binomial(2^40, 2^-42) offspring of 2^30 immigrants needs binomial(2^70, q)
+    model = BranchingModel(
+        1,
+        (IndependentMarginals([Binomial(2 ** 40, 2.0 ** -42)]),),
+        IndependentMarginals([Point(2 ** 30)]),
+    )
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps(model_to_json(model)))
+    code = main(["simulate", "--model", str(f), "--n", "5", "--copies", copies,
+                 "--burnin", "0", "--out", str(tmp_path / "p.csv")])
+    assert code == 2
+    assert "int64" in capsys.readouterr().err
 
 
 def test_aggregate_rows(two_type_file, tmp_path):

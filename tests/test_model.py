@@ -16,13 +16,10 @@ from bpagg.model import (
     IndependentMarginals,
     Point,
     Poisson,
-    law_kron_moments,
-    law_mean,
     mean_matrix,
     model_digest,
     model_from_json,
     model_to_json,
-    sample,
     validate,
 )
 from conftest import build_scalar_inar, build_two_type
@@ -102,12 +99,12 @@ def test_kron_moment_order_one_equals_mean():
         FiniteSupport([[0, 0], [2, 1], [1, 3]], [0.5, 0.25, 0.25]),
     ]
     for law in laws:
-        assert_allclose(law_kron_moments(law, 1), law_mean(law), atol=0)
+        assert_allclose(law.kron_moment(1), law.mean(), atol=0)
 
 
 def test_independent_marginals_second_moment_table():
     law = IndependentMarginals([Poisson(1.0), Bernoulli(0.5)])
-    second = law_kron_moments(law, 2).reshape(2, 2)
+    second = law.kron_moment(2).reshape(2, 2)
     assert_allclose(second, [[2.0, 0.5], [0.5, 0.5]], atol=1e-14)
 
 
@@ -119,15 +116,15 @@ def test_independent_marginals_vs_joint_enumeration():
         for idx in itertools.product(*[range(len(t)) for t in tables]):
             w = tables[0][idx[0]] * tables[1][idx[1]] * tables[2][idx[2]]
             oracle += w * kron_power(np.array(idx, dtype=float), alpha)
-        assert_allclose(law_kron_moments(law, alpha), oracle, rtol=1e-9, atol=1e-9)
+        assert_allclose(law.kron_moment(alpha), oracle, rtol=1e-9, atol=1e-9)
 
 
 def test_finite_support_moments_from_table():
     law = FiniteSupport(
         [[0, 0], [1, 0], [1, 1], [0, 2]], [0.5, 0.2, 0.2, 0.1]
     )
-    assert_allclose(law_mean(law), [0.4, 0.4], atol=1e-15)
-    second = law_kron_moments(law, 2).reshape(2, 2)
+    assert_allclose(law.mean(), [0.4, 0.4], atol=1e-15)
+    second = law.kron_moment(2).reshape(2, 2)
     # E x1 x2 only from atom (1,1)
     assert second[0, 1] == pytest.approx(0.2, abs=1e-15)
     assert second[0, 0] == pytest.approx(0.4, abs=1e-15)
@@ -145,8 +142,8 @@ def test_representation_equivalence_product_bernoulli():
         product = IndependentMarginals([Bernoulli(a), Bernoulli(b)])
         for alpha in (1, 2, 3):
             assert_allclose(
-                law_kron_moments(table, alpha),
-                law_kron_moments(product, alpha),
+                table.kron_moment(alpha),
+                product.kron_moment(alpha),
                 atol=1e-12,
             )
 
@@ -223,7 +220,7 @@ def test_independent_marginals_tables_match_loop_reference():
     )
     raws = [[m.raw_moment(r) for r in (1, 2, 3)] for m in law.marginals]
     for alpha in (2, 3):
-        table = law_kron_moments(law, alpha).reshape((5,) * alpha)
+        table = law.kron_moment(alpha).reshape((5,) * alpha)
         for idx in itertools.product(range(5), repeat=alpha):
             want = 1.0
             for c in dict.fromkeys(idx):
@@ -415,7 +412,7 @@ def test_point_and_degenerate_samples():
 def test_finite_support_sampler_frequencies():
     rng = np.random.default_rng(31)
     law = FiniteSupport([[0, 0], [1, 0], [1, 1], [0, 2]], [0.5, 0.2, 0.2, 0.1])
-    draws = np.stack([sample(law, rng) for _ in range(20000)])
+    draws = np.stack([law.sample(rng) for _ in range(20000)])
     freq_11 = np.mean((draws[:, 0] == 1) & (draws[:, 1] == 1))
     se = math.sqrt(0.2 * 0.8 / 20000)
     assert abs(freq_11 - 0.2) <= 4 * se
@@ -447,7 +444,7 @@ def test_model_json_roundtrip():
     assert model_digest(back) == model_digest(model)
     for alpha in (1, 2, 3):
         for a, b in zip(model.offspring, back.offspring):
-            assert_allclose(law_kron_moments(a, alpha), law_kron_moments(b, alpha))
+            assert_allclose(a.kron_moment(alpha), b.kron_moment(alpha))
 
 
 def test_model_json_rejects_bad_input():

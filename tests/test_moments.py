@@ -14,8 +14,6 @@ from bpagg.model import (
     IndependentMarginals,
     Point,
     Poisson,
-    law_kron_moments,
-    law_mean,
     mean_matrix,
     validate,
 )
@@ -41,9 +39,9 @@ def _iterate_moments(model, steps=400):
     tm = build_transfer(model, 3)
     b = np.concatenate(
         [
-            law_mean(model.immigration),
-            law_kron_moments(model.immigration, 2),
-            law_kron_moments(model.immigration, 3),
+            model.immigration.mean(),
+            model.immigration.kron_moment(2),
+            model.immigration.kron_moment(3),
         ]
     )
     y = np.zeros(p + p * p + p ** 3)
@@ -65,7 +63,7 @@ def _dense_moments(model):
     y = []
     for k in range(3):
         rows = slice(cuts[k], cuts[k + 1])
-        rhs = law_kron_moments(model.immigration, k + 1)
+        rhs = model.immigration.kron_moment(k + 1)
         for j in range(k):
             rhs = rhs + a3[rows, cuts[j] : cuts[j + 1]] @ y[j]
         diag = a3[rows, rows]
@@ -109,7 +107,7 @@ def _mixed_model(rng, M, imm_means):
         offspring.append(FiniteSupport(np.stack(atoms), probs))
     if rng.random() < 0.5:
         immigration = IndependentMarginals([_any_marginal(rng, c) for c in imm_means])
-        if not np.any(law_mean(immigration) > 0):
+        if not np.any(immigration.mean() > 0):
             immigration = IndependentMarginals([Poisson(c) for c in imm_means])
     else:
         atoms = [np.zeros(p, dtype=np.int64)] + [
@@ -181,6 +179,35 @@ def test_moment_report_validates_once(monkeypatch):
     monkeypatch.setattr(bpagg.moments, "validate", counting)
     moment_report(build_two_type(), 3)
     assert len(calls) == 1
+
+
+def test_public_views_validate_once_through_moment_report(monkeypatch):
+    calls = []
+    real_report = bpagg.moments.moment_report
+
+    def counting(model):
+        calls.append(model)
+        return validate(model)
+
+    def report(model, max_order=3):
+        calls.append("report")
+        return real_report(model, max_order)
+
+    monkeypatch.setattr(bpagg.moments, "validate", counting)
+    monkeypatch.setattr(bpagg.moments, "moment_report", report)
+    model = build_two_type()
+    views = [
+        lambda: stationary_moments(model, 3),
+        lambda: stationary_moments(model, 1),
+        lambda: noise_matrix(model),
+        lambda: stationary_variance(model),
+        lambda: autocovariance(model, 2),
+        lambda: limit_covariance(model),
+    ]
+    for view in views:
+        del calls[:]
+        view()
+        assert calls == ["report", model]
 
 
 def test_moment_report_matches_public_functions():
@@ -326,7 +353,7 @@ def test_mean_is_fixed_point():
     for model in (build_scalar_inar(), build_two_type()):
         mean, _, _ = stationary_moments(model, max_order=1)
         M = mean_matrix(model)
-        assert_allclose(mean, M @ mean + law_mean(model.immigration), atol=1e-12)
+        assert_allclose(mean, M @ mean + model.immigration.mean(), atol=1e-12)
 
 
 def test_transfer_spectral_radius_matches_mean_matrix():

@@ -378,6 +378,65 @@ def test_overflow_guard_boundary(copies):
         simulate_ensemble(flat(2 ** 31 + 1), copies, 4, master_seed=0, burnin=0)
 
 
+def _scalar(offspring, immigration):
+    return BranchingModel(
+        1, (IndependentMarginals([offspring]),), IndependentMarginals([immigration])
+    )
+
+
+def _wide_row_model():
+    # every constant is below 2^32, but three types feed coordinate 0: from
+    # the state (2^31, 2^31, 2^31) the row sum 2^31 + 2^31 (2 (2^32 - 1) + 2)
+    # is 2^64 + 2^31, which wraps back to 2^31
+    c = 2 ** 32 - 1
+    return BranchingModel(
+        3,
+        tuple(IndependentMarginals([Point(v), Point(0), Point(0)]) for v in (c, c, 2)),
+        IndependentMarginals([Point(2 ** 31)] * 3),
+    )
+
+
+_WRAPPING = {
+    # 2^31 * 2^40 wraps to 0, so the array route returned constant 2^31 paths
+    "point": lambda: _scalar(Point(2 ** 40), Point(2 ** 31)),
+    # binomial(2^30 * 2^40, q) cannot be drawn in int64; the true mean is 2^28
+    "binomial": lambda: _scalar(Binomial(2 ** 40, 2.0 ** -42), Point(2 ** 30)),
+    "table": lambda: BranchingModel(
+        1, (FiniteSupport([[0], [2 ** 40]], [0.5, 0.5]),), IndependentMarginals([Point(2 ** 31)])
+    ),
+    "rows": _wide_row_model,
+}
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+@pytest.mark.parametrize("name", sorted(_WRAPPING))
+def test_int64_products_raise_instead_of_wrapping(name, copies):
+    with pytest.raises(SimulationOverflowError):
+        simulate_ensemble(_WRAPPING[name](), copies, 5, master_seed=0, burnin=0)
+
+
+def test_product_guard_only_for_large_constants():
+    for model in (build_scalar_inar(), build_two_type(), build_deterministic(), _table_model()):
+        assert simulate._offspring(model) is model.offspring
+    edge = _scalar(Point(2 ** 32 - 1), Point(1))
+    assert simulate._offspring(edge) is edge.offspring
+    for name in _WRAPPING:
+        model = _WRAPPING[name]()
+        assert simulate._offspring(model) is not model.offspring, name
+
+
+@pytest.mark.parametrize("copies", [1, 3])
+def test_product_guard_draws_the_same_numbers(copies, monkeypatch):
+    # binomial(2^40, 2^-42) offspring with one immigrant a step stays small,
+    # so the guarded laws must return the unguarded draws
+    model = _scalar(Binomial(2 ** 40, 2.0 ** -42), Point(1))
+    guarded = simulate_ensemble(model, copies, 300, master_seed=3, burnin=0).paths
+    monkeypatch.setattr(simulate, "_INT64_WRAP", 1 << 200)
+    assert simulate._offspring(model) is model.offspring
+    plain = simulate_ensemble(model, copies, 300, master_seed=3, burnin=0).paths
+    assert np.array_equal(guarded, plain)
+
+
 def test_innovation_reconstruction_and_example():
     model = build_scalar_inar()
     path = simulate_path(model, 300, stream_rng(3), burnin="auto")

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -13,6 +15,9 @@ from bpagg.model import (
     IndependentMarginals,
     Poisson,
 )
+import bpagg.model
+import bpagg.moments
+import bpagg.simulate
 import bpagg.verify as verify
 from bpagg.moments import limit_covariance, noise_matrix, stationary_variance
 from bpagg.simulate import (
@@ -168,11 +173,13 @@ def test_mixing_warning_in_every_experiment_kind(q, warned):
     # enough for rho = 0.1 (needs 124)
     model = _bernoulli_model(q)
     cfg = ExperimentConfig(model, n=200, N=4, reps=10, grid=(1.0,), master_seed=1)
+    path = simulate_path(model, 200, stream_rng(1, 0), burnin="auto")
     reports = [
         ergodic_check(model, 200, seed=1),
         autocovariance_check(model, 200, lags=(0, 1), seed=1),
         clt_covariance_experiment(cfg),
         iterated_experiment(cfg, "N_first", sweep=[100, 200]),
+        innovation_diagnostics(model, path),
     ]
     for report in reports:
         hits = [w for w in report.warnings if "insufficient n" in w]
@@ -193,7 +200,11 @@ def test_clt_degenerate_model_exact_zero():
         assert entry["stat"] == 0.0
 
 
-def test_clt_config_validation():
+def test_clt_config_validation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate_ensemble called")
+
+    monkeypatch.setattr(verify, "simulate_ensemble", refuse)
     model = build_scalar_inar()
     with pytest.raises(ValueError):
         clt_covariance_experiment(
@@ -211,6 +222,60 @@ def test_clt_config_validation():
         clt_covariance_experiment(
             ExperimentConfig(model, n=50, reps=10, grid=(-0.5, 1.0))
         )
+    # a burn-in must be 'auto' or an integer >= 0; 2.5 is not run as 2
+    for burnin in (2.5, -1, "soon"):
+        cfg = ExperimentConfig(model, n=50, N=2, reps=10, grid=(1.0,), burnin=burnin)
+        with pytest.raises(ValueError, match="burnin"):
+            clt_covariance_experiment(cfg)
+        with pytest.raises(ValueError, match="burnin"):
+            iterated_experiment(cfg, "N_first", sweep=[20, 50])
+
+
+def test_every_experiment_validates_once(monkeypatch):
+    model = build_two_type()
+    path = simulate_path(model, 300, stream_rng(2, 0), burnin=50)
+    cfg = ExperimentConfig(model, n=30, N=3, reps=8, grid=(0.5, 1.0), master_seed=4)
+    runs = {
+        "ergodic": lambda: ergodic_check(model, 300, seed=1),
+        "autocov": lambda: autocovariance_check(model, 300, lags=(0, 1), seed=1),
+        "clt": lambda: clt_covariance_experiment(cfg),
+        "clt-burnin": lambda: clt_covariance_experiment(
+            ExperimentConfig(model, n=30, N=3, reps=8, burnin=5)
+        ),
+        "iterated": lambda: iterated_experiment(cfg, "n_first", sweep=[2, 4]),
+        "innovations": lambda: innovation_diagnostics(model, path),
+    }
+    # count validate calls through every module binding of it
+    calls = []
+    real = bpagg.model.validate
+
+    def counting(model):
+        calls.append(model)
+        return real(model)
+
+    for mod in (bpagg.model, bpagg.moments, bpagg.simulate, verify):
+        if hasattr(mod, "validate"):
+            monkeypatch.setattr(mod, "validate", counting)
+    for name, run in runs.items():
+        del calls[:]
+        run()
+        assert len(calls) == 1, name
+
+
+def test_band_multiplier_is_a_constant():
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert "se_multiplier" not in fields
+    for fn in (
+        ergodic_check,
+        autocovariance_check,
+        innovation_diagnostics,
+        clt_covariance_experiment,
+        iterated_experiment,
+    ):
+        assert "se_multiplier" not in inspect.signature(fn).parameters
+    report = ergodic_check(build_scalar_inar(), 300, seed=0)
+    assert report.params["se_multiplier"] == 4.0
+    assert '"se_multiplier": 4.0' in report.to_json()
 
 
 def test_iterated_experiment_orders_and_overlap():
