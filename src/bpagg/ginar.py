@@ -24,6 +24,7 @@ from .model import (
     validate,
     _REGIME_TOL,
     _law_from_json,
+    _regime,
 )
 
 __all__ = [
@@ -113,14 +114,8 @@ def ginar_classify(spec):
     coeffs = characteristic_polynomial(spec)
     rho = float(np.max(np.abs(np.roots(coeffs)))) if spec.p >= 1 else 0.0
     total = float(sum(_scalar_mean(law) for law in spec.offspring))
-    if total < 1.0 - _REGIME_TOL:
-        regime = "subcritical"
-    elif total <= 1.0 + _REGIME_TOL:
-        regime = "critical"
-    else:
-        regime = "supercritical"
     emb = validate(embed(spec))
-    return Classification(rho, regime, emb.primitive, emb.immigration_nontrivial)
+    return Classification(rho, _regime(total), emb.primitive, emb.immigration_nontrivial)
 
 
 def _companion(spec):

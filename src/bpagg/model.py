@@ -10,10 +10,11 @@ Every law draws the sum of c independent broods as one variate of its c-fold
 convolution: poisson(c lam), binomial(c n, q), negative binomial(c, q) for
 the geometric law, c v for a point mass and multinomial(c, probs) @ support
 for a table. The count c may be an int or an int64 array of counts, one per
-copy, so one generator call covers a whole block of copies. A zero count
-draws nothing. sample_sum_ints is the same draw for an int count, returned
-as Python ints: an int count and a one-entry array consume a generator
-alike.
+copy or per immigrant cohort, so one generator call covers a whole block of
+copies or a whole generation of cohorts; an int count and a one-entry array
+consume a generator alike, and a zero count draws nothing. Counts are
+multiplied by law constants in int64, so a point mass or binomial n of 2^63
+or more is refused when the law is built.
 """
 
 import hashlib
@@ -63,6 +64,15 @@ def _count(name, value):
     if not ok:
         raise ValueError("need integer %s >= 0, got %r" % (name, value))
     return int(value)
+
+
+def _int64_count(name, value):
+    """_count for a law constant, which sample_sum multiplies by int64 counts:
+    anything at or above 2^63 is a ValueError too."""
+    value = _count(name, value)
+    if value >= 1 << 63:
+        raise ValueError("need %s below 2^63 to fit int64, got %d" % (name, value))
+    return value
 
 
 class Poisson:
@@ -131,7 +141,7 @@ class Binomial:
     json_params = ("n", "q")
 
     def __init__(self, n, q):
-        self.n = _count("n", n)
+        self.n = _int64_count("n", n)
         q = _real("q", q)
         if not 0.0 <= q <= 1.0:
             raise ValueError("need q in [0, 1], got %r" % q)
@@ -207,7 +217,7 @@ class Point:
     json_params = ("c",)
 
     def __init__(self, c):
-        self.c = _count("c", c)
+        self.c = _int64_count("c", c)
 
     def raw_moment(self, k):
         return float(self.c) ** k
@@ -295,10 +305,6 @@ class FiniteSupport:
         """Sum of count draws, shape (dim,), or (len(count), dim) for an array."""
         return rng.multinomial(count, self.probs) @ self.support
 
-    def sample_sum_ints(self, count, rng):
-        """sample_sum for an int count as a list of dim Python ints."""
-        return (rng.multinomial(count, self.probs) @ self.support).tolist()
-
     def to_json(self):
         return {
             "kind": "finite",
@@ -363,10 +369,6 @@ class IndependentMarginals:
             [m.sample_sum(count, rng) for m in self.marginals], dtype=np.int64
         ).T
 
-    def sample_sum_ints(self, count, rng):
-        """sample_sum for an int count as a list of dim Python ints."""
-        return [int(m.sample_sum(count, rng)) for m in self.marginals]
-
     def to_json(self):
         return {"kind": "independent", "marginals": [m.params() for m in self.marginals]}
 
@@ -410,6 +412,15 @@ def mean_matrix(model):
     return np.column_stack([law.mean() for law in model.offspring])
 
 
+def _regime(rho):
+    """The regime at spectral radius rho, split at one with tolerance 1e-9."""
+    if rho < 1.0 - _REGIME_TOL:
+        return "subcritical"
+    if rho <= 1.0 + _REGIME_TOL:
+        return "critical"
+    return "supercritical"
+
+
 def validate(model):
     """Classify a model: spectral radius, regime, primitivity, immigration.
 
@@ -419,18 +430,12 @@ def validate(model):
     """
     M = mean_matrix(model)
     rho = spectral_radius(M)
-    if rho < 1.0 - _REGIME_TOL:
-        regime = "subcritical"
-    elif rho <= 1.0 + _REGIME_TOL:
-        regime = "critical"
-    else:
-        regime = "supercritical"
     B = (M > 0).astype(np.int64)
     C = B.copy()
     for _ in range((model.p - 1) ** 2):
         C = np.minimum(C @ B, 1)
     nontrivial = bool(np.any(model.immigration.mean() > 0))
-    return Classification(rho, regime, bool(C.all()), nontrivial)
+    return Classification(rho, _regime(rho), bool(C.all()), nontrivial)
 
 
 def _law_from_json(obj):

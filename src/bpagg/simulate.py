@@ -1,15 +1,22 @@
 """Exact path simulation, ensembles and centered space-time aggregates.
 
-States are int64 counts. A block of B copies is stepped in lockstep, in
-chunks of k = _BLOCK_CELLS // (B p) steps (at least one): a chunk first
-draws the immigration of all its steps and copies in one call, then, step by
-step, each type's offspring in index order, the exact sum of c_i independent
+States are int64 counts, and a block of copies is a pure function of its
+generator stream. A block of B copies is stepped in lockstep, in chunks of
+k = _BLOCK_CELLS // (B p) steps (at least one): a chunk first draws the
+immigration of all its steps and copies in one call, then, step by step,
+each type's offspring in index order, the exact sum of c_i independent
 brood vectors as one convolution variate (see bpagg.model) over all B
-copies. A block is therefore a pure function of its generator stream, and a
-path is the block B = 1, which is stepped on Python ints with scalar draws
-but consumes the stream exactly like a (1, p) array block. Because
-immigration is drawn a chunk ahead, a path does not equal repeated step
-calls; step is a chunk of one step.
+copies; step is such a chunk of one step.
+
+A block of one copy of a subcritical model is drawn as immigrant cohorts
+(see _cohort_path): from zero, the path is the sum of the independent
+Galton-Watson processes started by each step's immigration, stepped one
+generation at a time over all living cohorts of a chunk of birth steps.
+Cohorts of a critical or supercritical model need not die out, and
+long-lived ones cost more than steps, so such one-copy blocks are stepped
+in lockstep like the others (see _cohort_route); simulate_path and
+simulate_ensemble decide the route once per call. A path is not repeated
+step calls.
 
 Ensembles split their N copies, in order, into blocks of at most
 _BLOCK_CELLS counts (copies x (n+1) x p) and run block b on the
@@ -21,13 +28,21 @@ block can be rerun alone on its stream.
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kronalg import NotSubcriticalError
-from .model import Binomial, FiniteSupport, Point, _count, mean_matrix, model_digest, validate
+from .kronalg import NotSubcriticalError, spectral_radius
+from .model import (
+    Binomial,
+    FiniteSupport,
+    Point,
+    _count,
+    _regime,
+    mean_matrix,
+    model_digest,
+    validate,
+)
 from .moments import stationary_moments
 
 __all__ = [
@@ -56,6 +71,13 @@ _INT64_WRAP = 1 << 63
 # numpy's per-call cost is shared by hundreds of short copies, small enough
 # that a block's paths stay around half a megabyte
 _BLOCK_CELLS = 1 << 16
+
+# one-copy blocks are drawn as immigrant cohorts only while a cohort lives
+# at most this many generations in mean (see _cohort_route): each living
+# cohort costs an array entry per generation, and on one-type Poisson and
+# Bernoulli models a lockstep step of the (1, p) block got cheaper from
+# about 150 generations on (2-core x86_64 host)
+_COHORT_GENERATIONS = 128
 
 # rows of one copy formatted per write by paths_to_csv
 _CSV_ROWS = 1 << 14
@@ -150,15 +172,8 @@ class _Guarded:
             )
 
     def sample_sum(self, count, rng):
-        self._check(int(count.max()))
+        self._check(int(np.max(count)))
         return _check_state(self.law.sample_sum(count, rng))
-
-    def sample_sum_ints(self, count, rng):
-        self._check(count)
-        out = self.law.sample_sum_ints(count, rng)
-        if max(out) > _STATE_LIMIT:
-            _overflow()
-        return out
 
 
 def _offspring(model):
@@ -181,59 +196,18 @@ def _offspring(model):
     return tuple(_Guarded(law, c) for law, c in zip(model.offspring, cs))
 
 
-def _block_advance(model):
-    """advance(x, eps, rng) for a (B, p) int64 block of copies.
+def _run_block(model, n, rng, burnin, x):
+    """(B, n+1, p) paths stepped in lockstep from the (B, p) state x; burnin
+    steps first.
 
-    eps is an (m, B, p) chunk of immigration; each step adds every type's
-    offspring sums, in type order, to its slice of eps. Returns the final
-    state and the m stepped states, which overwrite eps.
+    Steps go in chunks of k = _BLOCK_CELLS // (B p) (at least 1): a chunk
+    draws the immigration of its k steps for every copy in one law.sample
+    call, then, step by step, adds every type's offspring sums, in type
+    order, to its row of immigration. Only one chunk of states is held
+    besides the paths.
     """
+    copies, p = x.shape
     offspring = _offspring(model)
-
-    def advance(x, eps, rng):
-        for row in eps:
-            counts = x.T  # counts[i]: the type-i count of every copy
-            for i, law in enumerate(offspring):
-                row += law.sample_sum(counts[i], rng)
-            x = _check_state(row)
-        return x, eps
-
-    return advance
-
-
-def _one_advance(model):
-    """advance(x, eps, rng) for one copy whose state is a list of Python ints.
-
-    Draws exactly as _block_advance on a (1, p) block, but every count
-    reaches its law as an int, so each draw is one scalar generator call.
-    Returns the final state and the m stepped states as lists.
-    """
-    offspring = _offspring(model)
-
-    def advance(x, eps, rng):
-        rows = eps.reshape(len(eps), -1).tolist()
-        for row in rows:
-            for i, law in enumerate(offspring):
-                for j, v in enumerate(law.sample_sum_ints(x[i], rng)):
-                    row[j] += v
-            if max(row) > _STATE_LIMIT:
-                _overflow()
-            x = row
-        return x, rows
-
-    return advance
-
-
-def _run_block(model, advance, copies, n, rng, burnin, x):
-    """(copies, n+1, p) paths stepped from state x by advance; burnin steps first.
-
-    Steps go in chunks of k = _BLOCK_CELLS // (copies p) (at least 1): a
-    chunk draws the immigration of its k steps for every copy in one
-    law.sample call, then steps offspring, and its states are copied into
-    the paths once. Only one chunk of states is held besides the paths.
-    """
-    p = model.p
-    imm = model.immigration
     k = max(1, _BLOCK_CELLS // (copies * p))
     paths = np.empty((copies, n + 1, p), dtype=np.int64)
     if burnin == 0:
@@ -241,28 +215,115 @@ def _run_block(model, advance, copies, n, rng, burnin, x):
     done, total = 0, burnin + n
     while done < total:
         m = min(k, total - done)
-        eps = imm.sample(rng, m * copies).reshape(m, copies, p)
-        x, rows = advance(x, eps, rng)
-        # rows[r] is the state after step done + r + 1, path index a + r
+        eps = model.immigration.sample(rng, m * copies).reshape(m, copies, p)
+        for row in eps:
+            # counts[i]: the type-i count of every copy; one copy's counts go
+            # as ints, which draw alike but skip numpy's array checks
+            counts = x.T if copies > 1 else x[0].tolist()
+            for i, law in enumerate(offspring):
+                row += law.sample_sum(counts[i], rng)
+            x = _check_state(row)
+        # eps[r] is the state after step done + r + 1, path index a + r
         a = done + 1 - burnin
         r0 = max(0, -a)
         if r0 < m:
-            rows = np.asarray(rows[r0:], dtype=np.int64).reshape(m - r0, copies, p)
-            paths[:, a + r0 : a + m] = rows.swapaxes(0, 1)
+            paths[:, a + r0 : a + m] = eps[r0:].swapaxes(0, 1)
         done += m
     return paths
 
 
-def _simulate_block(model, copies, n, rng, burnin):
+def _cohort_path(model, n, rng, burnin):
+    """(n+1, p) path of one copy from zero, drawn as immigrant cohorts.
+
+    The state after step t is the sum, over the steps j <= t, of the
+    cohort born from step j's immigration, t - j generations on; cohorts
+    are independent Galton-Watson processes. Birth steps go in chunks of
+    k = _BLOCK_CELLS // p (at least 1): a chunk draws its k immigration
+    vectors in one law.sample call, then steps all its living cohorts in
+    lockstep, one generation per round, each type's offspring sums in type
+    order over the cohorts in birth order, and adds each generation into
+    the states it reaches. A cohort is dropped once it is extinct or has
+    reached the path's last step, and a chunk runs until none is left.
+    Cohorts of a subcritical model die out, so every chunk ends.
+    """
+    p = model.p
+    offspring = _offspring(model)
+    k = max(1, _BLOCK_CELLS // p)
+    total = burnin + n
+    path = np.zeros((n + 1, p), dtype=np.int64)
+    # acc[:, r] sums the state after step s + r; columns past the chunk carry
+    # the progeny of its cohorts into the steps of later chunks
+    acc = np.zeros((p, min(2 * k, total + 1)), dtype=np.int64)
+    for s in range(1, total + 1, k):
+        m = min(k, total + 1 - s)
+        # z[i, c]: the type-i count of cohort c, whose step is s + r[c]
+        z = np.ascontiguousarray(_check_state(model.immigration.sample(rng, m)).T)
+        r = np.arange(m)  # unique and increasing
+        last = total - s
+        while True:
+            lo, hi = r[0], r[-1] + 1
+            if hi > acc.shape[1]:
+                acc = np.concatenate((acc, np.zeros_like(acc)), axis=1)
+            if hi - lo == len(r):
+                acc[:, lo:hi] += z
+            else:
+                for i in range(p):
+                    acc[i, r] += z[i]
+            if hi - 1 == last:
+                z, r = z[:, :-1], r[:-1]
+            live = z.any(axis=0)
+            if not live.all():
+                z, r = z.compress(live, axis=1), r.compress(live)
+            if len(r) == 0:
+                break
+            r = r + 1
+            z = sum(law.sample_sum(z[i], rng) for i, law in enumerate(offspring))
+            z = np.ascontiguousarray(_check_state(z).T)
+        # acc[:, j] is the state after step s + j, path index a + j
+        rows = _check_state(acc[:, :m]).T
+        a = s - burnin
+        j0 = max(0, -a)
+        if j0 < m:
+            path[a + j0 : a + m] = rows[j0:]
+        acc[:, :-m] = acc[:, m:]
+        acc[:, -m:] = 0
+    return path
+
+
+def _cohort_route(model):
+    """Whether one-copy blocks of the model are drawn as immigrant cohorts.
+
+    Only the cohorts of a subcritical model (spectral radius below one, as
+    validate splits it) die out, and only short-lived ones are cheaper than
+    lockstep steps. A cohort is alive g generations on with probability at
+    most min(1, 1^T M^g m_eps), so the sum of these bounds its mean
+    lifetime, which must stay within _COHORT_GENERATIONS. Past the first
+    term below one the sum is bounded by 1^T (I - M)^-1 M^g m_eps.
+    """
+    M = mean_matrix(model)
+    if _regime(spectral_radius(M)) != "subcritical":
+        return False
+    life, v = 0, model.immigration.mean()
+    while v.sum() >= 1.0:
+        life += 1
+        if life > _COHORT_GENERATIONS:
+            return False
+        v = M @ v
+    tail = np.linalg.solve(np.eye(model.p) - M, v).sum()
+    return life + tail <= _COHORT_GENERATIONS
+
+
+def _simulate_block(model, copies, n, rng, burnin, cohorts=False):
     """(copies, n+1, p) paths of one block from zero; burnin is a step count.
 
-    A block of one copy is stepped on Python ints, bit for bit equal to the
-    (1, p) array block on the same stream.
+    A block of one copy is drawn as immigrant cohorts when cohorts is set
+    (by the caller, once per call, from _cohort_route); every other block is
+    stepped in lockstep.
     """
-    if copies == 1:
-        return _run_block(model, _one_advance(model), 1, n, rng, burnin, [0] * model.p)
+    if copies == 1 and cohorts:
+        return _cohort_path(model, n, rng, burnin)[None]
     x = np.zeros((copies, model.p), dtype=np.int64)
-    return _run_block(model, _block_advance(model), copies, n, rng, burnin, x)
+    return _run_block(model, n, rng, burnin, x)
 
 
 def step(model, state, rng):
@@ -271,8 +332,7 @@ def step(model, state, rng):
     state = np.asarray(state, dtype=np.int64)
     if state.shape != (model.p,) or int(state.min()) < 0:
         raise ValueError("state must be a nonnegative int vector of length p")
-    path = _run_block(model, _one_advance(model), 1, 1, rng, 0, state.tolist())
-    return path[0, 1]
+    return _run_block(model, 1, rng, 0, state[None])[0, 1]
 
 
 def simulate_path(model, n, rng, burnin=None):
@@ -284,7 +344,8 @@ def simulate_path(model, n, rng, burnin=None):
     in which it consumes rng).
     """
     n = _count("n", n)
-    return _simulate_block(model, 1, n, rng, _resolve_burnin(model, burnin))[0]
+    k = _resolve_burnin(model, burnin)
+    return _simulate_block(model, 1, n, rng, k, _cohort_route(model))[0]
 
 
 @dataclass
@@ -319,13 +380,16 @@ def _map_tasks(fn, tasks, threads):
     workers = min(threads, len(tasks))
     if workers <= 1:
         return [fn(t) for t in tasks]
+    # loaded only here: the module costs a tenth of import bpagg
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
 
 
 def _block_worker(args):
-    model, copies, n, master_seed, b, burnin = args
-    return _simulate_block(model, copies, n, stream_rng(master_seed, b), burnin)
+    model, copies, n, master_seed, b, burnin, cohorts = args
+    return _simulate_block(model, copies, n, stream_rng(master_seed, b), burnin, cohorts)
 
 
 def simulate_ensemble(model, N, n, master_seed, burnin="auto", threads=1):
@@ -339,9 +403,11 @@ def simulate_ensemble(model, N, n, master_seed, burnin="auto", threads=1):
     N, n = int(N), _count("n", n)
     k = _resolve_burnin(model, burnin)
     size = block_copies(n, model.p)
+    sizes = [min(size, N - a) for a in range(0, N, size)]
+    cohorts = 1 in sizes and _cohort_route(model)
     tasks = [
-        (model, min(size, N - a), n, int(master_seed), b, k)
-        for b, a in enumerate(range(0, N, size))
+        (model, copies, n, int(master_seed), b, k, cohorts)
+        for b, copies in enumerate(sizes)
     ]
     parts = _map_tasks(_block_worker, tasks, threads)
     paths = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)

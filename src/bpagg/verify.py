@@ -176,7 +176,7 @@ def _boot_cov(x, boot_idx):
     for a in range(0, len(boot_idx), chunk):
         g = x[boot_idx[a : a + chunk]]
         g -= g.mean(axis=1, keepdims=True)
-        out[a : a + chunk] = np.einsum("bri,brj->bij", g, g) / (reps - 1)
+        out[a : a + chunk] = np.matmul(g.transpose(0, 2, 1), g) / (reps - 1)
     return out
 
 

@@ -139,6 +139,22 @@ def test_int64_product_overflow_exits_two(tmp_path, capsys, copies):
     assert "int64" in capsys.readouterr().err
 
 
+def test_law_constant_beyond_int64_exits_two(tmp_path, capsys):
+    # a point mass of 2^63 cannot be drawn as an int64 count
+    spec = {
+        "p": 1,
+        "offspring": [{"kind": "independent", "marginals": [{"dist": "bernoulli", "q": 0.5}]}],
+        "immigration": {"kind": "independent", "marginals": [{"dist": "point", "c": 2 ** 63}]},
+    }
+    f = tmp_path / "huge.json"
+    f.write_text(json.dumps(spec))
+    out = tmp_path / "p.csv"
+    code = main(["simulate", "--model", str(f), "--n", "5", "--copies", "1", "--out", str(out)])
+    assert code == 2
+    assert "2^63" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_aggregate_rows(two_type_file, tmp_path):
     out = tmp_path / "agg.csv"
     code = main(

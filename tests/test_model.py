@@ -198,6 +198,16 @@ def test_marginals_reject_non_finite_parameters(bad):
             build()
 
 
+def test_law_constants_must_fit_int64():
+    # counts are multiplied by c and n in int64
+    assert Point(2 ** 63 - 1).c == 2 ** 63 - 1
+    assert Binomial(2 ** 63 - 1, 0.5).n == 2 ** 63 - 1
+    for build in (lambda v: Point(v), lambda v: Binomial(v, 0.5)):
+        for v in (2 ** 63, 2 ** 64, 10 ** 30):
+            with pytest.raises(ValueError, match="2\\^63"):
+                build(v)
+
+
 def test_finite_support_rejects_non_finite_or_fractional_values():
     with pytest.raises(ValueError, match="finite"):
         FiniteSupport([[0], [1]], [math.nan, 0.5])
@@ -387,12 +397,17 @@ def test_sample_sum_int_and_array_counts_consume_stream_alike(law):
 
 
 @pytest.mark.parametrize("law", _ALL_LAWS[-2:], ids=lambda law: type(law).__name__)
-def test_sample_sum_ints_equals_sample_sum(law):
+def test_sample_sum_int_count_equals_one_entry_array(law):
+    # an int count draws one (dim,) int64 vector, the row a one-entry count
+    # array draws from the same stream
     for c in (0, 1, 4, 1000):
         a = law.sample_sum(c, np.random.default_rng(c))
-        b = law.sample_sum_ints(c, np.random.default_rng(c))
-        assert all(type(v) is int for v in b)
-        assert b == a.tolist()
+        b = law.sample_sum(np.array([c], dtype=np.int64), np.random.default_rng(c))
+        assert a.shape == (law.dim,) and a.dtype == np.int64
+        assert b.shape == (1, law.dim)
+        assert np.array_equal(a, b[0])
+        if c == 0:
+            assert not a.any()
 
 
 def test_bernoulli_sum_uses_binomial_count():

@@ -22,7 +22,6 @@ from bpagg.simulate import (
     SimulationOverflowError,
     aggregate,
     aggregates_to_csv,
-    _block_advance,
     _run_block,
     _simulate_block,
     block_copies,
@@ -144,36 +143,45 @@ def _table_model():
 
 
 def _array_block_path(model, n, rng, burnin):
-    """One copy stepped by the (B, p) array stepper on a (1, p) block."""
-    x = np.zeros((1, model.p), dtype=np.int64)
-    return _run_block(model, _block_advance(model), 1, n, rng, burnin, x)[0]
+    """One copy stepped by the lockstep array stepper on a (1, p) block."""
+    return _run_block(model, n, rng, burnin, np.zeros((1, model.p), dtype=np.int64))[0]
 
 
-@pytest.mark.parametrize(
-    "build", [build_scalar_inar, build_two_type, _table_model], ids=["scalar", "two", "table"]
-)
-def test_path_matches_repeated_steps(build, monkeypatch):
-    # a path is stepped on Python ints with scalar draws; it consumes the
-    # stream exactly like the array stepper on a (1, p) block, burn-in
-    # included, across several immigration chunks (40 // p steps each)
-    monkeypatch.setattr(simulate, "_BLOCK_CELLS", 40)
-    model = build()
-    path = simulate_path(model, 200, stream_rng(7), burnin=15)
-    block = _array_block_path(model, 200, stream_rng(7), 15)
-    assert path.dtype == np.int64
-    assert np.array_equal(path, block)
-    assert path[1:].sum() > 0
+def _cohort_oracle(model, n, rng, burnin, cells):
+    """The documented cohort order, written out with the laws' own draws.
+
+    Birth steps 1..burnin+n go in chunks of k = cells // p: one immigration
+    call per chunk, then one generation per round, each type's offspring
+    sums over the living cohorts in birth order; a cohort is dropped once it
+    is extinct or has reached the last step, and a chunk runs to the end
+    before the next one starts.
+    """
+    p, total = model.p, burnin + n
+    k = max(1, cells // p)
+    states = np.zeros((total + 1, p), dtype=np.int64)
+    for s in range(1, total + 1, k):
+        m = min(k, total + 1 - s)
+        eps = model.immigration.sample(rng, m)
+        cohorts = [(s + c, eps[c]) for c in range(m)]  # (step, counts)
+        while cohorts:
+            for t, z in cohorts:
+                states[t] += z
+            cohorts = [(t, z) for t, z in cohorts if z.any() and t < total]
+            if cohorts:
+                counts = np.array([z for _, z in cohorts])
+                born = sum(law.sample_sum(counts[:, i], rng) for i, law in enumerate(model.offspring))
+                cohorts = [(t + 1, z) for (t, _), z in zip(cohorts, born)]
+    return states[burnin:]
 
 
-@pytest.mark.parametrize("copies", [1, 3])
-def test_block_follows_documented_stream_order(copies, monkeypatch):
-    # chunks of k = _BLOCK_CELLS // (copies p) steps: the chunk's immigration
-    # for every step and copy in one call, then offspring step by step
-    cells = 12
-    monkeypatch.setattr(simulate, "_BLOCK_CELLS", cells)
-    model, n, burnin = _table_model(), 9, 4
-    k = cells // (copies * model.p)
-    rng = stream_rng(3)
+def _lockstep_oracle(model, copies, n, rng, burnin, cells):
+    """The documented lockstep order, written out with the laws' own draws.
+
+    Chunks of k = cells // (copies p) steps: the chunk's immigration for
+    every step and copy in one call, then offspring step by step, each
+    type's sums over all copies as one count array.
+    """
+    k = max(1, cells // (copies * model.p))
     x = np.zeros((copies, model.p), dtype=np.int64)
     states = [x]
     for done in range(0, burnin + n, k):
@@ -183,8 +191,39 @@ def test_block_follows_documented_stream_order(copies, monkeypatch):
             draws = [law.sample_sum(x[:, i], rng) for i, law in enumerate(model.offspring)]
             x = eps[t] + sum(draws)
             states.append(x)
-    expected = np.stack(states[burnin:], axis=1)
-    paths = _simulate_block(model, copies, n, stream_rng(3), burnin)
+    return np.stack(states[burnin:], axis=1)
+
+
+@pytest.mark.parametrize(
+    "build", [build_scalar_inar, build_two_type, _table_model], ids=["scalar", "two", "table"]
+)
+def test_path_follows_cohort_order(build, monkeypatch):
+    # a subcritical path is drawn as immigrant cohorts, in chunks of
+    # 6 // p birth steps, so cohorts outlive their chunk and the burn-in
+    monkeypatch.setattr(simulate, "_BLOCK_CELLS", 6)
+    model = build()
+    path = simulate_path(model, 200, stream_rng(7), burnin=15)
+    assert path.dtype == np.int64
+    assert np.array_equal(path, _cohort_oracle(model, 200, stream_rng(7), 15, 6))
+    assert path[1:].sum() > 0
+    # the same numbers through a one-copy ensemble block on its stream
+    one = simulate_ensemble(model, 1, 200, master_seed=7, burnin=15).paths[0]
+    assert np.array_equal(one, _cohort_oracle(model, 200, stream_rng(7, 0), 15, 6))
+
+
+@pytest.mark.parametrize("copies", [1, 3])
+def test_block_follows_documented_stream_order(copies, monkeypatch):
+    # one copy of a short-lived subcritical model: immigrant cohorts; several
+    # copies: lockstep chunks of _BLOCK_CELLS // (copies p) steps
+    cells = 12
+    monkeypatch.setattr(simulate, "_BLOCK_CELLS", cells)
+    model, n, burnin = _table_model(), 9, 4
+    assert simulate._cohort_route(model)
+    paths = _simulate_block(model, copies, n, stream_rng(3), burnin, cohorts=True)
+    if copies == 1:
+        expected = _cohort_oracle(model, n, stream_rng(3), burnin, cells)[None]
+    else:
+        expected = _lockstep_oracle(model, copies, n, stream_rng(3), burnin, cells)
     assert np.array_equal(paths, expected)
 
 
@@ -213,25 +252,37 @@ _MARGINAL_KINDS = (
 
 
 @st.composite
-def _small_models(draw):
+def _small_models(draw, subcritical=True):
     """Random models with p <= 3 mixing the five marginal kinds and tables.
 
-    Offspring means stay below 1 / p per entry except for point masses at 1,
-    which can make a model supercritical; immigration means are at least 0.3
-    per coordinate.
+    Offspring means stay below 0.9 / p per entry except for point masses at
+    1; immigration means are at least 0.3 per coordinate. A subcritical
+    model has its point masses at 0, so its spectral radius is at most 0.9;
+    otherwise type 0 also has one child of type 0 for sure, so the spectral
+    radius is at least one.
     """
     p = draw(st.integers(1, 3))
 
-    def law(lo, scale):
+    def law(lo, scale, atom_scale):
         unit = st.floats(lo, 1.0)
         if draw(st.booleans()):
             atoms = [[0] * p] + [[2 * int(j == i) for j in range(p)] for i in range(p)]
-            w = [draw(unit) / (2 * p) for _ in range(p)]
+            w = [draw(unit) * atom_scale for _ in range(p)]
             return FiniteSupport(atoms, [1.0 - sum(w)] + w)
         kinds = [draw(st.integers(0, 4)) for _ in range(p)]
         return IndependentMarginals([_MARGINAL_KINDS[k](draw(unit) * scale) for k in kinds])
 
-    return BranchingModel(p, tuple(law(0.0, 1.0 / p) for _ in range(p)), law(0.5, 1.0))
+    offspring = [law(0.0, 0.9 / p, 0.45 / p) for _ in range(p)]
+    if subcritical:
+        offspring = [
+            IndependentMarginals([Point(0) if type(m) is Point else m for m in law.marginals])
+            if isinstance(law, IndependentMarginals) else law
+            for law in offspring
+        ]
+    else:
+        rest = [Poisson(draw(st.floats(0.0, 1.0)) / p) for _ in range(p - 1)]
+        offspring[0] = IndependentMarginals([Point(1)] + rest)
+    return BranchingModel(p, tuple(offspring), law(0.5, 1.0, 0.5 / p))
 
 
 def _path_or_overflow(run):
@@ -243,23 +294,131 @@ def _path_or_overflow(run):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
-    model=_small_models(),
+    model=_small_models(subcritical=False),
     n=st.integers(0, 30),
     burnin=st.integers(0, 12),
     cells=st.integers(1, 24),
     seed=st.integers(0, 2 ** 32 - 1),
 )
 def test_path_matches_array_block_property(model, n, burnin, cells, seed):
-    # equal paths, or an overflow on both routes
+    # a critical or supercritical path is the lockstep (1, p) block, which
+    # draws with int counts what the documented order draws with one-entry
+    # arrays: equal paths, or an overflow on both routes
+    assert not simulate._cohort_route(model)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "_BLOCK_CELLS", cells)
         path = _path_or_overflow(
             lambda: simulate_path(model, n, stream_rng(seed), burnin=burnin)
         )
-        block = _path_or_overflow(
-            lambda: _array_block_path(model, n, stream_rng(seed), burnin)
-        )
-    assert np.array_equal(path, block)
+    # the oracle keeps the burn-in states, which the overflow ceiling covers
+    states = _lockstep_oracle(model, 1, burnin + n, stream_rng(seed), 0, cells)[0]
+    if states.max() > 2 ** 31:
+        assert isinstance(path, str)
+    else:
+        assert np.array_equal(path, states[burnin:])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    model=_small_models(),
+    n=st.integers(0, 30),
+    burnin=st.integers(0, 12),
+    cells=st.integers(1, 24),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_path_follows_cohort_order_property(model, n, burnin, cells, seed):
+    assert simulate._cohort_route(model)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_BLOCK_CELLS", cells)
+        path = simulate_path(model, n, stream_rng(seed), burnin=burnin)
+    assert np.array_equal(path, _cohort_oracle(model, n, stream_rng(seed), burnin, cells))
+
+
+def _ks_two_sample(a, b):
+    """Largest gap between the empirical CDFs of samples a and b."""
+    grid = np.union1d(a, b)
+    fa = np.searchsorted(np.sort(a), grid, side="right") / len(a)
+    fb = np.searchsorted(np.sort(b), grid, side="right") / len(b)
+    return float(np.abs(fa - fb).max())
+
+
+def test_cohort_and_array_routes_agree_in_law():
+    # X_n of the two-type model from zero by both routes, one path per seed;
+    # the two-sample KS bound 1.95 sqrt(2 / reps) (level 0.001 each) is
+    # fixed before sampling, and the routes share no seed
+    model, n, reps = build_two_type(), 12, 1000
+    cohort = np.array([simulate_path(model, n, stream_rng(1, r))[n] for r in range(reps)])
+    array = np.array([_array_block_path(model, n, stream_rng(2, r), 0)[n] for r in range(reps)])
+    bound = 1.95 * math.sqrt(2.0 / reps)
+    for stat in (lambda x: x[:, 0], lambda x: x[:, 1], lambda x: x.sum(axis=1)):
+        assert _ks_two_sample(stat(cohort), stat(array)) < bound
+    # and the cohort route reaches the exact mean of X_n, sum_{j < n} M^j m_eps
+    M = simulate.mean_matrix(model)
+    target = sum(np.linalg.matrix_power(M, j) for j in range(n)) @ model.immigration.mean()
+    se = cohort.std(axis=0, ddof=1) / math.sqrt(reps)
+    assert np.all(np.abs(cohort.mean(axis=0) - target) < 4 * se)
+
+
+def _refuse_cohorts(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("routed to cohorts")
+
+    monkeypatch.setattr(simulate, "_cohort_path", refuse)
+
+
+def test_critical_path_uses_array_stepper(monkeypatch):
+    # cohorts of a critical model need not die out, so its paths are stepped
+    crit = _scalar(Point(1), Poisson(1.0))
+    assert not simulate._cohort_route(crit)
+    # rare immigrants would keep the lifetime bound small, but never die
+    assert not simulate._cohort_route(_scalar(Point(1), Bernoulli(0.001)))
+    _refuse_cohorts(monkeypatch)
+    path = simulate_path(crit, 50, stream_rng(5), burnin=3)
+    assert np.array_equal(path, _lockstep_oracle(crit, 1, 50, stream_rng(5), 3, 1 << 16)[0])
+    one = simulate_ensemble(crit, 1, 50, master_seed=5, burnin=3).paths[0]
+    assert np.array_equal(one, _lockstep_oracle(crit, 1, 50, stream_rng(5, 0), 3, 1 << 16)[0])
+
+
+def test_cohort_route_bounds_mean_lifetime(monkeypatch):
+    # the bound sum_g min(1, 1^T M^g m_eps) is 1 / (1 - q) generations for
+    # bernoulli(q) offspring of one immigrant a step in mean, and about
+    # log2(lam) + 2 for poisson(1/2) offspring of poisson(lam) immigrants
+    bern = lambda q: _scalar(Bernoulli(q), Poisson(1.0))  # noqa: E731
+    assert simulate._cohort_route(bern(0.5))
+    assert simulate._cohort_route(bern(0.99))  # 100 generations
+    assert not simulate._cohort_route(bern(0.995))  # 200
+    assert simulate._cohort_route(_scalar(Poisson(0.5), Poisson(1000.0)))
+    assert not simulate._cohort_route(_scalar(Poisson(0.97), Poisson(1000.0)))
+    assert simulate._cohort_route(_scalar(Bernoulli(0.5), Point(0)))
+    for build in (build_scalar_inar, build_two_type, build_deterministic, _table_model):
+        assert simulate._cohort_route(build())
+    # a subcritical model whose cohorts live long is stepped, burn-in and all
+    slow = bern(0.999)
+    _refuse_cohorts(monkeypatch)
+    path = simulate_path(slow, 40, stream_rng(6), burnin=5)
+    assert np.array_equal(path, _lockstep_oracle(slow, 1, 40, stream_rng(6), 5, 1 << 16)[0])
+
+
+def test_regime_decided_once_per_call(monkeypatch):
+    calls = []
+    real = simulate._cohort_route
+
+    def counting(model):
+        calls.append(model)
+        return real(model)
+
+    monkeypatch.setattr(simulate, "_cohort_route", counting)
+    monkeypatch.setattr(simulate, "_BLOCK_CELLS", 40)
+    model = build_two_type()
+    # 20 steps of 2 types fill a 40-cell block: three one-copy blocks
+    assert block_copies(19, 2) == 1
+    simulate_ensemble(model, 3, 19, master_seed=1, burnin=2)
+    assert len(calls) == 1
+    simulate_path(model, 19, stream_rng(1), burnin=2)
+    assert len(calls) == 2
+    # no block of one copy: no regime decided
+    simulate_ensemble(model, 4, 9, master_seed=1, burnin=2)
+    assert len(calls) == 2
 
 
 def test_step_is_a_one_step_chunk():
@@ -376,6 +535,30 @@ def test_overflow_guard_boundary(copies):
     assert np.all(ens.paths[:, :, 1] == 2 ** 31)
     with pytest.raises(SimulationOverflowError):
         simulate_ensemble(flat(2 ** 31 + 1), copies, 4, master_seed=0, burnin=0)
+
+
+@pytest.mark.parametrize("copies", [1, 3])
+def test_overflow_guard_sums_cohorts(copies):
+    # every immigrant cohort stays below 2^31, but from the second step on
+    # the state 2^31 - 8 + binomial(2^31 - 8, 1/2) passes it, in the burn-in
+    # as well; at a rate of 2^-32 the state stays within the ceiling
+    def model(q):
+        return _scalar(Bernoulli(q), Point(2 ** 31 - 8))
+
+    for n, burnin in ((4, 0), (0, 3)):
+        with pytest.raises(SimulationOverflowError):
+            simulate_ensemble(model(0.5), copies, n, master_seed=0, burnin=burnin)
+    ens = simulate_ensemble(model(2.0 ** -32), copies, 4, master_seed=0, burnin=3)
+    assert np.all(ens.paths >= 2 ** 31 - 8) and np.all(ens.paths <= 2 ** 31)
+
+
+@pytest.mark.parametrize("copies", [1, 3])
+def test_immigration_past_the_ceiling_raises_before_drawing(copies):
+    # 3 * 2^62 brood trials would wrap int64 (numpy then refuses a negative
+    # binomial n), so the immigrants are checked before their offspring
+    model = _scalar(Binomial(3, 0.1), Point(2 ** 62))
+    with pytest.raises(SimulationOverflowError):
+        simulate_ensemble(model, copies, 5, master_seed=0, burnin=0)
 
 
 def _scalar(offspring, immigration):

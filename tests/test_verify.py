@@ -150,8 +150,9 @@ def test_clt_group_replications_are_ensemble_slices():
 
 @pytest.mark.parametrize("cells", [None, 1000])
 def test_boot_cov_matches_per_resample_np_cov(monkeypatch, cells):
-    # one gather and one einsum per chunk of resamples; the reference is the
-    # per-resample np.cov loop it replaced (cells 1000 forces ragged chunks)
+    # one gather and one batched matmul per chunk of resamples; the reference
+    # is the per-resample np.cov loop it replaced (cells 1000 forces ragged
+    # chunks)
     if cells is not None:
         monkeypatch.setattr(verify, "_BOOT_CELLS", cells)
     rng = np.random.default_rng(2024)
@@ -419,6 +420,17 @@ def test_normal_cdf_matches_scipy_ndtr():
     x = np.random.default_rng(5).standard_normal(100000) * 3.0
     x = np.concatenate([x, [0.0, -0.0, 0.7071, -0.7072, 8.5, -8.5, 38.0, -38.0, 40.0]])
     assert_allclose(_normal_cdf(x), ndtr(x), rtol=0, atol=1e-15)
+
+
+def test_import_does_not_load_process_pools():
+    # ProcessPoolExecutor is imported only when a run uses several workers
+    code = "import sys, bpagg; print('concurrent.futures.process' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(verify.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_import_does_not_load_scipy():
