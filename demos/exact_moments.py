@@ -56,6 +56,7 @@ print("  sigma\n", report.sigma)
 # every report carries self-check residuals: the Lyapunov defect of var(X_0),
 # the gap between the two independent variance routes (second Kronecker
 # moment vs noise accumulation), the defect of the decomposition
-# M (I-M)^-1 var + var + var (I-M^T)^-1 M^T = sigma, and the relative
-# fixed-point defect of the third Kronecker moment
+# M (I-M)^-1 var + var + var (I-M^T)^-1 M^T = sigma, the relative
+# fixed-point defect of the third Kronecker moment, and the condition
+# number of I - M that every solve through (I - M)^-1 inherits
 print("  residuals  ", report.residuals)

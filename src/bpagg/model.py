@@ -5,6 +5,9 @@ p-dimensional. Two law representations are supported: an explicit finite
 probability table, and a product of independent scalar marginals with
 closed-form moments. Both expose exact mixed moments up to third order
 through Kronecker powers, and exact samplers on a caller-supplied generator.
+A table's Kronecker moment of order k is one weighted contraction of its
+atoms, whatever their number: X^T (w X) at order 2, and the row-wise
+products X_i X_j contracted with w X at order 3.
 
 Every law draws the sum of c independent broods as one variate of its c-fold
 convolution: poisson(c lam), binomial(c n, q), negative binomial(c, q) for
@@ -17,14 +20,13 @@ multiplied by law constants in int64, so a point mass or binomial n of 2^63
 or more is refused when the law is built.
 """
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kronalg import kron_power, spectral_radius
+from .kronalg import spectral_radius
 
 __all__ = [
     "FiniteSupport",
@@ -288,13 +290,20 @@ class FiniteSupport:
         return self.probs @ self.support.astype(float)
 
     def kron_moment(self, alpha):
+        """E x^(x)alpha, flat of length dim**alpha: the atoms X (one per row)
+        weighted by the probabilities w and contracted in one product,
+        sum_n w_n x_n^(x)alpha."""
         if alpha not in (1, 2, 3):
             raise ValueError("moment order must be 1, 2 or 3, got %r" % (alpha,))
+        if alpha == 1:
+            return self.mean()
         pts = self.support.astype(float)
-        out = np.zeros(self.dim ** alpha)
-        for w, x in zip(self.probs, pts):
-            out += w * kron_power(x, alpha)
-        return out
+        weighted = self.probs[:, None] * pts
+        if alpha == 3:
+            # row n holds x_n^(x)2, so the product's row i*p + j, column k is
+            # sum_n w_n x_ni x_nj x_nk
+            pts = (pts[:, :, None] * pts[:, None, :]).reshape(len(pts), -1)
+        return (pts.T @ weighted).reshape(-1)
 
     def sample(self, rng, size=None):
         """One support vector, or a (size, dim) array of independent ones."""
@@ -425,17 +434,29 @@ def validate(model):
     """Classify a model: spectral radius, regime, primitivity, immigration.
 
     The regime splits at spectral radius one with tolerance 1e-9.
-    Primitivity is decided exactly on the sparsity pattern of M: M is
-    primitive iff the boolean power B^((p-1)^2 + 1) is everywhere positive.
+    Primitivity is decided exactly on the sparsity pattern B of M: M is
+    primitive iff the boolean power B^((p-1)^2 + 1) is everywhere positive
+    (Wielandt's bound, attained by the cycle with one chord), and that power
+    takes O(log p) boolean products by repeated squaring.
     """
     M = mean_matrix(model)
     rho = spectral_radius(M)
-    B = (M > 0).astype(np.int64)
-    C = B.copy()
-    for _ in range((model.p - 1) ** 2):
-        C = np.minimum(C @ B, 1)
+    positive = _boolean_power(M > 0, (model.p - 1) ** 2 + 1).all()
     nontrivial = bool(np.any(model.immigration.mean() > 0))
-    return Classification(rho, _regime(rho), bool(C.all()), nontrivial)
+    return Classification(rho, _regime(rho), bool(positive), nontrivial)
+
+
+def _boolean_power(b, e):
+    """The boolean matrix power b^e of a square bool array, e >= 1, by
+    repeated squaring; a bool matmul is the or of ands."""
+    out = None
+    while True:
+        if e & 1:
+            out = b if out is None else out @ b
+        e >>= 1
+        if not e:
+            return out
+        b = b @ b
 
 
 def _law_from_json(obj):
@@ -507,5 +528,7 @@ def load_model(path):
 
 def model_digest(model):
     """Short stable hash of the model, for run metadata."""
+    import hashlib  # loading _hashlib is a cost only this function pays
+
     text = json.dumps(model_to_json(model), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()[:16]

@@ -28,7 +28,9 @@ sum_i Y_i K3(xi^(i)), and immigration is independent of Z, so
 with mu = M mean, E[Z Z^T] = sum_i mean_i Cov(xi^(i)) + M kron2 M^T and
 sym(T) = T[a,b,c] + T[a,c,b] + T[b,c,a] summing the three slots of the
 single factor. These are einsum/tensordot contractions of the law moment
-tensors at O(p^4).
+tensors at O(p^4). Each law's mean, raw moments, covariance and third
+central moment come from one call of its kron_moment per order
+(_law_moments), once per report.
 
 build_transfer assembles the dense blocks A21, A31, A32 and the full a2/a3
 matrices. Nothing on the production path calls it; it is kept as an
@@ -39,10 +41,12 @@ autocovariances and the covariance of the aggregation limit all derive from
 these moments. moment_report is the single route to all of them: it alone
 validates the model and solves the mean, and stationary_moments,
 noise_matrix, stationary_variance, autocovariance and limit_covariance are
-views on its report.
+views on its report. Its residuals show how well each route solved, next
+to cond(I - M), the conditioning every solve through (I - M)^-1 inherits.
 """
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,51 +163,48 @@ def build_transfer(model, max_order=3):
     return TransferMatrices(a21, a2, a31, a32, a3)
 
 
-def _law_cov(law):
-    """Covariance matrix of a law."""
-    m = law.mean()
-    return law.kron_moment(2).reshape(law.dim, law.dim) - np.outer(m, m)
-
-
 def _sym3(t):
     """Sum of t over the three slots of its single factor; t[a, b, c] must be
     symmetric in (a, b), and the result is symmetric in all three axes."""
     return t + t.transpose(0, 2, 1) + t.transpose(2, 0, 1)
 
 
-def _law_third_central(law):
-    """Third central moment E (x - m)^(x)3 of a law as a p x p x p tensor."""
+_LawMoments = namedtuple("_LawMoments", "mean raw2 cov raw3 third")
+
+
+def _law_moments(law, max_order):
+    """Mean, raw second moment E x x^T, covariance and, for max_order 3, raw
+    third moment and third central moment E (x - m)^(x)3 of a law as p x p
+    (x p) tensors (None below order 3), from one call of kron_moment per
+    order."""
     p = law.dim
     m = law.mean()
     raw2 = law.kron_moment(2).reshape(p, p)
+    cov = raw2 - np.outer(m, m)
+    if max_order < 3:
+        return _LawMoments(m, raw2, cov, None, None)
     raw3 = law.kron_moment(3).reshape(p, p, p)
     cube = np.multiply.outer(np.outer(m, m), m)
-    return raw3 - _sym3(np.multiply.outer(raw2, m)) + 2.0 * cube
+    third = raw3 - _sym3(np.multiply.outer(raw2, m)) + 2.0 * cube
+    return _LawMoments(m, raw2, cov, raw3, third)
 
 
-def _moment_tensors(model, M, mean, covs, max_order):
+def _moment_tensors(M, mean, covs, thirds, eps, max_order):
     """kron2 as a p x p tensor and, for max_order 3, kron3 as a p x p x p
-    tensor together with its right-hand side b3 (None otherwise); covs
-    stacks the offspring covariance matrices."""
-    p = model.p
-    eps = model.immigration
-    m_eps = eps.mean()
-    eps2 = eps.kron_moment(2).reshape(p, p)
+    tensor together with its right-hand side b3 (None otherwise); covs and
+    thirds stack the offspring covariances and third central moments, and
+    eps is the _law_moments of immigration."""
     mu = M @ mean
     brood_cov = np.tensordot(mean, covs, 1)
-    b2 = brood_cov + np.outer(mu, m_eps) + np.outer(m_eps, mu) + eps2
+    b2 = brood_cov + np.outer(mu, eps.mean) + np.outer(eps.mean, mu) + eps.raw2
     kron2 = tensor_fixed_point(M, b2)
     if max_order < 3:
         return kron2, None, None
-    thirds = np.stack([_law_third_central(law) for law in model.offspring])
     # pair[a, b, c]: the factor in slots (a, b) and the single factor in c
     pair = np.tensordot(covs, M @ kron2.T, axes=([0], [1]))
-    pair += np.multiply.outer(brood_cov + mode_product(M, kron2), m_eps)
-    pair += np.multiply.outer(eps2, mu)
-    b3 = (
-        np.tensordot(mean, thirds, 1) + _sym3(pair)
-        + eps.kron_moment(3).reshape(p, p, p)
-    )
+    pair += np.multiply.outer(brood_cov + mode_product(M, kron2), eps.mean)
+    pair += np.multiply.outer(eps.raw2, mu)
+    b3 = np.tensordot(mean, thirds, 1) + _sym3(pair) + eps.raw3
     return kron2, tensor_fixed_point(M, b3), b3
 
 
@@ -216,8 +217,9 @@ class MomentReport:
     reshape(kron2) - mean mean^T), 'limit_identity' (defect of the
     decomposition M (I-M)^-1 var0 + var0 + var0 (I-M^T)^-1 M^T = sigma) and
     'kron3' (fixed-point defect of kron3 = b3 + M^(x)3 kron3, relative to the
-    largest entry of kron3). route_gap is None below order 2 and kron3 is
-    None below order 3.
+    largest entry of kron3), then 'cond', the 1-norm condition number
+    |I - M|_1 |(I - M)^-1|_1 that every solve through (I - M)^-1 inherits.
+    route_gap is None below order 2 and kron3 is None below order 3.
     """
 
     mean: np.ndarray
@@ -265,9 +267,18 @@ def moment_report(model, max_order=3):
     p = model.p
     M = mean_matrix(model)
     A = np.eye(p) - M
-    mean = np.linalg.solve(A, model.immigration.mean())
-    covs = np.stack([_law_cov(law) for law in model.offspring])
-    V = _law_cov(model.immigration) + np.tensordot(mean, covs, 1)
+    eps = _law_moments(model.immigration, max_order)
+    # each offspring law's tables are read once and only the stacked
+    # covariance and third central moment are kept
+    covs = np.empty((p, p, p))
+    thirds = np.empty((p, p, p, p)) if max_order == 3 else None
+    for i, law in enumerate(model.offspring):
+        moments = _law_moments(law, max_order)
+        covs[i] = moments.cov
+        if thirds is not None:
+            thirds[i] = moments.third
+    mean = np.linalg.solve(A, eps.mean)
+    V = eps.cov + np.tensordot(mean, covs, 1)
     var0 = lyapunov_solve(M, V)
     sigma = np.linalg.solve(A, np.linalg.solve(A, V).T).T
 
@@ -276,7 +287,7 @@ def moment_report(model, max_order=3):
     limit_identity = float(np.max(np.abs(lhs - sigma)))
     kron2 = kron3 = route_gap = kron3_defect = None
     if max_order >= 2:
-        k2, k3, b3 = _moment_tensors(model, M, mean, covs, max_order)
+        k2, k3, b3 = _moment_tensors(M, mean, covs, thirds, eps, max_order)
         scale = max(float(np.max(np.abs(var0))), 1e-30)
         route_gap = float(np.max(np.abs(k2 - np.outer(mean, mean) - var0)) / scale)
         kron2 = k2.reshape(-1)
@@ -298,6 +309,7 @@ def moment_report(model, max_order=3):
             "route_gap": route_gap,
             "limit_identity": limit_identity,
             "kron3": kron3_defect,
+            "cond": float(np.linalg.cond(A, 1)),
         },
     )
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import mean_matrix, model_digest
-from .moments import _law_cov, moment_report
+from .moments import _law_moments, moment_report
 from .simulate import (
     _map_tasks,
     _resolve_burnin,
@@ -546,8 +546,8 @@ def innovation_diagnostics(model, path):
             }
         )
 
-    offspring_cov = [_law_cov(law) for law in model.offspring]
-    eps_cov = _law_cov(model.immigration)
+    offspring_cov = [_law_moments(law, 2).cov for law in model.offspring]
+    eps_cov = _law_moments(model.immigration, 2).cov
     states = path[:-1]
     keys, inverse, counts = np.unique(
         states, axis=0, return_inverse=True, return_counts=True

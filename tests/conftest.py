@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from bpagg.model import (
     Bernoulli,
@@ -105,6 +106,19 @@ def build_random_subcritical(rng, p, rho_cap=0.8):
     cap = rho_cap / p
     offspring = tuple(_random_offspring(rng, p, cap) for _ in range(p))
     return BranchingModel(p, offspring, _random_immigration(rng, p))
+
+
+@st.composite
+def dense_tables(draw, p=None):
+    """Hypothesis strategy for a dense FiniteSupport table on Z_+^p (p drawn
+    from 1..5 when not given): up to 40 distinct atoms with entries up to
+    50, integer weights 1..1000."""
+    if p is None:
+        p = draw(st.integers(1, 5))
+    atom = st.tuples(*[st.integers(0, 50)] * p)
+    atoms = draw(st.lists(atom, min_size=1, max_size=40, unique=True))
+    weights = draw(st.lists(st.integers(1, 1000), min_size=len(atoms), max_size=len(atoms)))
+    return FiniteSupport(atoms, np.array(weights, dtype=float) / sum(weights))
 
 
 @pytest.fixture

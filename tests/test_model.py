@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
 from bpagg.kronalg import kron_power
@@ -22,7 +23,7 @@ from bpagg.model import (
     model_to_json,
     validate,
 )
-from conftest import build_scalar_inar, build_two_type
+from conftest import build_scalar_inar, build_two_type, dense_tables
 
 
 def _pmf_table(marginal, tail=1e-13):
@@ -146,6 +147,21 @@ def test_representation_equivalence_product_bernoulli():
                 product.kron_moment(alpha),
                 atol=1e-12,
             )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(law=dense_tables())
+def test_finite_support_moments_match_per_atom_sum(law):
+    # every entry is a sum of nonnegative terms, so the contraction and the
+    # per-atom loop agree to a few ulps whatever order they sum in
+    for alpha in (1, 2, 3):
+        want = np.zeros(law.dim ** alpha)
+        for w, x in zip(law.probs, law.support.astype(float)):
+            term = np.ones(1)
+            for _ in range(alpha):
+                term = np.outer(term, x).reshape(-1)
+            want += w * term
+        assert_allclose(law.kron_moment(alpha), want, rtol=1e-12, atol=0)
 
 
 def test_finite_support_validation():
@@ -296,6 +312,58 @@ def test_primitivity_patterns():
         1, (IndependentMarginals([Point(0)]),), IndependentMarginals([Poisson(1.0)])
     )
     assert not validate(dead).primitive
+
+
+def _pattern_model(pattern):
+    """Model whose mean matrix has the given boolean sparsity pattern."""
+    p = len(pattern)
+    offspring = tuple(
+        IndependentMarginals(
+            [Bernoulli(0.5) if pattern[j][i] else Point(0) for j in range(p)]
+        )
+        for i in range(p)
+    )
+    return BranchingModel(p, offspring, IndependentMarginals([Poisson(1.0)] * p))
+
+
+def _cycle(p):
+    """Pattern of the cyclic permutation 0 -> 1 -> ... -> p-1 -> 0."""
+    return np.roll(np.eye(p, dtype=bool), 1, axis=1)
+
+
+def _primitive_by_loop(pattern):
+    """The (p-1)^2-step product loop that decides B^((p-1)^2 + 1) > 0."""
+    B = np.asarray(pattern, dtype=np.int64)
+    C = B.copy()
+    for _ in range((len(B) - 1) ** 2):
+        C = np.minimum(C @ B, 1)
+    return bool(C.all())
+
+
+@pytest.mark.parametrize("p", range(2, 11))
+def test_primitivity_wielandt_exponent(p):
+    # the cycle plus the chord p-1 -> 1 is primitive with exponent exactly
+    # (p-1)^2 + 1: its (p-1)^2-th power still has a zero entry
+    wielandt = _cycle(p)
+    wielandt[p - 1, 1] = True
+    assert validate(_pattern_model(wielandt)).primitive
+    power = np.linalg.matrix_power(wielandt.astype(np.int64), (p - 1) ** 2)
+    assert not power.all()
+    # without the chord the cycle is irreducible with period p
+    assert not validate(_pattern_model(_cycle(p))).primitive
+
+
+def test_primitivity_matches_loop_on_random_patterns():
+    rng = np.random.default_rng(2024)
+    verdicts = []
+    for _ in range(200):
+        p = int(rng.integers(1, 9))
+        pattern = rng.random((p, p)) < rng.uniform(0.05, 0.6)
+        want = _primitive_by_loop(pattern)
+        assert validate(_pattern_model(pattern)).primitive == want
+        verdicts.append(want)
+    # both verdicts occur often enough to exercise the squaring
+    assert 30 <= sum(verdicts) <= 170
 
 
 def test_trivial_immigration_flag():

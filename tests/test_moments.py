@@ -1,8 +1,14 @@
+import collections
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import signal, stats
 
+import bpagg.kronalg
+import bpagg.model
 import bpagg.moments
 from bpagg.kronalg import NotSubcriticalError, kron_power, spectral_radius
 from bpagg.model import (
@@ -26,7 +32,12 @@ from bpagg.moments import (
     stationary_moments,
     stationary_variance,
 )
-from conftest import build_random_subcritical, build_scalar_inar, build_two_type
+from conftest import (
+    build_random_subcritical,
+    build_scalar_inar,
+    build_two_type,
+    dense_tables,
+)
 
 
 def _iterate_moments(model, steps=400):
@@ -157,6 +168,84 @@ def test_structured_moments_match_dense_near_critical():
         model = BranchingModel(p, offspring, imm)
         assert 0.999 <= validate(model).rho < 1.0
         _assert_close_to_dense(model)
+
+
+def _thinned(table, total=0.5):
+    """The table's nonzero atoms, renormalized and then scaled so the mean
+    brood has total size `total`, plus the zero atom holding the rest."""
+    nonzero = table.support.sum(axis=1) > 0
+    atoms = table.support[nonzero]
+    zero = np.zeros((1, table.dim), dtype=np.int64)
+    if len(atoms) == 0:
+        return FiniteSupport(zero, [1.0])
+    probs = table.probs[nonzero] / table.probs[nonzero].sum()
+    scale = total / float(probs @ atoms.sum(axis=1))
+    return FiniteSupport(np.vstack([zero, atoms]), np.append(1.0 - scale, scale * probs))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_dense_table_moments_match_dense_oracle(data):
+    # dense tables for immigration and the broods; each brood is thinned to
+    # mean total 0.5, so every column of M sums to 0.5 and rho <= 0.5
+    eps = data.draw(dense_tables())
+    assume(np.any(eps.mean() > 0))
+    p = eps.dim
+    offspring = tuple(_thinned(data.draw(dense_tables(p))) for _ in range(p))
+    _assert_close_to_dense(BranchingModel(p, offspring, eps))
+
+
+def test_moment_report_builds_each_law_moment_once(monkeypatch):
+    # one report reads every law's moment table of each order once, and no
+    # per-atom Kronecker power is formed on the way
+    def refuse(*args, **kwargs):
+        raise AssertionError("kron_power called")
+
+    for mod in (bpagg.kronalg, bpagg.model, bpagg.moments):
+        if hasattr(mod, "kron_power"):
+            monkeypatch.setattr(mod, "kron_power", refuse)
+    calls = collections.Counter()
+    for cls in (FiniteSupport, IndependentMarginals):
+
+        def counting(self, alpha, real=cls.kron_moment):
+            calls[id(self), alpha] += 1
+            return real(self, alpha)
+
+        monkeypatch.setattr(cls, "kron_moment", counting)
+    model = BranchingModel(
+        3,
+        (
+            IndependentMarginals([Bernoulli(0.1), Poisson(0.05), Geometric(0.95)]),
+            FiniteSupport([[0, 0, 0], [2, 0, 1], [0, 1, 0]], [0.8, 0.1, 0.1]),
+            FiniteSupport([[0, 0, 0], [1, 0, 0], [0, 3, 1]], [0.85, 0.1, 0.05]),
+        ),
+        FiniteSupport([[0, 0, 0], [3, 1, 0], [0, 2, 5]], [0.4, 0.3, 0.3]),
+    )
+    moment_report(model, 3)
+    laws = model.offspring + (model.immigration,)
+    assert set(calls) == {(id(law), k) for law in laws for k in (2, 3)}
+    assert max(calls.values()) == 1
+
+
+def test_moment_report_cond_closed_form():
+    # I - M = [[a, -b, 0], [0, d, 0], [0, 0, f]] has the inverse
+    # [[1/a, b/(a d), 0], [0, 1/d, 0], [0, 0, 1/f]]; the 1-norm is the
+    # largest absolute column sum
+    a, b, d, f = 0.5, 0.3, 0.6, 0.9
+    model = BranchingModel(
+        3,
+        (
+            IndependentMarginals([Bernoulli(1 - a), Point(0), Point(0)]),
+            IndependentMarginals([Bernoulli(b), Bernoulli(1 - d), Point(0)]),
+            IndependentMarginals([Point(0), Point(0), Bernoulli(1 - f)]),
+        ),
+        IndependentMarginals([Poisson(1.0), Poisson(2.0), Poisson(0.5)]),
+    )
+    want = max(a, b + d, f) * max(1 / a, b / (a * d) + 1 / d, 1 / f)
+    for order in (1, 2, 3):
+        assert moment_report(model, order).residuals["cond"] == pytest.approx(want, rel=1e-12)
+    # a scalar I - M has condition number one
+    assert moment_report(build_scalar_inar(), 1).residuals["cond"] == pytest.approx(1.0, rel=1e-15)
 
 
 def test_production_path_never_builds_transfer_blocks(monkeypatch):
@@ -485,7 +574,9 @@ def test_moment_report_residuals_and_schema():
         "rho",
         "residuals",
     }
-    assert set(payload["residuals"]) == {"lyapunov", "route_gap", "limit_identity", "kron3"}
+    assert set(payload["residuals"]) == {
+        "lyapunov", "route_gap", "limit_identity", "kron3", "cond"
+    }
     assert report.residuals["kron3"] <= 1e-12
     assert payload["rho"] == pytest.approx(0.5, abs=1e-12)
 

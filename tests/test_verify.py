@@ -422,22 +422,26 @@ def test_normal_cdf_matches_scipy_ndtr():
     assert_allclose(_normal_cdf(x), ndtr(x), rtol=0, atol=1e-15)
 
 
-def test_import_does_not_load_process_pools():
-    # ProcessPoolExecutor is imported only when a run uses several workers
-    code = "import sys, bpagg; print('concurrent.futures.process' in sys.modules)"
+def _modules_after_import():
+    """Names in sys.modules after a fresh `import bpagg`."""
+    code = "import sys, bpagg; print('\\n'.join(sys.modules))"
     src = os.path.dirname(os.path.dirname(verify.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    return set(out.stdout.split())
+
+
+def test_import_does_not_load_process_pools():
+    # ProcessPoolExecutor is imported only when a run uses several workers
+    assert "concurrent.futures.process" not in _modules_after_import()
+
+
+def test_import_does_not_load_hashlib():
+    # only model_digest hashes, and it imports hashlib when called
+    assert "_hashlib" not in _modules_after_import()
 
 
 def test_import_does_not_load_scipy():
-    code = "import sys, bpagg; print(sorted(k for k in sys.modules if 'scipy' in k))"
-    src = os.path.dirname(os.path.dirname(verify.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "[]"
+    assert not [k for k in _modules_after_import() if "scipy" in k]
