@@ -2,9 +2,11 @@
 
 Verbs: moments, simulate, aggregate, verify (ergodic, clt, iterated,
 autocov, innovations), ginar. Every run with identical arguments, model
-file and seed writes identical bytes, whatever --threads says. Exit codes:
-0 success, 2 validation or input failure, 3 a verification experiment ran
-and failed its bands.
+file and seed writes identical bytes, whatever --threads says (default 1).
+Each verb validates its model at most once, through the moment report
+when it needs exact targets, and checks its grid before it simulates.
+Exit codes: 0 success, 2 validation or input failure, 3 a verification
+experiment ran and failed its bands.
 """
 
 import argparse
@@ -26,21 +28,20 @@ from .model import load_model, model_to_json
 from .moments import moment_report
 from .simulate import (
     SimulationOverflowError,
+    _grid_indices,
+    _resolve_burnin,
     aggregate,
     aggregates_to_csv,
-    default_threads,
     paths_to_csv,
     simulate_ensemble,
-    simulate_path,
-    stream_rng,
     write_metadata,
 )
 from .verify import (
     ExperimentConfig,
+    _innovation_check,
     autocovariance_check,
     clt_covariance_experiment,
     ergodic_check,
-    innovation_diagnostics,
     iterated_experiment,
 )
 
@@ -59,6 +60,13 @@ def _burnin(text):
     if text == "auto":
         return "auto"
     return int(text)
+
+
+def _threads(text):
+    threads = int(text)
+    if threads < 1:
+        raise argparse.ArgumentTypeError("need --threads >= 1, got %d" % threads)
+    return threads
 
 
 def _emit(text, out):
@@ -82,9 +90,7 @@ def _add_common(sub, *, n=False, copies=False, seed=False, burnin=False, threads
             "--burnin", type=_burnin, default="auto", help="'auto' or an integer"
         )
     if threads:
-        sub.add_argument(
-            "--threads", type=int, default=None, help="workers (default BPAGG_THREADS or 1)"
-        )
+        sub.add_argument("--threads", type=_threads, default=1, help="worker processes")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -149,11 +155,6 @@ def build_parser():
     return parser
 
 
-def _resolve_threads(args):
-    t = getattr(args, "threads", None)
-    return default_threads() if t is None else max(1, t)
-
-
 def _run_moments(args):
     model = load_model(args.model)
     report = moment_report(model, args.order)
@@ -166,8 +167,7 @@ def _run_simulate(args):
         raise ValueError("simulate needs --out for the paths CSV")
     model = load_model(args.model)
     ens = simulate_ensemble(
-        model, args.copies, args.n, args.seed, burnin=args.burnin,
-        threads=_resolve_threads(args),
+        model, args.copies, args.n, args.seed, burnin=args.burnin, threads=args.threads
     )
     paths_to_csv(ens, args.out)
     write_metadata(ens, args.out + ".meta.json")
@@ -178,12 +178,13 @@ def _run_aggregate(args):
     if args.out is None:
         raise ValueError("aggregate needs --out for the CSV")
     model = load_model(args.model)
+    _grid_indices(args.grid, args.n)
+    exact = moment_report(model, 1)
+    burn = _resolve_burnin(model, args.burnin, exact.rho)
     ens = simulate_ensemble(
-        model, args.copies, args.n, args.seed, burnin=args.burnin,
-        threads=_resolve_threads(args),
+        model, args.copies, args.n, args.seed, burnin=burn, threads=args.threads
     )
-    series = aggregate(ens, args.grid, scaled=True)
-    aggregates_to_csv(series, args.out)
+    aggregates_to_csv(aggregate(ens, args.grid, exact.mean), args.out)
     return 0
 
 
@@ -194,21 +195,20 @@ def _run_verify(args):
     elif args.experiment == "clt":
         cfg = ExperimentConfig(
             model=model, n=args.n, N=args.copies, reps=args.reps, grid=args.grid,
-            master_seed=args.seed, burnin=args.burnin, threads=_resolve_threads(args),
+            master_seed=args.seed, burnin=args.burnin, threads=args.threads,
         )
         report = clt_covariance_experiment(cfg)
     elif args.experiment == "iterated":
         cfg = ExperimentConfig(
             model=model, n=args.n, N=args.copies, grid=args.grid,
-            master_seed=args.seed, burnin=args.burnin, threads=_resolve_threads(args),
+            master_seed=args.seed, burnin=args.burnin, threads=args.threads,
         )
         order = "N_first" if args.limit_order == "N" else "n_first"
         report = iterated_experiment(cfg, order, sweep=args.sweep)
     elif args.experiment == "autocov":
         report = autocovariance_check(model, args.n, args.lags, args.seed)
     else:
-        path = simulate_path(model, args.n, stream_rng(args.seed, 0), burnin="auto")
-        report = innovation_diagnostics(model, path)
+        report = _innovation_check(model, args.n, args.seed)
     _emit(report.to_json() if args.format == "json" else report.to_csv(), args.out)
     return 0 if report.passed else 3
 

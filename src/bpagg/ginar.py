@@ -113,9 +113,13 @@ def ginar_classify(spec):
     the criticality criterion sum_i E xi^(i,1) versus 1."""
     coeffs = characteristic_polynomial(spec)
     rho = float(np.max(np.abs(np.roots(coeffs)))) if spec.p >= 1 else 0.0
-    total = float(sum(_scalar_mean(law) for law in spec.offspring))
     emb = validate(embed(spec))
-    return Classification(rho, _regime(total), emb.primitive, emb.immigration_nontrivial)
+    return Classification(rho, _ginar_regime(spec), emb.primitive, emb.immigration_nontrivial)
+
+
+def _ginar_regime(spec):
+    """The regime by the criticality criterion sum_i E xi^(i,1) versus 1."""
+    return _regime(float(sum(_scalar_mean(law) for law in spec.offspring)))
 
 
 def _companion(spec):
@@ -137,7 +141,7 @@ def v_ginar(spec):
     """
     p = spec.p
     M = _companion(spec)
-    if ginar_classify(spec).regime != "subcritical":
+    if _ginar_regime(spec) != "subcritical":
         raise ValueError("v_ginar needs a subcritical specification")
     m_eps = np.zeros(p)
     m_eps[0] = _scalar_mean(spec.immigration)

@@ -23,11 +23,15 @@ _BLOCK_CELLS counts (copies x (n+1) x p) and run block b on the
 counter-based stream (master_seed, b). An ensemble therefore depends on
 (master_seed, N, n, p) and never on scheduling or worker count, and any
 block can be rerun alone on its stream.
+
+Aggregates are centered at the exact stationary mean and cumulated per
+copy by percopy_aggregates alone; the ensemble aggregate is the sum of
+its N independent per-copy aggregates over sqrt(N). _grid_indices is the
+one check of a time grid, and callers run it before they simulate.
 """
 
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -416,44 +420,45 @@ def simulate_ensemble(model, N, n, master_seed, burnin="auto", threads=1):
 
 @dataclass
 class AggregateSeries:
-    """Centered space-time sums S_t over a grid, optionally (nN)^(-1/2) scaled."""
+    """Centered space-time sums S_t over a grid, scaled by (nN)^(-1/2)."""
 
     grid: tuple
     values: np.ndarray  # (len(grid), p)
-    scaled: bool
     n: int
     N: int
 
 
 def _grid_indices(grid, n):
-    idx = []
-    for t in grid:
-        t = float(t)
-        if t < 0:
-            raise ValueError("grid points must be >= 0, got %r" % t)
-        m = math.floor(t * n)
-        if m > n:
-            raise ValueError("grid point %r needs %d steps but paths have %d" % (t, m, n))
-        idx.append(m)
-    return idx
+    """Path indices floor(t n) of the grid points t.
 
-
-def aggregate(ensemble, grid, scaled=True):
-    """Aggregate S_t = sum_copies sum_{k <= floor(n t)} (X_k - mean).
-
-    Centering uses the exact stationary mean, so the series has exact zero
-    expectation under stationary initialization. With scaled=True values
-    carry the CLT normalization (n N)^(-1/2).
+    The one grid check: a grid must be nonempty, finite, nonnegative and
+    strictly increasing, and floor(t n) must not pass the n steps of a path.
     """
-    mean = stationary_moments(ensemble.model, 1)[0]
-    n, N = ensemble.n, ensemble.N
-    idx = _grid_indices(grid, n)
-    totals = ensemble.paths[:, 1:, :].sum(axis=0) - N * mean  # (n, p) float
-    csum = np.vstack([np.zeros(ensemble.p), np.cumsum(totals, axis=0)])
-    values = csum[idx]
-    if scaled:
-        values = values / math.sqrt(n * N)
-    return AggregateSeries(tuple(float(t) for t in grid), values, bool(scaled), n, N)
+    grid = [float(t) for t in grid]
+    if not grid:
+        raise ValueError("need a nonempty grid")
+    if not all(0.0 <= t < math.inf for t in grid):
+        raise ValueError("grid points must be finite and >= 0, got %r" % (grid,))
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("grid must be strictly increasing, got %r" % (grid,))
+    # floor(t n) <= n exactly when t n < n + 1; comparing before the floor
+    # also refuses a product that overflows to inf
+    if grid[-1] * n >= n + 1:
+        raise ValueError("grid point %r needs more than the %d steps of the paths"
+                         % (grid[-1], n))
+    return [math.floor(t * n) for t in grid]
+
+
+def aggregate(ensemble, grid, mean=None):
+    """Scaled aggregate (nN)^(-1/2) sum_copies sum_{k <= floor(n t)} (X_k - mean).
+
+    The N copies are independent, so this is the sum of their per-copy
+    aggregates (see percopy_aggregates) divided by sqrt(N). Centering uses
+    the exact stationary mean, solved unless passed in, so the series has
+    exact zero expectation under stationary initialization.
+    """
+    values = percopy_aggregates(ensemble, grid, mean).sum(axis=0) / math.sqrt(ensemble.N)
+    return AggregateSeries(tuple(float(t) for t in grid), values, ensemble.n, ensemble.N)
 
 
 def percopy_aggregates(ensemble, grid, mean=None):
@@ -465,10 +470,10 @@ def percopy_aggregates(ensemble, grid, mean=None):
     mean is the exact stationary mean, solved here unless passed in.
     Returns an (N, len(grid), p) array.
     """
-    if mean is None:
-        mean = stationary_moments(ensemble.model, 1)[0]
     n = ensemble.n
     idx = _grid_indices(grid, n)
+    if mean is None:
+        mean = stationary_moments(ensemble.model, 1)[0]
     csum = np.zeros(ensemble.paths.shape)  # csum[:, k]: sum of the first k steps
     np.subtract(ensemble.paths[:, 1:, :], mean, out=csum[:, 1:, :])
     np.cumsum(csum, axis=1, out=csum)
@@ -526,15 +531,6 @@ def ensemble_metadata(ensemble):
         "steps": ensemble.n,
         "burnin": ensemble.burnin,
     }
-
-
-def default_threads():
-    """Thread count from BPAGG_THREADS, defaulting to 1."""
-    raw = os.environ.get("BPAGG_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def write_metadata(ensemble, path):

@@ -4,10 +4,13 @@ Every experiment takes its exact targets, and the rho behind its automatic
 burn-in and mixing warning, from one moment_report of its model, and
 compares simulation against them with pre-registered bands: 4 standard
 errors (_SE_MULT, a constant, not a parameter), fixed before sampling and
-never widened afterwards. Reports carry the empirical value, the exact
-target, the standard error and the z-score for every checked entry, and
-serialize deterministically: a rerun with the same master seed produces
-identical bytes for any worker count, so wall clock time is kept out of the
+never widened afterwards. The single-path experiments draw their path
+after that report (_stationary_path), the aggregate experiments check
+their grid before they simulate, and every report is assembled by
+_report. Reports carry the empirical value, the exact target, the
+standard error and the z-score for every checked entry, and serialize
+deterministically: a rerun with the same master seed produces identical
+bytes for any worker count, so wall clock time is kept out of the
 serialized form.
 
 Standard errors come from batch means on single long paths and from a
@@ -26,6 +29,7 @@ import numpy as np
 from .model import mean_matrix, model_digest
 from .moments import _law_moments, moment_report
 from .simulate import (
+    _grid_indices,
     _map_tasks,
     _resolve_burnin,
     block_copies,
@@ -60,7 +64,8 @@ _MAX_BUCKETS = 20
 
 @dataclass
 class ExperimentConfig:
-    """Shared experiment knobs. grid must be strictly increasing."""
+    """Shared experiment knobs. grid must be nonempty, finite, nonnegative,
+    strictly increasing, and reach no further than n steps."""
 
     model: object
     n: int
@@ -216,23 +221,34 @@ def _ks_normal(values):
     return float(max(hi.max(), lo.max()))
 
 
-def _check_grid(grid):
-    grid = tuple(float(t) for t in grid)
-    if len(grid) == 0:
-        raise ValueError("need a nonempty grid")
-    if any(t < 0 for t in grid):
-        raise ValueError("grid points must be >= 0")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be strictly increasing")
-    return grid
-
-
-def _mixing_warning(rho, n, warnings):
+def _report(kind, model, params, rows, rho, n, t0, extra=None, ok=True):
+    """A report of kind: params behind the model digest and ahead of the band
+    multiplier, passed when every row is in its band and ok holds, a warning
+    when n is short for the mixing time at rho, and the runtime since t0."""
+    warnings = []
     if rho > 0 and n < 100.0 / (1.0 - rho) ** 2:
         warnings.append(
             "insufficient n for reliable bands: n = %d but rho = %.3f suggests"
             " n >= %d" % (n, rho, int(100.0 / (1.0 - rho) ** 2))
         )
+    return VerificationReport(
+        kind=kind,
+        params={"model": model_digest(model), **params, "se_multiplier": _SE_MULT},
+        rows=rows,
+        extra={} if extra is None else extra,
+        warnings=warnings,
+        passed=_rows_ok(rows) and ok,
+        runtime=time.perf_counter() - t0,
+    )
+
+
+def _stationary_path(model, n, seed, order):
+    """(exact, burn, path): the moment report of the given order, the
+    automatic burn-in at its rho, and a path of n steps after that burn-in
+    on the stream (seed, 0)."""
+    exact = moment_report(model, order)
+    burn = _resolve_burnin(model, "auto", exact.rho)
+    return exact, burn, simulate_path(model, n, stream_rng(seed, 0), burnin=burn)
 
 
 def ergodic_check(model, n, seed):
@@ -244,9 +260,7 @@ def ergodic_check(model, n, seed):
     is reported as a warning, not a wider band.
     """
     t0 = time.perf_counter()
-    exact = moment_report(model, 2)
-    burn = _resolve_burnin(model, "auto", exact.rho)
-    path = simulate_path(model, n, stream_rng(seed, 0), burnin=burn)
+    exact, burn, path = _stationary_path(model, n, seed, 2)
     x = path[1:].astype(float)
     p = model.p
     rows = []
@@ -257,23 +271,8 @@ def ergodic_check(model, n, seed):
         for j in range(i, p):
             prods = x[:, i] * x[:, j]
             rows.append(_row(2.0, i, j, prods.mean(), second[i, j], _batch_se(prods)))
-    warnings = []
-    _mixing_warning(exact.rho, n, warnings)
-    return VerificationReport(
-        kind="ergodic",
-        params={
-            "model": model_digest(model),
-            "n": int(n),
-            "seed": int(seed),
-            "burnin": int(burn),
-            "se_multiplier": _SE_MULT,
-        },
-        rows=rows,
-        extra={},
-        warnings=warnings,
-        passed=_rows_ok(rows),
-        runtime=time.perf_counter() - t0,
-    )
+    params = {"n": int(n), "seed": int(seed), "burnin": int(burn)}
+    return _report("ergodic", model, params, rows, exact.rho, n, t0)
 
 
 def _clt_group_worker(args):
@@ -302,12 +301,13 @@ def clt_covariance_experiment(cfg):
     """
     t0 = time.perf_counter()
     model = cfg.model
-    grid = _check_grid(cfg.grid)
     if cfg.reps < 2:
         raise ValueError("need reps >= 2, got %r" % (cfg.reps,))
     if int(cfg.n) != cfg.n or cfg.n < 1 or int(cfg.N) != cfg.N or cfg.N < 1:
         raise ValueError("need n >= 1 and N >= 1, got %r and %r" % (cfg.n, cfg.N))
     n, N, p = int(cfg.n), int(cfg.N), model.p
+    _grid_indices(cfg.grid, n)
+    grid = tuple(float(t) for t in cfg.grid)
     exact = moment_report(model, 1)
     sigma = exact.sigma
     burn = _resolve_burnin(model, cfg.burnin, exact.rho)
@@ -365,31 +365,19 @@ def clt_covariance_experiment(cfg):
                             }
                         )
 
-    passed = (
-        _rows_ok(rows)
-        and all(e["passed"] for e in ks_entries)
-        and all(abs(e["z"]) <= _SE_MULT for e in increments)
+    ok = all(e["passed"] for e in ks_entries) and all(
+        abs(e["z"]) <= _SE_MULT for e in increments
     )
-    warnings = []
-    _mixing_warning(exact.rho, n, warnings)
-    return VerificationReport(
-        kind="clt",
-        params={
-            "model": model_digest(model),
-            "n": int(cfg.n),
-            "N": int(cfg.N),
-            "reps": int(cfg.reps),
-            "grid": list(grid),
-            "master_seed": int(cfg.master_seed),
-            "burnin": int(burn),
-            "se_multiplier": _SE_MULT,
-        },
-        rows=rows,
-        extra={"sigma": sigma.tolist(), "ks": ks_entries, "increments": increments},
-        warnings=warnings,
-        passed=passed,
-        runtime=time.perf_counter() - t0,
-    )
+    params = {
+        "n": int(cfg.n),
+        "N": int(cfg.N),
+        "reps": int(cfg.reps),
+        "grid": list(grid),
+        "master_seed": int(cfg.master_seed),
+        "burnin": int(burn),
+    }
+    extra = {"sigma": sigma.tolist(), "ks": ks_entries, "increments": increments}
+    return _report("clt", model, params, rows, exact.rho, n, t0, extra, ok)
 
 
 def _default_sweep(top):
@@ -410,7 +398,6 @@ def iterated_experiment(cfg, order, sweep=None):
     """
     t0 = time.perf_counter()
     model = cfg.model
-    grid = _check_grid(cfg.grid)
     orders = {"N_first": 0, "n_first": 1}
     if order not in orders:
         raise ValueError("order must be 'N_first' or 'n_first', got %r" % (order,))
@@ -422,8 +409,13 @@ def iterated_experiment(cfg, order, sweep=None):
         sweep = _default_sweep(cfg.n if order == "N_first" else cfg.N)
     sweep = [int(s) for s in sweep]
     points = [(int(cfg.N), v) if order == "N_first" else (v, int(cfg.n)) for v in sweep]
-    if not points or min(N_s for N_s, _ in points) < 2:
-        raise ValueError("need a nonempty sweep with at least 2 copies per sweep point")
+    if not points or min(N_s for N_s, _ in points) < 2 or min(n_s for _, n_s in points) < 1:
+        raise ValueError(
+            "need a nonempty sweep with at least 2 copies and 1 step per sweep point"
+        )
+    for _, n_s in points:
+        _grid_indices(cfg.grid, n_s)
+    grid = tuple(float(t) for t in cfg.grid)
 
     trajectory = []
     for s, (val, (N_s, n_s)) in enumerate(zip(sweep, points)):
@@ -436,27 +428,17 @@ def iterated_experiment(cfg, order, sweep=None):
         rows = _grid_cov_rows(per_copy, grid, sigma, boot_idx)
         trajectory.append({"sweep": val, "N": N_s, "n": n_s, "rows": rows})
 
-    warnings = []
-    _mixing_warning(exact.rho, points[-1][1], warnings)
-    return VerificationReport(
-        kind="iterated",
-        params={
-            "model": model_digest(model),
-            "order": order,
-            "n": int(cfg.n),
-            "N": int(cfg.N),
-            "sweep": sweep,
-            "grid": list(grid),
-            "master_seed": int(cfg.master_seed),
-            "burnin": int(burn),
-            "se_multiplier": _SE_MULT,
-        },
-        rows=rows,
-        extra={"sigma": sigma.tolist(), "sweep": trajectory},
-        warnings=warnings,
-        passed=_rows_ok(rows),
-        runtime=time.perf_counter() - t0,
-    )
+    params = {
+        "order": order,
+        "n": int(cfg.n),
+        "N": int(cfg.N),
+        "sweep": sweep,
+        "grid": list(grid),
+        "master_seed": int(cfg.master_seed),
+        "burnin": int(burn),
+    }
+    extra = {"sigma": sigma.tolist(), "sweep": trajectory}
+    return _report("iterated", model, params, rows, exact.rho, points[-1][1], t0, extra)
 
 
 def autocovariance_check(model, n, lags, seed):
@@ -471,10 +453,8 @@ def autocovariance_check(model, n, lags, seed):
         raise ValueError("lags must be >= 0")
     if max(lags, default=0) >= n:
         raise ValueError("largest lag must be below n")
-    exact = moment_report(model, 1)
+    exact, burn, path = _stationary_path(model, n, seed, 1)
     M = mean_matrix(model)
-    burn = _resolve_burnin(model, "auto", exact.rho)
-    path = simulate_path(model, n, stream_rng(seed, 0), burnin=burn)
     x = path[1:].astype(float)
     c = x - x.mean(axis=0)
     p = model.p
@@ -487,24 +467,8 @@ def autocovariance_check(model, n, lags, seed):
             for j in range(p):
                 prods = a[:, i] * b[:, j]
                 rows.append(_row(float(lag), i, j, prods.mean(), target[i, j], _batch_se(prods)))
-    warnings = []
-    _mixing_warning(exact.rho, n, warnings)
-    return VerificationReport(
-        kind="autocov",
-        params={
-            "model": model_digest(model),
-            "n": int(n),
-            "lags": lags,
-            "seed": int(seed),
-            "burnin": int(burn),
-            "se_multiplier": _SE_MULT,
-        },
-        rows=rows,
-        extra={},
-        warnings=warnings,
-        passed=_rows_ok(rows),
-        runtime=time.perf_counter() - t0,
-    )
+    params = {"n": int(n), "lags": lags, "seed": int(seed), "burnin": int(burn)}
+    return _report("autocov", model, params, rows, exact.rho, n, t0)
 
 
 def innovation_diagnostics(model, path):
@@ -517,8 +481,21 @@ def innovation_diagnostics(model, path):
     so plain standard errors apply there.
     """
     t0 = time.perf_counter()
+    return _innovation_report(model, path, moment_report(model, 1), t0)
+
+
+def _innovation_check(model, n, seed):
+    """innovation_diagnostics of a path of n steps after the automatic
+    burn-in on the stream (seed, 0); path and checks share one report."""
+    t0 = time.perf_counter()
+    exact, _, path = _stationary_path(model, n, seed, 1)
+    return _innovation_report(model, path, exact, t0)
+
+
+def _innovation_report(model, path, exact, t0):
+    """innovation_diagnostics against the order-1 moment report exact; the
+    runtime counts from t0."""
     U = extract_innovations(model, path)
-    exact = moment_report(model, 1)
     V = exact.v
     p = model.p
     rows = []
@@ -586,22 +563,10 @@ def innovation_diagnostics(model, path):
             }
         )
 
-    passed = _rows_ok(rows) and abs_ok and buckets_ok
-    warnings = []
-    _mixing_warning(exact.rho, U.shape[0], warnings)
-    return VerificationReport(
-        kind="innovations",
-        params={
-            "model": model_digest(model),
-            "n": int(U.shape[0]),
-            "se_multiplier": _SE_MULT,
-        },
-        rows=rows,
-        extra={"abs_moment": abs_entries, "buckets": buckets},
-        warnings=warnings,
-        passed=passed,
-        runtime=time.perf_counter() - t0,
-    )
+    extra = {"abs_moment": abs_entries, "buckets": buckets}
+    n = U.shape[0]
+    return _report("innovations", model, {"n": int(n)}, rows, exact.rho, n, t0, extra,
+                   abs_ok and buckets_ok)
 
 
 def bands_overlap(report_a, report_b):

@@ -247,7 +247,7 @@ def test_criterion_09_degenerate_exactness():
     for model in (build_deterministic(), build_deterministic_scalar()):
         V = noise_matrix(model)
         ens = simulate_ensemble(model, 3, 50, master_seed=0, burnin=10)
-        series = aggregate(ens, (0.25, 0.5, 1.0), scaled=True)
+        series = aggregate(ens, (0.25, 0.5, 1.0))
         exact_v = bool(np.all(V == 0.0))
         exact_s = bool(np.all(series.values == 0.0))
         ok = ok and exact_v and exact_s

@@ -1,0 +1,58 @@
+"""The benchmark harness binds bpagg names by string and by import; every one
+of them must still exist, or `benchmarks/run.py --trace 1` breaks silently."""
+
+import ast
+import importlib
+import importlib.util
+import pathlib
+
+import pytest
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location("bench_" + name, BENCH / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bpagg_names(path):
+    """(module, attribute) pairs a file takes from bpagg: `from bpagg.x import
+    a`, and `m.a` after `import bpagg` or `from bpagg import x as m`."""
+    tree = ast.parse(path.read_text())
+    aliases, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("bpagg"):
+            for a in node.names:
+                sub = node.module + "." + a.name
+                if node.module == "bpagg" and importlib.util.find_spec(sub):
+                    aliases[a.asname or a.name] = sub
+                else:
+                    used.add((node.module, a.name))
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name == "bpagg":
+                    aliases[a.asname or a.name] = "bpagg"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in aliases and not node.attr.startswith("__"):
+                used.add((aliases[node.value.id], node.attr))
+    return used
+
+
+def test_traced_names_exist():
+    for layer, names in _load("tracing").TRACED.items():
+        module = importlib.import_module("bpagg." + layer)
+        for name in names:
+            assert callable(getattr(module, name, None)), "bpagg.%s.%s" % (layer, name)
+
+
+@pytest.mark.parametrize("script", ["child", "microbench"])
+def test_imported_names_exist(script):
+    used = _bpagg_names(BENCH / (script + ".py"))
+    assert used, script
+    for module_name, attr in sorted(used):
+        module = importlib.import_module(module_name)
+        assert hasattr(module, attr), "%s.%s" % (module_name, attr)

@@ -5,6 +5,11 @@ import sys
 import pytest
 
 import bpagg.cli as cli
+import bpagg.ginar
+import bpagg.model
+import bpagg.moments
+import bpagg.simulate
+import bpagg.verify
 from bpagg.cli import main
 from bpagg.model import model_to_json
 from bpagg.verify import VerificationReport
@@ -168,6 +173,126 @@ def test_aggregate_rows(two_type_file, tmp_path):
     assert lines[0] == "t,s_1,s_2"
     assert len(lines) == 3
     assert float(lines[1].split(",")[0]) == 0.5
+
+
+def _no_simulation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated before the input was checked")
+
+    for mod in (cli, bpagg.simulate, bpagg.verify):
+        monkeypatch.setattr(mod, "simulate_ensemble", refuse)
+
+
+_VERB_ARGS = {
+    "aggregate": ["aggregate", "--n", "40", "--copies", "2"],
+    "clt": ["verify", "clt", "--n", "40", "--copies", "2", "--reps", "5"],
+    "iterated": ["verify", "iterated", "--limit-order", "N", "--n", "40", "--copies", "4"],
+}
+
+
+@pytest.mark.parametrize("grid", ["inf", "nan", "1.0,2.0", "", "1.0,0.5", "0.5,0.5"])
+@pytest.mark.parametrize("verb", sorted(_VERB_ARGS))
+def test_bad_grid_exits_two_before_simulating(
+    scalar_file, tmp_path, capsys, monkeypatch, verb, grid
+):
+    _no_simulation(monkeypatch)
+    out = tmp_path / "out.csv"
+    argv = _VERB_ARGS[verb] + ["--model", scalar_file, "--grid", grid, "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "grid" in err
+    assert not out.exists()
+
+
+def test_iterated_checks_grid_at_every_sweep_horizon(scalar_file, capsys, monkeypatch):
+    # floor(1.05 * 10) = 10 fits --n 10 and the first horizon, floor(1.05 * 40) = 42
+    # does not fit the last
+    _no_simulation(monkeypatch)
+    argv = ["verify", "iterated", "--limit-order", "N", "--n", "10", "--copies", "4",
+            "--model", scalar_file, "--sweep", "10,40", "--grid", "1.05"]
+    assert main(argv) == 2
+    assert "grid" in capsys.readouterr().err
+
+
+def test_aggregate_of_critical_model_exits_two_before_simulating(tmp_path, capsys, monkeypatch):
+    crit = BranchingModel(
+        1, (IndependentMarginals([Point(1)]),), IndependentMarginals([Poisson(1.0)])
+    )
+    f = tmp_path / "crit.json"
+    f.write_text(json.dumps(model_to_json(crit)))
+    _no_simulation(monkeypatch)
+    out = tmp_path / "agg.csv"
+    for burnin in ("auto", "7"):
+        argv = _VERB_ARGS["aggregate"] + ["--model", str(f), "--grid", "1.0",
+                                          "--burnin", burnin, "--out", str(out)]
+        assert main(argv) == 2
+        assert "subcritical" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("verb", ["simulate", "aggregate", "clt", "iterated"])
+def test_threads_below_one_exits_two(scalar_file, tmp_path, capsys, monkeypatch, verb, threads):
+    _no_simulation(monkeypatch)
+    head = ["simulate", "--n", "40", "--copies", "2"] if verb == "simulate" else _VERB_ARGS[verb]
+    argv = head + ["--model", scalar_file, "--threads", threads, "--out", str(tmp_path / "o")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--threads >= 1" in capsys.readouterr().err
+
+
+def test_threads_default_to_one(scalar_file):
+    common = ["--model", scalar_file, "--n", "5", "--copies", "2"]
+    heads = (["simulate"], ["aggregate", "--grid", "1"], ["verify", "clt"],
+             ["verify", "iterated", "--limit-order", "N"])
+    for head in heads:
+        assert cli.build_parser().parse_args(head + common).threads == 1
+
+
+def test_every_verb_validates_once(scalar_file, two_type_file, tmp_path, monkeypatch):
+    spec = tmp_path / "spec.json"
+    law = {"kind": "independent", "marginals": [{"dist": "bernoulli", "q": 0.3}]}
+    immigration = {"kind": "independent", "marginals": [{"dist": "poisson", "lambda": 1.0}]}
+    spec.write_text(json.dumps({"order": 2, "offspring": [law, law],
+                                "immigration": immigration}))
+    out = str(tmp_path / "out")
+    m = ["--model", two_type_file, "--out", out]
+    ens = ["--n", "20", "--copies", "2"]
+    verbs = {
+        "moments": ["moments"] + m,
+        "simulate-auto": ["simulate"] + ens + m,
+        "aggregate-auto": ["aggregate", "--grid", "0.5,1.0"] + ens + m,
+        "aggregate-7": ["aggregate", "--grid", "0.5,1.0", "--burnin", "7"] + ens + m,
+        "ergodic": ["verify", "ergodic", "--n", "300"] + m,
+        "autocov": ["verify", "autocov", "--n", "300", "--lags", "0,1"] + m,
+        "clt": ["verify", "clt", "--reps", "5"] + ens + m,
+        "iterated": ["verify", "iterated", "--limit-order", "N", "--n", "20",
+                     "--copies", "4"] + m,
+        "innovations": ["verify", "innovations", "--n", "300"] + m,
+        "ginar-p1": ["ginar", "--means", "0.5", "--out", out],
+        "ginar-p2": ["ginar", "--means", "0.3,0.2", "--out", out],
+        "ginar-spec": ["ginar", "--spec", str(spec), "--out", out],
+    }
+    # count validate calls through every module binding of it
+    calls = []
+    real = bpagg.model.validate
+
+    def counting(model):
+        calls.append(model)
+        return real(model)
+
+    for mod in (bpagg.model, bpagg.moments, bpagg.simulate, bpagg.verify, bpagg.ginar):
+        if hasattr(mod, "validate"):
+            monkeypatch.setattr(mod, "validate", counting)
+    for name, argv in verbs.items():
+        del calls[:]
+        assert main(argv) in (0, 3), name
+        assert len(calls) == 1, name
+    # an explicit burn-in needs no classification: simulate steps any regime
+    del calls[:]
+    assert main(["simulate", "--burnin", "7"] + ens + m) == 0
+    assert calls == []
 
 
 def test_verify_ergodic_csv(scalar_file, capsys):

@@ -26,7 +26,6 @@ from bpagg.simulate import (
     _simulate_block,
     block_copies,
     burnin_auto,
-    default_threads,
     derived_seed,
     ensemble_metadata,
     extract_innovations,
@@ -37,7 +36,7 @@ from bpagg.simulate import (
     stream_rng,
     write_metadata,
 )
-from bpagg.simulate import percopy_aggregates
+from bpagg.simulate import _grid_indices, percopy_aggregates
 from bpagg.model import Bernoulli, Binomial, FiniteSupport, Geometric
 from conftest import (
     build_deterministic,
@@ -640,31 +639,49 @@ def _manual_ensemble(model, paths, seed=0, burnin=0):
 def test_aggregate_arithmetic_single_copy():
     model = build_scalar_inar()  # stationary mean 2
     ens = _manual_ensemble(model, [[[0], [3], [4]]])
-    raw = aggregate(ens, (0.0, 0.5, 1.0), scaled=False)
-    assert_allclose(raw.values[:, 0], [0.0, 1.0, 3.0])
-    scaled = aggregate(ens, (0.0, 0.5, 1.0), scaled=True)
-    assert_allclose(scaled.values[:, 0], np.array([0.0, 1.0, 3.0]) / math.sqrt(2))
-    assert scaled.grid == (0.0, 0.5, 1.0)
-    assert scaled.n == 2 and scaled.N == 1 and scaled.scaled
+    series = aggregate(ens, (0.0, 0.5, 1.0))
+    # raw sums (3 - 2) and (3 - 2) + (4 - 2), scaled by (n N)^(-1/2)
+    assert_allclose(series.values[:, 0] * math.sqrt(2 * 1), [0.0, 1.0, 3.0])
+    assert series.grid == (0.0, 0.5, 1.0)
+    assert series.n == 2 and series.N == 1
 
 
 def test_aggregate_sums_over_copies():
     model = build_scalar_inar()
     ens = _manual_ensemble(model, [[[0], [3]], [[0], [1]]])
-    raw = aggregate(ens, (1.0,), scaled=False)
+    series = aggregate(ens, (1.0,))
     # (3 - 2) + (1 - 2) = 0
-    assert_allclose(raw.values[0, 0], 0.0)
-    scaled = aggregate(ens, (1.0,), scaled=True)
-    assert_allclose(scaled.values[0, 0], 0.0)
+    assert_allclose(series.values[0, 0] * math.sqrt(1 * 2), 0.0)
+    assert series.n == 1 and series.N == 2
+    ens = _manual_ensemble(model, [[[0], [3], [4]], [[0], [2], [5]]])
+    series = aggregate(ens, (0.5, 1.0))
+    # (3 - 2) + (2 - 2) = 1 at one step, 1 + (4 - 2) + (5 - 2) = 6 at two
+    assert_allclose(series.values[:, 0] * math.sqrt(2 * 2), [1.0, 6.0])
 
 
 def test_aggregate_grid_validation():
+    # nonempty, finite, nonnegative, strictly increasing, within n = 2 steps;
+    # 1e308 * n overflows to inf and is refused like any point past n
     model = build_scalar_inar()
     ens = _manual_ensemble(model, [[[0], [3], [4]]])
-    with pytest.raises(ValueError):
-        aggregate(ens, (-0.1,))
-    with pytest.raises(ValueError):
-        aggregate(ens, (1.6,))
+    bad = [(-0.1,), (1.6,), (), (math.inf,), (math.nan,), (1.0, 0.5), (0.5, 0.5), (1e308,)]
+    for grid in bad:
+        with pytest.raises(ValueError, match="grid"):
+            aggregate(ens, grid)
+        with pytest.raises(ValueError, match="grid"):
+            percopy_aggregates(ens, grid)
+
+
+def test_grid_indices_reach_exactly_n():
+    assert _grid_indices((0.0, 0.5, 1.0), 2) == [0, 1, 2]
+    # floor(1.4 * 2) = 2 is still within the path, floor(1.5 * 2) = 3 is not
+    assert _grid_indices((1.4,), 2) == [2]
+    with pytest.raises(ValueError, match="grid"):
+        _grid_indices((1.5,), 2)
+    assert _grid_indices([0.25, 1], 0) == [0, 0]
+    # inf * 0 is nan, so only the finiteness rule refuses inf on empty paths
+    with pytest.raises(ValueError, match="finite"):
+        _grid_indices((math.inf,), 0)
 
 
 def test_percopy_matches_pooled_aggregate():
@@ -672,9 +689,10 @@ def test_percopy_matches_pooled_aggregate():
     ens = simulate_ensemble(model, 5, 60, master_seed=21)
     grid = (0.25, 0.5, 1.0)
     per = percopy_aggregates(ens, grid)
-    pooled = aggregate(ens, grid, scaled=True)
+    pooled = aggregate(ens, grid)
     assert per.shape == (5, 3, 2)
-    assert_allclose(per.sum(axis=0) / math.sqrt(5), pooled.values, atol=1e-10)
+    # the ensemble aggregate is the per-copy route itself, not an approximation
+    assert np.array_equal(pooled.values, per.sum(axis=0) / math.sqrt(5))
 
 
 def test_ensemble_empirical_mean_near_stationary():
@@ -731,14 +749,3 @@ def test_paths_to_csv_matches_per_row_format(tmp_path, monkeypatch):
     monkeypatch.setattr(simulate, "_CSV_ROWS", 4)
     paths_to_csv(ens, out)
     assert out.read_bytes() == expected.encode()
-
-
-def test_default_threads_env(monkeypatch):
-    monkeypatch.delenv("BPAGG_THREADS", raising=False)
-    assert default_threads() == 1
-    monkeypatch.setenv("BPAGG_THREADS", "4")
-    assert default_threads() == 4
-    monkeypatch.setenv("BPAGG_THREADS", "junk")
-    assert default_threads() == 1
-    monkeypatch.setenv("BPAGG_THREADS", "0")
-    assert default_threads() == 1

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -263,6 +264,53 @@ def test_every_experiment_validates_once(monkeypatch):
         assert len(calls) == 1, name
 
 
+def test_report_params_keep_their_key_order():
+    # serialized reports list params in this order: the model digest first,
+    # the band multiplier last
+    model = build_scalar_inar()
+    path = simulate_path(model, 300, stream_rng(2, 0), burnin=50)
+    cfg = ExperimentConfig(model, n=30, N=3, reps=4, grid=(1.0,), master_seed=1)
+    reports = {
+        "ergodic": ergodic_check(model, 300, seed=1),
+        "clt": clt_covariance_experiment(cfg),
+        "iterated": iterated_experiment(cfg, "n_first", sweep=[2, 4]),
+        "autocov": autocovariance_check(model, 300, lags=(0, 1), seed=1),
+        "innovations": innovation_diagnostics(model, path),
+    }
+    expected = {
+        "ergodic": ["n", "seed", "burnin"],
+        "clt": ["n", "N", "reps", "grid", "master_seed", "burnin"],
+        "iterated": ["order", "n", "N", "sweep", "grid", "master_seed", "burnin"],
+        "autocov": ["n", "lags", "seed", "burnin"],
+        "innovations": ["n"],
+    }
+    for kind, report in reports.items():
+        assert report.kind == kind
+        assert list(report.params) == ["model"] + expected[kind] + ["se_multiplier"], kind
+        assert list(report.to_json_dict()["params"]) == list(report.params)
+
+
+def test_report_passes_only_when_rows_and_other_checks_pass():
+    model = build_scalar_inar()
+    good = [{"t": 1.0, "i": 0, "j": 0, "empirical": 2.0, "target": 2.0, "se": 0.1, "z": 0.0}]
+    bad = [dict(good[0], z=4.5)]
+    t0 = time.perf_counter()
+    assert verify._report("ergodic", model, {}, good, 0.5, 10 ** 6, t0).passed
+    assert not verify._report("ergodic", model, {}, good, 0.5, 10 ** 6, t0, ok=False).passed
+    assert not verify._report("ergodic", model, {}, bad, 0.5, 10 ** 6, t0).passed
+
+
+def test_clt_fails_on_normality_alone(monkeypatch):
+    # every covariance row in its band, every KS distance past its threshold
+    model = build_scalar_inar()
+    cfg = ExperimentConfig(model, n=40, N=4, reps=30, grid=(1.0,), master_seed=9)
+    assert clt_covariance_experiment(cfg).passed
+    monkeypatch.setattr(verify, "_ks_normal", lambda values: 1.0)
+    report = clt_covariance_experiment(cfg)
+    assert all(abs(r["z"]) <= 4.0 for r in report.rows)
+    assert not report.passed
+
+
 def test_band_multiplier_is_a_constant():
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     assert "se_multiplier" not in fields
@@ -308,6 +356,10 @@ def test_iterated_default_sweep_and_validation():
     lonely = ExperimentConfig(model, n=40, N=1, grid=(1.0,), master_seed=2)
     with pytest.raises(ValueError):
         iterated_experiment(lonely, "N_first", sweep=[1])
+    # a horizon below one step is refused before the first sweep point runs
+    for sweep in ([0, 40], [40, -5]):
+        with pytest.raises(ValueError, match="1 step"):
+            iterated_experiment(cfg, "N_first", sweep=sweep)
 
 
 def test_autocovariance_check_scalar():
