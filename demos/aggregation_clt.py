@@ -10,12 +10,9 @@ exact limit, then shows that the two iterated limits (N first or n first)
 settle on the same value.
 """
 
-import math
-
 from bpagg import (
     Bernoulli,
     BranchingModel,
-    ExperimentConfig,
     IndependentMarginals,
     Poisson,
     bands_overlap,
@@ -34,13 +31,11 @@ print()
 
 # simultaneous limit: 400 replications of an ensemble with N = 20 copies of
 # n = 150 steps, compared at grid times 0.5 and 1.0
-cfg = ExperimentConfig(model, n=150, N=20, reps=400, grid=(0.5, 1.0), master_seed=1)
-report = clt_covariance_experiment(cfg)
+report = clt_covariance_experiment(model, n=150, N=20, reps=400, grid=(0.5, 1.0), seed=1)
 print("aggregate covariance across 400 replications:")
 for row in report.rows:
     print("  t = %.1f: empirical %.3f  target %.3f  z = %+.2f"
           % (row["t"], row["empirical"], row["target"], row["z"]))
-threshold = 1.36 / math.sqrt(cfg.reps)
 for entry in report.extra["ks"]:
     print("  KS normality at t = %.1f: %.4f (threshold %.4f)"
           % (entry["t"], entry["stat"], entry["threshold"]))
@@ -52,9 +47,8 @@ print()
 
 # iterated limits: hold the inner size fixed and sweep the outer one; the
 # covariance trajectory should settle at t * sigma either way round
-cfg = ExperimentConfig(model, n=120, N=800, grid=(1.0,), master_seed=2)
-by_N = iterated_experiment(cfg, "N_first", sweep=[30, 60, 120])
-by_n = iterated_experiment(cfg, "n_first", sweep=[200, 400, 800])
+by_N = iterated_experiment(model, n=120, N=800, order="N_first", sweep=[30, 60, 120], seed=2)
+by_n = iterated_experiment(model, n=120, N=800, order="n_first", sweep=[200, 400, 800], seed=2)
 print("N-first trajectory (N = 800 copies, horizon sweeps up):")
 for point in by_N.extra["sweep"]:
     row = point["rows"][0]

@@ -58,7 +58,6 @@ from .simulate import (
     derived_seed,
 )
 from .verify import (
-    ExperimentConfig,
     VerificationReport,
     ergodic_check,
     clt_covariance_experiment,

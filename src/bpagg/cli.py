@@ -37,7 +37,6 @@ from .simulate import (
     write_metadata,
 )
 from .verify import (
-    ExperimentConfig,
     _innovation_check,
     autocovariance_check,
     clt_covariance_experiment,
@@ -193,18 +192,16 @@ def _run_verify(args):
     if args.experiment == "ergodic":
         report = ergodic_check(model, args.n, args.seed)
     elif args.experiment == "clt":
-        cfg = ExperimentConfig(
-            model=model, n=args.n, N=args.copies, reps=args.reps, grid=args.grid,
-            master_seed=args.seed, burnin=args.burnin, threads=args.threads,
+        report = clt_covariance_experiment(
+            model, args.n, args.copies, reps=args.reps, grid=args.grid, seed=args.seed,
+            burnin=args.burnin, threads=args.threads,
         )
-        report = clt_covariance_experiment(cfg)
     elif args.experiment == "iterated":
-        cfg = ExperimentConfig(
-            model=model, n=args.n, N=args.copies, grid=args.grid,
-            master_seed=args.seed, burnin=args.burnin, threads=args.threads,
-        )
         order = "N_first" if args.limit_order == "N" else "n_first"
-        report = iterated_experiment(cfg, order, sweep=args.sweep)
+        report = iterated_experiment(
+            model, args.n, args.copies, order, sweep=args.sweep, grid=args.grid,
+            seed=args.seed, burnin=args.burnin, threads=args.threads,
+        )
     elif args.experiment == "autocov":
         report = autocovariance_check(model, args.n, args.lags, args.seed)
     else:

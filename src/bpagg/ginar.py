@@ -21,6 +21,7 @@ from .model import (
     IndependentMarginals,
     Point,
     BranchingModel,
+    mean_matrix,
     validate,
     _REGIME_TOL,
     _law_from_json,
@@ -109,26 +110,16 @@ def characteristic_polynomial(spec):
 
 
 def ginar_classify(spec):
-    """Classification with rho from the polynomial roots and the regime from
-    the criticality criterion sum_i E xi^(i,1) versus 1."""
-    coeffs = characteristic_polynomial(spec)
-    rho = float(np.max(np.abs(np.roots(coeffs)))) if spec.p >= 1 else 0.0
+    """Classification of the embedded model, whose rho is the largest root
+    modulus of the characteristic polynomial, with the regime from the
+    criticality criterion sum_i E xi^(i,1) versus 1."""
     emb = validate(embed(spec))
-    return Classification(rho, _ginar_regime(spec), emb.primitive, emb.immigration_nontrivial)
+    return Classification(emb.rho, _ginar_regime(spec), emb.primitive, emb.immigration_nontrivial)
 
 
 def _ginar_regime(spec):
     """The regime by the criticality criterion sum_i E xi^(i,1) versus 1."""
     return _regime(float(sum(_scalar_mean(law) for law in spec.offspring)))
-
-
-def _companion(spec):
-    p = spec.p
-    M = np.zeros((p, p))
-    M[0] = [_scalar_mean(law) for law in spec.offspring]
-    for i in range(1, p):
-        M[i, i - 1] = 1.0
-    return M
 
 
 def v_ginar(spec):
@@ -137,12 +128,13 @@ def v_ginar(spec):
     Only the (0, 0) entry is nonzero because every bookkeeping coordinate is
     deterministic:
         V[0,0] = sum_i var(xi^(i,1)) mean_i + var(eps),
-    with mean the stationary mean of the companion recursion.
+    with mean the stationary mean of the embedded chain, whose mean matrix
+    is the companion matrix.
     """
     p = spec.p
-    M = _companion(spec)
     if _ginar_regime(spec) != "subcritical":
         raise ValueError("v_ginar needs a subcritical specification")
+    M = mean_matrix(embed(spec))
     m_eps = np.zeros(p)
     m_eps[0] = _scalar_mean(spec.immigration)
     mean = np.linalg.solve(np.eye(p) - M, m_eps)

@@ -129,15 +129,10 @@ def lyapunov_solve(m, v):
 
     Requires spectral_radius(m) < 1, in which case the unique solution is
     S = sum_k m^k v (m^T)^k, summed by tensor_fixed_point on the p x p
-    matrix.
+    matrix; its norm certificate raises NotSubcriticalError otherwise.
     """
     m = np.asarray(m, dtype=float)
     v = np.asarray(v, dtype=float)
     if m.shape != v.shape or m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("need square m and v of matching shape")
-    rho = spectral_radius(m)
-    if rho >= 1.0:
-        raise NotSubcriticalError(
-            "lyapunov fixed point needs spectral radius < 1, got %.6g" % rho
-        )
     return tensor_fixed_point(m, v)

@@ -220,6 +220,10 @@ class MomentReport:
     largest entry of kron3), then 'cond', the 1-norm condition number
     |I - M|_1 |(I - M)^-1|_1 that every solve through (I - M)^-1 inherits.
     route_gap is None below order 2 and kron3 is None below order 3.
+
+    offspring_cov stacks the offspring covariances Cov(xi^(i)) as a p x p x p
+    array and immigration_cov is Cov(eps); the innovation checks read them,
+    and neither is serialized.
     """
 
     mean: np.ndarray
@@ -230,6 +234,8 @@ class MomentReport:
     sigma: np.ndarray
     rho: float
     residuals: dict
+    offspring_cov: np.ndarray
+    immigration_cov: np.ndarray
 
     def to_json_dict(self):
         return {
@@ -311,6 +317,8 @@ def moment_report(model, max_order=3):
             "kron3": kron3_defect,
             "cond": float(np.linalg.cond(A, 1)),
         },
+        offspring_cov=covs,
+        immigration_cov=eps.cov,
     )
 
 

@@ -7,11 +7,14 @@ errors (_SE_MULT, a constant, not a parameter), fixed before sampling and
 never widened afterwards. The single-path experiments draw their path
 after that report (_stationary_path), the aggregate experiments check
 their grid before they simulate, and every report is assembled by
-_report. Reports carry the empirical value, the exact target, the
-standard error and the z-score for every checked entry, and serialize
-deterministically: a rerun with the same master seed produces identical
-bytes for any worker count, so wall clock time is kept out of the
-serialized form.
+_report. _report alone decides whether a report passed, by one two-sided
+band rule (_in_band) on the z-score of every row and every extra check.
+A KS distance enters as a z-score in units of threshold / _SE_MULT, and
+the one-sided absolute-moment bound through its excess alone. Reports
+carry the empirical value, the exact target, the standard error and the
+z-score for every checked entry, and serialize deterministically: a rerun
+with the same master seed produces identical bytes for any worker count,
+so wall clock time is kept out of the serialized form.
 
 Standard errors come from batch means on single long paths and from a
 percentile-free bootstrap (200 resamples, standard deviation across
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import mean_matrix, model_digest
-from .moments import _law_moments, moment_report
+from .moments import moment_report
 from .simulate import (
     _grid_indices,
     _map_tasks,
@@ -42,7 +45,6 @@ from .simulate import (
 )
 
 __all__ = [
-    "ExperimentConfig",
     "VerificationReport",
     "ergodic_check",
     "clt_covariance_experiment",
@@ -60,21 +62,6 @@ _BOOT = 200
 _BOOT_CELLS = 1 << 15
 _MIN_BUCKET = 100
 _MAX_BUCKETS = 20
-
-
-@dataclass
-class ExperimentConfig:
-    """Shared experiment knobs. grid must be nonempty, finite, nonnegative,
-    strictly increasing, and reach no further than n steps."""
-
-    model: object
-    n: int
-    N: int = 1
-    reps: int = 200
-    grid: tuple = (1.0,)
-    master_seed: int = 0
-    burnin: object = "auto"
-    threads: int = 1
 
 
 @dataclass
@@ -132,19 +119,24 @@ def _zval(diff, se):
     return 0.0 if diff == 0 else math.inf
 
 
-def _row(t, i, j, empirical, target, se):
-    empirical = float(empirical)
-    target = float(target)
-    se = float(se)
+def _in_band(z):
+    """The pre-registered two-sided band: |z| within _SE_MULT."""
+    return abs(z) <= _SE_MULT
+
+
+def _band(empirical, target, se):
+    """Band record of one checked entry: empirical, target, se and z."""
+    empirical, target, se = float(empirical), float(target), float(se)
     return {
-        "t": float(t),
-        "i": int(i),
-        "j": int(j),
         "empirical": empirical,
         "target": target,
         "se": se,
         "z": float(_zval(empirical - target, se)),
     }
+
+
+def _row(t, i, j, empirical, target, se):
+    return {"t": float(t), "i": int(i), "j": int(j), **_band(empirical, target, se)}
 
 
 def _batch_se(series):
@@ -157,10 +149,6 @@ def _batch_se(series):
     trimmed = np.asarray(series[: nb * width], dtype=float).reshape(nb, width)
     means = trimmed.mean(axis=1)
     return float(means.std(ddof=1) / math.sqrt(nb))
-
-
-def _rows_ok(rows):
-    return all(abs(r["z"]) <= _SE_MULT for r in rows)
 
 
 def _sample_cov(sample):
@@ -221,10 +209,11 @@ def _ks_normal(values):
     return float(max(hi.max(), lo.max()))
 
 
-def _report(kind, model, params, rows, rho, n, t0, extra=None, ok=True):
+def _report(kind, model, params, rows, rho, n, t0, extra=None, checks=()):
     """A report of kind: params behind the model digest and ahead of the band
-    multiplier, passed when every row is in its band and ok holds, a warning
-    when n is short for the mixing time at rho, and the runtime since t0."""
+    multiplier, passed when the z-score of every row and every z-score in
+    checks is in the band, a warning when n is short for the mixing time at
+    rho, and the runtime since t0."""
     warnings = []
     if rho > 0 and n < 100.0 / (1.0 - rho) ** 2:
         warnings.append(
@@ -237,7 +226,7 @@ def _report(kind, model, params, rows, rho, n, t0, extra=None, ok=True):
         rows=rows,
         extra={} if extra is None else extra,
         warnings=warnings,
-        passed=_rows_ok(rows) and ok,
+        passed=all(_in_band(z) for z in [r["z"] for r in rows] + list(checks)),
         runtime=time.perf_counter() - t0,
     )
 
@@ -284,15 +273,18 @@ def _clt_group_worker(args):
     return per_copy.reshape(reps, N, len(grid), model.p).sum(axis=1) / math.sqrt(N)
 
 
-def clt_covariance_experiment(cfg):
+def clt_covariance_experiment(model, n, N, reps=200, grid=(1.0,), seed=0, burnin="auto",
+                              threads=1):
     """Distribution of the scaled aggregate against the Gaussian limit.
 
-    Runs cfg.reps independent ensembles of cfg.N copies over cfg.n steps.
-    Consecutive replications are grouped so that a group of R of them fills
-    one simulation block (R = block_copies(n, p) // N, at least 1): group g
-    is one ensemble of R * N copies on the stream derived from
-    (master_seed, 0, g), and replication r of the group is its copies
-    r * N .. (r + 1) * N - 1. Per grid point t the empirical covariance of
+    Runs reps independent ensembles of N copies over n steps after burnin
+    steps ('auto' or an integer), on threads worker processes. grid must be
+    nonempty, finite, nonnegative, strictly increasing, and reach no
+    further than n steps. Consecutive replications are grouped so that a
+    group of R of them fills one simulation block (R = block_copies(n, p)
+    // N, at least 1): group g is one ensemble of R * N copies on the
+    stream derived from (seed, 0, g), and replication r of the group is its
+    copies r * N .. (r + 1) * N - 1. Per grid point t the empirical covariance of
     the scaled aggregate across replications is compared entrywise to
     t * sigma with bootstrap standard errors, each standardized marginal is
     tested for normality (KS distance against the 1.36 / sqrt(reps)
@@ -300,31 +292,29 @@ def clt_covariance_experiment(cfg):
     vanishing cross covariance.
     """
     t0 = time.perf_counter()
-    model = cfg.model
-    if cfg.reps < 2:
-        raise ValueError("need reps >= 2, got %r" % (cfg.reps,))
-    if int(cfg.n) != cfg.n or cfg.n < 1 or int(cfg.N) != cfg.N or cfg.N < 1:
-        raise ValueError("need n >= 1 and N >= 1, got %r and %r" % (cfg.n, cfg.N))
-    n, N, p = int(cfg.n), int(cfg.N), model.p
-    _grid_indices(cfg.grid, n)
-    grid = tuple(float(t) for t in cfg.grid)
+    if reps < 2:
+        raise ValueError("need reps >= 2, got %r" % (reps,))
+    if int(n) != n or n < 1 or int(N) != N or N < 1:
+        raise ValueError("need n >= 1 and N >= 1, got %r and %r" % (n, N))
+    n, N, p = int(n), int(N), model.p
+    _grid_indices(grid, n)
+    grid = tuple(float(t) for t in grid)
     exact = moment_report(model, 1)
     sigma = exact.sigma
-    burn = _resolve_burnin(model, cfg.burnin, exact.rho)
+    burn = _resolve_burnin(model, burnin, exact.rho)
     per_group = max(1, block_copies(n, p) // N)
     tasks = [
-        (model, n, N, min(per_group, cfg.reps - a), burn, grid, exact.mean,
-         derived_seed(cfg.master_seed, 0, g))
-        for g, a in enumerate(range(0, cfg.reps, per_group))
+        (model, n, N, min(per_group, reps - a), burn, grid, exact.mean,
+         derived_seed(seed, 0, g))
+        for g, a in enumerate(range(0, reps, per_group))
     ]
-    vals = np.concatenate(_map_tasks(_clt_group_worker, tasks, cfg.threads))  # (reps, G, p)
+    vals = np.concatenate(_map_tasks(_clt_group_worker, tasks, threads))  # (reps, G, p)
 
-    boot_rng = stream_rng(cfg.master_seed, 1)
-    boot_idx = boot_rng.integers(0, cfg.reps, size=(_BOOT, cfg.reps))
+    boot_idx = stream_rng(seed, 1).integers(0, reps, size=(_BOOT, reps))
 
     rows = _grid_cov_rows(vals, grid, sigma, boot_idx)
-    ks_entries = []
-    ks_threshold = 1.36 / math.sqrt(cfg.reps)
+    ks_entries, checks = [], []
+    ks_threshold = 1.36 / math.sqrt(reps)
     for g, t in enumerate(grid):
         sample = vals[:, g, :]
         for i in range(p):
@@ -333,20 +323,24 @@ def clt_covariance_experiment(cfg):
                 stat = 0.0 if t * sigma[i, i] == 0 else 1.0
             else:
                 stat = _ks_normal((sample[:, i] - sample[:, i].mean()) / sd)
+            # in units of threshold / _SE_MULT, the distance is in band
+            # exactly when it is at most the threshold
+            z = _zval(stat, ks_threshold / _SE_MULT)
+            checks.append(z)
             ks_entries.append(
                 {
                     "t": float(t),
                     "coord": int(i),
                     "stat": float(stat),
                     "threshold": float(ks_threshold),
-                    "passed": bool(stat <= ks_threshold),
+                    "passed": _in_band(z),
                 }
             )
 
     increments = []
     if len(grid) > 1:
         incs = np.diff(vals, axis=1, prepend=0.0)
-        emp, se = _cov_with_se(incs.reshape(cfg.reps, -1), boot_idx)
+        emp, se = _cov_with_se(incs.reshape(reps, -1), boot_idx)
         for a in range(len(grid)):
             for b in range(a + 1, len(grid)):
                 for i in range(p):
@@ -365,19 +359,17 @@ def clt_covariance_experiment(cfg):
                             }
                         )
 
-    ok = all(e["passed"] for e in ks_entries) and all(
-        abs(e["z"]) <= _SE_MULT for e in increments
-    )
+    checks.extend(e["z"] for e in increments)
     params = {
-        "n": int(cfg.n),
-        "N": int(cfg.N),
-        "reps": int(cfg.reps),
+        "n": n,
+        "N": N,
+        "reps": int(reps),
         "grid": list(grid),
-        "master_seed": int(cfg.master_seed),
+        "master_seed": int(seed),
         "burnin": int(burn),
     }
     extra = {"sigma": sigma.tolist(), "ks": ks_entries, "increments": increments}
-    return _report("clt", model, params, rows, exact.rho, n, t0, extra, ok)
+    return _report("clt", model, params, rows, exact.rho, n, t0, extra, checks)
 
 
 def _default_sweep(top):
@@ -385,56 +377,58 @@ def _default_sweep(top):
     return [int(v) for v in vals]
 
 
-def iterated_experiment(cfg, order, sweep=None):
+def iterated_experiment(model, n, N, order, sweep=None, grid=(1.0,), seed=0,
+                        burnin="auto", threads=1):
     """Iterated-limit covariance trajectories, one limit order at a time.
 
-    order 'N_first' holds the copy count at cfg.N (the inner limit) and
-    sweeps the horizon n upward; 'n_first' holds the horizon at cfg.n and
-    sweeps the copy count. The scaled ensemble aggregate is a normalized sum
-    of i.i.d. per-copy aggregates, so the empirical covariance across copies
-    estimates the aggregate covariance at every sweep point; the trajectory
-    should settle at t * sigma whichever limit is taken first. Top-level
-    rows are the final sweep point, full trajectories sit in extra['sweep'].
+    order 'N_first' holds the copy count at N (the inner limit) and sweeps
+    the horizon upward through sweep; 'n_first' holds the horizon at n and
+    sweeps the copy count; the default sweep is a quarter, a half and all
+    of the held-out size. seed, burnin, grid and threads are as in
+    clt_covariance_experiment, and grid must fit every sweep horizon. The
+    scaled ensemble aggregate is a normalized sum of i.i.d. per-copy
+    aggregates, so the empirical covariance across copies estimates the
+    aggregate covariance at every sweep point; the trajectory should settle
+    at t * sigma whichever limit is taken first. Top-level rows are the
+    final sweep point, full trajectories sit in extra['sweep'].
     """
     t0 = time.perf_counter()
-    model = cfg.model
     orders = {"N_first": 0, "n_first": 1}
     if order not in orders:
         raise ValueError("order must be 'N_first' or 'n_first', got %r" % (order,))
     oid = orders[order]
     exact = moment_report(model, 1)
     sigma = exact.sigma
-    burn = _resolve_burnin(model, cfg.burnin, exact.rho)
+    burn = _resolve_burnin(model, burnin, exact.rho)
     if sweep is None:
-        sweep = _default_sweep(cfg.n if order == "N_first" else cfg.N)
+        sweep = _default_sweep(n if order == "N_first" else N)
     sweep = [int(s) for s in sweep]
-    points = [(int(cfg.N), v) if order == "N_first" else (v, int(cfg.n)) for v in sweep]
+    points = [(int(N), v) if order == "N_first" else (v, int(n)) for v in sweep]
     if not points or min(N_s for N_s, _ in points) < 2 or min(n_s for _, n_s in points) < 1:
         raise ValueError(
             "need a nonempty sweep with at least 2 copies and 1 step per sweep point"
         )
     for _, n_s in points:
-        _grid_indices(cfg.grid, n_s)
-    grid = tuple(float(t) for t in cfg.grid)
+        _grid_indices(grid, n_s)
+    grid = tuple(float(t) for t in grid)
 
     trajectory = []
     for s, (val, (N_s, n_s)) in enumerate(zip(sweep, points)):
-        seed = derived_seed(cfg.master_seed, 0, oid, s)
-        ens = simulate_ensemble(model, N_s, n_s, seed, burnin=burn, threads=cfg.threads)
-        per_copy = percopy_aggregates(ens, grid, exact.mean)  # (N_s, G, p)
-        boot_idx = stream_rng(cfg.master_seed, 1, oid, s).integers(
-            0, N_s, size=(_BOOT, N_s)
+        ens = simulate_ensemble(
+            model, N_s, n_s, derived_seed(seed, 0, oid, s), burnin=burn, threads=threads
         )
+        per_copy = percopy_aggregates(ens, grid, exact.mean)  # (N_s, G, p)
+        boot_idx = stream_rng(seed, 1, oid, s).integers(0, N_s, size=(_BOOT, N_s))
         rows = _grid_cov_rows(per_copy, grid, sigma, boot_idx)
         trajectory.append({"sweep": val, "N": N_s, "n": n_s, "rows": rows})
 
     params = {
         "order": order,
-        "n": int(cfg.n),
-        "N": int(cfg.N),
+        "n": int(n),
+        "N": int(N),
         "sweep": sweep,
         "grid": list(grid),
-        "master_seed": int(cfg.master_seed),
+        "master_seed": int(seed),
         "burnin": int(burn),
     }
     extra = {"sigma": sigma.tolist(), "sweep": trajectory}
@@ -493,8 +487,8 @@ def _innovation_check(model, n, seed):
 
 
 def _innovation_report(model, path, exact, t0):
-    """innovation_diagnostics against the order-1 moment report exact; the
-    runtime counts from t0."""
+    """innovation_diagnostics against the order-1 moment report exact, whose
+    law covariances give the bucket targets; the runtime counts from t0."""
     U = extract_innovations(model, path)
     V = exact.v
     p = model.p
@@ -504,27 +498,24 @@ def _innovation_report(model, path, exact, t0):
             prods = U[:, i] * U[:, j]
             rows.append(_row(0.0, i, j, prods.mean(), V[i, j], _batch_se(prods)))
 
-    abs_entries = []
-    abs_ok = True
+    abs_entries, checks = [], []
     for j in range(p):
         a = np.abs(U[:, j])
         bound = math.sqrt(max(V[j, j], 0.0))
         se = _batch_se(a)
-        excess = float(a.mean() - bound)
-        ok = excess <= _SE_MULT * se
-        abs_ok = abs_ok and ok
+        # the bound is one-sided: only an excess over it can leave the band
+        z = _zval(max(float(a.mean() - bound), 0.0), se)
+        checks.append(z)
         abs_entries.append(
             {
                 "coord": int(j),
                 "empirical": float(a.mean()),
                 "bound": float(bound),
                 "se": float(se),
-                "passed": bool(ok),
+                "passed": _in_band(z),
             }
         )
 
-    offspring_cov = [_law_moments(law, 2).cov for law in model.offspring]
-    eps_cov = _law_moments(model.immigration, 2).cov
     states = path[:-1]
     keys, inverse, counts = np.unique(
         states, axis=0, return_inverse=True, return_counts=True
@@ -533,28 +524,19 @@ def _innovation_report(model, path, exact, t0):
     eligible.sort(key=lambda k: (-int(counts[k]), tuple(int(v) for v in keys[k])))
     eligible = eligible[:_MAX_BUCKETS]
     buckets = []
-    buckets_ok = True
     for k in eligible:
         mask = inverse == k
         x = keys[k]
-        target = eps_cov + sum(int(x[q]) * offspring_cov[q] for q in range(p))
+        target = exact.immigration_cov + sum(
+            int(x[q]) * exact.offspring_cov[q] for q in range(p)
+        )
         entries = []
         for i in range(p):
             for j in range(i, p):
                 prods = U[mask, i] * U[mask, j]
-                se = float(prods.std(ddof=1) / math.sqrt(len(prods)))
-                z = _zval(float(prods.mean()) - float(target[i, j]), se)
-                buckets_ok = buckets_ok and abs(z) <= _SE_MULT
-                entries.append(
-                    {
-                        "i": int(i),
-                        "j": int(j),
-                        "empirical": float(prods.mean()),
-                        "target": float(target[i, j]),
-                        "se": se,
-                        "z": float(z),
-                    }
-                )
+                se = prods.std(ddof=1) / math.sqrt(len(prods))
+                entries.append({"i": i, "j": j, **_band(prods.mean(), target[i, j], se)})
+        checks.extend(e["z"] for e in entries)
         buckets.append(
             {
                 "state": [int(v) for v in x],
@@ -566,7 +548,7 @@ def _innovation_report(model, path, exact, t0):
     extra = {"abs_moment": abs_entries, "buckets": buckets}
     n = U.shape[0]
     return _report("innovations", model, {"n": int(n)}, rows, exact.rho, n, t0, extra,
-                   abs_ok and buckets_ok)
+                   checks)
 
 
 def bands_overlap(report_a, report_b):

@@ -22,7 +22,6 @@ from bpagg.moments import (
 )
 from bpagg.simulate import aggregate, simulate_ensemble
 from bpagg.verify import (
-    ExperimentConfig,
     autocovariance_check,
     bands_overlap,
     clt_covariance_experiment,
@@ -175,15 +174,14 @@ def test_criterion_06_autocovariance_bands():
 
 def test_criterion_07_simultaneous_clt():
     t0 = time.perf_counter()
-    cfg = ExperimentConfig(
+    report = clt_covariance_experiment(
         build_scalar_inar(),
         n=200,
         N=50,
         reps=2000,
         grid=(0.5, 1.0),
-        master_seed=20240607,
+        seed=20240607,
     )
-    report = clt_covariance_experiment(cfg)
     elapsed = time.perf_counter() - t0
     at_one = next(r for r in report.rows if r["t"] == 1.0)
     ks_stats = [e["stat"] for e in report.extra["ks"]]
@@ -212,17 +210,13 @@ def test_criterion_07_simultaneous_clt():
 def test_criterion_08_iterated_limits_coincide():
     t0 = time.perf_counter()
     results = []
-    scalar_cfg = ExperimentConfig(
-        build_scalar_inar(), n=200, N=3000, grid=(0.5, 1.0), master_seed=20240608
-    )
-    rep_N = iterated_experiment(scalar_cfg, "N_first", sweep=[50, 100, 200])
-    rep_n = iterated_experiment(scalar_cfg, "n_first", sweep=[750, 1500, 3000])
+    scalar = dict(model=build_scalar_inar(), n=200, N=3000, grid=(0.5, 1.0), seed=20240608)
+    rep_N = iterated_experiment(order="N_first", sweep=[50, 100, 200], **scalar)
+    rep_n = iterated_experiment(order="n_first", sweep=[750, 1500, 3000], **scalar)
     results.append(("scalar", rep_N, rep_n))
-    two_cfg = ExperimentConfig(
-        build_two_type(), n=160, N=1500, grid=(0.5, 1.0), master_seed=20240609
-    )
-    rep2_N = iterated_experiment(two_cfg, "N_first", sweep=[40, 80, 160])
-    rep2_n = iterated_experiment(two_cfg, "n_first", sweep=[375, 750, 1500])
+    two = dict(model=build_two_type(), n=160, N=1500, grid=(0.5, 1.0), seed=20240609)
+    rep2_N = iterated_experiment(order="N_first", sweep=[40, 80, 160], **two)
+    rep2_n = iterated_experiment(order="n_first", sweep=[375, 750, 1500], **two)
     results.append(("two-type", rep2_N, rep2_n))
     elapsed = time.perf_counter() - t0
 

@@ -4,9 +4,13 @@ of them must still exist, or `benchmarks/run.py --trace 1` breaks silently."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import pathlib
 
 import pytest
+
+from bpagg import simulate
+from conftest import build_scalar_inar
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -56,3 +60,27 @@ def test_imported_names_exist(script):
     for module_name, attr in sorted(used):
         module = importlib.import_module(module_name)
         assert hasattr(module, attr), "%s.%s" % (module_name, attr)
+
+
+def test_tracer_hooks_bind_like_the_traced_functions():
+    # each attribute hook is called with the arguments of the function it
+    # traces, so it must take the same parameters and read what exists
+    tracer = _load("tracing").Tracer()
+    tracer._originals["simulate.burnin_auto"] = simulate.burnin_auto
+    hooks = tracer._attr_hooks()
+    assert hooks
+    for full, hook in hooks.items():
+        layer, name = full.split(".")
+        real = inspect.signature(getattr(importlib.import_module("bpagg." + layer), name))
+        params = inspect.signature(hook).parameters
+        assert list(params) == list(real.parameters), full
+        required = [p for p, v in real.parameters.items() if v.default is v.empty]
+        inspect.signature(hook).bind(*required)
+        inspect.signature(hook).bind(**{p: p for p in real.parameters})
+    model = build_scalar_inar()
+    burn = simulate.burnin_auto(model)
+    assert hooks["simulate.simulate_path"](model, 10, None, "auto") == {
+        "steps": 10 + burn, "burnin": burn
+    }
+    ens = simulate.simulate_ensemble(model, 2, 5, 0, burnin=3)
+    assert hooks["simulate.paths_to_csv"](ens, "unused.csv") == {"rows": 12}

@@ -1,7 +1,10 @@
+import collections
+import dataclasses
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import bpagg.cli as cli
@@ -18,6 +21,7 @@ from bpagg.model import (
     Bernoulli,
     Binomial,
     BranchingModel,
+    FiniteSupport,
     IndependentMarginals,
     Point,
     Poisson,
@@ -375,6 +379,116 @@ def test_verify_failure_exit_code(scalar_file, capsys, monkeypatch):
     assert payload["passed"] is False
 
 
+_CLT = ["verify", "clt", "--n", "40", "--copies", "4", "--reps", "30", "--seed", "9",
+        "--grid", "0.5,1.0"]
+_INNOVATIONS = ["verify", "innovations", "--n", "8000"]
+
+
+def _first_ks_far(monkeypatch):
+    real = bpagg.verify._ks_normal
+    calls = []
+
+    def first_far(values):
+        calls.append(values)
+        return 1.0 if len(calls) == 1 else real(values)
+
+    monkeypatch.setattr(bpagg.verify, "_ks_normal", first_far)
+
+
+def _increment_far(monkeypatch):
+    real = bpagg.verify._cov_with_se
+
+    def far(x, boot_idx):
+        emp, se = real(x, boot_idx)
+        if x.shape[1] == 2:  # the increments of both grid points, stacked
+            emp = emp.copy()
+            emp[0, 1] = 10.0 * se[0, 1]
+        return emp, se
+
+    monkeypatch.setattr(bpagg.verify, "_cov_with_se", far)
+
+
+class _NumpyAbsOneHigh:
+    """numpy, except that every absolute value reads one unit high."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def abs(x):
+        return np.abs(x) + 1.0
+
+
+def _abs_moment_far(monkeypatch):
+    monkeypatch.setattr(bpagg.verify, "np", _NumpyAbsOneHigh())
+
+
+def _bucket_far(monkeypatch):
+    real = bpagg.verify.moment_report
+
+    def shifted(model, order):
+        exact = real(model, order)
+        return dataclasses.replace(exact, immigration_cov=exact.immigration_cov + 1.0)
+
+    monkeypatch.setattr(bpagg.verify, "_MAX_BUCKETS", 1)
+    monkeypatch.setattr(bpagg.verify, "moment_report", shifted)
+
+
+_EXTRA_CHECKS = {
+    "ks": (_CLT, _first_ks_far, ("ks", "increments")),
+    "increments": (_CLT, _increment_far, ("ks", "increments")),
+    "abs_moment": (_INNOVATIONS, _abs_moment_far, ("abs_moment", "buckets")),
+    "buckets": (_INNOVATIONS, _bucket_far, ("abs_moment", "buckets")),
+}
+
+
+def _check_entries(extra, kind):
+    if kind == "buckets":
+        return [e for b in extra["buckets"] for e in b["entries"]]
+    return extra[kind]
+
+
+def _entry_in_band(entry):
+    return entry["passed"] if "passed" in entry else abs(entry["z"]) <= 4.0
+
+
+@pytest.mark.parametrize("kind", sorted(_EXTRA_CHECKS))
+def test_one_extra_check_out_of_band_fails_the_run(scalar_file, capsys, monkeypatch, kind):
+    # a single extra check out of its band fails the report and exits 3 while
+    # every row stays in its band
+    argv, push_out, kinds = _EXTRA_CHECKS[kind]
+    argv = argv + ["--model", scalar_file]
+    assert main(argv) == 0
+    clean = json.loads(capsys.readouterr().out)
+    push_out(monkeypatch)
+    assert main(argv) == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is False
+    assert payload["rows"] == clean["rows"]
+    assert all(abs(r["z"]) <= 4.0 for r in payload["rows"])
+    for other in kinds:
+        entries = _check_entries(payload["extra"], other)
+        assert entries, other
+        far = [e for e in entries if not _entry_in_band(e)]
+        assert len(far) == (1 if other == kind else 0), other
+
+
+def test_innovations_reads_each_law_table_once(two_type_file, capsys, monkeypatch):
+    # the bucket targets come from the covariances the moment report built
+    calls = collections.Counter()
+    for cls in (FiniteSupport, IndependentMarginals):
+
+        def counting(self, alpha, real=cls.kron_moment):
+            calls[id(self), alpha] += 1
+            return real(self, alpha)
+
+        monkeypatch.setattr(cls, "kron_moment", counting)
+    assert main(["verify", "innovations", "--model", two_type_file, "--n", "2000"]) == 0
+    assert json.loads(capsys.readouterr().out)["extra"]["buckets"]
+    seconds = [count for (_, alpha), count in calls.items() if alpha == 2]
+    assert sorted(seconds) == [1, 1, 1]
+
+
 def test_ginar_means_report(capsys):
     assert main(["ginar", "--means", "0.5,0.3"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -406,6 +520,17 @@ def test_ginar_emit_model_chains_into_moments(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["mean"] == pytest.approx([5.0, 5.0])
     assert payload["rho"] == pytest.approx(0.8520797289396148)
+
+
+def test_ginar_rho_is_the_embedded_model_rho(tmp_path, capsys):
+    # a zero top-lag mean: the characteristic polynomial has a zero root,
+    # and the reported rho is the one moments reports for the embedded model
+    emitted = tmp_path / "embedded.json"
+    argv = ["ginar", "--means", "0.5,0.3,0.0", "--emit-model", str(emitted)]
+    assert main(argv) == 0
+    rho = json.loads(capsys.readouterr().out)["rho"]
+    assert main(["moments", "--model", str(emitted), "--order", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["rho"] == rho
 
 
 def test_ginar_spec_file(tmp_path, capsys):

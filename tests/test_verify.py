@@ -1,6 +1,6 @@
-import dataclasses
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -31,7 +31,6 @@ from bpagg.simulate import (
     stream_rng,
 )
 from bpagg.verify import (
-    ExperimentConfig,
     VerificationReport,
     autocovariance_check,
     bands_overlap,
@@ -85,8 +84,7 @@ def test_ergodic_warns_on_short_path_near_criticality():
 
 def test_clt_experiment_scalar():
     model = build_scalar_inar()
-    cfg = ExperimentConfig(model, n=100, N=10, reps=100, grid=(0.5, 1.0), master_seed=7)
-    report = clt_covariance_experiment(cfg)
+    report = clt_covariance_experiment(model, 100, 10, reps=100, grid=(0.5, 1.0), seed=7)
     assert report.kind == "clt"
     assert report.passed
     keys = [(r["t"], r["i"], r["j"]) for r in report.rows]
@@ -108,10 +106,9 @@ def test_clt_rerun_and_threads_byte_identical():
     model = build_scalar_inar()
 
     def run(threads):
-        cfg = ExperimentConfig(
-            model, n=50, N=5, reps=40, grid=(1.0,), master_seed=3, threads=threads
-        )
-        return clt_covariance_experiment(cfg).to_json()
+        return clt_covariance_experiment(
+            model, 50, 5, reps=40, grid=(1.0,), seed=3, threads=threads
+        ).to_json()
 
     text = run(1)
     assert run(1) == text
@@ -124,11 +121,9 @@ def test_clt_groups_thread_invariant():
     assert block_copies(200, 1) // 50 == 6
 
     def run(threads):
-        cfg = ExperimentConfig(
-            model, n=200, N=50, reps=14, grid=(0.5, 1.0), master_seed=13,
-            threads=threads,
-        )
-        return clt_covariance_experiment(cfg).to_json()
+        return clt_covariance_experiment(
+            model, 200, 50, reps=14, grid=(0.5, 1.0), seed=13, threads=threads
+        ).to_json()
 
     text = run(1)
     assert run(2) == text
@@ -174,13 +169,12 @@ def test_mixing_warning_in_every_experiment_kind(q, warned):
     # n = 200 is short for rho = 0.9 (needs 100 / 0.1^2 = 10000) and long
     # enough for rho = 0.1 (needs 124)
     model = _bernoulli_model(q)
-    cfg = ExperimentConfig(model, n=200, N=4, reps=10, grid=(1.0,), master_seed=1)
     path = simulate_path(model, 200, stream_rng(1, 0), burnin="auto")
     reports = [
         ergodic_check(model, 200, seed=1),
         autocovariance_check(model, 200, lags=(0, 1), seed=1),
-        clt_covariance_experiment(cfg),
-        iterated_experiment(cfg, "N_first", sweep=[100, 200]),
+        clt_covariance_experiment(model, 200, 4, reps=10, grid=(1.0,), seed=1),
+        iterated_experiment(model, 200, 4, "N_first", sweep=[100, 200], grid=(1.0,), seed=1),
         innovation_diagnostics(model, path),
     ]
     for report in reports:
@@ -189,10 +183,9 @@ def test_mixing_warning_in_every_experiment_kind(q, warned):
 
 
 def test_clt_degenerate_model_exact_zero():
-    cfg = ExperimentConfig(
-        build_deterministic(), n=40, N=3, reps=20, grid=(1.0,), master_seed=0
+    report = clt_covariance_experiment(
+        build_deterministic(), 40, 3, reps=20, grid=(1.0,), seed=0
     )
-    report = clt_covariance_experiment(cfg)
     assert report.passed
     for r in report.rows:
         assert r["empirical"] == 0.0
@@ -209,42 +202,36 @@ def test_clt_config_validation(monkeypatch):
     monkeypatch.setattr(verify, "simulate_ensemble", refuse)
     model = build_scalar_inar()
     with pytest.raises(ValueError):
-        clt_covariance_experiment(
-            ExperimentConfig(model, n=50, reps=1, grid=(1.0,))
-        )
+        clt_covariance_experiment(model, 50, 1, reps=1, grid=(1.0,))
     with pytest.raises(ValueError):
-        clt_covariance_experiment(
-            ExperimentConfig(model, n=50, reps=10, grid=())
-        )
+        clt_covariance_experiment(model, 50, 1, reps=10, grid=())
     with pytest.raises(ValueError):
-        clt_covariance_experiment(
-            ExperimentConfig(model, n=50, reps=10, grid=(1.0, 0.5))
-        )
+        clt_covariance_experiment(model, 50, 1, reps=10, grid=(1.0, 0.5))
     with pytest.raises(ValueError):
-        clt_covariance_experiment(
-            ExperimentConfig(model, n=50, reps=10, grid=(-0.5, 1.0))
-        )
+        clt_covariance_experiment(model, 50, 1, reps=10, grid=(-0.5, 1.0))
     # a burn-in must be 'auto' or an integer >= 0; 2.5 is not run as 2
     for burnin in (2.5, -1, "soon"):
-        cfg = ExperimentConfig(model, n=50, N=2, reps=10, grid=(1.0,), burnin=burnin)
         with pytest.raises(ValueError, match="burnin"):
-            clt_covariance_experiment(cfg)
+            clt_covariance_experiment(model, 50, 2, reps=10, grid=(1.0,), burnin=burnin)
         with pytest.raises(ValueError, match="burnin"):
-            iterated_experiment(cfg, "N_first", sweep=[20, 50])
+            iterated_experiment(
+                model, 50, 2, "N_first", sweep=[20, 50], grid=(1.0,), burnin=burnin
+            )
 
 
 def test_every_experiment_validates_once(monkeypatch):
     model = build_two_type()
     path = simulate_path(model, 300, stream_rng(2, 0), burnin=50)
-    cfg = ExperimentConfig(model, n=30, N=3, reps=8, grid=(0.5, 1.0), master_seed=4)
     runs = {
         "ergodic": lambda: ergodic_check(model, 300, seed=1),
         "autocov": lambda: autocovariance_check(model, 300, lags=(0, 1), seed=1),
-        "clt": lambda: clt_covariance_experiment(cfg),
-        "clt-burnin": lambda: clt_covariance_experiment(
-            ExperimentConfig(model, n=30, N=3, reps=8, burnin=5)
+        "clt": lambda: clt_covariance_experiment(
+            model, 30, 3, reps=8, grid=(0.5, 1.0), seed=4
         ),
-        "iterated": lambda: iterated_experiment(cfg, "n_first", sweep=[2, 4]),
+        "clt-burnin": lambda: clt_covariance_experiment(model, 30, 3, reps=8, burnin=5),
+        "iterated": lambda: iterated_experiment(
+            model, 30, 3, "n_first", sweep=[2, 4], grid=(0.5, 1.0), seed=4
+        ),
         "innovations": lambda: innovation_diagnostics(model, path),
     }
     # count validate calls through every module binding of it
@@ -269,11 +256,12 @@ def test_report_params_keep_their_key_order():
     # the band multiplier last
     model = build_scalar_inar()
     path = simulate_path(model, 300, stream_rng(2, 0), burnin=50)
-    cfg = ExperimentConfig(model, n=30, N=3, reps=4, grid=(1.0,), master_seed=1)
     reports = {
         "ergodic": ergodic_check(model, 300, seed=1),
-        "clt": clt_covariance_experiment(cfg),
-        "iterated": iterated_experiment(cfg, "n_first", sweep=[2, 4]),
+        "clt": clt_covariance_experiment(model, 30, 3, reps=4, grid=(1.0,), seed=1),
+        "iterated": iterated_experiment(
+            model, 30, 3, "n_first", sweep=[2, 4], grid=(1.0,), seed=1
+        ),
         "autocov": autocovariance_check(model, 300, lags=(0, 1), seed=1),
         "innovations": innovation_diagnostics(model, path),
     }
@@ -291,29 +279,32 @@ def test_report_params_keep_their_key_order():
 
 
 def test_report_passes_only_when_rows_and_other_checks_pass():
+    # one two-sided band rule judges the rows' z-scores and the extra checks'
     model = build_scalar_inar()
     good = [{"t": 1.0, "i": 0, "j": 0, "empirical": 2.0, "target": 2.0, "se": 0.1, "z": 0.0}]
-    bad = [dict(good[0], z=4.5)]
     t0 = time.perf_counter()
-    assert verify._report("ergodic", model, {}, good, 0.5, 10 ** 6, t0).passed
-    assert not verify._report("ergodic", model, {}, good, 0.5, 10 ** 6, t0, ok=False).passed
-    assert not verify._report("ergodic", model, {}, bad, 0.5, 10 ** 6, t0).passed
+
+    def passed(rows, checks=()):
+        return verify._report("ergodic", model, {}, rows, 0.5, 10 ** 6, t0, checks=checks).passed
+
+    assert passed(good)
+    assert passed(good, [4.0, -4.0, 0.0])
+    for z in (4.5, -4.5, math.inf, math.nan):
+        assert not passed(good, [0.0, z]), z
+        assert not passed([dict(good[0], z=z)]), z
 
 
 def test_clt_fails_on_normality_alone(monkeypatch):
     # every covariance row in its band, every KS distance past its threshold
     model = build_scalar_inar()
-    cfg = ExperimentConfig(model, n=40, N=4, reps=30, grid=(1.0,), master_seed=9)
-    assert clt_covariance_experiment(cfg).passed
+    assert clt_covariance_experiment(model, 40, 4, reps=30, grid=(1.0,), seed=9).passed
     monkeypatch.setattr(verify, "_ks_normal", lambda values: 1.0)
-    report = clt_covariance_experiment(cfg)
+    report = clt_covariance_experiment(model, 40, 4, reps=30, grid=(1.0,), seed=9)
     assert all(abs(r["z"]) <= 4.0 for r in report.rows)
     assert not report.passed
 
 
 def test_band_multiplier_is_a_constant():
-    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    assert "se_multiplier" not in fields
     for fn in (
         ergodic_check,
         autocovariance_check,
@@ -329,9 +320,8 @@ def test_band_multiplier_is_a_constant():
 
 def test_iterated_experiment_orders_and_overlap():
     model = build_scalar_inar()
-    cfg = ExperimentConfig(model, n=60, N=40, grid=(1.0,), master_seed=5)
-    rep_n = iterated_experiment(cfg, "N_first", sweep=[15, 30, 60])
-    rep_c = iterated_experiment(cfg, "n_first", sweep=[10, 20, 40])
+    rep_n = iterated_experiment(model, 60, 40, "N_first", sweep=[15, 30, 60], grid=(1.0,), seed=5)
+    rep_c = iterated_experiment(model, 60, 40, "n_first", sweep=[10, 20, 40], grid=(1.0,), seed=5)
     assert rep_n.kind == "iterated" and rep_c.kind == "iterated"
     assert rep_n.params["order"] == "N_first"
     assert rep_n.params["sweep"] == [15, 30, 60]
@@ -348,18 +338,16 @@ def test_iterated_experiment_orders_and_overlap():
 
 def test_iterated_default_sweep_and_validation():
     model = build_scalar_inar()
-    cfg = ExperimentConfig(model, n=40, N=8, grid=(1.0,), master_seed=2)
-    report = iterated_experiment(cfg, "N_first")
+    report = iterated_experiment(model, 40, 8, "N_first", grid=(1.0,), seed=2)
     assert report.params["sweep"] == [10, 20, 40]
     with pytest.raises(ValueError):
-        iterated_experiment(cfg, "sideways")
-    lonely = ExperimentConfig(model, n=40, N=1, grid=(1.0,), master_seed=2)
+        iterated_experiment(model, 40, 8, "sideways", grid=(1.0,), seed=2)
     with pytest.raises(ValueError):
-        iterated_experiment(lonely, "N_first", sweep=[1])
+        iterated_experiment(model, 40, 1, "N_first", sweep=[1], grid=(1.0,), seed=2)
     # a horizon below one step is refused before the first sweep point runs
     for sweep in ([0, 40], [40, -5]):
         with pytest.raises(ValueError, match="1 step"):
-            iterated_experiment(cfg, "N_first", sweep=sweep)
+            iterated_experiment(model, 40, 8, "N_first", sweep=sweep, grid=(1.0,), seed=2)
 
 
 def test_autocovariance_check_scalar():
