@@ -242,7 +242,8 @@ class FiniteSupport:
 
     Support vectors are distinct points of Z_+^p. Probabilities must be
     nonnegative and sum to one within 1e-9; the stored masses are
-    renormalized to exact unit total.
+    renormalized to exact unit total. to_json writes the probabilities as
+    given, so a JSON round trip rebuilds the same law bit for bit.
     """
 
     kind = "finite"
@@ -250,7 +251,7 @@ class FiniteSupport:
     def __init__(self, support, probs):
         try:
             raw = np.asarray(support, dtype=float)
-            probs = np.asarray(probs, dtype=float)
+            probs = np.array(probs, dtype=float)  # a copy, which to_json writes back
         except (TypeError, ValueError):
             raise ValueError("support vectors and probabilities must be numbers") from None
         # float64 holds every integer below 2^53 exactly
@@ -278,6 +279,7 @@ class FiniteSupport:
         if abs(total - 1.0) > _MASS_TOL:
             raise ValueError("probabilities sum to %r, not 1" % total)
         self.support = support
+        self._given = probs
         self.probs = probs / total
         self._cum = np.cumsum(self.probs)
         self._cum[-1] = 1.0
@@ -319,7 +321,7 @@ class FiniteSupport:
             "kind": "finite",
             "support": [
                 {"v": [int(c) for c in v], "p": float(w)}
-                for v, w in zip(self.support, self.probs)
+                for v, w in zip(self.support, self._given)
             ],
         }
 

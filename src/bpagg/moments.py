@@ -27,10 +27,13 @@ sum_i Y_i K3(xi^(i)), and immigration is independent of Z, so
 
 with mu = M mean, E[Z Z^T] = sum_i mean_i Cov(xi^(i)) + M kron2 M^T and
 sym(T) = T[a,b,c] + T[a,c,b] + T[b,c,a] summing the three slots of the
-single factor. These are einsum/tensordot contractions of the law moment
-tensors at O(p^4). Each law's mean, raw moments, covariance and third
-central moment come from one call of its kron_moment per order
-(_law_moments), once per report.
+single factor. These are tensordot contractions at O(p^4) on arrays of at
+most p^3 entries. Each law's table of each order comes from one call of its
+kron_moment per report. The order-2 tables are stacked into one p x p x p
+array, and the covariances are that stack minus the outer products of the
+columns of M. The order-3 tables are contracted with the mean one law at a
+time through K3 = E x^(x)3 - sym(E x x^T (x) m) + 2 m^(x)3, so no law's
+third central moment is built.
 
 build_transfer assembles the dense blocks A21, A31, A32 and the full a2/a3
 matrices. Nothing on the production path calls it; it is kept as an
@@ -46,7 +49,6 @@ to cond(I - M), the conditioning every solve through (I - M)^-1 inherits.
 """
 
 import json
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,45 +171,6 @@ def _sym3(t):
     return t + t.transpose(0, 2, 1) + t.transpose(2, 0, 1)
 
 
-_LawMoments = namedtuple("_LawMoments", "mean raw2 cov raw3 third")
-
-
-def _law_moments(law, max_order):
-    """Mean, raw second moment E x x^T, covariance and, for max_order 3, raw
-    third moment and third central moment E (x - m)^(x)3 of a law as p x p
-    (x p) tensors (None below order 3), from one call of kron_moment per
-    order."""
-    p = law.dim
-    m = law.mean()
-    raw2 = law.kron_moment(2).reshape(p, p)
-    cov = raw2 - np.outer(m, m)
-    if max_order < 3:
-        return _LawMoments(m, raw2, cov, None, None)
-    raw3 = law.kron_moment(3).reshape(p, p, p)
-    cube = np.multiply.outer(np.outer(m, m), m)
-    third = raw3 - _sym3(np.multiply.outer(raw2, m)) + 2.0 * cube
-    return _LawMoments(m, raw2, cov, raw3, third)
-
-
-def _moment_tensors(M, mean, covs, thirds, eps, max_order):
-    """kron2 as a p x p tensor and, for max_order 3, kron3 as a p x p x p
-    tensor together with its right-hand side b3 (None otherwise); covs and
-    thirds stack the offspring covariances and third central moments, and
-    eps is the _law_moments of immigration."""
-    mu = M @ mean
-    brood_cov = np.tensordot(mean, covs, 1)
-    b2 = brood_cov + np.outer(mu, eps.mean) + np.outer(eps.mean, mu) + eps.raw2
-    kron2 = tensor_fixed_point(M, b2)
-    if max_order < 3:
-        return kron2, None, None
-    # pair[a, b, c]: the factor in slots (a, b) and the single factor in c
-    pair = np.tensordot(covs, M @ kron2.T, axes=([0], [1]))
-    pair += np.multiply.outer(brood_cov + mode_product(M, kron2), eps.mean)
-    pair += np.multiply.outer(eps.raw2, mu)
-    b3 = np.tensordot(mean, thirds, 1) + _sym3(pair) + eps.raw3
-    return kron2, tensor_fixed_point(M, b3), b3
-
-
 @dataclass
 class MomentReport:
     """Bundle of exact stationary quantities plus self-check residuals.
@@ -273,18 +236,16 @@ def moment_report(model, max_order=3):
     p = model.p
     M = mean_matrix(model)
     A = np.eye(p) - M
-    eps = _law_moments(model.immigration, max_order)
-    # each offspring law's tables are read once and only the stacked
-    # covariance and third central moment are kept
-    covs = np.empty((p, p, p))
-    thirds = np.empty((p, p, p, p)) if max_order == 3 else None
-    for i, law in enumerate(model.offspring):
-        moments = _law_moments(law, max_order)
-        covs[i] = moments.cov
-        if thirds is not None:
-            thirds[i] = moments.third
-    mean = np.linalg.solve(A, eps.mean)
-    V = eps.cov + np.tensordot(mean, covs, 1)
+    imm = model.immigration
+    m_eps = imm.mean()
+    eps2 = imm.kron_moment(2).reshape(p, p)
+    imm_cov = eps2 - np.outer(m_eps, m_eps)
+    # raw2[i] = E xi^(i) xi^(i)T, column i of M its mean
+    raw2 = np.stack([law.kron_moment(2).reshape(p, p) for law in model.offspring])
+    covs = raw2 - np.einsum("ai,bi->iab", M, M)
+    mean = np.linalg.solve(A, m_eps)
+    brood_cov = np.tensordot(mean, covs, 1)
+    V = imm_cov + brood_cov
     var0 = lyapunov_solve(M, V)
     sigma = np.linalg.solve(A, np.linalg.solve(A, V).T).T
 
@@ -293,14 +254,29 @@ def moment_report(model, max_order=3):
     limit_identity = float(np.max(np.abs(lhs - sigma)))
     kron2 = kron3 = route_gap = kron3_defect = None
     if max_order >= 2:
-        k2, k3, b3 = _moment_tensors(M, mean, covs, thirds, eps, max_order)
+        mu = M @ mean
+        b2 = brood_cov + np.outer(mu, m_eps) + np.outer(m_eps, mu) + eps2
+        k2 = tensor_fixed_point(M, b2)
         scale = max(float(np.max(np.abs(var0))), 1e-30)
         route_gap = float(np.max(np.abs(k2 - np.outer(mean, mean) - var0)) / scale)
         kron2 = k2.reshape(-1)
-        if k3 is not None:
-            defect = np.max(np.abs(k3 - b3 - mode_product(M, k3)))
-            kron3_defect = float(defect / max(float(np.max(np.abs(k3))), 1e-30))
-            kron3 = k3.reshape(-1)
+    if max_order == 3:
+        # sum_i mean_i K3(xi^(i)) with K3 = raw3 - sym(raw2 (x) m) + 2 m^(x)3:
+        # the raw tables are contracted with the mean one law at a time, and
+        # the sym term joins pair[a, b, c], the factor in slots (a, b) and
+        # the single factor in c
+        pair = np.tensordot(covs, M @ k2.T, axes=([0], [1]))
+        pair += np.multiply.outer(brood_cov + mode_product(M, k2), m_eps)
+        pair += np.multiply.outer(eps2, mu)
+        pair -= np.tensordot(mean[:, None, None] * raw2, M, axes=([0], [1]))
+        b3 = 2.0 * np.tensordot((M * mean)[:, None, :] * M, M, axes=([2], [1]))
+        for i, law in enumerate(model.offspring):
+            b3 += mean[i] * law.kron_moment(3).reshape(p, p, p)
+        b3 += _sym3(pair) + imm.kron_moment(3).reshape(p, p, p)
+        k3 = tensor_fixed_point(M, b3)
+        defect = np.max(np.abs(k3 - b3 - mode_product(M, k3)))
+        kron3_defect = float(defect / max(float(np.max(np.abs(k3))), 1e-30))
+        kron3 = k3.reshape(-1)
 
     return MomentReport(
         mean=mean,
@@ -318,7 +294,7 @@ def moment_report(model, max_order=3):
             "cond": float(np.linalg.cond(A, 1)),
         },
         offspring_cov=covs,
-        immigration_cov=eps.cov,
+        immigration_cov=imm_cov,
     )
 
 

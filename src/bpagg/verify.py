@@ -234,7 +234,10 @@ def _report(kind, model, params, rows, rho, n, t0, extra=None, checks=()):
 def _stationary_path(model, n, seed, order):
     """(exact, burn, path): the moment report of the given order, the
     automatic burn-in at its rho, and a path of n steps after that burn-in
-    on the stream (seed, 0)."""
+    on the stream (seed, 0). Below two steps a batch-means standard error
+    is infinite and every band passes, so such an n is refused."""
+    if n < 2:
+        raise ValueError("need n >= 2 for a batch-means standard error, got %r" % (n,))
     exact = moment_report(model, order)
     burn = _resolve_burnin(model, "auto", exact.rho)
     return exact, burn, simulate_path(model, n, stream_rng(seed, 0), burnin=burn)
@@ -445,8 +448,12 @@ def autocovariance_check(model, n, lags, seed):
     lags = [int(k) for k in lags]
     if any(k < 0 for k in lags):
         raise ValueError("lags must be >= 0")
-    if max(lags, default=0) >= n:
-        raise ValueError("largest lag must be below n")
+    if not lags:
+        raise ValueError("need at least one lag")
+    # a lag of at most n - 2 leaves two products for its batch-means SE
+    if max(lags) > n - 2:
+        raise ValueError("largest lag must be at most n - 2, got %d for n = %r"
+                         % (max(lags), n))
     exact, burn, path = _stationary_path(model, n, seed, 1)
     M = mean_matrix(model)
     x = path[1:].astype(float)
@@ -475,6 +482,9 @@ def innovation_diagnostics(model, path):
     so plain standard errors apply there.
     """
     t0 = time.perf_counter()
+    if len(path) < 3:
+        raise ValueError("need a path of at least 3 rows (2 innovations), got %d"
+                         % len(path))
     return _innovation_report(model, path, moment_report(model, 1), t0)
 
 

@@ -363,6 +363,39 @@ def test_verify_autocov_and_innovations(scalar_file, capsys):
     assert payload["rows"][0]["target"] == 1.5
 
 
+# kind: (the shortest run that is accepted, [(a run one step or lag short
+# of it, a piece of its error message)])
+_SHORT_RUNS = {
+    "ergodic": (["--n", "2"], [(["--n", "1"], "n >= 2"), (["--n", "0"], "n >= 2")]),
+    "innovations": (["--n", "2"], [(["--n", "1"], "n >= 2"), (["--n", "0"], "n >= 2")]),
+    "autocov": (
+        ["--n", "4", "--lags", "0,2"],
+        [(["--n", "4", "--lags", "0,3"], "n - 2"), (["--n", "20", "--lags", ""], "one lag")],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SHORT_RUNS))
+def test_short_single_path_runs_exit_two_before_simulating(
+    scalar_file, capsys, monkeypatch, kind
+):
+    # below two terms a batch-means SE is infinite and every band passes
+    shortest, refused = _SHORT_RUNS[kind]
+    assert main(["verify", kind, "--model", scalar_file] + shortest) in (0, 3)
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["rows"] and all(np.isfinite(r["se"]) for r in payload["rows"])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated before the input was checked")
+
+    monkeypatch.setattr(bpagg.verify, "simulate_path", refuse)
+    for argv, message in refused:
+        assert main(["verify", kind, "--model", scalar_file] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and message in captured.err
+        assert captured.out == ""
+
+
 def test_verify_failure_exit_code(scalar_file, capsys, monkeypatch):
     broken = VerificationReport(
         kind="ergodic",
@@ -528,6 +561,26 @@ def test_ginar_rho_is_the_embedded_model_rho(tmp_path, capsys):
     emitted = tmp_path / "embedded.json"
     argv = ["ginar", "--means", "0.5,0.3,0.0", "--emit-model", str(emitted)]
     assert main(argv) == 0
+    rho = json.loads(capsys.readouterr().out)["rho"]
+    assert main(["moments", "--model", str(emitted), "--order", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["rho"] == rho
+
+
+def test_ginar_spec_finite_tables_rho_is_the_embedded_model_rho(tmp_path, capsys):
+    # the lifted tables survive the --emit-model round trip bit for bit
+    def table(probs):
+        return {"kind": "finite", "support": [{"v": [k], "p": q} for k, q in probs]}
+
+    spec = {
+        "order": 2,
+        "offspring": [table([(0, 0.7), (1, 0.2), (2, 0.1)]), table([(0, 0.9), (3, 0.1)])],
+        "immigration": {"kind": "independent",
+                        "marginals": [{"dist": "poisson", "lambda": 1.0}]},
+    }
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps(spec))
+    emitted = tmp_path / "embedded.json"
+    assert main(["ginar", "--spec", str(f), "--emit-model", str(emitted)]) == 0
     rho = json.loads(capsys.readouterr().out)["rho"]
     assert main(["moments", "--model", str(emitted), "--order", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["rho"] == rho

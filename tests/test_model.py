@@ -530,6 +530,22 @@ def test_model_json_roundtrip():
             assert_allclose(a.kron_moment(alpha), b.kron_moment(alpha))
 
 
+def test_finite_support_json_round_trip_is_identity():
+    # 0.7 + 0.2 + 0.1 is not exactly 1, so the stored masses are not the
+    # given ones; a round trip must still rebuild the same law
+    model = BranchingModel(
+        1,
+        (FiniteSupport([[0], [1], [2]], [0.7, 0.2, 0.1]),),
+        IndependentMarginals([Poisson(1.0)]),
+    )
+    first = model
+    for _ in range(2):
+        model = model_from_json(json.loads(json.dumps(model_to_json(model))))
+        assert model.offspring[0].probs.tolist() == first.offspring[0].probs.tolist()
+        assert model_digest(model) == model_digest(first)
+        assert validate(model).rho == validate(first).rho
+
+
 def test_model_json_rejects_bad_input():
     with pytest.raises(ValueError):
         model_from_json({"p": 1, "offspring": []})

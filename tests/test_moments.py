@@ -1,4 +1,7 @@
 import collections
+import importlib.util
+import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from bpagg.model import (
     Point,
     Poisson,
     mean_matrix,
+    model_from_json,
     validate,
 )
 from bpagg.moments import (
@@ -148,6 +152,19 @@ def test_structured_moments_match_dense_block_solve():
             if validate(model).rho < 0.95:
                 _assert_close_to_dense(model)
                 done += 1
+    # p = 4 tables with atoms on several coordinates at once, next to product
+    # laws, under table immigration
+    offspring = (
+        IndependentMarginals([Bernoulli(0.1), Poisson(0.05), Geometric(0.95), Binomial(2, 0.05)]),
+        FiniteSupport([[0, 0, 0, 0], [2, 0, 1, 0], [0, 1, 0, 3], [1, 1, 1, 1]],
+                      [0.8, 0.1, 0.05, 0.05]),
+        IndependentMarginals([Poisson(0.1), Point(0), Bernoulli(0.2), Poisson(0.05)]),
+        FiniteSupport([[0, 0, 0, 0], [1, 0, 0, 2], [0, 3, 1, 0]], [0.85, 0.1, 0.05]),
+    )
+    immigration = FiniteSupport(
+        [[0, 0, 0, 0], [3, 1, 0, 2], [0, 2, 5, 1], [1, 0, 0, 0]], [0.4, 0.3, 0.2, 0.1]
+    )
+    _assert_close_to_dense(BranchingModel(4, offspring, immigration))
 
 
 def test_structured_moments_match_dense_near_critical():
@@ -225,6 +242,25 @@ def test_moment_report_builds_each_law_moment_once(monkeypatch):
     laws = model.offspring + (model.immigration,)
     assert set(calls) == {(id(law), k) for law in laws for k in (2, 3)}
     assert max(calls.values()) == 1
+
+
+def test_order_three_report_builds_no_p4_array():
+    # the order-3 tables are contracted with the mean one law at a time, so
+    # a report at p = 24 peaks below one array of p^4 floats (2.53 MiB)
+    path = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    p = 24
+    model = model_from_json(workloads.random_model(p, 0))
+    moment_report(model, 3)
+    tracemalloc.start()
+    try:
+        moment_report(model, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p ** 4 * 8
 
 
 def test_moment_report_cond_closed_form():

@@ -393,6 +393,17 @@ def test_innovation_diagnostics_scalar():
     assert counts == sorted(counts, reverse=True)
 
 
+def test_innovation_diagnostics_needs_two_innovations():
+    # one innovation has an infinite batch-means SE and would pass any band
+    model = build_scalar_inar()
+    path = np.array([[2], [3], [1]])
+    with pytest.raises(ValueError, match="at least 3 rows"):
+        innovation_diagnostics(model, path[:2])
+    report = innovation_diagnostics(model, path)
+    assert all(math.isfinite(r["se"]) for r in report.rows)
+    assert all(math.isfinite(e["se"]) for e in report.extra["abs_moment"])
+
+
 def test_innovation_diagnostics_two_type_bucket_targets():
     model = build_two_type()
     path = simulate_path(model, 12000, stream_rng(4, 0), burnin="auto")
