@@ -28,7 +28,6 @@ from .model import load_model, model_to_json
 from .moments import moment_report
 from .simulate import (
     SimulationOverflowError,
-    _grid_indices,
     _resolve_burnin,
     aggregate,
     aggregates_to_csv,
@@ -177,13 +176,11 @@ def _run_aggregate(args):
     if args.out is None:
         raise ValueError("aggregate needs --out for the CSV")
     model = load_model(args.model)
-    _grid_indices(args.grid, args.n)
     exact = moment_report(model, 1)
     burn = _resolve_burnin(model, args.burnin, exact.rho)
-    ens = simulate_ensemble(
-        model, args.copies, args.n, args.seed, burnin=burn, threads=args.threads
-    )
-    aggregates_to_csv(aggregate(ens, args.grid, exact.mean), args.out)
+    series = aggregate(model, args.copies, args.n, args.seed, args.grid, exact.mean, burn,
+                       args.threads)
+    aggregates_to_csv(series, args.out)
     return 0
 
 

@@ -79,7 +79,8 @@ def _lift(law, p, unit_coord):
     support[:, 0] = law.support[:, 0]
     if unit_coord is not None:
         support[:, unit_coord] = 1
-    return FiniteSupport(support, law.probs)
+    # the masses as given, which the lifted law normalizes once
+    return FiniteSupport(support, law._given)
 
 
 def embed(spec):

@@ -2,32 +2,33 @@
 
 States are int64 counts, and a block of copies is a pure function of its
 generator stream. A block of B copies is stepped in lockstep, in chunks of
-k = _BLOCK_CELLS // (B p) steps (at least one): a chunk first draws the
+k = _CHUNK_CELLS // (B p) steps (at least one): a chunk first draws the
 immigration of all its steps and copies in one call, then, step by step,
 each type's offspring in index order, the exact sum of c_i independent
 brood vectors as one convolution variate (see bpagg.model) over all B
 copies; step is such a chunk of one step.
 
 A block of one copy of a subcritical model is drawn as immigrant cohorts
-(see _cohort_path): from zero, the path is the sum of the independent
+(see _cohort_chunks): from zero, the path is the sum of the independent
 Galton-Watson processes started by each step's immigration, stepped one
 generation at a time over all living cohorts of a chunk of birth steps.
 Cohorts of a critical or supercritical model need not die out, and
 long-lived ones cost more than steps, so such one-copy blocks are stepped
-in lockstep like the others (see _cohort_route); simulate_path and
-simulate_ensemble decide the route once per call. A path is not repeated
-step calls.
+in lockstep like the others (see _cohort_route); simulate_path and every
+ensemble decide the route once per call. A path is not repeated step
+calls. Either route hands out its states a chunk at a time, and a block
+keeps either its paths or only its running sums S_m = X_1 + ... + X_m at
+the grid indices m = floor(t n) (see _simulate_block).
 
-Ensembles split their N copies, in order, into blocks of at most
-_BLOCK_CELLS counts (copies x (n+1) x p) and run block b on the
-counter-based stream (master_seed, b). An ensemble therefore depends on
-(master_seed, N, n, p) and never on scheduling or worker count, and any
-block can be rerun alone on its stream.
+Ensembles split their N copies, in order, into blocks of block_copies(p)
+copies and run block b on the counter-based stream (master_seed, b). An
+ensemble therefore depends on (master_seed, N, n, p) and never on
+scheduling or worker count, and any block can be rerun alone on its stream.
 
-Aggregates are centered at the exact stationary mean and cumulated per
-copy by percopy_aggregates alone; the ensemble aggregate is the sum of
-its N independent per-copy aggregates over sqrt(N). _grid_indices is the
-one check of a time grid, and callers run it before they simulate.
+Aggregates store no path: percopy_aggregates centers the running sums of
+each copy at the exact stationary mean, and the ensemble aggregate is the
+sum of its N independent per-copy aggregates over sqrt(N). _grid_indices
+is the one check of a time grid, and callers run it before they simulate.
 """
 
 import json
@@ -58,6 +59,7 @@ __all__ = [
     "simulate_ensemble",
     "block_copies",
     "aggregate",
+    "percopy_aggregates",
     "extract_innovations",
     "burnin_auto",
     "paths_to_csv",
@@ -71,10 +73,13 @@ _STATE_LIMIT = 1 << 31
 # counts times law constants must stay below this to fit int64
 _INT64_WRAP = 1 << 63
 
-# int64 counts in one ensemble block, copies x (n+1) x p: large enough that
-# numpy's per-call cost is shared by hundreds of short copies, small enough
-# that a block's paths stay around half a megabyte
-_BLOCK_CELLS = 1 << 16
+# copies x types of one ensemble block, stepped in lockstep: wide enough that
+# numpy's per-call cost is shared by thousands of copies at any path length
+_BLOCK_WIDTH = 4096
+
+# int64 counts in one chunk of a block, steps x copies x p: a chunk's
+# immigration is one draw, and its states stay around half a megabyte
+_CHUNK_CELLS = 1 << 16
 
 # one-copy blocks are drawn as immigrant cohorts only while a cohort lives
 # at most this many generations in mean (see _cohort_route): each living
@@ -151,12 +156,8 @@ def _resolve_burnin(model, burnin, rho=None):
 def _check_state(total):
     # a count wrapped below zero reads as a huge unsigned value
     if total.view(np.uint64).max() > _STATE_LIMIT:
-        _overflow()
+        raise SimulationOverflowError("component count exceeded 2^31, supercritical runaway?")
     return total
-
-
-def _overflow():
-    raise SimulationOverflowError("component count exceeded 2^31, supercritical runaway?")
 
 
 class _Guarded:
@@ -201,21 +202,18 @@ def _offspring(model):
 
 
 def _run_block(model, n, rng, burnin, x):
-    """(B, n+1, p) paths stepped in lockstep from the (B, p) state x; burnin
-    steps first.
+    """Chunks (a, states) of a block stepped in lockstep from the (B, p)
+    state x, burnin steps first: states (m, B, p) are the states at path
+    indices a .. a + m - 1, in order, for every index drawn after x.
 
-    Steps go in chunks of k = _BLOCK_CELLS // (B p) (at least 1): a chunk
+    Steps go in chunks of k = _CHUNK_CELLS // (B p) (at least 1): a chunk
     draws the immigration of its k steps for every copy in one law.sample
     call, then, step by step, adds every type's offspring sums, in type
-    order, to its row of immigration. Only one chunk of states is held
-    besides the paths.
+    order, to its row of immigration. Only one chunk of states is held.
     """
     copies, p = x.shape
     offspring = _offspring(model)
-    k = max(1, _BLOCK_CELLS // (copies * p))
-    paths = np.empty((copies, n + 1, p), dtype=np.int64)
-    if burnin == 0:
-        paths[:, 0] = x
+    k = max(1, _CHUNK_CELLS // (copies * p))
     done, total = 0, burnin + n
     while done < total:
         m = min(k, total - done)
@@ -231,30 +229,30 @@ def _run_block(model, n, rng, burnin, x):
         a = done + 1 - burnin
         r0 = max(0, -a)
         if r0 < m:
-            paths[:, a + r0 : a + m] = eps[r0:].swapaxes(0, 1)
+            yield a + r0, eps[r0:]
         done += m
-    return paths
 
 
-def _cohort_path(model, n, rng, burnin):
-    """(n+1, p) path of one copy from zero, drawn as immigrant cohorts.
+def _cohort_chunks(model, n, rng, burnin):
+    """Chunks (a, states) of one copy from zero, drawn as immigrant cohorts,
+    with states (m, 1, p) and a as in _run_block.
 
     The state after step t is the sum, over the steps j <= t, of the
     cohort born from step j's immigration, t - j generations on; cohorts
     are independent Galton-Watson processes. Birth steps go in chunks of
-    k = _BLOCK_CELLS // p (at least 1): a chunk draws its k immigration
+    k = _CHUNK_CELLS // p (at least 1): a chunk draws its k immigration
     vectors in one law.sample call, then steps all its living cohorts in
     lockstep, one generation per round, each type's offspring sums in type
     order over the cohorts in birth order, and adds each generation into
     the states it reaches. A cohort is dropped once it is extinct or has
     reached the path's last step, and a chunk runs until none is left.
-    Cohorts of a subcritical model die out, so every chunk ends.
+    Cohorts of a subcritical model die out, so every chunk ends. A chunk's
+    states are a view that the next chunk overwrites.
     """
     p = model.p
     offspring = _offspring(model)
-    k = max(1, _BLOCK_CELLS // p)
+    k = max(1, _CHUNK_CELLS // p)
     total = burnin + n
-    path = np.zeros((n + 1, p), dtype=np.int64)
     # acc[:, r] sums the state after step s + r; columns past the chunk carry
     # the progeny of its cohorts into the steps of later chunks
     acc = np.zeros((p, min(2 * k, total + 1)), dtype=np.int64)
@@ -288,10 +286,9 @@ def _cohort_path(model, n, rng, burnin):
         a = s - burnin
         j0 = max(0, -a)
         if j0 < m:
-            path[a + j0 : a + m] = rows[j0:]
+            yield a + j0, rows[j0:, None]
         acc[:, :-m] = acc[:, m:]
         acc[:, -m:] = 0
-    return path
 
 
 def _cohort_route(model):
@@ -317,17 +314,36 @@ def _cohort_route(model):
     return life + tail <= _COHORT_GENERATIONS
 
 
-def _simulate_block(model, copies, n, rng, burnin, cohorts=False):
-    """(copies, n+1, p) paths of one block from zero; burnin is a step count.
+def _simulate_block(model, copies, n, rng, burnin, cohorts=False, idx=None):
+    """(copies, n+1, p) paths of one block from zero, or, given path indices
+    idx, only its running sums S_m = X_1 + ... + X_m at each m of idx, as
+    (copies, len(idx), p); burnin is a step count.
 
     A block of one copy is drawn as immigrant cohorts when cohorts is set
     (by the caller, once per call, from _cohort_route); every other block is
-    stepped in lockstep.
+    stepped in lockstep. Sums hold (copies, p) counts per grid point besides
+    one chunk, and are exact int64 below 2^32 steps of at most 2^31 each.
     """
+    p = model.p
     if copies == 1 and cohorts:
-        return _cohort_path(model, n, rng, burnin)[None]
-    x = np.zeros((copies, model.p), dtype=np.int64)
-    return _run_block(model, n, rng, burnin, x)
+        chunks = _cohort_chunks(model, n, rng, burnin)
+    else:
+        chunks = _run_block(model, n, rng, burnin, np.zeros((copies, p), dtype=np.int64))
+    if idx is None:
+        paths = np.zeros((copies, n + 1, p), dtype=np.int64)
+        for a, states in chunks:
+            paths[:, a : a + len(states)] = states.swapaxes(0, 1)
+        return paths
+    sums = np.zeros((copies, len(idx), p), dtype=np.int64)
+    total = np.zeros((copies, p), dtype=np.int64)  # S_(a-1)
+    for a, states in chunks:
+        if a == 0:  # X_0 is in no sum
+            a, states = 1, states[1:]
+        for g, m in enumerate(idx):
+            if a <= m < a + len(states):
+                sums[:, g] = total + states[: m - a + 1].sum(axis=0)
+        total += states.sum(axis=0)
+    return sums
 
 
 def step(model, state, rng):
@@ -336,7 +352,7 @@ def step(model, state, rng):
     state = np.asarray(state, dtype=np.int64)
     if state.shape != (model.p,) or int(state.min()) < 0:
         raise ValueError("state must be a nonnegative int vector of length p")
-    return _run_block(model, 1, rng, 0, state[None])[0, 1]
+    return next(_run_block(model, 1, rng, 0, state[None]))[1][0, 0]
 
 
 def simulate_path(model, n, rng, burnin=None):
@@ -374,47 +390,46 @@ class PathEnsemble:
         return self.paths.shape[2]
 
 
-def block_copies(n, p):
-    """Copies per ensemble block for paths of n steps of p types."""
-    return max(1, _BLOCK_CELLS // ((n + 1) * p))
-
-
-def _map_tasks(fn, tasks, threads):
-    """[fn(t) for t in tasks], over a pool of up to threads processes."""
-    workers = min(threads, len(tasks))
-    if workers <= 1:
-        return [fn(t) for t in tasks]
-    # loaded only here: the module costs a tenth of import bpagg
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+def block_copies(p):
+    """Copies per ensemble block for models of p types."""
+    return max(1, _BLOCK_WIDTH // p)
 
 
 def _block_worker(args):
-    model, copies, n, master_seed, b, burnin, cohorts = args
-    return _simulate_block(model, copies, n, stream_rng(master_seed, b), burnin, cohorts)
+    model, copies, n, master_seed, b, burnin, cohorts, idx = args
+    return _simulate_block(model, copies, n, stream_rng(master_seed, b), burnin, cohorts, idx)
+
+
+def _run_blocks(model, N, n, master_seed, burnin, threads, idx=None):
+    """_simulate_block's paths or sums of N copies, block by block in copy
+    order: block b runs on the stream (master_seed, b), and threads only
+    spreads blocks over processes."""
+    if int(N) != N or N < 1:
+        raise ValueError("need N >= 1 copies, got %r" % (N,))
+    size = block_copies(model.p)
+    sizes = [min(size, int(N) - a) for a in range(0, int(N), size)]
+    cohorts = 1 in sizes and _cohort_route(model)
+    tasks = [
+        (model, copies, n, master_seed, b, burnin, cohorts, idx)
+        for b, copies in enumerate(sizes)
+    ]
+    if min(threads, len(tasks)) <= 1:
+        parts = [_block_worker(t) for t in tasks]
+    else:
+        # loaded only here: the module costs a tenth of import bpagg
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
+            parts = list(pool.map(_block_worker, tasks))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
 
 
 def simulate_ensemble(model, N, n, master_seed, burnin="auto", threads=1):
-    """Ensemble of N copies, n steps each. Results do not depend on threads.
-
-    Copies are stepped in blocks of block_copies(n, p); block b runs on the
-    stream (master_seed, b), and threads only spreads blocks over processes.
-    """
-    if int(N) != N or N < 1:
-        raise ValueError("need N >= 1 copies, got %r" % (N,))
-    N, n = int(N), _count("n", n)
+    """Ensemble of N copies, n steps each, with their paths. Results do not
+    depend on threads (see the module docstring)."""
+    n = _count("n", n)
     k = _resolve_burnin(model, burnin)
-    size = block_copies(n, model.p)
-    sizes = [min(size, N - a) for a in range(0, N, size)]
-    cohorts = 1 in sizes and _cohort_route(model)
-    tasks = [
-        (model, copies, n, int(master_seed), b, k, cohorts)
-        for b, copies in enumerate(sizes)
-    ]
-    parts = _map_tasks(_block_worker, tasks, threads)
-    paths = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
+    paths = _run_blocks(model, N, n, int(master_seed), k, threads)
     return PathEnsemble(model, int(master_seed), k, paths)
 
 
@@ -449,35 +464,39 @@ def _grid_indices(grid, n):
     return [math.floor(t * n) for t in grid]
 
 
-def aggregate(ensemble, grid, mean=None):
-    """Scaled aggregate (nN)^(-1/2) sum_copies sum_{k <= floor(n t)} (X_k - mean).
-
-    The N copies are independent, so this is the sum of their per-copy
-    aggregates (see percopy_aggregates) divided by sqrt(N). Centering uses
-    the exact stationary mean, solved unless passed in, so the series has
-    exact zero expectation under stationary initialization.
-    """
-    values = percopy_aggregates(ensemble, grid, mean).sum(axis=0) / math.sqrt(ensemble.N)
-    return AggregateSeries(tuple(float(t) for t in grid), values, ensemble.n, ensemble.N)
-
-
-def percopy_aggregates(ensemble, grid, mean=None):
+def percopy_aggregates(model, N, n, master_seed, grid, mean=None, burnin="auto", threads=1):
     """Per-copy scaled aggregates n^(-1/2) sum_{k <= floor(n t)} (X_k - mean).
 
+    The copies are simulate_ensemble's with the same arguments, kept only as
+    their running sums S_m at m = floor(n t), centered as (S_m - m mean).
     Copies are independent and identically distributed, so their empirical
     covariance estimates the covariance of the ensemble aggregate: summing
     over N copies and dividing by sqrt(N) changes no second moment.
     mean is the exact stationary mean, solved here unless passed in.
     Returns an (N, len(grid), p) array.
     """
-    n = ensemble.n
+    n = _count("n", n)
+    if n < 1:
+        raise ValueError("need n >= 1 steps to scale an aggregate, got 0")
     idx = _grid_indices(grid, n)
+    k = _resolve_burnin(model, burnin)
     if mean is None:
-        mean = stationary_moments(ensemble.model, 1)[0]
-    csum = np.zeros(ensemble.paths.shape)  # csum[:, k]: sum of the first k steps
-    np.subtract(ensemble.paths[:, 1:, :], mean, out=csum[:, 1:, :])
-    np.cumsum(csum, axis=1, out=csum)
-    return csum[:, idx, :] / math.sqrt(n)
+        mean = stationary_moments(model, 1)[0]
+    sums = _run_blocks(model, N, n, int(master_seed), k, threads, idx)
+    return (sums - np.outer(idx, mean)) / math.sqrt(n)
+
+
+def aggregate(model, N, n, master_seed, grid, mean=None, burnin="auto", threads=1):
+    """Scaled aggregate (nN)^(-1/2) sum_copies sum_{k <= floor(n t)} (X_k - mean).
+
+    The N copies are independent, so this is the sum of their per-copy
+    aggregates (see percopy_aggregates, which takes the same arguments)
+    divided by sqrt(N). Centered at the exact stationary mean, the series
+    has exact zero expectation under stationary initialization.
+    """
+    per_copy = percopy_aggregates(model, N, n, master_seed, grid, mean, burnin, threads)
+    values = per_copy.sum(axis=0) / math.sqrt(len(per_copy))
+    return AggregateSeries(tuple(float(t) for t in grid), values, int(n), len(per_copy))
 
 
 def extract_innovations(model, path):

@@ -33,13 +33,10 @@ from .model import mean_matrix, model_digest
 from .moments import moment_report
 from .simulate import (
     _grid_indices,
-    _map_tasks,
     _resolve_burnin,
-    block_copies,
     derived_seed,
     extract_innovations,
     percopy_aggregates,
-    simulate_ensemble,
     simulate_path,
     stream_rng,
 )
@@ -267,15 +264,6 @@ def ergodic_check(model, n, seed):
     return _report("ergodic", model, params, rows, exact.rho, n, t0)
 
 
-def _clt_group_worker(args):
-    """Scaled ensemble aggregates (reps, G, p) of reps consecutive
-    replications, simulated as one ensemble of reps * N copies."""
-    model, n, N, reps, burn, grid, mean, seed = args
-    ens = simulate_ensemble(model, reps * N, n, seed, burnin=burn)
-    per_copy = percopy_aggregates(ens, grid, mean)
-    return per_copy.reshape(reps, N, len(grid), model.p).sum(axis=1) / math.sqrt(N)
-
-
 def clt_covariance_experiment(model, n, N, reps=200, grid=(1.0,), seed=0, burnin="auto",
                               threads=1):
     """Distribution of the scaled aggregate against the Gaussian limit.
@@ -283,11 +271,10 @@ def clt_covariance_experiment(model, n, N, reps=200, grid=(1.0,), seed=0, burnin
     Runs reps independent ensembles of N copies over n steps after burnin
     steps ('auto' or an integer), on threads worker processes. grid must be
     nonempty, finite, nonnegative, strictly increasing, and reach no
-    further than n steps. Consecutive replications are grouped so that a
-    group of R of them fills one simulation block (R = block_copies(n, p)
-    // N, at least 1): group g is one ensemble of R * N copies on the
-    stream derived from (seed, 0, g), and replication r of the group is its
-    copies r * N .. (r + 1) * N - 1. Per grid point t the empirical covariance of
+    further than n steps. The replications are one ensemble of reps * N
+    copies on the seed derived from (seed, 0), kept as per-copy aggregates
+    (see percopy_aggregates): replication r is the scaled sum of copies
+    r * N .. (r + 1) * N - 1. Per grid point t the empirical covariance of
     the scaled aggregate across replications is compared entrywise to
     t * sigma with bootstrap standard errors, each standardized marginal is
     tested for normality (KS distance against the 1.36 / sqrt(reps)
@@ -300,18 +287,13 @@ def clt_covariance_experiment(model, n, N, reps=200, grid=(1.0,), seed=0, burnin
     if int(n) != n or n < 1 or int(N) != N or N < 1:
         raise ValueError("need n >= 1 and N >= 1, got %r and %r" % (n, N))
     n, N, p = int(n), int(N), model.p
-    _grid_indices(grid, n)
     grid = tuple(float(t) for t in grid)
     exact = moment_report(model, 1)
     sigma = exact.sigma
     burn = _resolve_burnin(model, burnin, exact.rho)
-    per_group = max(1, block_copies(n, p) // N)
-    tasks = [
-        (model, n, N, min(per_group, reps - a), burn, grid, exact.mean,
-         derived_seed(seed, 0, g))
-        for g, a in enumerate(range(0, reps, per_group))
-    ]
-    vals = np.concatenate(_map_tasks(_clt_group_worker, tasks, threads))  # (reps, G, p)
+    per_copy = percopy_aggregates(model, reps * N, n, derived_seed(seed, 0), grid,
+                                  exact.mean, burn, threads)
+    vals = per_copy.reshape(reps, N, len(grid), p).sum(axis=1) / math.sqrt(N)
 
     boot_idx = stream_rng(seed, 1).integers(0, reps, size=(_BOOT, reps))
 
@@ -417,10 +399,8 @@ def iterated_experiment(model, n, N, order, sweep=None, grid=(1.0,), seed=0,
 
     trajectory = []
     for s, (val, (N_s, n_s)) in enumerate(zip(sweep, points)):
-        ens = simulate_ensemble(
-            model, N_s, n_s, derived_seed(seed, 0, oid, s), burnin=burn, threads=threads
-        )
-        per_copy = percopy_aggregates(ens, grid, exact.mean)  # (N_s, G, p)
+        per_copy = percopy_aggregates(model, N_s, n_s, derived_seed(seed, 0, oid, s), grid,
+                                      exact.mean, burn, threads)  # (N_s, G, p)
         boot_idx = stream_rng(seed, 1, oid, s).integers(0, N_s, size=(_BOOT, N_s))
         rows = _grid_cov_rows(per_copy, grid, sigma, boot_idx)
         trajectory.append({"sweep": val, "N": N_s, "n": n_s, "rows": rows})

@@ -20,7 +20,7 @@ from bpagg.moments import (
     stationary_moments,
     stationary_variance,
 )
-from bpagg.simulate import aggregate, simulate_ensemble
+from bpagg.simulate import aggregate
 from bpagg.verify import (
     autocovariance_check,
     bands_overlap,
@@ -240,8 +240,7 @@ def test_criterion_09_degenerate_exactness():
     details = []
     for model in (build_deterministic(), build_deterministic_scalar()):
         V = noise_matrix(model)
-        ens = simulate_ensemble(model, 3, 50, master_seed=0, burnin=10)
-        series = aggregate(ens, (0.25, 0.5, 1.0))
+        series = aggregate(model, 3, 50, 0, (0.25, 0.5, 1.0), burnin=10)
         exact_v = bool(np.all(V == 0.0))
         exact_s = bool(np.all(series.values == 0.0))
         ok = ok and exact_v and exact_s

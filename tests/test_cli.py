@@ -112,7 +112,7 @@ def test_simulate_requires_out(scalar_file, capsys):
 )
 def test_missing_out_fails_before_simulating(scalar_file, capsys, monkeypatch, verb):
     calls = []
-    monkeypatch.setattr(cli, "simulate_ensemble", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(bpagg.simulate, "_run_blocks", lambda *a, **k: calls.append(a))
     code = main(verb + ["--model", scalar_file, "--n", "5", "--copies", "1"])
     assert code == 2
     assert "--out" in capsys.readouterr().err
@@ -183,8 +183,8 @@ def _no_simulation(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("simulated before the input was checked")
 
-    for mod in (cli, bpagg.simulate, bpagg.verify):
-        monkeypatch.setattr(mod, "simulate_ensemble", refuse)
+    # every ensemble, with stored paths or streamed sums, runs its blocks here
+    monkeypatch.setattr(bpagg.simulate, "_run_blocks", refuse)
 
 
 _VERB_ARGS = {
@@ -567,7 +567,8 @@ def test_ginar_rho_is_the_embedded_model_rho(tmp_path, capsys):
 
 
 def test_ginar_spec_finite_tables_rho_is_the_embedded_model_rho(tmp_path, capsys):
-    # the lifted tables survive the --emit-model round trip bit for bit
+    # the lifted tables survive the --emit-model round trip bit for bit: the
+    # emitted masses are the spec's
     def table(probs):
         return {"kind": "finite", "support": [{"v": [k], "p": q} for k, q in probs]}
 
@@ -582,6 +583,8 @@ def test_ginar_spec_finite_tables_rho_is_the_embedded_model_rho(tmp_path, capsys
     emitted = tmp_path / "embedded.json"
     assert main(["ginar", "--spec", str(f), "--emit-model", str(emitted)]) == 0
     rho = json.loads(capsys.readouterr().out)["rho"]
+    laws = json.loads(emitted.read_text())["offspring"]
+    assert [[a["p"] for a in law["support"]] for law in laws] == [[0.7, 0.2, 0.1], [0.9, 0.1]]
     assert main(["moments", "--model", str(emitted), "--order", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["rho"] == rho
 

@@ -37,6 +37,7 @@ from bpagg.simulate import (
     write_metadata,
 )
 from bpagg.simulate import _grid_indices, percopy_aggregates
+from bpagg.moments import stationary_moments
 from bpagg.model import Bernoulli, Binomial, FiniteSupport, Geometric
 from conftest import (
     build_deterministic,
@@ -143,7 +144,10 @@ def _table_model():
 
 def _array_block_path(model, n, rng, burnin):
     """One copy stepped by the lockstep array stepper on a (1, p) block."""
-    return _run_block(model, n, rng, burnin, np.zeros((1, model.p), dtype=np.int64))[0]
+    path = np.zeros((n + 1, model.p), dtype=np.int64)
+    for a, states in _run_block(model, n, rng, burnin, np.zeros((1, model.p), dtype=np.int64)):
+        path[a : a + len(states)] = states[:, 0]
+    return path
 
 
 def _cohort_oracle(model, n, rng, burnin, cells):
@@ -199,7 +203,7 @@ def _lockstep_oracle(model, copies, n, rng, burnin, cells):
 def test_path_follows_cohort_order(build, monkeypatch):
     # a subcritical path is drawn as immigrant cohorts, in chunks of
     # 6 // p birth steps, so cohorts outlive their chunk and the burn-in
-    monkeypatch.setattr(simulate, "_BLOCK_CELLS", 6)
+    monkeypatch.setattr(simulate, "_CHUNK_CELLS", 6)
     model = build()
     path = simulate_path(model, 200, stream_rng(7), burnin=15)
     assert path.dtype == np.int64
@@ -213,9 +217,9 @@ def test_path_follows_cohort_order(build, monkeypatch):
 @pytest.mark.parametrize("copies", [1, 3])
 def test_block_follows_documented_stream_order(copies, monkeypatch):
     # one copy of a short-lived subcritical model: immigrant cohorts; several
-    # copies: lockstep chunks of _BLOCK_CELLS // (copies p) steps
+    # copies: lockstep chunks of _CHUNK_CELLS // (copies p) steps
     cells = 12
-    monkeypatch.setattr(simulate, "_BLOCK_CELLS", cells)
+    monkeypatch.setattr(simulate, "_CHUNK_CELLS", cells)
     model, n, burnin = _table_model(), 9, 4
     assert simulate._cohort_route(model)
     paths = _simulate_block(model, copies, n, stream_rng(3), burnin, cohorts=True)
@@ -229,7 +233,7 @@ def test_block_follows_documented_stream_order(copies, monkeypatch):
 def test_path_holds_one_chunk_of_rows(monkeypatch):
     # a path keeps Python rows for one chunk only (1024 steps here); keeping
     # all 40000 rows as lists would take several megabytes
-    monkeypatch.setattr(simulate, "_BLOCK_CELLS", 1024)
+    monkeypatch.setattr(simulate, "_CHUNK_CELLS", 1024)
     model, n = build_scalar_inar(), 40000
     simulate_path(model, 10, stream_rng(1))
     tracemalloc.start()
@@ -305,7 +309,7 @@ def test_path_matches_array_block_property(model, n, burnin, cells, seed):
     # arrays: equal paths, or an overflow on both routes
     assert not simulate._cohort_route(model)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate, "_BLOCK_CELLS", cells)
+        mp.setattr(simulate, "_CHUNK_CELLS", cells)
         path = _path_or_overflow(
             lambda: simulate_path(model, n, stream_rng(seed), burnin=burnin)
         )
@@ -328,7 +332,7 @@ def test_path_matches_array_block_property(model, n, burnin, cells, seed):
 def test_path_follows_cohort_order_property(model, n, burnin, cells, seed):
     assert simulate._cohort_route(model)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate, "_BLOCK_CELLS", cells)
+        mp.setattr(simulate, "_CHUNK_CELLS", cells)
         path = simulate_path(model, n, stream_rng(seed), burnin=burnin)
     assert np.array_equal(path, _cohort_oracle(model, n, stream_rng(seed), burnin, cells))
 
@@ -362,7 +366,7 @@ def _refuse_cohorts(monkeypatch):
     def refuse(*args):
         raise AssertionError("routed to cohorts")
 
-    monkeypatch.setattr(simulate, "_cohort_path", refuse)
+    monkeypatch.setattr(simulate, "_cohort_chunks", refuse)
 
 
 def test_critical_path_uses_array_stepper(monkeypatch):
@@ -407,17 +411,20 @@ def test_regime_decided_once_per_call(monkeypatch):
         return real(model)
 
     monkeypatch.setattr(simulate, "_cohort_route", counting)
-    monkeypatch.setattr(simulate, "_BLOCK_CELLS", 40)
+    monkeypatch.setattr(simulate, "_BLOCK_WIDTH", 2)
     model = build_two_type()
-    # 20 steps of 2 types fill a 40-cell block: three one-copy blocks
-    assert block_copies(19, 2) == 1
+    # one copy of 2 types fills a block of width 2: three one-copy blocks
+    assert block_copies(2) == 1
     simulate_ensemble(model, 3, 19, master_seed=1, burnin=2)
     assert len(calls) == 1
+    percopy_aggregates(model, 3, 19, 1, (1.0,), burnin=2)
+    assert len(calls) == 2
     simulate_path(model, 19, stream_rng(1), burnin=2)
-    assert len(calls) == 2
+    assert len(calls) == 3
     # no block of one copy: no regime decided
+    monkeypatch.setattr(simulate, "_BLOCK_WIDTH", 4)
     simulate_ensemble(model, 4, 9, master_seed=1, burnin=2)
-    assert len(calls) == 2
+    assert len(calls) == 3
 
 
 def test_step_is_a_one_step_chunk():
@@ -454,21 +461,20 @@ def test_ensemble_reproducible_and_thread_invariant():
     assert base.N == 6 and base.n == 40 and base.p == 2 and base.burnin == 3
 
 
-# 16384 counts per copy: blocks of 4 copies, so 10 copies make 3 blocks
-_BLOCKED = {"N": 10, "n": 16383}
+# two full blocks of the p = 1 model and a third of one copy
+_BLOCKED = {"N": 2 * simulate._BLOCK_WIDTH + 1, "n": 12}
 
 
 def test_ensemble_block_matches_block_run_alone():
     model = build_scalar_inar()
     N, n = _BLOCKED["N"], _BLOCKED["n"]
-    size = block_copies(n, model.p)
-    assert size == 4
+    size = block_copies(model.p)
     ens = simulate_ensemble(model, N, n, master_seed=5, burnin=10)
     starts = list(range(0, N, size))
-    assert len(starts) == 3
+    assert len(starts) == 3 and N - starts[-1] == 1
     for b, a in enumerate(starts):
         copies = min(size, N - a)
-        alone = _simulate_block(model, copies, n, stream_rng(5, b), 10)
+        alone = _simulate_block(model, copies, n, stream_rng(5, b), 10, cohorts=True)
         assert_allclose(ens.paths[a : a + copies], alone, atol=0)
     # a block of one copy is a path on the block's stream
     one = simulate_ensemble(model, 1, n, master_seed=5, burnin=10)
@@ -483,13 +489,16 @@ def test_ensemble_blocks_thread_invariant():
         other = simulate_ensemble(model, N, n, master_seed=8, burnin=0, threads=threads)
         assert np.array_equal(base.paths, other.paths)
     # blocks are not copies of one another
-    assert not np.array_equal(base.paths[:4], base.paths[4:8])
+    size = block_copies(1)
+    assert not np.array_equal(base.paths[:size], base.paths[size : 2 * size])
 
 
 def test_block_size_from_cell_budget():
-    assert block_copies(200, 1) == 326
-    assert block_copies(80, 3) == 269
-    assert block_copies(10 ** 6, 1) == 1
+    # copies x types per block is fixed, whatever the path length
+    assert block_copies(1) == 4096
+    assert block_copies(3) == 1365
+    assert block_copies(4096) == 1
+    assert block_copies(10 ** 6) == 1
 
 
 def test_ensemble_argument_validation():
@@ -637,39 +646,116 @@ def _manual_ensemble(model, paths, seed=0, burnin=0):
 
 
 def test_aggregate_arithmetic_single_copy():
-    model = build_scalar_inar()  # stationary mean 2
-    ens = _manual_ensemble(model, [[[0], [3], [4]]])
-    series = aggregate(ens, (0.0, 0.5, 1.0))
-    # raw sums (3 - 2) and (3 - 2) + (4 - 2), scaled by (n N)^(-1/2)
-    assert_allclose(series.values[:, 0] * math.sqrt(2 * 1), [0.0, 1.0, 3.0])
+    # point laws: X_k = 3 for every k >= 1, so against the mean 2 the sum of
+    # the first m steps is m, scaled by (n N)^(-1/2)
+    model = _scalar(Point(0), Point(3))
+    series = aggregate(model, 1, 2, 0, (0.0, 0.5, 1.0), mean=[2.0], burnin=0)
+    assert_allclose(series.values[:, 0] * math.sqrt(2 * 1), [0.0, 1.0, 2.0], rtol=1e-15)
     assert series.grid == (0.0, 0.5, 1.0)
     assert series.n == 2 and series.N == 1
 
 
-def test_aggregate_sums_over_copies():
-    model = build_scalar_inar()
-    ens = _manual_ensemble(model, [[[0], [3]], [[0], [1]]])
-    series = aggregate(ens, (1.0,))
-    # (3 - 2) + (1 - 2) = 0
-    assert_allclose(series.values[0, 0] * math.sqrt(1 * 2), 0.0)
-    assert series.n == 1 and series.N == 2
-    ens = _manual_ensemble(model, [[[0], [3], [4]], [[0], [2], [5]]])
-    series = aggregate(ens, (0.5, 1.0))
-    # (3 - 2) + (2 - 2) = 1 at one step, 1 + (4 - 2) + (5 - 2) = 6 at two
-    assert_allclose(series.values[:, 0] * math.sqrt(2 * 2), [1.0, 6.0])
+def test_aggregate_sums_over_copies(monkeypatch):
+    # from zero X_1 = (2, 3), then X_k = (2, 5), the stationary mean: each
+    # copy's centered sum is (0, -2) from the first step on; blocks of 2, 2
+    # and 1 copies, the last one drawn as cohorts
+    monkeypatch.setattr(simulate, "_BLOCK_WIDTH", 4)
+    model, N, n, grid = build_deterministic(), 5, 4, (0.0, 0.25, 1.0)
+    per = percopy_aggregates(model, N, n, 0, grid, burnin=0)
+    want = np.array([[0.0, 0.0], [0.0, -2.0], [0.0, -2.0]]) / 2.0
+    assert np.array_equal(per, np.broadcast_to(want, (N, 3, 2)))
+    series = aggregate(model, N, n, 0, grid, burnin=0)
+    assert_allclose(series.values, want * math.sqrt(N), rtol=1e-15)
+    assert series.n == n and series.N == N
+    # after a burn-in every step sits at the mean
+    assert np.array_equal(percopy_aggregates(model, N, n, 0, grid, burnin=3), np.zeros_like(per))
 
 
-def test_aggregate_grid_validation():
+def test_aggregate_grid_validation(monkeypatch):
     # nonempty, finite, nonnegative, strictly increasing, within n = 2 steps;
-    # 1e308 * n overflows to inf and is refused like any point past n
+    # 1e308 * n overflows to inf and is refused like any point past n; all
+    # before anything is drawn
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated before the grid was checked")
+
+    monkeypatch.setattr(simulate, "_run_blocks", refuse)
     model = build_scalar_inar()
-    ens = _manual_ensemble(model, [[[0], [3], [4]]])
     bad = [(-0.1,), (1.6,), (), (math.inf,), (math.nan,), (1.0, 0.5), (0.5, 0.5), (1e308,)]
     for grid in bad:
         with pytest.raises(ValueError, match="grid"):
-            aggregate(ens, grid)
+            aggregate(model, 1, 2, 0, grid)
         with pytest.raises(ValueError, match="grid"):
-            percopy_aggregates(ens, grid)
+            percopy_aggregates(model, 1, 2, 0, grid)
+
+
+def test_aggregate_argument_validation():
+    model = build_scalar_inar()
+    for N in (0, 2.5):
+        with pytest.raises(ValueError, match="copies"):
+            percopy_aggregates(model, N, 5, 0, (1.0,))
+    with pytest.raises(ValueError, match="n >= 1"):
+        aggregate(model, 2, 0, 0, (0.0,))
+    with pytest.raises(ValueError, match="burnin"):
+        aggregate(model, 2, 5, 0, (1.0,), burnin=-1)
+
+
+@pytest.mark.parametrize("burnin", [0, 7])
+def test_streamed_aggregates_match_path_oracle(burnin, monkeypatch):
+    # blocks of 2, 2 and 1 copies, the last drawn as cohorts, and chunks of
+    # 3 lockstep steps or 6 cohort birth steps, so grid points and the
+    # burn-in fall inside and across chunks
+    monkeypatch.setattr(simulate, "_BLOCK_WIDTH", 4)
+    monkeypatch.setattr(simulate, "_CHUNK_CELLS", 12)
+    cohort_blocks = []
+    real = simulate._cohort_chunks
+
+    def counting(*args):
+        cohort_blocks.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(simulate, "_cohort_chunks", counting)
+    model, N, n, grid = build_two_type(), 5, 37, (0.0, 0.3, 0.5, 0.99, 1.0)
+    got = percopy_aggregates(model, N, n, 9, grid, burnin=burnin)
+    assert len(cohort_blocks) == 1
+    paths = simulate_ensemble(model, N, n, 9, burnin=burnin).paths
+    assert len(cohort_blocks) == 2
+    # the centered cumulative sum of the stored paths, S_0 = 0
+    mean = stationary_moments(model, 1)[0]
+    csum = np.zeros((N, n + 1, 2))
+    csum[:, 1:] = np.cumsum(paths[:, 1:] - mean, axis=1)
+    want = csum[:, [0, 11, 18, 36, 37]] / math.sqrt(n)
+    assert got.shape == (N, len(grid), 2)
+    assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    assert np.abs(want).max() > 1
+
+
+def _grid3():
+    """Three types mixing independent marginals with one finite table."""
+    return BranchingModel(
+        3,
+        (
+            IndependentMarginals([Bernoulli(0.1), Poisson(0.05), Geometric(0.95)]),
+            IndependentMarginals([Poisson(0.05), Bernoulli(0.1), Bernoulli(0.05)]),
+            FiniteSupport([[0, 0, 0], [1, 0, 0], [0, 1, 1], [0, 0, 2]],
+                          [0.85, 0.05, 0.05, 0.05]),
+        ),
+        IndependentMarginals([Poisson(1.0), Poisson(0.5), Geometric(0.5)]),
+    )
+
+
+def test_aggregates_hold_no_paths():
+    # 200 copies of 2000 steps would take 9.2 MiB as int64 paths; streamed
+    # sums hold one chunk of a block and the (N, G, p) result
+    model, N, n = _grid3(), 200, 2000
+    percopy_aggregates(model, 2, 10, 1, (1.0,))
+    tracemalloc.start()
+    try:
+        per = percopy_aggregates(model, N, n, 1, (0.5, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert per.shape == (N, 2, 3)
+    assert peak < N * (n + 1) * model.p * 8 / 4
 
 
 def test_grid_indices_reach_exactly_n():
@@ -686,10 +772,9 @@ def test_grid_indices_reach_exactly_n():
 
 def test_percopy_matches_pooled_aggregate():
     model = build_two_type()
-    ens = simulate_ensemble(model, 5, 60, master_seed=21)
     grid = (0.25, 0.5, 1.0)
-    per = percopy_aggregates(ens, grid)
-    pooled = aggregate(ens, grid)
+    per = percopy_aggregates(model, 5, 60, 21, grid)
+    pooled = aggregate(model, 5, 60, 21, grid)
     assert per.shape == (5, 3, 2)
     # the ensemble aggregate is the per-copy route itself, not an approximation
     assert np.array_equal(pooled.values, per.sum(axis=0) / math.sqrt(5))
@@ -715,7 +800,7 @@ def test_csv_and_metadata_round_trip(tmp_path):
     assert first[:2] == ["0", "0"]
     assert [int(v) for v in first[2:]] == list(ens.paths[0, 0])
 
-    series = aggregate(ens, (0.5, 1.0))
+    series = aggregate(model, 2, 3, 4, (0.5, 1.0), burnin=0)
     acsv = tmp_path / "agg.csv"
     aggregates_to_csv(series, acsv)
     alines = acsv.read_text().strip().split("\n")

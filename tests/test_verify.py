@@ -22,11 +22,9 @@ import bpagg.simulate
 import bpagg.verify as verify
 from bpagg.moments import limit_covariance, noise_matrix, stationary_variance
 from bpagg.simulate import (
-    PathEnsemble,
-    aggregate,
     block_copies,
     derived_seed,
-    simulate_ensemble,
+    percopy_aggregates,
     simulate_path,
     stream_rng,
 )
@@ -39,7 +37,7 @@ from bpagg.verify import (
     innovation_diagnostics,
     iterated_experiment,
 )
-from bpagg.verify import _boot_cov, _clt_group_worker, _ks_normal, _normal_cdf
+from bpagg.verify import _boot_cov, _ks_normal, _normal_cdf
 from conftest import build_deterministic, build_scalar_inar, build_two_type
 
 
@@ -115,14 +113,16 @@ def test_clt_rerun_and_threads_byte_identical():
     assert run(2) == text
 
 
-def test_clt_groups_thread_invariant():
-    # 6 replications of 50 copies fill one block, so 14 make 3 groups
+def test_clt_blocks_thread_invariant():
+    # 3 replications of 2731 copies are two full blocks of the p = 1 model
+    # and a third block of one copy, drawn as cohorts
     model = build_scalar_inar()
-    assert block_copies(200, 1) // 50 == 6
+    N, reps = 2731, 3
+    assert reps * N == 2 * block_copies(1) + 1
 
     def run(threads):
         return clt_covariance_experiment(
-            model, 200, 50, reps=14, grid=(0.5, 1.0), seed=13, threads=threads
+            model, 12, N, reps=reps, grid=(0.5, 1.0), seed=13, burnin=4, threads=threads
         ).to_json()
 
     text = run(1)
@@ -130,18 +130,28 @@ def test_clt_groups_thread_invariant():
     assert run(3) == text
 
 
-def test_clt_group_replications_are_ensemble_slices():
-    # replication r of a group is the scaled aggregate of copies
-    # r N .. (r + 1) N - 1 of the group's ensemble
+def test_clt_is_one_ensemble_of_reps_times_n_copies(monkeypatch):
+    # replication r is the scaled sum of copies r N .. (r + 1) N - 1 of one
+    # ensemble of reps N copies on the seed derived from (seed, 0)
     model = build_two_type()
-    n, N, reps, burn, grid = 30, 4, 3, 5, (0.5, 1.0)
-    seed = derived_seed(17, 0, 1)
-    got = _clt_group_worker((model, n, N, reps, burn, grid, None, seed))
-    ens = simulate_ensemble(model, reps * N, n, seed, burnin=burn)
-    assert got.shape == (reps, len(grid), 2)
-    for r in range(reps):
-        part = PathEnsemble(model, seed, burn, ens.paths[r * N : (r + 1) * N])
-        assert_allclose(got[r], aggregate(part, grid).values, rtol=1e-12, atol=1e-12)
+    n, N, reps, burn, grid = 30, 4, 6, 5, (0.5, 1.0)
+    calls = []
+
+    def recording(*args):
+        calls.append((args, percopy_aggregates(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(verify, "percopy_aggregates", recording)
+    report = clt_covariance_experiment(model, n, N, reps=reps, grid=grid, seed=17, burnin=burn)
+    [(args, per_copy)] = calls
+    assert args[1:4] == (reps * N, n, derived_seed(17, 0))
+    alone = percopy_aggregates(model, reps * N, n, derived_seed(17, 0), grid, burnin=burn)
+    assert_allclose(per_copy, alone, rtol=1e-15, atol=0)
+    vals = per_copy.reshape(reps, N, len(grid), 2).sum(axis=1) / math.sqrt(N)
+    at_one = np.cov(vals[:, 1, :], rowvar=False)
+    rows = {(r["t"], r["i"], r["j"]): r["empirical"] for r in report.rows}
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        assert rows[(1.0, i, j)] == pytest.approx(at_one[i, j], rel=1e-12)
 
 
 @pytest.mark.parametrize("cells", [None, 1000])
@@ -197,9 +207,9 @@ def test_clt_degenerate_model_exact_zero():
 
 def test_clt_config_validation(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("simulate_ensemble called")
+        raise AssertionError("simulated before the input was checked")
 
-    monkeypatch.setattr(verify, "simulate_ensemble", refuse)
+    monkeypatch.setattr(bpagg.simulate, "_run_blocks", refuse)
     model = build_scalar_inar()
     with pytest.raises(ValueError):
         clt_covariance_experiment(model, 50, 1, reps=1, grid=(1.0,))
