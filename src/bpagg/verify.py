@@ -18,8 +18,12 @@ so wall clock time is kept out of the serialized form.
 
 Standard errors come from batch means on single long paths and from a
 percentile-free bootstrap (200 resamples, standard deviation across
-resampled covariance estimates) on replicated aggregates. Every experiment
-warns when its path length is short for the model's mixing time.
+resampled covariance estimates) on replicated aggregates. An aggregate
+experiment resamples once: one bootstrap of the joint grid vector (all grid
+points and coordinates of a replication) per clt run and per iterated sweep
+point gives the standard errors of every grid point's covariance and, as
+double differences, of every increment covariance. Every experiment warns
+when its path length is short for the model's mixing time.
 """
 
 import json
@@ -29,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import mean_matrix, model_digest
+from .model import _count, mean_matrix, model_digest
 from .moments import moment_report
 from .simulate import (
     _grid_indices,
@@ -55,7 +59,9 @@ __all__ = [
 # params["se_multiplier"]
 _SE_MULT = 4.0
 _BOOT = 200
-# floats of resampled data gathered at once by the bootstrap
+# floats of resampled data gathered at once by the bootstrap, which resamples
+# the joint grid vector of an aggregate experiment once, so a chunk holds
+# about _BOOT_CELLS // (reps * G * p) resamples
 _BOOT_CELLS = 1 << 15
 _MIN_BUCKET = 100
 _MAX_BUCKETS = 20
@@ -170,24 +176,66 @@ def _boot_cov(x, boot_idx):
     return out
 
 
-def _cov_with_se(x, boot_idx):
-    """Covariance of the rows of x (reps, d) and its bootstrap standard errors."""
-    return _sample_cov(x), _boot_cov(x, boot_idx).std(axis=0, ddof=1)
+def _joint_boot(vals, boot_idx):
+    """Bootstrap covariances of the joint grid vector of vals (reps, G, p):
+    one _boot_cov of vals.reshape(reps, G * p), viewed as (B, G, p, G, p)."""
+    reps, G, p = vals.shape
+    return _boot_cov(vals.reshape(reps, -1), boot_idx).reshape(-1, G, p, G, p)
 
 
-def _grid_cov_rows(vals, grid, sigma, boot_idx):
+def _grid_cov_rows(vals, grid, sigma, boot):
     """Covariance of vals[:, g, :] (reps, G, p) vs grid[g] * sigma, upper
-    triangle per grid point, with bootstrap standard errors."""
+    triangle per grid point; standard errors are the spread over resamples
+    of the diagonal blocks of boot, the joint bootstrap of _joint_boot."""
     p = vals.shape[2]
     rows = []
     for g, t in enumerate(grid):
-        emp, se = _cov_with_se(vals[:, g, :], boot_idx)
+        emp = _sample_cov(vals[:, g, :])
+        se = boot[:, g, :, g, :].std(axis=0, ddof=1)
         rows.extend(
             _row(t, i, j, emp[i, j], t * sigma[i, j], se[i, j])
             for i in range(p)
             for j in range(i, p)
         )
     return rows
+
+
+def _increment_table(vals, grid, boot):
+    """Cross covariances of the increments of vals (reps, G, p) over disjoint
+    grid intervals, each against 0, with standard errors from boot, the joint
+    bootstrap of _joint_boot, which this differences in place.
+
+    The increments are vals @ D^T for the difference operator D, so their
+    resampled covariances are D C D^T: double differences of boot along its
+    two grid axes, taken from the last grid point down so that every
+    subtrahend is still undifferenced.
+    """
+    reps, G, p = vals.shape
+    emp = _sample_cov(np.diff(vals, axis=1, prepend=0.0).reshape(reps, -1))
+    for a in range(G - 1, 0, -1):
+        boot[:, a] -= boot[:, a - 1]
+    for a in range(G - 1, 0, -1):
+        boot[:, :, :, a] -= boot[:, :, :, a - 1]
+    se = boot.reshape(len(boot), G * p, G * p).std(axis=0, ddof=1)
+    increments = []
+    for a in range(G):
+        for b in range(a + 1, G):
+            for i in range(p):
+                for j in range(p):
+                    k, m = a * p + i, b * p + j
+                    e, s = float(emp[k, m]), float(se[k, m])
+                    increments.append(
+                        {
+                            "t_a": float(grid[a]),
+                            "t_b": float(grid[b]),
+                            "i": int(i),
+                            "j": int(j),
+                            "empirical": e,
+                            "se": s,
+                            "z": float(_zval(e, s)),
+                        }
+                    )
+    return increments
 
 
 def _normal_cdf(x):
@@ -276,17 +324,18 @@ def clt_covariance_experiment(model, n, N, reps=200, grid=(1.0,), seed=0, burnin
     (see percopy_aggregates): replication r is the scaled sum of copies
     r * N .. (r + 1) * N - 1. Per grid point t the empirical covariance of
     the scaled aggregate across replications is compared entrywise to
-    t * sigma with bootstrap standard errors, each standardized marginal is
-    tested for normality (KS distance against the 1.36 / sqrt(reps)
-    threshold), and increments over disjoint grid intervals are checked for
-    vanishing cross covariance.
+    t * sigma, each standardized marginal is tested for normality (KS
+    distance against the 1.36 / sqrt(reps) threshold), and increments over
+    disjoint grid intervals are checked for vanishing cross covariance. The
+    standard errors of both tables come from one bootstrap of the joint grid
+    vector: 200 resamples of the replications on the stream (seed, 1).
     """
     t0 = time.perf_counter()
+    n, N, reps, p = _count("n", n), _count("N", N), _count("reps", reps), model.p
     if reps < 2:
         raise ValueError("need reps >= 2, got %r" % (reps,))
-    if int(n) != n or n < 1 or int(N) != N or N < 1:
+    if n < 1 or N < 1:
         raise ValueError("need n >= 1 and N >= 1, got %r and %r" % (n, N))
-    n, N, p = int(n), int(N), model.p
     grid = tuple(float(t) for t in grid)
     exact = moment_report(model, 1)
     sigma = exact.sigma
@@ -295,9 +344,9 @@ def clt_covariance_experiment(model, n, N, reps=200, grid=(1.0,), seed=0, burnin
                                   exact.mean, burn, threads)
     vals = per_copy.reshape(reps, N, len(grid), p).sum(axis=1) / math.sqrt(N)
 
-    boot_idx = stream_rng(seed, 1).integers(0, reps, size=(_BOOT, reps))
+    boot = _joint_boot(vals, stream_rng(seed, 1).integers(0, reps, size=(_BOOT, reps)))
 
-    rows = _grid_cov_rows(vals, grid, sigma, boot_idx)
+    rows = _grid_cov_rows(vals, grid, sigma, boot)
     ks_entries, checks = [], []
     ks_threshold = 1.36 / math.sqrt(reps)
     for g, t in enumerate(grid):
@@ -322,28 +371,7 @@ def clt_covariance_experiment(model, n, N, reps=200, grid=(1.0,), seed=0, burnin
                 }
             )
 
-    increments = []
-    if len(grid) > 1:
-        incs = np.diff(vals, axis=1, prepend=0.0)
-        emp, se = _cov_with_se(incs.reshape(reps, -1), boot_idx)
-        for a in range(len(grid)):
-            for b in range(a + 1, len(grid)):
-                for i in range(p):
-                    for j in range(p):
-                        k, m = a * p + i, b * p + j
-                        e, s = float(emp[k, m]), float(se[k, m])
-                        increments.append(
-                            {
-                                "t_a": float(grid[a]),
-                                "t_b": float(grid[b]),
-                                "i": int(i),
-                                "j": int(j),
-                                "empirical": e,
-                                "se": s,
-                                "z": float(_zval(e, s)),
-                            }
-                        )
-
+    increments = _increment_table(vals, grid, boot) if len(grid) > 1 else []
     checks.extend(e["z"] for e in increments)
     params = {
         "n": n,
@@ -374,25 +402,33 @@ def iterated_experiment(model, n, N, order, sweep=None, grid=(1.0,), seed=0,
     scaled ensemble aggregate is a normalized sum of i.i.d. per-copy
     aggregates, so the empirical covariance across copies estimates the
     aggregate covariance at every sweep point; the trajectory should settle
-    at t * sigma whichever limit is taken first. Top-level rows are the
-    final sweep point, full trajectories sit in extra['sweep'].
+    at t * sigma whichever limit is taken first. Each sweep point s
+    resamples its copies once, 200 times on the stream (seed, 1, order, s),
+    and its joint grid vector gives the standard errors of all its rows.
+    Top-level rows are the final sweep point, full trajectories sit in
+    extra['sweep'].
     """
     t0 = time.perf_counter()
     orders = {"N_first": 0, "n_first": 1}
     if order not in orders:
         raise ValueError("order must be 'N_first' or 'n_first', got %r" % (order,))
     oid = orders[order]
+    n, N = _count("n", n), _count("N", N)
     exact = moment_report(model, 1)
     sigma = exact.sigma
     burn = _resolve_burnin(model, burnin, exact.rho)
     if sweep is None:
         sweep = _default_sweep(n if order == "N_first" else N)
-    sweep = [int(s) for s in sweep]
-    points = [(int(N), v) if order == "N_first" else (v, int(n)) for v in sweep]
+    sweep = list(sweep)
+    points = [(N, v) if order == "N_first" else (v, n) for v in sweep]
     if not points or min(N_s for N_s, _ in points) < 2 or min(n_s for _, n_s in points) < 1:
         raise ValueError(
             "need a nonempty sweep with at least 2 copies and 1 step per sweep point"
         )
+    # the range check comes first, so a negative size gets its message; a
+    # fractional size is refused here, not truncated
+    sweep = [_count("sweep", v) for v in sweep]
+    points = [(int(N_s), int(n_s)) for N_s, n_s in points]
     for _, n_s in points:
         _grid_indices(grid, n_s)
     grid = tuple(float(t) for t in grid)
@@ -402,13 +438,13 @@ def iterated_experiment(model, n, N, order, sweep=None, grid=(1.0,), seed=0,
         per_copy = percopy_aggregates(model, N_s, n_s, derived_seed(seed, 0, oid, s), grid,
                                       exact.mean, burn, threads)  # (N_s, G, p)
         boot_idx = stream_rng(seed, 1, oid, s).integers(0, N_s, size=(_BOOT, N_s))
-        rows = _grid_cov_rows(per_copy, grid, sigma, boot_idx)
+        rows = _grid_cov_rows(per_copy, grid, sigma, _joint_boot(per_copy, boot_idx))
         trajectory.append({"sweep": val, "N": N_s, "n": n_s, "rows": rows})
 
     params = {
         "order": order,
-        "n": int(n),
-        "N": int(N),
+        "n": n,
+        "N": N,
         "sweep": sweep,
         "grid": list(grid),
         "master_seed": int(seed),

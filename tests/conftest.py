@@ -121,6 +121,53 @@ def dense_tables(draw, p=None):
     return FiniteSupport(atoms, np.array(weights, dtype=float) / sum(weights))
 
 
+_UNIT = st.floats(0.0, 1.0)
+
+# the JSON form of a marginal of each of the five kinds, keys in the order
+# params() writes them
+_MARGINAL_JSON = st.one_of(
+    st.builds(lambda lam: {"dist": "poisson", "lambda": lam}, st.floats(0.0, 50.0)),
+    st.builds(lambda q: {"dist": "bernoulli", "q": q}, _UNIT),
+    st.builds(lambda n, q: {"dist": "binomial", "n": n, "q": q}, st.integers(0, 100), _UNIT),
+    st.builds(lambda q: {"dist": "geometric", "q": q}, st.floats(0.0, 1.0, exclude_min=True)),
+    st.builds(lambda c: {"dist": "point", "c": c}, st.integers(0, 100)),
+)
+
+
+@st.composite
+def law_json(draw, p):
+    """Hypothesis strategy for the JSON form of a law on Z_+^p: independent
+    marginals of any of the five kinds, or a finite table of up to 10
+    distinct atoms whose masses are integer weights over their total."""
+    if draw(st.booleans()):
+        marginals = draw(st.lists(_MARGINAL_JSON, min_size=p, max_size=p))
+        return {"kind": "independent", "marginals": marginals}
+    atom = st.lists(st.integers(0, 50), min_size=p, max_size=p)
+    atoms = draw(st.lists(atom, min_size=1, max_size=10, unique_by=tuple))
+    weights = draw(st.lists(st.integers(1, 1000), min_size=len(atoms), max_size=len(atoms)))
+    total = sum(weights)
+    return {
+        "kind": "finite",
+        "support": [{"v": v, "p": w / total} for v, w in zip(atoms, weights)],
+    }
+
+
+@st.composite
+def model_json(draw):
+    """Hypothesis strategy for the JSON form of a model with p in 1..4."""
+    p = draw(st.integers(1, 4))
+    offspring = [draw(law_json(p)) for _ in range(p)]
+    return {"p": p, "offspring": offspring, "immigration": draw(law_json(p))}
+
+
+@st.composite
+def ginar_json(draw):
+    """Hypothesis strategy for the JSON form of a GINAR spec of order 1..4."""
+    order = draw(st.integers(1, 4))
+    offspring = [draw(law_json(1)) for _ in range(order)]
+    return {"order": order, "offspring": offspring, "immigration": draw(law_json(1))}
+
+
 @pytest.fixture
 def scalar_inar():
     return build_scalar_inar()

@@ -429,16 +429,17 @@ def _first_ks_far(monkeypatch):
 
 
 def _increment_far(monkeypatch):
-    real = bpagg.verify._cov_with_se
+    # the first increment cross covariance reads 10 standard errors from 0
+    real = bpagg.verify._increment_table
 
-    def far(x, boot_idx):
-        emp, se = real(x, boot_idx)
-        if x.shape[1] == 2:  # the increments of both grid points, stacked
-            emp = emp.copy()
-            emp[0, 1] = 10.0 * se[0, 1]
-        return emp, se
+    def far(vals, grid, boot):
+        increments = real(vals, grid, boot)
+        first = increments[0]
+        first["empirical"] = 10.0 * first["se"]
+        first["z"] = bpagg.verify._zval(first["empirical"], first["se"])
+        return increments
 
-    monkeypatch.setattr(bpagg.verify, "_cov_with_se", far)
+    monkeypatch.setattr(bpagg.verify, "_increment_table", far)
 
 
 class _NumpyAbsOneHigh:

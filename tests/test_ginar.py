@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from numpy.testing import assert_allclose
 
 from bpagg.ginar import (
@@ -33,6 +34,7 @@ from bpagg.moments import (
     stationary_moments,
     stationary_variance,
 )
+from conftest import ginar_json
 
 
 def _spec_two():
@@ -188,6 +190,15 @@ def test_json_round_trip(tmp_path):
     assert ginar_classify(loaded).rho == pytest.approx(
         ginar_classify(spec).rho, abs=0
     )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(obj=ginar_json())
+def test_json_round_trip_is_identity(obj):
+    # every marginal kind and finite tables, to the same object and the same text
+    back = ginar_to_json(ginar_from_json(obj))
+    assert back == obj
+    assert json.dumps(back) == json.dumps(obj)
 
 
 def test_json_validation():

@@ -23,7 +23,7 @@ from bpagg.model import (
     model_to_json,
     validate,
 )
-from conftest import build_scalar_inar, build_two_type, dense_tables
+from conftest import build_scalar_inar, build_two_type, dense_tables, model_json
 
 
 def _pmf_table(marginal, tail=1e-13):
@@ -544,6 +544,15 @@ def test_finite_support_json_round_trip_is_identity():
         assert model.offspring[0].probs.tolist() == first.offspring[0].probs.tolist()
         assert model_digest(model) == model_digest(first)
         assert validate(model).rho == validate(first).rho
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(obj=model_json())
+def test_model_json_round_trip_is_identity(obj):
+    # every marginal kind and finite tables, to the same object and the same text
+    back = model_to_json(model_from_json(obj))
+    assert back == obj
+    assert json.dumps(back) == json.dumps(obj)
 
 
 def test_model_json_rejects_bad_input():

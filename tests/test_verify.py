@@ -113,6 +113,24 @@ def test_clt_rerun_and_threads_byte_identical():
     assert run(2) == text
 
 
+def test_clt_increments_rerun_and_threads_byte_identical():
+    # a two-type model on three grid points fills the increment table, whose
+    # standard errors come from the joint bootstrap differenced in place; 40
+    # replications of 60 copies are two blocks of the p = 2 model
+    model = build_two_type()
+    assert 40 * 60 > block_copies(2)
+
+    def run(threads):
+        return clt_covariance_experiment(
+            model, 12, 60, reps=40, grid=(0.25, 0.5, 1.0), seed=3, threads=threads
+        ).to_json()
+
+    text = run(1)
+    assert len(json.loads(text)["extra"]["increments"]) == 3 * 4
+    assert run(1) == text
+    assert run(2) == text
+
+
 def test_clt_blocks_thread_invariant():
     # 3 replications of 2731 copies are two full blocks of the p = 1 model
     # and a third block of one copy, drawn as cohorts
@@ -130,11 +148,13 @@ def test_clt_blocks_thread_invariant():
     assert run(3) == text
 
 
-def test_clt_is_one_ensemble_of_reps_times_n_copies(monkeypatch):
-    # replication r is the scaled sum of copies r N .. (r + 1) N - 1 of one
-    # ensemble of reps N copies on the seed derived from (seed, 0)
-    model = build_two_type()
-    n, N, reps, burn, grid = 30, 4, 6, 5, (0.5, 1.0)
+def _refuse_to_simulate(*args, **kwargs):
+    raise AssertionError("simulated before the input was checked")
+
+
+def _recorded_percopy(monkeypatch):
+    """Record the arguments and the result of every percopy_aggregates call
+    of verify."""
     calls = []
 
     def recording(*args):
@@ -142,6 +162,15 @@ def test_clt_is_one_ensemble_of_reps_times_n_copies(monkeypatch):
         return calls[-1][1]
 
     monkeypatch.setattr(verify, "percopy_aggregates", recording)
+    return calls
+
+
+def test_clt_is_one_ensemble_of_reps_times_n_copies(monkeypatch):
+    # replication r is the scaled sum of copies r N .. (r + 1) N - 1 of one
+    # ensemble of reps N copies on the seed derived from (seed, 0)
+    model = build_two_type()
+    n, N, reps, burn, grid = 30, 4, 6, 5, (0.5, 1.0)
+    calls = _recorded_percopy(monkeypatch)
     report = clt_covariance_experiment(model, n, N, reps=reps, grid=grid, seed=17, burnin=burn)
     [(args, per_copy)] = calls
     assert args[1:4] == (reps * N, n, derived_seed(17, 0))
@@ -166,6 +195,95 @@ def test_boot_cov_matches_per_resample_np_cov(monkeypatch, cells):
     boot_idx = rng.integers(0, 50, size=(200, 50))
     want = np.stack([np.cov(x[idx], rowvar=False, ddof=1) for idx in boot_idx])
     assert_allclose(_boot_cov(x, boot_idx), want, rtol=1e-12, atol=0)
+
+
+def _resampled_se(sample, boot_idx):
+    """Standard deviation over resamples of np.cov of each resample of the
+    rows of sample (reps, d), the bootstrap standard errors by definition."""
+    covs = np.stack([np.cov(sample[idx], rowvar=False, ddof=1) for idx in boot_idx])
+    return covs.std(axis=0, ddof=1)
+
+
+def _assert_row_se(rows, vals, grid, boot_idx):
+    """The rows of a two-type report on vals (reps, G, 2) carry, per grid
+    point, the bootstrap standard errors of that grid point alone."""
+    keys = [(t, i, j) for t in grid for i, j in ((0, 0), (0, 1), (1, 1))]
+    assert [(r["t"], r["i"], r["j"]) for r in rows] == keys
+    for g in range(len(grid)):
+        se = _resampled_se(vals[:, g, :], boot_idx)
+        for r in rows[3 * g : 3 * g + 3]:
+            assert_allclose(r["se"], se[r["i"], r["j"]], rtol=1e-12, atol=0)
+
+
+def _counted_boot_cov(monkeypatch):
+    """Record the shape of the data of every _boot_cov call of verify."""
+    calls = []
+
+    def counting(x, boot_idx):
+        calls.append(x.shape)
+        return _boot_cov(x, boot_idx)
+
+    monkeypatch.setattr(verify, "_boot_cov", counting)
+    return calls
+
+
+def test_clt_standard_errors_match_per_resample_np_cov(monkeypatch):
+    # every row's se is the spread of the resampled covariance of its grid
+    # point, every increment's the spread of the resampled covariance of the
+    # stacked increments, on the 200 resamples of the stream (seed, 1); all
+    # of them come from one bootstrap
+    model = build_two_type()
+    n, N, reps, seed, grid = 24, 3, 50, 21, (0.25, 0.5, 1.0)
+    calls = _recorded_percopy(monkeypatch)
+    boots = _counted_boot_cov(monkeypatch)
+    report = clt_covariance_experiment(model, n, N, reps=reps, grid=grid, seed=seed)
+    assert boots == [(reps, 3 * 2)]
+    [(_, per_copy)] = calls
+    vals = per_copy.reshape(reps, N, 3, 2).sum(axis=1) / math.sqrt(N)
+    boot_idx = stream_rng(seed, 1).integers(0, reps, (200, reps))
+    _assert_row_se(report.rows, vals, grid, boot_idx)
+    incs = np.diff(vals, axis=1, prepend=0.0).reshape(reps, -1)
+    se = _resampled_se(incs, boot_idx)
+    entries = report.extra["increments"]
+    assert len(entries) == 3 * 4
+    for e in entries:
+        a, b = grid.index(e["t_a"]), grid.index(e["t_b"])
+        assert a < b
+        assert_allclose(e["se"], se[2 * a + e["i"], 2 * b + e["j"]], rtol=1e-12, atol=0)
+
+
+def test_iterated_standard_errors_match_per_resample_np_cov(monkeypatch):
+    # sweep point s resamples its copies once, on the stream (seed, 1, order, s)
+    model = build_two_type()
+    seed, grid = 8, (0.5, 1.0)
+    calls = _recorded_percopy(monkeypatch)
+    boots = _counted_boot_cov(monkeypatch)
+    report = iterated_experiment(model, 20, 30, "n_first", sweep=[10, 30], grid=grid, seed=seed)
+    assert boots == [(10, 2 * 2), (30, 2 * 2)]
+    (_, per_copy) = calls[1]
+    boot_idx = stream_rng(seed, 1, 1, 1).integers(0, 30, (200, 30))
+    assert report.extra["sweep"][1]["rows"] == report.rows
+    _assert_row_se(report.rows, per_copy, grid, boot_idx)
+
+
+def test_clt_refuses_fractional_counts(monkeypatch):
+    # 2.5 replications are refused by name, before anything is simulated
+    monkeypatch.setattr(bpagg.simulate, "_run_blocks", _refuse_to_simulate)
+    model = build_scalar_inar()
+    with pytest.raises(ValueError, match="integer reps"):
+        clt_covariance_experiment(model, 50, 3, reps=2.5, grid=(1.0,))
+    with pytest.raises(ValueError, match="integer N"):
+        clt_covariance_experiment(model, 50, 2.5, reps=10, grid=(1.0,))
+
+
+def test_iterated_refuses_fractional_sweep(monkeypatch):
+    # a sweep point of 2.7 copies is refused, not run as 2
+    monkeypatch.setattr(bpagg.simulate, "_run_blocks", _refuse_to_simulate)
+    model = build_scalar_inar()
+    with pytest.raises(ValueError, match="integer sweep"):
+        iterated_experiment(model, 40, 8, "n_first", sweep=[2.7, 4], grid=(1.0,), seed=2)
+    with pytest.raises(ValueError, match="integer N"):
+        iterated_experiment(model, 40, 8.5, "N_first", sweep=[20, 40], grid=(1.0,), seed=2)
 
 
 def _bernoulli_model(q):
@@ -206,10 +324,7 @@ def test_clt_degenerate_model_exact_zero():
 
 
 def test_clt_config_validation(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("simulated before the input was checked")
-
-    monkeypatch.setattr(bpagg.simulate, "_run_blocks", refuse)
+    monkeypatch.setattr(bpagg.simulate, "_run_blocks", _refuse_to_simulate)
     model = build_scalar_inar()
     with pytest.raises(ValueError):
         clt_covariance_experiment(model, 50, 1, reps=1, grid=(1.0,))
