@@ -10,7 +10,6 @@ experiment ran and failed its bands.
 """
 
 import argparse
-import json
 import sys
 
 from .ginar import (
@@ -24,7 +23,7 @@ from .ginar import (
     v_ginar,
 )
 from .kronalg import NotSubcriticalError
-from .model import load_model, model_to_json
+from .model import json_text, load_model, model_to_json
 from .moments import moment_report
 from .simulate import (
     SimulationOverflowError,
@@ -236,8 +235,8 @@ def _run_ginar(args):
             out["scalar_limit_var"] = std * std
     if args.emit_model is not None:
         with open(args.emit_model, "w") as fh:
-            fh.write(json.dumps(model_to_json(model), indent=2) + "\n")
-    _emit(json.dumps(out, indent=2) + "\n", args.out)
+            fh.write(json_text(model_to_json(model)))
+    _emit(json_text(out), args.out)
     return 0
 
 

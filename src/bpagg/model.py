@@ -199,13 +199,9 @@ class Geometric:
         return rng.geometric(self.q, size) - 1
 
     def sample_sum(self, count, rng):
-        # numpy needs n >= 1, so only positive counts draw; a sum of no broods is 0
-        if not isinstance(count, np.ndarray):
-            return rng.negative_binomial(count, self.q) if count > 0 else 0
-        out = np.zeros(count.shape, dtype=np.int64)
-        nz = count > 0
-        out[nz] = rng.negative_binomial(count[nz], self.q)
-        return out
+        # negative binomial(c, q) as numpy draws it, a Poisson mixed over a
+        # gamma(c) rate scaled by b; a zero count draws nothing and gives 0
+        return rng.poisson(rng.standard_gamma(count) * ((1.0 - self.q) / self.q))
 
     def params(self):
         return {"dist": "geometric", "q": self.q}
@@ -534,3 +530,34 @@ def model_digest(model):
 
     text = json.dumps(model_to_json(model), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _indented(obj, depth):
+    """json.dumps(obj, indent=2) for a value nested depth levels deep."""
+    if isinstance(obj, dict):
+        items = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        items = obj
+    else:
+        return json.dumps(obj)
+    brackets = "{}" if isinstance(obj, dict) else "[]"
+    if not items:
+        return brackets
+    pad = "  " * (depth + 1)
+    if not any(isinstance(v, (dict, list, tuple)) for v in items):
+        # a container of scalars is one C encoder call: its item separator
+        # carries the newline and indent, which no encoded scalar contains
+        inner = json.dumps(obj, separators=(",\n" + pad, ": "))[1:-1]
+    elif isinstance(obj, dict):
+        inner = (",\n" + pad).join(
+            json.dumps(k) + ": " + _indented(v, depth + 1) for k, v in obj.items()
+        )
+    else:
+        inner = (",\n" + pad).join(_indented(v, depth + 1) for v in obj)
+    return "%s\n%s%s\n%s%s" % (brackets[0], pad, inner, "  " * depth, brackets[1])
+
+
+def json_text(obj):
+    """json.dumps(obj, indent=2) + "\\n", byte for byte, for JSON values whose
+    objects have string keys; every report and metadata file is written so."""
+    return _indented(obj, 0) + "\n"

@@ -48,7 +48,6 @@ views on its report. Its residuals show how well each route solved, next
 to cond(I - M), the conditioning every solve through (I - M)^-1 inherits.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +59,7 @@ from .kronalg import (
     mode_product,
     tensor_fixed_point,
 )
-from .model import _count, mean_matrix, validate
+from .model import _count, json_text, mean_matrix, validate
 
 __all__ = [
     "TransferMatrices",
@@ -213,7 +212,7 @@ class MomentReport:
         }
 
     def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        return json_text(self.to_json_dict())
 
 
 def moment_report(model, max_order=3):

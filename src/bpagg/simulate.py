@@ -21,7 +21,7 @@ keeps either its paths or only its running sums S_m = X_1 + ... + X_m at
 the grid indices m = floor(t n) (see _simulate_block).
 
 Ensembles split their N copies, in order, into blocks of block_copies(p)
-copies and run block b on the counter-based stream (master_seed, b). An
+copies and run block b on the keyed stream (master_seed, b). An
 ensemble therefore depends on (master_seed, N, n, p) and never on
 scheduling or worker count, and any block can be rerun alone on its stream.
 
@@ -31,7 +31,6 @@ sum of its N independent per-copy aggregates over sqrt(N). _grid_indices
 is the one check of a time grid, and callers run it before they simulate.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -44,6 +43,7 @@ from .model import (
     Point,
     _count,
     _regime,
+    json_text,
     mean_matrix,
     model_digest,
     validate,
@@ -102,9 +102,13 @@ class SimulationOverflowError(RuntimeError):
 
 
 def stream_rng(master_seed, *key):
-    """Counter-based generator on the stream addressed by (master_seed, key)."""
+    """SFC64 generator on the stream addressed by (master_seed, key).
+
+    Streams are independent because SeedSequence keys them by spawn_key;
+    no stream is advanced or jumped, so no counter-based generator is needed.
+    """
     ss = np.random.SeedSequence(master_seed, spawn_key=tuple(int(k) for k in key))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def derived_seed(master_seed, *key):
@@ -554,4 +558,4 @@ def ensemble_metadata(ensemble):
 
 def write_metadata(ensemble, path):
     with open(path, "w") as fh:
-        fh.write(json.dumps(ensemble_metadata(ensemble), indent=2) + "\n")
+        fh.write(json_text(ensemble_metadata(ensemble)))

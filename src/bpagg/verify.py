@@ -21,19 +21,19 @@ percentile-free bootstrap (200 resamples, standard deviation across
 resampled covariance estimates) on replicated aggregates. An aggregate
 experiment resamples once: one bootstrap of the joint grid vector (all grid
 points and coordinates of a replication) per clt run and per iterated sweep
-point gives the standard errors of every grid point's covariance and, as
-double differences, of every increment covariance. Every experiment warns
+point gives the standard errors of every grid point's covariance and, in
+clt, as double differences, of every increment covariance; an iterated
+sweep point keeps only the grid points' own blocks. Every experiment warns
 when its path length is short for the model's mixing time.
 """
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import _count, mean_matrix, model_digest
+from .model import _count, json_text, mean_matrix, model_digest
 from .moments import moment_report
 from .simulate import (
     _grid_indices,
@@ -97,7 +97,7 @@ class VerificationReport:
         }
 
     def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        return json_text(self.to_json_dict())
 
     def to_csv(self):
         lines = ["t,i,j,empirical,target,z"]
@@ -160,20 +160,23 @@ def _sample_cov(sample):
     return xc.T @ xc / (x.shape[0] - 1)
 
 
-def _boot_cov(x, boot_idx):
+def _boot_cov(x, boot_idx, blocks=1):
     """_sample_cov(x[idx]) for every row idx of boot_idx, as (len(boot_idx), d, d).
 
-    x is (reps, d). Resamples are gathered a few at a time, so the gathered
-    copy of x stays near _BOOT_CELLS floats.
+    x is (reps, d). With blocks = G > 1, x holds G consecutive blocks of
+    w = d // G coordinates and only each block's own covariance is kept, as
+    (len(boot_idx), G, w, w). Resamples are gathered a few at a time, so the
+    gathered copy of x stays near _BOOT_CELLS floats.
     """
     reps, d = x.shape
-    out = np.empty((len(boot_idx), d, d))
+    w = d // blocks
+    out = np.empty((len(boot_idx), blocks, w, w))
     chunk = max(1, _BOOT_CELLS // (reps * d))
     for a in range(0, len(boot_idx), chunk):
-        g = x[boot_idx[a : a + chunk]]
-        g -= g.mean(axis=1, keepdims=True)
-        out[a : a + chunk] = np.matmul(g.transpose(0, 2, 1), g) / (reps - 1)
-    return out
+        g = x[boot_idx[a : a + chunk]].reshape(-1, reps, blocks, w).transpose(0, 2, 1, 3)
+        g -= g.mean(axis=2, keepdims=True)
+        out[a : a + chunk] = np.matmul(g.transpose(0, 1, 3, 2), g) / (reps - 1)
+    return out if blocks > 1 else out[:, 0]
 
 
 def _joint_boot(vals, boot_idx):
@@ -186,12 +189,12 @@ def _joint_boot(vals, boot_idx):
 def _grid_cov_rows(vals, grid, sigma, boot):
     """Covariance of vals[:, g, :] (reps, G, p) vs grid[g] * sigma, upper
     triangle per grid point; standard errors are the spread over resamples
-    of the diagonal blocks of boot, the joint bootstrap of _joint_boot."""
+    of boot[:, g], the (B, G, p, p) bootstrap covariances of each grid point."""
     p = vals.shape[2]
     rows = []
     for g, t in enumerate(grid):
         emp = _sample_cov(vals[:, g, :])
-        se = boot[:, g, :, g, :].std(axis=0, ddof=1)
+        se = boot[:, g].std(axis=0, ddof=1)
         rows.extend(
             _row(t, i, j, emp[i, j], t * sigma[i, j], se[i, j])
             for i in range(p)
@@ -346,7 +349,9 @@ def clt_covariance_experiment(model, n, N, reps=200, grid=(1.0,), seed=0, burnin
 
     boot = _joint_boot(vals, stream_rng(seed, 1).integers(0, reps, size=(_BOOT, reps)))
 
-    rows = _grid_cov_rows(vals, grid, sigma, boot)
+    # the grid points' own blocks boot[:, g, :, g, :], as a (B, G, p, p) view
+    blocks = boot.diagonal(axis1=1, axis2=3).transpose(0, 3, 1, 2)
+    rows = _grid_cov_rows(vals, grid, sigma, blocks)
     ks_entries, checks = [], []
     ks_threshold = 1.36 / math.sqrt(reps)
     for g, t in enumerate(grid):
@@ -438,7 +443,10 @@ def iterated_experiment(model, n, N, order, sweep=None, grid=(1.0,), seed=0,
         per_copy = percopy_aggregates(model, N_s, n_s, derived_seed(seed, 0, oid, s), grid,
                                       exact.mean, burn, threads)  # (N_s, G, p)
         boot_idx = stream_rng(seed, 1, oid, s).integers(0, N_s, size=(_BOOT, N_s))
-        rows = _grid_cov_rows(per_copy, grid, sigma, _joint_boot(per_copy, boot_idx))
+        # no increments here, so each grid point keeps only its own block
+        boot = _boot_cov(per_copy.reshape(N_s, -1), boot_idx, blocks=len(grid))
+        boot = boot.reshape(_BOOT, len(grid), model.p, model.p)
+        rows = _grid_cov_rows(per_copy, grid, sigma, boot)
         trajectory.append({"sweep": val, "N": N_s, "n": n_s, "rows": rows})
 
     params = {

@@ -22,6 +22,7 @@ from bpagg.model import (
     Binomial,
     BranchingModel,
     FiniteSupport,
+    Geometric,
     IndependentMarginals,
     Point,
     Poisson,
@@ -146,6 +147,22 @@ def test_int64_product_overflow_exits_two(tmp_path, capsys, copies):
                  "--burnin", "0", "--out", str(tmp_path / "p.csv")])
     assert code == 2
     assert "int64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("copies", ["1", "2"])
+def test_runaway_geometric_offspring_exits_two(tmp_path, capsys, copies):
+    # geometric(1e-20) broods have mean 1e20: the first offspring draw needs a
+    # Poisson rate beyond what numpy can draw, and the run stops with a message
+    model = BranchingModel(
+        1, (IndependentMarginals([Geometric(1e-20)]),), IndependentMarginals([Poisson(5.0)])
+    )
+    f = tmp_path / "runaway.json"
+    f.write_text(json.dumps(model_to_json(model)))
+    code = main(["simulate", "--model", str(f), "--n", "5", "--copies", copies,
+                 "--burnin", "0", "--out", str(tmp_path / "p.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "too large" in err
 
 
 def test_law_constant_beyond_int64_exits_two(tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from bpagg.kronalg import kron_power
@@ -20,9 +21,11 @@ from bpagg.model import (
     mean_matrix,
     model_digest,
     model_from_json,
+    json_text,
     model_to_json,
     validate,
 )
+from bpagg.simulate import stream_rng
 from conftest import build_scalar_inar, build_two_type, dense_tables, model_json
 
 
@@ -425,12 +428,12 @@ def test_marginal_sample_sum_matches_convolution_oracle():
     for seed, law in enumerate(
         (Poisson(1.3), Bernoulli(0.35), Binomial(3, 0.3), Geometric(0.4), Point(2))
     ):
-        draws = law.sample_sum(counts, np.random.default_rng(100 + seed))
+        draws = law.sample_sum(counts, stream_rng(100 + seed))
         assert draws.shape == counts.shape and draws.dtype == np.int64
         _check_sums_against_oracle(draws, _pmf_table(law), law.dist)
         # an int count still gives one scalar variate
-        assert np.ndim(law.sample_sum(7, np.random.default_rng(seed))) == 0
-        assert law.sample_sum(0, np.random.default_rng(seed)) == 0
+        assert np.ndim(law.sample_sum(7, stream_rng(seed))) == 0
+        assert law.sample_sum(0, stream_rng(seed)) == 0
 
 
 _ALL_LAWS = (
@@ -449,19 +452,19 @@ def test_sample_sum_int_and_array_counts_consume_stream_alike(law):
     # an int count and a one-entry count array draw the same variate from the
     # same stream position, and a zero count draws nothing
     counts = [0, 3, 0, 5, 1, 0]
-    rng = np.random.default_rng(9)
+    rng = stream_rng(9)
     arr = [law.sample_sum(np.array([c], dtype=np.int64), rng) for c in counts]
     after_arr = rng.integers(0, 1 << 62)
-    rng = np.random.default_rng(9)
+    rng = stream_rng(9)
     one = [law.sample_sum(c, rng) for c in counts]
     after_one = rng.integers(0, 1 << 62)
     for a, b in zip(arr, one):
         assert np.array_equal(np.ravel(a), np.ravel(b))
     assert after_arr == after_one
-    rng = np.random.default_rng(9)
+    rng = stream_rng(9)
     law.sample_sum(0, rng)
     law.sample_sum(np.zeros(4, dtype=np.int64), rng)
-    assert rng.integers(0, 1 << 62) == np.random.default_rng(9).integers(0, 1 << 62)
+    assert rng.integers(0, 1 << 62) == stream_rng(9).integers(0, 1 << 62)
 
 
 @pytest.mark.parametrize("law", _ALL_LAWS[-2:], ids=lambda law: type(law).__name__)
@@ -622,3 +625,28 @@ def test_model_dimension_checks():
             (IndependentMarginals([Bernoulli(0.5)]),),
             IndependentMarginals([Poisson(1.0), Poisson(1.0)]),
         )
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, "", ", ", "\n", "a, b\n  c", ",\n  "])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=4) | st.sampled_from([", ", "\n"]), inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_JSON_VALUES)
+def test_json_text_matches_json_dumps_indent_two(obj):
+    # nested values, empty containers, NaN, +-inf, -0.0 and strings holding
+    # the separator or a newline are written as json.dumps writes them
+    assert json_text(obj) == json.dumps(obj, indent=2) + "\n"

@@ -362,6 +362,18 @@ def test_cohort_and_array_routes_agree_in_law():
     assert np.all(np.abs(cohort.mean(axis=0) - target) < 4 * se)
 
 
+def test_inar_ensemble_states_follow_stationary_poisson():
+    # Bernoulli(1/2) thinning with Poisson(1) immigration is stationary at
+    # Poisson(2); X_n of every copy after auto burn-in, over two blocks, must
+    # sit within the pre-registered KS band 1.36 / sqrt(N) of its CDF
+    model, N, n = build_scalar_inar(), 6000, 10
+    states = simulate_ensemble(model, N, n, master_seed=2026).paths[:, n, 0]
+    support = np.arange(states.max() + 1)
+    pmf = np.exp(support * math.log(2.0) - 2.0 - np.array([math.lgamma(k + 1) for k in support]))
+    emp = np.cumsum(np.bincount(states, minlength=len(support))) / N
+    assert np.max(np.abs(emp - np.cumsum(pmf))) <= 1.36 / math.sqrt(N)
+
+
 def _refuse_cohorts(monkeypatch):
     def refuse(*args):
         raise AssertionError("routed to cohorts")

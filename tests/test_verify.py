@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,6 +196,9 @@ def test_boot_cov_matches_per_resample_np_cov(monkeypatch, cells):
     boot_idx = rng.integers(0, 50, size=(200, 50))
     want = np.stack([np.cov(x[idx], rowvar=False, ddof=1) for idx in boot_idx])
     assert_allclose(_boot_cov(x, boot_idx), want, rtol=1e-12, atol=0)
+    # three blocks of two coordinates keep only the diagonal 2 x 2 blocks
+    blocks = np.stack([want[:, 2 * g : 2 * g + 2, 2 * g : 2 * g + 2] for g in range(3)], axis=1)
+    assert_allclose(_boot_cov(x, boot_idx, blocks=3), blocks, rtol=1e-12, atol=0)
 
 
 def _resampled_se(sample, boot_idx):
@@ -219,9 +223,9 @@ def _counted_boot_cov(monkeypatch):
     """Record the shape of the data of every _boot_cov call of verify."""
     calls = []
 
-    def counting(x, boot_idx):
+    def counting(x, boot_idx, **kwargs):
         calls.append(x.shape)
-        return _boot_cov(x, boot_idx)
+        return _boot_cov(x, boot_idx, **kwargs)
 
     monkeypatch.setattr(verify, "_boot_cov", counting)
     return calls
@@ -274,6 +278,23 @@ def test_clt_refuses_fractional_counts(monkeypatch):
         clt_covariance_experiment(model, 50, 3, reps=2.5, grid=(1.0,))
     with pytest.raises(ValueError, match="integer N"):
         clt_covariance_experiment(model, 50, 2.5, reps=10, grid=(1.0,))
+
+
+def test_iterated_keeps_only_the_grid_point_blocks_of_its_bootstrap():
+    # a sweep point reads only the p x p covariance of each grid point: with
+    # G = 40 and p = 2 the joint (200, 80, 80) array alone would be 10.24 MB,
+    # the (200, 40, 2, 2) blocks are 0.26 MB
+    model, G = build_two_type(), 40
+    grid = tuple((k + 1) / G for k in range(G))
+    iterated_experiment(model, 40, 20, "N_first", sweep=[40], grid=(1.0,), seed=1)
+    tracemalloc.start()
+    try:
+        report = iterated_experiment(model, 40, 20, "N_first", sweep=[40], grid=grid, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.rows) == 3 * G
+    assert peak < 3_000_000
 
 
 def test_iterated_refuses_fractional_sweep(monkeypatch):
