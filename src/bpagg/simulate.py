@@ -352,10 +352,13 @@ def _simulate_block(model, copies, n, rng, burnin, cohorts=False, idx=None):
 
 def step(model, state, rng):
     """One exact transition from state: one immigration draw, then the
-    offspring sums of each type in index order."""
-    state = np.asarray(state, dtype=np.int64)
-    if state.shape != (model.p,) or int(state.min()) < 0:
+    offspring sums of each type in index order. A state that is not a vector
+    of p nonnegative integers is refused; a fractional entry is not
+    truncated."""
+    state = np.asarray(state)
+    if state.shape != (model.p,):
         raise ValueError("state must be a nonnegative int vector of length p")
+    state = np.array([_count("state", v) for v in state.tolist()], dtype=np.int64)
     return next(_run_block(model, 1, rng, 0, state[None]))[1][0, 0]
 
 

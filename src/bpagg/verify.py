@@ -16,15 +16,16 @@ z-score for every checked entry, and serialize deterministically: a rerun
 with the same master seed produces identical bytes for any worker count,
 so wall clock time is kept out of the serialized form.
 
-Standard errors come from batch means on single long paths and from a
-percentile-free bootstrap (200 resamples, standard deviation across
-resampled covariance estimates) on replicated aggregates. An aggregate
-experiment resamples once: one bootstrap of the joint grid vector (all grid
-points and coordinates of a replication) per clt run and per iterated sweep
-point gives the standard errors of every grid point's covariance and, in
-clt, as double differences, of every increment covariance; an iterated
-sweep point keeps only the grid points' own blocks. Every experiment warns
-when its path length is short for the model's mixing time.
+Standard errors come from batch means on single long paths and from plug-in
+estimates on replicated aggregates: an entry of a sample covariance of
+i.i.d. replications (or copies) is the mean of the centered products
+(x_i - mean_i)(x_j - mean_j), so its standard error is their sample
+standard deviation over sqrt(reps) (_cov_se), the same i.i.d. standard
+error the innovation buckets use. A bootstrap would only approximate this
+delta-method variance with resampling noise (Efron 1982), so none is run
+and an aggregate experiment draws no random number after its ensemble.
+Every experiment warns when its path length is short for the model's
+mixing time.
 """
 
 import math
@@ -58,11 +59,6 @@ __all__ = [
 # pre-registered band half-width in standard errors; reports record it as
 # params["se_multiplier"]
 _SE_MULT = 4.0
-_BOOT = 200
-# floats of resampled data gathered at once by the bootstrap, which resamples
-# the joint grid vector of an aggregate experiment once, so a chunk holds
-# about _BOOT_CELLS // (reps * G * p) resamples
-_BOOT_CELLS = 1 << 15
 _MIN_BUCKET = 100
 _MAX_BUCKETS = 20
 
@@ -154,47 +150,28 @@ def _batch_se(series):
     return float(means.std(ddof=1) / math.sqrt(nb))
 
 
-def _sample_cov(sample):
-    x = np.asarray(sample, dtype=float)
+def _cov_se(x):
+    """(cov, se) of a sample x (reps, d) of i.i.d. rows: the sample covariance
+    and the plug-in standard error of each entry, the standard deviation
+    (ddof 1) of the centered products (x_i - mean_i)(x_j - mean_j) over
+    sqrt(reps). The products' second moments come from one matmul of the
+    squared centered sample, so no (reps, d, d) array is built; a variance
+    that rounding leaves slightly negative reads 0."""
+    reps = x.shape[0]
     xc = x - x.mean(axis=0)
-    return xc.T @ xc / (x.shape[0] - 1)
+    S = xc.T @ xc
+    sq = xc * xc
+    var = (sq.T @ sq - S * S / reps) / (reps - 1)
+    return S / (reps - 1), np.sqrt(np.maximum(var, 0.0) / reps)
 
 
-def _boot_cov(x, boot_idx, blocks=1):
-    """_sample_cov(x[idx]) for every row idx of boot_idx, as (len(boot_idx), d, d).
-
-    x is (reps, d). With blocks = G > 1, x holds G consecutive blocks of
-    w = d // G coordinates and only each block's own covariance is kept, as
-    (len(boot_idx), G, w, w). Resamples are gathered a few at a time, so the
-    gathered copy of x stays near _BOOT_CELLS floats.
-    """
-    reps, d = x.shape
-    w = d // blocks
-    out = np.empty((len(boot_idx), blocks, w, w))
-    chunk = max(1, _BOOT_CELLS // (reps * d))
-    for a in range(0, len(boot_idx), chunk):
-        g = x[boot_idx[a : a + chunk]].reshape(-1, reps, blocks, w).transpose(0, 2, 1, 3)
-        g -= g.mean(axis=2, keepdims=True)
-        out[a : a + chunk] = np.matmul(g.transpose(0, 1, 3, 2), g) / (reps - 1)
-    return out if blocks > 1 else out[:, 0]
-
-
-def _joint_boot(vals, boot_idx):
-    """Bootstrap covariances of the joint grid vector of vals (reps, G, p):
-    one _boot_cov of vals.reshape(reps, G * p), viewed as (B, G, p, G, p)."""
-    reps, G, p = vals.shape
-    return _boot_cov(vals.reshape(reps, -1), boot_idx).reshape(-1, G, p, G, p)
-
-
-def _grid_cov_rows(vals, grid, sigma, boot):
+def _grid_cov_rows(vals, grid, sigma):
     """Covariance of vals[:, g, :] (reps, G, p) vs grid[g] * sigma, upper
-    triangle per grid point; standard errors are the spread over resamples
-    of boot[:, g], the (B, G, p, p) bootstrap covariances of each grid point."""
+    triangle per grid point, with the plug-in standard errors of _cov_se."""
     p = vals.shape[2]
     rows = []
     for g, t in enumerate(grid):
-        emp = _sample_cov(vals[:, g, :])
-        se = boot[:, g].std(axis=0, ddof=1)
+        emp, se = _cov_se(vals[:, g, :])
         rows.extend(
             _row(t, i, j, emp[i, j], t * sigma[i, j], se[i, j])
             for i in range(p)
@@ -203,23 +180,11 @@ def _grid_cov_rows(vals, grid, sigma, boot):
     return rows
 
 
-def _increment_table(vals, grid, boot):
+def _increment_table(vals, grid):
     """Cross covariances of the increments of vals (reps, G, p) over disjoint
-    grid intervals, each against 0, with standard errors from boot, the joint
-    bootstrap of _joint_boot, which this differences in place.
-
-    The increments are vals @ D^T for the difference operator D, so their
-    resampled covariances are D C D^T: double differences of boot along its
-    two grid axes, taken from the last grid point down so that every
-    subtrahend is still undifferenced.
-    """
+    grid intervals, each against 0: one _cov_se of the stacked increments."""
     reps, G, p = vals.shape
-    emp = _sample_cov(np.diff(vals, axis=1, prepend=0.0).reshape(reps, -1))
-    for a in range(G - 1, 0, -1):
-        boot[:, a] -= boot[:, a - 1]
-    for a in range(G - 1, 0, -1):
-        boot[:, :, :, a] -= boot[:, :, :, a - 1]
-    se = boot.reshape(len(boot), G * p, G * p).std(axis=0, ddof=1)
+    emp, se = _cov_se(np.diff(vals, axis=1, prepend=0.0).reshape(reps, -1))
     increments = []
     for a in range(G):
         for b in range(a + 1, G):
@@ -330,8 +295,9 @@ def clt_covariance_experiment(model, n, N, reps=200, grid=(1.0,), seed=0, burnin
     t * sigma, each standardized marginal is tested for normality (KS
     distance against the 1.36 / sqrt(reps) threshold), and increments over
     disjoint grid intervals are checked for vanishing cross covariance. The
-    standard errors of both tables come from one bootstrap of the joint grid
-    vector: 200 resamples of the replications on the stream (seed, 1).
+    standard errors of both tables are the plug-in standard errors of
+    _cov_se over the replications, one call per grid point and one for the
+    stacked increments.
     """
     t0 = time.perf_counter()
     n, N, reps, p = _count("n", n), _count("N", N), _count("reps", reps), model.p
@@ -346,12 +312,7 @@ def clt_covariance_experiment(model, n, N, reps=200, grid=(1.0,), seed=0, burnin
     per_copy = percopy_aggregates(model, reps * N, n, derived_seed(seed, 0), grid,
                                   exact.mean, burn, threads)
     vals = per_copy.reshape(reps, N, len(grid), p).sum(axis=1) / math.sqrt(N)
-
-    boot = _joint_boot(vals, stream_rng(seed, 1).integers(0, reps, size=(_BOOT, reps)))
-
-    # the grid points' own blocks boot[:, g, :, g, :], as a (B, G, p, p) view
-    blocks = boot.diagonal(axis1=1, axis2=3).transpose(0, 3, 1, 2)
-    rows = _grid_cov_rows(vals, grid, sigma, blocks)
+    rows = _grid_cov_rows(vals, grid, sigma)
     ks_entries, checks = [], []
     ks_threshold = 1.36 / math.sqrt(reps)
     for g, t in enumerate(grid):
@@ -376,7 +337,7 @@ def clt_covariance_experiment(model, n, N, reps=200, grid=(1.0,), seed=0, burnin
                 }
             )
 
-    increments = _increment_table(vals, grid, boot) if len(grid) > 1 else []
+    increments = _increment_table(vals, grid) if len(grid) > 1 else []
     checks.extend(e["z"] for e in increments)
     params = {
         "n": n,
@@ -407,9 +368,9 @@ def iterated_experiment(model, n, N, order, sweep=None, grid=(1.0,), seed=0,
     scaled ensemble aggregate is a normalized sum of i.i.d. per-copy
     aggregates, so the empirical covariance across copies estimates the
     aggregate covariance at every sweep point; the trajectory should settle
-    at t * sigma whichever limit is taken first. Each sweep point s
-    resamples its copies once, 200 times on the stream (seed, 1, order, s),
-    and its joint grid vector gives the standard errors of all its rows.
+    at t * sigma whichever limit is taken first. The standard errors of a
+    sweep point's rows are the plug-in standard errors of _cov_se over its
+    copies.
     Top-level rows are the final sweep point, full trajectories sit in
     extra['sweep'].
     """
@@ -442,11 +403,7 @@ def iterated_experiment(model, n, N, order, sweep=None, grid=(1.0,), seed=0,
     for s, (val, (N_s, n_s)) in enumerate(zip(sweep, points)):
         per_copy = percopy_aggregates(model, N_s, n_s, derived_seed(seed, 0, oid, s), grid,
                                       exact.mean, burn, threads)  # (N_s, G, p)
-        boot_idx = stream_rng(seed, 1, oid, s).integers(0, N_s, size=(_BOOT, N_s))
-        # no increments here, so each grid point keeps only its own block
-        boot = _boot_cov(per_copy.reshape(N_s, -1), boot_idx, blocks=len(grid))
-        boot = boot.reshape(_BOOT, len(grid), model.p, model.p)
-        rows = _grid_cov_rows(per_copy, grid, sigma, boot)
+        rows = _grid_cov_rows(per_copy, grid, sigma)
         trajectory.append({"sweep": val, "N": N_s, "n": n_s, "rows": rows})
 
     params = {
@@ -469,9 +426,8 @@ def autocovariance_check(model, n, lags, seed):
     not symmetric.
     """
     t0 = time.perf_counter()
-    lags = [int(k) for k in lags]
-    if any(k < 0 for k in lags):
-        raise ValueError("lags must be >= 0")
+    # a fractional or negative lag is refused by name, not truncated
+    lags = [_count("lags", k) for k in lags]
     if not lags:
         raise ValueError("need at least one lag")
     # a lag of at most n - 2 leaves two products for its batch-means SE

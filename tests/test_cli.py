@@ -449,8 +449,8 @@ def _increment_far(monkeypatch):
     # the first increment cross covariance reads 10 standard errors from 0
     real = bpagg.verify._increment_table
 
-    def far(vals, grid, boot):
-        increments = real(vals, grid, boot)
+    def far(vals, grid):
+        increments = real(vals, grid)
         first = increments[0]
         first["empirical"] = 10.0 * first["se"]
         first["z"] = bpagg.verify._zval(first["empirical"], first["se"])

@@ -70,6 +70,19 @@ def test_step_state_validation():
         step(model, [-1], rng)
 
 
+def test_step_refuses_fractional_states():
+    # a state of 1.5 is refused, not stepped from 1
+    model = build_two_type()
+    rng = np.random.default_rng(0)
+    for state in ([1.5, 0], [0, 2.0000001], [np.nan, 0], [np.inf, 0]):
+        with pytest.raises(ValueError, match="integer state"):
+            step(model, state, rng)
+    # integer-valued entries of any dtype are states
+    assert step(model, np.array([1.0, 2.0]), stream_rng(2)).tolist() == step(
+        model, [1, 2], stream_rng(2)
+    ).tolist()
+
+
 def test_path_shape_and_zero_start():
     model = build_two_type()
     path = simulate_path(model, 10, np.random.default_rng(1))

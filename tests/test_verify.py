@@ -38,7 +38,7 @@ from bpagg.verify import (
     innovation_diagnostics,
     iterated_experiment,
 )
-from bpagg.verify import _boot_cov, _ks_normal, _normal_cdf
+from bpagg.verify import _cov_se, _ks_normal, _normal_cdf
 from conftest import build_deterministic, build_scalar_inar, build_two_type
 
 
@@ -115,8 +115,7 @@ def test_clt_rerun_and_threads_byte_identical():
 
 
 def test_clt_increments_rerun_and_threads_byte_identical():
-    # a two-type model on three grid points fills the increment table, whose
-    # standard errors come from the joint bootstrap differenced in place; 40
+    # a two-type model on three grid points fills the increment table; 40
     # replications of 60 copies are two blocks of the p = 2 model
     model = build_two_type()
     assert 40 * 60 > block_copies(2)
@@ -184,90 +183,98 @@ def test_clt_is_one_ensemble_of_reps_times_n_copies(monkeypatch):
         assert rows[(1.0, i, j)] == pytest.approx(at_one[i, j], rel=1e-12)
 
 
-@pytest.mark.parametrize("cells", [None, 1000])
-def test_boot_cov_matches_per_resample_np_cov(monkeypatch, cells):
-    # one gather and one batched matmul per chunk of resamples; the reference
-    # is the per-resample np.cov loop it replaced (cells 1000 forces ragged
-    # chunks)
-    if cells is not None:
-        monkeypatch.setattr(verify, "_BOOT_CELLS", cells)
-    rng = np.random.default_rng(2024)
-    x = rng.standard_normal((50, 6)) @ rng.standard_normal((6, 6)) + 3.0
-    boot_idx = rng.integers(0, 50, size=(200, 50))
-    want = np.stack([np.cov(x[idx], rowvar=False, ddof=1) for idx in boot_idx])
-    assert_allclose(_boot_cov(x, boot_idx), want, rtol=1e-12, atol=0)
-    # three blocks of two coordinates keep only the diagonal 2 x 2 blocks
-    blocks = np.stack([want[:, 2 * g : 2 * g + 2, 2 * g : 2 * g + 2] for g in range(3)], axis=1)
-    assert_allclose(_boot_cov(x, boot_idx, blocks=3), blocks, rtol=1e-12, atol=0)
+def _plugin_se(sample):
+    """np.std (ddof 1) of the centered products of every pair of columns of
+    sample (reps, d) over sqrt(reps), entry by entry: the plug-in standard
+    errors of the sample covariance by definition."""
+    reps, d = sample.shape
+    c = sample - sample.mean(axis=0)
+    se = np.empty((d, d))
+    for i in range(d):
+        for j in range(d):
+            se[i, j] = np.std(c[:, i] * c[:, j], ddof=1) / math.sqrt(reps)
+    return se
 
 
-def _resampled_se(sample, boot_idx):
-    """Standard deviation over resamples of np.cov of each resample of the
-    rows of sample (reps, d), the bootstrap standard errors by definition."""
-    covs = np.stack([np.cov(sample[idx], rowvar=False, ddof=1) for idx in boot_idx])
-    return covs.std(axis=0, ddof=1)
-
-
-def _assert_row_se(rows, vals, grid, boot_idx):
+def _assert_row_se(rows, vals, grid):
     """The rows of a two-type report on vals (reps, G, 2) carry, per grid
-    point, the bootstrap standard errors of that grid point alone."""
+    point, the plug-in standard errors of that grid point alone."""
     keys = [(t, i, j) for t in grid for i, j in ((0, 0), (0, 1), (1, 1))]
     assert [(r["t"], r["i"], r["j"]) for r in rows] == keys
     for g in range(len(grid)):
-        se = _resampled_se(vals[:, g, :], boot_idx)
+        se = _plugin_se(vals[:, g, :])
         for r in rows[3 * g : 3 * g + 3]:
-            assert_allclose(r["se"], se[r["i"], r["j"]], rtol=1e-12, atol=0)
+            assert_allclose(r["se"], se[r["i"], r["j"]], rtol=1e-10, atol=0)
 
 
-def _counted_boot_cov(monkeypatch):
-    """Record the shape of the data of every _boot_cov call of verify."""
-    calls = []
-
-    def counting(x, boot_idx, **kwargs):
-        calls.append(x.shape)
-        return _boot_cov(x, boot_idx, **kwargs)
-
-    monkeypatch.setattr(verify, "_boot_cov", counting)
-    return calls
-
-
-def test_clt_standard_errors_match_per_resample_np_cov(monkeypatch):
-    # every row's se is the spread of the resampled covariance of its grid
-    # point, every increment's the spread of the resampled covariance of the
-    # stacked increments, on the 200 resamples of the stream (seed, 1); all
-    # of them come from one bootstrap
+def test_clt_standard_errors_are_the_plugin_product_spread(monkeypatch):
+    # every row's se is the spread of the centered products of its grid
+    # point over sqrt(reps), every increment's that of the products of the
+    # stacked increments
     model = build_two_type()
     n, N, reps, seed, grid = 24, 3, 50, 21, (0.25, 0.5, 1.0)
     calls = _recorded_percopy(monkeypatch)
-    boots = _counted_boot_cov(monkeypatch)
     report = clt_covariance_experiment(model, n, N, reps=reps, grid=grid, seed=seed)
-    assert boots == [(reps, 3 * 2)]
     [(_, per_copy)] = calls
     vals = per_copy.reshape(reps, N, 3, 2).sum(axis=1) / math.sqrt(N)
-    boot_idx = stream_rng(seed, 1).integers(0, reps, (200, reps))
-    _assert_row_se(report.rows, vals, grid, boot_idx)
-    incs = np.diff(vals, axis=1, prepend=0.0).reshape(reps, -1)
-    se = _resampled_se(incs, boot_idx)
+    _assert_row_se(report.rows, vals, grid)
+    se = _plugin_se(np.diff(vals, axis=1, prepend=0.0).reshape(reps, -1))
     entries = report.extra["increments"]
     assert len(entries) == 3 * 4
     for e in entries:
         a, b = grid.index(e["t_a"]), grid.index(e["t_b"])
         assert a < b
-        assert_allclose(e["se"], se[2 * a + e["i"], 2 * b + e["j"]], rtol=1e-12, atol=0)
+        assert_allclose(e["se"], se[2 * a + e["i"], 2 * b + e["j"]], rtol=1e-10, atol=0)
 
 
-def test_iterated_standard_errors_match_per_resample_np_cov(monkeypatch):
-    # sweep point s resamples its copies once, on the stream (seed, 1, order, s)
+def test_iterated_standard_errors_are_the_plugin_product_spread(monkeypatch):
     model = build_two_type()
-    seed, grid = 8, (0.5, 1.0)
+    grid = (0.5, 1.0)
     calls = _recorded_percopy(monkeypatch)
-    boots = _counted_boot_cov(monkeypatch)
-    report = iterated_experiment(model, 20, 30, "n_first", sweep=[10, 30], grid=grid, seed=seed)
-    assert boots == [(10, 2 * 2), (30, 2 * 2)]
-    (_, per_copy) = calls[1]
-    boot_idx = stream_rng(seed, 1, 1, 1).integers(0, 30, (200, 30))
+    report = iterated_experiment(model, 20, 30, "n_first", sweep=[10, 30], grid=grid, seed=8)
     assert report.extra["sweep"][1]["rows"] == report.rows
-    _assert_row_se(report.rows, per_copy, grid, boot_idx)
+    for (_, per_copy), point in zip(calls, report.extra["sweep"]):
+        _assert_row_se(point["rows"], per_copy, grid)
+
+
+def test_cov_se_matches_the_wishart_variance_of_a_sample_covariance():
+    # for i.i.d. Gaussian rows the sample covariance of R rows has
+    # Var(s_ij) = (sigma_ij^2 + sigma_ii sigma_jj) / (R - 1) (Anderson, An
+    # Introduction to Multivariate Statistical Analysis); the mean plug-in
+    # SE^2 over 3000 datasets of R = 200 rows with a nonzero mean is within
+    # 5% of it (it reads about 2% low: the plug-in is biased by O(1 / R))
+    rng = np.random.default_rng(1982)
+    L = np.array([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [-0.5, 0.3, 1.2]])
+    sigma = L @ L.T
+    R, datasets = 200, 3000
+    mean_se2 = np.zeros((3, 3))
+    for _ in range(datasets):
+        x = rng.standard_normal((R, 3)) @ L.T + np.array([5.0, -2.0, 1.0])
+        mean_se2 += _cov_se(x)[1] ** 2 / datasets
+    want = (sigma**2 + np.outer(np.diag(sigma), np.diag(sigma))) / (R - 1)
+    assert np.all(np.abs(mean_se2 / want - 1.0) < 0.05)
+
+
+def _refusing_stream_rng(*args):
+    raise AssertionError("drew from a stream after the ensemble")
+
+
+def test_aggregate_experiments_draw_nothing_after_their_ensembles(monkeypatch):
+    # the ensembles run on simulate's own streams; once they are in, clt and
+    # iterated compute their reports without a further draw
+    model = build_two_type()
+
+    def reports():
+        return (
+            clt_covariance_experiment(model, 24, 3, reps=30, grid=(0.5, 1.0), seed=4).to_json(),
+            iterated_experiment(model, 20, 8, "N_first", sweep=[10, 20], grid=(0.5, 1.0),
+                                seed=4).to_json(),
+            iterated_experiment(model, 20, 8, "n_first", sweep=[4, 8], seed=4).to_json(),
+        )
+
+    want = reports()
+    monkeypatch.setattr(verify, "stream_rng", _refusing_stream_rng)
+    assert reports() == want
 
 
 def test_clt_refuses_fractional_counts(monkeypatch):
@@ -280,10 +287,10 @@ def test_clt_refuses_fractional_counts(monkeypatch):
         clt_covariance_experiment(model, 50, 2.5, reps=10, grid=(1.0,))
 
 
-def test_iterated_keeps_only_the_grid_point_blocks_of_its_bootstrap():
-    # a sweep point reads only the p x p covariance of each grid point: with
-    # G = 40 and p = 2 the joint (200, 80, 80) array alone would be 10.24 MB,
-    # the (200, 40, 2, 2) blocks are 0.26 MB
+def test_iterated_keeps_only_the_grid_point_blocks():
+    # a sweep point reads only the p x p covariance of each grid point and
+    # builds nothing over the joint grid vector: with G = 40 and p = 2 its
+    # peak stays under 3 MB
     model, G = build_two_type(), 40
     grid = tuple((k + 1) / G for k in range(G))
     iterated_experiment(model, 40, 20, "N_first", sweep=[40], grid=(1.0,), seed=1)
@@ -513,6 +520,16 @@ def test_autocovariance_check_validation():
         autocovariance_check(model, 100, lags=[-1], seed=0)
     with pytest.raises(ValueError):
         autocovariance_check(model, 100, lags=[100], seed=0)
+
+
+def test_autocovariance_check_refuses_fractional_and_negative_lags(monkeypatch):
+    # each bad lag is refused by name before anything is simulated; a lag of
+    # 1.5 is not run as lag 1
+    monkeypatch.setattr(verify, "simulate_path", _refuse_to_simulate)
+    model = build_scalar_inar()
+    for lags in ([0, 1.5], [2.9], [-1, 0]):
+        with pytest.raises(ValueError, match="integer lags"):
+            autocovariance_check(model, 100, lags=lags, seed=0)
 
 
 def test_innovation_diagnostics_scalar():
