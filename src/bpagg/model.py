@@ -9,15 +9,35 @@ A table's Kronecker moment of order k is one weighted contraction of its
 atoms, whatever their number: X^T (w X) at order 2, and the row-wise
 products X_i X_j contracted with w X at order 3.
 
-Every law draws the sum of c independent broods as one variate of its c-fold
+A law draws the sum of c independent broods as one variate of its c-fold
 convolution: poisson(c lam), binomial(c n, q), negative binomial(c, q) for
 the geometric law, c v for a point mass and multinomial(c, probs) @ support
-for a table. The count c may be an int or an int64 array of counts, one per
-copy or per immigrant cohort, so one generator call covers a whole block of
-copies or a whole generation of cohorts; an int count and a one-entry array
-consume a generator alike, and a zero count draws nothing. Counts are
-multiplied by law constants in int64, so a point mass or binomial n of 2^63
-or more is refused when the law is built.
+for a table. Two exact routes replace the numpy variate where many small
+draws make one uniform per unit cheaper. A Bernoulli or binomial sum over
+an array of at least _WIDE = 512 counts of at most _SMALL = 4 trials each
+on average draws one uniform per trial, and each entry is a difference of
+one running count of successes. A Poisson sample of at least _WIDE draws
+with lam at most _SMALL is the cell counts of poisson(size lam) points
+dropped uniformly into size cells (Poisson splitting; Devroye 1986). A
+Bernoulli sample of any size is rng.random(size) < q: one uniform per draw,
+like numpy's binomial(1, q), but 1.5-5 times faster from 512 draws on, and
+the same bytes when q > 1/2.
+
+The constants are cost ties against numpy, measured on a 2-core x86_64 host
+with SFC64. Thinning overtook numpy between 256 and 512 counts of mean 2,
+and scattering between 300 and 600 draws of lam <= 4. _SMALL is the tie on
+512-4096 counts all equal to 4, numpy's best case because it reuses its
+binomial set-up across equal entries: thinning took 0.89-1.15 of numpy's
+time there. On counts spread as poisson(4) it took 0.5-0.8, and its tie lay
+between means 6 and 10. Scattering at lam 8 tied on 512 draws and won on
+more, so one _SMALL for both is conservative for the scatter.
+
+The count c may be an int or an int64 array of counts, one per copy or per
+immigrant cohort, so one generator call covers a whole block of copies or a
+whole generation of cohorts. Int counts and one-entry arrays always take the
+convolution variate, so they consume a generator alike, and a zero count
+draws nothing. Counts are multiplied by law constants in int64, so a point
+mass or binomial n of 2^63 or more is refused when the law is built.
 """
 
 import json
@@ -44,6 +64,11 @@ __all__ = [
 # spectral radius (or GINAR mean total) within this of one counts as critical
 _REGIME_TOL = 1e-9
 _MASS_TOL = 1e-9
+
+# where the uniform routes of the module docstring start: entries per call,
+# and mean trials per count (or lam) at most
+_WIDE = 512
+_SMALL = 4
 
 
 def _real(name, value):
@@ -99,13 +124,37 @@ class Poisson:
         return lam + 3.0 * lam * lam + lam ** 3
 
     def sample(self, rng, size=None):
-        return rng.poisson(self.lam, size)
+        if size is None or size < _WIDE or self.lam > _SMALL:
+            return rng.poisson(self.lam, size)
+        # size i.i.d. poisson(lam) are the cell counts of poisson(size lam)
+        # points dropped uniformly into size cells
+        cells = rng.integers(0, size, rng.poisson(size * self.lam))
+        return np.bincount(cells, minlength=size)
 
     def sample_sum(self, count, rng):
         return rng.poisson(count * self.lam)
 
     def params(self):
         return {"dist": "poisson", "lambda": self.lam}
+
+
+def _binomial_sum(count, n, q, rng):
+    """binomial(count n, q), for an int count or per entry of a count array.
+
+    Wide arrays of few trials thin one uniform per trial. The route is
+    decided on a float sum: on a guarded law count n may pass int64.
+    """
+    if (
+        np.ndim(count) == 0
+        or len(count) < _WIDE
+        or count.sum(dtype=float) * n > _SMALL * len(count)
+    ):
+        return rng.binomial(count * n, q)
+    trials = count * n
+    ends = np.cumsum(trials)
+    run = np.zeros(ends[-1] + 1, dtype=np.int64)  # run[t]: successes before trial t
+    np.cumsum(rng.random(ends[-1]) < q, out=run[1:])
+    return run[ends] - run[ends - trials]
 
 
 class Bernoulli:
@@ -125,10 +174,11 @@ class Bernoulli:
         return self.q
 
     def sample(self, rng, size=None):
-        return rng.binomial(1, self.q, size)
+        hit = rng.random(size) < self.q
+        return int(hit) if size is None else hit.astype(np.int64)
 
     def sample_sum(self, count, rng):
-        return rng.binomial(count, self.q)
+        return _binomial_sum(count, 1, self.q, rng)
 
     def params(self):
         return {"dist": "bernoulli", "q": self.q}
@@ -164,7 +214,7 @@ class Binomial:
         return rng.binomial(self.n, self.q, size)
 
     def sample_sum(self, count, rng):
-        return rng.binomial(count * self.n, self.q)
+        return _binomial_sum(count, self.n, self.q, rng)
 
     def params(self):
         return {"dist": "binomial", "n": self.n, "q": self.q}

@@ -10,6 +10,8 @@ from numpy.testing import assert_allclose
 
 from bpagg.kronalg import kron_power
 from bpagg.model import (
+    _SMALL,
+    _WIDE,
     Bernoulli,
     Binomial,
     BranchingModel,
@@ -409,10 +411,10 @@ def _convolution_power(pmf, c, top):
     return out
 
 
-def _check_sums_against_oracle(draws, pmf, label):
-    draws = draws.reshape(-1, len(_COUNTS))
-    assert np.all(draws[:, _COUNTS == 0] == 0), label
-    for k, c in enumerate(_COUNTS):
+def _check_sums_against_oracle(draws, pmf, label, counts=_COUNTS):
+    draws = draws.reshape(-1, len(counts))
+    assert np.all(draws[:, counts == 0] == 0), label
+    for k, c in enumerate(counts):
         if c == 0:
             continue
         col = draws[:, k]
@@ -434,6 +436,107 @@ def test_marginal_sample_sum_matches_convolution_oracle():
         # an int count still gives one scalar variate
         assert np.ndim(law.sample_sum(7, stream_rng(seed))) == 0
         assert law.sample_sum(0, stream_rng(seed)) == 0
+
+
+# brood counts of mean 1: a tile of them under Bernoulli or Binomial(3, q)
+# is a wide call of at most _SMALL trials per count on average
+_FEW = np.array([0, 1, 3, 0], dtype=np.int64)
+
+
+def _same_stream_after(rng, reference):
+    """Whether rng and reference give the same next variate."""
+    return rng.integers(0, 1 << 62) == reference.integers(0, 1 << 62)
+
+
+@pytest.mark.parametrize("law", [Bernoulli(0.35), Binomial(3, 0.3)], ids=lambda law: law.dist)
+def test_thinned_sums_match_convolution_oracle(law):
+    # _DRAWS tiles of _FEW are a call of at least _WIDE counts of at most
+    # _SMALL trials each on average, so it draws one uniform per trial
+    counts = np.tile(_FEW, _DRAWS)
+    n = getattr(law, "n", 1)
+    assert len(counts) >= _WIDE and counts.sum() * n <= _SMALL * len(counts)
+    rng = stream_rng(300)
+    draws = law.sample_sum(counts, rng)
+    assert draws.shape == counts.shape and draws.dtype == np.int64
+    after = stream_rng(300)
+    after.random(int(counts.sum()) * n)
+    assert _same_stream_after(rng, after)
+    _check_sums_against_oracle(draws, _pmf_table(law), law.dist, counts=_FEW)
+
+
+@pytest.mark.parametrize("lam", [0.3, float(_SMALL)])
+def test_scattered_poisson_sample_matches_pmf(lam):
+    # _DRAWS >= _WIDE draws of lam <= _SMALL scatter one poisson total
+    law = Poisson(lam)
+    draws = law.sample(stream_rng(301), _DRAWS)
+    assert draws.shape == (_DRAWS,) and draws.dtype == np.int64
+    assert not np.array_equal(draws, stream_rng(301).poisson(lam, _DRAWS))
+    stat = _ks_against_pmf(draws, _pmf_table(law))
+    assert stat <= _KS_BOUND, "poisson(%g): KS %.4f > %.4f" % (lam, stat, _KS_BOUND)
+
+
+def test_bernoulli_sample_matches_pmf():
+    law = Bernoulli(0.35)
+    rng = stream_rng(302)
+    draws = law.sample(rng, _DRAWS)
+    assert draws.shape == (_DRAWS,) and draws.dtype == np.int64
+    assert _ks_against_pmf(draws, _pmf_table(law)) <= _KS_BOUND
+    # one uniform per draw
+    after = stream_rng(302)
+    after.random(_DRAWS)
+    assert _same_stream_after(rng, after)
+    assert law.sample(stream_rng(302)) in (0, 1)
+
+
+def test_calls_outside_the_uniform_routes_draw_numpy_variates():
+    # one entry short of _WIDE, or a mean just past _SMALL, is numpy's
+    # binomial or poisson variate on the same stream
+    narrow = np.tile(_FEW, _WIDE)[: _WIDE - 1]
+    heavy = np.full(_WIDE, 2, dtype=np.int64)  # 4 trials each under Binomial(2, q)
+    heavy[0] += 1
+    for law, counts in (
+        (Bernoulli(0.35), narrow),
+        (Binomial(3, 0.3), narrow),
+        (Bernoulli(0.35), heavy * 2),
+        (Binomial(2, 0.3), heavy),
+    ):
+        n = getattr(law, "n", 1)
+        want = stream_rng(303).binomial(counts * n, law.q)
+        assert np.array_equal(law.sample_sum(counts, stream_rng(303)), want)
+    for lam, size in ((1.0, _WIDE - 1), (np.nextafter(_SMALL, 5.0), _WIDE)):
+        want = stream_rng(304).poisson(lam, size)
+        assert np.array_equal(Poisson(lam).sample(stream_rng(304), size), want)
+    # a mean of exactly _SMALL trials is inside the route: 4 _WIDE uniforms
+    rng = stream_rng(305)
+    Binomial(2, 0.3).sample_sum(np.full(_WIDE, 2, dtype=np.int64), rng)
+    after = stream_rng(305)
+    after.random(_SMALL * _WIDE)
+    assert _same_stream_after(rng, after)
+
+
+def test_wide_zero_calls_draw_nothing():
+    zeros = np.zeros(_WIDE, dtype=np.int64)
+    for draw in (
+        lambda rng: Bernoulli(0.35).sample_sum(zeros, rng),
+        lambda rng: Binomial(3, 0.3).sample_sum(zeros, rng),
+        lambda rng: Binomial(0, 0.3).sample_sum(zeros + 3, rng),
+        lambda rng: Poisson(0.0).sample(rng, _WIDE),
+    ):
+        rng = stream_rng(306)
+        out = draw(rng)
+        assert out.shape == (_WIDE,) and out.dtype == np.int64 and not out.any()
+        assert _same_stream_after(rng, stream_rng(306))
+
+
+def test_huge_binomial_trial_sum_takes_numpy_route():
+    # _WIDE counts of 2^31 at n = 2^31 are about 2^71 trials, which wrap
+    # int64 to 0; the route test must see a large float and keep numpy's
+    # variate, binomial(2^62, 1/2) per entry
+    counts = np.full(_WIDE, 2 ** 31, dtype=np.int64)
+    out = Binomial(2 ** 31, 0.5).sample_sum(counts, stream_rng(307))
+    want = stream_rng(307).binomial(np.full(_WIDE, 2 ** 62), 0.5)
+    assert np.array_equal(out, want)
+    assert out.min() > 2 ** 61 - 2 ** 40
 
 
 _ALL_LAWS = (
