@@ -28,8 +28,8 @@ model = BranchingModel(
     IndependentMarginals([Poisson(1.0)]),
 )
 
-# burn-in 'auto' runs enough discarded steps that the start is stationary
-# for practical purposes (initialization bias shrunk by 1e-6)
+# burn-in 'auto' runs the fewest discarded steps that put the whole path
+# within total variation 1e-6 of a stationary one
 path = simulate_path(model, 50_000, stream_rng(7, 0), burnin="auto")
 print("simulated", path.shape[0] - 1, "steps; first ten states:", path[1:11, 0])
 print("time-average mean %.4f (exact 2.0)" % path[1:, 0].mean())

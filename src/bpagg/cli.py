@@ -27,6 +27,7 @@ from .model import json_text, load_model, model_to_json
 from .moments import moment_report
 from .simulate import (
     SimulationOverflowError,
+    _burnin_warnings,
     _resolve_burnin,
     aggregate,
     aggregates_to_csv,
@@ -72,6 +73,11 @@ def _emit(text, out):
     else:
         with open(out, "w") as fh:
             fh.write(text)
+
+
+def _warn(warnings):
+    for text in warnings:
+        sys.stderr.write("warning: %s\n" % text)
 
 
 def _add_common(sub, *, n=False, copies=False, seed=False, burnin=False, threads=False):
@@ -163,6 +169,7 @@ def _run_simulate(args):
     if args.out is None:
         raise ValueError("simulate needs --out for the paths CSV")
     model = load_model(args.model)
+    _warn(_burnin_warnings(model, args.burnin, args.copies))
     ens = simulate_ensemble(
         model, args.copies, args.n, args.seed, burnin=args.burnin, threads=args.threads
     )
@@ -176,7 +183,8 @@ def _run_aggregate(args):
         raise ValueError("aggregate needs --out for the CSV")
     model = load_model(args.model)
     exact = moment_report(model, 1)
-    burn = _resolve_burnin(model, args.burnin, exact.rho)
+    burn = _resolve_burnin(model, args.burnin, args.copies, exact.mean)
+    _warn(_burnin_warnings(model, args.burnin, args.copies, exact.mean))
     series = aggregate(model, args.copies, args.n, args.seed, args.grid, exact.mean, burn,
                        args.threads)
     aggregates_to_csv(series, args.out)

@@ -25,6 +25,10 @@ copies and run block b on the keyed stream (master_seed, b). An
 ensemble therefore depends on (master_seed, N, n, p) and never on
 scheduling or worker count, and any block can be rerun alone on its stream.
 
+An automatic burn-in is certified (see burnin_auto): it is the smallest K
+whose coupling bound puts every copy a call simulates, together, within
+total variation 1e-6 of a stationary start.
+
 Aggregates store no path: percopy_aggregates centers the running sums of
 each copy at the exact stationary mean, and the ensemble aggregate is the
 sum of its N independent per-copy aggregates over sqrt(N). _grid_indices
@@ -91,8 +95,11 @@ _COHORT_GENERATIONS = 128
 # rows of one copy formatted per write by paths_to_csv
 _CSV_ROWS = 1 << 14
 
-_BURNIN_FLOOR = 100
-_BURNIN_DECAY = 1e-6
+# an automatic burn-in puts a whole run within this total variation of a
+# stationary start (see burnin_auto)
+_BURNIN_TOL = 1e-6
+# an explicit burn-in whose bound passes this is warned about
+_BURNIN_WARN = 1e-2
 # automatic burn-in beyond this many steps is refused, not run
 _BURNIN_CEILING = 10 ** 6
 
@@ -117,25 +124,56 @@ def derived_seed(master_seed, *key):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _burnin_steps(rho):
-    """The automatic burn-in length at spectral radius rho (see burnin_auto)."""
-    if rho <= 0.0:
-        return _BURNIN_FLOOR
-    k = max(_BURNIN_FLOOR, int(math.ceil(math.log(_BURNIN_DECAY) / math.log(rho))))
+def _certified_burnin(M, mean, copies):
+    """The smallest K with copies * 1^T M^K mean <= _BURNIN_TOL.
+
+    The bound never increases in K, so K is found by doubling on the powers
+    M^(2^j) and then descending through them, one matrix-vector product per
+    bit: O(log K) matrix products and no loop over steps. M must be
+    subcritical. A K above _BURNIN_CEILING raises ValueError naming rho.
+    """
+    copies = max(1, int(copies))
+    tol = _BURNIN_TOL / copies
+    if mean.sum() <= tol:
+        return 0
+    powers = [M]  # powers[j] = M^(2^j)
+    while (powers[-1] @ mean).sum() > tol and 1 << (len(powers) - 1) <= _BURNIN_CEILING:
+        powers.append(powers[-1] @ powers[-1])
+    # k is the largest count found so far whose bound is above tol
+    k, v = 0, mean
+    for j in range(len(powers) - 1, -1, -1):
+        w = powers[j] @ v
+        if w.sum() > tol:
+            k, v = k + (1 << j), w
+    k += 1
     if k > _BURNIN_CEILING:
         raise ValueError(
-            "automatic burn-in needs %d steps at rho = %.12g, above the ceiling of"
-            " %d; choose a burn-in length with --burnin K (burnin=K)"
-            % (k, rho, _BURNIN_CEILING)
+            "automatic burn-in needs more than %d steps at rho = %.12g to put a run"
+            " of copies = %d within %g of a stationary start; choose a burn-in"
+            " length with --burnin K (burnin=K)"
+            % (_BURNIN_CEILING, spectral_radius(M), copies, _BURNIN_TOL)
         )
     return k
 
 
-def burnin_auto(model):
-    """Burn-in length max(100, ceil(log(1e-6) / log(rho))).
+def _stationary_mean(model):
+    """(I - M)^-1 m_eps, the stationary mean of a subcritical model."""
+    return np.linalg.solve(np.eye(model.p) - mean_matrix(model), model.immigration.mean())
 
-    Initialization bias decays like rho^k, so this many steps shrink it by
-    a factor 1e-6 (with a floor for very small rho). Subcritical only; a
+
+def burnin_auto(model, copies=1):
+    """The certified burn-in: the smallest K with copies * 1^T M^K mean <= 1e-6.
+
+    A copy started at zero K steps before time 0 and the stationary chain
+    can be coupled so that they differ only by the progeny of the immigrant
+    cohorts older than K; a stationary state is the sum over all earlier
+    cohorts (Heathcote 1965), and the older ones leave 1^T M^K mean
+    individuals at time 0 in mean. So the law of the copy's whole path
+    after the burn-in is within total variation 1^T M^K mean of the
+    stationary path's (the coupling inequality; Lindvall, Lectures on the
+    Coupling Method). Copies are independent and their bounds add, so a run
+    of copies copies is within 1e-6 of a stationary-start run. A nilpotent
+    M certifies at its index and zero immigration at 0. Subcritical only; a
     length above 10^6 steps raises ValueError instead of running.
     """
     cls = validate(model)
@@ -143,18 +181,51 @@ def burnin_auto(model):
         raise NotSubcriticalError(
             "burn-in initialization needs a subcritical model, got rho = %.6g" % cls.rho
         )
-    return _burnin_steps(cls.rho)
+    return _certified_burnin(mean_matrix(model), _stationary_mean(model), copies)
 
 
-def _resolve_burnin(model, burnin, rho=None):
-    """Burn-in step count for a burnin argument: None is 0, 'auto' the
-    automatic length (from rho when the caller has it, else from the model),
-    anything else must be an integer >= 0."""
+def _resolve_burnin(model, burnin, copies=1, mean=None):
+    """Burn-in step count for a burnin argument over a run of copies copies:
+    None is 0, 'auto' the certified length (from the stationary mean when
+    the caller has it, else from the model, see burnin_auto), anything else
+    must be an integer >= 0."""
     if burnin is None:
         return 0
     if burnin == "auto":
-        return burnin_auto(model) if rho is None else _burnin_steps(rho)
+        if mean is None:
+            return burnin_auto(model, copies)
+        return _certified_burnin(mean_matrix(model), mean, copies)
     return _count("burnin", burnin)
+
+
+def _burnin_bound(M, mean, k):
+    """1^T M^k mean, the coupling bound of a burn-in of k steps for one copy
+    (see burnin_auto); M^k takes O(log k) products."""
+    return float((np.linalg.matrix_power(M, k) @ mean).sum())
+
+
+def _burnin_warnings(model, burnin, copies, mean=None):
+    """Warnings for an explicit burnin over a run of copies copies: one when
+    its certificate copies * 1^T M^K mean (see burnin_auto) is above
+    _BURNIN_WARN, none for 'auto' or None. mean is the stationary mean,
+    solved here unless passed in; a model that is not subcritical has no
+    stationary law to compare with and gets none."""
+    if burnin is None or burnin == "auto":
+        return []
+    k = _count("burnin", burnin)
+    M = mean_matrix(model)
+    if mean is None:
+        if _regime(spectral_radius(M)) != "subcritical":
+            return []
+        mean = _stationary_mean(model)
+    bound = copies * _burnin_bound(M, mean, k)
+    if bound <= _BURNIN_WARN:
+        return []
+    return [
+        "burn-in of %d steps leaves a run of copies = %d up to %.3g in total"
+        " variation from a stationary start; --burnin auto certifies %g"
+        % (k, copies, bound, _BURNIN_TOL)
+    ]
 
 
 def _check_state(total):
@@ -435,7 +506,7 @@ def simulate_ensemble(model, N, n, master_seed, burnin="auto", threads=1):
     """Ensemble of N copies, n steps each, with their paths. Results do not
     depend on threads (see the module docstring)."""
     n = _count("n", n)
-    k = _resolve_burnin(model, burnin)
+    k = _resolve_burnin(model, burnin, N)
     paths = _run_blocks(model, N, n, int(master_seed), k, threads)
     return PathEnsemble(model, int(master_seed), k, paths)
 
@@ -486,9 +557,13 @@ def percopy_aggregates(model, N, n, master_seed, grid, mean=None, burnin="auto",
     if n < 1:
         raise ValueError("need n >= 1 steps to scale an aggregate, got 0")
     idx = _grid_indices(grid, n)
-    k = _resolve_burnin(model, burnin)
     if mean is None:
         mean = stationary_moments(model, 1)[0]
+        k = _resolve_burnin(model, burnin, N, mean)
+    else:
+        # a mean passed in is not checked, so an automatic burn-in is
+        # certified from the model, which burnin_auto classifies
+        k = _resolve_burnin(model, burnin, N)
     sums = _run_blocks(model, N, n, int(master_seed), k, threads, idx)
     return (sums - np.outer(idx, mean)) / math.sqrt(n)
 

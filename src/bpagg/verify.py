@@ -1,10 +1,12 @@
 """Monte Carlo verification of stationary moments and aggregation limits.
 
-Every experiment takes its exact targets, and the rho behind its automatic
-burn-in and mixing warning, from one moment_report of its model, and
-compares simulation against them with pre-registered bands: 4 standard
-errors (_SE_MULT, a constant, not a parameter), fixed before sampling and
-never widened afterwards. The single-path experiments draw their path
+Every experiment takes its exact targets, the stationary mean behind its
+certified automatic burn-in (see simulate.burnin_auto; the certificate
+covers every copy the experiment simulates) and the rho behind its mixing
+warning from one moment_report of its model, and compares simulation
+against them with pre-registered bands: 4 standard errors (_SE_MULT, a
+constant, not a parameter), fixed before sampling and never widened
+afterwards. The single-path experiments draw their path
 after that report (_stationary_path), the aggregate experiments check
 their grid before they simulate, and every report is assembled by
 _report. _report alone decides whether a report passed, by one two-sided
@@ -25,7 +27,8 @@ error the innovation buckets use. A bootstrap would only approximate this
 delta-method variance with resampling noise (Efron 1982), so none is run
 and an aggregate experiment draws no random number after its ensemble.
 Every experiment warns when its path length is short for the model's
-mixing time.
+mixing time, and clt and iterated when an explicit burn-in leaves their
+copies more than 1e-2 in total variation from a stationary start.
 """
 
 import math
@@ -37,6 +40,7 @@ import numpy as np
 from .model import _count, json_text, mean_matrix, model_digest
 from .moments import moment_report
 from .simulate import (
+    _burnin_warnings,
     _grid_indices,
     _resolve_burnin,
     derived_seed,
@@ -222,12 +226,12 @@ def _ks_normal(values):
     return float(max(hi.max(), lo.max()))
 
 
-def _report(kind, model, params, rows, rho, n, t0, extra=None, checks=()):
+def _report(kind, model, params, rows, rho, n, t0, extra=None, checks=(), warnings=()):
     """A report of kind: params behind the model digest and ahead of the band
     multiplier, passed when the z-score of every row and every z-score in
-    checks is in the band, a warning when n is short for the mixing time at
-    rho, and the runtime since t0."""
-    warnings = []
+    checks is in the band, the given warnings and one more when n is short
+    for the mixing time at rho, and the runtime since t0."""
+    warnings = list(warnings)
     if rho > 0 and n < 100.0 / (1.0 - rho) ** 2:
         warnings.append(
             "insufficient n for reliable bands: n = %d but rho = %.3f suggests"
@@ -246,13 +250,14 @@ def _report(kind, model, params, rows, rho, n, t0, extra=None, checks=()):
 
 def _stationary_path(model, n, seed, order):
     """(exact, burn, path): the moment report of the given order, the
-    automatic burn-in at its rho, and a path of n steps after that burn-in
-    on the stream (seed, 0). Below two steps a batch-means standard error
-    is infinite and every band passes, so such an n is refused."""
+    automatic burn-in of one copy from its mean, and a path of n steps
+    after that burn-in on the stream (seed, 0). Below two steps a
+    batch-means standard error is infinite and every band passes, so such
+    an n is refused."""
     if n < 2:
         raise ValueError("need n >= 2 for a batch-means standard error, got %r" % (n,))
     exact = moment_report(model, order)
-    burn = _resolve_burnin(model, "auto", exact.rho)
+    burn = _resolve_burnin(model, "auto", 1, exact.mean)
     return exact, burn, simulate_path(model, n, stream_rng(seed, 0), burnin=burn)
 
 
@@ -308,7 +313,8 @@ def clt_covariance_experiment(model, n, N, reps=200, grid=(1.0,), seed=0, burnin
     grid = tuple(float(t) for t in grid)
     exact = moment_report(model, 1)
     sigma = exact.sigma
-    burn = _resolve_burnin(model, burnin, exact.rho)
+    burn = _resolve_burnin(model, burnin, reps * N, exact.mean)
+    notes = _burnin_warnings(model, burnin, reps * N, exact.mean)
     per_copy = percopy_aggregates(model, reps * N, n, derived_seed(seed, 0), grid,
                                   exact.mean, burn, threads)
     vals = per_copy.reshape(reps, N, len(grid), p).sum(axis=1) / math.sqrt(N)
@@ -348,7 +354,7 @@ def clt_covariance_experiment(model, n, N, reps=200, grid=(1.0,), seed=0, burnin
         "burnin": int(burn),
     }
     extra = {"sigma": sigma.tolist(), "ks": ks_entries, "increments": increments}
-    return _report("clt", model, params, rows, exact.rho, n, t0, extra, checks)
+    return _report("clt", model, params, rows, exact.rho, n, t0, extra, checks, notes)
 
 
 def _default_sweep(top):
@@ -382,7 +388,6 @@ def iterated_experiment(model, n, N, order, sweep=None, grid=(1.0,), seed=0,
     n, N = _count("n", n), _count("N", N)
     exact = moment_report(model, 1)
     sigma = exact.sigma
-    burn = _resolve_burnin(model, burnin, exact.rho)
     if sweep is None:
         sweep = _default_sweep(n if order == "N_first" else N)
     sweep = list(sweep)
@@ -398,6 +403,9 @@ def iterated_experiment(model, n, N, order, sweep=None, grid=(1.0,), seed=0,
     for _, n_s in points:
         _grid_indices(grid, n_s)
     grid = tuple(float(t) for t in grid)
+    copies = sum(N_s for N_s, _ in points)
+    burn = _resolve_burnin(model, burnin, copies, exact.mean)
+    notes = _burnin_warnings(model, burnin, copies, exact.mean)
 
     trajectory = []
     for s, (val, (N_s, n_s)) in enumerate(zip(sweep, points)):
@@ -416,7 +424,8 @@ def iterated_experiment(model, n, N, order, sweep=None, grid=(1.0,), seed=0,
         "burnin": int(burn),
     }
     extra = {"sigma": sigma.tolist(), "sweep": trajectory}
-    return _report("iterated", model, params, rows, exact.rho, points[-1][1], t0, extra)
+    return _report("iterated", model, params, rows, exact.rho, points[-1][1], t0, extra,
+                   warnings=notes)
 
 
 def autocovariance_check(model, n, lags, seed):

@@ -10,7 +10,7 @@ import pathlib
 import pytest
 
 from bpagg import simulate
-from conftest import build_scalar_inar
+from conftest import build_scalar_inar, build_two_type
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -84,3 +84,21 @@ def test_tracer_hooks_bind_like_the_traced_functions():
     }
     ens = simulate.simulate_ensemble(model, 2, 5, 0, burnin=3)
     assert hooks["simulate.paths_to_csv"](ens, "unused.csv") == {"rows": 12}
+
+
+def test_tracer_path_steps_are_the_steps_simulate_path_runs(monkeypatch):
+    hook = _load("tracing").Tracer()
+    hook._originals["simulate.burnin_auto"] = simulate.burnin_auto
+    path_steps = hook._attr_hooks()["simulate.simulate_path"]
+    seen = []
+    real = simulate._simulate_block
+
+    def record(model, copies, n, rng, burnin, *args):
+        seen.append(n + burnin)
+        return real(model, copies, n, rng, burnin, *args)
+
+    monkeypatch.setattr(simulate, "_simulate_block", record)
+    for model in (build_scalar_inar(), build_two_type()):
+        del seen[:]
+        simulate.simulate_path(model, 10, simulate.stream_rng(0), burnin="auto")
+        assert seen == [path_steps(model, 10, None, "auto")["steps"]]

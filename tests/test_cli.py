@@ -1,6 +1,8 @@
 import collections
 import dataclasses
+import importlib.util
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -15,6 +17,7 @@ import bpagg.simulate
 import bpagg.verify
 from bpagg.cli import main
 from bpagg.model import model_to_json
+from bpagg.simulate import burnin_auto
 from bpagg.verify import VerificationReport
 from conftest import build_scalar_inar, build_two_type
 from bpagg.model import (
@@ -314,6 +317,84 @@ def test_every_verb_validates_once(scalar_file, two_type_file, tmp_path, monkeyp
     del calls[:]
     assert main(["simulate", "--burnin", "7"] + ens + m) == 0
     assert calls == []
+
+
+def _recorded_burnins(monkeypatch):
+    """The burn-in of every block simulated from now on, in call order."""
+    seen = []
+    real = bpagg.simulate._simulate_block
+
+    def record(model, copies, n, rng, burnin, *args):
+        seen.append(burnin)
+        return real(model, copies, n, rng, burnin, *args)
+
+    monkeypatch.setattr(bpagg.simulate, "_simulate_block", record)
+    return seen
+
+
+def test_auto_burnin_is_certified_for_each_verbs_copy_count(scalar_file, tmp_path, monkeypatch):
+    model = build_scalar_inar()
+    seen = _recorded_burnins(monkeypatch)
+    out = tmp_path / "out"
+    m = ["--model", scalar_file, "--out", str(out)]
+    # (argv, copies the run simulates); the iterated counts tell the sum of
+    # the sweep's copy counts from the copies times the sweep length
+    runs = [
+        (["verify", "ergodic", "--n", "300"], 1),
+        (["verify", "autocov", "--n", "300", "--lags", "0,1"], 1),
+        (["verify", "innovations", "--n", "300"], 1),
+        (["verify", "clt", "--n", "20", "--copies", "4", "--reps", "30"], 120),
+        (["verify", "iterated", "--limit-order", "N", "--n", "40", "--copies", "20",
+          "--sweep", "10,20,40"], 60),
+        (["verify", "iterated", "--limit-order", "n", "--n", "20", "--copies", "40",
+          "--sweep", "2,4,40"], 46),
+    ]
+    for argv, copies in runs:
+        del seen[:]
+        assert main(argv + m) in (0, 3), argv
+        k = burnin_auto(model, copies)
+        assert seen and set(seen) == {k}, argv
+        report = json.loads(out.read_text())
+        assert report["params"].get("burnin", k) == k, argv
+        assert not [w for w in report["warnings"] if w.startswith("burn-in")], argv
+    assert [burnin_auto(model, c) for c in (1, 46, 60, 120)] == [21, 27, 27, 28]
+    del seen[:]
+    assert main(["simulate", "--n", "5", "--copies", "300"] + m) == 0
+    meta = json.loads((tmp_path / "out.meta.json").read_text())
+    assert meta["burnin"] == burnin_auto(model, 300) == 30 and seen == [30]
+    del seen[:]
+    # two blocks of 4096 and 904 copies, one burn-in for all 5000
+    assert main(["aggregate", "--grid", "1.0", "--n", "5", "--copies", "5000"] + m) == 0
+    assert seen == [burnin_auto(model, 5000)] * 2 == [34, 34]
+
+
+@pytest.mark.parametrize("verb", [["simulate"], ["aggregate", "--grid", "1.0"]],
+                         ids=["simulate", "aggregate"])
+def test_explicit_short_burnin_warns_on_stderr(scalar_file, tmp_path, capsys, verb):
+    argv = verb + ["--model", scalar_file, "--n", "5", "--copies", "100",
+                   "--out", str(tmp_path / "out.csv")]
+    assert main(argv + ["--burnin", "3"]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: burn-in of 3 steps") and "copies = 100" in err
+    for burnin in ("15", "auto"):
+        assert main(argv + ["--burnin", burnin]) == 0
+        assert capsys.readouterr().err == ""
+
+
+def test_clt_grid_explicit_burnin_gets_no_warning(tmp_path):
+    # the clt-grid benchmark pass: GRID3, --burnin 20 over 2 x 200 copies
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+        / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    path = workloads.write_model("clt-grid", 1, str(tmp_path))
+    [(kind, argv)] = workloads.pass_ops("clt-grid", path, str(tmp_path), 5)
+    assert kind == "clt" and main(argv) in (0, 3)
+    report = json.loads((tmp_path / "out.json").read_text())
+    assert report["params"]["burnin"] == 20
+    assert report["params"]["N"] * report["params"]["reps"] == 400
+    assert not [w for w in report["warnings"] if w.startswith("burn-in")]
 
 
 def test_verify_ergodic_csv(scalar_file, capsys):

@@ -12,6 +12,7 @@ from bpagg import simulate
 from bpagg.kronalg import NotSubcriticalError
 from bpagg.model import (
     BranchingModel,
+    mean_matrix,
     IndependentMarginals,
     Point,
     Poisson,
@@ -104,19 +105,178 @@ def test_deterministic_path_hits_fixed_point():
 
 
 def test_burnin_values():
-    assert burnin_auto(build_scalar_inar()) == 100
-    assert burnin_auto(build_deterministic()) == 100
+    # the certified K is the smallest with copies * mean * a^K <= 1e-6 on a
+    # one-type model (see test_burnin_matches_scalar_closed_form): INAR has
+    # a = 1/2 and mean 2, so 2^-K <= 5e-7 at K = 21 and 1500 copies need 32;
+    # Bernoulli(0.96) offspring of Poisson(1) immigrants have mean 25 and
+    # need K >= log(2.5e7) / log(1 / 0.96) = 417.3
+    assert burnin_auto(build_scalar_inar()) == 21
+    assert burnin_auto(build_scalar_inar(), 1500) == 32
+    # M^2 = 0: no individual lives two generations
+    assert burnin_auto(build_deterministic()) == 2
     slow = BranchingModel(
         1,
         (IndependentMarginals([Bernoulli(0.96)]),),
         IndependentMarginals([Poisson(1.0)]),
     )
-    assert burnin_auto(slow) == 339
+    assert burnin_auto(slow) == 418
     crit = BranchingModel(
         1, (IndependentMarginals([Point(1)]),), IndependentMarginals([Poisson(1.0)])
     )
     with pytest.raises(NotSubcriticalError):
         burnin_auto(crit)
+
+
+def test_burnin_of_zero_immigration_is_zero():
+    # the stationary law is the point mass at zero, where every path starts
+    model = BranchingModel(
+        1, (IndependentMarginals([Bernoulli(0.5)]),), IndependentMarginals([Point(0)])
+    )
+    assert burnin_auto(model) == 0
+    assert burnin_auto(model, 10 ** 6) == 0
+
+
+def _one_way_model():
+    """Type 0 begets type 1 but not the reverse, and only type 1 immigrates:
+    1^T M^K mean decays like 0.1^K, 1^T (M^T)^K mean like 0.5^K."""
+    return BranchingModel(
+        2,
+        (
+            IndependentMarginals([Bernoulli(0.5), Bernoulli(0.4)]),
+            IndependentMarginals([Point(0), Bernoulli(0.1)]),
+        ),
+        IndependentMarginals([Point(0), Poisson(1.0)]),
+    )
+
+
+def _exact_deficits(model, top):
+    """1^T (mean - m_K) for K = 0..top, where m_0 = 0 and m_(k+1) = M m_k +
+    m_eps is the mean of a path started at zero, in rational arithmetic from
+    the float entries of M and m_eps (a two-type model)."""
+    from fractions import Fraction
+
+    M = [[Fraction(float(v)) for v in row] for row in mean_matrix(model)]
+    e = [Fraction(float(v)) for v in model.immigration.mean()]
+    a, b, c, d = 1 - M[0][0], -M[0][1], -M[1][0], 1 - M[1][1]
+    det = a * d - b * c
+    mean = [(d * e[0] - b * e[1]) / det, (a * e[1] - c * e[0]) / det]
+    m, out = [Fraction(0), Fraction(0)], []
+    for _ in range(top + 1):
+        out.append(mean[0] + mean[1] - m[0] - m[1])
+        m = [M[0][0] * m[0] + M[0][1] * m[1] + e[0], M[1][0] * m[0] + M[1][1] * m[1] + e[1]]
+    return out
+
+
+@pytest.mark.parametrize("build", [build_two_type, _one_way_model])
+def test_burnin_bound_is_the_zero_start_mean_deficit(build):
+    model = build()
+    M = mean_matrix(model)
+    mean = stationary_moments(model, 1)[0]
+    deficits = _exact_deficits(model, 60)
+    for k in (0, 1, 2, 7, 23, 40):
+        assert simulate._burnin_bound(M, mean, k) == pytest.approx(float(deficits[k]), rel=1e-12)
+    # the transposed power reads another bound, so the orientation is pinned
+    assert simulate._burnin_bound(M.T, mean, 7) != pytest.approx(float(deficits[7]), rel=1e-3)
+    # K is the smallest count whose deficit over every copy is within 1e-6
+    for copies in (1, 3, 1500, 10 ** 6):
+        k = burnin_auto(model, copies)
+        assert copies * deficits[k] <= 1e-6 < copies * deficits[k - 1]
+    if build is _one_way_model:
+        # mean = (0, 1 / 0.9): 1^T M^K mean = 0.1^K / 0.9 is within 1e-6 at
+        # K = 7, the transposed 0.5^K / 0.9 only at K = 21
+        assert burnin_auto(model) == 7
+        assert simulate._certified_burnin(M.T, mean, 1) == 21
+
+
+@pytest.mark.parametrize("a, lam", [(0.5, 1.0), (0.96, 1.0), (0.5, 1000.0), (0.9, 3.0)])
+@pytest.mark.parametrize("copies", [1, 7, 1500, 10 ** 5])
+def test_burnin_matches_scalar_closed_form(a, lam, copies):
+    # one type: 1^T M^K mean = a^K lam / (1 - a)
+    model = BranchingModel(
+        1, (IndependentMarginals([Bernoulli(a)]),), IndependentMarginals([Poisson(lam)])
+    )
+    mean = lam / (1.0 - a)
+    k = math.ceil(math.log(copies * mean / 1e-6) / math.log(1.0 / a))
+    assert burnin_auto(model, copies) == k
+    M, m = mean_matrix(model), np.array([mean])
+    assert copies * simulate._burnin_bound(M, m, k) <= 1e-6
+    assert copies * simulate._burnin_bound(M, m, k - 1) > 1e-6
+
+
+def _poisson_pmf(mu, top):
+    return np.array([math.exp(k * math.log(mu) - mu - math.lgamma(k + 1)) for k in range(top)])
+
+
+def test_burnin_bound_covers_exact_inar_total_variation():
+    # from zero, X_K of INAR(a) with Poisson(lam) immigration is
+    # Poisson(lam (1 - a^K) / (1 - a)), and its stationary law Poisson(lam / (1 - a))
+    a, lam = 0.5, 1.0
+    model = build_scalar_inar()
+    M, mean = mean_matrix(model), np.array([lam / (1.0 - a)])
+    for k in range(1, 33):
+        zero_start = _poisson_pmf(lam * (1.0 - a ** k) / (1.0 - a), 80)
+        tv = 0.5 * np.abs(zero_start - _poisson_pmf(lam / (1.0 - a), 80)).sum()
+        assert 0.0 < tv <= simulate._burnin_bound(M, mean, k)
+    assert simulate._burnin_bound(M, mean, burnin_auto(model)) <= 1e-6
+
+
+class _CountedMatrix(np.ndarray):
+    """An array that counts the matrix products it takes part in."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        _CountedMatrix.products += 1
+        return (np.asarray(self) @ np.asarray(other)).view(_CountedMatrix)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0 - 1e-4, 1.0 - 1e-8])
+def test_burnin_takes_logarithmically_many_products(a):
+    # K near 2.3e5 steps at a = 1 - 1e-4; a = 1 - 1e-8 passes the ceiling
+    M = np.array([[a]]).view(_CountedMatrix)
+    mean = np.array([1.0 / (1.0 - a)])
+    _CountedMatrix.products = 0
+    try:
+        k = simulate._certified_burnin(M, mean, 1)
+    except ValueError as exc:
+        assert "rho = 0.99999999" in str(exc) and "--burnin K" in str(exc)
+        k = 10 ** 6
+    else:
+        assert k == math.ceil(math.log(mean[0] / 1e-6) / -math.log1p(a - 1.0))
+    # the doubling takes one power and one check per bit of K, the descent
+    # one product per bit
+    assert _CountedMatrix.products <= 3 * (k.bit_length() + 2)
+
+
+def test_library_auto_burnin_covers_every_copy(monkeypatch):
+    model = build_scalar_inar()
+    seen = []
+    real = simulate._simulate_block
+
+    def record(model, copies, n, rng, burnin, *args):
+        seen.append(burnin)
+        return real(model, copies, n, rng, burnin, *args)
+
+    monkeypatch.setattr(simulate, "_simulate_block", record)
+    assert simulate_ensemble(model, 300, 5, 1).burnin == burnin_auto(model, 300) == 30
+    assert seen == [30]
+    for run in (percopy_aggregates, aggregate):
+        del seen[:]
+        run(model, 300, 5, 1, (1.0,))
+        assert seen == [30]
+    del seen[:]
+    simulate_path(model, 5, stream_rng(1), burnin="auto")
+    assert seen == [21]
+
+
+@pytest.mark.parametrize("c", [1, 2])
+def test_auto_burnin_with_a_passed_mean_refuses_a_model_that_is_not_subcritical(c):
+    # a passed mean is not checked: the model is classified before any step
+    model = BranchingModel(
+        1, (IndependentMarginals([Point(c)]),), IndependentMarginals([Poisson(1.0)])
+    )
+    with pytest.raises(NotSubcriticalError, match="subcritical"):
+        aggregate(model, 2, 5, 0, (1.0,), mean=np.array([3.0]))
 
 
 def test_burnin_auto_ceiling_raises_before_running():

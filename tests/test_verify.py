@@ -101,6 +101,25 @@ def test_clt_experiment_scalar():
     assert_allclose(report.extra["sigma"], [[6.0]])
 
 
+def _burnin_notes(report):
+    return [w for w in report.warnings if w.startswith("burn-in")]
+
+
+def test_explicit_short_burnin_warns_in_the_report():
+    # 100 copies of INAR after 3 steps: 100 * 2 * 2^-3 = 25, above 1e-2
+    model = build_scalar_inar()
+    clt = clt_covariance_experiment(model, 10, 10, reps=10, seed=1, burnin=3)
+    [note] = _burnin_notes(clt)
+    assert "burn-in of 3 steps" in note and "copies = 100" in note and "25" in note
+    it = iterated_experiment(model, 10, 50, "N_first", sweep=[5, 10], seed=1, burnin=3)
+    assert "copies = 100" in _burnin_notes(it)[0]
+    # 100 * 2 * 2^-14 = 0.0122 still warns, 2^-15 gives 0.0061 and does not
+    assert _burnin_notes(clt_covariance_experiment(model, 10, 10, reps=10, seed=1, burnin=14))
+    for burnin in (15, "auto"):
+        report = clt_covariance_experiment(model, 10, 10, reps=10, seed=1, burnin=burnin)
+        assert _burnin_notes(report) == []
+
+
 def test_clt_rerun_and_threads_byte_identical():
     model = build_scalar_inar()
 
