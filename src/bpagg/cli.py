@@ -27,7 +27,6 @@ from .model import json_text, load_model, model_to_json
 from .moments import moment_report
 from .simulate import (
     SimulationOverflowError,
-    _burnin_warnings,
     _resolve_burnin,
     aggregate,
     aggregates_to_csv,
@@ -169,9 +168,10 @@ def _run_simulate(args):
     if args.out is None:
         raise ValueError("simulate needs --out for the paths CSV")
     model = load_model(args.model)
-    _warn(_burnin_warnings(model, args.burnin, args.copies))
+    burn, notes = _resolve_burnin(model, args.burnin, args.copies)
+    _warn(notes)
     ens = simulate_ensemble(
-        model, args.copies, args.n, args.seed, burnin=args.burnin, threads=args.threads
+        model, args.copies, args.n, args.seed, burnin=burn, threads=args.threads
     )
     paths_to_csv(ens, args.out)
     write_metadata(ens, args.out + ".meta.json")
@@ -183,8 +183,8 @@ def _run_aggregate(args):
         raise ValueError("aggregate needs --out for the CSV")
     model = load_model(args.model)
     exact = moment_report(model, 1)
-    burn = _resolve_burnin(model, args.burnin, args.copies, exact.mean)
-    _warn(_burnin_warnings(model, args.burnin, args.copies, exact.mean))
+    burn, notes = _resolve_burnin(model, args.burnin, args.copies, exact.mean)
+    _warn(notes)
     series = aggregate(model, args.copies, args.n, args.seed, args.grid, exact.mean, burn,
                        args.threads)
     aggregates_to_csv(series, args.out)
@@ -210,6 +210,8 @@ def _run_verify(args):
         report = autocovariance_check(model, args.n, args.lags, args.seed)
     else:
         report = _innovation_check(model, args.n, args.seed)
+    if args.format == "csv":  # CSV rows carry no warnings
+        _warn(report.warnings)
     _emit(report.to_json() if args.format == "json" else report.to_csv(), args.out)
     return 0 if report.passed else 3
 

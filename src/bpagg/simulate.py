@@ -156,11 +156,6 @@ def _certified_burnin(M, mean, copies):
     return k
 
 
-def _stationary_mean(model):
-    """(I - M)^-1 m_eps, the stationary mean of a subcritical model."""
-    return np.linalg.solve(np.eye(model.p) - mean_matrix(model), model.immigration.mean())
-
-
 def burnin_auto(model, copies=1):
     """The certified burn-in: the smallest K with copies * 1^T M^K mean <= 1e-6.
 
@@ -176,56 +171,52 @@ def burnin_auto(model, copies=1):
     M certifies at its index and zero immigration at 0. Subcritical only; a
     length above 10^6 steps raises ValueError instead of running.
     """
-    cls = validate(model)
-    if cls.regime != "subcritical":
-        raise NotSubcriticalError(
-            "burn-in initialization needs a subcritical model, got rho = %.6g" % cls.rho
-        )
-    return _certified_burnin(mean_matrix(model), _stationary_mean(model), copies)
+    return _resolve_burnin(model, "auto", copies)[0]
 
 
 def _resolve_burnin(model, burnin, copies=1, mean=None):
-    """Burn-in step count for a burnin argument over a run of copies copies:
-    None is 0, 'auto' the certified length (from the stationary mean when
-    the caller has it, else from the model, see burnin_auto), anything else
-    must be an integer >= 0."""
+    """(k, warnings), the one decision of a run's burn-in over copies copies.
+
+    None is (0, []), 'auto' the certified length (see burnin_auto), and an
+    integer k >= 0 is k, warned about when its certificate
+    copies * 1^T M^k mean is above _BURNIN_WARN. A passed mean comes from a
+    moment report, which has classified the model, and is trusted. Without
+    it 'auto' classifies the model and refuses one that is not subcritical,
+    while an integer reads only the spectral radius, and on such a model,
+    which has no stationary law to compare with, gets no warning.
+    """
     if burnin is None:
-        return 0
-    if burnin == "auto":
-        if mean is None:
-            return burnin_auto(model, copies)
-        return _certified_burnin(mean_matrix(model), mean, copies)
-    return _count("burnin", burnin)
+        return 0, []
+    auto = burnin == "auto"
+    k = None if auto else _count("burnin", burnin)
+    M = mean_matrix(model)
+    if mean is None:
+        if auto:
+            cls = validate(model)
+            if cls.regime != "subcritical":
+                raise NotSubcriticalError(
+                    "burn-in initialization needs a subcritical model, got rho = %.6g"
+                    % cls.rho
+                )
+        elif _regime(spectral_radius(M)) != "subcritical":
+            return k, []
+        mean = np.linalg.solve(np.eye(model.p) - M, model.immigration.mean())
+    if auto:
+        return _certified_burnin(M, mean, copies), []
+    bound = copies * _burnin_bound(M, mean, k)
+    if bound <= _BURNIN_WARN:
+        return k, []
+    return k, [
+        "burn-in of %d steps leaves a run of copies = %d up to %.3g in total"
+        " variation from a stationary start; --burnin auto certifies %g"
+        % (k, copies, bound, _BURNIN_TOL)
+    ]
 
 
 def _burnin_bound(M, mean, k):
     """1^T M^k mean, the coupling bound of a burn-in of k steps for one copy
     (see burnin_auto); M^k takes O(log k) products."""
     return float((np.linalg.matrix_power(M, k) @ mean).sum())
-
-
-def _burnin_warnings(model, burnin, copies, mean=None):
-    """Warnings for an explicit burnin over a run of copies copies: one when
-    its certificate copies * 1^T M^K mean (see burnin_auto) is above
-    _BURNIN_WARN, none for 'auto' or None. mean is the stationary mean,
-    solved here unless passed in; a model that is not subcritical has no
-    stationary law to compare with and gets none."""
-    if burnin is None or burnin == "auto":
-        return []
-    k = _count("burnin", burnin)
-    M = mean_matrix(model)
-    if mean is None:
-        if _regime(spectral_radius(M)) != "subcritical":
-            return []
-        mean = _stationary_mean(model)
-    bound = copies * _burnin_bound(M, mean, k)
-    if bound <= _BURNIN_WARN:
-        return []
-    return [
-        "burn-in of %d steps leaves a run of copies = %d up to %.3g in total"
-        " variation from a stationary start; --burnin auto certifies %g"
-        % (k, copies, bound, _BURNIN_TOL)
-    ]
 
 
 def _check_state(total):
@@ -442,7 +433,7 @@ def simulate_path(model, n, rng, burnin=None):
     in which it consumes rng).
     """
     n = _count("n", n)
-    k = _resolve_burnin(model, burnin)
+    k, _ = _resolve_burnin(model, burnin)
     return _simulate_block(model, 1, n, rng, k, _cohort_route(model))[0]
 
 
@@ -506,7 +497,7 @@ def simulate_ensemble(model, N, n, master_seed, burnin="auto", threads=1):
     """Ensemble of N copies, n steps each, with their paths. Results do not
     depend on threads (see the module docstring)."""
     n = _count("n", n)
-    k = _resolve_burnin(model, burnin, N)
+    k, _ = _resolve_burnin(model, burnin, N)
     paths = _run_blocks(model, N, n, int(master_seed), k, threads)
     return PathEnsemble(model, int(master_seed), k, paths)
 
@@ -550,22 +541,20 @@ def percopy_aggregates(model, N, n, master_seed, grid, mean=None, burnin="auto",
     Copies are independent and identically distributed, so their empirical
     covariance estimates the covariance of the ensemble aggregate: summing
     over N copies and dividing by sqrt(N) changes no second moment.
-    mean is the exact stationary mean, solved here unless passed in.
+    mean is the exact stationary mean, solved here unless passed in; a
+    mean passed in only centers the sums, and the burn-in is certified
+    from the model, never from that mean.
     Returns an (N, len(grid), p) array.
     """
     n = _count("n", n)
     if n < 1:
         raise ValueError("need n >= 1 steps to scale an aggregate, got 0")
     idx = _grid_indices(grid, n)
-    if mean is None:
-        mean = stationary_moments(model, 1)[0]
-        k = _resolve_burnin(model, burnin, N, mean)
-    else:
-        # a mean passed in is not checked, so an automatic burn-in is
-        # certified from the model, which burnin_auto classifies
-        k = _resolve_burnin(model, burnin, N)
+    # a mean passed in is not checked, so only one solved here is trusted
+    solved = stationary_moments(model, 1)[0] if mean is None else None
+    k, _ = _resolve_burnin(model, burnin, N, solved)
     sums = _run_blocks(model, N, n, int(master_seed), k, threads, idx)
-    return (sums - np.outer(idx, mean)) / math.sqrt(n)
+    return (sums - np.outer(idx, solved if mean is None else mean)) / math.sqrt(n)
 
 
 def aggregate(model, N, n, master_seed, grid, mean=None, burnin="auto", threads=1):

@@ -40,7 +40,6 @@ import numpy as np
 from .model import _count, json_text, mean_matrix, model_digest
 from .moments import moment_report
 from .simulate import (
-    _burnin_warnings,
     _grid_indices,
     _resolve_burnin,
     derived_seed,
@@ -257,7 +256,7 @@ def _stationary_path(model, n, seed, order):
     if n < 2:
         raise ValueError("need n >= 2 for a batch-means standard error, got %r" % (n,))
     exact = moment_report(model, order)
-    burn = _resolve_burnin(model, "auto", 1, exact.mean)
+    burn, _ = _resolve_burnin(model, "auto", 1, exact.mean)
     return exact, burn, simulate_path(model, n, stream_rng(seed, 0), burnin=burn)
 
 
@@ -313,8 +312,7 @@ def clt_covariance_experiment(model, n, N, reps=200, grid=(1.0,), seed=0, burnin
     grid = tuple(float(t) for t in grid)
     exact = moment_report(model, 1)
     sigma = exact.sigma
-    burn = _resolve_burnin(model, burnin, reps * N, exact.mean)
-    notes = _burnin_warnings(model, burnin, reps * N, exact.mean)
+    burn, notes = _resolve_burnin(model, burnin, reps * N, exact.mean)
     per_copy = percopy_aggregates(model, reps * N, n, derived_seed(seed, 0), grid,
                                   exact.mean, burn, threads)
     vals = per_copy.reshape(reps, N, len(grid), p).sum(axis=1) / math.sqrt(N)
@@ -404,8 +402,7 @@ def iterated_experiment(model, n, N, order, sweep=None, grid=(1.0,), seed=0,
         _grid_indices(grid, n_s)
     grid = tuple(float(t) for t in grid)
     copies = sum(N_s for N_s, _ in points)
-    burn = _resolve_burnin(model, burnin, copies, exact.mean)
-    notes = _burnin_warnings(model, burnin, copies, exact.mean)
+    burn, notes = _resolve_burnin(model, burnin, copies, exact.mean)
 
     trajectory = []
     for s, (val, (N_s, n_s)) in enumerate(zip(sweep, points)):

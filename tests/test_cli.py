@@ -381,6 +381,23 @@ def test_explicit_short_burnin_warns_on_stderr(scalar_file, tmp_path, capsys, ve
         assert capsys.readouterr().err == ""
 
 
+def test_verify_csv_writes_the_report_warnings_to_stderr(scalar_file, capsys):
+    # 10 x 10 copies after 3 steps: the burn-in and the mixing warnings
+    argv = ["verify", "clt", "--model", scalar_file, "--n", "10", "--copies", "10",
+            "--reps", "10", "--burnin", "3", "--seed", "1"]
+    assert main(argv + ["--format", "csv"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("t,i,j,empirical,target,z\n")
+    lines = err.splitlines()
+    assert len(lines) == 2 and all(line.startswith("warning: ") for line in lines)
+    assert "burn-in of 3 steps" in err and "copies = 100" in err
+    assert "insufficient n" in err
+    # a JSON report carries its warnings itself
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and len(json.loads(out)["warnings"]) == 2
+
+
 def test_clt_grid_explicit_burnin_gets_no_warning(tmp_path):
     # the clt-grid benchmark pass: GRID3, --burnin 20 over 2 x 200 copies
     spec = importlib.util.spec_from_file_location(

@@ -279,6 +279,57 @@ def test_auto_burnin_with_a_passed_mean_refuses_a_model_that_is_not_subcritical(
         aggregate(model, 2, 5, 0, (1.0,), mean=np.array([3.0]))
 
 
+@pytest.mark.parametrize("build", [build_two_type, _one_way_model])
+def test_explicit_burnin_warns_exactly_when_the_exact_deficit_passes_1e_2(build):
+    model = build()
+    deficits = _exact_deficits(model, 23)
+    mean = stationary_moments(model, 1)[0]
+    # on build_two_type, 15 steps warn for 100 copies but not for one
+    for k in (0, 1, 7, 15, 23):
+        for copies in (1, 100, 10 ** 4):
+            k_out, notes = simulate._resolve_burnin(model, k, copies)
+            assert k_out == k
+            # a passed stationary mean reads the same certificate
+            assert simulate._resolve_burnin(model, k, copies, mean) == (k, notes)
+            bound = copies * float(deficits[k])
+            if bound > 1e-2:
+                [note] = notes
+                assert "burn-in of %d steps" % k in note and "%.3g" % bound in note
+            else:
+                assert notes == []
+
+
+def test_resolver_on_a_critical_model():
+    # rho = 1: no stationary law, so an explicit burn-in runs unwarned and
+    # an automatic one is refused
+    model = BranchingModel(
+        1, (IndependentMarginals([Point(1)]),), IndependentMarginals([Poisson(1.0)])
+    )
+    for k in (0, 3, 7):
+        assert simulate._resolve_burnin(model, k, 100) == (k, [])
+    with pytest.raises(NotSubcriticalError, match="subcritical"):
+        simulate._resolve_burnin(model, "auto", 100)
+
+
+@pytest.mark.parametrize("wrong", [3.0, 1e6])
+def test_a_passed_mean_only_centers(monkeypatch, wrong):
+    # the certificate comes from the model: a mean of 1e6 would certify 49
+    model = build_scalar_inar()
+    seen = []
+    real = simulate._simulate_block
+
+    def record(model, copies, n, rng, burnin, *args):
+        seen.append(burnin)
+        return real(model, copies, n, rng, burnin, *args)
+
+    monkeypatch.setattr(simulate, "_simulate_block", record)
+    centered = percopy_aggregates(model, 300, 5, 1, (1.0,), mean=np.array([wrong]))
+    assert seen == [burnin_auto(model, 300)] == [30]
+    # the same sums, centered at the wrong mean instead of 2
+    exact = percopy_aggregates(model, 300, 5, 1, (1.0,))
+    assert_allclose(centered, exact - 5 * (wrong - 2.0) / math.sqrt(5))
+
+
 def test_burnin_auto_ceiling_raises_before_running():
     # rho = 1 - 1e-8 would need about 1.38e9 burn-in steps
     near = BranchingModel(
