@@ -7,7 +7,6 @@ and verifies the limit theorems by reproducible Monte Carlo.
 """
 
 from .kronalg import (
-    kron_power,
     commutation_matrix,
     spectral_radius,
     mode_product,
@@ -51,7 +50,6 @@ from .simulate import (
     simulate_path,
     simulate_ensemble,
     aggregate,
-    percopy_aggregates,
     extract_innovations,
     burnin_auto,
     stream_rng,

@@ -185,8 +185,7 @@ def _run_aggregate(args):
     exact = moment_report(model, 1)
     burn, notes = _resolve_burnin(model, args.burnin, args.copies, exact.mean)
     _warn(notes)
-    series = aggregate(model, args.copies, args.n, args.seed, args.grid, exact.mean, burn,
-                       args.threads)
+    series = aggregate(model, args.copies, args.n, args.seed, args.grid, burn, args.threads)
     aggregates_to_csv(series, args.out)
     return 0
 

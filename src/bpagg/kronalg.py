@@ -13,7 +13,6 @@ matrix is never formed.
 import numpy as np
 
 __all__ = [
-    "kron_power",
     "commutation_matrix",
     "spectral_radius",
     "mode_product",
@@ -30,23 +29,6 @@ _EPS = np.finfo(float).eps
 
 class NotSubcriticalError(ValueError):
     """Raised when an operation requires a spectral radius strictly below one."""
-
-
-def kron_power(x, alpha):
-    """Kronecker power x^{(x)alpha} for alpha in {1, 2, 3}.
-
-    For a vector of length p the result has length p**alpha and carries all
-    degree-alpha monomials: x^{(x)2}[i*p + j] = x_i * x_j, and so on. Works
-    for matrices as well (shape grows the same way per axis).
-    """
-    x = np.asarray(x)
-    if alpha == 1:
-        return x
-    if alpha == 2:
-        return np.kron(x, x)
-    if alpha == 3:
-        return np.kron(np.kron(x, x), x)
-    raise ValueError("kron power order must be 1, 2 or 3, got %r" % (alpha,))
 
 
 def commutation_matrix(p):

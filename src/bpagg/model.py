@@ -40,6 +40,7 @@ draws nothing. Counts are multiplied by law constants in int64, so a point
 mass or binomial n of 2^63 or more is refused when the law is built.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -93,6 +94,17 @@ def _count(name, value):
     return int(value)
 
 
+def _finite_moments(law, name, value):
+    """Refuse a law of counts, by parameter name at value, when its raw moments up
+    to order 3 (every moment report reads them) pass float64; the third is largest."""
+    try:
+        if math.isfinite(law.raw_moment(3)):
+            return
+    except OverflowError:
+        pass
+    raise ValueError("need %s whose raw moments up to order 3 fit float64, got %r" % (name, value))
+
+
 def _int64_count(name, value):
     """_count for a law constant, which sample_sum multiplies by int64 counts:
     anything at or above 2^63 is a ValueError too."""
@@ -114,6 +126,7 @@ class Poisson:
         if lam < 0:
             raise ValueError("need lambda >= 0, got %r" % lam)
         self.lam = lam
+        _finite_moments(self, "lambda", lam)
 
     def raw_moment(self, k):
         lam = self.lam
@@ -236,6 +249,7 @@ class Geometric:
         if not 0.0 < q <= 1.0:
             raise ValueError("need q in (0, 1], got %r" % q)
         self.q = q
+        _finite_moments(self, "q", q)
 
     def raw_moment(self, k):
         b = (1.0 - self.q) / self.q
@@ -507,6 +521,14 @@ def _boolean_power(b, e):
         b = b @ b
 
 
+def _json_numbers(name, values):
+    """Refuse a bool or a str among values, the JSON numbers of field name:
+    float() and numpy would read either as a number."""
+    for t in set(map(type, values)):
+        if issubclass(t, (bool, str)):
+            raise ValueError('law field "%s" needs JSON numbers, got a %s' % (name, t.__name__))
+
+
 def _law_from_json(obj):
     """Build a law from its JSON form; a malformed form is a ValueError."""
     if not isinstance(obj, dict):
@@ -515,12 +537,15 @@ def _law_from_json(obj):
     if kind == "finite":
         atoms = obj.get("support")
         if not isinstance(atoms, list) or not all(
-            isinstance(a, dict) and "v" in a and "p" in a for a in atoms
+            isinstance(a, dict) and isinstance(a.get("v"), list) and "p" in a for a in atoms
         ):
             raise ValueError(
                 'a finite law needs "support": a list of {"v": [...], "p": ...} atoms'
             )
-        return FiniteSupport([a["v"] for a in atoms], [a["p"] for a in atoms])
+        support, probs = [a["v"] for a in atoms], [a["p"] for a in atoms]
+        _json_numbers("v", itertools.chain.from_iterable(support))
+        _json_numbers("p", probs)
+        return FiniteSupport(support, probs)
     if kind == "independent":
         specs = obj.get("marginals")
         if not isinstance(specs, list) or not all(isinstance(s, dict) for s in specs):
@@ -537,6 +562,8 @@ def _law_from_json(obj):
                     "%s marginal takes parameters %s, got %s"
                     % (dist, sorted(cls.json_params), sorted(keys))
                 )
+            for k in cls.json_params:
+                _json_numbers(k, (spec[k],))
             marginals.append(cls(*(spec[k] for k in cls.json_params)))
         return IndependentMarginals(marginals)
     raise ValueError("unknown law kind %r" % (kind,))

@@ -42,10 +42,11 @@ independent oracle for the tests.
 The innovation noise matrix V, the stationary variance, lagged
 autocovariances and the covariance of the aggregation limit all derive from
 these moments. moment_report is the single route to all of them: it alone
-validates the model and solves the mean, and stationary_moments,
-noise_matrix, stationary_variance, autocovariance and limit_covariance are
-views on its report. Its residuals show how well each route solved, next
-to cond(I - M), the conditioning every solve through (I - M)^-1 inherits.
+validates the model, its mean is _stationary_mean's, at which
+simulate.aggregate centers too, and stationary_moments, noise_matrix,
+stationary_variance, autocovariance and limit_covariance are views on its
+report. Its residuals show how well each route solved, next to cond(I - M),
+the conditioning every solve through (I - M)^-1 inherits.
 """
 
 from dataclasses import dataclass
@@ -59,7 +60,7 @@ from .kronalg import (
     mode_product,
     tensor_fixed_point,
 )
-from .model import _count, json_text, mean_matrix, validate
+from .model import _count, _regime, json_text, mean_matrix, validate
 
 __all__ = [
     "TransferMatrices",
@@ -215,6 +216,20 @@ class MomentReport:
         return json_text(self.to_json_dict())
 
 
+def _stationary_mean(model, M, rho):
+    """The stationary mean (I - M)^-1 m_eps of a model whose mean matrix M has
+    spectral radius rho; a model that is not subcritical or has zero
+    immigration mean is refused first, with moment_report's messages."""
+    if _regime(rho) != "subcritical":
+        raise NotSubcriticalError(
+            "stationary moments need a subcritical model, got rho = %.6g" % rho
+        )
+    m_eps = model.immigration.mean()
+    if not np.any(m_eps > 0):
+        raise ValueError("zero immigration mean, stationary law is degenerate at 0")
+    return np.linalg.solve(np.eye(model.p) - M, m_eps)
+
+
 def moment_report(model, max_order=3):
     """Compute every stationary quantity and its dual-route residuals.
 
@@ -226,14 +241,9 @@ def moment_report(model, max_order=3):
     if max_order not in (1, 2, 3):
         raise ValueError("moment order must be 1, 2 or 3, got %r" % (max_order,))
     cls = validate(model)
-    if cls.regime != "subcritical":
-        raise NotSubcriticalError(
-            "stationary moments need a subcritical model, got rho = %.6g" % cls.rho
-        )
-    if not cls.immigration_nontrivial:
-        raise ValueError("zero immigration mean, stationary law is degenerate at 0")
     p = model.p
     M = mean_matrix(model)
+    mean = _stationary_mean(model, M, cls.rho)
     A = np.eye(p) - M
     imm = model.immigration
     m_eps = imm.mean()
@@ -242,7 +252,6 @@ def moment_report(model, max_order=3):
     # raw2[i] = E xi^(i) xi^(i)T, column i of M its mean
     raw2 = np.stack([law.kron_moment(2).reshape(p, p) for law in model.offspring])
     covs = raw2 - np.einsum("ai,bi->iab", M, M)
-    mean = np.linalg.solve(A, m_eps)
     brood_cov = np.tensordot(mean, covs, 1)
     V = imm_cov + brood_cov
     var0 = lyapunov_solve(M, V)

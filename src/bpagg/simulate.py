@@ -29,10 +29,10 @@ An automatic burn-in is certified (see burnin_auto): it is the smallest K
 whose coupling bound puts every copy a call simulates, together, within
 total variation 1e-6 of a stationary start.
 
-Aggregates store no path: percopy_aggregates centers the running sums of
-each copy at the exact stationary mean, and the ensemble aggregate is the
-sum of its N independent per-copy aggregates over sqrt(N). _grid_indices
-is the one check of a time grid, and callers run it before they simulate.
+Aggregates store no path: aggregate centers the running sums of each copy
+at the exact stationary mean, and the ensemble aggregate is the sum of its
+N independent per-copy aggregates over sqrt(N). _grid_indices is the one
+check of a time grid, and callers run it before they simulate.
 """
 
 import math
@@ -52,7 +52,7 @@ from .model import (
     model_digest,
     validate,
 )
-from .moments import stationary_moments
+from .moments import _stationary_mean
 
 __all__ = [
     "PathEnsemble",
@@ -63,7 +63,6 @@ __all__ = [
     "simulate_ensemble",
     "block_copies",
     "aggregate",
-    "percopy_aggregates",
     "extract_innovations",
     "burnin_auto",
     "paths_to_csv",
@@ -179,8 +178,8 @@ def _resolve_burnin(model, burnin, copies=1, mean=None):
 
     None is (0, []), 'auto' the certified length (see burnin_auto), and an
     integer k >= 0 is k, warned about when its certificate
-    copies * 1^T M^k mean is above _BURNIN_WARN. A passed mean comes from a
-    moment report, which has classified the model, and is trusted. Without
+    copies * 1^T M^k mean is above _BURNIN_WARN. A passed mean has been
+    solved by moments._stationary_mean, which classified the model. Without
     it 'auto' classifies the model and refuses one that is not subcritical,
     while an integer reads only the spectral radius, and on such a model,
     which has no stationary law to compare with, gets no warning.
@@ -504,12 +503,16 @@ def simulate_ensemble(model, N, n, master_seed, burnin="auto", threads=1):
 
 @dataclass
 class AggregateSeries:
-    """Centered space-time sums S_t over a grid, scaled by (nN)^(-1/2)."""
+    """Centered sums over a grid: per_copy (N, len(grid), p) holds each copy's,
+    scaled by n^(-1/2), and values (len(grid), p) the ensemble's, over sqrt(N)."""
 
     grid: tuple
-    values: np.ndarray  # (len(grid), p)
+    per_copy: np.ndarray
     n: int
-    N: int
+
+    def __post_init__(self):
+        self.N = len(self.per_copy)
+        self.values = self.per_copy.sum(axis=0) / math.sqrt(self.N)
 
 
 def _grid_indices(grid, n):
@@ -533,41 +536,22 @@ def _grid_indices(grid, n):
     return [math.floor(t * n) for t in grid]
 
 
-def percopy_aggregates(model, N, n, master_seed, grid, mean=None, burnin="auto", threads=1):
-    """Per-copy scaled aggregates n^(-1/2) sum_{k <= floor(n t)} (X_k - mean).
-
-    The copies are simulate_ensemble's with the same arguments, kept only as
-    their running sums S_m at m = floor(n t), centered as (S_m - m mean).
-    Copies are independent and identically distributed, so their empirical
-    covariance estimates the covariance of the ensemble aggregate: summing
-    over N copies and dividing by sqrt(N) changes no second moment.
-    mean is the exact stationary mean, solved here unless passed in; a
-    mean passed in only centers the sums, and the burn-in is certified
-    from the model, never from that mean.
-    Returns an (N, len(grid), p) array.
-    """
+def aggregate(model, N, n, master_seed, grid, burnin="auto", threads=1):
+    """Aggregates n^(-1/2) (S_m - m mean) of N copies at m = floor(n t), where
+    mean is the exact stationary mean (moments._stationary_mean refuses a model
+    without one before any block runs). The copies are simulate_ensemble's with
+    the same arguments, kept only as their running sums S_m; they are i.i.d.,
+    so the covariance of per_copy estimates that of the ensemble's values."""
     n = _count("n", n)
     if n < 1:
         raise ValueError("need n >= 1 steps to scale an aggregate, got 0")
     idx = _grid_indices(grid, n)
-    # a mean passed in is not checked, so only one solved here is trusted
-    solved = stationary_moments(model, 1)[0] if mean is None else None
-    k, _ = _resolve_burnin(model, burnin, N, solved)
+    M = mean_matrix(model)
+    mean = _stationary_mean(model, M, spectral_radius(M))
+    k, _ = _resolve_burnin(model, burnin, N, mean)
     sums = _run_blocks(model, N, n, int(master_seed), k, threads, idx)
-    return (sums - np.outer(idx, solved if mean is None else mean)) / math.sqrt(n)
-
-
-def aggregate(model, N, n, master_seed, grid, mean=None, burnin="auto", threads=1):
-    """Scaled aggregate (nN)^(-1/2) sum_copies sum_{k <= floor(n t)} (X_k - mean).
-
-    The N copies are independent, so this is the sum of their per-copy
-    aggregates (see percopy_aggregates, which takes the same arguments)
-    divided by sqrt(N). Centered at the exact stationary mean, the series
-    has exact zero expectation under stationary initialization.
-    """
-    per_copy = percopy_aggregates(model, N, n, master_seed, grid, mean, burnin, threads)
-    values = per_copy.sum(axis=0) / math.sqrt(len(per_copy))
-    return AggregateSeries(tuple(float(t) for t in grid), values, int(n), len(per_copy))
+    per_copy = (sums - np.outer(idx, mean)) / math.sqrt(n)
+    return AggregateSeries(tuple(float(t) for t in grid), per_copy, n)
 
 
 def extract_innovations(model, path):

@@ -42,9 +42,9 @@ from .moments import moment_report
 from .simulate import (
     _grid_indices,
     _resolve_burnin,
+    aggregate,
     derived_seed,
     extract_innovations,
-    percopy_aggregates,
     simulate_path,
     stream_rng,
 )
@@ -293,7 +293,7 @@ def clt_covariance_experiment(model, n, N, reps=200, grid=(1.0,), seed=0, burnin
     nonempty, finite, nonnegative, strictly increasing, and reach no
     further than n steps. The replications are one ensemble of reps * N
     copies on the seed derived from (seed, 0), kept as per-copy aggregates
-    (see percopy_aggregates): replication r is the scaled sum of copies
+    (see simulate.aggregate): replication r is the scaled sum of copies
     r * N .. (r + 1) * N - 1. Per grid point t the empirical covariance of
     the scaled aggregate across replications is compared entrywise to
     t * sigma, each standardized marginal is tested for normality (KS
@@ -313,8 +313,8 @@ def clt_covariance_experiment(model, n, N, reps=200, grid=(1.0,), seed=0, burnin
     exact = moment_report(model, 1)
     sigma = exact.sigma
     burn, notes = _resolve_burnin(model, burnin, reps * N, exact.mean)
-    per_copy = percopy_aggregates(model, reps * N, n, derived_seed(seed, 0), grid,
-                                  exact.mean, burn, threads)
+    per_copy = aggregate(model, reps * N, n, derived_seed(seed, 0), grid, burn,
+                         threads).per_copy
     vals = per_copy.reshape(reps, N, len(grid), p).sum(axis=1) / math.sqrt(N)
     rows = _grid_cov_rows(vals, grid, sigma)
     ks_entries, checks = [], []
@@ -406,8 +406,8 @@ def iterated_experiment(model, n, N, order, sweep=None, grid=(1.0,), seed=0,
 
     trajectory = []
     for s, (val, (N_s, n_s)) in enumerate(zip(sweep, points)):
-        per_copy = percopy_aggregates(model, N_s, n_s, derived_seed(seed, 0, oid, s), grid,
-                                      exact.mean, burn, threads)  # (N_s, G, p)
+        per_copy = aggregate(model, N_s, n_s, derived_seed(seed, 0, oid, s), grid, burn,
+                             threads).per_copy  # (N_s, G, p)
         rows = _grid_cov_rows(per_copy, grid, sigma)
         trajectory.append({"sweep": val, "N": N_s, "n": n_s, "rows": rows})
 

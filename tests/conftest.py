@@ -129,7 +129,9 @@ _MARGINAL_JSON = st.one_of(
     st.builds(lambda lam: {"dist": "poisson", "lambda": lam}, st.floats(0.0, 50.0)),
     st.builds(lambda q: {"dist": "bernoulli", "q": q}, _UNIT),
     st.builds(lambda n, q: {"dist": "binomial", "n": n, "q": q}, st.integers(0, 100), _UNIT),
-    st.builds(lambda q: {"dist": "geometric", "q": q}, st.floats(0.0, 1.0, exclude_min=True)),
+    # below q of about 3e-103 the third raw moment passes float64, and the law
+    # is refused
+    st.builds(lambda q: {"dist": "geometric", "q": q}, st.floats(1e-100, 1.0)),
     st.builds(lambda c: {"dist": "point", "c": c}, st.integers(0, 100)),
 )
 

@@ -9,7 +9,7 @@ import pathlib
 
 import pytest
 
-from bpagg import simulate
+from bpagg import simulate, verify
 from conftest import build_scalar_inar, build_two_type
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
@@ -102,3 +102,24 @@ def test_tracer_path_steps_are_the_steps_simulate_path_runs(monkeypatch):
         del seen[:]
         simulate.simulate_path(model, 10, simulate.stream_rng(0), burnin="auto")
         assert seen == [path_steps(model, 10, None, "auto")["steps"]]
+
+
+def test_experiments_step_their_ensembles_inside_aggregate_spans():
+    # verify clt steps one ensemble and verify iterated one per sweep point,
+    # each through simulate.aggregate, so a traced run charges the stepping
+    # to that span and not to the experiment's self time
+    tracer = _load("tracing").Tracer()
+    model = build_scalar_inar()
+    tracer.install()
+    try:
+        verify.clt_covariance_experiment(model, 10, 4, reps=5, seed=1)
+        tracer.span("verify.iterated_experiment", verify.iterated_experiment,
+                    (model, 10, 4, "N_first"), {"sweep": [3, 6, 10], "seed": 1})
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    for experiment, count in (("clt_covariance_experiment", 1), ("iterated_experiment", 3)):
+        [sid] = [k for k, name in enumerate(names) if name == "verify." + experiment]
+        under = [span for span in tracer.spans if span[3] == sid]
+        assert [span[0] for span in under].count("simulate.aggregate") == count, experiment
+    assert names.count("simulate.aggregate") == 4

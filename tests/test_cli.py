@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import importlib.util
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -16,10 +17,10 @@ import bpagg.moments
 import bpagg.simulate
 import bpagg.verify
 from bpagg.cli import main
-from bpagg.model import model_to_json
+from bpagg.model import model_from_json, model_to_json
 from bpagg.simulate import burnin_auto
 from bpagg.verify import VerificationReport
-from conftest import build_scalar_inar, build_two_type
+from conftest import build_deterministic, build_scalar_inar, build_two_type
 from bpagg.model import (
     Bernoulli,
     Binomial,
@@ -197,6 +198,24 @@ def test_aggregate_rows(two_type_file, tmp_path):
     assert lines[0] == "t,s_1,s_2"
     assert len(lines) == 3
     assert float(lines[1].split(",")[0]) == 0.5
+
+
+def test_aggregate_writes_the_exact_values(tmp_path):
+    # from zero X_1 = (2, 3), then X_k = (2, 5), the stationary mean: each of
+    # the 5 copies' centered sums is (0, -2) from the first step on, so both
+    # rows read 5 (0, -2) / sqrt(4 * 5) = (0, -sqrt(5))
+    model = tmp_path / "det.json"
+    model.write_text(json.dumps(model_to_json(build_deterministic())))
+    out = tmp_path / "agg.csv"
+    code = main(
+        [
+            "aggregate", "--model", str(model), "--n", "4", "--copies", "5",
+            "--grid", "0.25,1.0", "--burnin", "0", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    root5 = -math.sqrt(5.0)
+    assert out.read_text() == "t,s_1,s_2\n0.25,0.0,%r\n1.0,0.0,%r\n" % (root5, root5)
 
 
 def _no_simulation(monkeypatch):
@@ -752,6 +771,58 @@ def test_malformed_model_json_exits_two(tmp_path, capsys, offspring):
     f.write_text(json.dumps({"p": 1, "offspring": [offspring], "immigration": immigration}))
     assert main(["moments", "--model", str(f)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+_POISSON_ONE = {"kind": "independent", "marginals": [{"dist": "poisson", "lambda": 1.0}]}
+
+
+@pytest.mark.parametrize(
+    "marginal, name",
+    [({"dist": "poisson", "lambda": 1e120}, "lambda"), ({"dist": "geometric", "q": 1e-120}, "q")],
+    ids=["poisson", "geometric"],
+)
+def test_law_with_raw_moments_beyond_float64_is_refused(tmp_path, capsys, marginal, name):
+    # lambda^3 and ((1 - q) / q)^3 overflow; the law is refused when it is
+    # built, not by a traceback from the third raw moment at any order
+    law = {"kind": "independent", "marginals": [{"dist": "bernoulli", "q": 0.5}]}
+    obj = {"p": 1, "offspring": [law], "immigration": {"kind": "independent",
+                                                       "marginals": [marginal]}}
+    with pytest.raises(ValueError, match="need %s " % name):
+        model_from_json(obj)
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps(obj))
+    assert main(["moments", "--order", "1", "--model", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and name in err
+
+
+@pytest.mark.parametrize(
+    "law, name",
+    [
+        ({"kind": "independent", "marginals": [{"dist": "bernoulli", "q": True}]}, "q"),
+        ({"kind": "independent", "marginals": [{"dist": "poisson", "lambda": "1.0"}]},
+         "lambda"),
+        ({"kind": "independent", "marginals": [{"dist": "binomial", "n": True, "q": 0.5}]},
+         "n"),
+        ({"kind": "finite", "support": [{"v": ["0"], "p": "0.5"}, {"v": [1], "p": 0.5}]}, "v"),
+    ],
+    ids=["bool-q", "str-lambda", "bool-n", "str-atom"],
+)
+def test_law_json_refuses_booleans_and_strings(tmp_path, capsys, law, name):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"p": 1, "offspring": [law], "immigration": _POISSON_ONE}))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"order": 1, "offspring": [law], "immigration": _POISSON_ONE}))
+    for argv in (["moments", "--model", str(model)], ["ginar", "--spec", str(spec)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and '"%s"' % name in err
+    # library constructors still take numpy scalars
+    assert Bernoulli(np.float64(0.25)).q == 0.25
+    assert Poisson(np.float32(2.0)).lam == 2.0
+    assert Binomial(np.int64(3), np.float64(0.5)).n == 3
+    table = FiniteSupport([[np.int64(0)], [np.int64(1)]], [np.float64(0.5)] * 2)
+    assert table.support.tolist() == [[0], [1]]
 
 
 @pytest.mark.parametrize(

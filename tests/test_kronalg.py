@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,7 +8,6 @@ from numpy.testing import assert_allclose
 from bpagg.kronalg import (
     NotSubcriticalError,
     commutation_matrix,
-    kron_power,
     lyapunov_solve,
     mode_product,
     spectral_radius,
@@ -16,31 +17,6 @@ from bpagg.kronalg import (
 
 def test_kron_vectors():
     assert_allclose(np.kron([1, 2], [1, 0, 1]), [1, 0, 1, 2, 0, 2])
-
-
-def test_kron_power_order_two():
-    assert_allclose(kron_power(np.array([2.0, 1.0]), 2), [4, 2, 2, 1])
-
-
-def test_kron_power_order_one_is_identity():
-    x = np.array([3.0, 1.0, 2.0])
-    assert_allclose(kron_power(x, 1), x)
-
-
-def test_kron_power_order_three_entries():
-    x = np.array([2.0, 1.0])
-    cube = kron_power(x, 3)
-    assert cube.shape == (8,)
-    # entry (i, j, k) is x_i x_j x_k in row-major order
-    assert cube[0] == 8.0
-    assert cube[0 * 4 + 1 * 2 + 0] == 4.0
-    assert cube[7] == 1.0
-
-
-@pytest.mark.parametrize("alpha", [0, 4, -1])
-def test_kron_power_rejects_bad_order(alpha):
-    with pytest.raises(ValueError):
-        kron_power(np.ones(2), alpha)
 
 
 def test_mixed_product_property():
@@ -156,7 +132,7 @@ def test_mode_product_is_kronecker_power_action():
         for p in (1, 2, 4):
             m = rng.normal(size=(p, p))
             t = rng.normal(size=(p,) * k)
-            dense = kron_power(m, k) @ t.reshape(-1)
+            dense = functools.reduce(np.kron, [m] * k) @ t.reshape(-1)
             assert_allclose(mode_product(m, t).reshape(-1), dense, rtol=1e-12, atol=1e-12)
 
 
@@ -167,7 +143,9 @@ def test_tensor_fixed_point_matches_dense_solve(rho):
         for p in (1, 3, 5):
             m = _random_subcritical(rng, p, rho)
             b = rng.normal(size=(p,) * k)
-            dense = np.linalg.solve(np.eye(p ** k) - kron_power(m, k), b.reshape(-1))
+            dense = np.linalg.solve(
+                np.eye(p ** k) - functools.reduce(np.kron, [m] * k), b.reshape(-1)
+            )
             got = tensor_fixed_point(m, b).reshape(-1)
             scale = np.max(np.abs(dense))
             assert np.max(np.abs(got - dense)) <= 1e-10 * scale

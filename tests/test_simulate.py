@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import bpagg.moments
 from bpagg import simulate
 from bpagg.kronalg import NotSubcriticalError
 from bpagg.model import (
@@ -37,8 +38,8 @@ from bpagg.simulate import (
     stream_rng,
     write_metadata,
 )
-from bpagg.simulate import _grid_indices, percopy_aggregates
-from bpagg.moments import stationary_moments
+from bpagg.simulate import _grid_indices
+from bpagg.moments import moment_report, stationary_moments
 from bpagg.model import Bernoulli, Binomial, FiniteSupport, Geometric
 from conftest import (
     build_deterministic,
@@ -260,10 +261,9 @@ def test_library_auto_burnin_covers_every_copy(monkeypatch):
     monkeypatch.setattr(simulate, "_simulate_block", record)
     assert simulate_ensemble(model, 300, 5, 1).burnin == burnin_auto(model, 300) == 30
     assert seen == [30]
-    for run in (percopy_aggregates, aggregate):
-        del seen[:]
-        run(model, 300, 5, 1, (1.0,))
-        assert seen == [30]
+    del seen[:]
+    aggregate(model, 300, 5, 1, (1.0,))
+    assert seen == [30]
     del seen[:]
     simulate_path(model, 5, stream_rng(1), burnin="auto")
     assert seen == [21]
@@ -271,12 +271,36 @@ def test_library_auto_burnin_covers_every_copy(monkeypatch):
 
 @pytest.mark.parametrize("c", [1, 2])
 def test_auto_burnin_with_a_passed_mean_refuses_a_model_that_is_not_subcritical(c):
-    # a passed mean is not checked: the model is classified before any step
+    # the model is classified before any step
     model = BranchingModel(
         1, (IndependentMarginals([Point(c)]),), IndependentMarginals([Poisson(1.0)])
     )
     with pytest.raises(NotSubcriticalError, match="subcritical"):
-        aggregate(model, 2, 5, 0, (1.0,), mean=np.array([3.0]))
+        aggregate(model, 2, 5, 0, (1.0,))
+
+
+@pytest.mark.parametrize(
+    "offspring, immigration",
+    [(Point(1), Poisson(1.0)), (Point(2), Poisson(1.0)), (Bernoulli(0.5), Point(0))],
+    ids=["critical", "supercritical", "zero-immigration"],
+)
+def test_aggregate_refuses_as_moment_report_before_any_block(monkeypatch, offspring,
+                                                               immigration):
+    model = _scalar(offspring, immigration)
+    with pytest.raises(ValueError) as want:
+        moment_report(model, 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("validated or simulated")
+
+    # the route solves its mean without validate, so a verb still validates once
+    for mod in (simulate, bpagg.moments):
+        monkeypatch.setattr(mod, "validate", refuse)
+    monkeypatch.setattr(simulate, "_run_blocks", refuse)
+    with pytest.raises(ValueError) as got:
+        aggregate(model, 2, 5, 0, (1.0,))
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("build", [build_two_type, _one_way_model])
@@ -309,25 +333,6 @@ def test_resolver_on_a_critical_model():
         assert simulate._resolve_burnin(model, k, 100) == (k, [])
     with pytest.raises(NotSubcriticalError, match="subcritical"):
         simulate._resolve_burnin(model, "auto", 100)
-
-
-@pytest.mark.parametrize("wrong", [3.0, 1e6])
-def test_a_passed_mean_only_centers(monkeypatch, wrong):
-    # the certificate comes from the model: a mean of 1e6 would certify 49
-    model = build_scalar_inar()
-    seen = []
-    real = simulate._simulate_block
-
-    def record(model, copies, n, rng, burnin, *args):
-        seen.append(burnin)
-        return real(model, copies, n, rng, burnin, *args)
-
-    monkeypatch.setattr(simulate, "_simulate_block", record)
-    centered = percopy_aggregates(model, 300, 5, 1, (1.0,), mean=np.array([wrong]))
-    assert seen == [burnin_auto(model, 300)] == [30]
-    # the same sums, centered at the wrong mean instead of 2
-    exact = percopy_aggregates(model, 300, 5, 1, (1.0,))
-    assert_allclose(centered, exact - 5 * (wrong - 2.0) / math.sqrt(5))
 
 
 def test_burnin_auto_ceiling_raises_before_running():
@@ -653,7 +658,7 @@ def test_regime_decided_once_per_call(monkeypatch):
     assert block_copies(2) == 1
     simulate_ensemble(model, 3, 19, master_seed=1, burnin=2)
     assert len(calls) == 1
-    percopy_aggregates(model, 3, 19, 1, (1.0,), burnin=2)
+    aggregate(model, 3, 19, 1, (1.0,), burnin=2)
     assert len(calls) == 2
     simulate_path(model, 19, stream_rng(1), burnin=2)
     assert len(calls) == 3
@@ -882,11 +887,13 @@ def _manual_ensemble(model, paths, seed=0, burnin=0):
 
 
 def test_aggregate_arithmetic_single_copy():
-    # point laws: X_k = 3 for every k >= 1, so against the mean 2 the sum of
-    # the first m steps is m, scaled by (n N)^(-1/2)
-    model = _scalar(Point(0), Point(3))
-    series = aggregate(model, 1, 2, 0, (0.0, 0.5, 1.0), mean=[2.0], burnin=0)
-    assert_allclose(series.values[:, 0] * math.sqrt(2 * 1), [0.0, 1.0, 2.0], rtol=1e-15)
+    # from zero X_1 = (2, 3), then X_2 = (2, 5), the stationary mean: the
+    # centered sums of the first m steps are 0, (0, -2) and (0, -2), scaled
+    # by (n N)^(-1/2)
+    model = build_deterministic()
+    series = aggregate(model, 1, 2, 0, (0.0, 0.5, 1.0), burnin=0)
+    want = [[0.0, 0.0], [0.0, -2.0], [0.0, -2.0]]
+    assert_allclose(series.values * math.sqrt(2 * 1), want, rtol=1e-15)
     assert series.grid == (0.0, 0.5, 1.0)
     assert series.n == 2 and series.N == 1
 
@@ -897,14 +904,14 @@ def test_aggregate_sums_over_copies(monkeypatch):
     # and 1 copies, the last one drawn as cohorts
     monkeypatch.setattr(simulate, "_BLOCK_WIDTH", 4)
     model, N, n, grid = build_deterministic(), 5, 4, (0.0, 0.25, 1.0)
-    per = percopy_aggregates(model, N, n, 0, grid, burnin=0)
+    per = aggregate(model, N, n, 0, grid, burnin=0).per_copy
     want = np.array([[0.0, 0.0], [0.0, -2.0], [0.0, -2.0]]) / 2.0
     assert np.array_equal(per, np.broadcast_to(want, (N, 3, 2)))
     series = aggregate(model, N, n, 0, grid, burnin=0)
     assert_allclose(series.values, want * math.sqrt(N), rtol=1e-15)
     assert series.n == n and series.N == N
     # after a burn-in every step sits at the mean
-    assert np.array_equal(percopy_aggregates(model, N, n, 0, grid, burnin=3), np.zeros_like(per))
+    assert np.array_equal(aggregate(model, N, n, 0, grid, burnin=3).per_copy, np.zeros_like(per))
 
 
 def test_aggregate_grid_validation(monkeypatch):
@@ -920,15 +927,13 @@ def test_aggregate_grid_validation(monkeypatch):
     for grid in bad:
         with pytest.raises(ValueError, match="grid"):
             aggregate(model, 1, 2, 0, grid)
-        with pytest.raises(ValueError, match="grid"):
-            percopy_aggregates(model, 1, 2, 0, grid)
 
 
 def test_aggregate_argument_validation():
     model = build_scalar_inar()
     for N in (0, 2.5):
         with pytest.raises(ValueError, match="copies"):
-            percopy_aggregates(model, N, 5, 0, (1.0,))
+            aggregate(model, N, 5, 0, (1.0,))
     with pytest.raises(ValueError, match="n >= 1"):
         aggregate(model, 2, 0, 0, (0.0,))
     with pytest.raises(ValueError, match="burnin"):
@@ -951,7 +956,7 @@ def test_streamed_aggregates_match_path_oracle(burnin, monkeypatch):
 
     monkeypatch.setattr(simulate, "_cohort_chunks", counting)
     model, N, n, grid = build_two_type(), 5, 37, (0.0, 0.3, 0.5, 0.99, 1.0)
-    got = percopy_aggregates(model, N, n, 9, grid, burnin=burnin)
+    got = aggregate(model, N, n, 9, grid, burnin=burnin).per_copy
     assert len(cohort_blocks) == 1
     paths = simulate_ensemble(model, N, n, 9, burnin=burnin).paths
     assert len(cohort_blocks) == 2
@@ -983,10 +988,10 @@ def test_aggregates_hold_no_paths():
     # 200 copies of 2000 steps would take 9.2 MiB as int64 paths; streamed
     # sums hold one chunk of a block and the (N, G, p) result
     model, N, n = _grid3(), 200, 2000
-    percopy_aggregates(model, 2, 10, 1, (1.0,))
+    aggregate(model, 2, 10, 1, (1.0,))
     tracemalloc.start()
     try:
-        per = percopy_aggregates(model, N, n, 1, (0.5, 1.0))
+        per = aggregate(model, N, n, 1, (0.5, 1.0)).per_copy
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1009,7 +1014,7 @@ def test_grid_indices_reach_exactly_n():
 def test_percopy_matches_pooled_aggregate():
     model = build_two_type()
     grid = (0.25, 0.5, 1.0)
-    per = percopy_aggregates(model, 5, 60, 21, grid)
+    per = aggregate(model, 5, 60, 21, grid).per_copy
     pooled = aggregate(model, 5, 60, 21, grid)
     assert per.shape == (5, 3, 2)
     # the ensemble aggregate is the per-copy route itself, not an approximation

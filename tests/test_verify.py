@@ -23,9 +23,9 @@ import bpagg.simulate
 import bpagg.verify as verify
 from bpagg.moments import limit_covariance, noise_matrix, stationary_variance
 from bpagg.simulate import (
+    aggregate,
     block_copies,
     derived_seed,
-    percopy_aggregates,
     simulate_path,
     stream_rng,
 )
@@ -171,16 +171,17 @@ def _refuse_to_simulate(*args, **kwargs):
     raise AssertionError("simulated before the input was checked")
 
 
-def _recorded_percopy(monkeypatch):
-    """Record the arguments and the result of every percopy_aggregates call
-    of verify."""
+def _recorded_aggregates(monkeypatch):
+    """Record the arguments and the per-copy aggregates of every aggregate
+    call of verify."""
     calls = []
 
     def recording(*args):
-        calls.append((args, percopy_aggregates(*args)))
-        return calls[-1][1]
+        series = aggregate(*args)
+        calls.append((args, series.per_copy))
+        return series
 
-    monkeypatch.setattr(verify, "percopy_aggregates", recording)
+    monkeypatch.setattr(verify, "aggregate", recording)
     return calls
 
 
@@ -189,11 +190,11 @@ def test_clt_is_one_ensemble_of_reps_times_n_copies(monkeypatch):
     # ensemble of reps N copies on the seed derived from (seed, 0)
     model = build_two_type()
     n, N, reps, burn, grid = 30, 4, 6, 5, (0.5, 1.0)
-    calls = _recorded_percopy(monkeypatch)
+    calls = _recorded_aggregates(monkeypatch)
     report = clt_covariance_experiment(model, n, N, reps=reps, grid=grid, seed=17, burnin=burn)
     [(args, per_copy)] = calls
     assert args[1:4] == (reps * N, n, derived_seed(17, 0))
-    alone = percopy_aggregates(model, reps * N, n, derived_seed(17, 0), grid, burnin=burn)
+    alone = aggregate(model, reps * N, n, derived_seed(17, 0), grid, burnin=burn).per_copy
     assert_allclose(per_copy, alone, rtol=1e-15, atol=0)
     vals = per_copy.reshape(reps, N, len(grid), 2).sum(axis=1) / math.sqrt(N)
     at_one = np.cov(vals[:, 1, :], rowvar=False)
@@ -232,7 +233,7 @@ def test_clt_standard_errors_are_the_plugin_product_spread(monkeypatch):
     # stacked increments
     model = build_two_type()
     n, N, reps, seed, grid = 24, 3, 50, 21, (0.25, 0.5, 1.0)
-    calls = _recorded_percopy(monkeypatch)
+    calls = _recorded_aggregates(monkeypatch)
     report = clt_covariance_experiment(model, n, N, reps=reps, grid=grid, seed=seed)
     [(_, per_copy)] = calls
     vals = per_copy.reshape(reps, N, 3, 2).sum(axis=1) / math.sqrt(N)
@@ -249,7 +250,7 @@ def test_clt_standard_errors_are_the_plugin_product_spread(monkeypatch):
 def test_iterated_standard_errors_are_the_plugin_product_spread(monkeypatch):
     model = build_two_type()
     grid = (0.5, 1.0)
-    calls = _recorded_percopy(monkeypatch)
+    calls = _recorded_aggregates(monkeypatch)
     report = iterated_experiment(model, 20, 30, "n_first", sweep=[10, 30], grid=grid, seed=8)
     assert report.extra["sweep"][1]["rows"] == report.rows
     for (_, per_copy), point in zip(calls, report.extra["sweep"]):
