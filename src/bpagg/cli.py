@@ -96,64 +96,120 @@ def _add_common(sub, *, n=False, copies=False, seed=False, burnin=False, threads
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 
-def build_parser():
+def _add_moments(sub):
+    sub.add_argument("--order", type=int, default=3, choices=(1, 2, 3))
+    _add_common(sub)
+
+
+def _add_simulate(sub):
+    _add_common(sub, n=True, copies=True, seed=True, burnin=True, threads=True)
+
+
+def _add_aggregate(sub):
+    sub.add_argument("--grid", type=_floats, required=True, help="comma separated times")
+    _add_common(sub, n=True, copies=True, seed=True, burnin=True, threads=True)
+
+
+def _add_ergodic(sub):
+    _add_common(sub, n=True, seed=True)
+    sub.add_argument("--format", choices=("json", "csv"), default="json")
+
+
+def _add_clt(sub):
+    sub.add_argument("--reps", type=int, default=200, help="independent replications")
+    sub.add_argument("--grid", type=_floats, default=(1.0,))
+    _add_common(sub, n=True, copies=True, seed=True, burnin=True, threads=True)
+    sub.add_argument("--format", choices=("json", "csv"), default="json")
+
+
+def _add_iterated(sub):
+    sub.add_argument("--limit-order", choices=("N", "n"), required=True,
+                     help="which limit is taken first")
+    sub.add_argument("--sweep", type=_ints, default=None,
+                     help="outer sweep values (default quarters of the outer size)")
+    sub.add_argument("--grid", type=_floats, default=(1.0,))
+    _add_common(sub, n=True, copies=True, seed=True, burnin=True, threads=True)
+    sub.add_argument("--format", choices=("json", "csv"), default="json")
+
+
+def _add_autocov(sub):
+    sub.add_argument("--lags", type=_ints, default=(0, 1, 2, 3, 4, 5))
+    _add_common(sub, n=True, seed=True)
+    sub.add_argument("--format", choices=("json", "csv"), default="json")
+
+
+def _add_innovations(sub):
+    _add_common(sub, n=True, seed=True)
+    sub.add_argument("--format", choices=("json", "csv"), default="json")
+
+
+def _add_ginar(sub):
+    sub.add_argument("--spec", default=None, help="GINAR spec JSON file")
+    sub.add_argument("--means", type=_floats, default=None,
+                     help="bernoulli offspring means (each <= 1)")
+    sub.add_argument("--immigration-lambda", type=float, default=1.0,
+                     help="poisson immigration mean used with --means")
+    sub.add_argument("--emit-model", default=None, help="write the embedded model JSON here")
+    sub.add_argument("--out", default=None, help="report path (default stdout)")
+
+
+# name: (help, function that adds its arguments or table of its own
+# sub-parsers), in usage order
+_EXPERIMENTS = {
+    "ergodic": ("time averages vs exact moments", _add_ergodic),
+    "clt": ("aggregate covariance and normality", _add_clt),
+    "iterated": ("iterated-limit covariance trajectory", _add_iterated),
+    "autocov": ("lagged autocovariances vs exact", _add_autocov),
+    "innovations": ("innovation moment diagnostics", _add_innovations),
+}
+_VERBS = {
+    "moments": ("exact stationary moment report", _add_moments),
+    "simulate": ("simulate an ensemble to CSV", _add_simulate),
+    "aggregate": ("scaled centered aggregates to CSV", _add_aggregate),
+    "verify": ("Monte Carlo verification experiments", _EXPERIMENTS),
+    "ginar": ("GINAR spec report and embedding", _add_ginar),
+}
+
+
+def _add_choices(parser, dest, table, names):
+    """One sub-parser under dest for every entry of table, or, when names
+    starts with an entry's name, for that entry alone; the usage line names
+    every entry either way."""
+    only = names[0] if names else None
+    metavar = None if only is None else "{%s}" % ",".join(table)
+    subs = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
+    for name, (text, add) in table.items():
+        if only in (None, name):
+            sub = subs.add_parser(name, help=text)
+            if isinstance(add, dict):
+                _add_choices(sub, "experiment", add, names[1:])
+            else:
+                add(sub)
+
+
+def _named(argv, table):
+    """The names that argv starts with, down to a sub-parser that takes
+    arguments, or () when argv does not name one."""
+    entry = table.get(argv[0]) if argv else None
+    if entry is None:
+        return ()
+    if isinstance(entry[1], dict):
+        rest = _named(argv[1:], entry[1])
+        return (argv[0],) + rest if rest else ()
+    return (argv[0],)
+
+
+def build_parser(argv=None):
+    """The bpagg parser. Given the argv it will parse, only the sub-parser of
+    the verb (and verify experiment) that argv names is built; without argv,
+    or when argv names no known verb and experiment, every sub-parser is.
+    Usage, help and error text are the same either way."""
     parser = argparse.ArgumentParser(
         prog="bpagg",
         description="stationary moments and aggregation limits of branching "
         "processes with immigration",
     )
-    verbs = parser.add_subparsers(dest="verb", required=True)
-
-    m = verbs.add_parser("moments", help="exact stationary moment report")
-    m.add_argument("--order", type=int, default=3, choices=(1, 2, 3))
-    _add_common(m)
-
-    s = verbs.add_parser("simulate", help="simulate an ensemble to CSV")
-    _add_common(s, n=True, copies=True, seed=True, burnin=True, threads=True)
-
-    a = verbs.add_parser("aggregate", help="scaled centered aggregates to CSV")
-    a.add_argument("--grid", type=_floats, required=True, help="comma separated times")
-    _add_common(a, n=True, copies=True, seed=True, burnin=True, threads=True)
-
-    v = verbs.add_parser("verify", help="Monte Carlo verification experiments")
-    kinds = v.add_subparsers(dest="experiment", required=True)
-
-    ve = kinds.add_parser("ergodic", help="time averages vs exact moments")
-    _add_common(ve, n=True, seed=True)
-    ve.add_argument("--format", choices=("json", "csv"), default="json")
-
-    vc = kinds.add_parser("clt", help="aggregate covariance and normality")
-    vc.add_argument("--reps", type=int, default=200, help="independent replications")
-    vc.add_argument("--grid", type=_floats, default=(1.0,))
-    _add_common(vc, n=True, copies=True, seed=True, burnin=True, threads=True)
-    vc.add_argument("--format", choices=("json", "csv"), default="json")
-
-    vi = kinds.add_parser("iterated", help="iterated-limit covariance trajectory")
-    vi.add_argument("--limit-order", choices=("N", "n"), required=True,
-                    help="which limit is taken first")
-    vi.add_argument("--sweep", type=_ints, default=None,
-                    help="outer sweep values (default quarters of the outer size)")
-    vi.add_argument("--grid", type=_floats, default=(1.0,))
-    _add_common(vi, n=True, copies=True, seed=True, burnin=True, threads=True)
-    vi.add_argument("--format", choices=("json", "csv"), default="json")
-
-    va = kinds.add_parser("autocov", help="lagged autocovariances vs exact")
-    va.add_argument("--lags", type=_ints, default=(0, 1, 2, 3, 4, 5))
-    _add_common(va, n=True, seed=True)
-    va.add_argument("--format", choices=("json", "csv"), default="json")
-
-    vn = kinds.add_parser("innovations", help="innovation moment diagnostics")
-    _add_common(vn, n=True, seed=True)
-    vn.add_argument("--format", choices=("json", "csv"), default="json")
-
-    g = verbs.add_parser("ginar", help="GINAR spec report and embedding")
-    g.add_argument("--spec", default=None, help="GINAR spec JSON file")
-    g.add_argument("--means", type=_floats, default=None,
-                   help="bernoulli offspring means (each <= 1)")
-    g.add_argument("--immigration-lambda", type=float, default=1.0,
-                   help="poisson immigration mean used with --means")
-    g.add_argument("--emit-model", default=None, help="write the embedded model JSON here")
-    g.add_argument("--out", default=None, help="report path (default stdout)")
+    _add_choices(parser, "verb", _VERBS, _named(argv, _VERBS))
     return parser
 
 
@@ -250,8 +306,8 @@ def _run_ginar(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     runners = {
         "moments": _run_moments,
         "simulate": _run_simulate,

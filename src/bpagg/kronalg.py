@@ -77,7 +77,8 @@ def tensor_fixed_point(m, b):
     the update is below machine epsilon relative to S and the squared A has
     infinity norm below one. The norm test certifies spectral radius < 1:
     at radius one, partial sums S can cancel to zero (m a rotation, b odd
-    under it), so a small update alone proves nothing. Raises
+    under it), so a small update alone proves nothing. Raises ValueError if
+    the partial sums overflow float64 at spectral radius < 1, and
     NotSubcriticalError if the test does not pass within 64 doublings.
     """
     m = np.asarray(m, dtype=float)
@@ -100,9 +101,14 @@ def tensor_fixed_point(m, b):
             small = np.max(np.abs(update)) <= _EPS * size
             if small and np.max(np.sum(np.abs(a), axis=1)) < 1.0:
                 return s
+    rho = spectral_radius(m)
+    if rho < 1.0 and not np.isfinite(size):
+        raise ValueError(
+            "fixed point series overflows float64 at spectral radius %.6g" % rho
+        )
     raise NotSubcriticalError(
         "fixed point series did not converge within %d doublings; it needs"
-        " spectral radius < 1, got %.6g" % (_MAX_DOUBLINGS, spectral_radius(m))
+        " spectral radius < 1, got %.6g" % (_MAX_DOUBLINGS, rho)
     )
 
 

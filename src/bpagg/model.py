@@ -609,6 +609,14 @@ def model_digest(model):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def _flat(items):
+    """Whether no item is a container, checked once per item type."""
+    return not any(issubclass(t, _CONTAINERS) for t in set(map(type, items)))
+
+
 def _indented(obj, depth):
     """json.dumps(obj, indent=2) for a value nested depth levels deep."""
     if isinstance(obj, dict):
@@ -621,7 +629,7 @@ def _indented(obj, depth):
     if not items:
         return brackets
     pad = "  " * (depth + 1)
-    if not any(isinstance(v, (dict, list, tuple)) for v in items):
+    if _flat(items):
         # a container of scalars is one C encoder call: its item separator
         # carries the newline and indent, which no encoded scalar contains
         inner = json.dumps(obj, separators=(",\n" + pad, ": "))[1:-1]
@@ -629,6 +637,17 @@ def _indented(obj, depth):
         inner = (",\n" + pad).join(
             json.dumps(k) + ": " + _indented(v, depth + 1) for k, v in obj.items()
         )
+    elif set(map(type, obj)) == {dict} and all(obj) and _flat(
+        itertools.chain.from_iterable(map(dict.values, obj))
+    ):
+        # a list of non-empty flat dicts (a table of rows) is one C encoder
+        # call at the rows' indent; "}" + separator + "{" occurs only between
+        # rows, since no encoded scalar holds a raw newline, and becomes the
+        # row boundary at the list's indent
+        deep = pad + "  "
+        rows = json.dumps(obj, separators=(",\n" + deep, ": "))[2:-2]
+        rows = rows.replace("},\n%s{" % deep, "\n%s},\n%s{\n%s" % (pad, pad, deep))
+        inner = "{\n%s%s\n%s}" % (deep, rows, pad)
     else:
         inner = (",\n" + pad).join(_indented(v, depth + 1) for v in obj)
     return "%s\n%s%s\n%s%s" % (brackets[0], pad, inner, "  " * depth, brackets[1])

@@ -273,14 +273,20 @@ def moment_report(model, max_order=3):
         # the raw tables are contracted with the mean one law at a time, and
         # the sym term joins pair[a, b, c], the factor in slots (a, b) and
         # the single factor in c
-        pair = np.tensordot(covs, M @ k2.T, axes=([0], [1]))
-        pair += np.multiply.outer(brood_cov + mode_product(M, k2), m_eps)
-        pair += np.multiply.outer(eps2, mu)
-        pair -= np.tensordot(mean[:, None, None] * raw2, M, axes=([0], [1]))
-        b3 = 2.0 * np.tensordot((M * mean)[:, None, :] * M, M, axes=([2], [1]))
-        for i, law in enumerate(model.offspring):
-            b3 += mean[i] * law.kron_moment(3).reshape(p, p, p)
-        b3 += _sym3(pair) + imm.kron_moment(3).reshape(p, p, p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pair = np.tensordot(covs, M @ k2.T, axes=([0], [1]))
+            pair += np.multiply.outer(brood_cov + mode_product(M, k2), m_eps)
+            pair += np.multiply.outer(eps2, mu)
+            pair -= np.tensordot(mean[:, None, None] * raw2, M, axes=([0], [1]))
+            b3 = 2.0 * np.tensordot((M * mean)[:, None, :] * M, M, axes=([2], [1]))
+            for i, law in enumerate(model.offspring):
+                b3 += mean[i] * law.kron_moment(3).reshape(p, p, p)
+            b3 += _sym3(pair) + imm.kron_moment(3).reshape(p, p, p)
+        if not np.all(np.isfinite(b3)):
+            raise ValueError(
+                "third moments overflow float64: the order-3 fixed point has a"
+                " right-hand side that is not finite"
+            )
         k3 = tensor_fixed_point(M, b3)
         defect = np.max(np.abs(k3 - b3 - mode_product(M, k3)))
         kron3_defect = float(defect / max(float(np.max(np.abs(k3))), 1e-30))

@@ -212,7 +212,7 @@ def _increment_table(vals, grid):
 def _normal_cdf(x):
     """Standard normal CDF 0.5 erfc(-x / sqrt(2)) of each entry of a 1-D array."""
     r = math.sqrt(0.5)
-    return np.array([0.5 * math.erfc(-v * r) for v in x.tolist()])
+    return 0.5 * np.fromiter(map(math.erfc, (-x * r).tolist()), float, len(x))
 
 
 def _ks_normal(values):

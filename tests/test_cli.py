@@ -6,6 +6,7 @@ import math
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -836,3 +837,144 @@ def test_malformed_ginar_spec_exits_two(tmp_path, capsys, order, offspring):
     f.write_text(json.dumps({"order": order, "offspring": offspring, "immigration": immigration}))
     assert main(["ginar", "--spec", str(f)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+# every verb and verify experiment, with the arguments it requires
+_LEAF_ARGS = {
+    ("moments",): ["--order", "2", "--model", "m.json"],
+    ("simulate",): ["--model", "m.json", "--n", "5", "--copies", "2", "--threads", "2"],
+    ("aggregate",): ["--model", "m.json", "--grid", "0.5,1", "--n", "5", "--copies", "2"],
+    ("verify", "ergodic"): ["--model", "m.json", "--n", "5", "--format", "csv"],
+    ("verify", "clt"): ["--model", "m.json", "--n", "5", "--copies", "2", "--burnin", "4"],
+    ("verify", "iterated"): ["--model", "m.json", "--limit-order", "n", "--n", "8",
+                             "--copies", "2", "--sweep", "2,4"],
+    ("verify", "autocov"): ["--model", "m.json", "--n", "9", "--lags", "0,1"],
+    ("verify", "innovations"): ["--model", "m.json", "--n", "9", "--seed", "3"],
+    ("ginar",): ["--means", "0.5,0.25", "--immigration-lambda", "2"],
+}
+
+
+def _record_built_leaves(monkeypatch):
+    """Wrap the argument function of every verb and experiment; the list
+    returned fills with the names whose sub-parsers are built."""
+    built = []
+
+    def wrap(table, name):
+        text, add = table[name]
+
+        def recorded(sub):
+            built.append(name)
+            add(sub)
+
+        monkeypatch.setitem(table, name, (text, recorded))
+
+    for name in cli._EXPERIMENTS:
+        wrap(cli._EXPERIMENTS, name)
+    for name in cli._VERBS:
+        if name != "verify":
+            wrap(cli._VERBS, name)
+    return built
+
+
+@pytest.mark.parametrize("leaf", sorted(_LEAF_ARGS), ids=" ".join)
+def test_one_verb_parser_parses_as_the_full_parser(monkeypatch, leaf):
+    argv = list(leaf) + _LEAF_ARGS[leaf]
+    built = _record_built_leaves(monkeypatch)
+    one = cli.build_parser(argv)
+    assert built == [leaf[-1]]
+    full = cli.build_parser()
+    assert len(built) == 1 + len(_LEAF_ARGS)
+    assert one.parse_args(argv) == full.parse_args(argv)
+
+
+@pytest.mark.parametrize("columns", ["40", "150"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [], ["-h"], ["--help"], ["nope"], ["verify"], ["verify", "-h"], ["verify", "nope"],
+        ["moments", "-h"], ["verify", "clt", "--help"], ["ginar", "-h"],
+        ["simulate", "--model", "m", "--n", "3"],
+        ["verify", "iterated", "--model", "m", "--n", "3", "--copies", "2"],
+        ["moments", "--model", "m", "--order", "4"],
+        ["verify", "ergodic", "--model", "m", "--n", "3", "--format", "xml"],
+        ["verify", "clt", "--model", "m", "--n", "3", "--copies", "2", "--threads", "0"],
+        ["aggregate", "--model", "m", "--grid", "1", "--n", "3", "--copies", "2",
+         "--threads", "0"],
+        ["moments", "--model", "m", "extra"],
+        ["verify", "autocov", "--model", "m", "--n", "4", "--bogus", "1"],
+    ],
+    ids=repr,
+)
+def test_one_verb_parser_prints_and_exits_as_the_full_parser(capsys, monkeypatch, argv,
+                                                            columns):
+    # help, usage and error text, and the exit code, of main (which builds
+    # only the sub-parser argv names) are those of the full parser
+    monkeypatch.setenv("COLUMNS", columns)
+    outcomes = []
+    for parse in (cli.build_parser().parse_args, main):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        captured = capsys.readouterr()
+        outcomes.append((exc.value.code, captured.out, captured.err))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] or outcomes[0][2]
+
+
+def test_every_report_kind_is_written_as_json_dumps_writes_it(two_type_file, tmp_path,
+                                                              monkeypatch):
+    written = []
+
+    def checked(obj):
+        text = bpagg.model.json_text(obj)
+        assert text == json.dumps(obj, indent=2) + "\n"
+        written.append(obj)
+        return text
+
+    for module in (cli, bpagg.moments, bpagg.simulate, bpagg.verify):
+        monkeypatch.setattr(module, "json_text", checked)
+    model = ["--model", two_type_file]
+    out = ["--out", str(tmp_path / "out")]
+    runs = [["moments", "--order", order] + model for order in "123"] + [
+        ["verify", "ergodic", "--n", "300"] + model,
+        ["verify", "clt", "--n", "20", "--copies", "2", "--reps", "12", "--grid",
+         "0.5,0.75,1"] + model,
+        ["verify", "iterated", "--limit-order", "N", "--n", "20", "--copies", "8",
+         "--sweep", "4,8"] + model,
+        ["verify", "autocov", "--n", "300", "--lags", "0,1,2"] + model,
+        ["verify", "innovations", "--n", "300"] + model,
+        ["ginar", "--means", "0.5,0.25", "--emit-model", str(tmp_path / "g.json")],
+        ["simulate", "--n", "5", "--copies", "2"] + model,
+    ]
+    for argv in runs:
+        assert main(argv + out) in (0, 3)
+    assert len(written) == 11
+    assert all("kron3" in obj for obj in written[:3])
+    kinds = [obj["kind"] for obj in written[3:8]]
+    assert kinds == ["ergodic", "clt", "iterated", "autocov", "innovations"]
+    assert "offspring" in written[8] and "characteristic_polynomial" in written[9]
+    assert "copies" in written[10]
+
+
+@pytest.mark.parametrize(
+    "lam, message",
+    [
+        (5e102, "error: third moments overflow float64"),
+        # a finite right-hand side whose fixed point passes float64
+        (2.9e102, "error: fixed point series overflows float64 at spectral radius 0.5"),
+    ],
+)
+def test_order_three_overflow_exits_two_without_a_warning(tmp_path, capsys, lam, message):
+    model = BranchingModel(
+        1, (IndependentMarginals([Bernoulli(0.5)]),), IndependentMarginals([Poisson(lam)])
+    )
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps(model_to_json(model)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["moments", "--order", "3", "--model", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(message)
+        for order in ("1", "2"):
+            assert main(["moments", "--order", order, "--model", str(f)]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["mean"] == [2 * lam] and payload["kron3"] is None

@@ -167,6 +167,15 @@ def test_tensor_fixed_point_rejects_unit_radius(scale):
                 tensor_fixed_point(m, np.ones(shape))
 
 
+
+def test_tensor_fixed_point_overflow_below_unit_radius_is_named():
+    # the series converges, but its sum passes float64: an overflow, not a
+    # radius at or above one
+    for b in (np.full((2, 2), 1.5e308), np.array([[np.inf, 0.0], [0.0, 1.0]])):
+        with pytest.raises(ValueError, match="overflows float64 at spectral radius 0.5") as exc:
+            tensor_fixed_point(0.5 * np.eye(2), b)
+        assert exc.type is ValueError
+
 def test_tensor_fixed_point_shape_checks():
     with pytest.raises(ValueError):
         tensor_fixed_point(np.ones((2, 3)), np.ones((2, 2)))

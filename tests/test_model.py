@@ -738,8 +738,18 @@ _JSON_SCALARS = (
     | st.text()
     | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, "", ", ", "\n", "a, b\n  c", ",\n  "])
 )
+_ROW_SEPARATORS = st.sampled_from(["},\n  {", "},\n    {", "}, {", "\n"])
+# tables of flat rows, as reports hold them: empty rows, bools, and strings
+# that hold a row boundary or a newline, as keys and as values
+_ROW_TABLES = st.lists(
+    st.dictionaries(
+        st.text(max_size=3) | _ROW_SEPARATORS, _JSON_SCALARS | _ROW_SEPARATORS, max_size=4
+    ),
+    min_size=1,
+    max_size=5,
+)
 _JSON_VALUES = st.recursive(
-    _JSON_SCALARS,
+    _JSON_SCALARS | _ROW_TABLES,
     lambda inner: st.lists(inner, max_size=5)
     | st.tuples(inner, inner)
     | st.dictionaries(st.text(max_size=4) | st.sampled_from([", ", "\n"]), inner, max_size=5),
@@ -750,6 +760,7 @@ _JSON_VALUES = st.recursive(
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_JSON_VALUES)
 def test_json_text_matches_json_dumps_indent_two(obj):
-    # nested values, empty containers, NaN, +-inf, -0.0 and strings holding
-    # the separator or a newline are written as json.dumps writes them
+    # nested values, empty containers, tables of flat rows, NaN, +-inf, -0.0
+    # and strings holding a separator or a newline are written as json.dumps
+    # writes them
     assert json_text(obj) == json.dumps(obj, indent=2) + "\n"

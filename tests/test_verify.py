@@ -656,6 +656,20 @@ def test_normal_cdf_matches_scipy_ndtr():
     assert_allclose(_normal_cdf(x), ndtr(x), rtol=0, atol=1e-15)
 
 
+
+def test_normal_cdf_bytes_match_the_scalar_formula():
+    # one erfc per entry on (-x) * sqrt(0.5), then halved: the same IEEE
+    # operations as a Python loop over the entries, so the same bits
+    tiny = np.finfo(float).smallest_subnormal
+    x = np.concatenate([
+        [np.inf, -np.inf, 0.0, -0.0, tiny, -tiny, 3 * tiny, -1e-310, 2.2e-308, 1e-300],
+        np.random.default_rng(6).standard_normal(200) * 4.0,
+    ])
+    r = math.sqrt(0.5)
+    scalar = np.array([0.5 * math.erfc(-v * r) for v in x.tolist()])
+    assert _normal_cdf(x).tobytes() == scalar.tobytes()
+    assert _normal_cdf(x[:0]).shape == (0,)
+
 def _modules_after_import():
     """Names in sys.modules after a fresh `import bpagg`."""
     code = "import sys, bpagg; print('\\n'.join(sys.modules))"
