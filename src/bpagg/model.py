@@ -7,7 +7,10 @@ closed-form moments. Both expose exact mixed moments up to third order
 through Kronecker powers, and exact samplers on a caller-supplied generator.
 A table's Kronecker moment of order k is one weighted contraction of its
 atoms, whatever their number: X^T (w X) at order 2, and the row-wise
-products X_i X_j contracted with w X at order 3.
+products X_i X_j contracted with w X at order 3. Third cumulants, which the
+order-3 moment report reads, are closed forms per marginal kind, and a
+weighted sum of them over many laws contracts the stacked centered atoms of
+all their tables, p atoms per product (_third_cumulant_sum).
 
 A law draws the sum of c independent broods as one variate of its c-fold
 convolution: poisson(c lam), binomial(c n, q), negative binomial(c, q) for
@@ -116,7 +119,7 @@ def _int64_count(name, value):
 
 class Poisson:
     """poisson(lam) on {0,1,...}: E X = lam, E X^2 = lam + lam^2,
-    E X^3 = lam + 3 lam^2 + lam^3."""
+    E X^3 = lam + 3 lam^2 + lam^3; every cumulant is lam."""
 
     dist = "poisson"
     json_params = ("lambda",)
@@ -135,6 +138,9 @@ class Poisson:
         if k == 2:
             return lam + lam * lam
         return lam + 3.0 * lam * lam + lam ** 3
+
+    def third_cumulant(self):
+        return self.lam
 
     def sample(self, rng, size=None):
         if size is None or size < _WIDE or self.lam > _SMALL:
@@ -171,8 +177,8 @@ def _binomial_sum(count, n, q, rng):
 
 
 class Bernoulli:
-    """bernoulli(q) on {0,1}: all raw moments equal q; a sum of c copies is
-    binomial(c, q)."""
+    """bernoulli(q) on {0,1}: all raw moments equal q, the third cumulant is
+    q (1-q) (1-2q), and a sum of c copies is binomial(c, q)."""
 
     dist = "bernoulli"
     json_params = ("q",)
@@ -185,6 +191,10 @@ class Bernoulli:
 
     def raw_moment(self, k):
         return self.q
+
+    def third_cumulant(self):
+        q = self.q
+        return q * (1.0 - q) * (1.0 - 2.0 * q)
 
     def sample(self, rng, size=None):
         hit = rng.random(size) < self.q
@@ -199,8 +209,8 @@ class Bernoulli:
 
 class Binomial:
     """binomial(n, q): raw moments from factorial moments
-    E X(X-1) = n(n-1)q^2 and E X(X-1)(X-2) = n(n-1)(n-2)q^3. A sum of c
-    copies is binomial(c n, q)."""
+    E X(X-1) = n(n-1)q^2 and E X(X-1)(X-2) = n(n-1)(n-2)q^3, and n times
+    the Bernoulli cumulants. A sum of c copies is binomial(c n, q)."""
 
     dist = "binomial"
     json_params = ("n", "q")
@@ -223,6 +233,10 @@ class Binomial:
         f3 = n * (n - 1) * (n - 2) * q ** 3
         return f3 + 3.0 * f2 + m1
 
+    def third_cumulant(self):
+        q = self.q
+        return self.n * q * (1.0 - q) * (1.0 - 2.0 * q)
+
     def sample(self, rng, size=None):
         return rng.binomial(self.n, self.q, size)
 
@@ -237,8 +251,9 @@ class Geometric:
     """geometric(q) counting failures, P(X = k) = q (1-q)^k on {0,1,...}.
 
     With b = (1-q)/q the factorial moments are b, 2 b^2, 6 b^3, so
-    E X = b, E X^2 = 2 b^2 + b, E X^3 = 6 b^3 + 6 b^2 + b. q = 1 is the
-    point mass at zero. A sum of c copies is negative binomial(c, q).
+    E X = b, E X^2 = 2 b^2 + b, E X^3 = 6 b^3 + 6 b^2 + b, and the third
+    cumulant is b (1+b) (1+2b). q = 1 is the point mass at zero. A sum of c
+    copies is negative binomial(c, q).
     """
 
     dist = "geometric"
@@ -258,6 +273,10 @@ class Geometric:
         if k == 2:
             return 2.0 * b * b + b
         return 6.0 * b ** 3 + 6.0 * b * b + b
+
+    def third_cumulant(self):
+        b = (1.0 - self.q) / self.q
+        return b * (1.0 + b) * (1.0 + 2.0 * b)
 
     def sample(self, rng, size=None):
         return rng.geometric(self.q, size) - 1
@@ -283,6 +302,9 @@ class Point:
 
     def raw_moment(self, k):
         return float(self.c) ** k
+
+    def third_cumulant(self):
+        return 0.0
 
     def sample(self, rng, size=None):
         return self.c if size is None else np.full(size, self.c, dtype=np.int64)
@@ -412,10 +434,10 @@ class IndependentMarginals:
     def kron_moment(self, alpha):
         if alpha not in (1, 2, 3):
             raise ValueError("moment order must be 1, 2 or 3, got %r" % (alpha,))
-        raws = np.array([[m.raw_moment(k) for k in (1, 2, 3)] for m in self.marginals])
-        m1, m2 = raws[:, 0], raws[:, 1]
+        raws = np.array([[m.raw_moment(k) for k in range(1, alpha + 1)] for m in self.marginals])
         if alpha == 1:
-            return m1
+            return raws[:, 0]
+        m1, m2 = raws[:, 0], raws[:, 1]
         diag = np.arange(self.dim)
         if alpha == 2:
             out = np.outer(m1, m1)
@@ -442,6 +464,36 @@ class IndependentMarginals:
 
     def to_json(self):
         return {"kind": "independent", "marginals": [m.params() for m in self.marginals]}
+
+
+def _third_cumulant_sum(laws, weights):
+    """sum_l weights[l] K3(laws[l]) as a p x p x p array, where
+    K3 = E (x - E x)^(x)3 is a law's third cumulant tensor.
+
+    A product law's K3 is the diagonal of its marginals' closed-form
+    cumulants. The centered atoms of every table, each weighted by its
+    probability times weights[l], are stacked and contracted p atoms per
+    product, so no table's moment of order 3 is built on its own and the
+    row-wise products x_a x_b of a product hold at most p^3 entries.
+    """
+    p = laws[0].dim
+    diag = np.zeros(p)
+    atoms, mass = [np.zeros((0, p))], [np.zeros(0)]
+    for law, w in zip(laws, weights):
+        if isinstance(law, IndependentMarginals):
+            diag += w * np.array([m.third_cumulant() for m in law.marginals])
+        else:
+            atoms.append(law.support - law.mean())
+            mass.append(w * law.probs)
+    x = np.concatenate(atoms)
+    wx = np.concatenate(mass)[:, None] * x
+    out = np.zeros((p * p, p))
+    for lo in range(0, len(x), p):
+        rows = x[lo : lo + p]
+        out += (rows[:, :, None] * rows[:, None, :]).reshape(len(rows), p * p).T @ wx[lo : lo + p]
+    out = out.reshape(p, p, p)
+    out[np.diag_indices(p, 3)] += diag
+    return out
 
 
 @dataclass(frozen=True)
@@ -612,13 +664,28 @@ def model_digest(model):
 _CONTAINERS = (dict, list, tuple)
 
 
-def _flat(items):
-    """Whether no item is a container, checked once per item type."""
-    return not any(issubclass(t, _CONTAINERS) for t in set(map(type, items)))
+def _flat(types):
+    """Whether none of the item types is a container."""
+    return not any(issubclass(t, _CONTAINERS) for t in types)
 
 
-def _indented(obj, depth):
-    """json.dumps(obj, indent=2) for a value nested depth levels deep."""
+def _floats(items, memo):
+    """The JSON encodings of items, a list of floats. memo maps each float
+    met so far to its encoding, so every distinct value is encoded once per
+    memo, and the values new to it in one encoder call. 0.0 and -0.0 are
+    one key of a dict, so the zeros of a list are encoded by their sign."""
+    distinct = set(items)
+    fresh = list(distinct.difference(memo))
+    if fresh:
+        memo.update(zip(fresh, json.dumps(fresh)[1:-1].split(", ")))
+    if 0.0 not in distinct:
+        return map(memo.__getitem__, items)
+    return [memo[x] if x else "-0.0" if math.copysign(1.0, x) < 0 else "0.0" for x in items]
+
+
+def _indented(obj, depth, memo):
+    """json.dumps(obj, indent=2) for a value nested depth levels deep; memo
+    is _floats' memo for every flat list of floats in the value."""
     if isinstance(obj, dict):
         items = obj.values()
     elif isinstance(obj, (list, tuple)):
@@ -629,16 +696,19 @@ def _indented(obj, depth):
     if not items:
         return brackets
     pad = "  " * (depth + 1)
-    if _flat(items):
+    types = set(map(type, items))
+    if types == {float} and brackets == "[]":
+        inner = (",\n" + pad).join(_floats(items, memo))
+    elif _flat(types):
         # a container of scalars is one C encoder call: its item separator
         # carries the newline and indent, which no encoded scalar contains
         inner = json.dumps(obj, separators=(",\n" + pad, ": "))[1:-1]
     elif isinstance(obj, dict):
         inner = (",\n" + pad).join(
-            json.dumps(k) + ": " + _indented(v, depth + 1) for k, v in obj.items()
+            json.dumps(k) + ": " + _indented(v, depth + 1, memo) for k, v in obj.items()
         )
-    elif set(map(type, obj)) == {dict} and all(obj) and _flat(
-        itertools.chain.from_iterable(map(dict.values, obj))
+    elif types == {dict} and all(obj) and _flat(
+        set(map(type, itertools.chain.from_iterable(map(dict.values, obj))))
     ):
         # a list of non-empty flat dicts (a table of rows) is one C encoder
         # call at the rows' indent; "}" + separator + "{" occurs only between
@@ -649,11 +719,12 @@ def _indented(obj, depth):
         rows = rows.replace("},\n%s{" % deep, "\n%s},\n%s{\n%s" % (pad, pad, deep))
         inner = "{\n%s%s\n%s}" % (deep, rows, pad)
     else:
-        inner = (",\n" + pad).join(_indented(v, depth + 1) for v in obj)
+        inner = (",\n" + pad).join(_indented(v, depth + 1, memo) for v in obj)
     return "%s\n%s%s\n%s%s" % (brackets[0], pad, inner, "  " * depth, brackets[1])
 
 
 def json_text(obj):
     """json.dumps(obj, indent=2) + "\\n", byte for byte, for JSON values whose
-    objects have string keys; every report and metadata file is written so."""
-    return _indented(obj, 0) + "\n"
+    objects have string keys; every report and metadata file is written so.
+    Each distinct float of the flat lists is encoded once per call."""
+    return _indented(obj, 0, {}) + "\n"

@@ -22,18 +22,32 @@ Z has mean M Y, covariance sum_i Y_i Cov(xi^(i)) and third cumulant
 sum_i Y_i K3(xi^(i)), and immigration is independent of Z, so
 
     b2 = sum_i mean_i Cov(xi^(i)) + mu m_eps^T + m_eps mu^T + E eps^(x)2
-    b3 = sum_i mean_i K3(xi^(i)) + sym(sum_i Cov(xi^(i)) (x) (M kron2)[:, i])
-         + sym(E[Z Z^T] (x) m_eps) + sym(E eps^(x)2 (x) mu) + E eps^(x)3
 
-with mu = M mean, E[Z Z^T] = sum_i mean_i Cov(xi^(i)) + M kron2 M^T and
-sym(T) = T[a,b,c] + T[a,c,b] + T[b,c,a] summing the three slots of the
-single factor. These are tensordot contractions at O(p^4) on arrays of at
-most p^3 entries. Each law's table of each order comes from one call of its
-kron_moment per report. The order-2 tables are stacked into one p x p x p
-array, and the covariances are that stack minus the outer products of the
-columns of M. The order-3 tables are contracted with the mean one law at a
-time through K3 = E x^(x)3 - sym(E x x^T (x) m) + 2 m^(x)3, so no law's
-third central moment is built.
+with mu = M mean. Each law's order-2 table comes from one call of its
+kron_moment per report; the offspring tables are stacked into one
+p x p x p array, and the covariances are that stack minus the outer
+products of the columns of M.
+
+Order 3 is solved in cumulant form. By the law of total cumulance
+(Brillinger 1969, Ann. Inst. Statist. Math. 21) the stationary third
+cumulant C3 solves the same kind of fixed point,
+
+    C3 = R + M^(x)3 C3,
+    R  = sum_i mean_i K3(xi^(i)) + K3(eps) + sym(sum_i Cov(xi^(i)) (x) (M var0)[:, i]),
+
+because the conditional third cumulant of X_k is affine in X_{k-1} and its
+conditional mean M X_{k-1} + m_eps has covariance M var0 with X_{k-1}.
+Here sym(T) = T[a,b,c] + T[a,c,b] + T[b,c,a] sums the three slots of the
+single factor of a T symmetric in (a, b). Then
+
+    kron3 = C3 + sym(var0 (x) mean) + mean^(x)3.
+
+The law cumulants are closed forms on the diagonal for product laws and
+products over the stacked centered atoms of every table, p atoms at a time
+(model._third_cumulant_sum), so no law builds its p^3 table of raw third
+moments. Every array has at most p^3 entries and every contraction costs
+O(p^4). kron2 and kron3 are written exactly symmetric: each entry is read
+from its canonical index (i <= j, i <= j <= k).
 
 build_transfer assembles the dense blocks A21, A31, A32 and the full a2/a3
 matrices. Nothing on the production path calls it; it is kept as an
@@ -60,7 +74,7 @@ from .kronalg import (
     mode_product,
     tensor_fixed_point,
 )
-from .model import _count, _regime, json_text, mean_matrix, validate
+from .model import _count, _regime, _third_cumulant_sum, json_text, mean_matrix, validate
 
 __all__ = [
     "TransferMatrices",
@@ -165,6 +179,22 @@ def build_transfer(model, max_order=3):
     return TransferMatrices(a21, a2, a31, a32, a3)
 
 
+def _canonical(t):
+    """t flat, with every entry read from its canonical index (i <= j, or
+    i <= j <= k, of a p x p or p x p x p array): exactly symmetric under
+    every axis permutation, and the canonical entries keep their bytes."""
+    p = len(t)
+    if t.ndim == 2:
+        return np.where(np.tri(p, k=-1, dtype=bool), t.T, t).reshape(-1)
+    a, b, c = np.ix_(*[np.arange(p)] * 3)
+    lo = np.minimum(np.minimum(a, b), c)
+    hi = np.maximum(np.maximum(a, b), c)
+    mid = a + b + c
+    mid -= lo
+    mid -= hi
+    return t[lo, mid, hi].reshape(-1)
+
+
 def _sym3(t):
     """Sum of t over the three slots of its single factor; t[a, b, c] must be
     symmetric in (a, b), and the result is symmetric in all three axes."""
@@ -179,8 +209,8 @@ class MomentReport:
     (normalized gap between var0 and the second-moment route
     reshape(kron2) - mean mean^T), 'limit_identity' (defect of the
     decomposition M (I-M)^-1 var0 + var0 + var0 (I-M^T)^-1 M^T = sigma) and
-    'kron3' (fixed-point defect of kron3 = b3 + M^(x)3 kron3, relative to the
-    largest entry of kron3), then 'cond', the 1-norm condition number
+    'kron3' (fixed-point defect of the third cumulant, C3 = R + M^(x)3 C3,
+    relative to the largest entry of C3), then 'cond', the 1-norm condition number
     |I - M|_1 |(I - M)^-1|_1 that every solve through (I - M)^-1 inherits.
     route_gap is None below order 2 and kron3 is None below order 3.
 
@@ -249,9 +279,9 @@ def moment_report(model, max_order=3):
     m_eps = imm.mean()
     eps2 = imm.kron_moment(2).reshape(p, p)
     imm_cov = eps2 - np.outer(m_eps, m_eps)
-    # raw2[i] = E xi^(i) xi^(i)T, column i of M its mean
-    raw2 = np.stack([law.kron_moment(2).reshape(p, p) for law in model.offspring])
-    covs = raw2 - np.einsum("ai,bi->iab", M, M)
+    # covs[i] = E xi^(i) xi^(i)T - m m^T, column i of M its mean m
+    covs = np.stack([law.kron_moment(2).reshape(p, p) for law in model.offspring])
+    covs -= np.einsum("ai,bi->iab", M, M)
     brood_cov = np.tensordot(mean, covs, 1)
     V = imm_cov + brood_cov
     var0 = lyapunov_solve(M, V)
@@ -267,30 +297,22 @@ def moment_report(model, max_order=3):
         k2 = tensor_fixed_point(M, b2)
         scale = max(float(np.max(np.abs(var0))), 1e-30)
         route_gap = float(np.max(np.abs(k2 - np.outer(mean, mean) - var0)) / scale)
-        kron2 = k2.reshape(-1)
+        kron2 = _canonical(k2)
     if max_order == 3:
-        # sum_i mean_i K3(xi^(i)) with K3 = raw3 - sym(raw2 (x) m) + 2 m^(x)3:
-        # the raw tables are contracted with the mean one law at a time, and
-        # the sym term joins pair[a, b, c], the factor in slots (a, b) and
-        # the single factor in c
         with np.errstate(over="ignore", invalid="ignore"):
-            pair = np.tensordot(covs, M @ k2.T, axes=([0], [1]))
-            pair += np.multiply.outer(brood_cov + mode_product(M, k2), m_eps)
-            pair += np.multiply.outer(eps2, mu)
-            pair -= np.tensordot(mean[:, None, None] * raw2, M, axes=([0], [1]))
-            b3 = 2.0 * np.tensordot((M * mean)[:, None, :] * M, M, axes=([2], [1]))
-            for i, law in enumerate(model.offspring):
-                b3 += mean[i] * law.kron_moment(3).reshape(p, p, p)
-            b3 += _sym3(pair) + imm.kron_moment(3).reshape(p, p, p)
-        if not np.all(np.isfinite(b3)):
+            # the sym term's [a, b, c] is sum_i Cov(xi^(i))[a, b] (M var0)[c, i]
+            r = _third_cumulant_sum(model.offspring + (imm,), np.append(mean, 1.0))
+            r += _sym3(np.tensordot(covs, M @ var0, axes=([0], [1])))
+            c3 = tensor_fixed_point(M, r)
+            defect = np.max(np.abs(c3 - r - mode_product(M, c3)))
+            k3 = c3 + _sym3(np.multiply.outer(var0, mean))
+            k3 += np.multiply.outer(np.outer(mean, mean), mean)
+        if not np.all(np.isfinite(k3)):
             raise ValueError(
-                "third moments overflow float64: the order-3 fixed point has a"
-                " right-hand side that is not finite"
+                "third moments overflow float64: the stationary E X^(x)3 is not finite"
             )
-        k3 = tensor_fixed_point(M, b3)
-        defect = np.max(np.abs(k3 - b3 - mode_product(M, k3)))
-        kron3_defect = float(defect / max(float(np.max(np.abs(k3))), 1e-30))
-        kron3 = k3.reshape(-1)
+        kron3_defect = float(defect / max(float(np.max(np.abs(c3))), 1e-30))
+        kron3 = _canonical(k3)
 
     return MomentReport(
         mean=mean,

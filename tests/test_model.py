@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import stats
 
 from bpagg.model import (
     _SMALL,
@@ -20,6 +21,7 @@ from bpagg.model import (
     IndependentMarginals,
     Point,
     Poisson,
+    _third_cumulant_sum,
     mean_matrix,
     model_digest,
     model_from_json,
@@ -257,6 +259,80 @@ def test_independent_marginals_tables_match_loop_reference():
             for c in dict.fromkeys(idx):
                 want *= raws[c][idx.count(c) - 1]
             assert table[idx] == want
+
+
+def _scipy_pmf(marginal):
+    """(support, pmf) of a marginal from scipy.stats. The Poisson support is
+    cut at lam + 30 sqrt(lam) + 60 and the geometric one at 60 / q, where the
+    mass beyond is below e^-60, far below the cumulant tolerance even when
+    weighted by k^3. A cut by mass, as _pmf_table makes, would drop the
+    whole third cumulant of a Poisson law of tiny lam."""
+    if isinstance(marginal, Poisson):
+        ks = np.arange(int(marginal.lam + 30.0 * math.sqrt(marginal.lam)) + 60)
+        return ks, stats.poisson.pmf(ks, marginal.lam)
+    if isinstance(marginal, Bernoulli):
+        ks = np.arange(2)
+        return ks, stats.bernoulli.pmf(ks, marginal.q)
+    if isinstance(marginal, Binomial):
+        ks = np.arange(marginal.n + 1)
+        return ks, stats.binom.pmf(ks, marginal.n, marginal.q)
+    if isinstance(marginal, Geometric):
+        # scipy's geom counts trials, the law counts failures
+        ks = np.arange(int(60.0 / marginal.q) + 1)
+        return ks, stats.geom.pmf(ks + 1, marginal.q)
+    return np.array([marginal.c]), np.ones(1)
+
+
+def _third_central_moment(marginal):
+    """(E (X - E X)^3, E |X - E X|^3) summed over the scipy pmf."""
+    ks, pmf = _scipy_pmf(marginal)
+    centered = ks - pmf @ ks
+    return float(pmf @ centered ** 3), float(pmf @ np.abs(centered) ** 3)
+
+
+# scipy's binomial pmf overflows at a subnormal q
+_Q = st.floats(0.0, 1.0, allow_subnormal=False)
+_MARGINALS = st.one_of(
+    st.floats(0.0, 30.0).map(Poisson),
+    _Q.map(Bernoulli),
+    st.builds(Binomial, st.integers(0, 60), _Q),
+    st.floats(0.02, 1.0).map(Geometric),
+    st.integers(0, 1000).map(Point),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_MARGINALS)
+def test_marginal_third_cumulants_match_scipy_pmf(marginal):
+    want, scale = _third_central_moment(marginal)
+    assert marginal.third_cumulant() == pytest.approx(want, rel=1e-9, abs=1e-9 * scale)
+
+
+def _einsum_cumulant(table):
+    """K3 of a table: sum_n w_n c_n (x) c_n (x) c_n over its centered atoms."""
+    atoms = table.support.astype(float)
+    centered = atoms - table.probs @ atoms
+    return np.einsum("n,na,nb,nc->abc", table.probs, centered, centered, centered)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(dense_tables())
+def test_table_third_cumulant_matches_einsum_on_atoms(table):
+    want = _einsum_cumulant(table)
+    scale = max(float(np.max(np.abs(want))), 1.0)
+    assert_allclose(_third_cumulant_sum([table], [1.0]), want, rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_third_cumulant_sum_weights_tables_and_marginals():
+    # seven table atoms at p = 3 are contracted three at a time, next to a
+    # product law, whose cumulant is the diagonal of its marginals' ones
+    first = FiniteSupport([[0, 0, 0], [2, 0, 1], [0, 1, 0], [1, 1, 4]], [0.7, 0.1, 0.1, 0.1])
+    second = FiniteSupport([[0, 0, 0], [3, 1, 0], [0, 2, 5]], [0.4, 0.3, 0.3])
+    product = IndependentMarginals([Bernoulli(0.1), Geometric(0.4), Binomial(3, 0.7)])
+    want = 0.7 * _einsum_cumulant(first) + 1.5 * _einsum_cumulant(second)
+    want[np.diag_indices(3, 3)] += [2.5 * _third_central_moment(m)[0] for m in product.marginals]
+    got = _third_cumulant_sum([first, product, second], [0.7, 2.5, 1.5])
+    assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_mean_matrix_columns_are_offspring_means():
@@ -748,8 +824,14 @@ _ROW_TABLES = st.lists(
     min_size=1,
     max_size=5,
 )
+# lists of floats from a small pool, as moment tensors hold them: repeats,
+# 0.0 next to -0.0, one NaN object repeated, NaN objects made apart, +-inf;
+# and lists of such rows, which share values across rows
+_FLOAT_POOL = st.sampled_from([0.0, -0.0, 1.5, -2.25, 0.1, 1e-05, 1e300, math.nan, math.inf,
+                               -math.inf]) | st.builds(float, st.just("nan"))
+_FLOAT_LISTS = st.lists(_FLOAT_POOL, min_size=1, max_size=8)
 _JSON_VALUES = st.recursive(
-    _JSON_SCALARS | _ROW_TABLES,
+    _JSON_SCALARS | _ROW_TABLES | _FLOAT_LISTS | st.lists(_FLOAT_LISTS, min_size=1, max_size=4),
     lambda inner: st.lists(inner, max_size=5)
     | st.tuples(inner, inner)
     | st.dictionaries(st.text(max_size=4) | st.sampled_from([", ", "\n"]), inner, max_size=5),
@@ -760,7 +842,7 @@ _JSON_VALUES = st.recursive(
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_JSON_VALUES)
 def test_json_text_matches_json_dumps_indent_two(obj):
-    # nested values, empty containers, tables of flat rows, NaN, +-inf, -0.0
-    # and strings holding a separator or a newline are written as json.dumps
-    # writes them
+    # nested values, empty containers, tables of flat rows, NaN, +-inf, -0.0,
+    # lists of floats that repeat values within and across lists, and strings
+    # holding a separator or a newline are written as json.dumps writes them
     assert json_text(obj) == json.dumps(obj, indent=2) + "\n"

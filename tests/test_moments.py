@@ -1,6 +1,7 @@
 import collections
 import functools
 import importlib.util
+import itertools
 import pathlib
 import tracemalloc
 
@@ -212,8 +213,9 @@ def test_dense_table_moments_match_dense_oracle(data):
     _assert_close_to_dense(BranchingModel(p, offspring, eps))
 
 
-def test_moment_report_builds_each_law_moment_once(monkeypatch):
-    # one report reads every law's moment table of each order once
+def test_moment_report_builds_second_law_moments_once_and_no_third(monkeypatch):
+    # one report reads every law's order-2 table once; order 3 comes from
+    # law cumulants, so no law builds its p^3 table of raw third moments
     calls = collections.Counter()
     for cls in (FiniteSupport, IndependentMarginals):
 
@@ -233,13 +235,12 @@ def test_moment_report_builds_each_law_moment_once(monkeypatch):
     )
     moment_report(model, 3)
     laws = model.offspring + (model.immigration,)
-    assert set(calls) == {(id(law), k) for law in laws for k in (2, 3)}
-    assert max(calls.values()) == 1
+    assert calls == {(id(law), 2): 1 for law in laws}
 
 
 def test_order_three_report_builds_no_p4_array():
-    # the order-3 tables are contracted with the mean one law at a time, so
-    # a report at p = 24 peaks below one array of p^4 floats (2.53 MiB)
+    # the report's largest arrays have p^3 entries, so a report at p = 24
+    # peaks below one array of p^4 floats (2.53 MiB)
     path = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -254,6 +255,23 @@ def test_order_three_report_builds_no_p4_array():
     finally:
         tracemalloc.stop()
     assert peak < p ** 4 * 8
+
+
+@pytest.mark.parametrize("p", [1, 2, 5, 16])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_kron_moments_are_exactly_symmetric(p, seed):
+    # every entry is read from its canonical index, so no permutation of the
+    # axes moves a bit
+    path = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    report = moment_report(model_from_json(workloads.random_model(p, seed)), 3)
+    kron2 = report.kron2.reshape(p, p)
+    kron3 = report.kron3.reshape(p, p, p)
+    assert np.array_equal(kron2, kron2.T)
+    for perm in itertools.permutations(range(3)):
+        assert np.array_equal(kron3, kron3.transpose(perm))
 
 
 def test_moment_report_cond_closed_form():
