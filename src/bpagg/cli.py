@@ -224,10 +224,10 @@ def _run_simulate(args):
     if args.out is None:
         raise ValueError("simulate needs --out for the paths CSV")
     model = load_model(args.model)
-    burn, notes = _resolve_burnin(model, args.burnin, args.copies)
-    _warn(notes)
+    if args.burnin != "auto":  # the ensemble certifies 'auto' itself, with no warning
+        _warn(_resolve_burnin(model, args.burnin, args.copies)[1])
     ens = simulate_ensemble(
-        model, args.copies, args.n, args.seed, burnin=burn, threads=args.threads
+        model, args.copies, args.n, args.seed, burnin=args.burnin, threads=args.threads
     )
     paths_to_csv(ens, args.out)
     write_metadata(ens, args.out + ".meta.json")
@@ -238,8 +238,8 @@ def _run_aggregate(args):
     if args.out is None:
         raise ValueError("aggregate needs --out for the CSV")
     model = load_model(args.model)
-    exact = moment_report(model, 1)
-    burn, notes = _resolve_burnin(model, args.burnin, args.copies, exact.mean)
+    moment_report(model, 1)  # validates, and refuses a model with no stationary law
+    burn, notes = _resolve_burnin(model, args.burnin, args.copies)
     _warn(notes)
     series = aggregate(model, args.copies, args.n, args.seed, args.grid, burn, args.threads)
     aggregates_to_csv(series, args.out)

@@ -12,6 +12,7 @@ matrix is then the companion matrix of the autoregression.
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .model import (
     IndependentMarginals,
     Point,
     BranchingModel,
-    mean_matrix,
     validate,
     _REGIME_TOL,
     _law_from_json,
@@ -64,6 +64,14 @@ class GinarSpec:
         if self.immigration.dim != 1:
             raise ValueError("immigration law must be scalar (dim 1)")
 
+    @cached_property
+    def _model(self):
+        p = self.p
+        offspring = tuple(
+            _lift(law, p, i + 1 if i + 1 < p else None) for i, law in enumerate(self.offspring)
+        )
+        return BranchingModel(p, offspring, _lift(self.immigration, p, None))
+
 
 def _lift(law, p, unit_coord):
     """Extend a scalar law to Z_+^p: coordinate 0 carries the law, coordinate
@@ -84,14 +92,8 @@ def _lift(law, p, unit_coord):
 
 
 def embed(spec):
-    """The p-type branching model whose first coordinate is the GINAR chain."""
-    p = spec.p
-    offspring = tuple(
-        _lift(law, p, i + 1 if i + 1 < p else None)
-        for i, law in enumerate(spec.offspring)
-    )
-    immigration = _lift(spec.immigration, p, None)
-    return BranchingModel(p, offspring, immigration)
+    """The p-type model whose first coordinate is the GINAR chain, one per spec."""
+    return spec._model
 
 
 def _scalar_mean(law):
@@ -129,16 +131,13 @@ def v_ginar(spec):
     Only the (0, 0) entry is nonzero because every bookkeeping coordinate is
     deterministic:
         V[0,0] = sum_i var(xi^(i,1)) mean_i + var(eps),
-    with mean the stationary mean of the embedded chain, whose mean matrix
-    is the companion matrix.
+    with mean the stationary mean of the embedded model, whose mean matrix
+    is the companion matrix; a spec within 1e-9 of critical by rho is refused.
     """
     p = spec.p
-    if _ginar_regime(spec) != "subcritical":
+    mean = embed(spec)._mean if _ginar_regime(spec) == "subcritical" else None
+    if mean is None:
         raise ValueError("v_ginar needs a subcritical specification")
-    M = mean_matrix(embed(spec))
-    m_eps = np.zeros(p)
-    m_eps[0] = _scalar_mean(spec.immigration)
-    mean = np.linalg.solve(np.eye(p) - M, m_eps)
     V = np.zeros((p, p))
     V[0, 0] = sum(
         _scalar_var(law) * mean[i] for i, law in enumerate(spec.offspring)

@@ -47,10 +47,11 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .kronalg import spectral_radius
+from .kronalg import NotSubcriticalError, spectral_radius
 
 __all__ = [
     "FiniteSupport",
@@ -466,9 +467,10 @@ class IndependentMarginals:
         return {"kind": "independent", "marginals": [m.params() for m in self.marginals]}
 
 
-def _third_cumulant_sum(laws, weights):
+def _third_cumulant_sum(laws, weights, means):
     """sum_l weights[l] K3(laws[l]) as a p x p x p array, where
-    K3 = E (x - E x)^(x)3 is a law's third cumulant tensor.
+    K3 = E (x - E x)^(x)3 is a law's third cumulant tensor and means[:, l]
+    the mean E x of laws[l].
 
     A product law's K3 is the diagonal of its marginals' closed-form
     cumulants. The centered atoms of every table, each weighted by its
@@ -479,11 +481,11 @@ def _third_cumulant_sum(laws, weights):
     p = laws[0].dim
     diag = np.zeros(p)
     atoms, mass = [np.zeros((0, p))], [np.zeros(0)]
-    for law, w in zip(laws, weights):
+    for law, w, center in zip(laws, weights, np.transpose(means)):
         if isinstance(law, IndependentMarginals):
             diag += w * np.array([m.third_cumulant() for m in law.marginals])
         else:
-            atoms.append(law.support - law.mean())
+            atoms.append(law.support - center)
             mass.append(w * law.probs)
     x = np.concatenate(atoms)
     wx = np.concatenate(mass)[:, None] * x
@@ -499,7 +501,10 @@ def _third_cumulant_sum(laws, weights):
 @dataclass(frozen=True)
 class BranchingModel:
     """p offspring laws (column i is the brood of one type-i individual)
-    plus one p-dimensional immigration law."""
+    plus one p-dimensional immigration law. Its mean matrix _M, spectral
+    radius _rho and stationary mean _mean ((I - M)^-1 m_eps, None unless
+    subcritical) are derived once, on first use; every route reads them, so
+    the arrays are read-only."""
 
     p: int
     offspring: tuple
@@ -521,6 +526,24 @@ class BranchingModel:
                 "immigration dimension %d != p = %d" % (self.immigration.dim, self.p)
             )
 
+    @cached_property
+    def _M(self):
+        M = np.column_stack([law.mean() for law in self.offspring])
+        M.flags.writeable = False
+        return M
+
+    @cached_property
+    def _rho(self):
+        return spectral_radius(self._M)
+
+    @cached_property
+    def _mean(self):
+        if _regime(self._rho) != "subcritical":
+            return None
+        mean = np.linalg.solve(np.eye(self.p) - self._M, self.immigration.mean())
+        mean.flags.writeable = False
+        return mean
+
 
 @dataclass(frozen=True)
 class Classification:
@@ -531,8 +554,21 @@ class Classification:
 
 
 def mean_matrix(model):
-    """Offspring mean matrix M with column i the mean brood of type i."""
-    return np.column_stack([law.mean() for law in model.offspring])
+    """Offspring mean matrix M with column i the mean brood of type i (the
+    model's own read-only array)."""
+    return model._M
+
+
+def _stationary_mean(model):
+    """The model's stationary mean, as moment_report and aggregate read it: a
+    model that is not subcritical or has zero immigration mean is refused."""
+    if model._mean is None:
+        raise NotSubcriticalError(
+            "stationary moments need a subcritical model, got rho = %.6g" % model._rho
+        )
+    if not np.any(model.immigration.mean() > 0):
+        raise ValueError("zero immigration mean, stationary law is degenerate at 0")
+    return model._mean
 
 
 def _regime(rho):
@@ -551,26 +587,13 @@ def validate(model):
     Primitivity is decided exactly on the sparsity pattern B of M: M is
     primitive iff the boolean power B^((p-1)^2 + 1) is everywhere positive
     (Wielandt's bound, attained by the cycle with one chord), and that power
-    takes O(log p) boolean products by repeated squaring.
+    takes O(log p) boolean products by repeated squaring (a bool matmul is
+    the or of ands).
     """
-    M = mean_matrix(model)
-    rho = spectral_radius(M)
-    positive = _boolean_power(M > 0, (model.p - 1) ** 2 + 1).all()
+    rho = model._rho
+    positive = np.linalg.matrix_power(model._M > 0, (model.p - 1) ** 2 + 1).all()
     nontrivial = bool(np.any(model.immigration.mean() > 0))
     return Classification(rho, _regime(rho), bool(positive), nontrivial)
-
-
-def _boolean_power(b, e):
-    """The boolean matrix power b^e of a square bool array, e >= 1, by
-    repeated squaring; a bool matmul is the or of ands."""
-    out = None
-    while True:
-        if e & 1:
-            out = b if out is None else out @ b
-        e >>= 1
-        if not e:
-            return out
-        b = b @ b
 
 
 def _json_numbers(name, values):

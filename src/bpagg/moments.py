@@ -46,8 +46,8 @@ The law cumulants are closed forms on the diagonal for product laws and
 products over the stacked centered atoms of every table, p atoms at a time
 (model._third_cumulant_sum), so no law builds its p^3 table of raw third
 moments. Every array has at most p^3 entries and every contraction costs
-O(p^4). kron2 and kron3 are written exactly symmetric: each entry is read
-from its canonical index (i <= j, i <= j <= k).
+O(p^4). kron2, kron3, var0 and sigma are written exactly symmetric: each
+entry is read from its canonical index (i <= j, i <= j <= k).
 
 build_transfer assembles the dense blocks A21, A31, A32 and the full a2/a3
 matrices. Nothing on the production path calls it; it is kept as an
@@ -56,10 +56,10 @@ independent oracle for the tests.
 The innovation noise matrix V, the stationary variance, lagged
 autocovariances and the covariance of the aggregation limit all derive from
 these moments. moment_report is the single route to all of them: it alone
-validates the model, its mean is _stationary_mean's, at which
-simulate.aggregate centers too, and stationary_moments, noise_matrix,
+validates the model, and stationary_moments, noise_matrix,
 stationary_variance, autocovariance and limit_covariance are views on its
-report. Its residuals show how well each route solved, next to cond(I - M),
+report. M, rho and the mean are the model's own, derived once per model.
+A report's residuals show how well each route solved, next to cond(I - M),
 the conditioning every solve through (I - M)^-1 inherits.
 """
 
@@ -67,14 +67,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kronalg import (
-    NotSubcriticalError,
-    commutation_matrix,
-    lyapunov_solve,
-    mode_product,
-    tensor_fixed_point,
-)
-from .model import _count, _regime, _third_cumulant_sum, json_text, mean_matrix, validate
+from .kronalg import commutation_matrix, lyapunov_solve, mode_product, tensor_fixed_point
+from .model import _count, _stationary_mean, _third_cumulant_sum, json_text, mean_matrix, validate
 
 __all__ = [
     "TransferMatrices",
@@ -105,15 +99,6 @@ class TransferMatrices:
     a3: np.ndarray
 
 
-def _law_tables(model, max_order):
-    means = [law.mean() for law in model.offspring]
-    seconds = [law.kron_moment(2) for law in model.offspring]
-    thirds = None
-    if max_order >= 3:
-        thirds = [law.kron_moment(3) for law in model.offspring]
-    return means, seconds, thirds
-
-
 def build_transfer(model, max_order=3):
     """Assemble the transfer blocks from exact law moments.
 
@@ -128,7 +113,8 @@ def build_transfer(model, max_order=3):
     M = mean_matrix(model)
     m_eps = model.immigration.mean()
     eps2 = model.immigration.kron_moment(2)
-    means, seconds, thirds = _law_tables(model, max_order)
+    means = M.T  # row i is the mean brood of type i
+    seconds = [law.kron_moment(2) for law in model.offspring]
 
     a21 = np.zeros((p * p, p))
     for i in range(p):
@@ -141,6 +127,7 @@ def build_transfer(model, max_order=3):
         return TransferMatrices(a21, a2, None, None, None)
 
     eps3 = model.immigration.kron_moment(3)
+    thirds = [law.kron_moment(3) for law in model.offspring]
     PI = np.kron(commutation_matrix(p), np.eye(p))
     a31 = np.zeros((p ** 3, p))
     a32 = np.zeros((p ** 3, p * p))
@@ -246,25 +233,11 @@ class MomentReport:
         return json_text(self.to_json_dict())
 
 
-def _stationary_mean(model, M, rho):
-    """The stationary mean (I - M)^-1 m_eps of a model whose mean matrix M has
-    spectral radius rho; a model that is not subcritical or has zero
-    immigration mean is refused first, with moment_report's messages."""
-    if _regime(rho) != "subcritical":
-        raise NotSubcriticalError(
-            "stationary moments need a subcritical model, got rho = %.6g" % rho
-        )
-    m_eps = model.immigration.mean()
-    if not np.any(m_eps > 0):
-        raise ValueError("zero immigration mean, stationary law is degenerate at 0")
-    return np.linalg.solve(np.eye(model.p) - M, m_eps)
-
-
 def moment_report(model, max_order=3):
     """Compute every stationary quantity and its dual-route residuals.
 
     This is the only route to the stationary quantities: it validates the
-    model, solves the mean (I - M) mean = m_eps once, and builds V, var0,
+    model, reads the stationary mean the model solved, and builds V, var0,
     sigma and the Kronecker moments from that mean. Requires a subcritical
     model with nontrivial immigration and max_order in {1, 2, 3}.
     """
@@ -273,7 +246,7 @@ def moment_report(model, max_order=3):
     cls = validate(model)
     p = model.p
     M = mean_matrix(model)
-    mean = _stationary_mean(model, M, cls.rho)
+    mean = _stationary_mean(model)
     A = np.eye(p) - M
     imm = model.immigration
     m_eps = imm.mean()
@@ -301,7 +274,9 @@ def moment_report(model, max_order=3):
     if max_order == 3:
         with np.errstate(over="ignore", invalid="ignore"):
             # the sym term's [a, b, c] is sum_i Cov(xi^(i))[a, b] (M var0)[c, i]
-            r = _third_cumulant_sum(model.offspring + (imm,), np.append(mean, 1.0))
+            r = _third_cumulant_sum(
+                model.offspring + (imm,), np.append(mean, 1.0), np.column_stack((M, m_eps))
+            )
             r += _sym3(np.tensordot(covs, M @ var0, axes=([0], [1])))
             c3 = tensor_fixed_point(M, r)
             defect = np.max(np.abs(c3 - r - mode_product(M, c3)))
@@ -319,8 +294,8 @@ def moment_report(model, max_order=3):
         kron2=kron2,
         kron3=kron3,
         v=V,
-        var0=var0,
-        sigma=sigma,
+        var0=_canonical(var0).reshape(p, p),
+        sigma=_canonical(sigma).reshape(p, p),
         rho=cls.rho,
         residuals={
             "lyapunov": lyap,

@@ -27,7 +27,8 @@ scheduling or worker count, and any block can be rerun alone on its stream.
 
 An automatic burn-in is certified (see burnin_auto): it is the smallest K
 whose coupling bound puts every copy a call simulates, together, within
-total variation 1e-6 of a stationary start.
+total variation 1e-6 of a stationary start; an integer one is used as
+given. M, rho and the stationary mean are the model's, derived once.
 
 Aggregates store no path: aggregate centers the running sums of each copy
 at the exact stationary mean, and the ensemble aggregate is the sum of its
@@ -46,13 +47,12 @@ from .model import (
     FiniteSupport,
     Point,
     _count,
-    _regime,
+    _stationary_mean,
     json_text,
     mean_matrix,
     model_digest,
     validate,
 )
-from .moments import _stationary_mean
 
 __all__ = [
     "PathEnsemble",
@@ -167,42 +167,40 @@ def burnin_auto(model, copies=1):
     stationary path's (the coupling inequality; Lindvall, Lectures on the
     Coupling Method). Copies are independent and their bounds add, so a run
     of copies copies is within 1e-6 of a stationary-start run. A nilpotent
-    M certifies at its index and zero immigration at 0. Subcritical only; a
-    length above 10^6 steps raises ValueError instead of running.
+    M certifies at its index and zero immigration at 0. The model is
+    classified (validate) and must be subcritical; a length above 10^6
+    steps raises ValueError instead of running.
     """
-    return _resolve_burnin(model, "auto", copies)[0]
+    cls = validate(model)
+    if cls.regime != "subcritical":
+        msg = "burn-in initialization needs a subcritical model, got rho = %.6g"
+        raise NotSubcriticalError(msg % cls.rho)
+    return _certified_burnin(mean_matrix(model), model._mean, copies)
 
 
-def _resolve_burnin(model, burnin, copies=1, mean=None):
-    """(k, warnings), the one decision of a run's burn-in over copies copies.
+def _burnin_steps(model, burnin, copies):
+    """The burn-in of a simulation call: None is 0, 'auto' burnin_auto's and
+    an integer k >= 0 is k as given, whose warning is the verb's."""
+    if burnin == "auto":
+        return burnin_auto(model, copies)
+    return 0 if burnin is None else _count("burnin", burnin)
 
-    None is (0, []), 'auto' the certified length (see burnin_auto), and an
+
+def _resolve_burnin(model, burnin, copies=1):
+    """(k, warnings), the one decision of a verb's burn-in over copies copies.
+
+    'auto', for a verb whose moment report classified the model, is the
+    certified length (see burnin_auto) at _stationary_mean's mean. An
     integer k >= 0 is k, warned about when its certificate
-    copies * 1^T M^k mean is above _BURNIN_WARN. A passed mean has been
-    solved by moments._stationary_mean, which classified the model. Without
-    it 'auto' classifies the model and refuses one that is not subcritical,
-    while an integer reads only the spectral radius, and on such a model,
-    which has no stationary law to compare with, gets no warning.
+    copies * 1^T M^k mean is above _BURNIN_WARN; a model that is not
+    subcritical has no stationary law to compare with and gets no warning.
+    The simulation uses k as given: the certificate is computed once.
     """
-    if burnin is None:
-        return 0, []
-    auto = burnin == "auto"
-    k = None if auto else _count("burnin", burnin)
-    M = mean_matrix(model)
-    if mean is None:
-        if auto:
-            cls = validate(model)
-            if cls.regime != "subcritical":
-                raise NotSubcriticalError(
-                    "burn-in initialization needs a subcritical model, got rho = %.6g"
-                    % cls.rho
-                )
-        elif _regime(spectral_radius(M)) != "subcritical":
-            return k, []
-        mean = np.linalg.solve(np.eye(model.p) - M, model.immigration.mean())
-    if auto:
-        return _certified_burnin(M, mean, copies), []
-    bound = copies * _burnin_bound(M, mean, k)
+    M, mean = mean_matrix(model), model._mean
+    if burnin == "auto":
+        return _certified_burnin(M, _stationary_mean(model), copies), []
+    k = _count("burnin", burnin)
+    bound = 0.0 if mean is None else copies * _burnin_bound(M, mean, k)
     if bound <= _BURNIN_WARN:
         return k, []
     return k, [
@@ -364,19 +362,19 @@ def _cohort_route(model):
     lockstep steps. A cohort is alive g generations on with probability at
     most min(1, 1^T M^g m_eps), so the sum of these bounds its mean
     lifetime, which must stay within _COHORT_GENERATIONS. Past the first
-    term below one the sum is bounded by 1^T (I - M)^-1 M^g m_eps.
+    term below one the sum is bounded by 1^T (I - M)^-1 M^g m_eps, which
+    is 1^T M^g mean at the model's stationary mean.
     """
-    M = mean_matrix(model)
-    if _regime(spectral_radius(M)) != "subcritical":
+    M, mean = mean_matrix(model), model._mean
+    if mean is None:
         return False
     life, v = 0, model.immigration.mean()
     while v.sum() >= 1.0:
         life += 1
         if life > _COHORT_GENERATIONS:
             return False
-        v = M @ v
-    tail = np.linalg.solve(np.eye(model.p) - M, v).sum()
-    return life + tail <= _COHORT_GENERATIONS
+        v, mean = M @ v, M @ mean
+    return life + mean.sum() <= _COHORT_GENERATIONS
 
 
 def _simulate_block(model, copies, n, rng, burnin, cohorts=False, idx=None):
@@ -432,7 +430,7 @@ def simulate_path(model, n, rng, burnin=None):
     in which it consumes rng).
     """
     n = _count("n", n)
-    k, _ = _resolve_burnin(model, burnin)
+    k = _burnin_steps(model, burnin, 1)
     return _simulate_block(model, 1, n, rng, k, _cohort_route(model))[0]
 
 
@@ -496,7 +494,7 @@ def simulate_ensemble(model, N, n, master_seed, burnin="auto", threads=1):
     """Ensemble of N copies, n steps each, with their paths. Results do not
     depend on threads (see the module docstring)."""
     n = _count("n", n)
-    k, _ = _resolve_burnin(model, burnin, N)
+    k = _burnin_steps(model, burnin, N)
     paths = _run_blocks(model, N, n, int(master_seed), k, threads)
     return PathEnsemble(model, int(master_seed), k, paths)
 
@@ -538,17 +536,17 @@ def _grid_indices(grid, n):
 
 def aggregate(model, N, n, master_seed, grid, burnin="auto", threads=1):
     """Aggregates n^(-1/2) (S_m - m mean) of N copies at m = floor(n t), where
-    mean is the exact stationary mean (moments._stationary_mean refuses a model
-    without one before any block runs). The copies are simulate_ensemble's with
-    the same arguments, kept only as their running sums S_m; they are i.i.d.,
-    so the covariance of per_copy estimates that of the ensemble's values."""
+    mean is the model's exact stationary mean (model._stationary_mean refuses
+    a model without one, as moment_report does, before any block runs). The
+    copies are simulate_ensemble's with the same arguments, kept only as their
+    running sums S_m; they are i.i.d., so the covariance of per_copy estimates
+    that of the ensemble's values."""
     n = _count("n", n)
     if n < 1:
         raise ValueError("need n >= 1 steps to scale an aggregate, got 0")
     idx = _grid_indices(grid, n)
-    M = mean_matrix(model)
-    mean = _stationary_mean(model, M, spectral_radius(M))
-    k, _ = _resolve_burnin(model, burnin, N, mean)
+    mean = _stationary_mean(model)
+    k = _burnin_steps(model, burnin, N)
     sums = _run_blocks(model, N, n, int(master_seed), k, threads, idx)
     per_copy = (sums - np.outer(idx, mean)) / math.sqrt(n)
     return AggregateSeries(tuple(float(t) for t in grid), per_copy, n)

@@ -256,7 +256,7 @@ def _stationary_path(model, n, seed, order):
     if n < 2:
         raise ValueError("need n >= 2 for a batch-means standard error, got %r" % (n,))
     exact = moment_report(model, order)
-    burn, _ = _resolve_burnin(model, "auto", 1, exact.mean)
+    burn, _ = _resolve_burnin(model, "auto", 1)
     return exact, burn, simulate_path(model, n, stream_rng(seed, 0), burnin=burn)
 
 
@@ -312,7 +312,7 @@ def clt_covariance_experiment(model, n, N, reps=200, grid=(1.0,), seed=0, burnin
     grid = tuple(float(t) for t in grid)
     exact = moment_report(model, 1)
     sigma = exact.sigma
-    burn, notes = _resolve_burnin(model, burnin, reps * N, exact.mean)
+    burn, notes = _resolve_burnin(model, burnin, reps * N)
     per_copy = aggregate(model, reps * N, n, derived_seed(seed, 0), grid, burn,
                          threads).per_copy
     vals = per_copy.reshape(reps, N, len(grid), p).sum(axis=1) / math.sqrt(N)
@@ -402,7 +402,7 @@ def iterated_experiment(model, n, N, order, sweep=None, grid=(1.0,), seed=0,
         _grid_indices(grid, n_s)
     grid = tuple(float(t) for t in grid)
     copies = sum(N_s for N_s, _ in points)
-    burn, notes = _resolve_burnin(model, burnin, copies, exact.mean)
+    burn, notes = _resolve_burnin(model, burnin, copies)
 
     trajectory = []
     for s, (val, (N_s, n_s)) in enumerate(zip(sweep, points)):
@@ -465,12 +465,16 @@ def innovation_diagnostics(model, path):
     bound E|U_j| <= sqrt(V_jj), and, bucketed by previous state for states
     seen at least 100 times, the conditional second moment against its
     affine form sum_q x_q Cov(xi^(q)) + Cov(eps). Bucket samples are i.i.d.
-    so plain standard errors apply there.
+    so plain standard errors apply there. A negative or fractional entry of
+    the path is refused, as step refuses it, not truncated.
     """
     t0 = time.perf_counter()
     if len(path) < 3:
         raise ValueError("need a path of at least 3 rows (2 innovations), got %d"
                          % len(path))
+    x = np.asarray(path)
+    if not np.all(np.isfinite(x) & (x >= 0) & (x == np.round(x))):
+        raise ValueError("need a path of nonnegative integer counts")
     return _innovation_report(model, path, moment_report(model, 1), t0)
 
 

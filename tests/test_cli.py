@@ -339,6 +339,94 @@ def test_every_verb_validates_once(scalar_file, two_type_file, tmp_path, monkeyp
     assert calls == []
 
 
+def _table_model():
+    # a table offspring law, whose atoms the order-3 report centers at its mean
+    return BranchingModel(
+        2,
+        (
+            FiniteSupport([[0, 0], [1, 0], [1, 1]], [0.5, 0.3, 0.2]),
+            IndependentMarginals([Geometric(0.8), Bernoulli(0.4)]),
+        ),
+        FiniteSupport([[1, 0], [0, 2]], [0.5, 0.5]),
+    )
+
+
+@pytest.mark.parametrize("build", [build_two_type, _table_model])
+def test_every_verb_solves_its_model_once(build, tmp_path, monkeypatch):
+    # M, rho and the stationary mean are derived once per model, and a
+    # burn-in certificate once per run, by the verb that warns about it
+    f = tmp_path / "model.json"
+    f.write_text(json.dumps(model_to_json(build())))
+    spec = tmp_path / "spec.json"
+    law = {"kind": "independent", "marginals": [{"dist": "bernoulli", "q": 0.1}]}
+    table = {"kind": "finite", "support": [{"v": [0], "p": 0.6}, {"v": [1], "p": 0.4}]}
+    spec.write_text(json.dumps({"order": 3, "offspring": [law, table, law],
+                                "immigration": table}))
+    out = str(tmp_path / "out")
+    m = ["--model", str(f), "--out", out]
+    ens = ["--n", "20", "--copies", "3"]
+    verbs = {
+        "moments": (["moments"] + m, False),
+        "simulate-auto": (["simulate"] + ens + m, False),
+        "simulate-7": (["simulate", "--burnin", "7"] + ens + m, True),
+        "simulate-one-copy": (["simulate", "--n", "20", "--copies", "1"] + m, False),
+        "aggregate-auto": (["aggregate", "--grid", "0.5,1.0"] + ens + m, False),
+        "aggregate-7": (["aggregate", "--grid", "0.5,1.0", "--burnin", "7"] + ens + m, True),
+        "ergodic": (["verify", "ergodic", "--n", "300"] + m, False),
+        "autocov": (["verify", "autocov", "--n", "300", "--lags", "0,1"] + m, False),
+        "clt": (["verify", "clt", "--reps", "5", "--grid", "0.5,1.0"] + ens + m, False),
+        "clt-7": (["verify", "clt", "--reps", "5", "--burnin", "7"] + ens + m, True),
+        "iterated": (["verify", "iterated", "--limit-order", "N", "--n", "20", "--copies",
+                      "4", "--sweep", "5,10,20"] + m, False),
+        "iterated-7": (["verify", "iterated", "--limit-order", "n", "--n", "20", "--copies",
+                        "4", "--burnin", "7"] + m, True),
+        "innovations": (["verify", "innovations", "--n", "300"] + m, False),
+        "ginar-p1": (["ginar", "--means", "0.5", "--out", out], False),
+        "ginar-p2": (["ginar", "--means", "0.3,0.2", "--out", out], False),
+        "ginar-spec": (["ginar", "--spec", str(spec), "--out", out], False),
+    }
+    counts, reads, offspring = collections.Counter(), collections.Counter(), set()
+    eigvals, solve = np.linalg.eigvals, np.linalg.solve
+    bound = bpagg.simulate._burnin_bound
+    post_init = BranchingModel.__post_init__
+
+    def counting_eigvals(a):
+        counts["eigvals"] += 1
+        return eigvals(a)
+
+    def counting_solve(a, b):
+        counts["mean solves"] += np.ndim(b) == 1  # (I - M) mean = m_eps
+        return solve(a, b)
+
+    def counting_bound(*args):
+        counts["certificates"] += 1
+        return bound(*args)
+
+    def recording_post_init(model):
+        post_init(model)
+        offspring.update(id(law) for law in model.offspring)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(bpagg.simulate, "_burnin_bound", counting_bound)
+    monkeypatch.setattr(BranchingModel, "__post_init__", recording_post_init)
+    for cls in (FiniteSupport, IndependentMarginals):
+        def counting_mean(law, real=cls.mean):
+            reads[id(law)] += 1
+            return real(law)
+
+        monkeypatch.setattr(cls, "mean", counting_mean)
+    for name, (argv, explicit) in verbs.items():
+        counts.clear(), reads.clear(), offspring.clear()
+        assert main(argv) in (0, 3), name
+        assert counts["eigvals"] == 1, name
+        assert counts["mean solves"] == 1, name
+        assert counts["certificates"] == explicit, name
+        # at p = 1 the embedded law is the spec's own, which the spec's closed
+        # forms read too: 7 reads, where building one model per call read 8
+        assert max(reads[i] for i in offspring) <= (7 if name == "ginar-p1" else 1), name
+
+
 def _recorded_burnins(monkeypatch):
     """The burn-in of every block simulated from now on, in call order."""
     seen = []

@@ -216,3 +216,40 @@ def test_from_means_validation():
     spec = ginar_from_means([0.4], immigration_lam=2.5)
     assert spec.p == 1
     assert spec.immigration.marginals[0].lam == 2.5
+
+
+def test_v_ginar_reads_the_embedded_models_stationary_mean(tmp_path, monkeypatch):
+    # the embedded model solves (I - M) mean = m_eps once, and ginar prints
+    # the V of that mean, bit for bit the V of a solve on the spec's own
+    # immigration mean, for a --means spec and for a --spec file
+    from bpagg.cli import main
+
+    table = {"kind": "finite", "support": [{"v": [0], "p": 0.25}, {"v": [1], "p": 0.5},
+                                           {"v": [3], "p": 0.25}]}
+    thin = {"kind": "finite", "support": [{"v": [0], "p": 0.75}, {"v": [2], "p": 0.25}]}
+    bern = {"kind": "independent", "marginals": [{"dist": "bernoulli", "q": 0.2}]}
+    obj = {"order": 3, "offspring": [bern, thin, bern], "immigration": table}
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps(obj))
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(b) or solve(a, b))
+    for argv, spec in (
+        (["--means", "0.3,0.2,0.1", "--immigration-lambda", "2.5"],
+         ginar_from_means([0.3, 0.2, 0.1], 2.5)),
+        (["--spec", str(f)], ginar_from_json(obj)),
+    ):
+        out = tmp_path / "report.json"
+        del solves[:]
+        assert main(["ginar", "--out", str(out)] + argv) == 0
+        assert len(solves) == 1
+        m_eps = np.zeros(spec.p)
+        m_eps[0] = spec.immigration.mean()[0]
+        mean = solve(np.eye(spec.p) - mean_matrix(embed(spec)), m_eps)
+        variances = [law.kron_moment(2)[0] - law.mean()[0] ** 2
+                     for law in spec.offspring + (spec.immigration,)]
+        want = sum(v * x for v, x in zip(variances, mean)) + variances[-1]
+        assert json.loads(out.read_text())["V"][0][0] == want
+        # one embedded model per spec, whose mean v_ginar reads
+        assert embed(spec) is embed(spec)
+        assert np.array_equal(v_ginar(spec)[0, 0], want) and len(solves) == 2

@@ -320,7 +320,8 @@ def _einsum_cumulant(table):
 def test_table_third_cumulant_matches_einsum_on_atoms(table):
     want = _einsum_cumulant(table)
     scale = max(float(np.max(np.abs(want))), 1.0)
-    assert_allclose(_third_cumulant_sum([table], [1.0]), want, rtol=1e-12, atol=1e-12 * scale)
+    got = _third_cumulant_sum([table], [1.0], table.mean()[:, None])
+    assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
 
 
 def test_third_cumulant_sum_weights_tables_and_marginals():
@@ -331,13 +332,30 @@ def test_third_cumulant_sum_weights_tables_and_marginals():
     product = IndependentMarginals([Bernoulli(0.1), Geometric(0.4), Binomial(3, 0.7)])
     want = 0.7 * _einsum_cumulant(first) + 1.5 * _einsum_cumulant(second)
     want[np.diag_indices(3, 3)] += [2.5 * _third_central_moment(m)[0] for m in product.marginals]
-    got = _third_cumulant_sum([first, product, second], [0.7, 2.5, 1.5])
+    laws = [first, product, second]
+    got = _third_cumulant_sum(laws, [0.7, 2.5, 1.5], np.column_stack([x.mean() for x in laws]))
     assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_mean_matrix_columns_are_offspring_means():
     model = build_two_type()
     assert_allclose(mean_matrix(model), [[0.3, 0.2], [0.1, 0.4]], atol=0)
+
+
+def test_derived_arrays_are_shared_and_read_only():
+    # M and the stationary mean are derived once per model and every reader
+    # shares them, so a write into either raises
+    from bpagg.moments import moment_report
+
+    model = build_two_type()
+    M = mean_matrix(model)
+    report = moment_report(model, 1)
+    assert mean_matrix(model) is M and moment_report(model, 2).mean is report.mean
+    for array in (M, report.mean):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    assert_allclose(M, [[0.3, 0.2], [0.1, 0.4]], atol=0)
+    assert_allclose(report.mean, np.linalg.solve(np.eye(2) - M, [1.0, 2.0]), rtol=1e-15)
 
 
 def test_validate_two_type():

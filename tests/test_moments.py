@@ -305,6 +305,14 @@ def test_production_path_never_builds_transfer_blocks(monkeypatch):
     moment_report(model, 3)
 
 
+def test_report_matrices_are_exactly_symmetric():
+    # var0 and sigma are written from their upper triangles, as kron2 is
+    for model in (build_two_type(), build_random_subcritical(np.random.default_rng(3), 6)):
+        r = moment_report(model, 2)
+        for a in (r.v, r.var0, r.sigma, r.kron2.reshape(model.p, model.p)):
+            assert np.array_equal(a, a.T)
+
+
 def test_moment_report_validates_once(monkeypatch):
     calls = []
 

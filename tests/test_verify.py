@@ -587,6 +587,27 @@ def test_innovation_diagnostics_needs_two_innovations():
     assert all(math.isfinite(e["se"]) for e in report.extra["abs_moment"])
 
 
+def test_innovation_diagnostics_refuses_a_path_that_is_not_counts(monkeypatch):
+    model = build_scalar_inar()
+    path = simulate_path(model, 400, stream_rng(3, 0), burnin=30)
+    want = innovation_diagnostics(model, path)
+    # integral floats are counts, and give the same report
+    got = innovation_diagnostics(model, path.astype(float))
+    assert (got.rows, got.extra) == (want.rows, want.extra)
+
+    def refuse(*args):
+        raise AssertionError("checked")
+
+    # a fractional state is refused, not truncated into a bucket, and so is
+    # a negative one, before any check
+    monkeypatch.setattr(verify, "moment_report", refuse)
+    negative = path.copy()
+    negative[5, 0] = -3
+    for bad in (path + 0.4, negative):
+        with pytest.raises(ValueError, match="nonnegative integer counts"):
+            innovation_diagnostics(model, bad)
+
+
 def test_innovation_diagnostics_two_type_bucket_targets():
     model = build_two_type()
     path = simulate_path(model, 12000, stream_rng(4, 0), burnin="auto")
