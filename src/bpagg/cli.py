@@ -22,6 +22,7 @@ from .ginar import (
     scalar_limit_std,
     v_ginar,
 )
+from . import model as _models
 from .kronalg import NotSubcriticalError
 from .model import json_text, load_model, model_to_json
 from .moments import moment_report
@@ -238,7 +239,10 @@ def _run_aggregate(args):
     if args.out is None:
         raise ValueError("aggregate needs --out for the CSV")
     model = load_model(args.model)
-    moment_report(model, 1)  # validates, and refuses a model with no stationary law
+    # classified once, as in every verb; the burn-in and aggregate read the
+    # stationary mean through _stationary_mean, which refuses a model
+    # without one as moment_report does
+    _models.validate(model)
     burn, notes = _resolve_burnin(model, args.burnin, args.copies)
     _warn(notes)
     series = aggregate(model, args.copies, args.n, args.seed, args.grid, burn, args.threads)

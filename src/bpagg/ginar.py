@@ -96,20 +96,23 @@ def embed(spec):
     return spec._model
 
 
-def _scalar_mean(law):
-    return float(law.mean()[0])
+def _means(spec):
+    """(E xi^(i,1) for each lag i, E eps), read from the embedded model: the
+    first row of its mean matrix and its immigration mean, the values its
+    rho and stationary mean are computed from."""
+    model = embed(spec)
+    return model._M[0], float(model.immigration.mean()[0])
 
 
-def _scalar_var(law):
-    m = _scalar_mean(law)
-    return float(law.kron_moment(2)[0]) - m * m
+def _scalar_var(law, mean):
+    """var of a scalar law whose mean is mean."""
+    return float(law.kron_moment(2)[0]) - mean * mean
 
 
 def characteristic_polynomial(spec):
     """Coefficients of lambda^p - m_1 lambda^(p-1) - ... - m_p with
     m_i = E xi^(i,1), highest degree first."""
-    means = [_scalar_mean(law) for law in spec.offspring]
-    return np.concatenate([[1.0], -np.asarray(means)])
+    return np.concatenate([[1.0], -_means(spec)[0]])
 
 
 def ginar_classify(spec):
@@ -122,7 +125,7 @@ def ginar_classify(spec):
 
 def _ginar_regime(spec):
     """The regime by the criticality criterion sum_i E xi^(i,1) versus 1."""
-    return _regime(float(sum(_scalar_mean(law) for law in spec.offspring)))
+    return _regime(float(_means(spec)[0].sum()))
 
 
 def v_ginar(spec):
@@ -138,10 +141,11 @@ def v_ginar(spec):
     mean = embed(spec)._mean if _ginar_regime(spec) == "subcritical" else None
     if mean is None:
         raise ValueError("v_ginar needs a subcritical specification")
+    m_xi, m_eps = _means(spec)
     V = np.zeros((p, p))
     V[0, 0] = sum(
-        _scalar_var(law) * mean[i] for i, law in enumerate(spec.offspring)
-    ) + _scalar_var(spec.immigration)
+        _scalar_var(law, float(m_xi[i])) * mean[i] for i, law in enumerate(spec.offspring)
+    ) + _scalar_var(spec.immigration, m_eps)
     return V
 
 
@@ -154,12 +158,12 @@ def scalar_limit_std(spec):
     """
     if spec.p != 1:
         raise ValueError("closed form is for order 1, got p = %d" % spec.p)
-    m_xi = _scalar_mean(spec.offspring[0])
+    m, m_eps = _means(spec)
+    m_xi = float(m[0])
     if m_xi >= 1.0 - _REGIME_TOL:
         raise ValueError("closed form needs E xi < 1, got %r" % m_xi)
-    v_xi = _scalar_var(spec.offspring[0])
-    m_eps = _scalar_mean(spec.immigration)
-    v_eps = _scalar_var(spec.immigration)
+    v_xi = _scalar_var(spec.offspring[0], m_xi)
+    v_eps = _scalar_var(spec.immigration, m_eps)
     inner = (m_eps * v_xi + (1.0 - m_xi) * v_eps) / (1.0 - m_xi)
     return float(np.sqrt(inner)) / (1.0 - m_xi)
 

@@ -1,24 +1,29 @@
 """Exact path simulation, ensembles and centered space-time aggregates.
 
 States are int64 counts, and a block of copies is a pure function of its
-generator stream. A block of B copies is stepped in lockstep, in chunks of
-k = _CHUNK_CELLS // (B p) steps (at least one): a chunk first draws the
-immigration of all its steps and copies in one call, then, step by step,
-each type's offspring in index order, the exact sum of c_i independent
-brood vectors as one convolution variate (see bpagg.model) over all B
-copies; step is such a chunk of one step.
+generator stream. A block of B copies takes one of two routes, decided once
+per call and block size (see _cohort_route); either hands out its states a
+chunk at a time, and a block keeps either its paths or only its running
+sums S_m = X_1 + ... + X_m at the grid indices m = floor(t n) (see
+_simulate_block). A path is not repeated step calls.
 
-A block of one copy of a subcritical model is drawn as immigrant cohorts
-(see _cohort_chunks): from zero, the path is the sum of the independent
-Galton-Watson processes started by each step's immigration, stepped one
-generation at a time over all living cohorts of a chunk of birth steps.
-Cohorts of a critical or supercritical model need not die out, and
-long-lived ones cost more than steps, so such one-copy blocks are stepped
-in lockstep like the others (see _cohort_route); simulate_path and every
-ensemble decide the route once per call. A path is not repeated step
-calls. Either route hands out its states a chunk at a time, and a block
-keeps either its paths or only its running sums S_m = X_1 + ... + X_m at
-the grid indices m = floor(t n) (see _simulate_block).
+In lockstep, steps go in chunks of k = _CHUNK_CELLS // (B p) (at least
+one): a chunk first draws the immigration of all its steps and copies in
+one call, then, step by step, each type's offspring in index order, the
+exact sum of c_i independent brood vectors as one convolution variate (see
+bpagg.model) over all B copies; step is such a chunk of one step.
+
+As immigrant cohorts (see _cohort_chunks), the path of a copy from zero is
+the sum of the independent Galton-Watson processes started by each step's
+immigration, stepped one generation at a time over all living cohorts of
+every copy of a chunk of birth steps. Cohorts of a critical or
+supercritical model need not die out, and long-lived ones cost more than
+steps, so a block takes cohorts only when L, a bound on a cohort's mean
+lifetime in generations (see _cohort_lifetime), is small for its size:
+L <= 128 for one copy. A block of B >= 2 copies also weighs the rounds of
+a chunk, about the lifetime of its longest-lived cohort, against the
+steps it replaces, so wide blocks, long-lived models and short paths stay
+in lockstep (see _cohort_route). The constants are measured cost ties.
 
 Ensembles split their N copies, in order, into blocks of block_copies(p)
 copies and run block b on the keyed stream (master_seed, b). An
@@ -84,12 +89,24 @@ _BLOCK_WIDTH = 4096
 # immigration is one draw, and its states stay around half a megabyte
 _CHUNK_CELLS = 1 << 16
 
-# one-copy blocks are drawn as immigrant cohorts only while a cohort lives
-# at most this many generations in mean (see _cohort_route): each living
-# cohort costs an array entry per generation, and on one-type Poisson and
-# Bernoulli models a lockstep step of the (1, p) block got cheaper from
-# about 150 generations on (2-core x86_64 host)
+# which blocks are drawn as immigrant cohorts (see _cohort_route), from cost
+# ties measured on a 2-core x86_64 host. One copy: while a cohort lives at
+# most _COHORT_GENERATIONS generations in mean; each living cohort costs an
+# array entry per generation, and on one-type Poisson and Bernoulli models a
+# lockstep step of the (1, p) block got cheaper from about 150 generations
+# on. B >= 2 copies: while _COHORT_ROUND rounds per birth of a chunk, plus
+# B L g / _COHORT_WORK, stay within one (see _cohort_route); fitted to 879
+# block timings of 17 models with p = 1-16, 2-1500 copies and 30-1000 steps,
+# see the routing table in CHANGES.md
 _COHORT_GENERATIONS = 128
+_COHORT_ROUND = 1.5
+_COHORT_WORK = 3584
+# a cohort chunk of B >= 2 copies has _CHUNK_CELLS // (_COHORT_SPLIT B p)
+# births: a generation round holds its cohorts, their next generation and
+# the law draws at once, so a third of a lockstep chunk's cells keeps the
+# peak memory of a cohort block below a lockstep block's (1.09 against
+# 1.43 MB on 400 GRID3 copies; half a chunk took 1.50 MB)
+_COHORT_SPLIT = 3
 
 # rows of one copy formatted per write by paths_to_csv
 _CSV_ROWS = 1 << 14
@@ -296,85 +313,133 @@ def _run_block(model, n, rng, burnin, x):
         done += m
 
 
-def _cohort_chunks(model, n, rng, burnin):
-    """Chunks (a, states) of one copy from zero, drawn as immigrant cohorts,
-    with states (m, 1, p) and a as in _run_block.
+def _cohort_births(p, copies):
+    """Birth steps per chunk of a cohort block (see _cohort_chunks)."""
+    return max(1, _CHUNK_CELLS // (p if copies == 1 else _COHORT_SPLIT * copies * p))
 
-    The state after step t is the sum, over the steps j <= t, of the
-    cohort born from step j's immigration, t - j generations on; cohorts
-    are independent Galton-Watson processes. Birth steps go in chunks of
-    k = _CHUNK_CELLS // p (at least 1): a chunk draws its k immigration
-    vectors in one law.sample call, then steps all its living cohorts in
-    lockstep, one generation per round, each type's offspring sums in type
-    order over the cohorts in birth order, and adds each generation into
-    the states it reaches. A cohort is dropped once it is extinct or has
-    reached the path's last step, and a chunk runs until none is left.
-    Cohorts of a subcritical model die out, so every chunk ends. A chunk's
-    states are a view that the next chunk overwrites.
+
+def _cohort_chunks(model, copies, n, rng, burnin):
+    """Chunks (a, states) of a block of copies copies from zero, drawn as
+    immigrant cohorts, with states (m, copies, p) and a as in _run_block.
+
+    The state of a copy after step t is the sum, over the steps j <= t, of
+    the cohort born from that copy's immigration at step j, t - j
+    generations on; cohorts are independent Galton-Watson processes. Birth
+    steps go in chunks of k = _CHUNK_CELLS // p for one copy and
+    _CHUNK_CELLS // (_COHORT_SPLIT copies p) for more (at least 1): a chunk
+    draws the immigration of its k steps for every copy in one law.sample
+    call, as a lockstep chunk does, and the cohort of copy c born at the
+    chunk's step r is column r copies + c. Then it steps all its living
+    cohorts in lockstep, one generation per round, each type's offspring
+    sums in type order over the cohorts in column order, and adds each
+    generation into the states it reaches: a generation on is copies
+    columns on. A cohort is dropped once it is extinct or has reached the
+    path's last step, and a chunk runs until none is left. Cohorts of a
+    subcritical model die out, so every chunk ends. A chunk's states are a
+    view that the next chunk overwrites.
     """
     p = model.p
     offspring = _offspring(model)
-    k = max(1, _CHUNK_CELLS // p)
+    k = _cohort_births(p, copies)
     total = burnin + n
-    # acc[:, r] sums the state after step s + r; columns past the chunk carry
-    # the progeny of its cohorts into the steps of later chunks
-    acc = np.zeros((p, min(2 * k, total + 1)), dtype=np.int64)
+    # acc[:, r copies + c] sums the state of copy c after step s + r; columns
+    # past the chunk carry the progeny of its cohorts into later chunks
+    acc = np.zeros((p, min(k + 1, total + 1) * copies), dtype=np.int64)
     for s in range(1, total + 1, k):
         m = min(k, total + 1 - s)
-        # z[i, c]: the type-i count of cohort c, whose step is s + r[c]
-        z = np.ascontiguousarray(_check_state(model.immigration.sample(rng, m)).T)
-        r = np.arange(m)  # unique and increasing
-        last = total - s
+        width = m * copies
+        # z[i, j]: the type-i count of the cohort in column col[j]
+        z = np.ascontiguousarray(_check_state(model.immigration.sample(rng, width)).T)
+        col = np.arange(width)  # unique and increasing
+        last = (total - s) * copies  # the first column of the path's last step
         while True:
-            lo, hi = r[0], r[-1] + 1
+            lo, hi = col[0], col[-1] + 1
             if hi > acc.shape[1]:
-                acc = np.concatenate((acc, np.zeros_like(acc)), axis=1)
-            if hi - lo == len(r):
+                grow = max(hi - acc.shape[1], acc.shape[1] // 4)
+                acc = np.concatenate((acc, np.zeros((p, grow), dtype=np.int64)), axis=1)
+            if hi - lo == len(col):
                 acc[:, lo:hi] += z
             else:
                 for i in range(p):
-                    acc[i, r] += z[i]
-            if hi - 1 == last:
-                z, r = z[:, :-1], r[:-1]
+                    acc[i, col] += z[i]
+            if hi > last:
+                j = np.searchsorted(col, last)
+                z, col = z[:, :j], col[:j]
             live = z.any(axis=0)
             if not live.all():
-                z, r = z.compress(live, axis=1), r.compress(live)
-            if len(r) == 0:
+                z, col = z.compress(live, axis=1), col.compress(live)
+            if len(col) == 0:
                 break
-            r = r + 1
-            z = sum(law.sample_sum(z[i], rng) for i, law in enumerate(offspring))
-            z = np.ascontiguousarray(_check_state(z).T)
-        # acc[:, j] is the state after step s + j, path index a + j
-        rows = _check_state(acc[:, :m]).T
+            col = col + copies
+            born = offspring[0].sample_sum(z[0], rng)
+            for i in range(1, p):
+                born += offspring[i].sample_sum(z[i], rng)
+            z = np.ascontiguousarray(_check_state(born).T)
+        # acc[:, r copies + c] is copy c's state after step s + r, path index a + r
+        rows = _check_state(acc[:, :width]).T.reshape(m, copies, p)
         a = s - burnin
-        j0 = max(0, -a)
-        if j0 < m:
-            yield a + j0, rows[j0:, None]
-        acc[:, :-m] = acc[:, m:]
-        acc[:, -m:] = 0
+        r0 = max(0, -a)
+        if r0 < m:
+            yield a + r0, rows[r0:]
+        acc[:, :-width] = acc[:, width:]
+        acc[:, -width:] = 0
 
 
-def _cohort_route(model):
-    """Whether one-copy blocks of the model are drawn as immigrant cohorts.
+def _cohort_lifetime(model):
+    """L, a bound on the mean lifetime in generations of one immigrant
+    cohort, or inf when cohorts need not die out or L passes
+    _COHORT_GENERATIONS.
 
     Only the cohorts of a subcritical model (spectral radius below one, as
-    validate splits it) die out, and only short-lived ones are cheaper than
-    lockstep steps. A cohort is alive g generations on with probability at
-    most min(1, 1^T M^g m_eps), so the sum of these bounds its mean
-    lifetime, which must stay within _COHORT_GENERATIONS. Past the first
-    term below one the sum is bounded by 1^T (I - M)^-1 M^g m_eps, which
-    is 1^T M^g mean at the model's stationary mean.
+    validate splits it) die out. A cohort is alive g generations on with
+    probability at most min(1, 1^T M^g m_eps), so the sum of these bounds
+    its mean lifetime. Past the first term below one the sum is bounded by
+    1^T (I - M)^-1 M^g m_eps, which is 1^T M^g mean at the model's
+    stationary mean.
     """
     M, mean = mean_matrix(model), model._mean
     if mean is None:
-        return False
+        return math.inf
     life, v = 0, model.immigration.mean()
     while v.sum() >= 1.0:
         life += 1
         if life > _COHORT_GENERATIONS:
-            return False
+            return math.inf
         v, mean = M @ v, M @ mean
-    return life + mean.sum() <= _COHORT_GENERATIONS
+    life += float(mean.sum())
+    return life if life <= _COHORT_GENERATIONS else math.inf
+
+
+def _cohort_route(model, copies, life, steps):
+    """Whether a block of copies copies and steps steps (burn-in included)
+    is drawn as immigrant cohorts, given the model's lifetime bound life
+    (see _cohort_lifetime).
+
+    One copy: whenever life is finite, that is within _COHORT_GENERATIONS.
+    More copies: while _COHORT_ROUND rounds / births + copies life g /
+    _COHORT_WORK is at most one, where births is a cohort chunk's birth
+    steps (at most steps), rounds the generations until the expected number
+    of the chunk's living cohorts, at most births copies 1^T M^t m_eps,
+    falls below one, and g is life or, if larger, 1 / (1 - rho). A chunk
+    runs a round per generation of its longest-lived cohort, each about
+    _COHORT_ROUND lockstep steps, where lockstep runs a step per birth; and
+    its cohorts cost more per entry the longer they live, where a cohort of
+    one individual lives about 1 / (1 - rho) generations however rare
+    immigrants are.
+    """
+    if life == math.inf:
+        return False
+    if copies == 1:
+        return True
+    work = copies * life * max(life, 1.0 / (1.0 - model._rho)) / _COHORT_WORK
+    births = min(_cohort_births(model.p, copies), steps)
+    budget = (1.0 - work) * births / _COHORT_ROUND
+    M, v = mean_matrix(model), births * copies * model.immigration.mean()
+    rounds = 0
+    while v.sum() >= 1.0 and rounds <= budget:
+        rounds += 1
+        v = M @ v
+    return rounds <= budget
 
 
 def _simulate_block(model, copies, n, rng, burnin, cohorts=False, idx=None):
@@ -382,14 +447,15 @@ def _simulate_block(model, copies, n, rng, burnin, cohorts=False, idx=None):
     idx, only its running sums S_m = X_1 + ... + X_m at each m of idx, as
     (copies, len(idx), p); burnin is a step count.
 
-    A block of one copy is drawn as immigrant cohorts when cohorts is set
-    (by the caller, once per call, from _cohort_route); every other block is
-    stepped in lockstep. Sums hold (copies, p) counts per grid point besides
-    one chunk, and are exact int64 below 2^32 steps of at most 2^31 each.
+    The block is drawn as immigrant cohorts when cohorts is set (by the
+    caller, once per block size and call, from _cohort_route), and stepped
+    in lockstep otherwise. Sums hold (copies, p) counts per grid point
+    besides one chunk, and are exact int64 below 2^32 steps of at most 2^31
+    each.
     """
     p = model.p
-    if copies == 1 and cohorts:
-        chunks = _cohort_chunks(model, n, rng, burnin)
+    if cohorts:
+        chunks = _cohort_chunks(model, copies, n, rng, burnin)
     else:
         chunks = _run_block(model, n, rng, burnin, np.zeros((copies, p), dtype=np.int64))
     if idx is None:
@@ -431,7 +497,8 @@ def simulate_path(model, n, rng, burnin=None):
     """
     n = _count("n", n)
     k = _burnin_steps(model, burnin, 1)
-    return _simulate_block(model, 1, n, rng, k, _cohort_route(model))[0]
+    cohorts = _cohort_route(model, 1, _cohort_lifetime(model), k + n)
+    return _simulate_block(model, 1, n, rng, k, cohorts)[0]
 
 
 @dataclass
@@ -474,9 +541,10 @@ def _run_blocks(model, N, n, master_seed, burnin, threads, idx=None):
         raise ValueError("need N >= 1 copies, got %r" % (N,))
     size = block_copies(model.p)
     sizes = [min(size, int(N) - a) for a in range(0, int(N), size)]
-    cohorts = 1 in sizes and _cohort_route(model)
+    life = _cohort_lifetime(model)
+    route = {copies: _cohort_route(model, copies, life, burnin + n) for copies in set(sizes)}
     tasks = [
-        (model, copies, n, master_seed, b, burnin, cohorts, idx)
+        (model, copies, n, master_seed, b, burnin, route[copies], idx)
         for b, copies in enumerate(sizes)
     ]
     if min(threads, len(tasks)) <= 1:

@@ -22,6 +22,7 @@ from bpagg.model import model_from_json, model_to_json
 from bpagg.simulate import burnin_auto
 from bpagg.verify import VerificationReport
 from conftest import build_deterministic, build_scalar_inar, build_two_type
+from bpagg.kronalg import NotSubcriticalError
 from bpagg.model import (
     Bernoulli,
     Binomial,
@@ -272,6 +273,35 @@ def test_aggregate_of_critical_model_exits_two_before_simulating(tmp_path, capsy
         assert main(argv) == 2
         assert "subcritical" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_aggregate_refuses_as_moment_report_without_building_one(tmp_path, capsys, monkeypatch):
+    # the aggregate verb classifies its model and builds no moment report;
+    # a model without a stationary law gets moment_report's own refusal
+    def no_report(*args, **kwargs):
+        raise AssertionError("aggregate built a moment report")
+
+    monkeypatch.setattr(cli, "moment_report", no_report)
+    out = tmp_path / "agg.csv"
+    zero = BranchingModel(
+        1, (IndependentMarginals([Bernoulli(0.5)]),), IndependentMarginals([Point(0)])
+    )
+    crit = BranchingModel(
+        1, (IndependentMarginals([Point(1)]),), IndependentMarginals([Poisson(1.0)])
+    )
+    for model in (zero, crit):
+        f = tmp_path / "model.json"
+        f.write_text(json.dumps(model_to_json(model)))
+        with pytest.raises((ValueError, NotSubcriticalError)) as exc:
+            bpagg.moments.moment_report(model, 1)
+        for burnin in ("auto", "7"):
+            argv = _VERB_ARGS["aggregate"] + ["--model", str(f), "--grid", "1.0",
+                                              "--burnin", burnin, "--out", str(out)]
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "error: %s\n" % exc.value
+        assert not out.exists()
+    f.write_text(json.dumps(model_to_json(build_scalar_inar())))
+    assert main(_VERB_ARGS["aggregate"] + ["--model", str(f), "--grid", "1.0", "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])

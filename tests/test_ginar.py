@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from bpagg.ginar import (
@@ -19,6 +20,7 @@ from bpagg.ginar import (
 )
 from bpagg.kronalg import spectral_radius
 from bpagg.model import (
+    _regime,
     Bernoulli,
     FiniteSupport,
     Geometric,
@@ -253,3 +255,56 @@ def test_v_ginar_reads_the_embedded_models_stationary_mean(tmp_path, monkeypatch
         # one embedded model per spec, whose mean v_ginar reads
         assert embed(spec) is embed(spec)
         assert np.array_equal(v_ginar(spec)[0, 0], want) and len(solves) == 2
+
+
+@st.composite
+def _table_specs(draw):
+    """GINAR specs of order 2-8 whose lag and immigration laws are tables on
+    2-5 distinct counts in 0..6 with random masses."""
+    p = draw(st.integers(2, 8))
+
+    def table():
+        k = draw(st.integers(2, 5))
+        support = draw(st.lists(st.integers(0, 6), min_size=k, max_size=k, unique=True))
+        w = [draw(st.floats(0.01, 1.0)) for _ in range(k)]
+        return FiniteSupport([[v] for v in support], [x / sum(w) for x in w])
+
+    return GinarSpec(p, tuple(table() for _ in range(p)), table())
+
+
+def _spec_reads_the_embedded_means(spec):
+    model = embed(spec)
+    m_xi, m_eps = model._M[0], float(model.immigration.mean()[0])
+    poly = characteristic_polynomial(spec)
+    assert np.array_equal(poly, np.concatenate([[1.0], -m_xi]))
+    # the companion matrix's eigenvalues are the polynomial's roots
+    assert np.max(np.abs(np.roots(poly))) == pytest.approx(model._rho, rel=1e-6, abs=1e-9)
+    cls = ginar_classify(spec)
+    assert cls.regime == _regime(float(m_xi.sum()))
+    if cls.regime != "subcritical":
+        return
+    var = [float(law.kron_moment(2)[0]) - m * m for law, m in zip(spec.offspring, m_xi)]
+    want = sum(v * x for v, x in zip(var, model._mean))
+    want += float(spec.immigration.kron_moment(2)[0]) - m_eps * m_eps
+    assert v_ginar(spec)[0, 0] == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(spec=_table_specs())
+def test_spec_means_are_the_embedded_models(spec):
+    # the polynomial, the regime and V read E xi^(i,1) and E eps from the
+    # embedded model (the first row of M and its immigration mean), the
+    # values behind its rho and stationary mean
+    _spec_reads_the_embedded_means(spec)
+
+
+def test_spec_mean_one_ulp_from_the_lifted_tables():
+    # the table's own mean and its lift to 7 coordinates differ in the last
+    # bit; the polynomial takes the lifted one, as M does
+    law = FiniteSupport([[1], [5], [0], [2]], [0.3268581410964503, 0.2172365164628648,
+                                               0.2612330133009233, 0.19467232913976162])
+    spec = GinarSpec(7, (law,) * 7, law)
+    lifted = embed(spec)._M[0]
+    assert np.all(lifted != law.mean()[0])
+    assert np.array_equal(characteristic_polynomial(spec)[1:], -lifted)
+    _spec_reads_the_embedded_means(spec)

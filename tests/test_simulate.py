@@ -44,6 +44,7 @@ from bpagg.model import Bernoulli, Binomial, FiniteSupport, Geometric
 from conftest import (
     build_deterministic,
     build_deterministic_scalar,
+    build_random_subcritical,
     build_scalar_inar,
     build_two_type,
 )
@@ -376,31 +377,34 @@ def _array_block_path(model, n, rng, burnin):
     return path
 
 
-def _cohort_oracle(model, n, rng, burnin, cells):
+def _cohort_oracle(model, n, rng, burnin, cells, copies=1):
     """The documented cohort order, written out with the laws' own draws.
 
-    Birth steps 1..burnin+n go in chunks of k = cells // p: one immigration
-    call per chunk, then one generation per round, each type's offspring
-    sums over the living cohorts in birth order; a cohort is dropped once it
-    is extinct or has reached the last step, and a chunk runs to the end
-    before the next one starts.
+    Birth steps 1..burnin+n go in chunks of k = cells // p births for one
+    copy and cells // (3 copies p) for more: one immigration call per chunk
+    for every step and copy, in step order and copy order within a step,
+    then one generation per round, each type's offspring sums over the
+    living cohorts in that order; a cohort is dropped once it is extinct or
+    has reached the last step, and a chunk runs to the end before the next
+    one starts. Returns (copies, n+1, p) paths.
     """
     p, total = model.p, burnin + n
-    k = max(1, cells // p)
-    states = np.zeros((total + 1, p), dtype=np.int64)
+    k = max(1, cells // (p if copies == 1 else 3 * copies * p))
+    states = np.zeros((total + 1, copies, p), dtype=np.int64)
     for s in range(1, total + 1, k):
         m = min(k, total + 1 - s)
-        eps = model.immigration.sample(rng, m)
-        cohorts = [(s + c, eps[c]) for c in range(m)]  # (step, counts)
+        eps = model.immigration.sample(rng, m * copies)
+        # (step, copy, counts), step-major like the immigration draw
+        cohorts = [(s + r, c, eps[r * copies + c]) for r in range(m) for c in range(copies)]
         while cohorts:
-            for t, z in cohorts:
-                states[t] += z
-            cohorts = [(t, z) for t, z in cohorts if z.any() and t < total]
+            for t, c, z in cohorts:
+                states[t, c] += z
+            cohorts = [(t, c, z) for t, c, z in cohorts if z.any() and t < total]
             if cohorts:
-                counts = np.array([z for _, z in cohorts])
+                counts = np.array([z for _, _, z in cohorts])
                 born = sum(law.sample_sum(counts[:, i], rng) for i, law in enumerate(model.offspring))
-                cohorts = [(t + 1, z) for (t, _), z in zip(cohorts, born)]
-    return states[burnin:]
+                cohorts = [(t + 1, c, z) for (t, c, _), z in zip(cohorts, born)]
+    return states[burnin:].swapaxes(0, 1)
 
 
 def _lockstep_oracle(model, copies, n, rng, burnin, cells):
@@ -433,27 +437,26 @@ def test_path_follows_cohort_order(build, monkeypatch):
     model = build()
     path = simulate_path(model, 200, stream_rng(7), burnin=15)
     assert path.dtype == np.int64
-    assert np.array_equal(path, _cohort_oracle(model, 200, stream_rng(7), 15, 6))
+    assert np.array_equal(path, _cohort_oracle(model, 200, stream_rng(7), 15, 6)[0])
     assert path[1:].sum() > 0
     # the same numbers through a one-copy ensemble block on its stream
     one = simulate_ensemble(model, 1, 200, master_seed=7, burnin=15).paths[0]
-    assert np.array_equal(one, _cohort_oracle(model, 200, stream_rng(7, 0), 15, 6))
+    assert np.array_equal(one, _cohort_oracle(model, 200, stream_rng(7, 0), 15, 6)[0])
 
 
 @pytest.mark.parametrize("copies", [1, 3])
 def test_block_follows_documented_stream_order(copies, monkeypatch):
-    # one copy of a short-lived subcritical model: immigrant cohorts; several
-    # copies: lockstep chunks of _CHUNK_CELLS // (copies p) steps
+    # a short-lived subcritical model as immigrant cohorts, in chunks of
+    # 12 // p births for one copy and 12 // (3 copies p) for several; the
+    # same block stepped in lockstep takes chunks of 12 // (copies p) steps
+    model, n, burnin = _table_model(), 9, 4
+    assert simulate._cohort_route(model, copies, simulate._cohort_lifetime(model), 100)
     cells = 12
     monkeypatch.setattr(simulate, "_CHUNK_CELLS", cells)
-    model, n, burnin = _table_model(), 9, 4
-    assert simulate._cohort_route(model)
     paths = _simulate_block(model, copies, n, stream_rng(3), burnin, cohorts=True)
-    if copies == 1:
-        expected = _cohort_oracle(model, n, stream_rng(3), burnin, cells)[None]
-    else:
-        expected = _lockstep_oracle(model, copies, n, stream_rng(3), burnin, cells)
-    assert np.array_equal(paths, expected)
+    assert np.array_equal(paths, _cohort_oracle(model, n, stream_rng(3), burnin, cells, copies))
+    paths = _simulate_block(model, copies, n, stream_rng(3), burnin, cohorts=False)
+    assert np.array_equal(paths, _lockstep_oracle(model, copies, n, stream_rng(3), burnin, cells))
 
 
 def test_path_holds_one_chunk_of_rows(monkeypatch):
@@ -533,7 +536,7 @@ def test_path_matches_array_block_property(model, n, burnin, cells, seed):
     # a critical or supercritical path is the lockstep (1, p) block, which
     # draws with int counts what the documented order draws with one-entry
     # arrays: equal paths, or an overflow on both routes
-    assert not simulate._cohort_route(model)
+    assert simulate._cohort_lifetime(model) == math.inf
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "_CHUNK_CELLS", cells)
         path = _path_or_overflow(
@@ -556,11 +559,30 @@ def test_path_matches_array_block_property(model, n, burnin, cells, seed):
     seed=st.integers(0, 2 ** 32 - 1),
 )
 def test_path_follows_cohort_order_property(model, n, burnin, cells, seed):
-    assert simulate._cohort_route(model)
+    assert simulate._cohort_route(model, 1, simulate._cohort_lifetime(model), burnin + n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "_CHUNK_CELLS", cells)
         path = simulate_path(model, n, stream_rng(seed), burnin=burnin)
-    assert np.array_equal(path, _cohort_oracle(model, n, stream_rng(seed), burnin, cells))
+    assert np.array_equal(path, _cohort_oracle(model, n, stream_rng(seed), burnin, cells)[0])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    model=_small_models(),
+    copies=st.integers(1, 5),
+    n=st.integers(0, 30),
+    burnin=st.integers(0, 12),
+    cells=st.integers(1, 24),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_block_follows_cohort_order_property(model, copies, n, burnin, cells, seed):
+    # a block of 1-5 copies drawn as cohorts, whether or not the rule sends
+    # it there, in chunks of 1-12 births
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_CHUNK_CELLS", cells)
+        paths = _simulate_block(model, copies, n, stream_rng(seed), burnin, cohorts=True)
+    want = _cohort_oracle(model, n, stream_rng(seed), burnin, cells, copies)
+    assert np.array_equal(paths, want)
 
 
 def _ks_two_sample(a, b):
@@ -588,6 +610,26 @@ def test_cohort_and_array_routes_agree_in_law():
     assert np.all(np.abs(cohort.mean(axis=0) - target) < 4 * se)
 
 
+def test_cohort_and_lockstep_blocks_agree_in_law():
+    # X_n of every copy of blocks of 20 copies of the two-type model from
+    # zero, each block drawn by both routes (the rule would step blocks this
+    # short in lockstep); the two-sample KS bound 1.95 sqrt(2 / reps) (level
+    # 0.001 each) is fixed before sampling, and the routes share no seed
+    model, n, copies, blocks = build_two_type(), 12, 20, 50
+    reps = copies * blocks
+
+    def states(seed, cohorts):
+        return np.concatenate([
+            _simulate_block(model, copies, n, stream_rng(seed, b), 0, cohorts)[:, n]
+            for b in range(blocks)
+        ])
+
+    cohort, lockstep = states(1, True), states(2, False)
+    bound = 1.95 * math.sqrt(2.0 / reps)
+    for i in range(model.p):
+        assert _ks_two_sample(cohort[:, i], lockstep[:, i]) < bound
+
+
 def test_inar_ensemble_states_follow_stationary_poisson():
     # Bernoulli(1/2) thinning with Poisson(1) immigration is stationary at
     # Poisson(2); X_n of every copy after auto burn-in, over two blocks, must
@@ -607,17 +649,23 @@ def _refuse_cohorts(monkeypatch):
     monkeypatch.setattr(simulate, "_cohort_chunks", refuse)
 
 
+def _route(model, copies=1, steps=100):
+    return simulate._cohort_route(model, copies, simulate._cohort_lifetime(model), steps)
+
+
 def test_critical_path_uses_array_stepper(monkeypatch):
     # cohorts of a critical model need not die out, so its paths are stepped
     crit = _scalar(Point(1), Poisson(1.0))
-    assert not simulate._cohort_route(crit)
+    assert not _route(crit) and not _route(crit, 2)
     # rare immigrants would keep the lifetime bound small, but never die
-    assert not simulate._cohort_route(_scalar(Point(1), Bernoulli(0.001)))
+    assert not _route(_scalar(Point(1), Bernoulli(0.001)))
     _refuse_cohorts(monkeypatch)
     path = simulate_path(crit, 50, stream_rng(5), burnin=3)
     assert np.array_equal(path, _lockstep_oracle(crit, 1, 50, stream_rng(5), 3, 1 << 16)[0])
     one = simulate_ensemble(crit, 1, 50, master_seed=5, burnin=3).paths[0]
     assert np.array_equal(one, _lockstep_oracle(crit, 1, 50, stream_rng(5, 0), 3, 1 << 16)[0])
+    two = simulate_ensemble(crit, 2, 50, master_seed=5, burnin=3).paths
+    assert np.array_equal(two, _lockstep_oracle(crit, 2, 50, stream_rng(5, 0), 3, 1 << 16))
 
 
 def test_cohort_route_bounds_mean_lifetime(monkeypatch):
@@ -625,14 +673,36 @@ def test_cohort_route_bounds_mean_lifetime(monkeypatch):
     # bernoulli(q) offspring of one immigrant a step in mean, and about
     # log2(lam) + 2 for poisson(1/2) offspring of poisson(lam) immigrants
     bern = lambda q: _scalar(Bernoulli(q), Poisson(1.0))  # noqa: E731
-    assert simulate._cohort_route(bern(0.5))
-    assert simulate._cohort_route(bern(0.99))  # 100 generations
-    assert not simulate._cohort_route(bern(0.995))  # 200
-    assert simulate._cohort_route(_scalar(Poisson(0.5), Poisson(1000.0)))
-    assert not simulate._cohort_route(_scalar(Poisson(0.97), Poisson(1000.0)))
-    assert simulate._cohort_route(_scalar(Bernoulli(0.5), Point(0)))
+    life = simulate._cohort_lifetime
+    assert life(bern(0.5)) == pytest.approx(2.0)
+    assert life(bern(0.99)) == pytest.approx(100.0)
+    assert life(bern(0.995)) == math.inf  # 200 generations
+    assert life(_scalar(Poisson(0.5), Poisson(1000.0))) == pytest.approx(11.953125)
+    assert life(_scalar(Poisson(0.97), Poisson(1000.0))) == math.inf
+    assert life(_scalar(Bernoulli(0.5), Point(0))) == 0.0
     for build in (build_scalar_inar, build_two_type, build_deterministic, _table_model):
-        assert simulate._cohort_route(build())
+        assert _route(build())
+    # one copy: within 128 generations. B >= 2 copies of 100 steps: while
+    # 1.5 rounds per birth plus B L g / 3584 stay within one, g the larger
+    # of the bound and 1 / (1 - rho)
+    assert _route(bern(0.99)) and not _route(bern(0.99), 2)
+    assert _route(bern(0.9), 4) and not _route(bern(0.9), 5)
+    assert _route(build_scalar_inar(), 464) and not _route(build_scalar_inar(), 465)
+    # rare immigrants of long-lived cohorts: a bound of 0.5, but one
+    # individual lives 1 / (1 - 0.9) = 10 generations in mean
+    rare = _scalar(Bernoulli(0.9), Bernoulli(0.05))
+    assert life(rare) == pytest.approx(0.5)
+    assert _route(rare, 90) and not _route(rare, 91)
+    # longer paths give a chunk more births to pay for its rounds, shorter
+    # ones fewer; blocks stay monotone in their width
+    assert _route(bern(0.9), 29, 1000) and not _route(bern(0.9), 30, 1000)
+    assert not _route(bern(0.9), 2, 30)
+    assert _route(build_scalar_inar(), 273, 30) and not _route(build_scalar_inar(), 274, 30)
+    # full blocks, of 4096 INAR copies or 256 of a 16-type model (L = 2.24)
+    assert not _route(build_scalar_inar(), block_copies(1))
+    p16 = build_random_subcritical(np.random.default_rng(0), 16, 0.2)
+    assert _route(p16, 136) and not _route(p16, 137)
+    assert not _route(p16, block_copies(16))
     # a subcritical model whose cohorts live long is stepped, burn-in and all
     slow = bern(0.999)
     _refuse_cohorts(monkeypatch)
@@ -642,13 +712,13 @@ def test_cohort_route_bounds_mean_lifetime(monkeypatch):
 
 def test_regime_decided_once_per_call(monkeypatch):
     calls = []
-    real = simulate._cohort_route
+    real = simulate._cohort_lifetime
 
     def counting(model):
         calls.append(model)
         return real(model)
 
-    monkeypatch.setattr(simulate, "_cohort_route", counting)
+    monkeypatch.setattr(simulate, "_cohort_lifetime", counting)
     monkeypatch.setattr(simulate, "_BLOCK_WIDTH", 2)
     model = build_two_type()
     # one copy of 2 types fills a block of width 2: three one-copy blocks
@@ -659,10 +729,13 @@ def test_regime_decided_once_per_call(monkeypatch):
     assert len(calls) == 2
     simulate_path(model, 19, stream_rng(1), burnin=2)
     assert len(calls) == 3
-    # no block of one copy: no regime decided
+    # blocks of 2 and 1 copies: still one lifetime per call
     monkeypatch.setattr(simulate, "_BLOCK_WIDTH", 4)
-    simulate_ensemble(model, 4, 9, master_seed=1, burnin=2)
-    assert len(calls) == 3
+    simulate_ensemble(model, 3, 9, master_seed=1, burnin=2)
+    assert len(calls) == 4
+    # step decides no route
+    step(model, np.array([1, 2]), stream_rng(1))
+    assert len(calls) == 4
 
 
 def test_step_is_a_one_step_chunk():
@@ -710,9 +783,12 @@ def test_ensemble_block_matches_block_run_alone():
     ens = simulate_ensemble(model, N, n, master_seed=5, burnin=10)
     starts = list(range(0, N, size))
     assert len(starts) == 3 and N - starts[-1] == 1
+    life = simulate._cohort_lifetime(model)
     for b, a in enumerate(starts):
         copies = min(size, N - a)
-        alone = _simulate_block(model, copies, n, stream_rng(5, b), 10, cohorts=True)
+        cohorts = simulate._cohort_route(model, copies, life, 10 + n)
+        assert cohorts == (copies == 1)
+        alone = _simulate_block(model, copies, n, stream_rng(5, b), 10, cohorts)
         assert_allclose(ens.paths[a : a + copies], alone, atol=0)
     # a block of one copy is a path on the block's stream
     one = simulate_ensemble(model, 1, n, master_seed=5, burnin=10)
@@ -729,6 +805,39 @@ def test_ensemble_blocks_thread_invariant():
     # blocks are not copies of one another
     size = block_copies(1)
     assert not np.array_equal(base.paths[:size], base.paths[size : 2 * size])
+
+
+def _grid3():
+    """Three types mixing independent marginals with one finite table."""
+    return BranchingModel(
+        3,
+        (
+            IndependentMarginals([Bernoulli(0.1), Poisson(0.05), Geometric(0.95)]),
+            IndependentMarginals([Poisson(0.05), Bernoulli(0.1), Bernoulli(0.05)]),
+            FiniteSupport([[0, 0, 0], [1, 0, 0], [0, 1, 1], [0, 0, 2]],
+                          [0.85, 0.05, 0.05, 0.05]),
+        ),
+        IndependentMarginals([Poisson(1.0), Poisson(0.5), Geometric(0.5)]),
+    )
+
+
+@pytest.mark.parametrize("build", [build_scalar_inar, _grid3], ids=["inar", "grid3"])
+def test_ensemble_on_both_routes_thread_invariant(build):
+    # a full block, stepped in lockstep, then a narrow one drawn as cohorts
+    model = build()
+    size = block_copies(model.p)
+    N, n = size + 20, 40
+    life = simulate._cohort_lifetime(model)
+    assert not simulate._cohort_route(model, size, life, n)
+    assert simulate._cohort_route(model, 20, life, n)
+    base = simulate_ensemble(model, N, n, master_seed=4, burnin=0)
+    for b, copies in enumerate((size, 20)):
+        alone = _simulate_block(model, copies, n, stream_rng(4, b), 0, cohorts=b == 1)
+        assert np.array_equal(base.paths[b * size : b * size + copies], alone)
+    threaded = simulate_ensemble(model, N, n, master_seed=4, burnin=0, threads=2)
+    assert np.array_equal(base.paths, threaded.paths)
+    sums = [aggregate(model, N, n, 4, (0.5, 1.0), burnin=0, threads=t).per_copy for t in (1, 2)]
+    assert np.array_equal(sums[0], sums[1])
 
 
 def test_block_size_from_cell_budget():
@@ -937,13 +1046,10 @@ def test_aggregate_argument_validation():
         aggregate(model, 2, 5, 0, (1.0,), burnin=-1)
 
 
-@pytest.mark.parametrize("burnin", [0, 7])
-def test_streamed_aggregates_match_path_oracle(burnin, monkeypatch):
-    # blocks of 2, 2 and 1 copies, the last drawn as cohorts, and chunks of
-    # 3 lockstep steps or 6 cohort birth steps, so grid points and the
-    # burn-in fall inside and across chunks
-    monkeypatch.setattr(simulate, "_BLOCK_WIDTH", 4)
-    monkeypatch.setattr(simulate, "_CHUNK_CELLS", 12)
+def _streamed_aggregates_match_path_oracle(burnin, cohort_calls):
+    # blocks of 2, 2 and 1 copies of the two-type model, in chunks of 3
+    # lockstep steps, 1 cohort birth for two copies or 6 for one, so grid
+    # points and the burn-in fall inside and across chunks
     cohort_blocks = []
     real = simulate._cohort_chunks
 
@@ -951,12 +1057,13 @@ def test_streamed_aggregates_match_path_oracle(burnin, monkeypatch):
         cohort_blocks.append(args)
         return real(*args)
 
-    monkeypatch.setattr(simulate, "_cohort_chunks", counting)
-    model, N, n, grid = build_two_type(), 5, 37, (0.0, 0.3, 0.5, 0.99, 1.0)
-    got = aggregate(model, N, n, 9, grid, burnin=burnin).per_copy
-    assert len(cohort_blocks) == 1
-    paths = simulate_ensemble(model, N, n, 9, burnin=burnin).paths
-    assert len(cohort_blocks) == 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_cohort_chunks", counting)
+        model, N, n, grid = build_two_type(), 5, 37, (0.0, 0.3, 0.5, 0.99, 1.0)
+        got = aggregate(model, N, n, 9, grid, burnin=burnin).per_copy
+        assert len(cohort_blocks) == cohort_calls
+        paths = simulate_ensemble(model, N, n, 9, burnin=burnin).paths
+        assert len(cohort_blocks) == 2 * cohort_calls
     # the centered cumulative sum of the stored paths, S_0 = 0
     mean = stationary_moments(model, 1)[0]
     csum = np.zeros((N, n + 1, 2))
@@ -967,18 +1074,23 @@ def test_streamed_aggregates_match_path_oracle(burnin, monkeypatch):
     assert np.abs(want).max() > 1
 
 
-def _grid3():
-    """Three types mixing independent marginals with one finite table."""
-    return BranchingModel(
-        3,
-        (
-            IndependentMarginals([Bernoulli(0.1), Poisson(0.05), Geometric(0.95)]),
-            IndependentMarginals([Poisson(0.05), Bernoulli(0.1), Bernoulli(0.05)]),
-            FiniteSupport([[0, 0, 0], [1, 0, 0], [0, 1, 1], [0, 0, 2]],
-                          [0.85, 0.05, 0.05, 0.05]),
-        ),
-        IndependentMarginals([Poisson(1.0), Poisson(0.5), Geometric(0.5)]),
-    )
+@pytest.mark.parametrize("burnin", [0, 7])
+def test_streamed_aggregates_match_path_oracle(burnin, monkeypatch):
+    # every block, of 2 or 1 copies, routed to cohorts
+    monkeypatch.setattr(simulate, "_BLOCK_WIDTH", 4)
+    monkeypatch.setattr(simulate, "_CHUNK_CELLS", 12)
+    monkeypatch.setattr(simulate, "_cohort_route", lambda *args: True)
+    _streamed_aggregates_match_path_oracle(burnin, 3)
+
+
+@pytest.mark.parametrize("burnin", [0, 7])
+def test_streamed_lockstep_aggregates_match_path_oracle(burnin, monkeypatch):
+    # the rule's own routes: a chunk of one birth cannot pay for the rounds
+    # of its cohorts, so the blocks of 2 are stepped in lockstep and only
+    # the block of 1 is drawn as cohorts
+    monkeypatch.setattr(simulate, "_BLOCK_WIDTH", 4)
+    monkeypatch.setattr(simulate, "_CHUNK_CELLS", 12)
+    _streamed_aggregates_match_path_oracle(burnin, 1)
 
 
 def test_aggregates_hold_no_paths():
