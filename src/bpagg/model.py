@@ -15,16 +15,35 @@ all their tables, p atoms per product (_third_cumulant_sum).
 A law draws the sum of c independent broods as one variate of its c-fold
 convolution: poisson(c lam), binomial(c n, q), negative binomial(c, q) for
 the geometric law, c v for a point mass and multinomial(c, probs) @ support
-for a table. Two exact routes replace the numpy variate where many small
-draws make one uniform per unit cheaper. A Bernoulli or binomial sum over
-an array of at least _WIDE = 512 counts of at most _SMALL = 4 trials each
-on average draws one uniform per trial, and each entry is a difference of
-one running count of successes. A Poisson sample of at least _WIDE draws
-with lam at most _SMALL is the cell counts of poisson(size lam) points
-dropped uniformly into size cells (Poisson splitting; Devroye 1986). A
-Bernoulli sample of any size is rng.random(size) < q: one uniform per draw,
-like numpy's binomial(1, q), but 1.5-5 times faster from 512 draws on, and
-the same bytes when q > 1/2.
+for a table. On an array of at least _WIDE = 512 counts, exact routes
+replace the numpy variate, one per entry, where it costs more than the draws
+it makes.
+
+Sparse routes draw only what is nonzero, when a call expects at most
+_SPARSE = 1/2 nonzero draws (or Poisson points) per entry. The counts are
+read as units laid end to end: the trials of a binomial sum, the broods of
+other laws. _successes draws the units that succeed, each independently at
+a rate r < 1, as i.i.d. geometric(r) gaps between successes, and maps each
+to its row by searchsorted on the running unit count (Devroye 1986). A
+Bernoulli or binomial sum with a per-trial q below _GAP_RATE = 1/8 counts
+its successes. A geometric(q) brood is nonzero at rate 1 - q, and a nonzero
+one is numpy's geometric(q), the trials to a first success, by
+memorylessness. A table brood is nonzero at the total mass of its nonzero
+atoms, and a nonzero one is an atom drawn among those as sample draws it. A
+Poisson sum is the row counts of poisson(lam units) points dropped on
+uniform units (Poisson splitting). A rate of 0 draws nothing, and a rate of
+1 (a Bernoulli or binomial q = 1, or a table without a zero atom) never
+takes a sparse route.
+
+Uniform routes replace the numpy variate where many small draws make one
+uniform per unit cheaper. Another wide Bernoulli or binomial sum of at most
+_SMALL = 4 trials per count on average draws one uniform per trial, and
+each entry is a difference of one running count of successes. A Poisson
+sample of at least _WIDE draws with lam at most _SMALL is the cell counts of
+poisson(size lam) points dropped uniformly into size cells. A Bernoulli
+sample of any size is rng.random(size) < q: one uniform per draw, like
+numpy's binomial(1, q), but 1.5-5 times faster from 512 draws on, and the
+same bytes when q > 1/2.
 
 The constants are cost ties against numpy, measured on a 2-core x86_64 host
 with SFC64. Thinning overtook numpy between 256 and 512 counts of mean 2,
@@ -33,14 +52,23 @@ and scattering between 300 and 600 draws of lam <= 4. _SMALL is the tie on
 binomial set-up across equal entries: thinning took 0.89-1.15 of numpy's
 time there. On counts spread as poisson(4) it took 0.5-0.8, and its tie lay
 between means 6 and 10. Scattering at lam 8 tied on 512 draws and won on
-more, so one _SMALL for both is conservative for the scatter.
+more, so one _SMALL for both is conservative for the scatter. On 2048-8192
+counts spread as poisson(m), m from 1/2 to 8, the sparse routes at 1/2
+nonzero draws per entry took 0.55-0.85 of numpy's time for tables and
+geometric laws and 0.65-1.0 for Poisson and binomial sums; at one per
+entry, Poisson and binomial sums took 0.8-1.45. On 512 counts they took
+0.55-1.1 up to 1/2 per entry. Gaps took 0.6-1.1 of thinning's time at
+q <= 1/10 on 2048-8192 counts of mean 1/4 to 2, 0.85-1.1 at q = 1/8, and
+1.1-2.9 at q = 1/2, which stays on thinning.
 
 The count c may be an int or an int64 array of counts, one per copy or per
 immigrant cohort, so one generator call covers a whole block of copies or a
 whole generation of cohorts. Int counts and one-entry arrays always take the
 convolution variate, so they consume a generator alike, and a zero count
-draws nothing. Counts are multiplied by law constants in int64, so a point
-mass or binomial n of 2^63 or more is refused when the law is built.
+draws nothing. Routes are decided on a float unit total, and a call whose
+units reach _UNITS = 2^62 keeps the convolution variate, so no running unit
+count wraps int64. Counts are multiplied by law constants in int64, so a
+point mass or binomial n of 2^63 or more is refused when the law is built.
 """
 
 import itertools
@@ -70,10 +98,18 @@ __all__ = [
 _REGIME_TOL = 1e-9
 _MASS_TOL = 1e-9
 
-# where the uniform routes of the module docstring start: entries per call,
-# and mean trials per count (or lam) at most
+# where the routes of the module docstring start: entries per call for all,
+# and mean trials per count (or lam) at most for the uniform routes
 _WIDE = 512
 _SMALL = 4
+# the sparse routes: at most _SPARSE nonzero draws (or Poisson points)
+# expected per entry, and for a Bernoulli or binomial sum a per-trial rate
+# below _GAP_RATE
+_SPARSE = 0.5
+_GAP_RATE = 0.125
+# unit totals from here on keep numpy's variate, so a running unit count of
+# the sparse routes stays clear of 2^63
+_UNITS = 2.0 ** 62
 
 
 def _real(name, value):
@@ -152,25 +188,79 @@ class Poisson:
         return np.bincount(cells, minlength=size)
 
     def sample_sum(self, count, rng):
-        return rng.poisson(count * self.lam)
+        if not _sparse(count, self.lam):
+            return rng.poisson(count * self.lam)
+        # a row's sum of poisson(lam) per unit is its share of poisson(lam
+        # units) points dropped uniformly on all units (Poisson splitting);
+        # sorted, the points find their rows about three times faster
+        ends = np.cumsum(count)
+        points = np.sort(rng.integers(0, ends[-1], rng.poisson(self.lam * ends[-1])))
+        return np.bincount(np.searchsorted(ends, points, side="right"), minlength=len(count))
 
     def params(self):
         return {"dist": "poisson", "lambda": self.lam}
 
 
+def _successes(units, r, rng):
+    """The row of each success, in increasing order, when row i holds units[i]
+    independent trials that each succeed with probability r < 1.
+
+    The trials are laid end to end, so trial t (from 1) is in the first row
+    whose running unit count reaches t, and the gaps between successive
+    successes are i.i.d. geometric(r) on {1, 2, ...}. They are drawn in
+    batches of the mean number of successes left plus three standard
+    deviations and eight, until a success lands past the last trial. A rate
+    of 0 or no trials draws nothing. A gap is capped at the unit total plus
+    one, so below _UNITS no running sum up to the first success past the end
+    wraps int64.
+    """
+    ends = np.cumsum(units)
+    total = int(ends[-1])
+    found, last = [np.zeros(0, dtype=np.int64)], 0
+    while r > 0.0 and last < total:
+        mean = r * (total - last)
+        gaps = rng.geometric(r, int(mean + 3.0 * math.sqrt(mean)) + 8)
+        np.minimum(gaps, total + 1, out=gaps)
+        at = np.cumsum(gaps)
+        at += last
+        past = at > total
+        end = int(past.argmax())
+        if past[end]:
+            found.append(at[:end])
+            break
+        found.append(at)
+        last = int(at[-1])
+    return np.searchsorted(ends, np.concatenate(found))
+
+
+def _sparse(count, r, units=None):
+    """Whether a call on count takes a sparse route at rate r per unit: count
+    is an array of at least _WIDE entries whose float unit total (units, by
+    default the count total) is below _UNITS and expects at most _SPARSE
+    successes per entry."""
+    if np.ndim(count) == 0 or len(count) < _WIDE:
+        return False
+    if units is None:
+        units = count.sum(dtype=float)
+    return units < _UNITS and r * units <= _SPARSE * len(count)
+
+
 def _binomial_sum(count, n, q, rng):
     """binomial(count n, q), for an int count or per entry of a count array.
 
-    Wide arrays of few trials thin one uniform per trial. The route is
-    decided on a float sum: on a guarded law count n may pass int64.
+    A wide array of sparse successes at q below _GAP_RATE draws the gaps
+    between them (_successes); another wide array of few trials thins one
+    uniform per trial. Routes are decided on a float sum: on a guarded law
+    count n may pass int64.
     """
-    if (
-        np.ndim(count) == 0
-        or len(count) < _WIDE
-        or count.sum(dtype=float) * n > _SMALL * len(count)
-    ):
+    if np.ndim(count) == 0 or len(count) < _WIDE:
         return rng.binomial(count * n, q)
-    trials = count * n
+    units = count.sum(dtype=float) * n
+    trials = count if n == 1 else count * n
+    if q < _GAP_RATE and _sparse(count, q, units):
+        return np.bincount(_successes(trials, q, rng), minlength=len(count))
+    if units > _SMALL * len(count):
+        return rng.binomial(trials, q)
     ends = np.cumsum(trials)
     run = np.zeros(ends[-1] + 1, dtype=np.int64)  # run[t]: successes before trial t
     np.cumsum(rng.random(ends[-1]) < q, out=run[1:])
@@ -283,6 +373,12 @@ class Geometric:
         return rng.geometric(self.q, size) - 1
 
     def sample_sum(self, count, rng):
+        if _sparse(count, 1.0 - self.q):
+            # a draw is nonzero with probability 1 - q, and then, by
+            # memorylessness, 1 + geometric(q): numpy's geometric(q) trials
+            rows = _successes(count, 1.0 - self.q, rng)
+            sizes = rng.geometric(self.q, len(rows))
+            return np.bincount(rows, sizes, minlength=len(count)).astype(np.int64)
         # negative binomial(c, q) as numpy draws it, a Poisson mixed over a
         # gamma(c) rate scaled by b; a zero count draws nothing and gives 0
         return rng.poisson(rng.standard_gamma(count) * ((1.0 - self.q) / self.q))
@@ -371,6 +467,20 @@ class FiniteSupport:
     def dim(self):
         return self.support.shape[1]
 
+    @cached_property
+    def _nonzero(self):
+        """(rate, atoms, cum): a draw is nonzero with probability rate (1
+        without a zero atom), and then one of the nonzero atoms, whose masses
+        given a nonzero draw accumulate to cum. Derived on a first sum, so a
+        law that only reports moments never pays for it."""
+        nonzero = self.support.any(axis=1)
+        rate = 1.0 if nonzero.all() else float(self.probs[nonzero].sum())
+        cum = np.cumsum(self.probs[nonzero])
+        if rate > 0.0:
+            cum /= rate
+            cum[-1] = 1.0
+        return rate, self.support[nonzero], cum
+
     def mean(self):
         return self.probs @ self.support.astype(float)
 
@@ -397,6 +507,16 @@ class FiniteSupport:
 
     def sample_sum(self, count, rng):
         """Sum of count draws, shape (dim,), or (len(count), dim) for an array."""
+        rate, atoms, cum = self._nonzero
+        if rate < 1.0 and _sparse(count, rate):
+            # the nonzero draws, then each one's atom: a uniform below the
+            # last cumulative mass, 1, is below some entry
+            rows = _successes(count, rate, rng)
+            drawn = atoms[np.searchsorted(cum, rng.random(len(rows)), side="right")]
+            out = np.empty((len(count), self.dim), dtype=np.int64)
+            for j in range(self.dim):
+                out[:, j] = np.bincount(rows, drawn[:, j], minlength=len(count))
+            return out
         return rng.multinomial(count, self.probs) @ self.support
 
     def to_json(self):

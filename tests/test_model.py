@@ -11,7 +11,9 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from bpagg.model import (
+    _GAP_RATE,
     _SMALL,
+    _SPARSE,
     _WIDE,
     Bernoulli,
     Binomial,
@@ -274,8 +276,9 @@ def _scipy_pmf(marginal):
         ks = np.arange(2)
         return ks, stats.bernoulli.pmf(ks, marginal.q)
     if isinstance(marginal, Binomial):
+        # binom.pmf overflows at q near the smallest normal float, its log does not
         ks = np.arange(marginal.n + 1)
-        return ks, stats.binom.pmf(ks, marginal.n, marginal.q)
+        return ks, np.exp(stats.binom.logpmf(ks, marginal.n, marginal.q))
     if isinstance(marginal, Geometric):
         # scipy's geom counts trials, the law counts failures
         ks = np.arange(int(60.0 / marginal.q) + 1)
@@ -558,6 +561,93 @@ def test_thinned_sums_match_convolution_oracle(law):
     _check_sums_against_oracle(draws, _pmf_table(law), law.dist, counts=_FEW)
 
 
+# brood counts that mix 0, 1 and several units, mean 11/8: a tile of them
+# under each of _SPARSE_LAWS is a wide call that expects at most _SPARSE
+# nonzero draws (or Poisson points) per entry
+_MIXED = np.array([0, 1, 3, 0, 0, 6, 1, 0], dtype=np.int64)
+_SPARSE_LAWS = (
+    Bernoulli(0.1),
+    Binomial(3, 0.05),
+    Geometric(0.8),
+    Poisson(0.3),
+    FiniteSupport([[0, 0], [0, 1], [2, 0], [1, 1]], [0.7, 0.1, 0.15, 0.05]),
+)
+
+
+def _gap_rows(units, r, rng):
+    """The rows of the successes among units[i] trials of row i, each a
+    success with probability r, walked one geometric gap at a time in
+    _successes' batches: the mean number of successes left, plus three
+    standard deviations and eight."""
+    owner = np.repeat(np.arange(len(units)), units)  # owner[t - 1]: the row of trial t
+    total, t, rows = len(owner), 0, []
+    while r > 0 and t < total:
+        mean = r * (total - t)
+        for gap in rng.geometric(r, int(mean + 3.0 * math.sqrt(mean)) + 8):
+            t += min(int(gap), total + 1)
+            if t > total:
+                return rows
+            rows.append(owner[t - 1])
+    return rows
+
+
+def _sparse_oracle(law, counts, rng):
+    """law.sample_sum(counts, rng) on a sparse route, drawn by hand from the
+    same stream: Bernoulli and binomial sums count gap successes among the
+    trials, a geometric law adds numpy's geometric(q) trials for each gap
+    success among the draws at rate 1 - q, a table draws each gap success's
+    atom among its nonzero atoms at their total mass, and a Poisson law drops
+    poisson(lam units) points on uniform units."""
+    out = np.zeros((len(counts), getattr(law, "dim", 1)), dtype=np.int64)
+    if isinstance(law, Poisson):
+        owner = np.repeat(np.arange(len(counts)), counts)
+        for point in rng.integers(0, len(owner), rng.poisson(law.lam * len(owner))):
+            out[owner[point], 0] += 1
+    elif isinstance(law, Geometric):
+        rows = _gap_rows(counts, 1.0 - law.q, rng)
+        for row, trials in zip(rows, rng.geometric(law.q, len(rows))):
+            out[row, 0] += trials
+    elif isinstance(law, FiniteSupport):
+        nonzero = law.support.any(axis=1)
+        cum = np.cumsum(law.probs[nonzero]) / law.probs[nonzero].sum()
+        cum[-1] = 1.0
+        rows = _gap_rows(counts, law.probs[nonzero].sum(), rng)
+        for row, u in zip(rows, rng.random(len(rows))):
+            k = 0
+            while cum[k] <= u:
+                k += 1
+            out[row] += law.support[nonzero][k]
+    else:
+        for row in _gap_rows(counts * getattr(law, "n", 1), law.q, rng):
+            out[row, 0] += 1
+    return out if isinstance(law, FiniteSupport) else out[:, 0]
+
+
+@pytest.mark.parametrize("law", _SPARSE_LAWS, ids=lambda law: type(law).__name__)
+def test_sparse_sums_match_convolution_oracle(law):
+    counts = np.tile(_MIXED, _DRAWS)
+    draws = law.sample_sum(counts, stream_rng(310))
+    assert draws.dtype == np.int64 and draws.shape[0] == len(counts)
+    if not isinstance(law, FiniteSupport):
+        _check_sums_against_oracle(draws, _pmf_table(law), law.dist, counts=_MIXED)
+        return
+    # every linear projection of a table's sums has the convolution of the
+    # projected table as law, as in the multinomial route's oracle test
+    for w in ([1, 0], [0, 1], [1, 1]):
+        pmf = np.bincount(law.support @ w, weights=law.probs)
+        _check_sums_against_oracle(draws @ w, pmf, "finite w = %s" % (w,), counts=_MIXED)
+
+
+@pytest.mark.parametrize("law", _SPARSE_LAWS, ids=lambda law: type(law).__name__)
+def test_sparse_routes_follow_gap_and_splitting_oracles(law):
+    counts = np.tile(_MIXED, _WIDE // 4)
+    rng = stream_rng(311)
+    draws = law.sample_sum(counts, rng)
+    reference = stream_rng(311)
+    assert np.array_equal(draws, _sparse_oracle(law, counts, reference))
+    assert _same_stream_after(rng, reference)
+
+
 @pytest.mark.parametrize("lam", [0.3, float(_SMALL)])
 def test_scattered_poisson_sample_matches_pmf(lam):
     # _DRAWS >= _WIDE draws of lam <= _SMALL scatter one poisson total
@@ -606,20 +696,104 @@ def test_calls_outside_the_uniform_routes_draw_numpy_variates():
     after = stream_rng(305)
     after.random(_SMALL * _WIDE)
     assert _same_stream_after(rng, after)
+    # the sparse routes start at _SPARSE expected nonzero draws per entry,
+    # on at least _WIDE entries: one unit per entry at rate _SPARSE is on the
+    # route, one more unit, or one entry fewer, is numpy's variate
+    ones = np.ones(_WIDE, dtype=np.int64)
+    past = ones.copy()
+    past[0] = 2
+    table = FiniteSupport([[0, 0], [1, 2]], [1.0 - _SPARSE, _SPARSE])
+    for law, numpy_draw in (
+        (Poisson(_SPARSE), lambda c, rng: rng.poisson(c * _SPARSE)),
+        (Geometric(1.0 - _SPARSE), lambda c, rng: rng.poisson(rng.standard_gamma(c) * 1.0)),
+        (table, lambda c, rng: rng.multinomial(c, table.probs) @ table.support),
+    ):
+        want = _sparse_oracle(law, ones, stream_rng(306))
+        assert np.array_equal(law.sample_sum(ones, stream_rng(306)), want)
+        for counts in (past, ones[1:]):
+            want = numpy_draw(counts, stream_rng(306))
+            assert np.array_equal(law.sample_sum(counts, stream_rng(306)), want)
+    # Bernoulli and binomial sums take gaps only below _GAP_RATE per trial,
+    # and then up to _SPARSE successes per entry; 8 trials per entry are past
+    # _SMALL, so more is numpy's binomial
+    rate = _SPARSE / 8
+    assert rate < _GAP_RATE
+    for law, counts in ((Bernoulli(rate), 8 * ones), (Binomial(2, rate), 4 * ones)):
+        n = getattr(law, "n", 1)
+        want = _sparse_oracle(law, counts, stream_rng(308))
+        assert np.array_equal(law.sample_sum(counts, stream_rng(308)), want)
+        counts = counts + (np.arange(_WIDE) == 0)
+        want = stream_rng(308).binomial(counts * n, rate)
+        assert np.array_equal(law.sample_sum(counts, stream_rng(308)), want)
+    # at _GAP_RATE itself a wide call of few trials thins one uniform per
+    # trial, as at q = 1/2; just below, it draws gaps
+    counts = np.tile(_FEW, _WIDE)
+    for q in (_GAP_RATE, 0.5):
+        rng = stream_rng(309)
+        Bernoulli(q).sample_sum(counts, rng)
+        after = stream_rng(309)
+        after.random(int(counts.sum()))
+        assert _same_stream_after(rng, after)
+    law = Bernoulli(np.nextafter(_GAP_RATE, 0.0))
+    want = _sparse_oracle(law, counts, stream_rng(309))
+    assert np.array_equal(law.sample_sum(counts, stream_rng(309)), want)
 
 
 def test_wide_zero_calls_draw_nothing():
+    # every law kind, on every route a wide call can take
     zeros = np.zeros(_WIDE, dtype=np.int64)
+    laws = _ALL_LAWS + _SPARSE_LAWS
     for draw in (
-        lambda rng: Bernoulli(0.35).sample_sum(zeros, rng),
-        lambda rng: Binomial(3, 0.3).sample_sum(zeros, rng),
         lambda rng: Binomial(0, 0.3).sample_sum(zeros + 3, rng),
+        lambda rng: Binomial(0, 0.05).sample_sum(zeros + 3, rng),
         lambda rng: Poisson(0.0).sample(rng, _WIDE),
+        *(lambda rng, law=law: law.sample_sum(zeros, rng) for law in laws),
     ):
         rng = stream_rng(306)
         out = draw(rng)
-        assert out.shape == (_WIDE,) and out.dtype == np.int64 and not out.any()
+        assert out.shape[0] == _WIDE and out.dtype == np.int64 and not out.any()
         assert _same_stream_after(rng, stream_rng(306))
+
+
+class _NoGaps:
+    """A generator that refuses nonempty geometric draws, which every batch of
+    _successes' gap loop makes."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def geometric(self, p, size):
+        assert size == 0, "entered the gap loop at rate %r" % (p,)
+        return self.rng.geometric(p, size)
+
+
+def test_rates_zero_and_one_never_enter_the_gap_loop():
+    counts = np.tile(_FEW, _WIDE)
+    # rate 0: a wide call is all zeros and draws nothing
+    nothing = FiniteSupport([[0, 0], [1, 1]], [1.0, 0.0])
+    for law in (Bernoulli(0.0), Binomial(3, 0.0), Geometric(1.0), nothing):
+        rng = stream_rng(312)
+        out = law.sample_sum(counts, _NoGaps(rng))
+        assert out.shape[0] == len(counts) and not out.any()
+        assert _same_stream_after(rng, stream_rng(312))
+    # rate 1, on counts of mean 1/4, which take a sparse route at any lower
+    # rate: Bernoulli(1) thins one uniform per trial, and every trial succeeds
+    counts = np.tile([0, 1, 0, 0], _WIDE)
+    rng = stream_rng(313)
+    assert np.array_equal(Bernoulli(1.0).sample_sum(counts, _NoGaps(rng)), counts)
+    after = stream_rng(313)
+    after.random(int(counts.sum()))
+    assert _same_stream_after(rng, after)
+    # a table without a zero atom is nonzero at rate 1: numpy's multinomial
+    table = _ALL_LAWS[5]
+    assert table.support.any(axis=1).all()
+    rng, after = stream_rng(314), stream_rng(314)
+    want = after.multinomial(counts, table.probs) @ table.support
+    assert np.array_equal(table.sample_sum(counts, _NoGaps(rng)), want)
+    assert _same_stream_after(rng, after)
 
 
 def test_huge_binomial_trial_sum_takes_numpy_route():
@@ -631,6 +805,23 @@ def test_huge_binomial_trial_sum_takes_numpy_route():
     want = stream_rng(307).binomial(np.full(_WIDE, 2 ** 62), 0.5)
     assert np.array_equal(out, want)
     assert out.min() > 2 ** 61 - 2 ** 40
+    # at a tiny rate the same trials expect few successes, but their total
+    # would wrap a running unit count: numpy's variate again, not the gaps
+    rng, after = stream_rng(307), stream_rng(307)
+    out = Binomial(2 ** 31, 1e-30).sample_sum(counts, rng)
+    assert np.array_equal(out, after.binomial(np.full(_WIDE, 2 ** 62), 1e-30))
+    assert _same_stream_after(rng, after)
+
+
+def test_gaps_near_int64_do_not_wrap():
+    # 2^60 trials at q = 1e-19 take the gaps, which are near 2^63 and would
+    # wrap a running sum past a first success; the successes are
+    # binomial(2^60, 1e-19), about poisson(0.115), so 6 or more in any of
+    # 200 calls has probability below 1e-6
+    counts = np.full(_WIDE, 2 ** 31, dtype=np.int64)
+    law = Binomial(2 ** 20, 1e-19)
+    totals = [int(law.sample_sum(counts, stream_rng(400, s)).sum()) for s in range(200)]
+    assert max(totals) < 6
 
 
 _ALL_LAWS = (
@@ -644,7 +835,12 @@ _ALL_LAWS = (
 )
 
 
-@pytest.mark.parametrize("law", _ALL_LAWS, ids=lambda law: type(law).__name__)
+@pytest.mark.parametrize(
+    "law",
+    _ALL_LAWS + _SPARSE_LAWS,
+    ids=[type(law).__name__ for law in _ALL_LAWS]
+    + ["sparse_" + type(law).__name__ for law in _SPARSE_LAWS],
+)
 def test_sample_sum_int_and_array_counts_consume_stream_alike(law):
     # an int count and a one-entry count array draw the same variate from the
     # same stream position, and a zero count draws nothing
