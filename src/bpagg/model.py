@@ -21,22 +21,19 @@ it makes.
 
 Sparse routes draw only what is nonzero, when a call expects at most
 _SPARSE = 1/2 nonzero draws (or Poisson points) per entry. The counts are
-read as units laid end to end: the trials of a binomial sum, the broods of
-other laws. _successes draws the units that succeed, each independently at
-a rate r < 1, as i.i.d. geometric(r) gaps between successes, and maps each
-to its row by searchsorted on the running unit count (Devroye 1986). A
-Bernoulli or binomial sum with a per-trial q below _GAP_RATE = 1/8 counts
-its successes. A geometric(q) brood is nonzero at rate 1 - q, and a nonzero
-one is numpy's geometric(q), the trials to a first success, by
+read as broods laid end to end. _successes draws the broods that are
+nonzero, each independently at a rate r < 1, as i.i.d. geometric(r) gaps
+between them, and maps each to its row by searchsorted on the running brood
+count (Devroye 1986). A geometric(q) brood is nonzero at rate 1 - q, and a
+nonzero one is numpy's geometric(q), the trials to a first success, by
 memorylessness. A table brood is nonzero at the total mass of its nonzero
 atoms, and a nonzero one is an atom drawn among those as sample draws it. A
 Poisson sum is the row counts of poisson(lam units) points dropped on
 uniform units (Poisson splitting). A rate of 0 draws nothing, and a rate of
-1 (a Bernoulli or binomial q = 1, or a table without a zero atom) never
-takes a sparse route.
+1 (a table without a zero atom) never takes a sparse route.
 
 Uniform routes replace the numpy variate where many small draws make one
-uniform per unit cheaper. Another wide Bernoulli or binomial sum of at most
+uniform per unit cheaper. A wide Bernoulli or binomial sum of at most
 _SMALL = 4 trials per count on average draws one uniform per trial, and
 each entry is a difference of one running count of successes. A Poisson
 sample of at least _WIDE draws with lam at most _SMALL is the cell counts of
@@ -55,11 +52,11 @@ between means 6 and 10. Scattering at lam 8 tied on 512 draws and won on
 more, so one _SMALL for both is conservative for the scatter. On 2048-8192
 counts spread as poisson(m), m from 1/2 to 8, the sparse routes at 1/2
 nonzero draws per entry took 0.55-0.85 of numpy's time for tables and
-geometric laws and 0.65-1.0 for Poisson and binomial sums; at one per
-entry, Poisson and binomial sums took 0.8-1.45. On 512 counts they took
-0.55-1.1 up to 1/2 per entry. Gaps took 0.6-1.1 of thinning's time at
-q <= 1/10 on 2048-8192 counts of mean 1/4 to 2, 0.85-1.1 at q = 1/8, and
-1.1-2.9 at q = 1/2, which stays on thinning.
+geometric laws and 0.7-1.0 for Poisson sums; at one per entry, Poisson sums
+took 1.0-1.4. On 512 counts they took 0.55-1.1 up to 1/2 per entry.
+Bernoulli and binomial sums keep thinning or numpy's variate: gaps between
+successes took 0.6-1.1 of thinning's time at q <= 1/10 and more above, a
+saving too small to resolve end to end.
 
 The count c may be an int or an int64 array of counts, one per copy or per
 immigrant cohort, so one generator call covers a whole block of copies or a
@@ -103,10 +100,8 @@ _MASS_TOL = 1e-9
 _WIDE = 512
 _SMALL = 4
 # the sparse routes: at most _SPARSE nonzero draws (or Poisson points)
-# expected per entry, and for a Bernoulli or binomial sum a per-trial rate
-# below _GAP_RATE
+# expected per entry
 _SPARSE = 0.5
-_GAP_RATE = 0.125
 # unit totals from here on keep numpy's variate, so a running unit count of
 # the sparse routes stays clear of 2^63
 _UNITS = 2.0 ** 62
@@ -233,34 +228,29 @@ def _successes(units, r, rng):
     return np.searchsorted(ends, np.concatenate(found))
 
 
-def _sparse(count, r, units=None):
+def _sparse(count, r):
     """Whether a call on count takes a sparse route at rate r per unit: count
-    is an array of at least _WIDE entries whose float unit total (units, by
-    default the count total) is below _UNITS and expects at most _SPARSE
-    successes per entry."""
+    is an array of at least _WIDE entries whose float unit total is below
+    _UNITS and expects at most _SPARSE successes per entry."""
     if np.ndim(count) == 0 or len(count) < _WIDE:
         return False
-    if units is None:
-        units = count.sum(dtype=float)
+    units = count.sum(dtype=float)
     return units < _UNITS and r * units <= _SPARSE * len(count)
 
 
 def _binomial_sum(count, n, q, rng):
     """binomial(count n, q), for an int count or per entry of a count array.
 
-    A wide array of sparse successes at q below _GAP_RATE draws the gaps
-    between them (_successes); another wide array of few trials thins one
-    uniform per trial. Routes are decided on a float sum: on a guarded law
-    count n may pass int64.
+    Wide arrays of few trials thin one uniform per trial. The route is
+    decided on a float sum: on a guarded law count n may pass int64.
     """
-    if np.ndim(count) == 0 or len(count) < _WIDE:
+    if (
+        np.ndim(count) == 0
+        or len(count) < _WIDE
+        or count.sum(dtype=float) * n > _SMALL * len(count)
+    ):
         return rng.binomial(count * n, q)
-    units = count.sum(dtype=float) * n
-    trials = count if n == 1 else count * n
-    if q < _GAP_RATE and _sparse(count, q, units):
-        return np.bincount(_successes(trials, q, rng), minlength=len(count))
-    if units > _SMALL * len(count):
-        return rng.binomial(trials, q)
+    trials = count * n
     ends = np.cumsum(trials)
     run = np.zeros(ends[-1] + 1, dtype=np.int64)  # run[t]: successes before trial t
     np.cumsum(rng.random(ends[-1]) < q, out=run[1:])

@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from bpagg.model import (
-    _GAP_RATE,
     _SMALL,
     _SPARSE,
     _WIDE,
@@ -566,8 +565,6 @@ def test_thinned_sums_match_convolution_oracle(law):
 # nonzero draws (or Poisson points) per entry
 _MIXED = np.array([0, 1, 3, 0, 0, 6, 1, 0], dtype=np.int64)
 _SPARSE_LAWS = (
-    Bernoulli(0.1),
-    Binomial(3, 0.05),
     Geometric(0.8),
     Poisson(0.3),
     FiniteSupport([[0, 0], [0, 1], [2, 0], [1, 1]], [0.7, 0.1, 0.15, 0.05]),
@@ -575,10 +572,10 @@ _SPARSE_LAWS = (
 
 
 def _gap_rows(units, r, rng):
-    """The rows of the successes among units[i] trials of row i, each a
-    success with probability r, walked one geometric gap at a time in
-    _successes' batches: the mean number of successes left, plus three
-    standard deviations and eight."""
+    """The rows of the successes among units[i] broods of row i, each a
+    success (a nonzero brood) with probability r, walked one geometric gap
+    at a time in _successes' batches: the mean number of successes left,
+    plus three standard deviations and eight."""
     owner = np.repeat(np.arange(len(units)), units)  # owner[t - 1]: the row of trial t
     total, t, rows = len(owner), 0, []
     while r > 0 and t < total:
@@ -593,11 +590,10 @@ def _gap_rows(units, r, rng):
 
 def _sparse_oracle(law, counts, rng):
     """law.sample_sum(counts, rng) on a sparse route, drawn by hand from the
-    same stream: Bernoulli and binomial sums count gap successes among the
-    trials, a geometric law adds numpy's geometric(q) trials for each gap
-    success among the draws at rate 1 - q, a table draws each gap success's
-    atom among its nonzero atoms at their total mass, and a Poisson law drops
-    poisson(lam units) points on uniform units."""
+    same stream: a geometric law adds numpy's geometric(q) trials for each
+    gap success among the draws at rate 1 - q, a table draws each gap
+    success's atom among its nonzero atoms at their total mass, and a
+    Poisson law drops poisson(lam units) points on uniform units."""
     out = np.zeros((len(counts), getattr(law, "dim", 1)), dtype=np.int64)
     if isinstance(law, Poisson):
         owner = np.repeat(np.arange(len(counts)), counts)
@@ -607,7 +603,7 @@ def _sparse_oracle(law, counts, rng):
         rows = _gap_rows(counts, 1.0 - law.q, rng)
         for row, trials in zip(rows, rng.geometric(law.q, len(rows))):
             out[row, 0] += trials
-    elif isinstance(law, FiniteSupport):
+    else:
         nonzero = law.support.any(axis=1)
         cum = np.cumsum(law.probs[nonzero]) / law.probs[nonzero].sum()
         cum[-1] = 1.0
@@ -617,9 +613,6 @@ def _sparse_oracle(law, counts, rng):
             while cum[k] <= u:
                 k += 1
             out[row] += law.support[nonzero][k]
-    else:
-        for row in _gap_rows(counts * getattr(law, "n", 1), law.q, rng):
-            out[row, 0] += 1
     return out if isinstance(law, FiniteSupport) else out[:, 0]
 
 
@@ -713,45 +706,35 @@ def test_calls_outside_the_uniform_routes_draw_numpy_variates():
         for counts in (past, ones[1:]):
             want = numpy_draw(counts, stream_rng(306))
             assert np.array_equal(law.sample_sum(counts, stream_rng(306)), want)
-    # Bernoulli and binomial sums take gaps only below _GAP_RATE per trial,
-    # and then up to _SPARSE successes per entry; 8 trials per entry are past
-    # _SMALL, so more is numpy's binomial
-    rate = _SPARSE / 8
-    assert rate < _GAP_RATE
-    for law, counts in ((Bernoulli(rate), 8 * ones), (Binomial(2, rate), 4 * ones)):
-        n = getattr(law, "n", 1)
-        want = _sparse_oracle(law, counts, stream_rng(308))
-        assert np.array_equal(law.sample_sum(counts, stream_rng(308)), want)
-        counts = counts + (np.arange(_WIDE) == 0)
-        want = stream_rng(308).binomial(counts * n, rate)
-        assert np.array_equal(law.sample_sum(counts, stream_rng(308)), want)
-    # at _GAP_RATE itself a wide call of few trials thins one uniform per
-    # trial, as at q = 1/2; just below, it draws gaps
+    # Bernoulli and binomial sums have no sparse route: at a per-trial q that
+    # expects well under _SPARSE successes per entry, few trials still thin
+    # one uniform per trial and more are numpy's binomial
     counts = np.tile(_FEW, _WIDE)
-    for q in (_GAP_RATE, 0.5):
+    for q in (0.01, 0.5):
         rng = stream_rng(309)
         Bernoulli(q).sample_sum(counts, rng)
         after = stream_rng(309)
         after.random(int(counts.sum()))
         assert _same_stream_after(rng, after)
-    law = Bernoulli(np.nextafter(_GAP_RATE, 0.0))
-    want = _sparse_oracle(law, counts, stream_rng(309))
-    assert np.array_equal(law.sample_sum(counts, stream_rng(309)), want)
+    want = stream_rng(308).binomial(8 * ones, 0.01)
+    assert np.array_equal(Binomial(2, 0.01).sample_sum(4 * ones, stream_rng(308)), want)
 
 
 def test_wide_zero_calls_draw_nothing():
-    # every law kind, on every route a wide call can take
+    # every law kind, on every route a wide call can take: a scalar law
+    # gives one entry per count, a vector law one row of dim entries
     zeros = np.zeros(_WIDE, dtype=np.int64)
-    laws = _ALL_LAWS + _SPARSE_LAWS
-    for draw in (
-        lambda rng: Binomial(0, 0.3).sample_sum(zeros + 3, rng),
-        lambda rng: Binomial(0, 0.05).sample_sum(zeros + 3, rng),
-        lambda rng: Poisson(0.0).sample(rng, _WIDE),
-        *(lambda rng, law=law: law.sample_sum(zeros, rng) for law in laws),
-    ):
+    calls = [
+        (lambda rng: Binomial(0, 0.3).sample_sum(zeros + 3, rng), (_WIDE,)),
+        (lambda rng: Poisson(0.0).sample(rng, _WIDE), (_WIDE,)),
+    ]
+    for law in _ALL_LAWS + _SPARSE_LAWS:
+        shape = (_WIDE,) if getattr(law, "dim", None) is None else (_WIDE, law.dim)
+        calls.append((lambda rng, law=law: law.sample_sum(zeros, rng), shape))
+    for draw, shape in calls:
         rng = stream_rng(306)
         out = draw(rng)
-        assert out.shape[0] == _WIDE and out.dtype == np.int64 and not out.any()
+        assert out.shape == shape and out.dtype == np.int64 and not out.any()
         assert _same_stream_after(rng, stream_rng(306))
 
 
@@ -772,22 +755,31 @@ class _NoGaps:
 
 def test_rates_zero_and_one_never_enter_the_gap_loop():
     counts = np.tile(_FEW, _WIDE)
-    # rate 0: a wide call is all zeros and draws nothing
+    # rate 0: a wide call is all zeros; a sparse route draws nothing, and
+    # Bernoulli and binomial sums, which have none, thin one uniform per trial
     nothing = FiniteSupport([[0, 0], [1, 1]], [1.0, 0.0])
-    for law in (Bernoulli(0.0), Binomial(3, 0.0), Geometric(1.0), nothing):
+    for law, trials in (
+        (Bernoulli(0.0), 1),
+        (Binomial(3, 0.0), 3),
+        (Geometric(1.0), 0),
+        (nothing, 0),
+    ):
         rng = stream_rng(312)
         out = law.sample_sum(counts, _NoGaps(rng))
         assert out.shape[0] == len(counts) and not out.any()
-        assert _same_stream_after(rng, stream_rng(312))
-    # rate 1, on counts of mean 1/4, which take a sparse route at any lower
-    # rate: Bernoulli(1) thins one uniform per trial, and every trial succeeds
+        after = stream_rng(312)
+        after.random(trials * int(counts.sum()))
+        assert _same_stream_after(rng, after)
+    # rate 1, on counts of mean 1/4: Bernoulli(1) thins one uniform per
+    # trial, and every trial succeeds
     counts = np.tile([0, 1, 0, 0], _WIDE)
     rng = stream_rng(313)
     assert np.array_equal(Bernoulli(1.0).sample_sum(counts, _NoGaps(rng)), counts)
     after = stream_rng(313)
     after.random(int(counts.sum()))
     assert _same_stream_after(rng, after)
-    # a table without a zero atom is nonzero at rate 1: numpy's multinomial
+    # a table without a zero atom is nonzero at rate 1, so these counts, which
+    # take a sparse route at any lower rate, draw numpy's multinomial
     table = _ALL_LAWS[5]
     assert table.support.any(axis=1).all()
     rng, after = stream_rng(314), stream_rng(314)
@@ -805,21 +797,31 @@ def test_huge_binomial_trial_sum_takes_numpy_route():
     want = stream_rng(307).binomial(np.full(_WIDE, 2 ** 62), 0.5)
     assert np.array_equal(out, want)
     assert out.min() > 2 ** 61 - 2 ** 40
-    # at a tiny rate the same trials expect few successes, but their total
-    # would wrap a running unit count: numpy's variate again, not the gaps
-    rng, after = stream_rng(307), stream_rng(307)
-    out = Binomial(2 ** 31, 1e-30).sample_sum(counts, rng)
-    assert np.array_equal(out, after.binomial(np.full(_WIDE, 2 ** 62), 1e-30))
-    assert _same_stream_after(rng, after)
+
+
+def test_huge_unit_totals_take_numpy_route():
+    # at a tiny rate a wide call expects few successes, but from _UNITS = 2^62
+    # units on (and past 2^63, where the int64 total wraps) a running unit
+    # count could wrap: numpy's variate, not a sparse route
+    table = FiniteSupport([[0], [1]], [1.0, 1e-30])
+    for each in (2 ** 53, 2 ** 55):
+        counts = np.full(_WIDE, each, dtype=np.int64)
+        for law, numpy_draw in (
+            (Poisson(1e-30), lambda rng: rng.poisson(counts * 1e-30)),
+            (table, lambda rng: rng.multinomial(counts, table.probs) @ table.support),
+        ):
+            rng, after = stream_rng(307), stream_rng(307)
+            assert np.array_equal(law.sample_sum(counts, rng), numpy_draw(after))
+            assert _same_stream_after(rng, after)
 
 
 def test_gaps_near_int64_do_not_wrap():
-    # 2^60 trials at q = 1e-19 take the gaps, which are near 2^63 and would
-    # wrap a running sum past a first success; the successes are
-    # binomial(2^60, 1e-19), about poisson(0.115), so 6 or more in any of
-    # 200 calls has probability below 1e-6
-    counts = np.full(_WIDE, 2 ** 31, dtype=np.int64)
-    law = Binomial(2 ** 20, 1e-19)
+    # 2^60 broods of a table that is nonzero at rate 1e-19 take the gaps,
+    # which are near 2^63 and would wrap a running sum past a first success;
+    # the successes are binomial(2^60, 1e-19), about poisson(0.115), so 6 or
+    # more in any of 200 calls has probability below 1e-6
+    counts = np.full(_WIDE, 2 ** 51, dtype=np.int64)
+    law = FiniteSupport([[0], [1]], [1.0, 1e-19])
     totals = [int(law.sample_sum(counts, stream_rng(400, s)).sum()) for s in range(200)]
     assert max(totals) < 6
 
