@@ -3,8 +3,8 @@
 Verbs: moments, simulate, aggregate, verify (ergodic, clt, iterated,
 autocov, innovations), ginar. Every run with identical arguments, model
 file and seed writes identical bytes, whatever --threads says (default 1).
-Each verb validates its model at most once, through the moment report
-when it needs exact targets, and checks its grid before it simulates.
+Each verb classifies its model at most once (the model keeps its
+classification), and checks its grid before it simulates.
 Exit codes: 0 success, 2 validation or input failure, 3 a verification
 experiment ran and failed its bands.
 """
@@ -22,7 +22,6 @@ from .ginar import (
     scalar_limit_std,
     v_ginar,
 )
-from . import model as _models
 from .kronalg import NotSubcriticalError
 from .model import json_text, load_model, model_to_json
 from .moments import moment_report
@@ -225,11 +224,9 @@ def _run_simulate(args):
     if args.out is None:
         raise ValueError("simulate needs --out for the paths CSV")
     model = load_model(args.model)
-    if args.burnin != "auto":  # the ensemble certifies 'auto' itself, with no warning
-        _warn(_resolve_burnin(model, args.burnin, args.copies)[1])
-    ens = simulate_ensemble(
-        model, args.copies, args.n, args.seed, burnin=args.burnin, threads=args.threads
-    )
+    burn, notes = _resolve_burnin(model, args.burnin, args.copies)
+    _warn(notes)
+    ens = simulate_ensemble(model, args.copies, args.n, args.seed, burn, args.threads)
     paths_to_csv(ens, args.out)
     write_metadata(ens, args.out + ".meta.json")
     return 0
@@ -239,10 +236,6 @@ def _run_aggregate(args):
     if args.out is None:
         raise ValueError("aggregate needs --out for the CSV")
     model = load_model(args.model)
-    # classified once, as in every verb; the burn-in and aggregate read the
-    # stationary mean through _stationary_mean, which refuses a model
-    # without one as moment_report does
-    _models.validate(model)
     burn, notes = _resolve_burnin(model, args.burnin, args.copies)
     _warn(notes)
     series = aggregate(model, args.copies, args.n, args.seed, args.grid, burn, args.threads)

@@ -24,6 +24,7 @@ from .model import (
     BranchingModel,
     validate,
     _REGIME_TOL,
+    _cumulant_sum,
     _law_from_json,
     _regime,
 )
@@ -106,7 +107,7 @@ def _means(spec):
 
 def _scalar_var(law, mean):
     """var of a scalar law whose mean is mean."""
-    return float(law.kron_moment(2)[0]) - mean * mean
+    return float(_cumulant_sum([law], [1.0], [[mean]], 2)[0, 0])
 
 
 def characteristic_polynomial(spec):

@@ -2,15 +2,17 @@
 
 A model is p offspring laws (one per type) plus one immigration law, all
 p-dimensional. Two law representations are supported: an explicit finite
-probability table, and a product of independent scalar marginals with
-closed-form moments. Both expose exact mixed moments up to third order
-through Kronecker powers, and exact samplers on a caller-supplied generator.
-A table's Kronecker moment of order k is one weighted contraction of its
-atoms, whatever their number: X^T (w X) at order 2, and the row-wise
-products X_i X_j contracted with w X at order 3. Third cumulants, which the
-order-3 moment report reads, are closed forms per marginal kind, and a
-weighted sum of them over many laws contracts the stacked centered atoms of
-all their tables, p atoms per product (_third_cumulant_sum).
+probability table, and a product of independent scalar marginals. Each
+marginal kind states its first three cumulants once, in closed form
+(cumulants), and raw moments are derived from them where a reader needs
+them (_raw_moments). The moment report reads a law only through its
+cumulant tensors of order 2 and 3, and a weighted sum of those over many
+laws is one route (_cumulant_sum): a product law puts its marginals'
+cumulants on the diagonal, and a table contracts its centered atoms. Both
+representations keep kron_moment, their exact mixed raw moments up to
+third order through Kronecker powers, as the reference that the dense
+transfer oracle and the tests read; no production path calls it. Both have
+exact samplers on a caller-supplied generator.
 
 A law draws the sum of c independent broods as one variate of its c-fold
 convolution: poisson(c lam), binomial(c n, q), negative binomial(c, q) for
@@ -129,11 +131,18 @@ def _count(name, value):
     return int(value)
 
 
+def _raw_moments(marginal):
+    """(E X, E X^2, E X^3) of a scalar marginal from its cumulants (k1, k2, k3):
+    E X^2 = k2 + k1^2 and E X^3 = k3 + 3 k1 k2 + k1^3."""
+    k1, k2, k3 = marginal.cumulants()
+    return k1, k2 + k1 * k1, k3 + 3.0 * k1 * k2 + k1 ** 3
+
+
 def _finite_moments(law, name, value):
     """Refuse a law of counts, by parameter name at value, when its raw moments up
     to order 3 (every moment report reads them) pass float64; the third is largest."""
     try:
-        if math.isfinite(law.raw_moment(3)):
+        if math.isfinite(_raw_moments(law)[2]):
             return
     except OverflowError:
         pass
@@ -150,8 +159,7 @@ def _int64_count(name, value):
 
 
 class Poisson:
-    """poisson(lam) on {0,1,...}: E X = lam, E X^2 = lam + lam^2,
-    E X^3 = lam + 3 lam^2 + lam^3; every cumulant is lam."""
+    """poisson(lam) on {0,1,...}: every cumulant is lam."""
 
     dist = "poisson"
     json_params = ("lambda",)
@@ -163,16 +171,9 @@ class Poisson:
         self.lam = lam
         _finite_moments(self, "lambda", lam)
 
-    def raw_moment(self, k):
+    def cumulants(self):
         lam = self.lam
-        if k == 1:
-            return lam
-        if k == 2:
-            return lam + lam * lam
-        return lam + 3.0 * lam * lam + lam ** 3
-
-    def third_cumulant(self):
-        return self.lam
+        return lam, lam, lam
 
     def sample(self, rng, size=None):
         if size is None or size < _WIDE or self.lam > _SMALL:
@@ -258,8 +259,8 @@ def _binomial_sum(count, n, q, rng):
 
 
 class Bernoulli:
-    """bernoulli(q) on {0,1}: all raw moments equal q, the third cumulant is
-    q (1-q) (1-2q), and a sum of c copies is binomial(c, q)."""
+    """bernoulli(q) on {0,1}: cumulants q, q (1-q) and q (1-q) (1-2q), and a
+    sum of c copies is binomial(c, q)."""
 
     dist = "bernoulli"
     json_params = ("q",)
@@ -270,12 +271,10 @@ class Bernoulli:
             raise ValueError("need q in [0, 1], got %r" % q)
         self.q = q
 
-    def raw_moment(self, k):
-        return self.q
-
-    def third_cumulant(self):
+    def cumulants(self):
         q = self.q
-        return q * (1.0 - q) * (1.0 - 2.0 * q)
+        var = q * (1.0 - q)
+        return q, var, var * (1.0 - 2.0 * q)
 
     def sample(self, rng, size=None):
         hit = rng.random(size) < self.q
@@ -289,9 +288,8 @@ class Bernoulli:
 
 
 class Binomial:
-    """binomial(n, q): raw moments from factorial moments
-    E X(X-1) = n(n-1)q^2 and E X(X-1)(X-2) = n(n-1)(n-2)q^3, and n times
-    the Bernoulli cumulants. A sum of c copies is binomial(c n, q)."""
+    """binomial(n, q): n times the Bernoulli cumulants. A sum of c copies is
+    binomial(c n, q)."""
 
     dist = "binomial"
     json_params = ("n", "q")
@@ -303,20 +301,10 @@ class Binomial:
             raise ValueError("need q in [0, 1], got %r" % q)
         self.q = q
 
-    def raw_moment(self, k):
-        n, q = self.n, self.q
-        m1 = n * q
-        if k == 1:
-            return m1
-        f2 = n * (n - 1) * q * q
-        if k == 2:
-            return f2 + m1
-        f3 = n * (n - 1) * (n - 2) * q ** 3
-        return f3 + 3.0 * f2 + m1
-
-    def third_cumulant(self):
+    def cumulants(self):
         q = self.q
-        return self.n * q * (1.0 - q) * (1.0 - 2.0 * q)
+        var = self.n * q * (1.0 - q)
+        return self.n * q, var, var * (1.0 - 2.0 * q)
 
     def sample(self, rng, size=None):
         return rng.binomial(self.n, self.q, size)
@@ -331,10 +319,9 @@ class Binomial:
 class Geometric:
     """geometric(q) counting failures, P(X = k) = q (1-q)^k on {0,1,...}.
 
-    With b = (1-q)/q the factorial moments are b, 2 b^2, 6 b^3, so
-    E X = b, E X^2 = 2 b^2 + b, E X^3 = 6 b^3 + 6 b^2 + b, and the third
-    cumulant is b (1+b) (1+2b). q = 1 is the point mass at zero. A sum of c
-    copies is negative binomial(c, q).
+    With b = (1-q)/q the cumulants are b, b (1+b) and b (1+b) (1+2b).
+    q = 1 is the point mass at zero. A sum of c copies is negative
+    binomial(c, q).
     """
 
     dist = "geometric"
@@ -347,17 +334,10 @@ class Geometric:
         self.q = q
         _finite_moments(self, "q", q)
 
-    def raw_moment(self, k):
+    def cumulants(self):
         b = (1.0 - self.q) / self.q
-        if k == 1:
-            return b
-        if k == 2:
-            return 2.0 * b * b + b
-        return 6.0 * b ** 3 + 6.0 * b * b + b
-
-    def third_cumulant(self):
-        b = (1.0 - self.q) / self.q
-        return b * (1.0 + b) * (1.0 + 2.0 * b)
+        var = b * (1.0 + b)
+        return b, var, var * (1.0 + 2.0 * b)
 
     def sample(self, rng, size=None):
         return rng.geometric(self.q, size) - 1
@@ -378,8 +358,8 @@ class Geometric:
 
 
 class Point:
-    """Point mass at a nonnegative integer c; a sum of k copies is k c.
-    Consumes no randomness."""
+    """Point mass at a nonnegative integer c: cumulants c, 0 and 0; a sum of
+    k copies is k c. Consumes no randomness."""
 
     dist = "point"
     json_params = ("c",)
@@ -387,11 +367,8 @@ class Point:
     def __init__(self, c):
         self.c = _int64_count("c", c)
 
-    def raw_moment(self, k):
-        return float(self.c) ** k
-
-    def third_cumulant(self):
-        return 0.0
+    def cumulants(self):
+        return float(self.c), 0.0, 0.0
 
     def sample(self, rng, size=None):
         return self.c if size is None else np.full(size, self.c, dtype=np.int64)
@@ -477,7 +454,8 @@ class FiniteSupport:
     def kron_moment(self, alpha):
         """E x^(x)alpha, flat of length dim**alpha: the atoms X (one per row)
         weighted by the probabilities w and contracted in one product,
-        sum_n w_n x_n^(x)alpha."""
+        sum_n w_n x_n^(x)alpha. The raw-moment reference of the tests and
+        the dense transfer oracle; the moment report reads _cumulant_sum."""
         if alpha not in (1, 2, 3):
             raise ValueError("moment order must be 1, 2 or 3, got %r" % (alpha,))
         if alpha == 1:
@@ -522,10 +500,12 @@ class FiniteSupport:
 class IndependentMarginals:
     """Product law with independent scalar marginals, one per coordinate.
 
-    Mixed moments factor across coordinates, so any Kronecker moment up to
-    order three is a product of closed-form scalar raw moments: an outer
-    product of the means, with the entries that repeat a coordinate set to
-    the raw second or third moment of that coordinate.
+    Its cumulant tensors are diagonal, with the marginals' closed-form
+    cumulants on the diagonal (_cumulant_sum). Mixed raw moments factor
+    across coordinates, so kron_moment, the raw-moment reference of the
+    tests and the dense transfer oracle, is an outer product of the means
+    with the entries that repeat a coordinate set to the raw second or third
+    moment of that coordinate, derived from its cumulants.
     """
 
     kind = "independent"
@@ -540,12 +520,12 @@ class IndependentMarginals:
         return len(self.marginals)
 
     def mean(self):
-        return np.array([m.raw_moment(1) for m in self.marginals])
+        return np.array([m.cumulants()[0] for m in self.marginals])
 
     def kron_moment(self, alpha):
         if alpha not in (1, 2, 3):
             raise ValueError("moment order must be 1, 2 or 3, got %r" % (alpha,))
-        raws = np.array([[m.raw_moment(k) for k in range(1, alpha + 1)] for m in self.marginals])
+        raws = np.array([_raw_moments(m)[:alpha] for m in self.marginals])
         if alpha == 1:
             return raws[:, 0]
         m1, m2 = raws[:, 0], raws[:, 1]
@@ -577,34 +557,43 @@ class IndependentMarginals:
         return {"kind": "independent", "marginals": [m.params() for m in self.marginals]}
 
 
-def _third_cumulant_sum(laws, weights, means):
-    """sum_l weights[l] K3(laws[l]) as a p x p x p array, where
-    K3 = E (x - E x)^(x)3 is a law's third cumulant tensor and means[:, l]
-    the mean E x of laws[l].
+def _cumulant_sum(laws, weights, means, order):
+    """sum_l weights[l] K(laws[l]), where K = E (x - E x)^(x)order is a law's
+    cumulant tensor of order 2 or 3 and means[:, l] the mean E x of laws[l].
+    At order 2 a weight may be a row of k weights, for k sums at once as a
+    (k, p, p) array.
 
-    A product law's K3 is the diagonal of its marginals' closed-form
-    cumulants. The centered atoms of every table, each weighted by its
-    probability times weights[l], are stacked and contracted p atoms per
-    product, so no table's moment of order 3 is built on its own and the
-    row-wise products x_a x_b of a product hold at most p^3 entries.
+    A product law's K is the diagonal of its marginals' closed-form
+    cumulants. A table contracts its centered atoms c_n, weighted by their
+    probabilities w_n: c^T (w c) at order 2. At order 3 the centered atoms
+    of every table, each weighted by its probability times weights[l], are
+    stacked and contracted p atoms per product, so no table's tensor of
+    order 3 is built on its own and the row-wise products c_a c_b of a
+    product hold at most p^3 entries.
     """
     p = laws[0].dim
-    diag = np.zeros(p)
-    atoms, mass = [np.zeros((0, p))], [np.zeros(0)]
+    weights = np.asarray(weights, dtype=float)
+    diag = np.zeros(weights.shape[1:] + (p,))
+    tables = []
     for law, w, center in zip(laws, weights, np.transpose(means)):
         if isinstance(law, IndependentMarginals):
-            diag += w * np.array([m.third_cumulant() for m in law.marginals])
+            diag += np.multiply.outer(w, [m.cumulants()[order - 1] for m in law.marginals])
         else:
-            atoms.append(law.support - center)
-            mass.append(w * law.probs)
-    x = np.concatenate(atoms)
-    wx = np.concatenate(mass)[:, None] * x
-    out = np.zeros((p * p, p))
-    for lo in range(0, len(x), p):
-        rows = x[lo : lo + p]
-        out += (rows[:, :, None] * rows[:, None, :]).reshape(len(rows), p * p).T @ wx[lo : lo + p]
-    out = out.reshape(p, p, p)
-    out[np.diag_indices(p, 3)] += diag
+            tables.append((w, law.probs, law.support - center))
+    if order == 2:
+        # one product of the tables' weights with their stacked c^T (w c)
+        table_weights = np.reshape([w for w, _, _ in tables], (-1,) + weights.shape[1:])
+        covs = np.reshape([c.T @ (probs[:, None] * c) for _, probs, c in tables], (-1, p * p))
+        out = (table_weights.T @ covs).reshape(diag.shape + (p,))
+    else:
+        x = np.concatenate([np.zeros((0, p))] + [c for _, _, c in tables])
+        wx = np.concatenate([np.zeros(0)] + [w * probs for w, probs, _ in tables])[:, None] * x
+        out = np.zeros((p * p, p))
+        for lo in range(0, len(x), p):
+            rows = x[lo : lo + p]
+            out += (rows[:, :, None] * rows[:, None, :]).reshape(len(rows), p * p).T @ wx[lo : lo + p]
+        out = out.reshape(p, p, p)
+    out[(Ellipsis,) + np.diag_indices(p, order)] += diag
     return out
 
 
@@ -612,9 +601,9 @@ def _third_cumulant_sum(laws, weights, means):
 class BranchingModel:
     """p offspring laws (column i is the brood of one type-i individual)
     plus one p-dimensional immigration law. Its mean matrix _M, spectral
-    radius _rho and stationary mean _mean ((I - M)^-1 m_eps, None unless
-    subcritical) are derived once, on first use; every route reads them, so
-    the arrays are read-only."""
+    radius _rho, stationary mean _mean ((I - M)^-1 m_eps, None unless
+    subcritical) and classification (see validate) are derived once, on
+    first use; every route reads them, so the arrays are read-only."""
 
     p: int
     offspring: tuple
@@ -653,6 +642,13 @@ class BranchingModel:
         mean = np.linalg.solve(np.eye(self.p) - self._M, self.immigration.mean())
         mean.flags.writeable = False
         return mean
+
+    @cached_property
+    def _classification(self):
+        rho = self._rho
+        positive = np.linalg.matrix_power(self._M > 0, (self.p - 1) ** 2 + 1).all()
+        nontrivial = bool(np.any(self.immigration.mean() > 0))
+        return Classification(rho, _regime(rho), bool(positive), nontrivial)
 
 
 @dataclass(frozen=True)
@@ -698,12 +694,10 @@ def validate(model):
     primitive iff the boolean power B^((p-1)^2 + 1) is everywhere positive
     (Wielandt's bound, attained by the cycle with one chord), and that power
     takes O(log p) boolean products by repeated squaring (a bool matmul is
-    the or of ands).
+    the or of ands). The model classifies itself once, on the first call,
+    and every later call returns that classification.
     """
-    rho = model._rho
-    positive = np.linalg.matrix_power(model._M > 0, (model.p - 1) ** 2 + 1).all()
-    nontrivial = bool(np.any(model.immigration.mean() > 0))
-    return Classification(rho, _regime(rho), bool(positive), nontrivial)
+    return model._classification
 
 
 def _json_numbers(name, values):

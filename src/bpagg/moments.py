@@ -21,12 +21,13 @@ conditional moments of one generation. Given X_{k-1} = Y, the offspring sum
 Z has mean M Y, covariance sum_i Y_i Cov(xi^(i)) and third cumulant
 sum_i Y_i K3(xi^(i)), and immigration is independent of Z, so
 
-    b2 = sum_i mean_i Cov(xi^(i)) + mu m_eps^T + m_eps mu^T + E eps^(x)2
+    b2 = V + mu m_eps^T + m_eps mu^T + m_eps m_eps^T,
+    V  = sum_i mean_i Cov(xi^(i)) + Cov(eps),
 
-with mu = M mean. Each law's order-2 table comes from one call of its
-kron_moment per report; the offspring tables are stacked into one
-p x p x p array, and the covariances are that stack minus the outer
-products of the columns of M.
+with mu = M mean. The laws are read only through their cumulant tensors
+(model._cumulant_sum): one pass stacks the p offspring covariances and
+Cov(eps) into one (p + 1) x p x p array, which V, b2, the order-3 term
+below and the innovation checks read. V is written exactly symmetric.
 
 Order 3 is solved in cumulant form. By the law of total cumulance
 (Brillinger 1969, Ann. Inst. Statist. Math. 21) the stationary third
@@ -44,14 +45,16 @@ single factor of a T symmetric in (a, b). Then
 
 The law cumulants are closed forms on the diagonal for product laws and
 products over the stacked centered atoms of every table, p atoms at a time
-(model._third_cumulant_sum), so no law builds its p^3 table of raw third
-moments. Every array has at most p^3 entries and every contraction costs
-O(p^4). kron2, kron3, var0 and sigma are written exactly symmetric: each
-entry is read from its canonical index (i <= j, i <= j <= k).
+(model._cumulant_sum), so no law builds its p^3 table of raw third
+moments. Every array has at most (p + 1) p^2 entries, the size of the
+covariance stack, and every contraction costs O(p^4). V, kron2, kron3,
+var0 and sigma are written exactly symmetric: each entry is read from its
+canonical index (i <= j, i <= j <= k).
 
 build_transfer assembles the dense blocks A21, A31, A32 and the full a2/a3
-matrices. Nothing on the production path calls it; it is kept as an
-independent oracle for the tests.
+matrices from the laws' raw moments (kron_moment). Nothing on the
+production path calls either; they are kept as an independent oracle for
+the tests.
 
 The innovation noise matrix V, the stationary variance, lagged
 autocovariances and the covariance of the aggregation limit all derive from
@@ -68,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kronalg import commutation_matrix, lyapunov_solve, mode_product, tensor_fixed_point
-from .model import _count, _stationary_mean, _third_cumulant_sum, json_text, mean_matrix, validate
+from .model import _count, _cumulant_sum, _stationary_mean, json_text, mean_matrix, validate
 
 __all__ = [
     "TransferMatrices",
@@ -248,15 +251,11 @@ def moment_report(model, max_order=3):
     M = mean_matrix(model)
     mean = _stationary_mean(model)
     A = np.eye(p) - M
-    imm = model.immigration
-    m_eps = imm.mean()
-    eps2 = imm.kron_moment(2).reshape(p, p)
-    imm_cov = eps2 - np.outer(m_eps, m_eps)
-    # covs[i] = E xi^(i) xi^(i)T - m m^T, column i of M its mean m
-    covs = np.stack([law.kron_moment(2).reshape(p, p) for law in model.offspring])
-    covs -= np.einsum("ai,bi->iab", M, M)
-    brood_cov = np.tensordot(mean, covs, 1)
-    V = imm_cov + brood_cov
+    m_eps = model.immigration.mean()
+    laws, means = model.offspring + (model.immigration,), np.column_stack((M, m_eps))
+    # covs[i] = Cov(xi^(i)) for i < p and covs[p] = Cov(eps), in one pass
+    covs = _cumulant_sum(laws, np.eye(p + 1), means, 2)
+    V = _canonical(covs[p] + np.tensordot(mean, covs[:p], 1)).reshape(p, p)
     var0 = lyapunov_solve(M, V)
     sigma = np.linalg.solve(A, np.linalg.solve(A, V).T).T
 
@@ -266,7 +265,7 @@ def moment_report(model, max_order=3):
     kron2 = kron3 = route_gap = kron3_defect = None
     if max_order >= 2:
         mu = M @ mean
-        b2 = brood_cov + np.outer(mu, m_eps) + np.outer(m_eps, mu) + eps2
+        b2 = V + np.outer(mu, m_eps) + np.outer(m_eps, mu) + np.outer(m_eps, m_eps)
         k2 = tensor_fixed_point(M, b2)
         scale = max(float(np.max(np.abs(var0))), 1e-30)
         route_gap = float(np.max(np.abs(k2 - np.outer(mean, mean) - var0)) / scale)
@@ -274,10 +273,8 @@ def moment_report(model, max_order=3):
     if max_order == 3:
         with np.errstate(over="ignore", invalid="ignore"):
             # the sym term's [a, b, c] is sum_i Cov(xi^(i))[a, b] (M var0)[c, i]
-            r = _third_cumulant_sum(
-                model.offspring + (imm,), np.append(mean, 1.0), np.column_stack((M, m_eps))
-            )
-            r += _sym3(np.tensordot(covs, M @ var0, axes=([0], [1])))
+            r = _cumulant_sum(laws, np.append(mean, 1.0), means, 3)
+            r += _sym3(np.tensordot(covs[:p], M @ var0, axes=([0], [1])))
             c3 = tensor_fixed_point(M, r)
             defect = np.max(np.abs(c3 - r - mode_product(M, c3)))
             k3 = c3 + _sym3(np.multiply.outer(var0, mean))
@@ -304,8 +301,8 @@ def moment_report(model, max_order=3):
             "kron3": kron3_defect,
             "cond": float(np.linalg.cond(A, 1)),
         },
-        offspring_cov=covs,
-        immigration_cov=imm_cov,
+        offspring_cov=covs[:p],
+        immigration_cov=covs[p],
     )
 
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kronalg import NotSubcriticalError, spectral_radius
+from .kronalg import spectral_radius
 from .model import (
     Binomial,
     FiniteSupport,
@@ -185,13 +185,12 @@ def burnin_auto(model, copies=1):
     Coupling Method). Copies are independent and their bounds add, so a run
     of copies copies is within 1e-6 of a stationary-start run. A nilpotent
     M certifies at its index and zero immigration at 0. The model is
-    classified (validate) and must be subcritical; a length above 10^6
-    steps raises ValueError instead of running.
+    classified (validate) and must be subcritical: one that is not is
+    refused with moment_report's message (see _stationary_mean). A length
+    above 10^6 steps raises ValueError instead of running.
     """
-    cls = validate(model)
-    if cls.regime != "subcritical":
-        msg = "burn-in initialization needs a subcritical model, got rho = %.6g"
-        raise NotSubcriticalError(msg % cls.rho)
+    if validate(model).regime != "subcritical":
+        _stationary_mean(model)  # raises
     return _certified_burnin(mean_matrix(model), model._mean, copies)
 
 
@@ -206,16 +205,15 @@ def _burnin_steps(model, burnin, copies):
 def _resolve_burnin(model, burnin, copies=1):
     """(k, warnings), the one decision of a verb's burn-in over copies copies.
 
-    'auto', for a verb whose moment report classified the model, is the
-    certified length (see burnin_auto) at _stationary_mean's mean. An
-    integer k >= 0 is k, warned about when its certificate
-    copies * 1^T M^k mean is above _BURNIN_WARN; a model that is not
-    subcritical has no stationary law to compare with and gets no warning.
-    The simulation uses k as given: the certificate is computed once.
+    'auto' is burnin_auto's certified length. An integer k >= 0 is k,
+    warned about when its certificate copies * 1^T M^k mean is above
+    _BURNIN_WARN; a model that is not subcritical has no stationary law to
+    compare with and gets no warning. The simulation uses k as given: the
+    certificate is computed once.
     """
-    M, mean = mean_matrix(model), model._mean
     if burnin == "auto":
-        return _certified_burnin(M, _stationary_mean(model), copies), []
+        return burnin_auto(model, copies), []
+    M, mean = mean_matrix(model), model._mean
     k = _count("burnin", burnin)
     bound = 0.0 if mean is None else copies * _burnin_bound(M, mean, k)
     if bound <= _BURNIN_WARN:

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -12,6 +14,23 @@ from bpagg.model import (
     Point,
     Poisson,
 )
+
+
+def count_classifications(monkeypatch):
+    """A list that gains one entry, the model, per classification made from
+    now on: validate classifies a model once and returns that classification
+    on every later call, so this counts computations, not calls."""
+    seen = []
+    classify = BranchingModel._classification.func
+
+    def counting(model):
+        seen.append(model)
+        return classify(model)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(BranchingModel, "_classification")
+    monkeypatch.setattr(BranchingModel, "_classification", prop)
+    return seen
 
 
 def build_scalar_inar():

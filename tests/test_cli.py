@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import bpagg.cli as cli
-import bpagg.ginar
 import bpagg.model
 import bpagg.moments
 import bpagg.simulate
@@ -21,7 +20,12 @@ from bpagg.cli import main
 from bpagg.model import model_from_json, model_to_json
 from bpagg.simulate import burnin_auto
 from bpagg.verify import VerificationReport
-from conftest import build_deterministic, build_scalar_inar, build_two_type
+from conftest import (
+    build_deterministic,
+    build_scalar_inar,
+    build_two_type,
+    count_classifications,
+)
 from bpagg.kronalg import NotSubcriticalError
 from bpagg.model import (
     Bernoulli,
@@ -337,7 +341,6 @@ def test_every_verb_validates_once(scalar_file, two_type_file, tmp_path, monkeyp
         "moments": ["moments"] + m,
         "simulate-auto": ["simulate"] + ens + m,
         "aggregate-auto": ["aggregate", "--grid", "0.5,1.0"] + ens + m,
-        "aggregate-7": ["aggregate", "--grid", "0.5,1.0", "--burnin", "7"] + ens + m,
         "ergodic": ["verify", "ergodic", "--n", "300"] + m,
         "autocov": ["verify", "autocov", "--n", "300", "--lags", "0,1"] + m,
         "clt": ["verify", "clt", "--reps", "5"] + ens + m,
@@ -348,25 +351,19 @@ def test_every_verb_validates_once(scalar_file, two_type_file, tmp_path, monkeyp
         "ginar-p2": ["ginar", "--means", "0.3,0.2", "--out", out],
         "ginar-spec": ["ginar", "--spec", str(spec), "--out", out],
     }
-    # count validate calls through every module binding of it
-    calls = []
-    real = bpagg.model.validate
-
-    def counting(model):
-        calls.append(model)
-        return real(model)
-
-    for mod in (bpagg.model, bpagg.moments, bpagg.simulate, bpagg.verify, bpagg.ginar):
-        if hasattr(mod, "validate"):
-            monkeypatch.setattr(mod, "validate", counting)
+    # the model loaded by each call is classified once, however often the
+    # moment report, the burn-in and ginar ask validate for it
+    classified = count_classifications(monkeypatch)
     for name, argv in verbs.items():
-        del calls[:]
+        del classified[:]
         assert main(argv) in (0, 3), name
-        assert len(calls) == 1, name
-    # an explicit burn-in needs no classification: simulate steps any regime
-    del calls[:]
-    assert main(["simulate", "--burnin", "7"] + ens + m) == 0
-    assert calls == []
+        assert len(classified) == 1, name
+    # an explicit burn-in needs no classification: simulate steps any regime,
+    # and aggregate's stationary mean refuses a model that has none
+    for head in (["simulate"], ["aggregate", "--grid", "0.5,1.0"]):
+        del classified[:]
+        assert main(head + ["--burnin", "7"] + ens + m) == 0
+        assert classified == []
 
 
 def _table_model():
@@ -760,20 +757,39 @@ def test_one_extra_check_out_of_band_fails_the_run(scalar_file, capsys, monkeypa
         assert len(far) == (1 if other == kind else 0), other
 
 
-def test_innovations_reads_each_law_table_once(two_type_file, capsys, monkeypatch):
-    # the bucket targets come from the covariances the moment report built
-    calls = collections.Counter()
+def test_no_verb_reads_kron_moment(tmp_path, capsys, monkeypatch):
+    # every verb reads the laws through their cumulants; kron_moment is the
+    # raw-moment reference of the tests and the dense oracle only
+    def refuse(self, alpha):
+        raise AssertionError("kron_moment(%r) called" % (alpha,))
+
     for cls in (FiniteSupport, IndependentMarginals):
-
-        def counting(self, alpha, real=cls.kron_moment):
-            calls[id(self), alpha] += 1
-            return real(self, alpha)
-
-        monkeypatch.setattr(cls, "kron_moment", counting)
-    assert main(["verify", "innovations", "--model", two_type_file, "--n", "2000"]) == 0
-    assert json.loads(capsys.readouterr().out)["extra"]["buckets"]
-    seconds = [count for (_, alpha), count in calls.items() if alpha == 2]
-    assert sorted(seconds) == [1, 1, 1]
+        monkeypatch.setattr(cls, "kron_moment", refuse)
+    f = tmp_path / "model.json"
+    f.write_text(json.dumps(model_to_json(_table_model())))
+    spec = tmp_path / "spec.json"
+    law = {"kind": "independent", "marginals": [{"dist": "geometric", "q": 0.7}]}
+    table = {"kind": "finite", "support": [{"v": [0], "p": 0.8}, {"v": [1], "p": 0.1},
+                                           {"v": [3], "p": 0.1}]}
+    spec.write_text(json.dumps({"order": 2, "offspring": [table, law], "immigration": table}))
+    out = str(tmp_path / "out")
+    m = ["--model", str(f), "--out", out]
+    ens = ["--n", "20", "--copies", "3"]
+    runs = [["moments", "--order", order] + m for order in ("1", "2", "3")] + [
+        ["simulate"] + ens + m,
+        ["aggregate", "--grid", "0.5,1.0"] + ens + m,
+        ["verify", "ergodic", "--n", "300"] + m,
+        ["verify", "autocov", "--n", "300", "--lags", "0,1"] + m,
+        ["verify", "clt", "--reps", "5"] + ens + m,
+        ["verify", "iterated", "--limit-order", "N", "--n", "20", "--copies", "4"] + m,
+        ["verify", "innovations", "--n", "2000"] + m,
+        ["ginar", "--spec", str(spec), "--out", out],
+    ]
+    for argv in runs:
+        assert main(argv) in (0, 3), argv
+        assert capsys.readouterr().err == "", argv
+    with open(out) as fh:
+        assert "V" in json.load(fh)
 
 
 def test_ginar_means_report(capsys):

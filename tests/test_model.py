@@ -22,7 +22,8 @@ from bpagg.model import (
     IndependentMarginals,
     Point,
     Poisson,
-    _third_cumulant_sum,
+    _cumulant_sum,
+    _raw_moments,
     mean_matrix,
     model_digest,
     model_from_json,
@@ -92,14 +93,16 @@ def _raw_moment_oracle(marginal, order):
     ],
 )
 def test_marginal_raw_moments_match_pmf_summation(marginal):
-    for order in (1, 2, 3):
-        assert marginal.raw_moment(order) == pytest.approx(
+    # raw moments derived from the cumulants against pmf summation, the
+    # independent oracle of the closed forms
+    for order, raw in zip((1, 2, 3), _raw_moments(marginal)):
+        assert raw == pytest.approx(
             _raw_moment_oracle(marginal, order), rel=1e-10, abs=1e-10
         )
 
 
 def test_poisson_one_third_moment_is_five():
-    assert Poisson(1.0).raw_moment(3) == pytest.approx(5.0, abs=1e-12)
+    assert _raw_moments(Poisson(1.0))[2] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_kron_moment_order_one_equals_mean():
@@ -252,7 +255,7 @@ def test_independent_marginals_tables_match_loop_reference():
     law = IndependentMarginals(
         [Poisson(0.7), Geometric(0.3), Binomial(3, 0.2), Bernoulli(0.35), Point(2)]
     )
-    raws = [[m.raw_moment(r) for r in (1, 2, 3)] for m in law.marginals]
+    raws = [_raw_moments(m) for m in law.marginals]
     for alpha in (2, 3):
         table = law.kron_moment(alpha).reshape((5,) * alpha)
         for idx in itertools.product(range(5), repeat=alpha):
@@ -263,33 +266,40 @@ def test_independent_marginals_tables_match_loop_reference():
 
 
 def _scipy_pmf(marginal):
-    """(support, pmf) of a marginal from scipy.stats. The Poisson support is
-    cut at lam + 30 sqrt(lam) + 60 and the geometric one at 60 / q, where the
-    mass beyond is below e^-60, far below the cumulant tolerance even when
-    weighted by k^3. A cut by mass, as _pmf_table makes, would drop the
-    whole third cumulant of a Poisson law of tiny lam."""
+    """(support, pmf) of a marginal from scipy.stats, each pmf the exp of its
+    logpmf: binom.pmf overflows at q near the smallest normal float, and the
+    log forms hold at every parameter of the strategies below. The Poisson
+    support is cut at lam + 30 sqrt(lam) + 60 and the geometric one at
+    60 / q, where the mass beyond is below e^-60, far below the cumulant
+    tolerance even when weighted by k^3. A cut by mass, as _pmf_table makes,
+    would drop the whole third cumulant of a Poisson law of tiny lam."""
     if isinstance(marginal, Poisson):
         ks = np.arange(int(marginal.lam + 30.0 * math.sqrt(marginal.lam)) + 60)
-        return ks, stats.poisson.pmf(ks, marginal.lam)
+        return ks, np.exp(stats.poisson.logpmf(ks, marginal.lam))
     if isinstance(marginal, Bernoulli):
         ks = np.arange(2)
-        return ks, stats.bernoulli.pmf(ks, marginal.q)
+        return ks, np.exp(stats.bernoulli.logpmf(ks, marginal.q))
     if isinstance(marginal, Binomial):
-        # binom.pmf overflows at q near the smallest normal float, its log does not
         ks = np.arange(marginal.n + 1)
         return ks, np.exp(stats.binom.logpmf(ks, marginal.n, marginal.q))
     if isinstance(marginal, Geometric):
         # scipy's geom counts trials, the law counts failures
         ks = np.arange(int(60.0 / marginal.q) + 1)
-        return ks, stats.geom.pmf(ks + 1, marginal.q)
+        return ks, np.exp(stats.geom.logpmf(ks + 1, marginal.q))
     return np.array([marginal.c]), np.ones(1)
 
 
-def _third_central_moment(marginal):
-    """(E (X - E X)^3, E |X - E X|^3) summed over the scipy pmf."""
+def _central_moments(marginal):
+    """((E X, E (X - E X)^2, E (X - E X)^3), (E X, E (X - E X)^2,
+    E |X - E X|^3)) summed over the scipy pmf: the first three cumulants
+    and the scale of each."""
     ks, pmf = _scipy_pmf(marginal)
-    centered = ks - pmf @ ks
-    return float(pmf @ centered ** 3), float(pmf @ np.abs(centered) ** 3)
+    mean = float(pmf @ ks)
+    centered = ks - mean
+    second = float(pmf @ centered ** 2)
+    return (mean, second, float(pmf @ centered ** 3)), (
+        mean, second, float(pmf @ np.abs(centered) ** 3)
+    )
 
 
 # scipy's binomial pmf overflows at a subnormal q
@@ -305,38 +315,88 @@ _MARGINALS = st.one_of(
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_MARGINALS)
-def test_marginal_third_cumulants_match_scipy_pmf(marginal):
-    want, scale = _third_central_moment(marginal)
-    assert marginal.third_cumulant() == pytest.approx(want, rel=1e-9, abs=1e-9 * scale)
+def test_marginal_cumulants_match_scipy_pmf(marginal):
+    want, scale = _central_moments(marginal)
+    for got, w, s in zip(marginal.cumulants(), want, scale):
+        assert got == pytest.approx(w, rel=1e-9, abs=1e-9 * s)
 
 
-def _einsum_cumulant(table):
-    """K3 of a table: sum_n w_n c_n (x) c_n (x) c_n over its centered atoms."""
+def _einsum_cumulant(table, order):
+    """K of a table: sum_n w_n c_n^(x)order over its centered atoms c_n."""
     atoms = table.support.astype(float)
     centered = atoms - table.probs @ atoms
+    if order == 2:
+        return np.einsum("n,na,nb->ab", table.probs, centered, centered)
     return np.einsum("n,na,nb,nc->abc", table.probs, centered, centered, centered)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(dense_tables())
-def test_table_third_cumulant_matches_einsum_on_atoms(table):
-    want = _einsum_cumulant(table)
-    scale = max(float(np.max(np.abs(want))), 1.0)
-    got = _third_cumulant_sum([table], [1.0], table.mean()[:, None])
-    assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+def test_table_cumulants_match_einsum_on_atoms(table):
+    for order in (2, 3):
+        want = _einsum_cumulant(table, order)
+        scale = max(float(np.max(np.abs(want))), 1.0)
+        got = _cumulant_sum([table], [1.0], table.mean()[:, None], order)
+        assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
 
 
-def test_third_cumulant_sum_weights_tables_and_marginals():
-    # seven table atoms at p = 3 are contracted three at a time, next to a
-    # product law, whose cumulant is the diagonal of its marginals' ones
+def _three_laws():
+    # seven table atoms at p = 3 are contracted three at a time at order 3,
+    # next to a product law, whose cumulant is the diagonal of its marginals'
     first = FiniteSupport([[0, 0, 0], [2, 0, 1], [0, 1, 0], [1, 1, 4]], [0.7, 0.1, 0.1, 0.1])
     second = FiniteSupport([[0, 0, 0], [3, 1, 0], [0, 2, 5]], [0.4, 0.3, 0.3])
     product = IndependentMarginals([Bernoulli(0.1), Geometric(0.4), Binomial(3, 0.7)])
-    want = 0.7 * _einsum_cumulant(first) + 1.5 * _einsum_cumulant(second)
-    want[np.diag_indices(3, 3)] += [2.5 * _third_central_moment(m)[0] for m in product.marginals]
-    laws = [first, product, second]
-    got = _third_cumulant_sum(laws, [0.7, 2.5, 1.5], np.column_stack([x.mean() for x in laws]))
+    return [first, product, second]
+
+
+def _cumulant_oracle(law, order):
+    if isinstance(law, FiniteSupport):
+        return _einsum_cumulant(law, order)
+    out = np.zeros((law.dim,) * order)
+    out[np.diag_indices(law.dim, order)] = [
+        _central_moments(m)[0][order - 1] for m in law.marginals
+    ]
+    return out
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_cumulant_sum_weights_tables_and_marginals(order):
+    laws = _three_laws()
+    want = sum(w * _cumulant_oracle(law, order) for w, law in zip([0.7, 2.5, 1.5], laws))
+    got = _cumulant_sum(laws, [0.7, 2.5, 1.5], np.column_stack([x.mean() for x in laws]), order)
     assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_order_two_rows_of_weights_give_one_sum_per_column():
+    # row l of the weights weighs law l in each of the k sums; the identity
+    # gives each law's covariance on its own
+    laws = _three_laws()
+    means = np.column_stack([x.mean() for x in laws])
+    weights = np.array([[1.0, 0.0, 0.3, 0.0], [0.0, 1.0, 2.0, 0.0], [0.0, 0.5, 1.0, 0.0]])
+    got = _cumulant_sum(laws, weights, means, 2)
+    assert got.shape == (4, 3, 3)
+    for k in range(4):
+        want = sum(w * _cumulant_oracle(law, 2) for w, law in zip(weights[:, k], laws))
+        assert_allclose(got[k], want, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_order_two_layer_matches_kron_moment_route(data):
+    # the cumulant route against the raw one, E x x^T - m m^T, for weighted
+    # sums of tables and product laws of every marginal kind
+    p = data.draw(st.integers(1, 4))
+    law = dense_tables(p) | st.lists(_MARGINALS, min_size=p, max_size=p).map(
+        IndependentMarginals
+    )
+    laws = data.draw(st.lists(law, min_size=1, max_size=4))
+    weights = data.draw(st.lists(st.floats(0.0, 10.0), min_size=len(laws), max_size=len(laws)))
+    means = np.column_stack([x.mean() for x in laws])
+    raws = [x.kron_moment(2).reshape(p, p) for x in laws]
+    want = sum(w * (r - np.outer(m, m)) for w, r, m in zip(weights, raws, means.T))
+    scale = max(max(w * float(np.max(r)) for w, r in zip(weights, raws)), 1.0)
+    got = _cumulant_sum(laws, weights, means, 2)
+    assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
 
 
 def test_mean_matrix_columns_are_offspring_means():

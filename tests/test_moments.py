@@ -1,4 +1,3 @@
-import collections
 import functools
 import importlib.util
 import itertools
@@ -211,31 +210,6 @@ def test_dense_table_moments_match_dense_oracle(data):
     p = eps.dim
     offspring = tuple(_thinned(data.draw(dense_tables(p))) for _ in range(p))
     _assert_close_to_dense(BranchingModel(p, offspring, eps))
-
-
-def test_moment_report_builds_second_law_moments_once_and_no_third(monkeypatch):
-    # one report reads every law's order-2 table once; order 3 comes from
-    # law cumulants, so no law builds its p^3 table of raw third moments
-    calls = collections.Counter()
-    for cls in (FiniteSupport, IndependentMarginals):
-
-        def counting(self, alpha, real=cls.kron_moment):
-            calls[id(self), alpha] += 1
-            return real(self, alpha)
-
-        monkeypatch.setattr(cls, "kron_moment", counting)
-    model = BranchingModel(
-        3,
-        (
-            IndependentMarginals([Bernoulli(0.1), Poisson(0.05), Geometric(0.95)]),
-            FiniteSupport([[0, 0, 0], [2, 0, 1], [0, 1, 0]], [0.8, 0.1, 0.1]),
-            FiniteSupport([[0, 0, 0], [1, 0, 0], [0, 3, 1]], [0.85, 0.1, 0.05]),
-        ),
-        FiniteSupport([[0, 0, 0], [3, 1, 0], [0, 2, 5]], [0.4, 0.3, 0.3]),
-    )
-    moment_report(model, 3)
-    laws = model.offspring + (model.immigration,)
-    assert calls == {(id(law), 2): 1 for law in laws}
 
 
 def test_order_three_report_builds_no_p4_array():

@@ -17,8 +17,6 @@ from bpagg.model import (
     IndependentMarginals,
     Poisson,
 )
-import bpagg.model
-import bpagg.moments
 import bpagg.simulate
 import bpagg.verify as verify
 from bpagg.moments import limit_covariance, noise_matrix, stationary_variance
@@ -39,7 +37,12 @@ from bpagg.verify import (
     iterated_experiment,
 )
 from bpagg.verify import _cov_se, _ks_normal, _normal_cdf
-from conftest import build_deterministic, build_scalar_inar, build_two_type
+from conftest import (
+    build_deterministic,
+    build_scalar_inar,
+    build_two_type,
+    count_classifications,
+)
 
 
 def test_ergodic_check_scalar():
@@ -393,35 +396,26 @@ def test_clt_config_validation(monkeypatch):
 
 
 def test_every_experiment_validates_once(monkeypatch):
-    model = build_two_type()
-    path = simulate_path(model, 300, stream_rng(2, 0), burnin=50)
+    path = simulate_path(build_two_type(), 300, stream_rng(2, 0), burnin=50)
     runs = {
-        "ergodic": lambda: ergodic_check(model, 300, seed=1),
-        "autocov": lambda: autocovariance_check(model, 300, lags=(0, 1), seed=1),
-        "clt": lambda: clt_covariance_experiment(
+        "ergodic": lambda model: ergodic_check(model, 300, seed=1),
+        "autocov": lambda model: autocovariance_check(model, 300, lags=(0, 1), seed=1),
+        "clt": lambda model: clt_covariance_experiment(
             model, 30, 3, reps=8, grid=(0.5, 1.0), seed=4
         ),
-        "clt-burnin": lambda: clt_covariance_experiment(model, 30, 3, reps=8, burnin=5),
-        "iterated": lambda: iterated_experiment(
+        "clt-burnin": lambda model: clt_covariance_experiment(model, 30, 3, reps=8, burnin=5),
+        "iterated": lambda model: iterated_experiment(
             model, 30, 3, "n_first", sweep=[2, 4], grid=(0.5, 1.0), seed=4
         ),
-        "innovations": lambda: innovation_diagnostics(model, path),
+        "innovations": lambda model: innovation_diagnostics(model, path),
     }
-    # count validate calls through every module binding of it
-    calls = []
-    real = bpagg.model.validate
-
-    def counting(model):
-        calls.append(model)
-        return real(model)
-
-    for mod in (bpagg.model, bpagg.moments, bpagg.simulate, verify):
-        if hasattr(mod, "validate"):
-            monkeypatch.setattr(mod, "validate", counting)
+    # a fresh model per experiment is classified once, however often the
+    # moment report and the burn-in ask validate for it
+    classified = count_classifications(monkeypatch)
     for name, run in runs.items():
-        del calls[:]
-        run()
-        assert len(calls) == 1, name
+        del classified[:]
+        run(build_two_type())
+        assert len(classified) == 1, name
 
 
 def test_report_params_keep_their_key_order():
