@@ -66,6 +66,13 @@ def _threads(text):
     return threads
 
 
+def _seed(text):
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError("need --seed >= 0, got %d" % seed)
+    return seed
+
+
 def _emit(text, out):
     if out is None:
         sys.stdout.write(text)
@@ -86,7 +93,7 @@ def _add_common(sub, *, n=False, copies=False, seed=False, burnin=False, threads
     if copies:
         sub.add_argument("--copies", type=int, required=True, help="ensemble copies")
     if seed:
-        sub.add_argument("--seed", type=int, default=0, help="master seed")
+        sub.add_argument("--seed", type=_seed, default=0, help="master seed")
     if burnin:
         sub.add_argument(
             "--burnin", type=_burnin, default="auto", help="'auto' or an integer"

@@ -15,15 +15,19 @@ bpagg.model) over all B copies; step is such a chunk of one step.
 
 As immigrant cohorts (see _cohort_chunks), the path of a copy from zero is
 the sum of the independent Galton-Watson processes started by each step's
-immigration, stepped one generation at a time over all living cohorts of
-every copy of a chunk of birth steps. Cohorts of a critical or
-supercritical model need not die out, and long-lived ones cost more than
-steps, so a block takes cohorts only when L, a bound on a cohort's mean
-lifetime in generations (see _cohort_lifetime), is small for its size:
-L <= 128 for one copy. A block of B >= 2 copies also weighs the rounds of
-a chunk, about the lifetime of its longest-lived cohort, against the
-steps it replaces, so wide blocks, long-lived models and short paths stay
-in lockstep (see _cohort_route). The constants are measured cost ties.
+immigration. A column sums the cohorts of a window of W consecutive birth
+steps of one copy: it adds the copy's immigration for W rounds and then
+steps on as a Galton-Watson process, and all living columns of every copy
+of a chunk of birth steps are stepped one generation at a time. Cohorts of
+a critical or supercritical model need not die out, and long-lived ones
+cost more than steps, so a block takes cohorts only when L, a bound on a
+cohort's mean lifetime in generations (see _cohort_lifetime), is small for
+its size: L <= 128 for one copy, whose window grows like sqrt(T L) on T
+births, as rounds (about W plus the tail) and array entries (about columns
+times rounds) tie. A block of B >= 2 copies keeps W = 1 and weighs the
+rounds of a chunk, about the lifetime of its longest-lived cohort, against
+the steps it replaces, so wide blocks, long-lived models and short paths
+stay in lockstep (see _cohort_route). The constants are measured cost ties.
 
 Ensembles split their N copies, in order, into blocks of block_copies(p)
 copies and run block b on the keyed stream (master_seed, b). An
@@ -89,16 +93,23 @@ _BLOCK_WIDTH = 4096
 # immigration is one draw, and its states stay around half a megabyte
 _CHUNK_CELLS = 1 << 16
 
-# which blocks are drawn as immigrant cohorts (see _cohort_route), from cost
-# ties measured on a 2-core x86_64 host. One copy: while a cohort lives at
-# most _COHORT_GENERATIONS generations in mean; each living cohort costs an
-# array entry per generation, and on one-type Poisson and Bernoulli models a
-# lockstep step of the (1, p) block got cheaper from about 150 generations
-# on. B >= 2 copies: while _COHORT_ROUND rounds per birth of a chunk, plus
+# which blocks are drawn as immigrant cohorts, and in windows of how many
+# births (see _cohort_route), from cost ties measured on a 2-core x86_64
+# host. One copy: while a cohort lives at most _COHORT_GENERATIONS
+# generations in mean; each living cohort costs an array entry per
+# generation, and on one-type Poisson and Bernoulli models a lockstep step
+# of the (1, p) block got cheaper from about 150 generations on (windows
+# beat lockstep at L = 200-260 on 2 10^4 steps but not on 2000). Its window
+# ties a round with _WINDOW_ROUND p^2 array entries, the least-cost window
+# of one-copy paths of 10 models with p = 1-8, L = 1.7-76 and 2000-40000
+# steps, and windows below _WINDOW_MIN births did not win on L = 2 models.
+# B >= 2 copies: while _COHORT_ROUND rounds per birth of a chunk, plus
 # B L g / _COHORT_WORK, stay within one (see _cohort_route); fitted to 879
-# block timings of 17 models with p = 1-16, 2-1500 copies and 30-1000 steps,
-# see the routing table in CHANGES.md
+# block timings of 17 models with p = 1-16, 2-1500 copies and 30-1000 steps.
+# The timing tables are in CHANGES.md
 _COHORT_GENERATIONS = 128
+_WINDOW_ROUND = 430
+_WINDOW_MIN = 6
 _COHORT_ROUND = 1.5
 _COHORT_WORK = 3584
 # a cohort chunk of B >= 2 copies has _CHUNK_CELLS // (_COHORT_SPLIT B p)
@@ -311,34 +322,42 @@ def _run_block(model, n, rng, burnin, x):
         done += m
 
 
-def _cohort_births(p, copies):
-    """Birth steps per chunk of a cohort block (see _cohort_chunks)."""
-    return max(1, _CHUNK_CELLS // (p if copies == 1 else _COHORT_SPLIT * copies * p))
+def _cohort_births(p, copies, window=1):
+    """Birth steps per chunk of a cohort block (see _cohort_chunks): whole
+    windows, at least one."""
+    k = _CHUNK_CELLS // (p if copies == 1 else _COHORT_SPLIT * copies * p)
+    return max(window, k - k % window)
 
 
-def _cohort_chunks(model, copies, n, rng, burnin):
+def _cohort_chunks(model, copies, n, rng, burnin, window):
     """Chunks (a, states) of a block of copies copies from zero, drawn as
-    immigrant cohorts, with states (m, copies, p) and a as in _run_block.
+    windows of immigrant cohorts, with states (m, copies, p) and a as in
+    _run_block.
 
     The state of a copy after step t is the sum, over the steps j <= t, of
     the cohort born from that copy's immigration at step j, t - j
-    generations on; cohorts are independent Galton-Watson processes. Birth
-    steps go in chunks of k = _CHUNK_CELLS // p for one copy and
-    _CHUNK_CELLS // (_COHORT_SPLIT copies p) for more (at least 1): a chunk
-    draws the immigration of its k steps for every copy in one law.sample
-    call, as a lockstep chunk does, and the cohort of copy c born at the
-    chunk's step r is column r copies + c. Then it steps all its living
-    cohorts in lockstep, one generation per round, each type's offspring
-    sums in type order over the cohorts in column order, and adds each
-    generation into the states it reaches: a generation on is copies
-    columns on. A cohort is dropped once it is extinct or has reached the
-    path's last step, and a chunk runs until none is left. Cohorts of a
-    subcritical model die out, so every chunk ends. A chunk's states are a
-    view that the next chunk overwrites.
+    generations on; cohorts are independent Galton-Watson processes, and so
+    are the sums of the cohorts of W = window consecutive birth steps, whose
+    offspring sums add over disjoint sets of individuals. Birth steps go in
+    chunks of k = _CHUNK_CELLS // p for one copy and _CHUNK_CELLS //
+    (_COHORT_SPLIT copies p) for more, rounded down to whole windows (at
+    least one): a chunk draws the immigration of its k steps for every copy
+    in one law.sample call, as a lockstep chunk does, and the window of copy
+    c that starts at the chunk's step r (a multiple of W) is column r copies
+    + c. Then it steps all its living columns in lockstep, one generation per
+    round, each type's offspring sums in type order over the columns in
+    column order, and adds each generation into the states it reaches: a
+    generation on is copies columns on. In its first W - 1 rounds a column
+    also adds its copy's immigration of the step it reaches, while that step
+    is in the chunk. A column is dropped once it has reached the path's last
+    step, or is extinct with no immigration left to add, and a chunk runs
+    until none is left. Cohorts of a subcritical model die out, so every
+    chunk ends. At W = 1 a column is one cohort. A chunk's states are a view
+    that the next chunk overwrites.
     """
     p = model.p
     offspring = _offspring(model)
-    k = _cohort_births(p, copies)
+    k = _cohort_births(p, copies, window)
     total = burnin + n
     # acc[:, r copies + c] sums the state of copy c after step s + r; columns
     # past the chunk carry the progeny of its cohorts into later chunks
@@ -346,10 +365,17 @@ def _cohort_chunks(model, copies, n, rng, burnin):
     for s in range(1, total + 1, k):
         m = min(k, total + 1 - s)
         width = m * copies
-        # z[i, j]: the type-i count of the cohort in column col[j]
-        z = np.ascontiguousarray(_check_state(model.immigration.sample(rng, width)).T)
-        col = np.arange(width)  # unique and increasing
+        # eps[r copies + c]: copy c's immigration at the chunk's step r;
+        # col[j]: where column j adds its state, unique and increasing;
+        # z[i, j]: the type-i count of column j
+        eps = _check_state(model.immigration.sample(rng, width))
+        if window == 1:  # a column is one cohort and adds no later immigration
+            col, z, eps = np.arange(width), np.ascontiguousarray(eps.T), None
+        else:
+            col = (np.arange(0, width, window * copies)[:, None] + np.arange(copies)).ravel()
+            z = np.ascontiguousarray(eps[col].T)
         last = (total - s) * copies  # the first column of the path's last step
+        fed = window - 1  # rounds left that add immigration
         while True:
             lo, hi = col[0], col[-1] + 1
             if hi > acc.shape[1]:
@@ -364,6 +390,8 @@ def _cohort_chunks(model, copies, n, rng, burnin):
                 j = np.searchsorted(col, last)
                 z, col = z[:, :j], col[:j]
             live = z.any(axis=0)
+            if fed:  # an extinct column lives on while it has immigration to add
+                live |= col < width - copies
             if not live.all():
                 z, col = z.compress(live, axis=1), col.compress(live)
             if len(col) == 0:
@@ -372,6 +400,10 @@ def _cohort_chunks(model, copies, n, rng, burnin):
             born = offspring[0].sample_sum(z[0], rng)
             for i in range(1, p):
                 born += offspring[i].sample_sum(z[i], rng)
+            if fed:
+                j = np.searchsorted(col, width)
+                born[:j] += eps[col[:j]]
+                fed -= 1
             z = np.ascontiguousarray(_check_state(born).T)
         # acc[:, r copies + c] is copy c's state after step s + r, path index a + r
         rows = _check_state(acc[:, :width]).T.reshape(m, copies, p)
@@ -409,12 +441,18 @@ def _cohort_lifetime(model):
 
 
 def _cohort_route(model, copies, life, steps):
-    """Whether a block of copies copies and steps steps (burn-in included)
-    is drawn as immigrant cohorts, given the model's lifetime bound life
-    (see _cohort_lifetime).
+    """The window W of a block of copies copies and steps steps (burn-in
+    included), given the model's lifetime bound life (see _cohort_lifetime):
+    0 steps the block in lockstep, and W >= 1 draws it as windows of W
+    immigrant cohorts (see _cohort_chunks).
 
     One copy: whenever life is finite, that is within _COHORT_GENERATIONS.
-    More copies: while _COHORT_ROUND rounds / births + copies life g /
+    A chunk of k births runs about W rounds plus the tail of its last
+    columns, and holds about k (W - 1 + life) / W array entries; a round
+    costs about as much as _WINDOW_ROUND p^2 entries, so the total is least
+    at W = sqrt(k (life - 1) / (_WINDOW_ROUND p^2)), with k the chunk's
+    births (at most steps). Rounded, a W below _WINDOW_MIN is 1.
+    More copies: W = 1 while _COHORT_ROUND rounds / births + copies life g /
     _COHORT_WORK is at most one, where births is a cohort chunk's birth
     steps (at most steps), rounds the generations until the expected number
     of the chunk's living cohorts, at most births copies 1^T M^t m_eps,
@@ -426,34 +464,35 @@ def _cohort_route(model, copies, life, steps):
     immigrants are.
     """
     if life == math.inf:
-        return False
-    if copies == 1:
-        return True
-    work = copies * life * max(life, 1.0 / (1.0 - model._rho)) / _COHORT_WORK
+        return 0
     births = min(_cohort_births(model.p, copies), steps)
+    if copies == 1:
+        window = round(math.sqrt(births * max(life - 1.0, 0.0) / (_WINDOW_ROUND * model.p ** 2)))
+        return window if window >= _WINDOW_MIN else 1
+    work = copies * life * max(life, 1.0 / (1.0 - model._rho)) / _COHORT_WORK
     budget = (1.0 - work) * births / _COHORT_ROUND
     M, v = mean_matrix(model), births * copies * model.immigration.mean()
     rounds = 0
     while v.sum() >= 1.0 and rounds <= budget:
         rounds += 1
         v = M @ v
-    return rounds <= budget
+    return int(rounds <= budget)
 
 
-def _simulate_block(model, copies, n, rng, burnin, cohorts=False, idx=None):
+def _simulate_block(model, copies, n, rng, burnin, window=0, idx=None):
     """(copies, n+1, p) paths of one block from zero, or, given path indices
     idx, only its running sums S_m = X_1 + ... + X_m at each m of idx, as
     (copies, len(idx), p); burnin is a step count.
 
-    The block is drawn as immigrant cohorts when cohorts is set (by the
-    caller, once per block size and call, from _cohort_route), and stepped
-    in lockstep otherwise. Sums hold (copies, p) counts per grid point
-    besides one chunk, and are exact int64 below 2^32 steps of at most 2^31
-    each.
+    The block is stepped in lockstep at window 0 and drawn in windows of
+    window immigrant cohorts otherwise; the caller sets it once per block
+    size and call, from _cohort_route. Sums hold (copies, p) counts per
+    grid point besides one chunk, and are exact int64 below 2^32 steps of
+    at most 2^31 each.
     """
     p = model.p
-    if cohorts:
-        chunks = _cohort_chunks(model, copies, n, rng, burnin)
+    if window:
+        chunks = _cohort_chunks(model, copies, n, rng, burnin, window)
     else:
         chunks = _run_block(model, n, rng, burnin, np.zeros((copies, p), dtype=np.int64))
     if idx is None:
@@ -495,8 +534,8 @@ def simulate_path(model, n, rng, burnin=None):
     """
     n = _count("n", n)
     k = _burnin_steps(model, burnin, 1)
-    cohorts = _cohort_route(model, 1, _cohort_lifetime(model), k + n)
-    return _simulate_block(model, 1, n, rng, k, cohorts)[0]
+    window = _cohort_route(model, 1, _cohort_lifetime(model), k + n)
+    return _simulate_block(model, 1, n, rng, k, window)[0]
 
 
 @dataclass
@@ -527,8 +566,8 @@ def block_copies(p):
 
 
 def _block_worker(args):
-    model, copies, n, master_seed, b, burnin, cohorts, idx = args
-    return _simulate_block(model, copies, n, stream_rng(master_seed, b), burnin, cohorts, idx)
+    model, copies, n, master_seed, b, burnin, window, idx = args
+    return _simulate_block(model, copies, n, stream_rng(master_seed, b), burnin, window, idx)
 
 
 def _run_blocks(model, N, n, master_seed, burnin, threads, idx=None):
@@ -559,10 +598,10 @@ def _run_blocks(model, N, n, master_seed, burnin, threads, idx=None):
 def simulate_ensemble(model, N, n, master_seed, burnin="auto", threads=1):
     """Ensemble of N copies, n steps each, with their paths. Results do not
     depend on threads (see the module docstring)."""
-    n = _count("n", n)
+    n, master_seed = _count("n", n), _count("master_seed", master_seed)
     k = _burnin_steps(model, burnin, N)
-    paths = _run_blocks(model, N, n, int(master_seed), k, threads)
-    return PathEnsemble(model, int(master_seed), k, paths)
+    paths = _run_blocks(model, N, n, master_seed, k, threads)
+    return PathEnsemble(model, master_seed, k, paths)
 
 
 @dataclass
@@ -607,13 +646,13 @@ def aggregate(model, N, n, master_seed, grid, burnin="auto", threads=1):
     copies are simulate_ensemble's with the same arguments, kept only as their
     running sums S_m; they are i.i.d., so the covariance of per_copy estimates
     that of the ensemble's values."""
-    n = _count("n", n)
+    n, master_seed = _count("n", n), _count("master_seed", master_seed)
     if n < 1:
         raise ValueError("need n >= 1 steps to scale an aggregate, got 0")
     idx = _grid_indices(grid, n)
     mean = _stationary_mean(model)
     k = _burnin_steps(model, burnin, N)
-    sums = _run_blocks(model, N, n, int(master_seed), k, threads, idx)
+    sums = _run_blocks(model, N, n, master_seed, k, threads, idx)
     per_copy = (sums - np.outer(idx, mean)) / math.sqrt(n)
     return AggregateSeries(tuple(float(t) for t in grid), per_copy, n)
 

@@ -252,9 +252,11 @@ def _stationary_path(model, n, seed, order):
     automatic burn-in of one copy from its mean, and a path of n steps
     after that burn-in on the stream (seed, 0). Below two steps a
     batch-means standard error is infinite and every band passes, so such
-    an n is refused."""
+    an n is refused; so is a seed that is not an integer >= 0, before the
+    report is built."""
     if n < 2:
         raise ValueError("need n >= 2 for a batch-means standard error, got %r" % (n,))
+    seed = _count("seed", seed)
     exact = moment_report(model, order)
     burn, _ = _resolve_burnin(model, "auto", 1)
     return exact, burn, simulate_path(model, n, stream_rng(seed, 0), burnin=burn)
@@ -305,6 +307,7 @@ def clt_covariance_experiment(model, n, N, reps=200, grid=(1.0,), seed=0, burnin
     """
     t0 = time.perf_counter()
     n, N, reps, p = _count("n", n), _count("N", N), _count("reps", reps), model.p
+    seed = _count("seed", seed)
     if reps < 2:
         raise ValueError("need reps >= 2, got %r" % (reps,))
     if n < 1 or N < 1:
@@ -383,7 +386,7 @@ def iterated_experiment(model, n, N, order, sweep=None, grid=(1.0,), seed=0,
     if order not in orders:
         raise ValueError("order must be 'N_first' or 'n_first', got %r" % (order,))
     oid = orders[order]
-    n, N = _count("n", n), _count("N", N)
+    n, N, seed = _count("n", n), _count("N", N), _count("seed", seed)
     exact = moment_report(model, 1)
     sigma = exact.sigma
     if sweep is None:

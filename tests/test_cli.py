@@ -320,6 +320,36 @@ def test_threads_below_one_exits_two(scalar_file, tmp_path, capsys, monkeypatch,
     assert "--threads >= 1" in capsys.readouterr().err
 
 
+_SEED_ARGS = {
+    "simulate": ["simulate", "--n", "40", "--copies", "2"],
+    "ergodic": ["verify", "ergodic", "--n", "40"],
+    "autocov": ["verify", "autocov", "--n", "40"],
+    "innovations": ["verify", "innovations", "--n", "40"],
+    **_VERB_ARGS,
+}
+
+
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+@pytest.mark.parametrize("verb", sorted(_SEED_ARGS))
+def test_negative_seed_exits_two_when_parsed(scalar_file, tmp_path, capsys, monkeypatch,
+                                             verb, seed):
+    # refused by name before any moment report or block, not by numpy's
+    # SeedSequence after one
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a moment report before the seed was checked")
+
+    _no_simulation(monkeypatch)
+    monkeypatch.setattr(bpagg.moments, "moment_report", refuse)
+    monkeypatch.setattr(bpagg.verify, "moment_report", refuse)
+    out = tmp_path / "o"
+    argv = _SEED_ARGS[verb] + ["--model", scalar_file, "--seed", seed, "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--seed >= 0, got %s" % seed in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_threads_default_to_one(scalar_file):
     common = ["--model", scalar_file, "--n", "5", "--copies", "2"]
     heads = (["simulate"], ["aggregate", "--grid", "1"], ["verify", "clt"],

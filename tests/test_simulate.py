@@ -39,6 +39,7 @@ from bpagg.simulate import (
     write_metadata,
 )
 from bpagg.simulate import _grid_indices
+from bpagg.verify import _batch_se
 from bpagg.moments import moment_report, stationary_moments
 from bpagg.model import Bernoulli, Binomial, FiniteSupport, Geometric
 from conftest import (
@@ -377,33 +378,46 @@ def _array_block_path(model, n, rng, burnin):
     return path
 
 
-def _cohort_oracle(model, n, rng, burnin, cells, copies=1):
+def _cohort_oracle(model, n, rng, burnin, cells, copies=1, W=1):
     """The documented cohort order, written out with the laws' own draws.
 
     Birth steps 1..burnin+n go in chunks of k = cells // p births for one
-    copy and cells // (3 copies p) for more: one immigration call per chunk
-    for every step and copy, in step order and copy order within a step,
-    then one generation per round, each type's offspring sums over the
-    living cohorts in that order; a cohort is dropped once it is extinct or
-    has reached the last step, and a chunk runs to the end before the next
-    one starts. Returns (copies, n+1, p) paths.
+    copy and cells // (3 copies p) for more, rounded down to whole windows
+    of W births (at least one): one immigration call per chunk for every
+    step and copy, in step order and copy order within a step. A column
+    is a window of one copy, in window order and copy order within a
+    window, and each round draws one generation, each type's offspring sums
+    over the living columns in that order, then adds to each column its
+    copy's immigration of the next step of its window while that step is in
+    the chunk. A column is dropped once it has reached the last step, or is
+    extinct with no immigration left to add, and a chunk runs to the end
+    before the next one starts. At W = 1 a column is one cohort. Returns
+    (copies, n+1, p) paths.
     """
     p, total = model.p, burnin + n
     k = max(1, cells // (p if copies == 1 else 3 * copies * p))
+    k = max(W, k - k % W)
     states = np.zeros((total + 1, copies, p), dtype=np.int64)
     for s in range(1, total + 1, k):
         m = min(k, total + 1 - s)
         eps = model.immigration.sample(rng, m * copies)
-        # (step, copy, counts), step-major like the immigration draw
-        cohorts = [(s + r, c, eps[r * copies + c]) for r in range(m) for c in range(copies)]
+        # (step, copy, counts, immigration still to add), step-major like the
+        # immigration draw
+        cohorts = [
+            (s + r, c, eps[r * copies + c],
+             [eps[q * copies + c] for q in range(r + 1, min(r + W, m))])
+            for r in range(0, m, W) for c in range(copies)
+        ]
         while cohorts:
-            for t, c, z in cohorts:
+            for t, c, z, _ in cohorts:
                 states[t, c] += z
-            cohorts = [(t, c, z) for t, c, z in cohorts if z.any() and t < total]
+            cohorts = [(t, c, z, rest) for t, c, z, rest in cohorts
+                       if (z.any() or rest) and t < total]
             if cohorts:
-                counts = np.array([z for _, _, z in cohorts])
+                counts = np.array([z for _, _, z, _ in cohorts])
                 born = sum(law.sample_sum(counts[:, i], rng) for i, law in enumerate(model.offspring))
-                cohorts = [(t + 1, c, z) for (t, c, _), z in zip(cohorts, born)]
+                cohorts = [(t + 1, c, z + rest[0] if rest else z, rest[1:])
+                           for (t, c, _, rest), z in zip(cohorts, born)]
     return states[burnin:].swapaxes(0, 1)
 
 
@@ -453,10 +467,23 @@ def test_block_follows_documented_stream_order(copies, monkeypatch):
     assert simulate._cohort_route(model, copies, simulate._cohort_lifetime(model), 100)
     cells = 12
     monkeypatch.setattr(simulate, "_CHUNK_CELLS", cells)
-    paths = _simulate_block(model, copies, n, stream_rng(3), burnin, cohorts=True)
+    paths = _simulate_block(model, copies, n, stream_rng(3), burnin, window=1)
     assert np.array_equal(paths, _cohort_oracle(model, n, stream_rng(3), burnin, cells, copies))
-    paths = _simulate_block(model, copies, n, stream_rng(3), burnin, cohorts=False)
+    paths = _simulate_block(model, copies, n, stream_rng(3), burnin, window=0)
     assert np.array_equal(paths, _lockstep_oracle(model, copies, n, stream_rng(3), burnin, cells))
+
+
+@pytest.mark.parametrize("copies", [1, 3])
+def test_block_follows_documented_window_order(copies, monkeypatch):
+    # windows of 3 births in chunks of 16 // p = 8 births rounded down to 6
+    # for one copy, and of 16 // (3 copies p) rounded up to one window for
+    # three, so the path of 24 births runs several chunks
+    model, n, burnin, window, cells = _table_model(), 20, 4, 3, 16
+    monkeypatch.setattr(simulate, "_CHUNK_CELLS", cells)
+    assert simulate._cohort_births(model.p, copies, window) == (6 if copies == 1 else 3)
+    paths = _simulate_block(model, copies, n, stream_rng(3), burnin, window)
+    want = _cohort_oracle(model, n, stream_rng(3), burnin, cells, copies, window)
+    assert np.array_equal(paths, want)
 
 
 def test_path_holds_one_chunk_of_rows(monkeypatch):
@@ -580,9 +607,40 @@ def test_block_follows_cohort_order_property(model, copies, n, burnin, cells, se
     # it there, in chunks of 1-12 births
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "_CHUNK_CELLS", cells)
-        paths = _simulate_block(model, copies, n, stream_rng(seed), burnin, cohorts=True)
+        paths = _simulate_block(model, copies, n, stream_rng(seed), burnin, window=1)
     want = _cohort_oracle(model, n, stream_rng(seed), burnin, cells, copies)
     assert np.array_equal(paths, want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    model=_small_models(),
+    copies=st.integers(1, 5),
+    window=st.integers(1, 7),
+    n=st.integers(0, 30),
+    burnin=st.integers(0, 12),
+    cells=st.integers(1, 24),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_block_follows_window_order_property(model, copies, window, n, burnin, cells, seed):
+    # blocks of 1-5 copies in windows of 1-7 births and chunks of 1-24 cells
+    # rounded to whole windows, so columns outlive their chunk and windows
+    # straddle the burn-in
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_CHUNK_CELLS", cells)
+        paths = _simulate_block(model, copies, n, stream_rng(seed), burnin, window)
+    want = _cohort_oracle(model, n, stream_rng(seed), burnin, cells, copies, window)
+    assert np.array_equal(paths, want)
+
+
+def test_long_path_follows_window_order():
+    # a BIGPOP-like path of 2000 steps after its burn-in of 31 takes the
+    # rule's windows of 7 births, in one chunk
+    model = _scalar(Poisson(0.5), Poisson(1000.0))
+    assert burnin_auto(model) == 31
+    assert _route(model, 1, 2031) == 7
+    path = simulate_path(model, 2000, stream_rng(12), burnin="auto")
+    assert np.array_equal(path, _cohort_oracle(model, 2000, stream_rng(12), 31, 1 << 16, 1, 7)[0])
 
 
 def _ks_two_sample(a, b):
@@ -618,16 +676,51 @@ def test_cohort_and_lockstep_blocks_agree_in_law():
     model, n, copies, blocks = build_two_type(), 12, 20, 50
     reps = copies * blocks
 
-    def states(seed, cohorts):
+    def states(seed, window):
         return np.concatenate([
-            _simulate_block(model, copies, n, stream_rng(seed, b), 0, cohorts)[:, n]
+            _simulate_block(model, copies, n, stream_rng(seed, b), 0, window)[:, n]
             for b in range(blocks)
         ])
 
-    cohort, lockstep = states(1, True), states(2, False)
+    cohort, lockstep = states(1, 1), states(2, 0)
     bound = 1.95 * math.sqrt(2.0 / reps)
     for i in range(model.p):
         assert _ks_two_sample(cohort[:, i], lockstep[:, i]) < bound
+
+
+def test_window_and_lockstep_routes_agree_in_law():
+    # X_n of the two-type model from zero in windows of 5 births, so that
+    # X_n sums three windows, and in lockstep, one path per seed; the
+    # two-sample KS bound 1.95 sqrt(2 / reps) (level 0.001 each) is fixed
+    # before sampling, and the routes share no seed
+    model, n, reps, window = build_two_type(), 12, 1000, 5
+    windowed = np.array([
+        _simulate_block(model, 1, n, stream_rng(3, r), 0, window)[0, n] for r in range(reps)
+    ])
+    lockstep = np.array([_array_block_path(model, n, stream_rng(4, r), 0)[n] for r in range(reps)])
+    bound = 1.95 * math.sqrt(2.0 / reps)
+    for stat in (lambda x: x[:, 0], lambda x: x[:, 1], lambda x: x.sum(axis=1)):
+        assert _ks_two_sample(stat(windowed), stat(lockstep)) < bound
+    # and windows reach the exact mean of X_n, sum_{j < n} M^j m_eps
+    M = simulate.mean_matrix(model)
+    target = sum(np.linalg.matrix_power(M, j) for j in range(n)) @ model.immigration.mean()
+    se = windowed.std(axis=0, ddof=1) / math.sqrt(reps)
+    assert np.all(np.abs(windowed.mean(axis=0) - target) < 4 * se)
+
+
+def test_windowed_long_path_autocovariances():
+    # a BIGPOP-like path of 2 10^4 steps in the rule's windows of 23 births:
+    # its lag 0-5 autocovariances sit within 4 batch-means SE of the exact
+    # var0 (M^T)^lag; bound and seed fixed before sampling
+    model, n = _scalar(Poisson(0.5), Poisson(1000.0)), 20000
+    assert _route(model, 1, burnin_auto(model) + n) == 23
+    x = simulate_path(model, n, stream_rng(11), burnin="auto")[1:, 0].astype(float)
+    c = x - x.mean()
+    exact = moment_report(model, 1)
+    for lag in range(6):
+        prods = c[: n - lag] * c[lag:]
+        target = exact.var0[0, 0] * 0.5 ** lag
+        assert abs(prods.mean() - target) < 4 * _batch_se(prods), lag
 
 
 def test_inar_ensemble_states_follow_stationary_poisson():
@@ -703,6 +796,17 @@ def test_cohort_route_bounds_mean_lifetime(monkeypatch):
     p16 = build_random_subcritical(np.random.default_rng(0), 16, 0.2)
     assert _route(p16, 136) and not _route(p16, 137)
     assert not _route(p16, block_copies(16))
+    # one copy: windows of round(sqrt(k (L - 1) / (430 p^2))) births, k the
+    # chunk's births (at most the path's), and 1 below 6
+    bigpop = _scalar(Poisson(0.5), Poisson(1000.0))
+    assert _route(bigpop, 1, 10031) == 16 and _route(bigpop, 1, 2031) == 7
+    assert _route(bigpop, 1, 10 ** 6) == round(math.sqrt(65536 * 10.953125 / 430)) == 41
+    assert _route(build_scalar_inar(), 1, 10 ** 4) == 1
+    assert _route(build_scalar_inar(), 1, 4 * 10 ** 4) == 10
+    assert _route(build_two_type(), 1, 10 ** 4) == 1
+    assert _route(build_two_type(), 1, 4 * 10 ** 4) == 7
+    assert _route(rare) == 1 and _route(p16, 1, 10 ** 6) == 1
+    assert _route(bigpop, 2, 10031) == 1
     # a subcritical model whose cohorts live long is stepped, burn-in and all
     slow = bern(0.999)
     _refuse_cohorts(monkeypatch)
@@ -786,9 +890,9 @@ def test_ensemble_block_matches_block_run_alone():
     life = simulate._cohort_lifetime(model)
     for b, a in enumerate(starts):
         copies = min(size, N - a)
-        cohorts = simulate._cohort_route(model, copies, life, 10 + n)
-        assert cohorts == (copies == 1)
-        alone = _simulate_block(model, copies, n, stream_rng(5, b), 10, cohorts)
+        window = simulate._cohort_route(model, copies, life, 10 + n)
+        assert window == int(copies == 1)
+        alone = _simulate_block(model, copies, n, stream_rng(5, b), 10, window)
         assert_allclose(ens.paths[a : a + copies], alone, atol=0)
     # a block of one copy is a path on the block's stream
     one = simulate_ensemble(model, 1, n, master_seed=5, burnin=10)
@@ -832,7 +936,7 @@ def test_ensemble_on_both_routes_thread_invariant(build):
     assert simulate._cohort_route(model, 20, life, n)
     base = simulate_ensemble(model, N, n, master_seed=4, burnin=0)
     for b, copies in enumerate((size, 20)):
-        alone = _simulate_block(model, copies, n, stream_rng(4, b), 0, cohorts=b == 1)
+        alone = _simulate_block(model, copies, n, stream_rng(4, b), 0, window=int(b == 1))
         assert np.array_equal(base.paths[b * size : b * size + copies], alone)
     threaded = simulate_ensemble(model, N, n, master_seed=4, burnin=0, threads=2)
     assert np.array_equal(base.paths, threaded.paths)
@@ -852,6 +956,20 @@ def test_ensemble_argument_validation():
     model = build_scalar_inar()
     with pytest.raises(ValueError):
         simulate_ensemble(model, 0, 10, master_seed=1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5])
+def test_seed_refused_by_name_before_any_block(seed, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran a block or solved the model before the seed was checked")
+
+    monkeypatch.setattr(simulate, "_run_blocks", refuse)
+    monkeypatch.setattr(simulate, "_stationary_mean", refuse)
+    model = build_scalar_inar()
+    with pytest.raises(ValueError, match="master_seed"):
+        simulate_ensemble(model, 2, 10, master_seed=seed, burnin=3)
+    with pytest.raises(ValueError, match="master_seed"):
+        aggregate(model, 2, 10, seed, (1.0,), burnin=3)
 
 
 def test_overflow_guard():
@@ -905,6 +1023,19 @@ def test_overflow_guard_sums_cohorts(copies):
             simulate_ensemble(model(0.5), copies, n, master_seed=0, burnin=burnin)
     ens = simulate_ensemble(model(2.0 ** -32), copies, 4, master_seed=0, burnin=3)
     assert np.all(ens.paths >= 2 ** 31 - 8) and np.all(ens.paths <= 2 ** 31)
+
+
+@pytest.mark.parametrize("window", [1, 3])
+@pytest.mark.parametrize("copies", [1, 3])
+def test_overflow_guard_checks_every_column(copies, window):
+    # 2^31 immigrants a step with about one child each: states pass the
+    # ceiling from the second step on, and in windows so does a column from
+    # its second round. Unchecked, a column of 2^32 would wrap the int64
+    # product 2^32 (2^32 - 1) of its next binomial draw
+    model = _scalar(Binomial(2 ** 32 - 1, 2.0 ** -32), Point(2 ** 31))
+    assert simulate._offspring(model) is model.offspring
+    with pytest.raises(SimulationOverflowError):
+        _simulate_block(model, copies, 4, stream_rng(0), 0, window)
 
 
 @pytest.mark.parametrize("copies", [1, 3])
@@ -1079,7 +1210,7 @@ def test_streamed_aggregates_match_path_oracle(burnin, monkeypatch):
     # every block, of 2 or 1 copies, routed to cohorts
     monkeypatch.setattr(simulate, "_BLOCK_WIDTH", 4)
     monkeypatch.setattr(simulate, "_CHUNK_CELLS", 12)
-    monkeypatch.setattr(simulate, "_cohort_route", lambda *args: True)
+    monkeypatch.setattr(simulate, "_cohort_route", lambda *args: 1)
     _streamed_aggregates_match_path_oracle(burnin, 3)
 
 

@@ -708,3 +708,23 @@ def test_import_does_not_load_hashlib():
 
 def test_import_does_not_load_scipy():
     assert not [k for k in _modules_after_import() if "scipy" in k]
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5])
+def test_seed_refused_by_name_before_any_moment_report(seed, monkeypatch):
+    # numpy's SeedSequence would refuse -1 unnamed, after the report
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a moment report before the seed was checked")
+
+    monkeypatch.setattr(verify, "moment_report", refuse)
+    model = build_scalar_inar()
+    runs = [
+        lambda: ergodic_check(model, 20, seed),
+        lambda: autocovariance_check(model, 20, (0, 1), seed),
+        lambda: verify._innovation_check(model, 20, seed),
+        lambda: clt_covariance_experiment(model, 10, 2, reps=3, seed=seed),
+        lambda: iterated_experiment(model, 10, 4, "N_first", seed=seed),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="seed"):
+            run()
