@@ -7,40 +7,62 @@ Each verb classifies its model at most once (the model keeps its
 classification), and checks its grid before it simulates.
 Exit codes: 0 success, 2 validation or input failure, 3 a verification
 experiment ran and failed its bands.
+
+A verb imports the modules it runs only when it runs: moments the moment
+engine, simulate and aggregate the simulator, verify the experiments (which
+import both), ginar the GINAR module. Their callees are attributes of this
+module (cli.moment_report, cli.ergodic_check, ...), read from the defining
+module at each use unless set here, so either place can be patched.
 """
 
 import argparse
 import sys
 
-from .ginar import (
-    embed,
-    characteristic_polynomial,
-    ginar_classify,
-    ginar_from_means,
-    ginar_to_json,
-    load_ginar,
-    scalar_limit_std,
-    v_ginar,
-)
 from .kronalg import NotSubcriticalError
-from .model import json_text, load_model, model_to_json
-from .moments import moment_report
-from .simulate import (
-    SimulationOverflowError,
-    _resolve_burnin,
-    aggregate,
-    aggregates_to_csv,
-    paths_to_csv,
-    simulate_ensemble,
-    write_metadata,
-)
-from .verify import (
-    _innovation_check,
-    autocovariance_check,
-    clt_covariance_experiment,
-    ergodic_check,
-    iterated_experiment,
-)
+from .model import SimulationOverflowError, json_text, load_model, model_to_json
+
+# each verb's callees, by the module that defines them
+_CALLEES = {
+    "moments": ("moment_report",),
+    "simulate": (
+        "_resolve_burnin",
+        "aggregate",
+        "aggregates_to_csv",
+        "paths_to_csv",
+        "simulate_ensemble",
+        "write_metadata",
+    ),
+    "verify": (
+        "_innovation_check",
+        "autocovariance_check",
+        "clt_covariance_experiment",
+        "ergodic_check",
+        "iterated_experiment",
+    ),
+    "ginar": (
+        "embed",
+        "characteristic_polynomial",
+        "ginar_classify",
+        "ginar_from_means",
+        "ginar_to_json",
+        "load_ginar",
+        "scalar_limit_std",
+        "v_ginar",
+    ),
+}
+_HOME = {name: module for module, names in _CALLEES.items() for name in names}
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    # `from .module import name`, which -X importtime reports and
+    # importlib.import_module does not
+    return getattr(__import__(_HOME[name], globals(), fromlist=[name], level=1), name)
+
+
+# this module, through which the runners reach their callees
+_cli = sys.modules[__name__]
 
 __all__ = ["main", "entry"]
 
@@ -222,7 +244,7 @@ def build_parser(argv=None):
 
 def _run_moments(args):
     model = load_model(args.model)
-    report = moment_report(model, args.order)
+    report = _cli.moment_report(model, args.order)
     _emit(report.to_json(), args.out)
     return 0
 
@@ -231,11 +253,11 @@ def _run_simulate(args):
     if args.out is None:
         raise ValueError("simulate needs --out for the paths CSV")
     model = load_model(args.model)
-    burn, notes = _resolve_burnin(model, args.burnin, args.copies)
+    burn, notes = _cli._resolve_burnin(model, args.burnin, args.copies)
     _warn(notes)
-    ens = simulate_ensemble(model, args.copies, args.n, args.seed, burn, args.threads)
-    paths_to_csv(ens, args.out)
-    write_metadata(ens, args.out + ".meta.json")
+    ens = _cli.simulate_ensemble(model, args.copies, args.n, args.seed, burn, args.threads)
+    _cli.paths_to_csv(ens, args.out)
+    _cli.write_metadata(ens, args.out + ".meta.json")
     return 0
 
 
@@ -243,32 +265,32 @@ def _run_aggregate(args):
     if args.out is None:
         raise ValueError("aggregate needs --out for the CSV")
     model = load_model(args.model)
-    burn, notes = _resolve_burnin(model, args.burnin, args.copies)
+    burn, notes = _cli._resolve_burnin(model, args.burnin, args.copies)
     _warn(notes)
-    series = aggregate(model, args.copies, args.n, args.seed, args.grid, burn, args.threads)
-    aggregates_to_csv(series, args.out)
+    series = _cli.aggregate(model, args.copies, args.n, args.seed, args.grid, burn, args.threads)
+    _cli.aggregates_to_csv(series, args.out)
     return 0
 
 
 def _run_verify(args):
     model = load_model(args.model)
     if args.experiment == "ergodic":
-        report = ergodic_check(model, args.n, args.seed)
+        report = _cli.ergodic_check(model, args.n, args.seed)
     elif args.experiment == "clt":
-        report = clt_covariance_experiment(
+        report = _cli.clt_covariance_experiment(
             model, args.n, args.copies, reps=args.reps, grid=args.grid, seed=args.seed,
             burnin=args.burnin, threads=args.threads,
         )
     elif args.experiment == "iterated":
         order = "N_first" if args.limit_order == "N" else "n_first"
-        report = iterated_experiment(
+        report = _cli.iterated_experiment(
             model, args.n, args.copies, order, sweep=args.sweep, grid=args.grid,
             seed=args.seed, burnin=args.burnin, threads=args.threads,
         )
     elif args.experiment == "autocov":
-        report = autocovariance_check(model, args.n, args.lags, args.seed)
+        report = _cli.autocovariance_check(model, args.n, args.lags, args.seed)
     else:
-        report = _innovation_check(model, args.n, args.seed)
+        report = _cli._innovation_check(model, args.n, args.seed)
     if args.format == "csv":  # CSV rows carry no warnings
         _warn(report.warnings)
     _emit(report.to_json() if args.format == "json" else report.to_csv(), args.out)
@@ -279,14 +301,14 @@ def _run_ginar(args):
     if (args.spec is None) == (args.means is None):
         raise ValueError("give exactly one of --spec or --means")
     if args.spec is not None:
-        spec = load_ginar(args.spec)
+        spec = _cli.load_ginar(args.spec)
     else:
-        spec = ginar_from_means(args.means, args.immigration_lambda)
-    cls = ginar_classify(spec)
-    model = embed(spec)
+        spec = _cli.ginar_from_means(args.means, args.immigration_lambda)
+    cls = _cli.ginar_classify(spec)
+    model = _cli.embed(spec)
     out = {
-        "spec": ginar_to_json(spec),
-        "characteristic_polynomial": [float(c) for c in characteristic_polynomial(spec)],
+        "spec": _cli.ginar_to_json(spec),
+        "characteristic_polynomial": [float(c) for c in _cli.characteristic_polynomial(spec)],
         "rho": cls.rho,
         "regime": cls.regime,
         "primitive": cls.primitive,
@@ -297,9 +319,9 @@ def _run_ginar(args):
             " limit theorems are stated under primitivity"
         )
     if cls.regime == "subcritical":
-        out["V"] = v_ginar(spec).tolist()
+        out["V"] = _cli.v_ginar(spec).tolist()
         if spec.p == 1:
-            std = scalar_limit_std(spec)
+            std = _cli.scalar_limit_std(spec)
             out["scalar_limit_std"] = std
             out["scalar_limit_var"] = std * std
     if args.emit_model is not None:

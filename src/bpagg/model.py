@@ -91,6 +91,7 @@ __all__ = [
     "model_to_json",
     "load_model",
     "model_digest",
+    "SimulationOverflowError",
 ]
 
 # spectral radius (or GINAR mean total) within this of one counts as critical
@@ -107,6 +108,13 @@ _SPARSE = 0.5
 # unit totals from here on keep numpy's variate, so a running unit count of
 # the sparse routes stays clear of 2^63
 _UNITS = 2.0 ** 62
+
+
+class SimulationOverflowError(RuntimeError):
+    """Raised when a component count exceeds the 2^31 simulation ceiling.
+
+    The steppers of bpagg.simulate raise it, and that module re-exports it;
+    it is defined here so that catching it imports no simulator."""
 
 
 def _real(name, value):

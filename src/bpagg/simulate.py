@@ -54,7 +54,9 @@ from .kronalg import spectral_radius
 from .model import (
     Binomial,
     FiniteSupport,
+    IndependentMarginals,
     Point,
+    SimulationOverflowError,
     _count,
     _stationary_mean,
     json_text,
@@ -82,6 +84,7 @@ __all__ = [
 # per-component count ceiling; beyond this a step raises instead of risking
 # int64 wraparound or unbounded draw sizes (supercritical runaway)
 _STATE_LIMIT = 1 << 31
+_RUNAWAY = "component count exceeded 2^31, supercritical runaway?"
 # counts times law constants must stay below this to fit int64
 _INT64_WRAP = 1 << 63
 
@@ -129,10 +132,6 @@ _BURNIN_TOL = 1e-6
 _BURNIN_WARN = 1e-2
 # automatic burn-in beyond this many steps is refused, not run
 _BURNIN_CEILING = 10 ** 6
-
-
-class SimulationOverflowError(RuntimeError):
-    """Raised when a component count exceeds the 2^31 simulation ceiling."""
 
 
 def stream_rng(master_seed, *key):
@@ -245,7 +244,7 @@ def _burnin_bound(M, mean, k):
 def _check_state(total):
     # a count wrapped below zero reads as a huge unsigned value
     if total.view(np.uint64).max() > _STATE_LIMIT:
-        raise SimulationOverflowError("component count exceeded 2^31, supercritical runaway?")
+        raise SimulationOverflowError(_RUNAWAY)
     return total
 
 
@@ -298,28 +297,63 @@ def _run_block(model, n, rng, burnin, x):
     Steps go in chunks of k = _CHUNK_CELLS // (B p) (at least 1): a chunk
     draws the immigration of its k steps for every copy in one law.sample
     call, then, step by step, adds every type's offspring sums, in type
-    order, to its row of immigration. Only one chunk of states is held.
+    order, to its row of immigration. Only one chunk of states is held. One
+    copy is stepped on ints (see _step_copy).
     """
     copies, p = x.shape
     offspring = _offspring(model)
+    if copies == 1:
+        x = x[0].tolist()
+        # a product law's marginals, drawn in order as its sample_sum draws them
+        offspring = [
+            law.marginals if isinstance(law, IndependentMarginals) else law
+            for law in offspring
+        ]
     k = max(1, _CHUNK_CELLS // (copies * p))
     done, total = 0, burnin + n
     while done < total:
         m = min(k, total - done)
         eps = model.immigration.sample(rng, m * copies).reshape(m, copies, p)
-        for row in eps:
-            # counts[i]: the type-i count of every copy; one copy's counts go
-            # as ints, which draw alike but skip numpy's array checks
-            counts = x.T if copies > 1 else x[0].tolist()
-            for i, law in enumerate(offspring):
-                row += law.sample_sum(counts[i], rng)
-            x = _check_state(row)
+        if copies == 1:
+            x = _step_copy(offspring, x, eps, rng)
+        else:
+            for row in eps:
+                counts = x.T  # counts[i]: the type-i count of every copy
+                for i, law in enumerate(offspring):
+                    row += law.sample_sum(counts[i], rng)
+                x = _check_state(row)
         # eps[r] is the state after step done + r + 1, path index a + r
         a = done + 1 - burnin
         r0 = max(0, -a)
         if r0 < m:
             yield a + r0, eps[r0:]
         done += m
+
+
+def _step_copy(offspring, x, eps, rng):
+    """Steps one copy from its counts x, p ints, through the immigration rows
+    eps (m, 1, p), which it overwrites with the states; returns the last.
+
+    Each entry of offspring is a product law's list of marginals, each of
+    whose sums is an int, or a law whose sums are a vector. Counts and sums
+    stay ints, which draw alike but skip numpy's array checks, so a step
+    makes no array, and its overflow check is a max over p ints: sums of
+    ints do not wrap, so a count past 2^31 is all there is to catch.
+    """
+    rows = eps[:, 0].tolist()
+    for row in rows:
+        for c, law in zip(x, offspring):
+            if isinstance(law, list):
+                for j, marginal in enumerate(law):
+                    row[j] += marginal.sample_sum(c, rng)
+            else:
+                for j, v in enumerate(law.sample_sum(c, rng).tolist()):
+                    row[j] += v
+        if max(row) > _STATE_LIMIT:
+            raise SimulationOverflowError(_RUNAWAY)
+        x = row
+    eps[:, 0] = rows
+    return x
 
 
 def _cohort_births(p, copies, window=1):

@@ -735,6 +735,24 @@ def test_inar_ensemble_states_follow_stationary_poisson():
     assert np.max(np.abs(emp - np.cumsum(pmf))) <= 1.36 / math.sqrt(N)
 
 
+def test_one_copy_lockstep_path_follows_exact_poisson_law():
+    # binomial thinning keeps Poisson laws, so from zero X_n of Bernoulli(q)
+    # offspring with Poisson(lam) immigrants is exactly Poisson(lam (1 -
+    # q^n) / (1 - q)); its cohorts outlive the lifetime bound, so every path
+    # is the lockstep (1, 1) block. Bound 1.36 / sqrt(N) and seeds are fixed
+    q, lam, n, N = 0.995, 3.0, 20, 1000
+    model = _scalar(Bernoulli(q), Poisson(lam))
+    assert simulate._cohort_lifetime(model) == math.inf
+    assert simulate._cohort_route(model, 1, simulate._cohort_lifetime(model), n) == 0
+    states = np.array([simulate_path(model, n, stream_rng(2027, i))[n, 0] for i in range(N)])
+    mean = lam * (1.0 - q ** n) / (1.0 - q)
+    support = np.arange(states.max() + 1)
+    logf = np.array([math.lgamma(k + 1) for k in support])
+    pmf = np.exp(support * math.log(mean) - mean - logf)
+    emp = np.cumsum(np.bincount(states, minlength=len(support))) / N
+    assert np.max(np.abs(emp - np.cumsum(pmf))) <= 1.36 / math.sqrt(N)
+
+
 def _refuse_cohorts(monkeypatch):
     def refuse(*args):
         raise AssertionError("routed to cohorts")
