@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 # each public name, by the submodule that defines it
 _EXPORTS = {
     "kronalg": (
-        "commutation_matrix",
         "spectral_radius",
         "mode_product",
         "tensor_fixed_point",
@@ -56,7 +55,6 @@ _EXPORTS = {
     "simulate": (
         "PathEnsemble",
         "AggregateSeries",
-        "step",
         "simulate_path",
         "simulate_ensemble",
         "aggregate",

@@ -10,9 +10,9 @@ experiment ran and failed its bands.
 
 A verb imports the modules it runs only when it runs: moments the moment
 engine, simulate and aggregate the simulator, verify the experiments (which
-import both), ginar the GINAR module. Their callees are attributes of this
-module (cli.moment_report, cli.ergodic_check, ...), read from the defining
-module at each use unless set here, so either place can be patched.
+import both), ginar the GINAR module. Each runner calls its callees as
+attributes of their defining module (moments.moment_report, ...), so a
+patch there is the one that takes effect.
 """
 
 import argparse
@@ -21,78 +21,39 @@ import sys
 from .kronalg import NotSubcriticalError
 from .model import SimulationOverflowError, json_text, load_model, model_to_json
 
-# each verb's callees, by the module that defines them
-_CALLEES = {
-    "moments": ("moment_report",),
-    "simulate": (
-        "_resolve_burnin",
-        "aggregate",
-        "aggregates_to_csv",
-        "paths_to_csv",
-        "simulate_ensemble",
-        "write_metadata",
-    ),
-    "verify": (
-        "_innovation_check",
-        "autocovariance_check",
-        "clt_covariance_experiment",
-        "ergodic_check",
-        "iterated_experiment",
-    ),
-    "ginar": (
-        "embed",
-        "characteristic_polynomial",
-        "ginar_classify",
-        "ginar_from_means",
-        "ginar_to_json",
-        "load_ginar",
-        "scalar_limit_std",
-        "v_ginar",
-    ),
-}
-_HOME = {name: module for module, names in _CALLEES.items() for name in names}
-
-
-def __getattr__(name):
-    if name not in _HOME:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    # `from .module import name`, which -X importtime reports and
-    # importlib.import_module does not
-    return getattr(__import__(_HOME[name], globals(), fromlist=[name], level=1), name)
-
-
-# this module, through which the runners reach their callees
-_cli = sys.modules[__name__]
-
 __all__ = ["main", "entry"]
 
 
+def _read(kind, text, need):
+    """kind(text), or the argparse error that says what the option needs."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("need %s, got %r" % (need, text)) from None
+
+
 def _floats(text):
-    return tuple(float(x) for x in text.split(",") if x != "")
+    return tuple(_read(float, x, "comma separated numbers") for x in text.split(",") if x)
 
 
 def _ints(text):
-    return tuple(int(x) for x in text.split(",") if x != "")
+    return tuple(_read(int, x, "comma separated integers") for x in text.split(",") if x)
 
 
 def _burnin(text):
-    if text == "auto":
-        return "auto"
-    return int(text)
+    return "auto" if text == "auto" else _read(int, text, "'auto' or an integer")
 
 
-def _threads(text):
-    threads = int(text)
-    if threads < 1:
-        raise argparse.ArgumentTypeError("need --threads >= 1, got %d" % threads)
-    return threads
+def _at_least(option, low):
+    """An argparse type that reads option's value, an integer >= low."""
 
+    def parse(text):
+        value = _read(int, text, "an integer >= %d" % low)
+        if value < low:
+            raise argparse.ArgumentTypeError("need %s >= %d, got %d" % (option, low, value))
+        return value
 
-def _seed(text):
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError("need --seed >= 0, got %d" % seed)
-    return seed
+    return parse
 
 
 def _emit(text, out):
@@ -115,13 +76,14 @@ def _add_common(sub, *, n=False, copies=False, seed=False, burnin=False, threads
     if copies:
         sub.add_argument("--copies", type=int, required=True, help="ensemble copies")
     if seed:
-        sub.add_argument("--seed", type=_seed, default=0, help="master seed")
+        sub.add_argument("--seed", type=_at_least("--seed", 0), default=0, help="master seed")
     if burnin:
         sub.add_argument(
             "--burnin", type=_burnin, default="auto", help="'auto' or an integer"
         )
     if threads:
-        sub.add_argument("--threads", type=_threads, default=1, help="worker processes")
+        sub.add_argument("--threads", type=_at_least("--threads", 1), default=1,
+                         help="worker processes")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -243,54 +205,64 @@ def build_parser(argv=None):
 
 
 def _run_moments(args):
+    from . import moments
+
     model = load_model(args.model)
-    report = _cli.moment_report(model, args.order)
+    report = moments.moment_report(model, args.order)
     _emit(report.to_json(), args.out)
     return 0
 
 
 def _run_simulate(args):
+    from . import simulate
+
     if args.out is None:
         raise ValueError("simulate needs --out for the paths CSV")
     model = load_model(args.model)
-    burn, notes = _cli._resolve_burnin(model, args.burnin, args.copies)
+    burn, notes = simulate._resolve_burnin(model, args.burnin, args.copies)
     _warn(notes)
-    ens = _cli.simulate_ensemble(model, args.copies, args.n, args.seed, burn, args.threads)
-    _cli.paths_to_csv(ens, args.out)
-    _cli.write_metadata(ens, args.out + ".meta.json")
+    ens = simulate.simulate_ensemble(model, args.copies, args.n, args.seed, burn, args.threads)
+    simulate.paths_to_csv(ens, args.out)
+    simulate.write_metadata(ens, args.out + ".meta.json")
     return 0
 
 
 def _run_aggregate(args):
+    from . import simulate
+
     if args.out is None:
         raise ValueError("aggregate needs --out for the CSV")
     model = load_model(args.model)
-    burn, notes = _cli._resolve_burnin(model, args.burnin, args.copies)
+    burn, notes = simulate._resolve_burnin(model, args.burnin, args.copies)
     _warn(notes)
-    series = _cli.aggregate(model, args.copies, args.n, args.seed, args.grid, burn, args.threads)
-    _cli.aggregates_to_csv(series, args.out)
+    series = simulate.aggregate(
+        model, args.copies, args.n, args.seed, args.grid, burn, args.threads
+    )
+    simulate.aggregates_to_csv(series, args.out)
     return 0
 
 
 def _run_verify(args):
+    from . import verify
+
     model = load_model(args.model)
     if args.experiment == "ergodic":
-        report = _cli.ergodic_check(model, args.n, args.seed)
+        report = verify.ergodic_check(model, args.n, args.seed)
     elif args.experiment == "clt":
-        report = _cli.clt_covariance_experiment(
+        report = verify.clt_covariance_experiment(
             model, args.n, args.copies, reps=args.reps, grid=args.grid, seed=args.seed,
             burnin=args.burnin, threads=args.threads,
         )
     elif args.experiment == "iterated":
         order = "N_first" if args.limit_order == "N" else "n_first"
-        report = _cli.iterated_experiment(
+        report = verify.iterated_experiment(
             model, args.n, args.copies, order, sweep=args.sweep, grid=args.grid,
             seed=args.seed, burnin=args.burnin, threads=args.threads,
         )
     elif args.experiment == "autocov":
-        report = _cli.autocovariance_check(model, args.n, args.lags, args.seed)
+        report = verify.autocovariance_check(model, args.n, args.lags, args.seed)
     else:
-        report = _cli._innovation_check(model, args.n, args.seed)
+        report = verify._innovation_check(model, args.n, args.seed)
     if args.format == "csv":  # CSV rows carry no warnings
         _warn(report.warnings)
     _emit(report.to_json() if args.format == "json" else report.to_csv(), args.out)
@@ -298,17 +270,19 @@ def _run_verify(args):
 
 
 def _run_ginar(args):
+    from . import ginar
+
     if (args.spec is None) == (args.means is None):
         raise ValueError("give exactly one of --spec or --means")
     if args.spec is not None:
-        spec = _cli.load_ginar(args.spec)
+        spec = ginar.load_ginar(args.spec)
     else:
-        spec = _cli.ginar_from_means(args.means, args.immigration_lambda)
-    cls = _cli.ginar_classify(spec)
-    model = _cli.embed(spec)
+        spec = ginar.ginar_from_means(args.means, args.immigration_lambda)
+    cls = ginar.ginar_classify(spec)
+    model = ginar.embed(spec)
     out = {
-        "spec": _cli.ginar_to_json(spec),
-        "characteristic_polynomial": [float(c) for c in _cli.characteristic_polynomial(spec)],
+        "spec": ginar.ginar_to_json(spec),
+        "characteristic_polynomial": [float(c) for c in ginar.characteristic_polynomial(spec)],
         "rho": cls.rho,
         "regime": cls.regime,
         "primitive": cls.primitive,
@@ -319,9 +293,9 @@ def _run_ginar(args):
             " limit theorems are stated under primitivity"
         )
     if cls.regime == "subcritical":
-        out["V"] = _cli.v_ginar(spec).tolist()
+        out["V"] = ginar.v_ginar(spec).tolist()
         if spec.p == 1:
-            std = _cli.scalar_limit_std(spec)
+            std = ginar.scalar_limit_std(spec)
             out["scalar_limit_std"] = std
             out["scalar_limit_var"] = std * std
     if args.emit_model is not None:

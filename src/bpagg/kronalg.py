@@ -13,7 +13,6 @@ matrix is never formed.
 import numpy as np
 
 __all__ = [
-    "commutation_matrix",
     "spectral_radius",
     "mode_product",
     "tensor_fixed_point",
@@ -29,21 +28,6 @@ _EPS = np.finfo(float).eps
 
 class NotSubcriticalError(ValueError):
     """Raised when an operation requires a spectral radius strictly below one."""
-
-
-def commutation_matrix(p):
-    """Permutation matrix P of size p^2 x p^2 with u (x) v = P (v (x) u).
-
-    Row index i*p + j has its one at column j*p + i. P is symmetric and is
-    its own inverse.
-    """
-    if p < 1:
-        raise ValueError("need p >= 1")
-    P = np.zeros((p * p, p * p))
-    for i in range(p):
-        for j in range(p):
-            P[i * p + j, j * p + i] = 1.0
-    return P
 
 
 def spectral_radius(m):

@@ -81,6 +81,11 @@ import numpy as np
 from .kronalg import NotSubcriticalError, spectral_radius
 
 __all__ = [
+    "Poisson",
+    "Bernoulli",
+    "Binomial",
+    "Geometric",
+    "Point",
     "FiniteSupport",
     "IndependentMarginals",
     "BranchingModel",

@@ -70,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kronalg import commutation_matrix, lyapunov_solve, mode_product, tensor_fixed_point
+from .kronalg import lyapunov_solve, mode_product, tensor_fixed_point
 from .model import _count, _cumulant_sum, _stationary_mean, json_text, mean_matrix, validate
 
 __all__ = [
@@ -131,17 +131,16 @@ def build_transfer(model, max_order=3):
 
     eps3 = model.immigration.kron_moment(3)
     thirds = [law.kron_moment(3) for law in model.offspring]
-    PI = np.kron(commutation_matrix(p), np.eye(p))
     a31 = np.zeros((p ** 3, p))
     a32 = np.zeros((p ** 3, p * p))
     for i in range(p):
         mi, si, ti = means[i], seconds[i], thirds[i]
         mimi = np.kron(mi, mi)
         # two individuals of type i: slots (1,3) from one brood, slot 2 from the other
-        mix_ii = PI @ np.kron(mi, si)
+        mix_ii = np.kron(si.reshape(p, p), mi[:, None]).ravel()
         # brood in slots (1,3), immigration in slot 2, and the reverse nesting
-        mix_ie = PI @ np.kron(m_eps, si)
-        mix_ei = PI @ np.kron(mi, eps2)
+        mix_ie = np.kron(si.reshape(p, p), m_eps[:, None]).ravel()
+        mix_ei = np.kron(eps2.reshape(p, p), mi[:, None]).ravel()
         a31[:, i] = (
             ti - np.kron(si, mi) - mix_ii - np.kron(mi, si) + 2.0 * np.kron(mimi, mi)
             + np.kron(si, m_eps) + mix_ie + np.kron(m_eps, si)
@@ -151,7 +150,7 @@ def build_transfer(model, max_order=3):
         for j in range(p):
             mj = means[j]
             # independent broods of types i (slots 1,3) and j (slot 2)
-            mix_ij = PI @ np.kron(mj, si)
+            mix_ij = np.kron(si.reshape(p, p), mj[:, None]).ravel()
             a32[:, i * p + j] = (
                 np.kron(si, mj) + mix_ij + np.kron(mj, si)
                 - np.kron(mimi, mj) - np.kron(np.kron(mi, mj), mi) - np.kron(mj, mimi)

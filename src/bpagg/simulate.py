@@ -5,13 +5,13 @@ generator stream. A block of B copies takes one of two routes, decided once
 per call and block size (see _cohort_route); either hands out its states a
 chunk at a time, and a block keeps either its paths or only its running
 sums S_m = X_1 + ... + X_m at the grid indices m = floor(t n) (see
-_simulate_block). A path is not repeated step calls.
+_simulate_block).
 
 In lockstep, steps go in chunks of k = _CHUNK_CELLS // (B p) (at least
 one): a chunk first draws the immigration of all its steps and copies in
 one call, then, step by step, each type's offspring in index order, the
 exact sum of c_i independent brood vectors as one convolution variate (see
-bpagg.model) over all B copies; step is such a chunk of one step.
+bpagg.model) over all B copies.
 
 As immigrant cohorts (see _cohort_chunks), the path of a copy from zero is
 the sum of the independent Galton-Watson processes started by each step's
@@ -69,13 +69,14 @@ __all__ = [
     "PathEnsemble",
     "AggregateSeries",
     "SimulationOverflowError",
-    "step",
     "simulate_path",
     "simulate_ensemble",
     "block_copies",
     "aggregate",
     "extract_innovations",
     "burnin_auto",
+    "stream_rng",
+    "derived_seed",
     "paths_to_csv",
     "aggregates_to_csv",
     "ensemble_metadata",
@@ -289,10 +290,10 @@ def _offspring(model):
     return tuple(_Guarded(law, c) for law, c in zip(model.offspring, cs))
 
 
-def _run_block(model, n, rng, burnin, x):
-    """Chunks (a, states) of a block stepped in lockstep from the (B, p)
-    state x, burnin steps first: states (m, B, p) are the states at path
-    indices a .. a + m - 1, in order, for every index drawn after x.
+def _run_block(model, copies, n, rng, burnin):
+    """Chunks (a, states) of a block of copies stepped in lockstep from
+    zero at path index -burnin: states (m, copies, p) are the states at
+    path indices a .. a + m - 1, in order, for every index after the start.
 
     Steps go in chunks of k = _CHUNK_CELLS // (B p) (at least 1): a chunk
     draws the immigration of its k steps for every copy in one law.sample
@@ -300,7 +301,8 @@ def _run_block(model, n, rng, burnin, x):
     order, to its row of immigration. Only one chunk of states is held. One
     copy is stepped on ints (see _step_copy).
     """
-    copies, p = x.shape
+    p = model.p
+    x = np.zeros((copies, p), dtype=np.int64)
     offspring = _offspring(model)
     if copies == 1:
         x = x[0].tolist()
@@ -528,7 +530,7 @@ def _simulate_block(model, copies, n, rng, burnin, window=0, idx=None):
     if window:
         chunks = _cohort_chunks(model, copies, n, rng, burnin, window)
     else:
-        chunks = _run_block(model, n, rng, burnin, np.zeros((copies, p), dtype=np.int64))
+        chunks = _run_block(model, copies, n, rng, burnin)
     if idx is None:
         paths = np.zeros((copies, n + 1, p), dtype=np.int64)
         for a, states in chunks:
@@ -544,18 +546,6 @@ def _simulate_block(model, copies, n, rng, burnin, window=0, idx=None):
                 sums[:, g] = total + states[: m - a + 1].sum(axis=0)
         total += states.sum(axis=0)
     return sums
-
-
-def step(model, state, rng):
-    """One exact transition from state: one immigration draw, then the
-    offspring sums of each type in index order. A state that is not a vector
-    of p nonnegative integers is refused; a fractional entry is not
-    truncated."""
-    state = np.asarray(state)
-    if state.shape != (model.p,):
-        raise ValueError("state must be a nonnegative int vector of length p")
-    state = np.array([_count("state", v) for v in state.tolist()], dtype=np.int64)
-    return next(_run_block(model, 1, rng, 0, state[None]))[1][0, 0]
 
 
 def simulate_path(model, n, rng, burnin=None):

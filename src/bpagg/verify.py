@@ -469,7 +469,7 @@ def innovation_diagnostics(model, path):
     seen at least 100 times, the conditional second moment against its
     affine form sum_q x_q Cov(xi^(q)) + Cov(eps). Bucket samples are i.i.d.
     so plain standard errors apply there. A negative or fractional entry of
-    the path is refused, as step refuses it, not truncated.
+    the path is refused, not truncated.
     """
     t0 = time.perf_counter()
     if len(path) < 3:

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -285,7 +286,8 @@ def test_aggregate_refuses_as_moment_report_without_building_one(tmp_path, capsy
     def no_report(*args, **kwargs):
         raise AssertionError("aggregate built a moment report")
 
-    monkeypatch.setattr(cli, "moment_report", no_report)
+    moment_report = bpagg.moments.moment_report
+    monkeypatch.setattr(bpagg.moments, "moment_report", no_report)
     out = tmp_path / "agg.csv"
     zero = BranchingModel(
         1, (IndependentMarginals([Bernoulli(0.5)]),), IndependentMarginals([Point(0)])
@@ -297,7 +299,7 @@ def test_aggregate_refuses_as_moment_report_without_building_one(tmp_path, capsy
         f = tmp_path / "model.json"
         f.write_text(json.dumps(model_to_json(model)))
         with pytest.raises((ValueError, NotSubcriticalError)) as exc:
-            bpagg.moments.moment_report(model, 1)
+            moment_report(model, 1)
         for burnin in ("auto", "7"):
             argv = _VERB_ARGS["aggregate"] + ["--model", str(f), "--grid", "1.0",
                                               "--burnin", burnin, "--out", str(out)]
@@ -306,6 +308,36 @@ def test_aggregate_refuses_as_moment_report_without_building_one(tmp_path, capsy
         assert not out.exists()
     f.write_text(json.dumps(model_to_json(build_scalar_inar())))
     assert main(_VERB_ARGS["aggregate"] + ["--model", str(f), "--grid", "1.0", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--seed", "1.5"),
+        ("--threads", "x"),
+        ("--burnin", "1.5"),
+        ("--lags", "1.5"),
+        ("--sweep", "1.5"),
+        ("--grid", "a"),
+        ("--means", "a"),
+    ],
+)
+def test_option_type_errors_say_what_the_option_needs(scalar_file, capsys, option, value):
+    # an error that argparse words itself names the type function
+    # ("invalid _seed value")
+    argv = {
+        "--lags": ["verify", "autocov", "--n", "40"],
+        "--sweep": _VERB_ARGS["iterated"],
+        "--means": ["ginar"],
+    }.get(option, _VERB_ARGS["clt"])
+    if option != "--means":
+        argv = argv + ["--model", scalar_file]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [option, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument %s: need " % option in err and "got %r" % value in err
+    assert re.search(r"(?<![\w-])_\w", err) is None, err
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -684,7 +716,7 @@ def test_verify_failure_exit_code(scalar_file, capsys, monkeypatch):
                "se": 0.1, "z": 70.0}],
         passed=False,
     )
-    monkeypatch.setattr(cli, "ergodic_check", lambda *a, **k: broken)
+    monkeypatch.setattr(bpagg.verify, "ergodic_check", lambda *a, **k: broken)
     code = main(["verify", "ergodic", "--model", scalar_file, "--n", "100"])
     assert code == 3
     # the report is still written before the failing exit code

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 
 from bpagg.kronalg import (
     NotSubcriticalError,
-    commutation_matrix,
     lyapunov_solve,
     mode_product,
     spectral_radius,
@@ -26,22 +25,6 @@ def test_mixed_product_property():
         a, c = rng.normal(size=(2, p, p))
         b, d = rng.normal(size=(2, q, q))
         assert_allclose(np.kron(a, b) @ np.kron(c, d), np.kron(a @ c, b @ d), atol=1e-12)
-
-
-def test_commutation_swaps_factors():
-    rng = np.random.default_rng(3)
-    for p in (1, 2, 3, 4):
-        P = commutation_matrix(p)
-        for _ in range(10):
-            u, v = rng.normal(size=(2, p))
-            assert_allclose(P @ np.kron(v, u), np.kron(u, v), atol=1e-14)
-
-
-def test_commutation_is_involution():
-    for p in (1, 2, 3, 4):
-        P = commutation_matrix(p)
-        assert_allclose(P @ P, np.eye(p * p), atol=0)
-        assert_allclose(P, P.T, atol=0)
 
 
 def test_spectral_radius_two_by_two():

@@ -17,16 +17,17 @@ from conftest import build_scalar_inar
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(bpagg.__file__)))
 
 # the names the package exported when its __init__ imported every
-# submodule, by the module that defined them then
+# submodule, by the module that defined them then, less the removed
+# kronalg.commutation_matrix and simulate.step
 PUBLIC = {
-    "kronalg": "commutation_matrix spectral_radius mode_product tensor_fixed_point "
-    "lyapunov_solve NotSubcriticalError",
+    "kronalg": "spectral_radius mode_product tensor_fixed_point lyapunov_solve "
+    "NotSubcriticalError",
     "model": "Poisson Bernoulli Binomial Geometric Point FiniteSupport IndependentMarginals "
     "BranchingModel Classification mean_matrix validate model_from_json model_to_json "
     "load_model model_digest",
     "moments": "TransferMatrices MomentReport build_transfer stationary_moments noise_matrix "
     "stationary_variance autocovariance limit_covariance moment_report",
-    "simulate": "PathEnsemble AggregateSeries SimulationOverflowError step simulate_path "
+    "simulate": "PathEnsemble AggregateSeries SimulationOverflowError simulate_path "
     "simulate_ensemble aggregate extract_innovations burnin_auto stream_rng derived_seed",
     "verify": "VerificationReport ergodic_check clt_covariance_experiment iterated_experiment "
     "autocovariance_check innovation_diagnostics bands_overlap",
@@ -105,21 +106,41 @@ def test_unknown_name_raises_attribute_error_naming_it():
         cli.no_such_name
 
 
-def test_cli_callees_read_their_defining_module_unless_patched(monkeypatch):
-    import bpagg.moments
+@pytest.mark.parametrize("module", sorted(bpagg._EXPORTS))
+def test_each_module_lists_the_names_the_package_exports_from_it(module):
+    listed = importlib.import_module("bpagg." + module).__all__
+    assert [name for name in bpagg._EXPORTS[module] if name not in listed] == []
 
-    # undoing a patch of cli.moment_report binds the original here
-    monkeypatch.delitem(vars(cli), "moment_report", raising=False)
-    assert cli.moment_report is bpagg.moments.moment_report
-    assert cli.ergodic_check is importlib.import_module("bpagg.verify").ergodic_check
 
-    def patched(*args):
-        return "patched"
+# callee: (its defining module, a CLI run that calls it)
+CALLEES = {
+    "moment_report": ("moments", ["moments"]),
+    "simulate_ensemble": ("simulate", ["simulate", "--n", "5", "--copies", "2"]),
+    "aggregate": ("simulate", ["aggregate", "--n", "5", "--copies", "2", "--grid", "1"]),
+    "ergodic_check": ("verify", ["verify", "ergodic", "--n", "5"]),
+    "clt_covariance_experiment": ("verify", ["verify", "clt", "--n", "5", "--copies", "2"]),
+    "iterated_experiment": (
+        "verify",
+        ["verify", "iterated", "--limit-order", "N", "--n", "5", "--copies", "2"],
+    ),
+    "autocovariance_check": ("verify", ["verify", "autocov", "--n", "5"]),
+    "_innovation_check": ("verify", ["verify", "innovations", "--n", "5"]),
+    "embed": ("ginar", ["ginar", "--means", "0.5"]),
+}
 
-    def shadow(*args):
-        return "shadow"
 
-    monkeypatch.setattr(bpagg.moments, "moment_report", patched)
-    assert cli.moment_report is patched
-    monkeypatch.setattr(cli, "moment_report", shadow)
-    assert cli.moment_report is shadow
+@pytest.mark.parametrize("callee", CALLEES)
+def test_cli_calls_each_callee_in_its_defining_module(
+    scalar_file, tmp_path, capsys, monkeypatch, callee
+):
+    # the defining module is the one place to patch: cli binds no callee
+    def patched(*args, **kwargs):
+        raise ValueError("patched")
+
+    module, argv = CALLEES[callee]
+    monkeypatch.setattr(importlib.import_module("bpagg." + module), callee, patched)
+    assert not hasattr(cli, callee)
+    if argv[0] != "ginar":
+        argv = argv + ["--model", scalar_file]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: patched\n"

@@ -34,7 +34,6 @@ from bpagg.simulate import (
     paths_to_csv,
     simulate_ensemble,
     simulate_path,
-    step,
     stream_rng,
     write_metadata,
 )
@@ -44,47 +43,10 @@ from bpagg.moments import moment_report, stationary_moments
 from bpagg.model import Bernoulli, Binomial, FiniteSupport, Geometric
 from conftest import (
     build_deterministic,
-    build_deterministic_scalar,
     build_random_subcritical,
     build_scalar_inar,
     build_two_type,
 )
-
-
-def test_step_deterministic_fixed_point():
-    model = build_deterministic()
-    rng = np.random.default_rng(0)
-    assert_allclose(step(model, [0, 0], rng), [2, 3])
-    assert_allclose(step(model, [2, 3], rng), [2, 5])
-    assert_allclose(step(model, [2, 5], rng), [2, 5])
-
-
-def test_step_empty_population_draws_only_immigration():
-    model = build_deterministic_scalar()
-    rng = np.random.default_rng(0)
-    assert step(model, [0], rng)[0] == 1
-
-
-def test_step_state_validation():
-    model = build_scalar_inar()
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        step(model, [1, 2], rng)
-    with pytest.raises(ValueError):
-        step(model, [-1], rng)
-
-
-def test_step_refuses_fractional_states():
-    # a state of 1.5 is refused, not stepped from 1
-    model = build_two_type()
-    rng = np.random.default_rng(0)
-    for state in ([1.5, 0], [0, 2.0000001], [np.nan, 0], [np.inf, 0]):
-        with pytest.raises(ValueError, match="integer state"):
-            step(model, state, rng)
-    # integer-valued entries of any dtype are states
-    assert step(model, np.array([1.0, 2.0]), stream_rng(2)).tolist() == step(
-        model, [1, 2], stream_rng(2)
-    ).tolist()
 
 
 def test_path_shape_and_zero_start():
@@ -373,7 +335,7 @@ def _table_model():
 def _array_block_path(model, n, rng, burnin):
     """One copy stepped by the lockstep array stepper on a (1, p) block."""
     path = np.zeros((n + 1, model.p), dtype=np.int64)
-    for a, states in _run_block(model, n, rng, burnin, np.zeros((1, model.p), dtype=np.int64)):
+    for a, states in _run_block(model, 1, n, rng, burnin):
         path[a : a + len(states)] = states[:, 0]
     return path
 
@@ -855,22 +817,6 @@ def test_regime_decided_once_per_call(monkeypatch):
     monkeypatch.setattr(simulate, "_BLOCK_WIDTH", 4)
     simulate_ensemble(model, 3, 9, master_seed=1, burnin=2)
     assert len(calls) == 4
-    # step decides no route
-    step(model, np.array([1, 2]), stream_rng(1))
-    assert len(calls) == 4
-
-
-def test_step_is_a_one_step_chunk():
-    # step draws one immigration vector, then each type's offspring sums
-    model = _table_model()
-    state = np.array([3, 4], dtype=np.int64)
-    out = step(model, state, stream_rng(2))
-    assert out.dtype == np.int64 and out.shape == (2,)
-    rng = stream_rng(2)
-    total = np.asarray(model.immigration.sample(rng, 1)[0], dtype=np.int64)
-    for i, law in enumerate(model.offspring):
-        total = total + law.sample_sum(int(state[i]), rng)
-    assert np.array_equal(out, total)
 
 
 def test_stream_addressing_is_stable():
