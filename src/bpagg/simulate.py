@@ -37,12 +37,17 @@ scheduling or worker count, and any block can be rerun alone on its stream.
 An automatic burn-in is certified (see burnin_auto): it is the smallest K
 whose coupling bound puts every copy a call simulates, together, within
 total variation 1e-6 of a stationary start; an integer one is used as
-given. M, rho and the stationary mean are the model's, derived once.
+given. M, rho and the stationary mean are the model's, derived once. The
+burn-in, the lifetime bound and a chunk's rounds are each the first power
+g with 1^T M^g v below a bound, found by one doubling search over the powers
+M^(2^j) (_first_power).
 
 Aggregates store no path: aggregate centers the running sums of each copy
 at the exact stationary mean, and the ensemble aggregate is the sum of its
-N independent per-copy aggregates over sqrt(N). _grid_indices is the one
-check of a time grid, and callers run it before they simulate.
+N independent per-copy aggregates over sqrt(N). A copy may itself stand for
+a sum of copies: verify clt passes a model whose immigration is the sum of
+N draws, so each of its copies is the aggregate of N. _grid_indices is the
+one check of a time grid, and callers run it before they simulate.
 """
 
 import math
@@ -151,28 +156,52 @@ def derived_seed(master_seed, *key):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _first_power(M, v, bound, cap, monotone=False):
+    """(k, M^k v) for the smallest k <= cap with 1^T M^k v[:, 0] <= bound,
+    or (inf, None) when there is none; v is (p, c), and its other columns
+    are carried along.
+
+    Powers go one at a time until M^(k+1) v[:, 0] <= M^k v[:, 0] entrywise,
+    which a caller whose sums never increase states by monotone. From there
+    on, M being nonnegative, the sums never increase, so k is found by
+    doubling on the powers M^(2^j) and then descending through them, one
+    product per bit: O(log k) matrix products and no loop over steps.
+    """
+    k = 0
+    while not monotone and v[:, 0].sum() > bound:
+        if k + 1 > cap:
+            return math.inf, None
+        w = M @ v
+        monotone = bool((w[:, 0] <= v[:, 0]).all())
+        if not monotone:
+            k, v = k + 1, w
+    if v[:, 0].sum() <= bound:
+        return (k, v) if k <= cap else (math.inf, None)
+    powers = [M]  # powers[j] = M^(2^j)
+    while (powers[-1] @ v)[:, 0].sum() > bound and k + (1 << (len(powers) - 1)) <= cap:
+        powers.append(powers[-1] @ powers[-1])
+    # k is the largest power found so far whose sum is above bound
+    for j in range(len(powers) - 1, -1, -1):
+        w = powers[j] @ v
+        if w[:, 0].sum() > bound:
+            k, v = k + (1 << j), w
+    return (k + 1, M @ v) if k + 1 <= cap else (math.inf, None)
+
+
+# the largest float below one: a sum is at most this exactly when it is
+# below one
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
 def _certified_burnin(M, mean, copies):
     """The smallest K with copies * 1^T M^K mean <= _BURNIN_TOL.
 
-    The bound never increases in K, so K is found by doubling on the powers
-    M^(2^j) and then descending through them, one matrix-vector product per
-    bit: O(log K) matrix products and no loop over steps. M must be
+    The bound never increases in K (mean - M mean is the immigration mean),
+    so K takes O(log K) matrix products (see _first_power). M must be
     subcritical. A K above _BURNIN_CEILING raises ValueError naming rho.
     """
     copies = max(1, int(copies))
-    tol = _BURNIN_TOL / copies
-    if mean.sum() <= tol:
-        return 0
-    powers = [M]  # powers[j] = M^(2^j)
-    while (powers[-1] @ mean).sum() > tol and 1 << (len(powers) - 1) <= _BURNIN_CEILING:
-        powers.append(powers[-1] @ powers[-1])
-    # k is the largest count found so far whose bound is above tol
-    k, v = 0, mean
-    for j in range(len(powers) - 1, -1, -1):
-        w = powers[j] @ v
-        if w.sum() > tol:
-            k, v = k + (1 << j), w
-    k += 1
+    k, _ = _first_power(M, mean[:, None], _BURNIN_TOL / copies, _BURNIN_CEILING, True)
     if k > _BURNIN_CEILING:
         raise ValueError(
             "automatic burn-in needs more than %d steps at rho = %.12g to put a run"
@@ -270,21 +299,24 @@ class _Guarded:
         return _check_state(self.law.sample_sum(count, rng))
 
 
+def _law_constant(law):
+    """The constant by which sample_sum multiplies counts in int64: a point
+    mass c, a binomial n or a table's largest entry (0 when there is none)."""
+    if isinstance(law, FiniteSupport):
+        return int(law.support.max())
+    return max(m.c if isinstance(m, Point) else m.n if isinstance(m, Binomial) else 0
+               for m in law.marginals)
+
+
 def _offspring(model):
     """The offspring laws a stepper draws from.
 
-    sample_sum multiplies counts, at most _STATE_LIMIT, by a law constant: a
-    point mass c, a binomial n or a table's largest entry. When these sum
-    below 2^32 no product or row sum of a step can wrap int64, and the laws
-    are used as they are; otherwise every law is _Guarded.
+    sample_sum multiplies counts, at most _STATE_LIMIT, by a law constant
+    (_law_constant). When these sum below 2^32 no product or row sum of a
+    step can wrap int64, and the laws are used as they are; otherwise every
+    law is _Guarded.
     """
-    cs = [
-        int(law.support.max()) if isinstance(law, FiniteSupport) else max(
-            m.c if isinstance(m, Point) else m.n if isinstance(m, Binomial) else 0
-            for m in law.marginals
-        )
-        for law in model.offspring
-    ]
+    cs = [_law_constant(law) for law in model.offspring]
     if _STATE_LIMIT * sum(cs) < _INT64_WRAP:
         return model.offspring
     return tuple(_Guarded(law, c) for law, c in zip(model.offspring, cs))
@@ -461,18 +493,16 @@ def _cohort_lifetime(model):
     probability at most min(1, 1^T M^g m_eps), so the sum of these bounds
     its mean lifetime. Past the first term below one the sum is bounded by
     1^T (I - M)^-1 M^g m_eps, which is 1^T M^g mean at the model's
-    stationary mean.
+    stationary mean; _first_power finds that term.
     """
-    M, mean = mean_matrix(model), model._mean
+    mean = model._mean
     if mean is None:
         return math.inf
-    life, v = 0, model.immigration.mean()
-    while v.sum() >= 1.0:
-        life += 1
-        if life > _COHORT_GENERATIONS:
-            return math.inf
-        v, mean = M @ v, M @ mean
-    life += float(mean.sum())
+    g, v = _first_power(mean_matrix(model), np.column_stack((model.immigration.mean(), mean)),
+                        _BELOW_ONE, _COHORT_GENERATIONS)
+    if v is None:
+        return math.inf
+    life = g + float(v[:, 1].sum())
     return life if life <= _COHORT_GENERATIONS else math.inf
 
 
@@ -507,11 +537,8 @@ def _cohort_route(model, copies, life, steps):
         return window if window >= _WINDOW_MIN else 1
     work = copies * life * max(life, 1.0 / (1.0 - model._rho)) / _COHORT_WORK
     budget = (1.0 - work) * births / _COHORT_ROUND
-    M, v = mean_matrix(model), births * copies * model.immigration.mean()
-    rounds = 0
-    while v.sum() >= 1.0 and rounds <= budget:
-        rounds += 1
-        v = M @ v
+    v = births * copies * model.immigration.mean()
+    rounds, _ = _first_power(mean_matrix(model), v[:, None], _BELOW_ONE, budget)
     return int(rounds <= budget)
 
 

@@ -18,6 +18,12 @@ z-score for every checked entry, and serialize deterministically: a rerun
 with the same master seed produces identical bytes for any worker count,
 so wall clock time is kept out of the serialized form.
 
+An aggregate of N copies is drawn as one chain of the N-fold superposed
+model, which has the model's offspring laws and the sum of N immigration
+draws as its immigration (_superposed), so clt's replications cost the same
+at any N; iterated keeps its copies apart, because its rows are covariances
+across copies.
+
 Standard errors come from batch means on single long paths and from plug-in
 estimates on replicated aggregates: an entry of a sample covariance of
 i.i.d. replications (or copies) is the mean of the centered products
@@ -37,10 +43,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import _count, json_text, mean_matrix, model_digest
+from .model import (
+    BranchingModel,
+    SimulationOverflowError,
+    _count,
+    json_text,
+    mean_matrix,
+    model_digest,
+)
 from .moments import moment_report
 from .simulate import (
+    _INT64_WRAP,
     _grid_indices,
+    _law_constant,
     _resolve_burnin,
     aggregate,
     derived_seed,
@@ -286,24 +301,69 @@ def ergodic_check(model, n, seed):
     return _report("ergodic", model, params, rows, exact.rho, n, t0)
 
 
+class _SumOfCopies:
+    """The immigration law of N superposed copies: a draw is the sum of N
+    independent draws of law, one convolution variate (law.sample_sum)."""
+
+    def __init__(self, law, N):
+        self.law, self.N, self.dim = law, N, law.dim
+
+    def mean(self):
+        return self.N * self.law.mean()
+
+    def sample(self, rng, size):
+        return self.law.sample_sum(np.full(size, self.N), rng)
+
+
+def _superposed(model, N):
+    """The model of the sum of N independent copies of model, which is the
+    model itself at N = 1.
+
+    Offspring act on each individual alone, so the sum of N independent
+    copies from zero is one branching process with the same offspring laws
+    whose immigration is the sum of the copies' immigration (the cohort
+    decomposition of Heathcote 1965). It shares the model's M, rho and
+    classification, and its stationary mean is N times the model's, so
+    nothing is solved again. A sum of N immigration draws whose count, or
+    count times the law's constant, could wrap int64 raises
+    SimulationOverflowError.
+    """
+    if N == 1:
+        return model
+    if N * max(_law_constant(model.immigration), 1) >= _INT64_WRAP:
+        raise SimulationOverflowError("N immigration draws pass the int64 range")
+    superposed = BranchingModel(model.p, model.offspring, _SumOfCopies(model.immigration, N))
+    mean = N * model._mean
+    mean.flags.writeable = False
+    # what the cached properties would derive again
+    superposed.__dict__.update(_M=model._M, _rho=model._rho, _mean=mean,
+                               _classification=model._classification)
+    return superposed
+
+
 def clt_covariance_experiment(model, n, N, reps=200, grid=(1.0,), seed=0, burnin="auto",
                               threads=1):
     """Distribution of the scaled aggregate against the Gaussian limit.
 
-    Runs reps independent ensembles of N copies over n steps after burnin
+    Runs reps independent aggregates of N copies over n steps after burnin
     steps ('auto' or an integer), on threads worker processes. grid must be
     nonempty, finite, nonnegative, strictly increasing, and reach no
-    further than n steps. The replications are one ensemble of reps * N
-    copies on the seed derived from (seed, 0), kept as per-copy aggregates
-    (see simulate.aggregate): replication r is the scaled sum of copies
-    r * N .. (r + 1) * N - 1. Per grid point t the empirical covariance of
-    the scaled aggregate across replications is compared entrywise to
-    t * sigma, each standardized marginal is tested for normality (KS
-    distance against the 1.36 / sqrt(reps) threshold), and increments over
-    disjoint grid intervals are checked for vanishing cross covariance. The
-    standard errors of both tables are the plug-in standard errors of
-    _cov_se over the replications, one call per grid point and one for the
-    stacked increments.
+    further than n steps. The sum of N independent copies is itself a
+    branching process, with N-fold immigration (_superposed), so
+    replication r is chain r of one ensemble of reps chains of that process
+    on the seed derived from (seed, 0), kept as per-chain aggregates (see
+    simulate.aggregate) and scaled by 1 / sqrt(N); the burn-in certifies
+    all reps * N copies. A replication costs the same at any N, but its
+    counts are the aggregate's: past the count ceiling of 2^31 per type the
+    run raises SimulationOverflowError, naming N when N >= 2. Per grid
+    point t the empirical covariance of the scaled aggregate across
+    replications is compared entrywise to t * sigma, each standardized
+    marginal is tested for normality (KS distance against the 1.36 /
+    sqrt(reps) threshold), and increments over disjoint grid intervals are
+    checked for vanishing cross covariance. The standard errors of both
+    tables are the plug-in standard errors of _cov_se over the
+    replications, one call per grid point and one for the stacked
+    increments.
     """
     t0 = time.perf_counter()
     n, N, reps, p = _count("n", n), _count("N", N), _count("reps", reps), model.p
@@ -316,9 +376,19 @@ def clt_covariance_experiment(model, n, N, reps=200, grid=(1.0,), seed=0, burnin
     exact = moment_report(model, 1)
     sigma = exact.sigma
     burn, notes = _resolve_burnin(model, burnin, reps * N)
-    per_copy = aggregate(model, reps * N, n, derived_seed(seed, 0), grid, burn,
-                         threads).per_copy
-    vals = per_copy.reshape(reps, N, len(grid), p).sum(axis=1) / math.sqrt(N)
+    try:
+        per_chain = aggregate(_superposed(model, N), reps, n, derived_seed(seed, 0), grid,
+                              burn, threads).per_copy
+    except SimulationOverflowError:
+        if N == 1:
+            raise
+        raise SimulationOverflowError(
+            "the aggregate of N = %d copies is too large to simulate: each replication"
+            " draws its copies as one chain, whose count of one type must stay within"
+            " 2^31 and whose counts times law constants within int64; choose a smaller N"
+            % N
+        ) from None
+    vals = per_chain / math.sqrt(N)
     rows = _grid_cov_rows(vals, grid, sigma)
     ks_entries, checks = [], []
     ks_threshold = 1.36 / math.sqrt(reps)

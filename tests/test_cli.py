@@ -176,6 +176,29 @@ def test_runaway_geometric_offspring_exits_two(tmp_path, capsys, copies):
     assert err.startswith("error:") and "too large" in err
 
 
+def test_clt_aggregate_past_the_count_ceiling_exits_two_naming_n(tmp_path, capsys):
+    # clt draws the N copies of a replication as one chain, so the 2^31
+    # ceiling holds for their aggregate. Bernoulli(1/2) offspring of
+    # Poisson(2^25) immigrants have a stationary mean of 2^26 per copy, and
+    # 2^32 for N = 64. Immigration of a point mass 2^40 + 1 summed over
+    # N = 2^24 copies would wrap int64 to 2^24, below the ceiling
+    def run(immigration, copies):
+        model = BranchingModel(1, (IndependentMarginals([Bernoulli(0.5)]),),
+                               IndependentMarginals([immigration]))
+        f = tmp_path / "model.json"
+        f.write_text(json.dumps(model_to_json(model)))
+        code = main(["verify", "clt", "--model", str(f), "--n", "5", "--reps", "2",
+                     "--copies", str(copies), "--out", str(tmp_path / "out.json")])
+        return code, capsys.readouterr().err
+
+    assert run(Poisson(2.0 ** 25), 1)[0] in (0, 3)
+    for immigration, copies in ((Poisson(2.0 ** 25), 64), (Point(2 ** 40 + 1), 2 ** 24)):
+        code, err = run(immigration, copies)
+        assert code == 2
+        assert err.startswith("error: the aggregate of N = %d copies" % copies)
+        assert "runaway" not in err
+
+
 def test_law_constant_beyond_int64_exits_two(tmp_path, capsys):
     # a point mass of 2^63 cannot be drawn as an int64 count
     spec = {

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -18,6 +20,7 @@ from bpagg.model import (
     Point,
     Poisson,
     model_digest,
+    model_from_json,
 )
 from bpagg.simulate import (
     PathEnsemble,
@@ -38,7 +41,7 @@ from bpagg.simulate import (
     write_metadata,
 )
 from bpagg.simulate import _grid_indices
-from bpagg.verify import _batch_se
+from bpagg.verify import _batch_se, _superposed
 from bpagg.moments import moment_report, stationary_moments
 from bpagg.model import Bernoulli, Binomial, FiniteSupport, Geometric
 from conftest import (
@@ -713,6 +716,118 @@ def test_one_copy_lockstep_path_follows_exact_poisson_law():
     pmf = np.exp(support * math.log(mean) - mean - logf)
     emp = np.cumsum(np.bincount(states, minlength=len(support))) / N
     assert np.max(np.abs(emp - np.cumsum(pmf))) <= 1.36 / math.sqrt(N)
+
+
+def _poisson_ks(states, mean):
+    """Kolmogorov-Smirnov distance of integer states to Poisson(mean): both
+    distribution functions step at the integers, so the largest gap is at
+    one of them."""
+    support = np.arange(states.max() + 1)
+    logf = np.array([math.lgamma(k + 1) for k in support])
+    pmf = np.exp(support * math.log(mean) - mean - logf)
+    emp = np.cumsum(np.bincount(states, minlength=len(support))) / len(states)
+    return np.max(np.abs(emp - np.cumsum(pmf)))
+
+
+@pytest.mark.parametrize("window", [0, 1])
+def test_superposed_inar_follows_exact_poisson_law(window):
+    # N copies of Bernoulli(q) offspring with Poisson(lam) immigrants sum to
+    # one chain whose immigrants are Poisson(N lam), so from zero X_n is
+    # exactly Poisson(N lam (1 - q^n) / (1 - q)). Chains in lockstep (window
+    # 0) and as cohorts (1); bound 1.36 / sqrt(R) and seeds fixed before
+    # sampling
+    q, lam, N, n, R = 0.5, 1.0, 50, 20, 4000
+    model = _superposed(build_scalar_inar(), N)
+    states = _simulate_block(model, R, n, stream_rng(2028, window), 0, window)[:, n, 0]
+    assert _poisson_ks(states, N * lam * (1.0 - q ** n) / (1.0 - q)) <= 1.36 / math.sqrt(R)
+
+
+@pytest.mark.parametrize("window", [0, 1])
+def test_superposed_two_type_mean_is_the_n_fold_immigration_sum(window):
+    # from zero E X_n = sum_(j < n) M^j (N m_eps) for N-fold immigration;
+    # 4 standard errors, seeds fixed before sampling
+    model, N, n, R = build_two_type(), 7, 12, 4000
+    M, m_eps = mean_matrix(model), model.immigration.mean()
+    target = sum(np.linalg.matrix_power(M, j) @ (N * m_eps) for j in range(n))
+    x = _simulate_block(_superposed(model, N), R, n, stream_rng(2029, window), 0, window)
+    x = x[:, n].astype(float)
+    se = x.std(axis=0, ddof=1) / math.sqrt(R)
+    assert np.all(np.abs(x.mean(axis=0) - target) <= 4.0 * se)
+
+
+def _bench_models():
+    """GRID3, BIGPOP and random_model(8, 0) of the benchmark's workloads."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+        / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [model_from_json(m) for m in
+            (workloads.GRID3, workloads.BIGPOP, workloads.random_model(8, 0))]
+
+
+def _lifetime_by_generation(model):
+    """_cohort_lifetime's bound, one generation at a time: the first g with
+    1^T M^g m_eps below one, within 128, plus 1^T M^g mean."""
+    M, v, mean = mean_matrix(model), model.immigration.mean(), model._mean
+    g = 0
+    while v.sum() >= 1.0:
+        g += 1
+        if g > 128:
+            return math.inf
+        v, mean = M @ v, M @ mean
+    life = g + float(mean.sum())
+    return life if life <= 128 else math.inf
+
+
+def _route_by_generation(model, copies, life, steps):
+    """_cohort_route's rule for B >= 2 copies, its rounds counted one
+    generation at a time up to the budget."""
+    births = min(simulate._cohort_births(model.p, copies), steps)
+    work = copies * life * max(life, 1.0 / (1.0 - model._rho)) / simulate._COHORT_WORK
+    budget = (1.0 - work) * births / simulate._COHORT_ROUND
+    M, v = mean_matrix(model), births * copies * model.immigration.mean()
+    rounds = 0
+    while v.sum() >= 1.0 and rounds <= budget:
+        rounds += 1
+        v = M @ v
+    return int(rounds <= budget)
+
+
+def _burnin_by_step(model, copies):
+    M, v, k = mean_matrix(model), model._mean, 0
+    while v.sum() > 1e-6 / copies:
+        k, v = k + 1, M @ v
+    return k
+
+
+def test_power_search_matches_generation_loops():
+    # lifetimes, routes and burn-ins found by doubling (_first_power) are the
+    # ones a loop over generations finds. In the last model type 0 begets 1.8
+    # of type 1 and type 1 0.3 of type 0, so the sums 1^T M^g m_eps of its
+    # type-1 immigrants fall and rise with g: 5, 1.5, 2.7, 0.81, 1.46, ...
+    # Its search steps one power at a time; doubling from g = 0 would skip
+    # the first sum below one, at g = 3, and stop at g = 5
+    cycle = BranchingModel(
+        2,
+        (IndependentMarginals([Point(0), Poisson(1.8)]),
+         IndependentMarginals([Bernoulli(0.3), Point(0)])),
+        IndependentMarginals([Point(0), Poisson(5.0)]),
+    )
+    models = [build_scalar_inar(), build_two_type(), *_bench_models(),
+              _scalar(Bernoulli(0.995), Poisson(3.0)), _superposed(build_scalar_inar(), 50),
+              cycle]
+    for model in models:
+        want = _lifetime_by_generation(model)
+        life = simulate._cohort_lifetime(model)
+        assert life == pytest.approx(want, rel=1e-12, abs=0)
+        for copies in (2, 20, 100, 400, 465, 700, 1500):
+            for steps in (30, 100, 1000, 20000):
+                want_route = 0 if life == math.inf else _route_by_generation(
+                    model, copies, want, steps)
+                assert simulate._cohort_route(model, copies, life, steps) == want_route
+        for copies in (1, 100, 10 ** 4):
+            assert burnin_auto(model, copies) == _burnin_by_step(model, copies)
 
 
 def _refuse_cohorts(monkeypatch):

@@ -137,14 +137,15 @@ def test_clt_rerun_and_threads_byte_identical():
 
 
 def test_clt_increments_rerun_and_threads_byte_identical():
-    # a two-type model on three grid points fills the increment table; 40
-    # replications of 60 copies are two blocks of the p = 2 model
+    # a two-type model on three grid points fills the increment table; 2100
+    # replications of 60 copies are 2100 chains of the 60-fold model, two
+    # blocks of the p = 2 model
     model = build_two_type()
-    assert 40 * 60 > block_copies(2)
+    assert 2100 > block_copies(2)
 
     def run(threads):
         return clt_covariance_experiment(
-            model, 12, 60, reps=40, grid=(0.25, 0.5, 1.0), seed=3, threads=threads
+            model, 12, 60, reps=2100, grid=(0.25, 0.5, 1.0), seed=3, threads=threads
         ).to_json()
 
     text = run(1)
@@ -154,11 +155,12 @@ def test_clt_increments_rerun_and_threads_byte_identical():
 
 
 def test_clt_blocks_thread_invariant():
-    # 3 replications of 2731 copies are two full blocks of the p = 1 model
-    # and a third block of one copy, drawn as cohorts
+    # 8193 replications of 3 copies are 8193 chains of the 3-fold model: two
+    # full blocks of the p = 1 model and a third block of one chain, drawn as
+    # cohorts
     model = build_scalar_inar()
-    N, reps = 2731, 3
-    assert reps * N == 2 * block_copies(1) + 1
+    N, reps = 3, 8193
+    assert reps == 2 * block_copies(1) + 1
 
     def run(threads):
         return clt_covariance_experiment(
@@ -188,22 +190,33 @@ def _recorded_aggregates(monkeypatch):
     return calls
 
 
-def test_clt_is_one_ensemble_of_reps_times_n_copies(monkeypatch):
-    # replication r is the scaled sum of copies r N .. (r + 1) N - 1 of one
-    # ensemble of reps N copies on the seed derived from (seed, 0)
+def test_clt_is_one_ensemble_of_reps_chains_of_the_n_fold_model(monkeypatch):
+    # replication r is chain r of one ensemble of reps chains of the model
+    # whose immigration is the sum of N draws, on the seed derived from
+    # (seed, 0), scaled by 1 / sqrt(N); at N = 1 that model is the model
     model = build_two_type()
-    n, N, reps, burn, grid = 30, 4, 6, 5, (0.5, 1.0)
+    n, reps, burn, grid = 30, 6, 5, (0.5, 1.0)
     calls = _recorded_aggregates(monkeypatch)
-    report = clt_covariance_experiment(model, n, N, reps=reps, grid=grid, seed=17, burnin=burn)
-    [(args, per_copy)] = calls
-    assert args[1:4] == (reps * N, n, derived_seed(17, 0))
-    alone = aggregate(model, reps * N, n, derived_seed(17, 0), grid, burnin=burn).per_copy
-    assert_allclose(per_copy, alone, rtol=1e-15, atol=0)
-    vals = per_copy.reshape(reps, N, len(grid), 2).sum(axis=1) / math.sqrt(N)
-    at_one = np.cov(vals[:, 1, :], rowvar=False)
-    rows = {(r["t"], r["i"], r["j"]): r["empirical"] for r in report.rows}
-    for i, j in ((0, 0), (0, 1), (1, 1)):
-        assert rows[(1.0, i, j)] == pytest.approx(at_one[i, j], rel=1e-12)
+    for N in (4, 1):
+        del calls[:]
+        report = clt_covariance_experiment(model, n, N, reps=reps, grid=grid, seed=17,
+                                           burnin=burn)
+        [(args, per_chain)] = calls
+        superposed = args[0]
+        assert args[1:] == (reps, n, derived_seed(17, 0), grid, burn, 1)
+        if N == 1:
+            assert superposed is model
+        else:
+            assert superposed.offspring == model.offspring
+            assert_allclose(superposed.immigration.mean(), N * model.immigration.mean())
+            sums = model.immigration.sample_sum(np.full(50, N), stream_rng(5))
+            assert np.array_equal(superposed.immigration.sample(stream_rng(5), 50), sums)
+        alone = aggregate(superposed, reps, n, derived_seed(17, 0), grid, burnin=burn).per_copy
+        assert_allclose(per_chain, alone, rtol=1e-15, atol=0)
+        at_one = np.cov(per_chain[:, 1, :] / math.sqrt(N), rowvar=False)
+        rows = {(r["t"], r["i"], r["j"]): r["empirical"] for r in report.rows}
+        for i, j in ((0, 0), (0, 1), (1, 1)):
+            assert rows[(1.0, i, j)] == pytest.approx(at_one[i, j], rel=1e-12)
 
 
 def _plugin_se(sample):
@@ -238,8 +251,8 @@ def test_clt_standard_errors_are_the_plugin_product_spread(monkeypatch):
     n, N, reps, seed, grid = 24, 3, 50, 21, (0.25, 0.5, 1.0)
     calls = _recorded_aggregates(monkeypatch)
     report = clt_covariance_experiment(model, n, N, reps=reps, grid=grid, seed=seed)
-    [(_, per_copy)] = calls
-    vals = per_copy.reshape(reps, N, 3, 2).sum(axis=1) / math.sqrt(N)
+    [(_, per_chain)] = calls
+    vals = per_chain / math.sqrt(N)
     _assert_row_se(report.rows, vals, grid)
     se = _plugin_se(np.diff(vals, axis=1, prepend=0.0).reshape(reps, -1))
     entries = report.extra["increments"]
