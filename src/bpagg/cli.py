@@ -18,7 +18,6 @@ patch there is the one that takes effect.
 import argparse
 import sys
 
-from .kronalg import NotSubcriticalError
 from .model import SimulationOverflowError, json_text, load_model, model_to_json
 
 __all__ = ["main", "entry"]
@@ -317,7 +316,7 @@ def main(argv=None):
     }
     try:
         return runners[args.verb](args)
-    except (ValueError, NotSubcriticalError, SimulationOverflowError, OSError) as exc:
+    except (ValueError, SimulationOverflowError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

@@ -34,20 +34,23 @@ copies and run block b on the keyed stream (master_seed, b). An
 ensemble therefore depends on (master_seed, N, n, p) and never on
 scheduling or worker count, and any block can be rerun alone on its stream.
 
-An automatic burn-in is certified (see burnin_auto): it is the smallest K
-whose coupling bound puts every copy a call simulates, together, within
-total variation 1e-6 of a stationary start; an integer one is used as
-given. M, rho and the stationary mean are the model's, derived once. The
-burn-in, the lifetime bound and a chunk's rounds are each the first power
-g with 1^T M^g v below a bound, found by one doubling search over the powers
-M^(2^j) (_first_power).
+A burn-in argument is read in one place (_burnin_steps): 'auto' is
+certified (see burnin_auto), the smallest K whose coupling bound puts every
+copy a call simulates, together, within total variation 1e-6 of a
+stationary start; None is 0, and an integer is used as given. Burn-in
+states are dropped in one place too (_simulate_block). M, rho and the
+stationary mean are the model's, derived once. The burn-in, the lifetime
+bound and a chunk's rounds are each the first power g with 1^T M^g v below
+a bound, found by one doubling search over the powers M^(2^j)
+(_first_power).
 
 Aggregates store no path: aggregate centers the running sums of each copy
 at the exact stationary mean, and the ensemble aggregate is the sum of its
 N independent per-copy aggregates over sqrt(N). A copy may itself stand for
-a sum of copies: verify clt passes a model whose immigration is the sum of
-N draws, so each of its copies is the aggregate of N. _grid_indices is the
-one check of a time grid, and callers run it before they simulate.
+a sum of copies: the N-fold model lives here (_superposed), whose
+immigration is the sum of N draws, so each of its copies is the aggregate
+of N; verify clt draws its replications as chains of it. _grid_indices is
+the one check of a time grid, and callers run it before they simulate.
 """
 
 import math
@@ -58,9 +61,12 @@ import numpy as np
 from .kronalg import spectral_radius
 from .model import (
     Binomial,
+    BranchingModel,
     FiniteSupport,
+    Geometric,
     IndependentMarginals,
     Point,
+    Poisson,
     SimulationOverflowError,
     _count,
     _stationary_mean,
@@ -245,17 +251,17 @@ def _burnin_steps(model, burnin, copies):
 def _resolve_burnin(model, burnin, copies=1):
     """(k, warnings), the one decision of a verb's burn-in over copies copies.
 
-    'auto' is burnin_auto's certified length. An integer k >= 0 is k,
-    warned about when its certificate copies * 1^T M^k mean is above
-    _BURNIN_WARN; a model that is not subcritical has no stationary law to
-    compare with and gets no warning. The simulation uses k as given: the
-    certificate is computed once.
+    k is _burnin_steps's: 'auto' is burnin_auto's certified length, and
+    None or an integer k >= 0 is 0 or k. An integer is warned about when
+    its certificate copies * 1^T M^k mean is above _BURNIN_WARN; a model
+    that is not subcritical has no stationary law to compare with and gets
+    no warning. The simulation uses k as given: the certificate is computed
+    once.
     """
-    if burnin == "auto":
-        return burnin_auto(model, copies), []
-    M, mean = mean_matrix(model), model._mean
-    k = _count("burnin", burnin)
-    bound = 0.0 if mean is None else copies * _burnin_bound(M, mean, k)
+    k = _burnin_steps(model, burnin, copies)
+    if burnin == "auto" or model._mean is None:
+        return k, []
+    bound = copies * _burnin_bound(mean_matrix(model), model._mean, k)
     if bound <= _BURNIN_WARN:
         return k, []
     return k, [
@@ -322,10 +328,63 @@ def _offspring(model):
     return tuple(_Guarded(law, c) for law, c in zip(model.offspring, cs))
 
 
+class _SumOfCopies:
+    """The immigration law of N superposed copies: a draw is the sum of N
+    independent draws of law, one convolution variate (law.sample_sum)."""
+
+    def __init__(self, law, N):
+        self.law, self.N, self.dim = law, N, law.dim
+
+    def mean(self):
+        return self.N * self.law.mean()
+
+    def sample(self, rng, size):
+        return self.law.sample_sum(np.full(size, self.N), rng)
+
+
+def _superposed(model, N):
+    """The model of the sum of N independent copies of model, which is the
+    model itself at N = 1.
+
+    Offspring act on each individual alone, so the sum of N independent
+    copies from zero is one branching process with the same offspring laws
+    whose immigration is the sum of the copies' immigration (the cohort
+    decomposition of Heathcote 1965). It shares the model's M, rho and
+    classification, and its stationary mean is N times the model's, so
+    nothing is solved again. A sum of N immigration draws that numpy cannot
+    draw raises SimulationOverflowError before any draw: one whose count N,
+    or N times the law's constant, could wrap int64, and one whose Poisson
+    rate numpy refuses (above about 9.2e18), N lambda for a Poisson
+    marginal or N b for a geometric one, the mean of the gamma-mixed rate
+    with which its sum is drawn.
+    """
+    if N == 1:
+        return model
+    law = model.immigration
+    rate = max([N * m.cumulants()[0] for m in getattr(law, "marginals", ())
+                if isinstance(m, (Poisson, Geometric))], default=0.0)
+    fits = N * max(_law_constant(law), 1) < _INT64_WRAP
+    try:
+        np.random.default_rng(0).poisson(rate, 0)  # numpy's rate check; draws nothing
+    except ValueError:
+        fits = False
+    if not fits:
+        raise SimulationOverflowError(
+            "N immigration draws pass the int64 range or numpy's largest Poisson rate")
+    superposed = BranchingModel(model.p, model.offspring, _SumOfCopies(law, N))
+    mean = N * model._mean
+    mean.flags.writeable = False
+    # what the cached properties would derive again
+    superposed.__dict__.update(_M=model._M, _rho=model._rho, _mean=mean,
+                               _classification=model._classification)
+    return superposed
+
+
 def _run_block(model, copies, n, rng, burnin):
     """Chunks (a, states) of a block of copies stepped in lockstep from
     zero at path index -burnin: states (m, copies, p) are the states at
-    path indices a .. a + m - 1, in order, for every index after the start.
+    path indices a .. a + m - 1, in order, burn-in included, for every
+    index after the start.
 
     Steps go in chunks of k = _CHUNK_CELLS // (B p) (at least 1): a chunk
     draws the immigration of its k steps for every copy in one law.sample
@@ -356,11 +415,8 @@ def _run_block(model, copies, n, rng, burnin):
                 for i, law in enumerate(offspring):
                     row += law.sample_sum(counts[i], rng)
                 x = _check_state(row)
-        # eps[r] is the state after step done + r + 1, path index a + r
-        a = done + 1 - burnin
-        r0 = max(0, -a)
-        if r0 < m:
-            yield a + r0, eps[r0:]
+        # eps[r] is the state after step done + r + 1
+        yield done + 1 - burnin, eps
         done += m
 
 
@@ -437,11 +493,9 @@ def _cohort_chunks(model, copies, n, rng, burnin, window):
         # col[j]: where column j adds its state, unique and increasing;
         # z[i, j]: the type-i count of column j
         eps = _check_state(model.immigration.sample(rng, width))
-        if window == 1:  # a column is one cohort and adds no later immigration
-            col, z, eps = np.arange(width), np.ascontiguousarray(eps.T), None
-        else:
-            col = (np.arange(0, width, window * copies)[:, None] + np.arange(copies)).ravel()
-            z = np.ascontiguousarray(eps[col].T)
+        col = (np.arange(0, width, window * copies)[:, None] + np.arange(copies)).ravel()
+        # at W = 1 col is every column, and gathering eps[col] would cost a copy
+        z = np.ascontiguousarray((eps if window == 1 else eps[col]).T)
         last = (total - s) * copies  # the first column of the path's last step
         fed = window - 1  # rounds left that add immigration
         while True:
@@ -473,12 +527,8 @@ def _cohort_chunks(model, copies, n, rng, burnin, window):
                 born[:j] += eps[col[:j]]
                 fed -= 1
             z = np.ascontiguousarray(_check_state(born).T)
-        # acc[:, r copies + c] is copy c's state after step s + r, path index a + r
-        rows = _check_state(acc[:, :width]).T.reshape(m, copies, p)
-        a = s - burnin
-        r0 = max(0, -a)
-        if r0 < m:
-            yield a + r0, rows[r0:]
+        # acc[:, r copies + c] is copy c's state after step s + r
+        yield s - burnin, _check_state(acc[:, :width]).T.reshape(m, copies, p)
         acc[:, :-width] = acc[:, width:]
         acc[:, -width:] = 0
 
@@ -545,7 +595,8 @@ def _cohort_route(model, copies, life, steps):
 def _simulate_block(model, copies, n, rng, burnin, window=0, idx=None):
     """(copies, n+1, p) paths of one block from zero, or, given path indices
     idx, only its running sums S_m = X_1 + ... + X_m at each m of idx, as
-    (copies, len(idx), p); burnin is a step count.
+    (copies, len(idx), p); burnin is a step count, whose states the
+    steppers hand out and this function alone drops.
 
     The block is stepped in lockstep at window 0 and drawn in windows of
     window immigrant cohorts otherwise; the caller sets it once per block
@@ -558,6 +609,9 @@ def _simulate_block(model, copies, n, rng, burnin, window=0, idx=None):
         chunks = _cohort_chunks(model, copies, n, rng, burnin, window)
     else:
         chunks = _run_block(model, copies, n, rng, burnin)
+    # the one trim of burn-in states, and of X_0 from sums, which start at X_1
+    first = 0 if idx is None else 1
+    chunks = ((max(a, first), states[max(0, first - a):]) for a, states in chunks)
     if idx is None:
         paths = np.zeros((copies, n + 1, p), dtype=np.int64)
         for a, states in chunks:
@@ -566,8 +620,6 @@ def _simulate_block(model, copies, n, rng, burnin, window=0, idx=None):
     sums = np.zeros((copies, len(idx), p), dtype=np.int64)
     total = np.zeros((copies, p), dtype=np.int64)  # S_(a-1)
     for a, states in chunks:
-        if a == 0:  # X_0 is in no sum
-            a, states = 1, states[1:]
         for g, m in enumerate(idx):
             if a <= m < a + len(states):
                 sums[:, g] = total + states[: m - a + 1].sum(axis=0)

@@ -20,9 +20,10 @@ so wall clock time is kept out of the serialized form.
 
 An aggregate of N copies is drawn as one chain of the N-fold superposed
 model, which has the model's offspring laws and the sum of N immigration
-draws as its immigration (_superposed), so clt's replications cost the same
-at any N; iterated keeps its copies apart, because its rows are covariances
-across copies.
+draws as its immigration; that model lives in bpagg.simulate
+(simulate._superposed), with every guard on its draws. So clt's
+replications cost the same at any N; iterated keeps its copies apart,
+because its rows are covariances across copies.
 
 Standard errors come from batch means on single long paths and from plug-in
 estimates on replicated aggregates: an entry of a sample covariance of
@@ -44,7 +45,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (
-    BranchingModel,
     SimulationOverflowError,
     _count,
     json_text,
@@ -53,10 +53,9 @@ from .model import (
 )
 from .moments import moment_report
 from .simulate import (
-    _INT64_WRAP,
     _grid_indices,
-    _law_constant,
     _resolve_burnin,
+    _superposed,
     aggregate,
     derived_seed,
     extract_innovations,
@@ -301,46 +300,6 @@ def ergodic_check(model, n, seed):
     return _report("ergodic", model, params, rows, exact.rho, n, t0)
 
 
-class _SumOfCopies:
-    """The immigration law of N superposed copies: a draw is the sum of N
-    independent draws of law, one convolution variate (law.sample_sum)."""
-
-    def __init__(self, law, N):
-        self.law, self.N, self.dim = law, N, law.dim
-
-    def mean(self):
-        return self.N * self.law.mean()
-
-    def sample(self, rng, size):
-        return self.law.sample_sum(np.full(size, self.N), rng)
-
-
-def _superposed(model, N):
-    """The model of the sum of N independent copies of model, which is the
-    model itself at N = 1.
-
-    Offspring act on each individual alone, so the sum of N independent
-    copies from zero is one branching process with the same offspring laws
-    whose immigration is the sum of the copies' immigration (the cohort
-    decomposition of Heathcote 1965). It shares the model's M, rho and
-    classification, and its stationary mean is N times the model's, so
-    nothing is solved again. A sum of N immigration draws whose count, or
-    count times the law's constant, could wrap int64 raises
-    SimulationOverflowError.
-    """
-    if N == 1:
-        return model
-    if N * max(_law_constant(model.immigration), 1) >= _INT64_WRAP:
-        raise SimulationOverflowError("N immigration draws pass the int64 range")
-    superposed = BranchingModel(model.p, model.offspring, _SumOfCopies(model.immigration, N))
-    mean = N * model._mean
-    mean.flags.writeable = False
-    # what the cached properties would derive again
-    superposed.__dict__.update(_M=model._M, _rho=model._rho, _mean=mean,
-                               _classification=model._classification)
-    return superposed
-
-
 def clt_covariance_experiment(model, n, N, reps=200, grid=(1.0,), seed=0, burnin="auto",
                               threads=1):
     """Distribution of the scaled aggregate against the Gaussian limit.
@@ -349,7 +308,7 @@ def clt_covariance_experiment(model, n, N, reps=200, grid=(1.0,), seed=0, burnin
     steps ('auto' or an integer), on threads worker processes. grid must be
     nonempty, finite, nonnegative, strictly increasing, and reach no
     further than n steps. The sum of N independent copies is itself a
-    branching process, with N-fold immigration (_superposed), so
+    branching process, with N-fold immigration (simulate._superposed), so
     replication r is chain r of one ensemble of reps chains of that process
     on the seed derived from (seed, 0), kept as per-chain aggregates (see
     simulate.aggregate) and scaled by 1 / sqrt(N); the burn-in certifies

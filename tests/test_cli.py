@@ -181,7 +181,9 @@ def test_clt_aggregate_past_the_count_ceiling_exits_two_naming_n(tmp_path, capsy
     # ceiling holds for their aggregate. Bernoulli(1/2) offspring of
     # Poisson(2^25) immigrants have a stationary mean of 2^26 per copy, and
     # 2^32 for N = 64. Immigration of a point mass 2^40 + 1 summed over
-    # N = 2^24 copies would wrap int64 to 2^24, below the ceiling
+    # N = 2^24 copies would wrap int64 to 2^24, below the ceiling, and
+    # Poisson(1) or geometric(1/2) summed over 2^63 - 1 copies is drawn at
+    # a Poisson rate numpy refuses
     def run(immigration, copies):
         model = BranchingModel(1, (IndependentMarginals([Bernoulli(0.5)]),),
                                IndependentMarginals([immigration]))
@@ -192,7 +194,8 @@ def test_clt_aggregate_past_the_count_ceiling_exits_two_naming_n(tmp_path, capsy
         return code, capsys.readouterr().err
 
     assert run(Poisson(2.0 ** 25), 1)[0] in (0, 3)
-    for immigration, copies in ((Poisson(2.0 ** 25), 64), (Point(2 ** 40 + 1), 2 ** 24)):
+    for immigration, copies in ((Poisson(2.0 ** 25), 64), (Point(2 ** 40 + 1), 2 ** 24),
+                                (Poisson(1.0), 2 ** 63 - 1), (Geometric(0.5), 2 ** 63 - 1)):
         code, err = run(immigration, copies)
         assert code == 2
         assert err.startswith("error: the aggregate of N = %d copies" % copies)

@@ -40,8 +40,8 @@ from bpagg.simulate import (
     stream_rng,
     write_metadata,
 )
-from bpagg.simulate import _grid_indices
-from bpagg.verify import _batch_se, _superposed
+from bpagg.simulate import _grid_indices, _superposed
+from bpagg.verify import _batch_se, clt_covariance_experiment, iterated_experiment
 from bpagg.moments import moment_report, stationary_moments
 from bpagg.model import Bernoulli, Binomial, FiniteSupport, Geometric
 from conftest import (
@@ -285,6 +285,29 @@ def test_explicit_burnin_warns_exactly_when_the_exact_deficit_passes_1e_2(build)
                 assert "burn-in of %d steps" % k in note and "%.3g" % bound in note
             else:
                 assert notes == []
+
+
+def test_every_entry_point_reads_burnin_by_one_contract():
+    # None, 0, 7 and 'auto' are accepted everywhere, None draws exactly what
+    # 0 draws, and a burn-in that is not 'auto', None or an integer >= 0 is
+    # refused with one message whichever entry point reads it
+    model = build_scalar_inar()
+    calls = {
+        "simulate_path": lambda b: simulate_path(model, 6, stream_rng(1), burnin=b),
+        "simulate_ensemble": lambda b: simulate_ensemble(model, 3, 6, 1, burnin=b).paths,
+        "aggregate": lambda b: aggregate(model, 3, 6, 1, (0.5, 1.0), burnin=b).per_copy,
+        "clt_covariance_experiment": lambda b: clt_covariance_experiment(
+            model, 6, 2, reps=3, grid=(0.5, 1.0), seed=1, burnin=b).to_json(),
+        "iterated_experiment": lambda b: iterated_experiment(
+            model, 6, 2, "N_first", sweep=[3, 6], seed=1, burnin=b).to_json(),
+    }
+    for name, call in calls.items():
+        drawn = {b: call(b) for b in (None, 0, 7, "auto")}
+        assert np.array_equal(drawn[None], drawn[0]), name
+        for bad in (-1, 1.5, "x"):
+            with pytest.raises(ValueError) as exc:
+                call(bad)
+            assert str(exc.value) == "need integer burnin >= 0, got %r" % (bad,), name
 
 
 def test_resolver_on_a_critical_model():
