@@ -54,7 +54,6 @@ _EXPORTS = {
     ),
     "simulate": (
         "PathEnsemble",
-        "AggregateSeries",
         "simulate_path",
         "simulate_ensemble",
         "aggregate",

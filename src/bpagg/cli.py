@@ -234,10 +234,9 @@ def _run_aggregate(args):
     model = load_model(args.model)
     burn, notes = simulate._resolve_burnin(model, args.burnin, args.copies)
     _warn(notes)
-    series = simulate.aggregate(
-        model, args.copies, args.n, args.seed, args.grid, burn, args.threads
-    )
-    simulate.aggregates_to_csv(series, args.out)
+    # one chain is one block, so --threads changes nothing here
+    values = simulate.aggregate(model, args.copies, args.n, args.seed, args.grid, burn)[0]
+    simulate.aggregates_to_csv(args.grid, values, args.out)
     return 0
 
 

@@ -44,13 +44,14 @@ bound and a chunk's rounds are each the first power g with 1^T M^g v below
 a bound, found by one doubling search over the powers M^(2^j)
 (_first_power).
 
-Aggregates store no path: aggregate centers the running sums of each copy
-at the exact stationary mean, and the ensemble aggregate is the sum of its
-N independent per-copy aggregates over sqrt(N). A copy may itself stand for
-a sum of copies: the N-fold model lives here (_superposed), whose
-immigration is the sum of N draws, so each of its copies is the aggregate
-of N; verify clt draws its replications as chains of it. _grid_indices is
-the one check of a time grid, and callers run it before they simulate.
+Aggregates store no path, and there is one route to them: the sum of N
+independent copies is one chain of the N-fold model (_superposed), whose
+immigration is the sum of N draws, so aggregate draws reps aggregates of
+N copies as an ensemble of reps chains of it and centers each chain's
+running sums at its exact stationary mean. verify clt takes its
+replications, verify iterated its copies (N = 1) and the aggregate verb
+its one chain from that call. _grid_indices is the one check of a time
+grid, and callers run it before they simulate.
 """
 
 import math
@@ -78,7 +79,6 @@ from .model import (
 
 __all__ = [
     "PathEnsemble",
-    "AggregateSeries",
     "SimulationOverflowError",
     "simulate_path",
     "simulate_ensemble",
@@ -96,7 +96,8 @@ __all__ = [
 # per-component count ceiling; beyond this a step raises instead of risking
 # int64 wraparound or unbounded draw sizes (supercritical runaway)
 _STATE_LIMIT = 1 << 31
-_RUNAWAY = "component count exceeded 2^31, supercritical runaway?"
+_CEILING = "component count exceeded 2^31"
+_RUNAWAY = _CEILING + ", supercritical runaway?"
 # counts times law constants must stay below this to fit int64
 _INT64_WRAP = 1 << 63
 
@@ -349,34 +350,34 @@ def _superposed(model, N):
     Offspring act on each individual alone, so the sum of N independent
     copies from zero is one branching process with the same offspring laws
     whose immigration is the sum of the copies' immigration (the cohort
-    decomposition of Heathcote 1965). It shares the model's M, rho and
-    classification, and its stationary mean is N times the model's, so
-    nothing is solved again. A sum of N immigration draws that numpy cannot
-    draw raises SimulationOverflowError before any draw: one whose count N,
-    or N times the law's constant, could wrap int64, and one whose Poisson
-    rate numpy refuses (above about 9.2e18), N lambda for a Poisson
-    marginal or N b for a geometric one, the mean of the gamma-mixed rate
-    with which its sum is drawn.
+    decomposition of Heathcote 1965). It shares the model's M and rho, and
+    its stationary mean is N times the model's, so nothing is solved again;
+    the model must have one. Its classification is not copied, so building
+    it classifies nothing. A sum of N immigration draws that numpy cannot
+    draw raises SimulationOverflowError before any draw, naming the check
+    that fired: N times the law's constant (at least 1) could wrap int64,
+    or numpy refuses its Poisson rate (above about 9.2e18), N lambda for a
+    Poisson marginal or N b for a geometric one, the mean of the
+    gamma-mixed rate with which its sum is drawn.
     """
     if N == 1:
         return model
     law = model.immigration
+    c = max(_law_constant(law), 1)
+    if N * c >= _INT64_WRAP:
+        raise SimulationOverflowError("N times law constant %d passes the int64 range" % c)
     rate = max([N * m.cumulants()[0] for m in getattr(law, "marginals", ())
                 if isinstance(m, (Poisson, Geometric))], default=0.0)
-    fits = N * max(_law_constant(law), 1) < _INT64_WRAP
     try:
         np.random.default_rng(0).poisson(rate, 0)  # numpy's rate check; draws nothing
     except ValueError:
-        fits = False
-    if not fits:
         raise SimulationOverflowError(
-            "N immigration draws pass the int64 range or numpy's largest Poisson rate")
+            "Poisson rate %.6g of N immigration draws passes numpy's largest" % rate) from None
     superposed = BranchingModel(model.p, model.offspring, _SumOfCopies(law, N))
     mean = N * model._mean
     mean.flags.writeable = False
     # what the cached properties would derive again
-    superposed.__dict__.update(_M=model._M, _rho=model._rho, _mean=mean,
-                               _classification=model._classification)
+    superposed.__dict__.update(_M=model._M, _rho=model._rho, _mean=mean)
     return superposed
 
 
@@ -498,6 +499,9 @@ def _cohort_chunks(model, copies, n, rng, burnin, window):
         z = np.ascontiguousarray((eps if window == 1 else eps[col]).T)
         last = (total - s) * copies  # the first column of the path's last step
         fed = window - 1  # rounds left that add immigration
+        # only those rounds read eps: at W = 1 it is freed before the rounds,
+        # whose peak it would otherwise raise by its size
+        eps = eps if fed else None
         while True:
             lo, hi = col[0], col[-1] + 1
             if hi > acc.shape[1]:
@@ -673,14 +677,20 @@ def _block_worker(args):
     return _simulate_block(model, copies, n, stream_rng(master_seed, b), burnin, window, idx)
 
 
+def _copies(value, name="N"):
+    """value as an int, a count of copies that must be at least one."""
+    if int(value) != value or value < 1:
+        raise ValueError("need %s >= 1 copies, got %r" % (name, value))
+    return int(value)
+
+
 def _run_blocks(model, N, n, master_seed, burnin, threads, idx=None):
     """_simulate_block's paths or sums of N copies, block by block in copy
     order: block b runs on the stream (master_seed, b), and threads only
     spreads blocks over processes."""
-    if int(N) != N or N < 1:
-        raise ValueError("need N >= 1 copies, got %r" % (N,))
+    N = _copies(N)
     size = block_copies(model.p)
-    sizes = [min(size, int(N) - a) for a in range(0, int(N), size)]
+    sizes = [min(size, N - a) for a in range(0, N, size)]
     life = _cohort_lifetime(model)
     route = {copies: _cohort_route(model, copies, life, burnin + n) for copies in set(sizes)}
     tasks = [
@@ -707,20 +717,6 @@ def simulate_ensemble(model, N, n, master_seed, burnin="auto", threads=1):
     return PathEnsemble(model, master_seed, k, paths)
 
 
-@dataclass
-class AggregateSeries:
-    """Centered sums over a grid: per_copy (N, len(grid), p) holds each copy's,
-    scaled by n^(-1/2), and values (len(grid), p) the ensemble's, over sqrt(N)."""
-
-    grid: tuple
-    per_copy: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        self.N = len(self.per_copy)
-        self.values = self.per_copy.sum(axis=0) / math.sqrt(self.N)
-
-
 def _grid_indices(grid, n):
     """Path indices floor(t n) of the grid points t.
 
@@ -742,22 +738,38 @@ def _grid_indices(grid, n):
     return [math.floor(t * n) for t in grid]
 
 
-def aggregate(model, N, n, master_seed, grid, burnin="auto", threads=1):
-    """Aggregates n^(-1/2) (S_m - m mean) of N copies at m = floor(n t), where
-    mean is the model's exact stationary mean (model._stationary_mean refuses
-    a model without one, as moment_report does, before any block runs). The
-    copies are simulate_ensemble's with the same arguments, kept only as their
-    running sums S_m; they are i.i.d., so the covariance of per_copy estimates
-    that of the ensemble's values."""
+def aggregate(model, N, n, master_seed, grid, burnin="auto", threads=1, reps=1):
+    """(reps, len(grid), p) floats: reps independent aggregates of N copies,
+    (S_m - m N mean) / sqrt(n) / sqrt(N) at m = floor(n t), in that order.
+
+    mean is the model's exact stationary mean; _stationary_mean refuses a
+    model without one, as moment_report does, before any block runs. The
+    sum of N copies is one chain of the N-fold model (_superposed), and
+    aggregate r is chain r of simulate_ensemble's ensemble of reps chains
+    of it, kept only as its running sums S_m; an 'auto' burn-in certifies
+    all reps N copies. A chain's counts are the aggregate's, so past the
+    count ceiling of 2^31 per type, or when its immigration cannot be
+    drawn, the call raises SimulationOverflowError, naming N and the check
+    that fired when N >= 2.
+    """
     n, master_seed = _count("n", n), _count("master_seed", master_seed)
+    N, reps = _copies(N), _copies(reps, "reps")
     if n < 1:
         raise ValueError("need n >= 1 steps to scale an aggregate, got 0")
     idx = _grid_indices(grid, n)
-    mean = _stationary_mean(model)
-    k = _burnin_steps(model, burnin, N)
-    sums = _run_blocks(model, N, n, master_seed, k, threads, idx)
-    per_copy = (sums - np.outer(idx, mean)) / math.sqrt(n)
-    return AggregateSeries(tuple(float(t) for t in grid), per_copy, n)
+    _stationary_mean(model)  # refuses a model without a mean before _superposed reads it
+    k = _burnin_steps(model, burnin, reps * N)
+    try:
+        chain = _superposed(model, N)
+        sums = _run_blocks(chain, reps, n, master_seed, k, threads, idx)
+    except SimulationOverflowError as exc:
+        if N == 1:
+            raise
+        reason = _CEILING if str(exc) == _RUNAWAY else str(exc)
+        raise SimulationOverflowError(
+            "the aggregate of N = %d copies is too large to simulate: %s; choose a smaller N"
+            % (N, reason)) from None
+    return (sums - np.outer(idx, chain._mean)) / math.sqrt(n) / math.sqrt(N)
 
 
 def extract_innovations(model, path):
@@ -793,12 +805,12 @@ def paths_to_csv(ensemble, path):
                 fh.write((row * (b - a)) % tuple(cells.ravel().tolist()))
 
 
-def aggregates_to_csv(series, path):
-    """Write aggregate rows t,s_1..s_p."""
-    p = series.values.shape[1]
+def aggregates_to_csv(grid, values, path):
+    """Write the rows t,s_1..s_p of an aggregate's values (len(grid), p)."""
+    p = values.shape[1]
     with open(path, "w", newline="") as fh:
         fh.write("t," + ",".join("s_%d" % (i + 1) for i in range(p)) + "\n")
-        for t, row in zip(series.grid, series.values):
+        for t, row in zip(grid, values):
             fh.write("%s,%s\n" % (repr(float(t)), ",".join(repr(float(v)) for v in row)))
 
 

@@ -18,11 +18,11 @@ z-score for every checked entry, and serialize deterministically: a rerun
 with the same master seed produces identical bytes for any worker count,
 so wall clock time is kept out of the serialized form.
 
-An aggregate of N copies is drawn as one chain of the N-fold superposed
-model, which has the model's offspring laws and the sum of N immigration
-draws as its immigration; that model lives in bpagg.simulate
-(simulate._superposed), with every guard on its draws. So clt's
-replications cost the same at any N; iterated keeps its copies apart,
+Every aggregate comes from one simulate.aggregate call per ensemble,
+which draws an aggregate of N copies as one chain of the N-fold model and
+refuses, naming N, one too large to simulate. clt takes its reps
+replications as aggregates of N copies, so they cost the same at any N;
+iterated takes the copies of a sweep point as aggregates of one copy each,
 because its rows are covariances across copies.
 
 Standard errors come from batch means on single long paths and from plug-in
@@ -44,18 +44,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (
-    SimulationOverflowError,
-    _count,
-    json_text,
-    mean_matrix,
-    model_digest,
-)
+from .model import _count, json_text, mean_matrix, model_digest
 from .moments import moment_report
 from .simulate import (
     _grid_indices,
     _resolve_burnin,
-    _superposed,
     aggregate,
     derived_seed,
     extract_innovations,
@@ -307,14 +300,13 @@ def clt_covariance_experiment(model, n, N, reps=200, grid=(1.0,), seed=0, burnin
     Runs reps independent aggregates of N copies over n steps after burnin
     steps ('auto' or an integer), on threads worker processes. grid must be
     nonempty, finite, nonnegative, strictly increasing, and reach no
-    further than n steps. The sum of N independent copies is itself a
-    branching process, with N-fold immigration (simulate._superposed), so
-    replication r is chain r of one ensemble of reps chains of that process
-    on the seed derived from (seed, 0), kept as per-chain aggregates (see
-    simulate.aggregate) and scaled by 1 / sqrt(N); the burn-in certifies
-    all reps * N copies. A replication costs the same at any N, but its
-    counts are the aggregate's: past the count ceiling of 2^31 per type the
-    run raises SimulationOverflowError, naming N when N >= 2. Per grid
+    further than n steps. The replications are simulate.aggregate's reps
+    aggregates of N copies on the seed derived from (seed, 0), each one
+    chain of the N-fold model, scaled by 1 / sqrt(n N); the burn-in
+    certifies all reps * N copies. A replication costs the same at any N,
+    but its counts are the aggregate's: past the count ceiling of 2^31 per
+    type, or when N immigration draws cannot be drawn, the run raises
+    SimulationOverflowError, naming N and the reason when N >= 2. Per grid
     point t the empirical covariance of the scaled aggregate across
     replications is compared entrywise to t * sigma, each standardized
     marginal is tested for normality (KS distance against the 1.36 /
@@ -335,19 +327,7 @@ def clt_covariance_experiment(model, n, N, reps=200, grid=(1.0,), seed=0, burnin
     exact = moment_report(model, 1)
     sigma = exact.sigma
     burn, notes = _resolve_burnin(model, burnin, reps * N)
-    try:
-        per_chain = aggregate(_superposed(model, N), reps, n, derived_seed(seed, 0), grid,
-                              burn, threads).per_copy
-    except SimulationOverflowError:
-        if N == 1:
-            raise
-        raise SimulationOverflowError(
-            "the aggregate of N = %d copies is too large to simulate: each replication"
-            " draws its copies as one chain, whose count of one type must stay within"
-            " 2^31 and whose counts times law constants within int64; choose a smaller N"
-            % N
-        ) from None
-    vals = per_chain / math.sqrt(N)
+    vals = aggregate(model, N, n, derived_seed(seed, 0), grid, burn, threads, reps)
     rows = _grid_cov_rows(vals, grid, sigma)
     ks_entries, checks = [], []
     ks_threshold = 1.36 / math.sqrt(reps)
@@ -402,8 +382,9 @@ def iterated_experiment(model, n, N, order, sweep=None, grid=(1.0,), seed=0,
     of the held-out size. seed, burnin, grid and threads are as in
     clt_covariance_experiment, and grid must fit every sweep horizon. The
     scaled ensemble aggregate is a normalized sum of i.i.d. per-copy
-    aggregates, so the empirical covariance across copies estimates the
-    aggregate covariance at every sweep point; the trajectory should settle
+    aggregates, simulate.aggregate's aggregates of one copy each, so the
+    empirical covariance across copies estimates the aggregate covariance
+    at every sweep point; the trajectory should settle
     at t * sigma whichever limit is taken first. The standard errors of a
     sweep point's rows are the plug-in standard errors of _cov_se over its
     copies.
@@ -438,8 +419,9 @@ def iterated_experiment(model, n, N, order, sweep=None, grid=(1.0,), seed=0,
 
     trajectory = []
     for s, (val, (N_s, n_s)) in enumerate(zip(sweep, points)):
-        per_copy = aggregate(model, N_s, n_s, derived_seed(seed, 0, oid, s), grid, burn,
-                             threads).per_copy  # (N_s, G, p)
+        # N_s chains of the model itself: the copies, kept apart
+        per_copy = aggregate(model, 1, n_s, derived_seed(seed, 0, oid, s), grid, burn,
+                             threads, N_s)
         rows = _grid_cov_rows(per_copy, grid, sigma)
         trajectory.append({"sweep": val, "N": N_s, "n": n_s, "rows": rows})
 

@@ -240,9 +240,9 @@ def test_criterion_09_degenerate_exactness():
     details = []
     for model in (build_deterministic(), build_deterministic_scalar()):
         V = noise_matrix(model)
-        series = aggregate(model, 3, 50, 0, (0.25, 0.5, 1.0), burnin=10)
+        values = aggregate(model, 3, 50, 0, (0.25, 0.5, 1.0), burnin=10)
         exact_v = bool(np.all(V == 0.0))
-        exact_s = bool(np.all(series.values == 0.0))
+        exact_s = bool(np.all(values == 0.0))
         ok = ok and exact_v and exact_s
         details.append("p=%d V==0 %s aggregates==0 %s" % (model.p, exact_v, exact_s))
     _outcome("criterion 9: deterministic laws give exact zeros", ok, "; ".join(details))

@@ -176,30 +176,55 @@ def test_runaway_geometric_offspring_exits_two(tmp_path, capsys, copies):
     assert err.startswith("error:") and "too large" in err
 
 
-def test_clt_aggregate_past_the_count_ceiling_exits_two_naming_n(tmp_path, capsys):
-    # clt draws the N copies of a replication as one chain, so the 2^31
-    # ceiling holds for their aggregate. Bernoulli(1/2) offspring of
-    # Poisson(2^25) immigrants have a stationary mean of 2^26 per copy, and
-    # 2^32 for N = 64. Immigration of a point mass 2^40 + 1 summed over
-    # N = 2^24 copies would wrap int64 to 2^24, below the ceiling, and
-    # Poisson(1) or geometric(1/2) summed over 2^63 - 1 copies is drawn at
-    # a Poisson rate numpy refuses
+# (immigration, N, the reason an aggregate of N copies names): Bernoulli(1/2)
+# offspring of Poisson(2^25) immigrants have a stationary mean of 2^26 per
+# copy, and 2^32 for N = 64, past the count ceiling. Immigration of a point
+# mass 2^40 + 1 summed over N = 2^24 copies would wrap int64 to 2^24, below
+# the ceiling, and Poisson(1) or geometric(1/2) summed over 2^63 - 1 copies
+# is drawn at a Poisson rate numpy refuses
+_TOO_LARGE = [
+    (Poisson(2.0 ** 25), 64, "component count exceeded 2^31"),
+    (Point(2 ** 40 + 1), 2 ** 24, "N times law constant 1099511627777 passes the int64 range"),
+    (Poisson(1.0), 2 ** 63 - 1,
+     "Poisson rate 9.22337e+18 of N immigration draws passes numpy's largest"),
+    (Geometric(0.5), 2 ** 63 - 1,
+     "Poisson rate 9.22337e+18 of N immigration draws passes numpy's largest"),
+]
+
+
+def _assert_too_large_names_n_and_reason(tmp_path, capsys, argv):
+    """Runs argv on the Bernoulli(1/2) offspring model of each immigration of
+    _TOO_LARGE, and at N = 1 on Poisson(2^25), which fits; each run past a
+    limit exits 2 naming N and the reason, and writes nothing."""
     def run(immigration, copies):
         model = BranchingModel(1, (IndependentMarginals([Bernoulli(0.5)]),),
                                IndependentMarginals([immigration]))
         f = tmp_path / "model.json"
         f.write_text(json.dumps(model_to_json(model)))
-        code = main(["verify", "clt", "--model", str(f), "--n", "5", "--reps", "2",
-                     "--copies", str(copies), "--out", str(tmp_path / "out.json")])
-        return code, capsys.readouterr().err
+        out = tmp_path / "out"
+        out.unlink(missing_ok=True)
+        code = main(argv + ["--model", str(f), "--n", "5", "--copies", str(copies),
+                            "--out", str(out)])
+        err = capsys.readouterr().err
+        assert out.exists() == (code != 2)
+        return code, err
 
     assert run(Poisson(2.0 ** 25), 1)[0] in (0, 3)
-    for immigration, copies in ((Poisson(2.0 ** 25), 64), (Point(2 ** 40 + 1), 2 ** 24),
-                                (Poisson(1.0), 2 ** 63 - 1), (Geometric(0.5), 2 ** 63 - 1)):
+    for immigration, copies, reason in _TOO_LARGE:
         code, err = run(immigration, copies)
         assert code == 2
-        assert err.startswith("error: the aggregate of N = %d copies" % copies)
-        assert "runaway" not in err
+        assert err == ("error: the aggregate of N = %d copies is too large to simulate: %s;"
+                       " choose a smaller N\n" % (copies, reason))
+
+
+def test_clt_aggregate_past_the_count_ceiling_exits_two_naming_n(tmp_path, capsys):
+    # clt draws the N copies of a replication as one chain, so the 2^31
+    # ceiling holds for their aggregate
+    _assert_too_large_names_n_and_reason(tmp_path, capsys, ["verify", "clt", "--reps", "2"])
+
+
+def test_aggregate_past_the_count_ceiling_exits_two_naming_n(tmp_path, capsys):
+    _assert_too_large_names_n_and_reason(tmp_path, capsys, ["aggregate", "--grid", "1"])
 
 
 def test_law_constant_beyond_int64_exits_two(tmp_path, capsys):
@@ -586,9 +611,9 @@ def test_auto_burnin_is_certified_for_each_verbs_copy_count(scalar_file, tmp_pat
     meta = json.loads((tmp_path / "out.meta.json").read_text())
     assert meta["burnin"] == burnin_auto(model, 300) == 30 and seen == [30]
     del seen[:]
-    # two blocks of 4096 and 904 copies, one burn-in for all 5000
+    # one chain of the 5000-fold model, whose burn-in certifies all 5000
     assert main(["aggregate", "--grid", "1.0", "--n", "5", "--copies", "5000"] + m) == 0
-    assert seen == [burnin_auto(model, 5000)] * 2 == [34, 34]
+    assert seen == [burnin_auto(model, 5000)] == [34]
 
 
 @pytest.mark.parametrize("verb", [["simulate"], ["aggregate", "--grid", "1.0"]],

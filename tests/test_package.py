@@ -18,7 +18,7 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(bpagg.__file__)))
 
 # the names the package exported when its __init__ imported every
 # submodule, by the module that defined them then, less the removed
-# kronalg.commutation_matrix and simulate.step
+# kronalg.commutation_matrix, simulate.step and simulate.AggregateSeries
 PUBLIC = {
     "kronalg": "spectral_radius mode_product tensor_fixed_point lyapunov_solve "
     "NotSubcriticalError",
@@ -27,7 +27,7 @@ PUBLIC = {
     "load_model model_digest",
     "moments": "TransferMatrices MomentReport build_transfer stationary_moments noise_matrix "
     "stationary_variance autocovariance limit_covariance moment_report",
-    "simulate": "PathEnsemble AggregateSeries SimulationOverflowError simulate_path "
+    "simulate": "PathEnsemble SimulationOverflowError simulate_path "
     "simulate_ensemble aggregate extract_innovations burnin_auto stream_rng derived_seed",
     "verify": "VerificationReport ergodic_check clt_covariance_experiment iterated_experiment "
     "autocovariance_check innovation_diagnostics bands_overlap",

@@ -44,6 +44,7 @@ from bpagg.simulate import _grid_indices, _superposed
 from bpagg.verify import _batch_se, clt_covariance_experiment, iterated_experiment
 from bpagg.moments import moment_report, stationary_moments
 from bpagg.model import Bernoulli, Binomial, FiniteSupport, Geometric
+from oracles import ks_distance, running_sum_law
 from conftest import (
     build_deterministic,
     build_random_subcritical,
@@ -295,7 +296,7 @@ def test_every_entry_point_reads_burnin_by_one_contract():
     calls = {
         "simulate_path": lambda b: simulate_path(model, 6, stream_rng(1), burnin=b),
         "simulate_ensemble": lambda b: simulate_ensemble(model, 3, 6, 1, burnin=b).paths,
-        "aggregate": lambda b: aggregate(model, 3, 6, 1, (0.5, 1.0), burnin=b).per_copy,
+        "aggregate": lambda b: aggregate(model, 3, 6, 1, (0.5, 1.0), burnin=b, reps=2),
         "clt_covariance_experiment": lambda b: clt_covariance_experiment(
             model, 6, 2, reps=3, grid=(0.5, 1.0), seed=1, burnin=b).to_json(),
         "iterated_experiment": lambda b: iterated_experiment(
@@ -778,6 +779,41 @@ def test_superposed_two_type_mean_is_the_n_fold_immigration_sum(window):
     assert np.all(np.abs(x.mean(axis=0) - target) <= 4.0 * se)
 
 
+def test_running_sums_of_the_n_fold_inar_follow_the_exact_law():
+    # S_n of R chains of the 50-fold INAR from zero, three ways: in lockstep
+    # and as cohorts (_simulate_block), and aggregate's chains undone to
+    # counts, against the exact law of S_n from the pgfs of the laws with
+    # immigration pgf g^N (tests/oracles.py), aliasing below 1e-30; bound
+    # 1.36 / sqrt(R), R and seeds fixed before sampling
+    q, lam, N, n, R = 0.5, 1.0, 50, 20, 4000
+    model = _superposed(build_scalar_inar(), N)
+    sums = [_simulate_block(model, R, n, stream_rng(2031, w), 0, w, [n])[:, 0, 0]
+            for w in (0, 1)]
+    values = aggregate(build_scalar_inar(), N, n, 2031, (1.0,), burnin=0, reps=R)[:, 0, 0]
+    counts = values * math.sqrt(n) * math.sqrt(N) + n * N * lam / (1.0 - q)
+    sums.append(np.rint(counts).astype(np.int64))
+    pmf, tail = running_sum_law(lambda s: 1.0 - q + q * s,
+                                lambda s: np.exp(N * lam * (s - 1.0)), n, 4096)
+    assert tail < 1e-30
+    for got in sums:
+        assert ks_distance(got, pmf) <= 1.36 / math.sqrt(R)
+
+
+def test_running_sum_oracle_matches_closed_forms():
+    # S_1 = X_1 is the immigration, Poisson(50); E S_n = sum_t 50 (1 - q^t)
+    # / (1 - q) for Bernoulli(q) offspring
+    q, n = 0.5, 20
+    f, g = (lambda s: 1.0 - q + q * s), (lambda s: np.exp(50.0 * (s - 1.0)))
+    k = np.arange(512)
+    pmf, tail = running_sum_law(f, g, 1, 512)
+    logf = np.array([math.lgamma(i + 1) for i in k])
+    assert tail < 1e-30
+    assert_allclose(pmf, np.exp(k * math.log(50.0) - 50.0 - logf), rtol=0, atol=1e-14)
+    pmf, tail = running_sum_law(f, g, n, 4096)
+    want = sum(50.0 * (1.0 - q ** t) / (1.0 - q) for t in range(1, n + 1))
+    assert (np.arange(4096) * pmf).sum() == pytest.approx(want, rel=1e-12)
+
+
 def _bench_models():
     """GRID3, BIGPOP and random_model(8, 0) of the benchmark's workloads."""
     spec = importlib.util.spec_from_file_location(
@@ -1042,7 +1078,7 @@ def test_ensemble_on_both_routes_thread_invariant(build):
         assert np.array_equal(base.paths[b * size : b * size + copies], alone)
     threaded = simulate_ensemble(model, N, n, master_seed=4, burnin=0, threads=2)
     assert np.array_equal(base.paths, threaded.paths)
-    sums = [aggregate(model, N, n, 4, (0.5, 1.0), burnin=0, threads=t).per_copy for t in (1, 2)]
+    sums = [aggregate(model, 1, n, 4, (0.5, 1.0), burnin=0, threads=t, reps=N) for t in (1, 2)]
     assert np.array_equal(sums[0], sums[1])
 
 
@@ -1230,27 +1266,27 @@ def test_aggregate_arithmetic_single_copy():
     # centered sums of the first m steps are 0, (0, -2) and (0, -2), scaled
     # by (n N)^(-1/2)
     model = build_deterministic()
-    series = aggregate(model, 1, 2, 0, (0.0, 0.5, 1.0), burnin=0)
+    values = aggregate(model, 1, 2, 0, (0.0, 0.5, 1.0), burnin=0)
     want = [[0.0, 0.0], [0.0, -2.0], [0.0, -2.0]]
-    assert_allclose(series.values * math.sqrt(2 * 1), want, rtol=1e-15)
-    assert series.grid == (0.0, 0.5, 1.0)
-    assert series.n == 2 and series.N == 1
+    assert values.shape == (1, 3, 2)
+    assert_allclose(values[0] * math.sqrt(2 * 1), want, rtol=1e-15)
 
 
 def test_aggregate_sums_over_copies(monkeypatch):
     # from zero X_1 = (2, 3), then X_k = (2, 5), the stationary mean: each
-    # copy's centered sum is (0, -2) from the first step on; blocks of 2, 2
-    # and 1 copies, the last one drawn as cohorts
+    # copy's centered sum is (0, -2) from the first step on, and the sum of
+    # N copies N (0, -2); reps chains in blocks of 2, 2 and 1, the last one
+    # drawn as cohorts
     monkeypatch.setattr(simulate, "_BLOCK_WIDTH", 4)
-    model, N, n, grid = build_deterministic(), 5, 4, (0.0, 0.25, 1.0)
-    per = aggregate(model, N, n, 0, grid, burnin=0).per_copy
+    model, n, grid = build_deterministic(), 4, (0.0, 0.25, 1.0)
     want = np.array([[0.0, 0.0], [0.0, -2.0], [0.0, -2.0]]) / 2.0
-    assert np.array_equal(per, np.broadcast_to(want, (N, 3, 2)))
-    series = aggregate(model, N, n, 0, grid, burnin=0)
-    assert_allclose(series.values, want * math.sqrt(N), rtol=1e-15)
-    assert series.n == n and series.N == N
-    # after a burn-in every step sits at the mean
-    assert np.array_equal(aggregate(model, N, n, 0, grid, burnin=3).per_copy, np.zeros_like(per))
+    for N, reps in ((1, 5), (5, 1), (5, 5)):
+        values = aggregate(model, N, n, 0, grid, burnin=0, reps=reps)
+        assert values.shape == (reps, 3, 2)
+        assert_allclose(values, np.broadcast_to(want * math.sqrt(N), values.shape), rtol=1e-15)
+        # after a burn-in every step sits at the mean
+        still = aggregate(model, N, n, 0, grid, burnin=3, reps=reps)
+        assert np.array_equal(still, np.zeros_like(values))
 
 
 def test_aggregate_grid_validation(monkeypatch):
@@ -1273,6 +1309,8 @@ def test_aggregate_argument_validation():
     for N in (0, 2.5):
         with pytest.raises(ValueError, match="copies"):
             aggregate(model, N, 5, 0, (1.0,))
+        with pytest.raises(ValueError, match="need reps >= 1"):
+            aggregate(model, 2, 5, 0, (1.0,), reps=N)
     with pytest.raises(ValueError, match="n >= 1"):
         aggregate(model, 2, 0, 0, (0.0,))
     with pytest.raises(ValueError, match="burnin"):
@@ -1293,7 +1331,7 @@ def _streamed_aggregates_match_path_oracle(burnin, cohort_calls):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "_cohort_chunks", counting)
         model, N, n, grid = build_two_type(), 5, 37, (0.0, 0.3, 0.5, 0.99, 1.0)
-        got = aggregate(model, N, n, 9, grid, burnin=burnin).per_copy
+        got = aggregate(model, 1, n, 9, grid, burnin=burnin, reps=N)
         assert len(cohort_blocks) == cohort_calls
         paths = simulate_ensemble(model, N, n, 9, burnin=burnin).paths
         assert len(cohort_blocks) == 2 * cohort_calls
@@ -1333,7 +1371,7 @@ def test_aggregates_hold_no_paths():
     aggregate(model, 2, 10, 1, (1.0,))
     tracemalloc.start()
     try:
-        per = aggregate(model, N, n, 1, (0.5, 1.0)).per_copy
+        per = aggregate(model, 1, n, 1, (0.5, 1.0), reps=N)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1353,14 +1391,28 @@ def test_grid_indices_reach_exactly_n():
         _grid_indices((math.inf,), 0)
 
 
-def test_percopy_matches_pooled_aggregate():
-    model = build_two_type()
-    grid = (0.25, 0.5, 1.0)
-    per = aggregate(model, 5, 60, 21, grid).per_copy
-    pooled = aggregate(model, 5, 60, 21, grid)
-    assert per.shape == (5, 3, 2)
-    # the ensemble aggregate is the per-copy route itself, not an approximation
-    assert np.array_equal(pooled.values, per.sum(axis=0) / math.sqrt(5))
+def test_aggregate_is_a_chain_of_the_n_fold_model():
+    # aggregate r of reps is chain r of an ensemble of reps chains of the
+    # N-fold model on the keyed streams, centered at N times the mean, then
+    # scaled by 1 / sqrt(n) and 1 / sqrt(N), in that order
+    model, n, grid, idx = build_two_type(), 60, (0.25, 0.5, 1.0), [15, 30, 60]
+    mean = stationary_moments(model, 1)[0]
+    # the N-fold model: the model at N = 1, else its offspring laws and
+    # immigration drawn as the sum of N draws
+    assert _superposed(model, 1) is model
+    superposed = _superposed(model, 5)
+    assert superposed.offspring == model.offspring
+    assert_allclose(superposed.immigration.mean(), 5 * model.immigration.mean())
+    sums = model.immigration.sample_sum(np.full(50, 5), stream_rng(5))
+    assert np.array_equal(superposed.immigration.sample(stream_rng(5), 50), sums)
+    for N, reps in ((1, 3), (5, 1), (5, 3)):
+        got = aggregate(model, N, n, 21, grid, reps=reps)
+        burn = burnin_auto(model, reps * N)
+        chains = simulate_ensemble(_superposed(model, N), reps, n, 21, burnin=burn).paths
+        sums = np.cumsum(chains[:, 1:], axis=1)[:, [m - 1 for m in idx]]
+        want = (sums - np.outer(idx, N * mean)) / math.sqrt(n) / math.sqrt(N)
+        assert got.shape == (reps, 3, 2)
+        assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_ensemble_empirical_mean_near_stationary():
@@ -1383,14 +1435,14 @@ def test_csv_and_metadata_round_trip(tmp_path):
     assert first[:2] == ["0", "0"]
     assert [int(v) for v in first[2:]] == list(ens.paths[0, 0])
 
-    series = aggregate(model, 2, 3, 4, (0.5, 1.0), burnin=0)
+    values = aggregate(model, 2, 3, 4, (0.5, 1.0), burnin=0)[0]
     acsv = tmp_path / "agg.csv"
-    aggregates_to_csv(series, acsv)
+    aggregates_to_csv((0.5, 1.0), values, acsv)
     alines = acsv.read_text().strip().split("\n")
     assert alines[0] == "t,s_1,s_2"
     cells = alines[1].split(",")
     assert float(cells[0]) == 0.5
-    assert float(cells[1]) == pytest.approx(series.values[0, 0], abs=0)
+    assert float(cells[1]) == pytest.approx(values[0, 0], abs=0)
 
     meta = tmp_path / "meta.json"
     write_metadata(ens, meta)

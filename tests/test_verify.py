@@ -177,23 +177,23 @@ def _refuse_to_simulate(*args, **kwargs):
 
 
 def _recorded_aggregates(monkeypatch):
-    """Record the arguments and the per-copy aggregates of every aggregate
-    call of verify."""
+    """Record the arguments and the aggregates of every aggregate call of
+    verify."""
     calls = []
 
     def recording(*args):
-        series = aggregate(*args)
-        calls.append((args, series.per_copy))
-        return series
+        values = aggregate(*args)
+        calls.append((args, values))
+        return values
 
     monkeypatch.setattr(verify, "aggregate", recording)
     return calls
 
 
 def test_clt_is_one_ensemble_of_reps_chains_of_the_n_fold_model(monkeypatch):
-    # replication r is chain r of one ensemble of reps chains of the model
-    # whose immigration is the sum of N draws, on the seed derived from
-    # (seed, 0), scaled by 1 / sqrt(N); at N = 1 that model is the model
+    # replication r is aggregate r of reps aggregates of N copies on the
+    # seed derived from (seed, 0), each a chain of the N-fold model (see
+    # test_simulate's test_aggregate_is_a_chain_of_the_n_fold_model)
     model = build_two_type()
     n, reps, burn, grid = 30, 6, 5, (0.5, 1.0)
     calls = _recorded_aggregates(monkeypatch)
@@ -201,19 +201,10 @@ def test_clt_is_one_ensemble_of_reps_chains_of_the_n_fold_model(monkeypatch):
         del calls[:]
         report = clt_covariance_experiment(model, n, N, reps=reps, grid=grid, seed=17,
                                            burnin=burn)
-        [(args, per_chain)] = calls
-        superposed = args[0]
-        assert args[1:] == (reps, n, derived_seed(17, 0), grid, burn, 1)
-        if N == 1:
-            assert superposed is model
-        else:
-            assert superposed.offspring == model.offspring
-            assert_allclose(superposed.immigration.mean(), N * model.immigration.mean())
-            sums = model.immigration.sample_sum(np.full(50, N), stream_rng(5))
-            assert np.array_equal(superposed.immigration.sample(stream_rng(5), 50), sums)
-        alone = aggregate(superposed, reps, n, derived_seed(17, 0), grid, burnin=burn).per_copy
-        assert_allclose(per_chain, alone, rtol=1e-15, atol=0)
-        at_one = np.cov(per_chain[:, 1, :] / math.sqrt(N), rowvar=False)
+        [(args, vals)] = calls
+        assert args == (model, N, n, derived_seed(17, 0), grid, burn, 1, reps)
+        assert vals.shape == (reps, 2, 2)
+        at_one = np.cov(vals[:, 1, :], rowvar=False)
         rows = {(r["t"], r["i"], r["j"]): r["empirical"] for r in report.rows}
         for i, j in ((0, 0), (0, 1), (1, 1)):
             assert rows[(1.0, i, j)] == pytest.approx(at_one[i, j], rel=1e-12)
@@ -251,8 +242,7 @@ def test_clt_standard_errors_are_the_plugin_product_spread(monkeypatch):
     n, N, reps, seed, grid = 24, 3, 50, 21, (0.25, 0.5, 1.0)
     calls = _recorded_aggregates(monkeypatch)
     report = clt_covariance_experiment(model, n, N, reps=reps, grid=grid, seed=seed)
-    [(_, per_chain)] = calls
-    vals = per_chain / math.sqrt(N)
+    [(_, vals)] = calls
     _assert_row_se(report.rows, vals, grid)
     se = _plugin_se(np.diff(vals, axis=1, prepend=0.0).reshape(reps, -1))
     entries = report.extra["increments"]
@@ -269,7 +259,9 @@ def test_iterated_standard_errors_are_the_plugin_product_spread(monkeypatch):
     calls = _recorded_aggregates(monkeypatch)
     report = iterated_experiment(model, 20, 30, "n_first", sweep=[10, 30], grid=grid, seed=8)
     assert report.extra["sweep"][1]["rows"] == report.rows
-    for (_, per_copy), point in zip(calls, report.extra["sweep"]):
+    for (args, per_copy), point in zip(calls, report.extra["sweep"]):
+        # the copies of a sweep point are its chains of the model itself
+        assert args[1] == 1 and args[-1] == point["N"] == len(per_copy)
         _assert_row_se(point["rows"], per_copy, grid)
 
 
