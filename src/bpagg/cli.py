@@ -8,6 +8,12 @@ classification), and checks its grid before it simulates.
 Exit codes: 0 success, 2 validation or input failure, 3 a verification
 experiment ran and failed its bands.
 
+Every option is declared once, in _OPTIONS, and every verb and verify
+experiment is one row of _VERBS or _EXPERIMENTS: its help, the options it
+takes in usage order, and its runner. The five experiments share one
+runner, _run_verify, and each experiment's row only maps the parsed
+arguments to its verify call.
+
 A verb imports the modules it runs only when it runs: moments the moment
 engine, simulate and aggregate the simulator, verify the experiments (which
 import both), ginar the GINAR module. Each runner calls its callees as
@@ -68,139 +74,35 @@ def _warn(warnings):
         sys.stderr.write("warning: %s\n" % text)
 
 
-def _add_common(sub, *, n=False, copies=False, seed=False, burnin=False, threads=False):
-    sub.add_argument("--model", required=True, help="model JSON file")
-    if n:
-        sub.add_argument("--n", type=int, required=True, help="steps per path")
-    if copies:
-        sub.add_argument("--copies", type=int, required=True, help="ensemble copies")
-    if seed:
-        sub.add_argument("--seed", type=_at_least("--seed", 0), default=0, help="master seed")
-    if burnin:
-        sub.add_argument(
-            "--burnin", type=_burnin, default="auto", help="'auto' or an integer"
-        )
-    if threads:
-        sub.add_argument("--threads", type=_at_least("--threads", 1), default=1,
-                         help="worker processes")
-    sub.add_argument("--out", default=None, help="output path (default stdout)")
-
-
-def _add_moments(sub):
-    sub.add_argument("--order", type=int, default=3, choices=(1, 2, 3))
-    _add_common(sub)
-
-
-def _add_simulate(sub):
-    _add_common(sub, n=True, copies=True, seed=True, burnin=True, threads=True)
-
-
-def _add_aggregate(sub):
-    sub.add_argument("--grid", type=_floats, required=True, help="comma separated times")
-    _add_common(sub, n=True, copies=True, seed=True, burnin=True, threads=True)
-
-
-def _add_ergodic(sub):
-    _add_common(sub, n=True, seed=True)
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-
-
-def _add_clt(sub):
-    sub.add_argument("--reps", type=int, default=200, help="independent replications")
-    sub.add_argument("--grid", type=_floats, default=(1.0,))
-    _add_common(sub, n=True, copies=True, seed=True, burnin=True, threads=True)
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-
-
-def _add_iterated(sub):
-    sub.add_argument("--limit-order", choices=("N", "n"), required=True,
-                     help="which limit is taken first")
-    sub.add_argument("--sweep", type=_ints, default=None,
-                     help="outer sweep values (default quarters of the outer size)")
-    sub.add_argument("--grid", type=_floats, default=(1.0,))
-    _add_common(sub, n=True, copies=True, seed=True, burnin=True, threads=True)
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-
-
-def _add_autocov(sub):
-    sub.add_argument("--lags", type=_ints, default=(0, 1, 2, 3, 4, 5))
-    _add_common(sub, n=True, seed=True)
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-
-
-def _add_innovations(sub):
-    _add_common(sub, n=True, seed=True)
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-
-
-def _add_ginar(sub):
-    sub.add_argument("--spec", default=None, help="GINAR spec JSON file")
-    sub.add_argument("--means", type=_floats, default=None,
-                     help="bernoulli offspring means (each <= 1)")
-    sub.add_argument("--immigration-lambda", type=float, default=1.0,
-                     help="poisson immigration mean used with --means")
-    sub.add_argument("--emit-model", default=None, help="write the embedded model JSON here")
-    sub.add_argument("--out", default=None, help="report path (default stdout)")
-
-
-# name: (help, function that adds its arguments or table of its own
-# sub-parsers), in usage order
-_EXPERIMENTS = {
-    "ergodic": ("time averages vs exact moments", _add_ergodic),
-    "clt": ("aggregate covariance and normality", _add_clt),
-    "iterated": ("iterated-limit covariance trajectory", _add_iterated),
-    "autocov": ("lagged autocovariances vs exact", _add_autocov),
-    "innovations": ("innovation moment diagnostics", _add_innovations),
+# name: (flag, argparse keywords); options that share a flag but differ
+# in what they take are separate entries
+_OPTIONS = {
+    "order": ("--order", dict(type=int, default=3, choices=(1, 2, 3))),
+    "model": ("--model", dict(required=True, help="model JSON file")),
+    "n": ("--n", dict(type=int, required=True, help="steps per path")),
+    "copies": ("--copies", dict(type=int, required=True, help="ensemble copies")),
+    "seed": ("--seed", dict(type=_at_least("--seed", 0), default=0, help="master seed")),
+    "burnin": ("--burnin", dict(type=_burnin, default="auto", help="'auto' or an integer")),
+    "threads": ("--threads", dict(type=_at_least("--threads", 1), default=1,
+                                  help="worker processes")),
+    "out": ("--out", dict(help="output path (default stdout)")),
+    "format": ("--format", dict(choices=("json", "csv"), default="json")),
+    "aggregate-grid": ("--grid", dict(type=_floats, required=True,
+                                      help="comma separated times")),
+    "grid": ("--grid", dict(type=_floats, default=(1.0,))),
+    "reps": ("--reps", dict(type=int, default=200, help="independent replications")),
+    "limit-order": ("--limit-order", dict(choices=("N", "n"), required=True,
+                                          help="which limit is taken first")),
+    "sweep": ("--sweep", dict(type=_ints,
+                              help="outer sweep values (default quarters of the outer size)")),
+    "lags": ("--lags", dict(type=_ints, default=(0, 1, 2, 3, 4, 5))),
+    "spec": ("--spec", dict(help="GINAR spec JSON file")),
+    "means": ("--means", dict(type=_floats, help="bernoulli offspring means (each <= 1)")),
+    "immigration-lambda": ("--immigration-lambda", dict(
+        type=float, default=1.0, help="poisson immigration mean used with --means")),
+    "emit-model": ("--emit-model", dict(help="write the embedded model JSON here")),
+    "report": ("--out", dict(help="report path (default stdout)")),
 }
-_VERBS = {
-    "moments": ("exact stationary moment report", _add_moments),
-    "simulate": ("simulate an ensemble to CSV", _add_simulate),
-    "aggregate": ("scaled centered aggregates to CSV", _add_aggregate),
-    "verify": ("Monte Carlo verification experiments", _EXPERIMENTS),
-    "ginar": ("GINAR spec report and embedding", _add_ginar),
-}
-
-
-def _add_choices(parser, dest, table, names):
-    """One sub-parser under dest for every entry of table, or, when names
-    starts with an entry's name, for that entry alone; the usage line names
-    every entry either way."""
-    only = names[0] if names else None
-    metavar = None if only is None else "{%s}" % ",".join(table)
-    subs = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
-    for name, (text, add) in table.items():
-        if only in (None, name):
-            sub = subs.add_parser(name, help=text)
-            if isinstance(add, dict):
-                _add_choices(sub, "experiment", add, names[1:])
-            else:
-                add(sub)
-
-
-def _named(argv, table):
-    """The names that argv starts with, down to a sub-parser that takes
-    arguments, or () when argv does not name one."""
-    entry = table.get(argv[0]) if argv else None
-    if entry is None:
-        return ()
-    if isinstance(entry[1], dict):
-        rest = _named(argv[1:], entry[1])
-        return (argv[0],) + rest if rest else ()
-    return (argv[0],)
-
-
-def build_parser(argv=None):
-    """The bpagg parser. Given the argv it will parse, only the sub-parser of
-    the verb (and verify experiment) that argv names is built; without argv,
-    or when argv names no known verb and experiment, every sub-parser is.
-    Usage, help and error text are the same either way."""
-    parser = argparse.ArgumentParser(
-        prog="bpagg",
-        description="stationary moments and aggregation limits of branching "
-        "processes with immigration",
-    )
-    _add_choices(parser, "verb", _VERBS, _named(argv, _VERBS))
-    return parser
 
 
 def _run_moments(args):
@@ -234,33 +136,17 @@ def _run_aggregate(args):
     model = load_model(args.model)
     burn, notes = simulate._resolve_burnin(model, args.burnin, args.copies)
     _warn(notes)
-    # one chain is one block, so --threads changes nothing here
     values = simulate.aggregate(model, args.copies, args.n, args.seed, args.grid, burn)[0]
     simulate.aggregates_to_csv(args.grid, values, args.out)
     return 0
 
 
 def _run_verify(args):
+    """Every experiment: its row's verify call, then the report in --format."""
     from . import verify
 
     model = load_model(args.model)
-    if args.experiment == "ergodic":
-        report = verify.ergodic_check(model, args.n, args.seed)
-    elif args.experiment == "clt":
-        report = verify.clt_covariance_experiment(
-            model, args.n, args.copies, reps=args.reps, grid=args.grid, seed=args.seed,
-            burnin=args.burnin, threads=args.threads,
-        )
-    elif args.experiment == "iterated":
-        order = "N_first" if args.limit_order == "N" else "n_first"
-        report = verify.iterated_experiment(
-            model, args.n, args.copies, order, sweep=args.sweep, grid=args.grid,
-            seed=args.seed, burnin=args.burnin, threads=args.threads,
-        )
-    elif args.experiment == "autocov":
-        report = verify.autocovariance_check(model, args.n, args.lags, args.seed)
-    else:
-        report = verify._innovation_check(model, args.n, args.seed)
+    report = _EXPERIMENTS[args.experiment][2](verify, model, args)
     if args.format == "csv":  # CSV rows carry no warnings
         _warn(report.warnings)
     _emit(report.to_json() if args.format == "json" else report.to_csv(), args.out)
@@ -303,18 +189,89 @@ def _run_ginar(args):
     return 0
 
 
+# name: (help, its options in usage order, runner); a verify experiment's
+# runner is handed the verify module, the model and the parsed arguments
+_EXPERIMENTS = {
+    "ergodic": ("time averages vs exact moments", "model n seed out format",
+                lambda verify, model, a: verify.ergodic_check(model, a.n, a.seed)),
+    "clt": ("aggregate covariance and normality",
+            "reps grid model n copies seed burnin threads out format",
+            lambda verify, model, a: verify.clt_covariance_experiment(
+                model, a.n, a.copies, reps=a.reps, grid=a.grid, seed=a.seed,
+                burnin=a.burnin, threads=a.threads)),
+    "iterated": ("iterated-limit covariance trajectory",
+                 "limit-order sweep grid model n copies seed burnin threads out format",
+                 lambda verify, model, a: verify.iterated_experiment(
+                     model, a.n, a.copies, a.limit_order + "_first", sweep=a.sweep,
+                     grid=a.grid, seed=a.seed, burnin=a.burnin, threads=a.threads)),
+    "autocov": ("lagged autocovariances vs exact", "lags model n seed out format",
+                lambda verify, model, a: verify.autocovariance_check(
+                    model, a.n, a.lags, a.seed)),
+    "innovations": ("innovation moment diagnostics", "model n seed out format",
+                    lambda verify, model, a: verify._innovation_check(model, a.n, a.seed)),
+}
+# as _EXPERIMENTS; verify's options are the table of its experiments
+_VERBS = {
+    "moments": ("exact stationary moment report", "order model out", _run_moments),
+    "simulate": ("simulate an ensemble to CSV", "model n copies seed burnin threads out",
+                 _run_simulate),
+    "aggregate": ("scaled centered aggregates to CSV",
+                  "aggregate-grid model n copies seed burnin out", _run_aggregate),
+    "verify": ("Monte Carlo verification experiments", _EXPERIMENTS, _run_verify),
+    "ginar": ("GINAR spec report and embedding",
+              "spec means immigration-lambda emit-model report", _run_ginar),
+}
+
+
+def _add_choices(parser, dest, table, names):
+    """One sub-parser under dest for every entry of table, or, when names
+    starts with an entry's name, for that entry alone; the usage line names
+    every entry either way."""
+    only = names[0] if names else None
+    metavar = None if only is None else "{%s}" % ",".join(table)
+    subs = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
+    for name, (text, options, _) in table.items():
+        if only in (None, name):
+            sub = subs.add_parser(name, help=text)
+            if isinstance(options, dict):
+                _add_choices(sub, "experiment", options, names[1:])
+            else:
+                for option in options.split():
+                    flag, keywords = _OPTIONS[option]
+                    sub.add_argument(flag, **keywords)
+
+
+def _named(argv, table):
+    """The names that argv starts with, down to a sub-parser that takes
+    arguments, or () when argv does not name one."""
+    entry = table.get(argv[0]) if argv else None
+    if entry is None:
+        return ()
+    if isinstance(entry[1], dict):
+        rest = _named(argv[1:], entry[1])
+        return (argv[0],) + rest if rest else ()
+    return (argv[0],)
+
+
+def build_parser(argv=None):
+    """The bpagg parser. Given the argv it will parse, only the sub-parser of
+    the verb (and verify experiment) that argv names is built; without argv,
+    or when argv names no known verb and experiment, every sub-parser is.
+    Usage, help and error text are the same either way."""
+    parser = argparse.ArgumentParser(
+        prog="bpagg",
+        description="stationary moments and aggregation limits of branching "
+        "processes with immigration",
+    )
+    _add_choices(parser, "verb", _VERBS, _named(argv, _VERBS))
+    return parser
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv).parse_args(argv)
-    runners = {
-        "moments": _run_moments,
-        "simulate": _run_simulate,
-        "aggregate": _run_aggregate,
-        "verify": _run_verify,
-        "ginar": _run_ginar,
-    }
     try:
-        return runners[args.verb](args)
+        return _VERBS[args.verb][2](args)
     except (ValueError, SimulationOverflowError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2

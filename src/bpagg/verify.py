@@ -388,8 +388,8 @@ def iterated_experiment(model, n, N, order, sweep=None, grid=(1.0,), seed=0,
     at t * sigma whichever limit is taken first. The standard errors of a
     sweep point's rows are the plug-in standard errors of _cov_se over its
     copies.
-    Top-level rows are the final sweep point, full trajectories sit in
-    extra['sweep'].
+    Top-level rows are the final sweep point, and params' n and N are the
+    sizes it ran at; full trajectories sit in extra['sweep'].
     """
     t0 = time.perf_counter()
     orders = {"N_first": 0, "n_first": 1}
@@ -427,8 +427,8 @@ def iterated_experiment(model, n, N, order, sweep=None, grid=(1.0,), seed=0,
 
     params = {
         "order": order,
-        "n": n,
-        "N": N,
+        "n": points[-1][1],
+        "N": points[-1][0],
         "sweep": sweep,
         "grid": list(grid),
         "master_seed": int(seed),

@@ -1,3 +1,4 @@
+import argparse
 import collections
 import dataclasses
 import importlib.util
@@ -392,7 +393,7 @@ def test_option_type_errors_say_what_the_option_needs(scalar_file, capsys, optio
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
-@pytest.mark.parametrize("verb", ["simulate", "aggregate", "clt", "iterated"])
+@pytest.mark.parametrize("verb", ["simulate", "clt", "iterated"])
 def test_threads_below_one_exits_two(scalar_file, tmp_path, capsys, monkeypatch, verb, threads):
     _no_simulation(monkeypatch)
     head = ["simulate", "--n", "40", "--copies", "2"] if verb == "simulate" else _VERB_ARGS[verb]
@@ -435,8 +436,7 @@ def test_negative_seed_exits_two_when_parsed(scalar_file, tmp_path, capsys, monk
 
 def test_threads_default_to_one(scalar_file):
     common = ["--model", scalar_file, "--n", "5", "--copies", "2"]
-    heads = (["simulate"], ["aggregate", "--grid", "1"], ["verify", "clt"],
-             ["verify", "iterated", "--limit-order", "N"])
+    heads = (["simulate"], ["verify", "clt"], ["verify", "iterated", "--limit-order", "N"])
     for head in heads:
         assert cli.build_parser().parse_args(head + common).threads == 1
 
@@ -1101,36 +1101,30 @@ _LEAF_ARGS = {
 }
 
 
-def _record_built_leaves(monkeypatch):
-    """Wrap the argument function of every verb and experiment; the list
-    returned fills with the names whose sub-parsers are built."""
+def _record_built_sub_parsers(monkeypatch):
+    """Record the name of every sub-parser built, verbs and experiments, in
+    the order built, in the list returned."""
     built = []
+    add_parser = argparse._SubParsersAction.add_parser
 
-    def wrap(table, name):
-        text, add = table[name]
+    def recorded(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
 
-        def recorded(sub):
-            built.append(name)
-            add(sub)
-
-        monkeypatch.setitem(table, name, (text, recorded))
-
-    for name in cli._EXPERIMENTS:
-        wrap(cli._EXPERIMENTS, name)
-    for name in cli._VERBS:
-        if name != "verify":
-            wrap(cli._VERBS, name)
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recorded)
     return built
 
 
 @pytest.mark.parametrize("leaf", sorted(_LEAF_ARGS), ids=" ".join)
 def test_one_verb_parser_parses_as_the_full_parser(monkeypatch, leaf):
     argv = list(leaf) + _LEAF_ARGS[leaf]
-    built = _record_built_leaves(monkeypatch)
+    built = _record_built_sub_parsers(monkeypatch)
     one = cli.build_parser(argv)
-    assert built == [leaf[-1]]
+    assert built == list(leaf)
+    built.clear()
     full = cli.build_parser()
-    assert len(built) == 1 + len(_LEAF_ARGS)
+    # every verb and experiment: the leaves and verify
+    assert sorted(built) == sorted({name for names in _LEAF_ARGS for name in names})
     assert one.parse_args(argv) == full.parse_args(argv)
 
 

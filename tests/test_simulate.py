@@ -44,7 +44,7 @@ from bpagg.simulate import _grid_indices, _superposed
 from bpagg.verify import _batch_se, clt_covariance_experiment, iterated_experiment
 from bpagg.moments import moment_report, stationary_moments
 from bpagg.model import Bernoulli, Binomial, FiniteSupport, Geometric
-from oracles import ks_distance, running_sum_law
+from oracles import ks_distance, running_sum_law, state_law
 from conftest import (
     build_deterministic,
     build_random_subcritical,
@@ -797,6 +797,29 @@ def test_running_sums_of_the_n_fold_inar_follow_the_exact_law():
     assert tail < 1e-30
     for got in sums:
         assert ks_distance(got, pmf) <= 1.36 / math.sqrt(R)
+
+
+def test_windowed_one_copy_states_follow_the_exact_law():
+    # X_m from zero of R independent one-copy blocks of the INAR, each on its
+    # own stream, drawn in windows of W immigrant cohorts, at the last W
+    # steps m of n: windows start at steps 1, W + 1, ..., so these end one
+    # full window and hold the partial last one. Each against the exact law
+    # of X_m from the pgfs of the laws (tests/oracles.py), aliasing below
+    # 1e-30, which is Poisson(lam (1 - q^m) / (1 - q)); bound 1.36 /
+    # sqrt(R), R, W and seeds fixed before sampling
+    q, lam, n, W, R = 0.5, 1.0, 30, 8, 2000
+    model = build_scalar_inar()
+    paths = np.array([_simulate_block(model, 1, n, stream_rng(2032, r), 0, W)[0, :, 0]
+                      for r in range(R)])
+    k = np.arange(64)
+    for m in range(n - W + 1, n + 1):
+        pmf, tail = state_law(lambda s: 1.0 - q + q * s, lambda s: np.exp(lam * (s - 1.0)),
+                              m, 64)
+        assert tail < 1e-30
+        mu = lam * (1.0 - q ** m) / (1.0 - q)
+        poisson = np.exp(k * math.log(mu) - mu - np.array([math.lgamma(i + 1) for i in k]))
+        assert_allclose(pmf, poisson, rtol=0, atol=1e-14)
+        assert ks_distance(paths[:, m], pmf) <= 1.36 / math.sqrt(R), m
 
 
 def test_running_sum_oracle_matches_closed_forms():

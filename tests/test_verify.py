@@ -508,6 +508,16 @@ def test_iterated_experiment_orders_and_overlap():
     assert bands_overlap(rep_n, rep_c)
 
 
+def test_iterated_params_name_the_sizes_the_last_point_ran():
+    # the swept size in params is the sweep's last point, not the argument,
+    # which no point ran at
+    model = build_scalar_inar()
+    report = iterated_experiment(model, 30, 1, "n_first", sweep=[2, 5], seed=1)
+    assert (report.params["n"], report.params["N"]) == (30, 5)
+    report = iterated_experiment(model, 7, 4, "N_first", sweep=[5, 10], seed=1)
+    assert (report.params["n"], report.params["N"]) == (10, 4)
+
+
 def test_iterated_default_sweep_and_validation():
     model = build_scalar_inar()
     report = iterated_experiment(model, 40, 8, "N_first", grid=(1.0,), seed=2)
