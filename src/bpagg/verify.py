@@ -18,12 +18,17 @@ z-score for every checked entry, and serialize deterministically: a rerun
 with the same master seed produces identical bytes for any worker count,
 so wall clock time is kept out of the serialized form.
 
-Every aggregate comes from one simulate.aggregate call per ensemble,
+Both aggregate experiments are made of one point (_point): reps
+aggregates of N copies at horizon n from one simulate.aggregate call,
 which draws an aggregate of N copies as one chain of the N-fold model and
-refuses, naming N, one too large to simulate. clt takes its reps
-replications as aggregates of N copies, so they cost the same at any N;
-iterated takes the copies of a sweep point as aggregates of one copy each,
-because its rows are covariances across copies.
+refuses, naming N, one too large to simulate. The point returns the
+covariance rows of every grid point and, unless its tests are turned off,
+the KS entries, the increments and their z-scores. clt is one point at
+(n, N, reps), so its replications cost the same at any N; a sweep point
+of iterated is the clt point (n_s, 1, N_s) without KS or increments, its
+copies aggregates of one copy each, because its rows are covariances
+across copies. A point checks its grid before any draw (_point_grid),
+and iterated checks every sweep horizon before its first point.
 
 Standard errors come from batch means on single long paths and from plug-in
 estimates on replicated aggregates: an entry of a sample covariance of
@@ -175,21 +180,6 @@ def _cov_se(x):
     return S / (reps - 1), np.sqrt(np.maximum(var, 0.0) / reps)
 
 
-def _grid_cov_rows(vals, grid, sigma):
-    """Covariance of vals[:, g, :] (reps, G, p) vs grid[g] * sigma, upper
-    triangle per grid point, with the plug-in standard errors of _cov_se."""
-    p = vals.shape[2]
-    rows = []
-    for g, t in enumerate(grid):
-        emp, se = _cov_se(vals[:, g, :])
-        rows.extend(
-            _row(t, i, j, emp[i, j], t * sigma[i, j], se[i, j])
-            for i in range(p)
-            for j in range(i, p)
-        )
-    return rows
-
-
 def _increment_table(vals, grid):
     """Cross covariances of the increments of vals (reps, G, p) over disjoint
     grid intervals, each against 0: one _cov_se of the stacked increments."""
@@ -293,47 +283,39 @@ def ergodic_check(model, n, seed):
     return _report("ergodic", model, params, rows, exact.rho, n, t0)
 
 
-def clt_covariance_experiment(model, n, N, reps=200, grid=(1.0,), seed=0, burnin="auto",
-                              threads=1):
-    """Distribution of the scaled aggregate against the Gaussian limit.
+def _point_grid(grid, n):
+    """The precondition of a point at horizon n on grid, checked before any
+    draw: _grid_indices's grid check, and no grid point t > 0 below one
+    step, since floor(t n) = 0 makes its aggregate identically 0 and its
+    rows read z = inf whatever is drawn. t = 0 stays valid."""
+    for t, m in zip(grid, _grid_indices(grid, n)):
+        if t > 0 and m == 0:
+            raise ValueError("grid point %r is below one of the n = %d steps, so its"
+                             " aggregate is identically 0" % (t, n))
 
-    Runs reps independent aggregates of N copies over n steps after burnin
-    steps ('auto' or an integer), on threads worker processes. grid must be
-    nonempty, finite, nonnegative, strictly increasing, and reach no
-    further than n steps. The replications are simulate.aggregate's reps
-    aggregates of N copies on the seed derived from (seed, 0), each one
-    chain of the N-fold model, scaled by 1 / sqrt(n N); the burn-in
-    certifies all reps * N copies. A replication costs the same at any N,
-    but its counts are the aggregate's: past the count ceiling of 2^31 per
-    type, or when N immigration draws cannot be drawn, the run raises
-    SimulationOverflowError, naming N and the reason when N >= 2. Per grid
-    point t the empirical covariance of the scaled aggregate across
-    replications is compared entrywise to t * sigma, each standardized
-    marginal is tested for normality (KS distance against the 1.36 /
-    sqrt(reps) threshold), and increments over disjoint grid intervals are
-    checked for vanishing cross covariance. The standard errors of both
-    tables are the plug-in standard errors of _cov_se over the
-    replications, one call per grid point and one for the stacked
-    increments.
+
+def _point(model, sigma, n, N, reps, grid, seed, burn, threads, tests=True):
+    """(rows, extra, checks) of one point: reps aggregates of N copies at
+    horizon n, drawn by one simulate.aggregate call with the derived master
+    seed seed after burn steps, on a float grid that passed _point_grid at n.
+
+    rows compare, per grid point t, the covariance of the scaled aggregate
+    across the reps with t * sigma, upper triangle, with the plug-in
+    standard errors of _cov_se. With tests, extra holds the KS entries of
+    each standardized marginal (distance against the 1.36 / sqrt(reps)
+    threshold) and the cross covariances of the increments over disjoint
+    grid intervals, and checks their z-scores; without, both are empty.
     """
-    t0 = time.perf_counter()
-    n, N, reps, p = _count("n", n), _count("N", N), _count("reps", reps), model.p
-    seed = _count("seed", seed)
-    if reps < 2:
-        raise ValueError("need reps >= 2, got %r" % (reps,))
-    if n < 1 or N < 1:
-        raise ValueError("need n >= 1 and N >= 1, got %r and %r" % (n, N))
-    grid = tuple(float(t) for t in grid)
-    exact = moment_report(model, 1)
-    sigma = exact.sigma
-    burn, notes = _resolve_burnin(model, burnin, reps * N)
-    vals = aggregate(model, N, n, derived_seed(seed, 0), grid, burn, threads, reps)
-    rows = _grid_cov_rows(vals, grid, sigma)
-    ks_entries, checks = [], []
+    vals = aggregate(model, N, n, seed, grid, burn, threads, reps)
+    p = model.p
+    rows, ks_entries, checks = [], [], []
     ks_threshold = 1.36 / math.sqrt(reps)
     for g, t in enumerate(grid):
         sample = vals[:, g, :]
-        for i in range(p):
+        emp, se = _cov_se(sample)
+        rows.extend(_row(t, i, j, emp[i, j], t * sigma[i, j], se[i, j])
+                    for i in range(p) for j in range(i, p))
+        for i in range(p if tests else 0):
             sd = sample[:, i].std(ddof=1)
             if sd == 0:
                 stat = 0.0 if t * sigma[i, i] == 0 else 1.0
@@ -343,18 +325,52 @@ def clt_covariance_experiment(model, n, N, reps=200, grid=(1.0,), seed=0, burnin
             # exactly when it is at most the threshold
             z = _zval(stat, ks_threshold / _SE_MULT)
             checks.append(z)
-            ks_entries.append(
-                {
-                    "t": float(t),
-                    "coord": int(i),
-                    "stat": float(stat),
-                    "threshold": float(ks_threshold),
-                    "passed": _in_band(z),
-                }
-            )
-
+            ks_entries.append({"t": float(t), "coord": int(i), "stat": float(stat),
+                               "threshold": float(ks_threshold), "passed": _in_band(z)})
+    if not tests:
+        return rows, {}, []
     increments = _increment_table(vals, grid) if len(grid) > 1 else []
     checks.extend(e["z"] for e in increments)
+    return rows, {"ks": ks_entries, "increments": increments}, checks
+
+
+def clt_covariance_experiment(model, n, N, reps=200, grid=(1.0,), seed=0, burnin="auto",
+                              threads=1):
+    """Distribution of the scaled aggregate against the Gaussian limit.
+
+    Runs reps independent aggregates of N copies over n steps after burnin
+    steps ('auto' or an integer), on threads worker processes. grid must be
+    nonempty, finite, nonnegative, strictly increasing, and reach no
+    further than n steps, and a grid point t > 0 must reach at least one
+    step. The run is one point (_point): the replications are
+    simulate.aggregate's reps aggregates of N copies on the seed derived
+    from (seed, 0), each one chain of the N-fold model, scaled by 1 /
+    sqrt(n N); the burn-in certifies all reps * N copies. A replication
+    costs the same at any N, but its counts are the aggregate's: past the
+    count ceiling of 2^31 per type, or when N immigration draws cannot be
+    drawn, the run raises SimulationOverflowError, naming N and the reason
+    when N >= 2. Per grid point t the empirical covariance of the scaled
+    aggregate across replications is compared entrywise to t * sigma, each
+    standardized marginal is tested for normality (KS distance against the
+    1.36 / sqrt(reps) threshold), and increments over disjoint grid
+    intervals are checked for vanishing cross covariance. The standard
+    errors of both tables are the plug-in standard errors of _cov_se over
+    the replications, one call per grid point and one for the stacked
+    increments.
+    """
+    t0 = time.perf_counter()
+    n, N, reps = _count("n", n), _count("N", N), _count("reps", reps)
+    seed = _count("seed", seed)
+    if reps < 2:
+        raise ValueError("need reps >= 2, got %r" % (reps,))
+    if n < 1 or N < 1:
+        raise ValueError("need n >= 1 and N >= 1, got %r and %r" % (n, N))
+    grid = tuple(float(t) for t in grid)
+    exact = moment_report(model, 1)
+    burn, notes = _resolve_burnin(model, burnin, reps * N)
+    _point_grid(grid, n)
+    rows, extra, checks = _point(model, exact.sigma, n, N, reps, grid, derived_seed(seed, 0),
+                                 burn, threads)
     params = {
         "n": n,
         "N": N,
@@ -363,7 +379,7 @@ def clt_covariance_experiment(model, n, N, reps=200, grid=(1.0,), seed=0, burnin
         "master_seed": int(seed),
         "burnin": int(burn),
     }
-    extra = {"sigma": sigma.tolist(), "ks": ks_entries, "increments": increments}
+    extra = {"sigma": exact.sigma.tolist(), **extra}
     return _report("clt", model, params, rows, exact.rho, n, t0, extra, checks, notes)
 
 
@@ -380,14 +396,14 @@ def iterated_experiment(model, n, N, order, sweep=None, grid=(1.0,), seed=0,
     the horizon upward through sweep; 'n_first' holds the horizon at n and
     sweeps the copy count; the default sweep is a quarter, a half and all
     of the held-out size. seed, burnin, grid and threads are as in
-    clt_covariance_experiment, and grid must fit every sweep horizon. The
-    scaled ensemble aggregate is a normalized sum of i.i.d. per-copy
-    aggregates, simulate.aggregate's aggregates of one copy each, so the
-    empirical covariance across copies estimates the aggregate covariance
-    at every sweep point; the trajectory should settle
-    at t * sigma whichever limit is taken first. The standard errors of a
-    sweep point's rows are the plug-in standard errors of _cov_se over its
-    copies.
+    clt_covariance_experiment, and grid must fit every sweep horizon,
+    which is checked for all of them before the first draw. Sweep point s
+    of N_s copies at horizon n_s is the clt point (n_s, 1, N_s) without KS
+    or increments, on the seed derived from (seed, 0, order, s): N_s
+    aggregates of one copy each, so the empirical covariance across copies
+    estimates the aggregate covariance of the scaled ensemble aggregate, a
+    normalized sum of i.i.d. per-copy aggregates. The trajectory should
+    settle at t * sigma whichever limit is taken first.
     Top-level rows are the final sweep point, and params' n and N are the
     sizes it ran at; full trajectories sit in extra['sweep'].
     """
@@ -398,7 +414,6 @@ def iterated_experiment(model, n, N, order, sweep=None, grid=(1.0,), seed=0,
     oid = orders[order]
     n, N, seed = _count("n", n), _count("N", N), _count("seed", seed)
     exact = moment_report(model, 1)
-    sigma = exact.sigma
     if sweep is None:
         sweep = _default_sweep(n if order == "N_first" else N)
     sweep = list(sweep)
@@ -411,18 +426,16 @@ def iterated_experiment(model, n, N, order, sweep=None, grid=(1.0,), seed=0,
     # fractional size is refused here, not truncated
     sweep = [_count("sweep", v) for v in sweep]
     points = [(int(N_s), int(n_s)) for N_s, n_s in points]
-    for _, n_s in points:
-        _grid_indices(grid, n_s)
     grid = tuple(float(t) for t in grid)
+    for _, n_s in points:
+        _point_grid(grid, n_s)
     copies = sum(N_s for N_s, _ in points)
     burn, notes = _resolve_burnin(model, burnin, copies)
 
     trajectory = []
     for s, (val, (N_s, n_s)) in enumerate(zip(sweep, points)):
-        # N_s chains of the model itself: the copies, kept apart
-        per_copy = aggregate(model, 1, n_s, derived_seed(seed, 0, oid, s), grid, burn,
-                             threads, N_s)
-        rows = _grid_cov_rows(per_copy, grid, sigma)
+        rows, _, _ = _point(model, exact.sigma, n_s, 1, N_s, grid,
+                            derived_seed(seed, 0, oid, s), burn, threads, tests=False)
         trajectory.append({"sweep": val, "N": N_s, "n": n_s, "rows": rows})
 
     params = {
@@ -434,7 +447,7 @@ def iterated_experiment(model, n, N, order, sweep=None, grid=(1.0,), seed=0,
         "master_seed": int(seed),
         "burnin": int(burn),
     }
-    extra = {"sigma": sigma.tolist(), "sweep": trajectory}
+    extra = {"sigma": exact.sigma.tolist(), "sweep": trajectory}
     return _report("iterated", model, params, rows, exact.rho, points[-1][1], t0, extra,
                    warnings=notes)
 

@@ -316,6 +316,39 @@ def test_iterated_checks_grid_at_every_sweep_horizon(scalar_file, capsys, monkey
     assert "grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb, t, horizon", [("clt", 0.01, 40), ("iterated", 0.05, 10)])
+def test_grid_point_below_one_step_exits_two_before_simulating(
+    scalar_file, tmp_path, capsys, monkeypatch, verb, t, horizon
+):
+    # floor(t n) = 0 at t = 0.01 for n = 40, and at t = 0.05 for n = 10, the
+    # first horizon of iterated's default sweep at --n 40: that aggregate is
+    # identically 0 and its row would read z = inf whatever was drawn
+    _no_simulation(monkeypatch)
+    out = tmp_path / "out.csv"
+    argv = _VERB_ARGS[verb] + ["--model", scalar_file, "--grid", "%r,1" % t, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: grid point %r is below one of the n = %d steps, so its aggregate is"
+        " identically 0\n" % (t, horizon)
+    )
+    assert not out.exists()
+
+
+def test_grid_points_at_zero_and_below_one_aggregate_step_still_run(
+    scalar_file, tmp_path, capsys
+):
+    # t = 0 is a valid clt grid point, whose row is exactly 0 against 0; the
+    # aggregate verb writes its row of zeros at a point below one step
+    argv = _VERB_ARGS["clt"] + ["--model", scalar_file, "--grid", "0,1", "--format", "csv"]
+    assert main(argv) in (0, 3)
+    assert capsys.readouterr().out.splitlines()[1] == "0.0,0,0,0.0,0.0,0.0"
+    out = tmp_path / "agg.csv"
+    argv = _VERB_ARGS["aggregate"] + ["--model", scalar_file, "--grid", "0.01,1",
+                                      "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_text().splitlines()[1] == "0.01,0.0"
+
+
 def test_aggregate_of_critical_model_exits_two_before_simulating(tmp_path, capsys, monkeypatch):
     crit = BranchingModel(
         1, (IndependentMarginals([Point(1)]),), IndependentMarginals([Poisson(1.0)])

@@ -822,6 +822,25 @@ def test_windowed_one_copy_states_follow_the_exact_law():
         assert ks_distance(paths[:, m], pmf) <= 1.36 / math.sqrt(R), m
 
 
+@pytest.mark.parametrize("window", [0, 1], ids=["lockstep", "cohorts"])
+def test_block_of_many_copies_states_follow_the_exact_law(window):
+    # X_m from zero of R = 50 blocks x 40 copies of the INAR, block b on
+    # the stream (3032, b), stepped in lockstep or drawn as W = 1 immigrant
+    # cohorts, at steps 1, 2, 15 and 30 of 30, each against the exact law
+    # of X_m from the pgfs of the laws (tests/oracles.py), aliasing below
+    # 1e-30; bound 1.36 / sqrt(R), R, steps and seeds fixed before sampling
+    q, lam, n, B, blocks = 0.5, 1.0, 30, 40, 50
+    model = build_scalar_inar()
+    paths = np.concatenate([_simulate_block(model, B, n, stream_rng(3032, b), 0, window)[:, :, 0]
+                            for b in range(blocks)])
+    R = len(paths)
+    for m in (1, 2, 15, 30):
+        pmf, tail = state_law(lambda s: 1.0 - q + q * s, lambda s: np.exp(lam * (s - 1.0)),
+                              m, 64)
+        assert tail < 1e-30
+        assert ks_distance(paths[:, m], pmf) <= 1.36 / math.sqrt(R), m
+
+
 def test_running_sum_oracle_matches_closed_forms():
     # S_1 = X_1 is the immigration, Poisson(50); E S_n = sum_t 50 (1 - q^t)
     # / (1 - q) for Bernoulli(q) offspring
