@@ -22,12 +22,13 @@ of a chunk of birth steps are stepped one generation at a time. Cohorts of
 a critical or supercritical model need not die out, and long-lived ones
 cost more than steps, so a block takes cohorts only when L, a bound on a
 cohort's mean lifetime in generations (see _cohort_lifetime), is small for
-its size: L <= 128 for one copy, whose window grows like sqrt(T L) on T
-births, as rounds (about W plus the tail) and array entries (about columns
-times rounds) tie. A block of B >= 2 copies keeps W = 1 and weighs the
+its size: L <= 128 for one copy, while a block of B >= 2 copies weighs the
 rounds of a chunk, about the lifetime of its longest-lived cohort, against
 the steps it replaces, so wide blocks, long-lived models and short paths
-stay in lockstep (see _cohort_route). The constants are measured cost ties.
+stay in lockstep. A block of any size that takes cohorts draws windows that
+grow like sqrt(B T L) on T births of each of its B copies, as rounds (about
+W plus the tail) and array entries (about columns times rounds) tie (see
+_cohort_route). The constants are measured cost ties.
 
 Ensembles split their N copies, in order, into blocks of block_copies(p)
 copies and run block b on the keyed stream (master_seed, b). An
@@ -115,14 +116,16 @@ _CHUNK_CELLS = 1 << 16
 # generations in mean; each living cohort costs an array entry per
 # generation, and on one-type Poisson and Bernoulli models a lockstep step
 # of the (1, p) block got cheaper from about 150 generations on (windows
-# beat lockstep at L = 200-260 on 2 10^4 steps but not on 2000). Its window
-# ties a round with _WINDOW_ROUND p^2 array entries, the least-cost window
-# of one-copy paths of 10 models with p = 1-8, L = 1.7-76 and 2000-40000
-# steps, and windows below _WINDOW_MIN births did not win on L = 2 models.
+# beat lockstep at L = 200-260 on 2 10^4 steps but not on 2000).
 # B >= 2 copies: while _COHORT_ROUND rounds per birth of a chunk, plus
 # B L g / _COHORT_WORK, stay within one (see _cohort_route); fitted to 879
 # block timings of 17 models with p = 1-16, 2-1500 copies and 30-1000 steps.
-# The timing tables are in CHANGES.md
+# Either block's window ties a round with _WINDOW_ROUND p^2 array entries,
+# the least-cost window of one-copy paths of 10 models with p = 1-8, L =
+# 1.7-76 and 2000-40000 steps, and windows below _WINDOW_MIN births did not
+# win on L = 2 models. On 32 blocks of 2-200 copies of 1-50-fold models
+# where it picked W >= 6, the tie's window took 0.29-1.03 of the time at
+# W = 1. The timing tables are in CHANGES.md
 _COHORT_GENERATIONS = 128
 _WINDOW_ROUND = 430
 _WINDOW_MIN = 6
@@ -566,34 +569,38 @@ def _cohort_route(model, copies, life, steps):
     0 steps the block in lockstep, and W >= 1 draws it as windows of W
     immigrant cohorts (see _cohort_chunks).
 
-    One copy: whenever life is finite, that is within _COHORT_GENERATIONS.
-    A chunk of k births runs about W rounds plus the tail of its last
-    columns, and holds about k (W - 1 + life) / W array entries; a round
-    costs about as much as _WINDOW_ROUND p^2 entries, so the total is least
-    at W = sqrt(k (life - 1) / (_WINDOW_ROUND p^2)), with k the chunk's
-    births (at most steps). Rounded, a W below _WINDOW_MIN is 1.
-    More copies: W = 1 while _COHORT_ROUND rounds / births + copies life g /
-    _COHORT_WORK is at most one, where births is a cohort chunk's birth
-    steps (at most steps), rounds the generations until the expected number
-    of the chunk's living cohorts, at most births copies 1^T M^t m_eps,
-    falls below one, and g is life or, if larger, 1 / (1 - rho). A chunk
-    runs a round per generation of its longest-lived cohort, each about
-    _COHORT_ROUND lockstep steps, where lockstep runs a step per birth; and
-    its cohorts cost more per entry the longer they live, where a cohort of
-    one individual lives about 1 / (1 - rho) generations however rare
-    immigrants are.
+    One copy takes cohorts whenever life is finite, that is within
+    _COHORT_GENERATIONS. More copies take them while _COHORT_ROUND rounds /
+    births + copies life g / _COHORT_WORK is at most one, where births is a
+    cohort chunk's birth steps (at most steps), rounds the generations until
+    the expected number of the chunk's living cohorts, at most births copies
+    1^T M^t m_eps, falls below one, and g is life or, if larger, 1 / (1 -
+    rho). A chunk runs a round per generation of its longest-lived cohort,
+    each about _COHORT_ROUND lockstep steps, where lockstep runs a step per
+    birth; and its cohorts cost more per entry the longer they live, where a
+    cohort of one individual lives about 1 / (1 - rho) generations however
+    rare immigrants are.
+
+    A block that takes cohorts, of any size, takes one window rule. A chunk
+    of births birth steps runs about W rounds plus the tail of its last
+    columns, and holds about copies births (W - 1 + life) / W array entries;
+    a round costs about as much as _WINDOW_ROUND p^2 entries, so the total
+    is least at W = sqrt(copies births (life - 1) / (_WINDOW_ROUND p^2)).
+    Rounded, a W below _WINDOW_MIN is 1.
     """
     if life == math.inf:
         return 0
     births = min(_cohort_births(model.p, copies), steps)
-    if copies == 1:
-        window = round(math.sqrt(births * max(life - 1.0, 0.0) / (_WINDOW_ROUND * model.p ** 2)))
-        return window if window >= _WINDOW_MIN else 1
-    work = copies * life * max(life, 1.0 / (1.0 - model._rho)) / _COHORT_WORK
-    budget = (1.0 - work) * births / _COHORT_ROUND
-    v = births * copies * model.immigration.mean()
-    rounds, _ = _first_power(mean_matrix(model), v[:, None], _BELOW_ONE, budget)
-    return int(rounds <= budget)
+    if copies > 1:
+        work = copies * life * max(life, 1.0 / (1.0 - model._rho)) / _COHORT_WORK
+        budget = (1.0 - work) * births / _COHORT_ROUND
+        v = births * copies * model.immigration.mean()
+        rounds, _ = _first_power(mean_matrix(model), v[:, None], _BELOW_ONE, budget)
+        if rounds > budget:
+            return 0
+    window = round(math.sqrt(copies * births * max(life - 1.0, 0.0)
+                             / (_WINDOW_ROUND * model.p ** 2)))
+    return window if window >= _WINDOW_MIN else 1
 
 
 def _simulate_block(model, copies, n, rng, burnin, window=0, idx=None):

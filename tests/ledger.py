@@ -21,10 +21,10 @@ it writes here and run --compare.
 The battery covers every verb and verify experiment in JSON and CSV, to
 stdout and to files; the scalar INAR, a two-type model, the benchmark's
 3-type GRID3 and BIGPOP, random_model(5, 0), (8, 0) and (16, 3), a
-near-critical and a critical model; blocks of both routes and one-copy
-windows, --threads 1 and 2, explicit and automatic burn-in, and the exit-2
-refusals. pytest does not collect this file; tests/test_ledger.py reruns
-a slice of it.
+near-critical and a critical model; blocks of both routes, one-copy
+windows and windows of many copies, --threads 1 and 2, explicit and
+automatic burn-in, and the exit-2 refusals. pytest does not collect this
+file; tests/test_ledger.py reruns a slice of it.
 """
 
 import argparse
@@ -104,6 +104,8 @@ BATTERY = (
           "verify clt --n 200 --copies 50 --grid 0.5,1 --reps 30",
           "verify clt --n 20 --copies 1 --reps 4200 --threads 1 --out c.json",
           "verify clt --n 20 --copies 1 --reps 4200 --threads 2 --out c.json",
+          "verify clt --n 200 --copies 50 --reps 4126 --seed 3 --threads 1",
+          "verify clt --n 200 --copies 50 --reps 4126 --seed 3 --threads 2",
           _ITER + " N --n 40 --copies 40 --seed 1",
           _ITER + " N --n 40 --copies 40 --format csv",
           _ITER + " n --n 40 --copies 200 --sweep 20,50,200",

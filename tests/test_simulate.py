@@ -780,15 +780,16 @@ def test_superposed_two_type_mean_is_the_n_fold_immigration_sum(window):
 
 
 def test_running_sums_of_the_n_fold_inar_follow_the_exact_law():
-    # S_n of R chains of the 50-fold INAR from zero, three ways: in lockstep
-    # and as cohorts (_simulate_block), and aggregate's chains undone to
-    # counts, against the exact law of S_n from the pgfs of the laws with
-    # immigration pgf g^N (tests/oracles.py), aliasing below 1e-30; bound
-    # 1.36 / sqrt(R), R and seeds fixed before sampling
+    # S_n of R chains of the 50-fold INAR from zero, four ways: in lockstep,
+    # as cohorts and in windows of 8 cohorts (_simulate_block), and
+    # aggregate's chains undone to counts, against the exact law of S_n from
+    # the pgfs of the laws with immigration pgf g^N (tests/oracles.py),
+    # aliasing below 1e-30; bound 1.36 / sqrt(R), R and seeds fixed before
+    # sampling
     q, lam, N, n, R = 0.5, 1.0, 50, 20, 4000
     model = _superposed(build_scalar_inar(), N)
     sums = [_simulate_block(model, R, n, stream_rng(2031, w), 0, w, [n])[:, 0, 0]
-            for w in (0, 1)]
+            for w in (0, 1, 8)]
     values = aggregate(build_scalar_inar(), N, n, 2031, (1.0,), burnin=0, reps=R)[:, 0, 0]
     counts = values * math.sqrt(n) * math.sqrt(N) + n * N * lam / (1.0 - q)
     sums.append(np.rint(counts).astype(np.int64))
@@ -822,13 +823,15 @@ def test_windowed_one_copy_states_follow_the_exact_law():
         assert ks_distance(paths[:, m], pmf) <= 1.36 / math.sqrt(R), m
 
 
-@pytest.mark.parametrize("window", [0, 1], ids=["lockstep", "cohorts"])
+@pytest.mark.parametrize("window", [0, 1, 8], ids=["lockstep", "cohorts", "windows"])
 def test_block_of_many_copies_states_follow_the_exact_law(window):
     # X_m from zero of R = 50 blocks x 40 copies of the INAR, block b on
-    # the stream (3032, b), stepped in lockstep or drawn as W = 1 immigrant
-    # cohorts, at steps 1, 2, 15 and 30 of 30, each against the exact law
-    # of X_m from the pgfs of the laws (tests/oracles.py), aliasing below
-    # 1e-30; bound 1.36 / sqrt(R), R, steps and seeds fixed before sampling
+    # the stream (3032, b), stepped in lockstep or drawn as windows of W = 1
+    # or 8 immigrant cohorts, at steps 1, 2, 15 and 30 of 30: in windows of 8
+    # these end the first step of a window, its second, its seventh and the
+    # sixth of the last, partial one. Each against the exact law of X_m
+    # from the pgfs of the laws (tests/oracles.py), aliasing below 1e-30;
+    # bound 1.36 / sqrt(R), R, steps and seeds fixed before sampling
     q, lam, n, B, blocks = 0.5, 1.0, 30, 40, 50
     model = build_scalar_inar()
     paths = np.concatenate([_simulate_block(model, B, n, stream_rng(3032, b), 0, window)[:, :, 0]
@@ -882,8 +885,9 @@ def _lifetime_by_generation(model):
 
 
 def _route_by_generation(model, copies, life, steps):
-    """_cohort_route's rule for B >= 2 copies, its rounds counted one
-    generation at a time up to the budget."""
+    """_cohort_route's lockstep gate for B >= 2 copies, 1 for cohorts and 0
+    for lockstep, its rounds counted one generation at a time up to the
+    budget."""
     births = min(simulate._cohort_births(model.p, copies), steps)
     work = copies * life * max(life, 1.0 / (1.0 - model._rho)) / simulate._COHORT_WORK
     budget = (1.0 - work) * births / simulate._COHORT_ROUND
@@ -903,10 +907,11 @@ def _burnin_by_step(model, copies):
 
 
 def test_power_search_matches_generation_loops():
-    # lifetimes, routes and burn-ins found by doubling (_first_power) are the
-    # ones a loop over generations finds. In the last model type 0 begets 1.8
-    # of type 1 and type 1 0.3 of type 0, so the sums 1^T M^g m_eps of its
-    # type-1 immigrants fall and rise with g: 5, 1.5, 2.7, 0.81, 1.46, ...
+    # lifetimes, routes (lockstep or cohorts, whatever the window) and
+    # burn-ins found by doubling (_first_power) are the ones a loop over
+    # generations finds. In the last model type 0 begets 1.8 of type 1 and
+    # type 1 0.3 of type 0, so the sums 1^T M^g m_eps of its type-1
+    # immigrants fall and rise with g: 5, 1.5, 2.7, 0.81, 1.46, ...
     # Its search steps one power at a time; doubling from g = 0 would skip
     # the first sum below one, at g = 3, and stop at g = 5
     cycle = BranchingModel(
@@ -926,7 +931,7 @@ def test_power_search_matches_generation_loops():
             for steps in (30, 100, 1000, 20000):
                 want_route = 0 if life == math.inf else _route_by_generation(
                     model, copies, want, steps)
-                assert simulate._cohort_route(model, copies, life, steps) == want_route
+                assert bool(simulate._cohort_route(model, copies, life, steps)) == want_route
         for copies in (1, 100, 10 ** 4):
             assert burnin_auto(model, copies) == _burnin_by_step(model, copies)
 
@@ -1002,7 +1007,16 @@ def test_cohort_route_bounds_mean_lifetime(monkeypatch):
     assert _route(build_two_type(), 1, 10 ** 4) == 1
     assert _route(build_two_type(), 1, 4 * 10 ** 4) == 7
     assert _route(rare) == 1 and _route(p16, 1, 10 ** 6) == 1
-    assert _route(bigpop, 2, 10031) == 1
+    # B >= 2 copies that pass the gate: windows of round(sqrt(B k (L - 1) /
+    # (430 p^2))) births, k the births of a chunk of B copies (at most the
+    # path's), so one copy's rule is B = 1's. Two BIGPOP copies, and the
+    # clt-inar benchmark's block of 30 chains of the 50-fold INAR (L 7.5625)
+    # over 32 + 200 steps, whose shorter paths get W = 1 and then lockstep
+    assert _route(bigpop, 2, 10031) == round(math.sqrt(2 * 10031 * 10.953125 / 430)) == 23
+    inar50 = _superposed(build_scalar_inar(), 50)
+    assert life(inar50) == pytest.approx(7.5625)
+    assert _route(inar50, 30, 232) == 10 and _route(inar50, 30, 70) == 6
+    assert _route(inar50, 30, 65) == 1 and _route(inar50, 30, 40) == 0
     # a subcritical model whose cohorts live long is stepped, burn-in and all
     slow = bern(0.999)
     _refuse_cohorts(monkeypatch)
