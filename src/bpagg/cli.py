@@ -12,7 +12,10 @@ Every option is declared once, in _OPTIONS, and every verb and verify
 experiment is one row of _VERBS or _EXPERIMENTS: its help, the options it
 takes in usage order, and its runner. The five experiments share one
 runner, _run_verify, and each experiment's row only maps the parsed
-arguments to its verify call.
+arguments to its verify call. simulate and aggregate share one runner,
+_run_draw, which checks --out, loads the model and resolves and warns
+about its burn-in over --copies; each of their rows goes on with what
+--out holds and the verb's draw and write.
 
 A verb imports the modules it runs only when it runs: moments the moment
 engine, simulate and aggregate the simulator, verify the experiments (which
@@ -114,31 +117,31 @@ def _run_moments(args):
     return 0
 
 
-def _run_simulate(args):
+def _run_draw(args):
+    """simulate and aggregate: --out, the model, its burn-in over --copies and
+    the burn-in's warnings, then the draw and write of the verb's row, which
+    also says what --out holds."""
     from . import simulate
 
+    what, draw = _VERBS[args.verb][3:]
     if args.out is None:
-        raise ValueError("simulate needs --out for the paths CSV")
+        raise ValueError("%s needs --out for %s" % (args.verb, what))
     model = load_model(args.model)
     burn, notes = simulate._resolve_burnin(model, args.burnin, args.copies)
     _warn(notes)
+    draw(simulate, model, burn, args)
+    return 0
+
+
+def _write_paths(simulate, model, burn, args):
     ens = simulate.simulate_ensemble(model, args.copies, args.n, args.seed, burn, args.threads)
     simulate.paths_to_csv(ens, args.out)
     simulate.write_metadata(ens, args.out + ".meta.json")
-    return 0
 
 
-def _run_aggregate(args):
-    from . import simulate
-
-    if args.out is None:
-        raise ValueError("aggregate needs --out for the CSV")
-    model = load_model(args.model)
-    burn, notes = simulate._resolve_burnin(model, args.burnin, args.copies)
-    _warn(notes)
+def _write_aggregates(simulate, model, burn, args):
     values = simulate.aggregate(model, args.copies, args.n, args.seed, args.grid, burn)[0]
     simulate.aggregates_to_csv(args.grid, values, args.out)
-    return 0
 
 
 def _run_verify(args):
@@ -210,13 +213,16 @@ _EXPERIMENTS = {
     "innovations": ("innovation moment diagnostics", "model n seed out format",
                     lambda verify, model, a: verify._innovation_check(model, a.n, a.seed)),
 }
-# as _EXPERIMENTS; verify's options are the table of its experiments
+# as _EXPERIMENTS; verify's options are the table of its experiments, and
+# the rows of simulate and aggregate, which share _run_draw, go on with what
+# --out holds and the verb's draw and write
 _VERBS = {
     "moments": ("exact stationary moment report", "order model out", _run_moments),
     "simulate": ("simulate an ensemble to CSV", "model n copies seed burnin threads out",
-                 _run_simulate),
+                 _run_draw, "the paths CSV", _write_paths),
     "aggregate": ("scaled centered aggregates to CSV",
-                  "aggregate-grid model n copies seed burnin out", _run_aggregate),
+                  "aggregate-grid model n copies seed burnin out", _run_draw, "the CSV",
+                  _write_aggregates),
     "verify": ("Monte Carlo verification experiments", _EXPERIMENTS, _run_verify),
     "ginar": ("GINAR spec report and embedding",
               "spec means immigration-lambda emit-model report", _run_ginar),
@@ -230,7 +236,7 @@ def _add_choices(parser, dest, table, names):
     only = names[0] if names else None
     metavar = None if only is None else "{%s}" % ",".join(table)
     subs = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
-    for name, (text, options, _) in table.items():
+    for name, (text, options, *_) in table.items():
         if only in (None, name):
             sub = subs.add_parser(name, help=text)
             if isinstance(options, dict):

@@ -18,17 +18,22 @@ z-score for every checked entry, and serialize deterministically: a rerun
 with the same master seed produces identical bytes for any worker count,
 so wall clock time is kept out of the serialized form.
 
-Both aggregate experiments are made of one point (_point): reps
+Both aggregate experiments are lists of one point (_point): reps
 aggregates of N copies at horizon n from one simulate.aggregate call,
 which draws an aggregate of N copies as one chain of the N-fold model and
 refuses, naming N, one too large to simulate. The point returns the
 covariance rows of every grid point and, unless its tests are turned off,
-the KS entries, the increments and their z-scores. clt is one point at
-(n, N, reps), so its replications cost the same at any N; a sweep point
-of iterated is the clt point (n_s, 1, N_s) without KS or increments, its
-copies aggregates of one copy each, because its rows are covariances
-across copies. A point checks its grid before any draw (_point_grid),
-and iterated checks every sweep horizon before its first point.
+the KS entries, the increments and their z-scores. One driver (_points)
+runs every list: after the experiment's own argument checks it builds the
+moment report, which refuses a model without a stationary law, checks the
+grid at every point's horizon (_point_grid), resolves one burn-in over
+all the points' copies, makes the points' draws and builds the report
+from the last point. So both experiments refuse input in one order:
+arguments, model, grids, burn-in, and nothing is drawn before all of them
+pass. clt is one point at (n, N, reps), so its replications cost the same
+at any N; a sweep point of iterated is the clt point (n_s, 1, N_s)
+without KS or increments, its copies aggregates of one copy each, because
+its rows are covariances across copies.
 
 Standard errors come from batch means on single long paths and from plug-in
 estimates on replicated aggregates: an entry of a sample covariance of
@@ -294,7 +299,7 @@ def _point_grid(grid, n):
                              " aggregate is identically 0" % (t, n))
 
 
-def _point(model, sigma, n, N, reps, grid, seed, burn, threads, tests=True):
+def _point(model, sigma, n, N, reps, grid, seed, burn, threads, tests):
     """(rows, extra, checks) of one point: reps aggregates of N copies at
     horizon n, drawn by one simulate.aggregate call with the derived master
     seed seed after burn steps, on a float grid that passed _point_grid at n.
@@ -334,6 +339,33 @@ def _point(model, sigma, n, N, reps, grid, seed, burn, threads, tests=True):
     return rows, {"ks": ks_entries, "increments": increments}, checks
 
 
+def _points(kind, model, params, points, grid, seed, burnin, threads, tests=True):
+    """(report, rows): the report of kind over the clt points, each a tuple
+    (key, n_s, N_s, reps_s), and the rows of every point in order.
+
+    In this one order: one moment_report of the model; _point_grid at every
+    point's horizon; one _resolve_burnin over all the points' reps_s * N_s
+    copies; one _point per point, on the seed derived from (seed, 0, *key),
+    with tests or without. The report has the last point's rows and horizon,
+    params followed by grid, master_seed and burnin, extra sigma followed by
+    the last point's extra, and the runtime of this call.
+    """
+    t0 = time.perf_counter()
+    grid = tuple(float(t) for t in grid)
+    exact = moment_report(model, 1)
+    for _, n_s, _, _ in points:
+        _point_grid(grid, n_s)
+    burn, notes = _resolve_burnin(model, burnin, sum(N_s * r for _, _, N_s, r in points))
+    results = [_point(model, exact.sigma, n_s, N_s, reps_s, grid, derived_seed(seed, 0, *key),
+                      burn, threads, tests) for key, n_s, N_s, reps_s in points]
+    rows, extra, checks = results[-1]
+    params = {**params, "grid": list(grid), "master_seed": seed, "burnin": int(burn)}
+    extra = {"sigma": exact.sigma.tolist(), **extra}
+    report = _report(kind, model, params, rows, exact.rho, points[-1][1], t0, extra, checks,
+                     notes)
+    return report, [point_rows for point_rows, _, _ in results]
+
+
 def clt_covariance_experiment(model, n, N, reps=200, grid=(1.0,), seed=0, burnin="auto",
                               threads=1):
     """Distribution of the scaled aggregate against the Gaussian limit.
@@ -342,45 +374,32 @@ def clt_covariance_experiment(model, n, N, reps=200, grid=(1.0,), seed=0, burnin
     steps ('auto' or an integer), on threads worker processes. grid must be
     nonempty, finite, nonnegative, strictly increasing, and reach no
     further than n steps, and a grid point t > 0 must reach at least one
-    step. The run is one point (_point): the replications are
-    simulate.aggregate's reps aggregates of N copies on the seed derived
-    from (seed, 0), each one chain of the N-fold model, scaled by 1 /
-    sqrt(n N); the burn-in certifies all reps * N copies. A replication
-    costs the same at any N, but its counts are the aggregate's: past the
-    count ceiling of 2^31 per type, or when N immigration draws cannot be
-    drawn, the run raises SimulationOverflowError, naming N and the reason
-    when N >= 2. Per grid point t the empirical covariance of the scaled
-    aggregate across replications is compared entrywise to t * sigma, each
-    standardized marginal is tested for normality (KS distance against the
-    1.36 / sqrt(reps) threshold), and increments over disjoint grid
-    intervals are checked for vanishing cross covariance. The standard
-    errors of both tables are the plug-in standard errors of _cov_se over
-    the replications, one call per grid point and one for the stacked
-    increments.
+    step. The run is the driver _points over one point (_point): the
+    replications are simulate.aggregate's reps aggregates of N copies on
+    the seed derived from (seed, 0), each one chain of the N-fold model,
+    scaled by 1 / sqrt(n N); the burn-in certifies all reps * N copies. A
+    replication costs the same at any N, but its counts are the
+    aggregate's: past the count ceiling of 2^31 per type, or when N
+    immigration draws cannot be drawn, the run raises
+    SimulationOverflowError, naming N and the reason when N >= 2. Per grid
+    point t the empirical covariance of the scaled aggregate across
+    replications is compared entrywise to t * sigma, each standardized
+    marginal is tested for normality (KS distance against the 1.36 /
+    sqrt(reps) threshold), and increments over disjoint grid intervals are
+    checked for vanishing cross covariance. The standard errors of both
+    tables are the plug-in standard errors of _cov_se over the
+    replications, one call per grid point and one for the stacked
+    increments. Input is refused in the driver's order: the arguments, the
+    model, the grid, the burn-in.
     """
-    t0 = time.perf_counter()
     n, N, reps = _count("n", n), _count("N", N), _count("reps", reps)
     seed = _count("seed", seed)
     if reps < 2:
         raise ValueError("need reps >= 2, got %r" % (reps,))
     if n < 1 or N < 1:
         raise ValueError("need n >= 1 and N >= 1, got %r and %r" % (n, N))
-    grid = tuple(float(t) for t in grid)
-    exact = moment_report(model, 1)
-    burn, notes = _resolve_burnin(model, burnin, reps * N)
-    _point_grid(grid, n)
-    rows, extra, checks = _point(model, exact.sigma, n, N, reps, grid, derived_seed(seed, 0),
-                                 burn, threads)
-    params = {
-        "n": n,
-        "N": N,
-        "reps": int(reps),
-        "grid": list(grid),
-        "master_seed": int(seed),
-        "burnin": int(burn),
-    }
-    extra = {"sigma": exact.sigma.tolist(), **extra}
-    return _report("clt", model, params, rows, exact.rho, n, t0, extra, checks, notes)
+    params = {"n": n, "N": N, "reps": reps}
+    return _points("clt", model, params, [((), n, N, reps)], grid, seed, burnin, threads)[0]
 
 
 def _default_sweep(top):
@@ -396,24 +415,24 @@ def iterated_experiment(model, n, N, order, sweep=None, grid=(1.0,), seed=0,
     the horizon upward through sweep; 'n_first' holds the horizon at n and
     sweeps the copy count; the default sweep is a quarter, a half and all
     of the held-out size. seed, burnin, grid and threads are as in
-    clt_covariance_experiment, and grid must fit every sweep horizon,
-    which is checked for all of them before the first draw. Sweep point s
-    of N_s copies at horizon n_s is the clt point (n_s, 1, N_s) without KS
-    or increments, on the seed derived from (seed, 0, order, s): N_s
-    aggregates of one copy each, so the empirical covariance across copies
-    estimates the aggregate covariance of the scaled ensemble aggregate, a
-    normalized sum of i.i.d. per-copy aggregates. The trajectory should
-    settle at t * sigma whichever limit is taken first.
-    Top-level rows are the final sweep point, and params' n and N are the
-    sizes it ran at; full trajectories sit in extra['sweep'].
+    clt_covariance_experiment, and so is the order in which input is
+    refused: the order and the sweep are arguments, and grid must fit every
+    sweep horizon, which is checked for all of them before the first draw.
+    Sweep point s of N_s copies at horizon n_s is the clt point (n_s, 1,
+    N_s) of the driver _points without KS or increments, on the seed
+    derived from (seed, 0, order, s): N_s aggregates of one copy each, so
+    the empirical covariance across copies estimates the aggregate
+    covariance of the scaled ensemble aggregate, a normalized sum of i.i.d.
+    per-copy aggregates. The trajectory should settle at t * sigma
+    whichever limit is taken first. Top-level rows are the final sweep
+    point, and params' n and N are the sizes it ran at; full trajectories
+    sit in extra['sweep'].
     """
-    t0 = time.perf_counter()
     orders = {"N_first": 0, "n_first": 1}
     if order not in orders:
         raise ValueError("order must be 'N_first' or 'n_first', got %r" % (order,))
     oid = orders[order]
     n, N, seed = _count("n", n), _count("N", N), _count("seed", seed)
-    exact = moment_report(model, 1)
     if sweep is None:
         sweep = _default_sweep(n if order == "N_first" else N)
     sweep = list(sweep)
@@ -426,30 +445,13 @@ def iterated_experiment(model, n, N, order, sweep=None, grid=(1.0,), seed=0,
     # fractional size is refused here, not truncated
     sweep = [_count("sweep", v) for v in sweep]
     points = [(int(N_s), int(n_s)) for N_s, n_s in points]
-    grid = tuple(float(t) for t in grid)
-    for _, n_s in points:
-        _point_grid(grid, n_s)
-    copies = sum(N_s for N_s, _ in points)
-    burn, notes = _resolve_burnin(model, burnin, copies)
-
-    trajectory = []
-    for s, (val, (N_s, n_s)) in enumerate(zip(sweep, points)):
-        rows, _, _ = _point(model, exact.sigma, n_s, 1, N_s, grid,
-                            derived_seed(seed, 0, oid, s), burn, threads, tests=False)
-        trajectory.append({"sweep": val, "N": N_s, "n": n_s, "rows": rows})
-
-    params = {
-        "order": order,
-        "n": points[-1][1],
-        "N": points[-1][0],
-        "sweep": sweep,
-        "grid": list(grid),
-        "master_seed": int(seed),
-        "burnin": int(burn),
-    }
-    extra = {"sigma": exact.sigma.tolist(), "sweep": trajectory}
-    return _report("iterated", model, params, rows, exact.rho, points[-1][1], t0, extra,
-                   warnings=notes)
+    params = {"order": order, "n": points[-1][1], "N": points[-1][0], "sweep": sweep}
+    report, rows = _points("iterated", model, params,
+                           [((oid, s), n_s, 1, N_s) for s, (N_s, n_s) in enumerate(points)],
+                           grid, seed, burnin, threads, tests=False)
+    report.extra["sweep"] = [{"sweep": val, "N": N_s, "n": n_s, "rows": point_rows}
+                             for val, (N_s, n_s), point_rows in zip(sweep, points, rows)]
+    return report
 
 
 def autocovariance_check(model, n, lags, seed):

@@ -23,8 +23,9 @@ stdout and to files; the scalar INAR, a two-type model, the benchmark's
 3-type GRID3 and BIGPOP, random_model(5, 0), (8, 0) and (16, 3), a
 near-critical and a critical model; blocks of both routes, one-copy
 windows and windows of many copies, --threads 1 and 2, explicit and
-automatic burn-in, and the exit-2 refusals. pytest does not collect this
-file; tests/test_ledger.py reruns a slice of it.
+automatic burn-in, and the exit-2 refusals, two of them of input with two
+faults. pytest does not collect this file; tests/test_ledger.py reruns a
+slice of it and compares each --threads 2 run with its twin.
 """
 
 import argparse
@@ -168,7 +169,9 @@ BATTERY = (
           " --sweep 10,40", "verify autocov --n 10 --lags 9", "verify ergodic --n 1",
           "verify innovations --n 1", "simulate --n 5 --copies 1",
           "aggregate --n 5 --copies 0 --grid 1 --out a.csv", _CLT + " --threads 0",
-          "verify clt --n 40 --copies 2 --seed -1", _ITER + " sideways --n 40 --copies 4"),
+          "verify clt --n 40 --copies 2 --seed -1", _ITER + " sideways --n 40 --copies 4",
+          # two faults: the grid is refused before the burn-in
+          _CLT + " --grid 1,2 --burnin -1", _ITER + " N --n 40 --copies 4 --grid 1,2 --burnin -1"),
     [["ginar", "--means", "0.5"], ["ginar", "--means", "0.3,0.2", "--emit-model", "m.json"],
      ["ginar", "--means", "1.2"], ["ginar"], ["nosuchverb"]],
 )

@@ -1,5 +1,6 @@
 """Exact laws that tests compare simulation against, computed from the
-probability generating functions of the laws alone, never from bpagg.
+probability generating functions of the laws alone, or for a Poisson law
+in closed form, never from bpagg; and the KS distance of draws to them.
 
 A scalar branching process with offspring pgf f and immigration pgf g,
 started at zero, is the sum of independent Galton-Watson cohorts, one born
@@ -13,6 +14,8 @@ with phi_0 = 1 and phi_k(z) = z f(phi_(k-1)(z)): the individual counts one,
 and each child adds the first k - 1 generations of its own tree. So S_m has
 pgf prod_(k=1..m) g(phi_k(z)).
 """
+
+import math
 
 import numpy as np
 
@@ -72,6 +75,12 @@ def state_law(f, g, n, K):
     """(pmf, tail): the law of X_n from zero on 0 .. K - 1 and a bound on
     P(X_n >= K), as _law gives them."""
     return _law(lambda z: state_pgf(f, g, n, z), K)
+
+
+def poisson_pmf(mean, K):
+    """The Poisson(mean) pmf on 0 .. K - 1, exp(k log mean - mean - log k!)."""
+    k = np.arange(K)
+    return np.exp(k * math.log(mean) - mean - np.array([math.lgamma(i + 1) for i in k]))
 
 
 def ks_distance(sample, pmf):

@@ -334,6 +334,24 @@ def test_grid_point_below_one_step_exits_two_before_simulating(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb, horizon", [("clt", 40), ("iterated", 10)])
+def test_bad_grid_is_refused_before_bad_burnin(
+    scalar_file, tmp_path, capsys, monkeypatch, verb, horizon
+):
+    # both aggregate experiments refuse in one order, arguments, model,
+    # grids, burn-in: t = 2 passes the first horizon, 40 steps for clt and
+    # 10 for iterated's default sweep at --n 40, and the burn-in is negative
+    _no_simulation(monkeypatch)
+    out = tmp_path / "out.csv"
+    argv = _VERB_ARGS[verb] + ["--model", scalar_file, "--grid", "1,2", "--burnin", "-1",
+                               "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: grid point 2.0 needs more than the %d steps of the paths\n" % horizon
+    )
+    assert not out.exists()
+
+
 def test_grid_points_at_zero_and_below_one_aggregate_step_still_run(
     scalar_file, tmp_path, capsys
 ):

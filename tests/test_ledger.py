@@ -1,5 +1,6 @@
 """The byte ledger's battery (tests/ledger.py) reruns byte-identically in one
-process. The committed manifest is not compared here: BLAS kernels differ
+process, and its --threads 2 runs write what their one-process twins
+write. The committed manifest is not compared here: BLAS kernels differ
 by CPU, so a matmul may move last bits between hosts even where the numpy
 versions match."""
 
@@ -29,3 +30,18 @@ def test_compare_lists_what_moved_by_verb_and_model():
     new["runs"][key]["exit"] = 7
     assert ledger.compare(old, new) == ["%s on inar:" % ledger._label(SLICE[0])[0],
                                         "  %s: exit, stdout" % key]
+
+
+def test_threads_two_runs_match_their_one_thread_twins():
+    # each --threads 2 run of the battery prints and writes what its
+    # --threads 1 twin does, or, where the battery has no twin, the same
+    # argv without --threads
+    keys = [" ".join(argv) for argv in ledger.BATTERY]
+    pairs = []
+    for key in keys:
+        if "--threads 2" in key:
+            twin = key.replace("--threads 2", "--threads 1")
+            pairs.append((key, twin if twin in keys else key.replace(" --threads 2", "")))
+    assert len(pairs) == 6 and sum(twin not in keys for _, twin in pairs) == 1
+    for key, twin in pairs:
+        assert ledger.run(key.split()) == ledger.run(twin.split()), key

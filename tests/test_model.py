@@ -33,6 +33,7 @@ from bpagg.model import (
 )
 from bpagg.simulate import stream_rng
 from conftest import build_scalar_inar, build_two_type, dense_tables, model_json
+from oracles import ks_distance
 
 
 def _pmf_table(marginal, tail=1e-13):
@@ -550,14 +551,6 @@ _DRAWS = 4000
 _KS_BOUND = 1.95 / math.sqrt(_DRAWS)
 
 
-def _ks_against_pmf(draws, pmf):
-    """sup |F_empirical - F| over integers, F the cdf of a pmf on 0, 1, ..."""
-    top = int(draws.max()) + 1
-    cdf = np.cumsum(np.pad(pmf, (0, max(0, top - len(pmf))))[:top])
-    emp = np.cumsum(np.bincount(draws, minlength=top)) / len(draws)
-    return float(np.max(np.abs(emp - cdf)))
-
-
 def _convolution_power(pmf, c, top):
     """pmf of the sum of c independent draws, truncated to 0..top-1; entries
     below top are exact since every term is nonnegative."""
@@ -575,7 +568,7 @@ def _check_sums_against_oracle(draws, pmf, label, counts=_COUNTS):
             continue
         col = draws[:, k]
         oracle = _convolution_power(pmf, int(c), int(col.max()) + 1)
-        stat = _ks_against_pmf(col, oracle)
+        stat = ks_distance(col, oracle)
         assert stat <= _KS_BOUND, "%s c = %d: KS %.4f > %.4f" % (label, c, stat, _KS_BOUND)
 
 
@@ -708,7 +701,7 @@ def test_scattered_poisson_sample_matches_pmf(lam):
     draws = law.sample(stream_rng(301), _DRAWS)
     assert draws.shape == (_DRAWS,) and draws.dtype == np.int64
     assert not np.array_equal(draws, stream_rng(301).poisson(lam, _DRAWS))
-    stat = _ks_against_pmf(draws, _pmf_table(law))
+    stat = ks_distance(draws, _pmf_table(law))
     assert stat <= _KS_BOUND, "poisson(%g): KS %.4f > %.4f" % (lam, stat, _KS_BOUND)
 
 
@@ -717,7 +710,7 @@ def test_bernoulli_sample_matches_pmf():
     rng = stream_rng(302)
     draws = law.sample(rng, _DRAWS)
     assert draws.shape == (_DRAWS,) and draws.dtype == np.int64
-    assert _ks_against_pmf(draws, _pmf_table(law)) <= _KS_BOUND
+    assert ks_distance(draws, _pmf_table(law)) <= _KS_BOUND
     # one uniform per draw
     after = stream_rng(302)
     after.random(_DRAWS)

@@ -44,7 +44,7 @@ from bpagg.simulate import _grid_indices, _superposed
 from bpagg.verify import _batch_se, clt_covariance_experiment, iterated_experiment
 from bpagg.moments import moment_report, stationary_moments
 from bpagg.model import Bernoulli, Binomial, FiniteSupport, Geometric
-from oracles import ks_distance, running_sum_law, state_law
+from oracles import ks_distance, poisson_pmf, running_sum_law, state_law
 from conftest import (
     build_deterministic,
     build_random_subcritical,
@@ -718,10 +718,7 @@ def test_inar_ensemble_states_follow_stationary_poisson():
     # sit within the pre-registered KS band 1.36 / sqrt(N) of its CDF
     model, N, n = build_scalar_inar(), 6000, 10
     states = simulate_ensemble(model, N, n, master_seed=2026).paths[:, n, 0]
-    support = np.arange(states.max() + 1)
-    pmf = np.exp(support * math.log(2.0) - 2.0 - np.array([math.lgamma(k + 1) for k in support]))
-    emp = np.cumsum(np.bincount(states, minlength=len(support))) / N
-    assert np.max(np.abs(emp - np.cumsum(pmf))) <= 1.36 / math.sqrt(N)
+    assert ks_distance(states, poisson_pmf(2.0, states.max() + 1)) <= 1.36 / math.sqrt(N)
 
 
 def test_one_copy_lockstep_path_follows_exact_poisson_law():
@@ -734,23 +731,8 @@ def test_one_copy_lockstep_path_follows_exact_poisson_law():
     assert simulate._cohort_lifetime(model) == math.inf
     assert simulate._cohort_route(model, 1, simulate._cohort_lifetime(model), n) == 0
     states = np.array([simulate_path(model, n, stream_rng(2027, i))[n, 0] for i in range(N)])
-    mean = lam * (1.0 - q ** n) / (1.0 - q)
-    support = np.arange(states.max() + 1)
-    logf = np.array([math.lgamma(k + 1) for k in support])
-    pmf = np.exp(support * math.log(mean) - mean - logf)
-    emp = np.cumsum(np.bincount(states, minlength=len(support))) / N
-    assert np.max(np.abs(emp - np.cumsum(pmf))) <= 1.36 / math.sqrt(N)
-
-
-def _poisson_ks(states, mean):
-    """Kolmogorov-Smirnov distance of integer states to Poisson(mean): both
-    distribution functions step at the integers, so the largest gap is at
-    one of them."""
-    support = np.arange(states.max() + 1)
-    logf = np.array([math.lgamma(k + 1) for k in support])
-    pmf = np.exp(support * math.log(mean) - mean - logf)
-    emp = np.cumsum(np.bincount(states, minlength=len(support))) / len(states)
-    return np.max(np.abs(emp - np.cumsum(pmf)))
+    pmf = poisson_pmf(lam * (1.0 - q ** n) / (1.0 - q), states.max() + 1)
+    assert ks_distance(states, pmf) <= 1.36 / math.sqrt(N)
 
 
 @pytest.mark.parametrize("window", [0, 1])
@@ -763,7 +745,8 @@ def test_superposed_inar_follows_exact_poisson_law(window):
     q, lam, N, n, R = 0.5, 1.0, 50, 20, 4000
     model = _superposed(build_scalar_inar(), N)
     states = _simulate_block(model, R, n, stream_rng(2028, window), 0, window)[:, n, 0]
-    assert _poisson_ks(states, N * lam * (1.0 - q ** n) / (1.0 - q)) <= 1.36 / math.sqrt(R)
+    pmf = poisson_pmf(N * lam * (1.0 - q ** n) / (1.0 - q), states.max() + 1)
+    assert ks_distance(states, pmf) <= 1.36 / math.sqrt(R)
 
 
 @pytest.mark.parametrize("window", [0, 1])
