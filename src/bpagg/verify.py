@@ -6,11 +6,17 @@ covers every copy the experiment simulates) and the rho behind its mixing
 warning from one moment_report of its model, and compares simulation
 against them with pre-registered bands: 4 standard errors (_SE_MULT, a
 constant, not a parameter), fixed before sampling and never widened
-afterwards. The single-path experiments draw their path
-after that report (_stationary_path), the aggregate experiments check
-their grid before they simulate, and every report is assembled by
-_report. _report alone decides whether a report passed, by one two-sided
-band rule (_in_band) on the z-score of every row and every extra check.
+afterwards. One function (_path_report) runs every single-path experiment
+(ergodic, autocov, innovations), so they refuse input in one order: the
+experiment's own arguments (autocov's lags), n >= 2 and the seed, then the
+model, through its moment report. Only then does _path_report draw one path
+of n steps after the automatic one-copy burn-in and hand it to the
+experiment's rows function; every time average on that path and its
+batch-means standard error come from one row builder (_mean_rows). The
+aggregate experiments check their grid before they simulate, and every
+report is assembled by _report. _report alone decides whether a report
+passed, by one two-sided band rule (_in_band) on the z-score of every row
+and every extra check.
 A KS distance enters as a z-score in units of threshold / _SE_MULT, and
 the one-sided absolute-moment bound through its excess alone. Reports
 carry the empirical value, the exact target, the standard error and the
@@ -249,19 +255,35 @@ def _report(kind, model, params, rows, rho, n, t0, extra=None, checks=(), warnin
     )
 
 
-def _stationary_path(model, n, seed, order):
-    """(exact, burn, path): the moment report of the given order, the
-    automatic burn-in of one copy from its mean, and a path of n steps
-    after that burn-in on the stream (seed, 0). Below two steps a
-    batch-means standard error is infinite and every band passes, so such
-    an n is refused; so is a seed that is not an integer >= 0, before the
-    report is built."""
+def _mean_rows(t, a, b, target, pairs):
+    """Rows at t of the time average of a[:, i] * b[:, j] against
+    target[i, j] for each (i, j) in pairs, with its batch-means standard
+    error: the one place a single-path row is computed."""
+    rows = []
+    for i, j in pairs:
+        prods = a[:, i] * b[:, j]
+        rows.append(_row(t, i, j, prods.mean(), target[i, j], _batch_se(prods)))
+    return rows
+
+
+def _path_report(kind, model, n, seed, order, params, rows_of):
+    """The report of kind on one long path, in this one order: n >= 2 (below
+    two steps a batch-means standard error is infinite and every band
+    passes) and a seed that is an integer >= 0; the moment report of the
+    given order; the automatic burn-in of one copy from its mean; a path of
+    n steps after that burn-in on the stream (seed, 0); rows_of(exact, path)
+    -> (rows, extra, checks). params are followed by seed and burnin, so
+    they rerun the report."""
+    t0 = time.perf_counter()
     if n < 2:
         raise ValueError("need n >= 2 for a batch-means standard error, got %r" % (n,))
     seed = _count("seed", seed)
     exact = moment_report(model, order)
     burn, _ = _resolve_burnin(model, "auto", 1)
-    return exact, burn, simulate_path(model, n, stream_rng(seed, 0), burnin=burn)
+    path = simulate_path(model, n, stream_rng(seed, 0), burnin=burn)
+    rows, extra, checks = rows_of(exact, path)
+    params = {**params, "seed": seed, "burnin": int(burn)}
+    return _report(kind, model, params, rows, exact.rho, n, t0, extra, checks)
 
 
 def ergodic_check(model, n, seed):
@@ -272,20 +294,16 @@ def ergodic_check(model, n, seed):
     standard errors; too small an n for the model's mixing time
     is reported as a warning, not a wider band.
     """
-    t0 = time.perf_counter()
-    exact, burn, path = _stationary_path(model, n, seed, 2)
-    x = path[1:].astype(float)
-    p = model.p
-    rows = []
-    for i in range(p):
-        rows.append(_row(1.0, i, i, x[:, i].mean(), exact.mean[i], _batch_se(x[:, i])))
-    second = exact.kron2.reshape(p, p)
-    for i in range(p):
-        for j in range(i, p):
-            prods = x[:, i] * x[:, j]
-            rows.append(_row(2.0, i, j, prods.mean(), second[i, j], _batch_se(prods)))
-    params = {"n": int(n), "seed": int(seed), "burnin": int(burn)}
-    return _report("ergodic", model, params, rows, exact.rho, n, t0)
+
+    def rows_of(exact, path):
+        x = path[1:].astype(float)
+        p = model.p
+        first = _mean_rows(1.0, x, np.broadcast_to(1.0, x.shape), np.diag(exact.mean),
+                           [(i, i) for i in range(p)])
+        pairs = [(i, j) for i in range(p) for j in range(i, p)]
+        return first + _mean_rows(2.0, x, x, exact.kron2.reshape(p, p), pairs), {}, []
+
+    return _path_report("ergodic", model, n, seed, 2, {"n": int(n)}, rows_of)
 
 
 def _point_grid(grid, n):
@@ -458,9 +476,8 @@ def autocovariance_check(model, n, lags, seed):
     """Empirical lagged autocovariances on one long path vs var0 (M^T)^lag.
 
     Rows use t = lag and cover all (i, j) since lagged autocovariance is
-    not symmetric.
+    not symmetric. The lags are checked before _path_report's own checks.
     """
-    t0 = time.perf_counter()
     # a fractional or negative lag is refused by name, not truncated
     lags = [_count("lags", k) for k in lags]
     if not lags:
@@ -469,22 +486,19 @@ def autocovariance_check(model, n, lags, seed):
     if max(lags) > n - 2:
         raise ValueError("largest lag must be at most n - 2, got %d for n = %r"
                          % (max(lags), n))
-    exact, burn, path = _stationary_path(model, n, seed, 1)
-    M = mean_matrix(model)
-    x = path[1:].astype(float)
-    c = x - x.mean(axis=0)
-    p = model.p
-    rows = []
-    for lag in lags:
-        target = exact.var0 @ np.linalg.matrix_power(M.T, lag)
-        a = c[: len(c) - lag] if lag else c
-        b = c[lag:]
-        for i in range(p):
-            for j in range(p):
-                prods = a[:, i] * b[:, j]
-                rows.append(_row(float(lag), i, j, prods.mean(), target[i, j], _batch_se(prods)))
-    params = {"n": int(n), "lags": lags, "seed": int(seed), "burnin": int(burn)}
-    return _report("autocov", model, params, rows, exact.rho, n, t0)
+
+    def rows_of(exact, path):
+        M = mean_matrix(model)
+        x = path[1:].astype(float)
+        c = x - x.mean(axis=0)
+        pairs = [(i, j) for i in range(model.p) for j in range(model.p)]
+        rows = []
+        for lag in lags:
+            target = exact.var0 @ np.linalg.matrix_power(M.T, lag)
+            rows += _mean_rows(float(lag), c[: len(c) - lag], c[lag:], target, pairs)
+        return rows, {}, []
+
+    return _path_report("autocov", model, n, seed, 1, {"n": int(n), "lags": lags}, rows_of)
 
 
 def innovation_diagnostics(model, path):
@@ -504,28 +518,26 @@ def innovation_diagnostics(model, path):
     x = np.asarray(path)
     if not np.all(np.isfinite(x) & (x >= 0) & (x == np.round(x))):
         raise ValueError("need a path of nonnegative integer counts")
-    return _innovation_report(model, path, moment_report(model, 1), t0)
+    exact = moment_report(model, 1)
+    rows, extra, checks = _innovation_rows(model, exact, path)
+    n = len(x) - 1
+    return _report("innovations", model, {"n": n}, rows, exact.rho, n, t0, extra, checks)
 
 
 def _innovation_check(model, n, seed):
-    """innovation_diagnostics of a path of n steps after the automatic
-    burn-in on the stream (seed, 0); path and checks share one report."""
-    t0 = time.perf_counter()
-    exact, _, path = _stationary_path(model, n, seed, 1)
-    return _innovation_report(model, path, exact, t0)
+    """verify innovations: the innovation rows of a path of n steps drawn by
+    _path_report."""
+    return _path_report("innovations", model, n, seed, 1, {"n": int(n)},
+                        lambda exact, path: _innovation_rows(model, exact, path))
 
 
-def _innovation_report(model, path, exact, t0):
-    """innovation_diagnostics against the order-1 moment report exact, whose
-    law covariances give the bucket targets; the runtime counts from t0."""
+def _innovation_rows(model, exact, path):
+    """(rows, extra, checks) of innovation_diagnostics against the order-1
+    moment report exact, whose law covariances give the bucket targets."""
     U = extract_innovations(model, path)
     V = exact.v
     p = model.p
-    rows = []
-    for i in range(p):
-        for j in range(i, p):
-            prods = U[:, i] * U[:, j]
-            rows.append(_row(0.0, i, j, prods.mean(), V[i, j], _batch_se(prods)))
+    rows = _mean_rows(0.0, U, U, V, [(i, j) for i in range(p) for j in range(i, p)])
 
     abs_entries, checks = [], []
     for j in range(p):
@@ -574,10 +586,7 @@ def _innovation_report(model, path, exact, t0):
             }
         )
 
-    extra = {"abs_moment": abs_entries, "buckets": buckets}
-    n = U.shape[0]
-    return _report("innovations", model, {"n": int(n)}, rows, exact.rho, n, t0, extra,
-                   checks)
+    return rows, {"abs_moment": abs_entries, "buckets": buckets}, checks
 
 
 def bands_overlap(report_a, report_b):

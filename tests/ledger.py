@@ -23,9 +23,10 @@ stdout and to files; the scalar INAR, a two-type model, the benchmark's
 3-type GRID3 and BIGPOP, random_model(5, 0), (8, 0) and (16, 3), a
 near-critical and a critical model; blocks of both routes, one-copy
 windows and windows of many copies, --threads 1 and 2, explicit and
-automatic burn-in, and the exit-2 refusals, two of them of input with two
-faults. pytest does not collect this file; tests/test_ledger.py reruns a
-slice of it and compares each --threads 2 run with its twin.
+automatic burn-in, and the exit-2 refusals, four of them of input with
+two faults. pytest does not collect this file; tests/test_ledger.py reruns
+a slice of it, compares each --threads 2 run with its twin and checks the
+block routes of the verify clt and verify iterated twins.
 """
 
 import argparse
@@ -162,7 +163,9 @@ BATTERY = (
           "aggregate --n 5 --copies 2 --grid 1 --out a.csv",
           "simulate --n 5 --copies 2 --burnin 3 --out p.csv",
           "verify clt --n 5 --copies 2 --reps 10",
-          _ITER + " N --n 10 --copies 4"),
+          _ITER + " N --n 10 --copies 4", "verify ergodic --n 100",
+          # two faults: a single-path n below 2 is refused before the model
+          "verify innovations --n 1"),
     _runs("inar", _CLT + " --grid inf", _CLT + " --grid 1,0.5", _CLT + " --grid 1,2",
           _CLT + " --reps 1", _CLT + " --burnin 2.5", "verify clt --n 0 --copies 2 --reps 10",
           _ITER + " N --n 40 --copies 1 --sweep 1", _ITER + " N --n 10 --copies 4 --grid 1.05"
@@ -170,8 +173,10 @@ BATTERY = (
           "verify innovations --n 1", "simulate --n 5 --copies 1",
           "aggregate --n 5 --copies 0 --grid 1 --out a.csv", _CLT + " --threads 0",
           "verify clt --n 40 --copies 2 --seed -1", _ITER + " sideways --n 40 --copies 4",
-          # two faults: the grid is refused before the burn-in
-          _CLT + " --grid 1,2 --burnin -1", _ITER + " N --n 40 --copies 4 --grid 1,2 --burnin -1"),
+          # two faults: the grid is refused before the burn-in, and
+          # autocov's lags before _path_report's n
+          _CLT + " --grid 1,2 --burnin -1", _ITER + " N --n 40 --copies 4 --grid 1,2 --burnin -1",
+          "verify autocov --n 1 --lags 5"),
     [["ginar", "--means", "0.5"], ["ginar", "--means", "0.3,0.2", "--emit-model", "m.json"],
      ["ginar", "--means", "1.2"], ["ginar"], ["nosuchverb"]],
 )

@@ -777,6 +777,25 @@ def test_verify_autocov_and_innovations(scalar_file, capsys):
     assert payload["rows"][0]["target"] == 1.5
 
 
+@pytest.mark.parametrize("build", [build_scalar_inar, build_two_type])
+@pytest.mark.parametrize("kind", ["ergodic", "autocov", "innovations"])
+def test_single_path_report_reruns_from_its_own_params(tmp_path, build, kind):
+    model = build()
+    options = ["--lags", "0,2"] if kind == "autocov" else []
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_to_json(model)))
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    argv = ["verify", kind, "--model", str(path)]
+    assert main(argv + ["--n", "300", "--seed", "7"] + options + ["--out", str(first)]) in (0, 3)
+    params = json.loads(first.read_text())["params"]
+    rerun = ["--n", str(params["n"]), "--seed", str(params["seed"])]
+    if "lags" in params:
+        rerun += ["--lags", ",".join(map(str, params["lags"]))]
+    assert main(argv + rerun + ["--out", str(again)]) in (0, 3)
+    assert again.read_bytes() == first.read_bytes()
+    assert params["burnin"] == burnin_auto(model, 1)
+
+
 # kind: (the shortest run that is accepted, [(a run one step or lag short
 # of it, a piece of its error message)])
 _SHORT_RUNS = {
